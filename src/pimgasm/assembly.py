@@ -1,14 +1,18 @@
 """De Bruijn graph assembly driven by the memory-side instruction set.
 
-Stage 1 counts k-mers in an associative hash store: each query is written
-to a temp row and compared against the occupied key rows of its hash bucket
-(one XNOR-compare cycle plus one AND-reduce per row); a hit increments the
-key's vertical counter in place, a miss appends the key and starts its
-counter at one. Stage 2 walks the table and emits one edge per distinct
-k-mer (prefix node, suffix node, multiplicity = frequency) into an edge
-store. Stage 3 accumulates vertical degree counters column-parallel, picks
-the start vertex with a bit-plane compare of out against in+1, and walks an
-Euler path bridge-aware, decrementing multiplicities in memory as it goes.
+Stage 1 counts k-mers in an associative hash store whose key rows hold
+several keys each, one per slot at a power-of-two column pitch. Each query
+is written once into every slot of a temp row and compared against the
+occupied key rows of its hash bucket: one XNOR-compare cycle plus one
+AND-reduce per row checks every key in it, and only occupied slots count,
+so an all-A key (packed to 0) never matches an empty slot. A hit
+increments the key's vertical counter in place, a miss appends the key in
+the next free slot and starts its counter at one. Stage 2 walks the table
+and emits one edge per distinct k-mer (prefix node, suffix node,
+multiplicity = frequency) into an edge store. Stage 3 accumulates vertical
+degree counters column-parallel, picks the start vertex with a bit-plane
+compare of out against in+1, and walks an Euler path bridge-aware,
+decrementing multiplicities in memory as it goes.
 
 The host keeps mirror bookkeeping (a dict index into the hash store, the
 edge lists, remaining-multiplicity maps) so the simulation runs in sensible
@@ -32,11 +36,13 @@ from . import trace as tr
 from .encoding import EncodedSeq, extract_kmers
 from .errors import (
     CapacityError,
+    ConfigError,
     ConsistencyError,
     DisconnectedGraphError,
     NonEulerianError,
     SizeError,
 )
+from .fabric import RowLayout
 from .isa import Machine, MemAddress, VerticalWordRef
 
 log = logging.getLogger(__name__)
@@ -225,14 +231,14 @@ def contig_from_path(vertices: list[EncodedSeq], k: int) -> EncodedSeq:
 
 
 class KmerTable:
-    """Hash-store handle: ordered keys, their slots, and counter access."""
+    """Hash-store handle: ordered keys, where they sit, and counter access."""
 
     def __init__(self, k: int, layout: mapping.HashLayout, machine: Machine):
         self.k = k
         self.layout = layout
         self.machine = machine
         self.keys: list[EncodedSeq] = []
-        self.slots: list[tuple[int, int]] = []  # (sub-array id, key row)
+        self.slots: list[tuple[int, int]] = []  # (sub-array id, key index)
         self.host_counts: dict[int, int] = {}   # packed key -> exact count
         self.total_kmers = 0
         self.saturated_keys = 0
@@ -244,27 +250,29 @@ class KmerTable:
     def distinct(self) -> int:
         return len(self.keys)
 
-    def _counter_ref(self, slot: tuple[int, int]) -> VerticalWordRef:
-        sid, row = slot
-        lsb, col = self.layout.counter_location(row)
-        return VerticalWordRef(sid, col, lsb, self.layout.value_width)
-
     def frequencies(self) -> dict[EncodedSeq, int]:
-        """Counter values decoded from fabric bits (reads the value rows)."""
-        cache: dict[int, list[int]] = {}
+        """Counter values decoded from fabric bits.
+
+        Each sub-array's value rows are read up to the last counter stripe
+        its keys occupy; stripes past it hold no counters.
+        """
         lay = self.layout
+        last: dict[int, int] = {}  # sub-array id -> highest key index
+        for sid, key_i in self.slots:
+            last[sid] = key_i
+        planes: dict[int, list[int]] = {}
+        for sid, key_i in last.items():
+            sub = self.machine.subarray(sid)
+            stop = lay.counter_location(key_i)[0] + lay.value_width
+            planes[sid] = [sub.read_row(r) for r in range(lay.value_rows.start, stop)]
         out: dict[EncodedSeq, int] = {}
-        for key, (sid, row) in zip(self.keys, self.slots):
-            planes = cache.get(sid)
-            if planes is None:
-                sub = self.machine.subarray(sid)
-                planes = [sub.read_row(r) for r in lay.value_rows]
-                cache[sid] = planes
-            lsb, col = lay.counter_location(row)
+        for key, (sid, key_i) in zip(self.keys, self.slots):
+            lsb, col = lay.counter_location(key_i)
+            rows = planes[sid]
             base = lsb - lay.value_rows.start
             v = 0
             for i in range(lay.value_width):
-                v |= ((planes[base + i] >> col) & 1) << i
+                v |= ((rows[base + i] >> col) & 1) << i
             out[key] = v
         return out
 
@@ -282,11 +290,12 @@ class KmerTable:
 
 
 class _Bucket:
-    __slots__ = ("chain", "fills")
+    __slots__ = ("chain", "fills", "rows")
 
     def __init__(self):
-        self.chain: list[int] = []
-        self.fills: list[int] = []
+        self.chain: list[int] = []   # sub-array ids, oldest first
+        self.fills: list[int] = []   # keys held by each chain member
+        self.rows = 0                # occupied key rows over the whole chain
 
 
 class _RowBank:
@@ -297,8 +306,6 @@ class _RowBank:
         self.sids: list[int] = []
         self._next = 0
         self._sid = -1
-        from .fabric import RowLayout
-
         self._layout = RowLayout.default(machine.rows)
         self._cap = len(self._layout.data_region)
 
@@ -318,8 +325,6 @@ class _CounterBank:
     """Vertical-word slots packed in stripes across store sub-arrays."""
 
     def __init__(self, machine: Machine, width: int):
-        from .fabric import RowLayout
-
         self.machine = machine
         self.width = width
         self._layout = RowLayout.default(machine.rows)
@@ -382,11 +387,13 @@ class _GraphStore:
 class Assembler:
     """Runs the counting, graph build, and walk stages on one machine.
 
-    probe_mode selects how hash-store lookups are costed: "indexed" uses the
-    host mirror to emit the scan events in bulk and executes only the final
-    compare physically; "naive" executes every row compare in fabric. Both
-    modes produce identical traces and results; naive is O(rows) per query
-    and only suitable for small inputs.
+    The hash store packs `slots` keys into each key row (see
+    mapping.layout_hash), so a bucket scan costs one compare per occupied
+    row, not one per key. probe_mode selects how hash-store lookups are
+    costed: "indexed" uses the host mirror to emit the scan events in bulk
+    and executes only the final row compare physically; "naive" executes
+    every row compare in fabric. Both modes produce identical traces and
+    results; naive is O(rows) per query and only suitable for small inputs.
     """
 
     def __init__(
@@ -402,7 +409,7 @@ class Assembler:
         max_subarrays: int = 200_000,
     ):
         if probe_mode not in ("indexed", "naive"):
-            raise ValueError(f"unknown probe mode {probe_mode!r}")
+            raise ConfigError(f"unknown probe mode {probe_mode!r}")
         self.machine = machine if machine is not None else Machine(rows=rows, cols=cols)
         self.rows = self.machine.rows
         self.cols = self.machine.cols
@@ -446,36 +453,40 @@ class Assembler:
         lay = table.layout
         bits = kmer.bits
         width = 2 * table.k
+        span = lay.key_span
+        image = lay.replicate(bits)
         temp_row = lay.row_layout.temp_rows[0]
         cap = (1 << lay.value_width) - 1
         table.total_kmers += 1
 
         hit = index.get(bits)
         if hit is not None:
-            bucket_i, member_i, row_i, scan_pos = hit
+            bucket_i, member_i, key_i, scan_pos = hit
             bucket = buckets[bucket_i]
             sid = bucket.chain[member_i]
             if self.probe_mode == "naive":
-                found = self._scan_naive(bucket, bits, width, temp_row, lay)
-                if found != (member_i, row_i):
+                found = self._scan_naive(bucket, image, temp_row, lay)
+                if found != (member_i, key_i):
                     raise ConsistencyError("fabric scan disagrees with the index")
             else:
-                # chain members before the hit: temp write plus full scan
+                # chain members and rows before the hit: temp writes plus scan
                 if member_i:
                     trace.emit(tr.W, member_i)
                 if scan_pos:
                     trace.emit(tr.C_ADD, scan_pos)
                     trace.emit(tr.DPU, scan_pos)
-                m.subarray(sid).write_bits(temp_row, 0, width, bits)
+                m.subarray(sid).write_bits(temp_row, 0, span, image)
+                key_row, _ = lay.key_address(key_i)
                 res = m.cmp(
-                    MemAddress(sid, temp_row, 0, width),
-                    MemAddress(sid, lay.kmer_rows.start + row_i, 0, width),
+                    MemAddress(sid, temp_row, 0, span),
+                    MemAddress(sid, key_row, 0, span),
                 )
-                if not res.equal:
+                slot = key_i % lay.slots
+                if lay.matched_slot(res.mask, slot + 1) != slot:
                     raise ConsistencyError("stored key does not match its index entry")
             count = table.host_counts[bits]
             if count < cap:
-                lsb, col = lay.counter_location(lay.kmer_rows.start + row_i)
+                lsb, col = lay.counter_location(key_i)
                 m.add_const_cols(sid, lsb, lay.value_width, [col], 1)
             elif count == cap:
                 table.saturated_keys += 1
@@ -487,30 +498,30 @@ class Assembler:
         bucket = buckets[bucket_i]
         temp_sid = None
         if self.probe_mode == "naive":
-            found = self._scan_naive(bucket, bits, width, temp_row, lay)
+            found = self._scan_naive(bucket, image, temp_row, lay)
             if found is not None:
                 raise ConsistencyError("fabric holds a key the index does not")
             if bucket.chain:
                 temp_sid = bucket.chain[-1]
-        else:
+        elif bucket.chain:
             members = len(bucket.chain)
-            scanned = sum(bucket.fills)
-            if members:
-                if members > 1:
-                    trace.emit(tr.W, members - 1)
-                if scanned > 1:
-                    trace.emit(tr.C_ADD, scanned - 1)
-                    trace.emit(tr.DPU, scanned - 1)
-                # the final mismatching compare runs for real
-                temp_sid = bucket.chain[-1]
-                m.subarray(temp_sid).write_bits(temp_row, 0, width, bits)
-                last_row = lay.kmer_rows.start + bucket.fills[-1] - 1
-                res = m.cmp(
-                    MemAddress(temp_sid, temp_row, 0, width),
-                    MemAddress(temp_sid, last_row, 0, width),
-                )
-                if res.equal:
-                    raise ConsistencyError("fabric holds a key the index does not")
+            if members > 1:
+                trace.emit(tr.W, members - 1)
+            if bucket.rows > 1:
+                trace.emit(tr.C_ADD, bucket.rows - 1)
+                trace.emit(tr.DPU, bucket.rows - 1)
+            # the compare of the last occupied row runs for real
+            temp_sid = bucket.chain[-1]
+            fill = bucket.fills[-1]
+            first = (fill - 1) // lay.slots * lay.slots
+            last_row, _ = lay.key_address(first)
+            m.subarray(temp_sid).write_bits(temp_row, 0, span, image)
+            res = m.cmp(
+                MemAddress(temp_sid, temp_row, 0, span),
+                MemAddress(temp_sid, last_row, 0, span),
+            )
+            if lay.matched_slot(res.mask, fill - first) is not None:
+                raise ConsistencyError("fabric holds a key the index does not")
 
         if not bucket.chain or bucket.fills[-1] >= lay.capacity:
             if m.subarray_count >= self.max_subarrays:
@@ -521,35 +532,45 @@ class Assembler:
             bucket.fills.append(0)
         target = bucket.chain[-1]
         if target != temp_sid:
-            m.subarray(target).write_bits(temp_row, 0, width, bits)
-        row_i = bucket.fills[-1]
-        key_row = lay.kmer_rows.start + row_i
+            m.subarray(target).write_bits(temp_row, 0, span, image)
+        key_i = bucket.fills[-1]
+        key_row, col = lay.key_address(key_i)
         m.mem_insert(
-            MemAddress(target, key_row, 0, width),
-            MemAddress(target, temp_row, 0, width),
+            MemAddress(target, key_row, col, width),
+            MemAddress(target, temp_row, col, width),
         )
         sub = m.subarray(target)
-        if sub.cells[key_row] & ((1 << width) - 1) != bits:
+        if (sub.cells[key_row] >> col) & ((1 << width) - 1) != bits:
             raise ConsistencyError("inserted key bits corrupted")
-        lsb, col = lay.counter_location(key_row)
-        sub.write_cell(lsb, col, 1)
-        scan_pos = sum(bucket.fills[:-1]) + row_i
-        index[bits] = (bucket_i, len(bucket.chain) - 1, row_i, scan_pos)
+        lsb, ctr_col = lay.counter_location(key_i)
+        sub.write_cell(lsb, ctr_col, 1)
+        if key_i % lay.slots == 0:
+            bucket.rows += 1
+        # the new key sits in the bucket's last occupied row
+        index[bits] = (bucket_i, len(bucket.chain) - 1, key_i, bucket.rows - 1)
         bucket.fills[-1] += 1
         table.host_counts[bits] = 1
         table.keys.append(kmer)
-        table.slots.append((target, key_row))
+        table.slots.append((target, key_i))
 
-    def _scan_naive(self, bucket, bits, width, temp_row, lay):
-        """Physically compare the query against every occupied key row."""
+    def _scan_naive(self, bucket, image, temp_row, lay):
+        """Physically compare the query against every occupied key row.
+
+        Returns (chain member, key index) of the first occupied slot that
+        matches, or None.
+        """
         m = self.machine
+        span = lay.key_span
         for member_i, sid in enumerate(bucket.chain):
-            m.subarray(sid).write_bits(temp_row, 0, width, bits)
-            src = MemAddress(sid, temp_row, 0, width)
-            for row_i in range(bucket.fills[member_i]):
-                res = m.cmp(src, MemAddress(sid, lay.kmer_rows.start + row_i, 0, width))
-                if res.equal:
-                    return member_i, row_i
+            m.subarray(sid).write_bits(temp_row, 0, span, image)
+            src = MemAddress(sid, temp_row, 0, span)
+            fill = bucket.fills[member_i]
+            for first in range(0, fill, lay.slots):
+                row, _ = lay.key_address(first)
+                res = m.cmp(src, MemAddress(sid, row, 0, span))
+                slot = lay.matched_slot(res.mask, min(lay.slots, fill - first))
+                if slot is not None:
+                    return member_i, first + slot
         return None
 
     # -- stage 2: graph construction --
@@ -571,13 +592,14 @@ class Assembler:
                     raise ConsistencyError(
                         f"counter for {key.to_str()} reads {fab_freq[key]}, expected {expect}"
                     )
-                sid, row = slot
+                sid, key_i = slot
+                row, col = table.layout.key_address(key_i)
                 p_sid, p_row = labels.alloc(1)
                 s_sid, s_row = labels.alloc(1)
                 dst_p = MemAddress(p_sid, p_row, 0, width)
                 dst_s = MemAddress(s_sid, s_row, 0, width)
-                m.mem_insert(dst_p, MemAddress(sid, row, 0, width))
-                m.mem_insert(dst_s, MemAddress(sid, row, 2, width))
+                m.mem_insert(dst_p, MemAddress(sid, row, col, width))
+                m.mem_insert(dst_s, MemAddress(sid, row, col + 2, width))
                 prefix = key.prefix(k - 1)
                 suffix = key.suffix(k - 1)
                 mask = (1 << width) - 1
@@ -748,8 +770,6 @@ class Assembler:
         one compare cycle per bit plane. Raises NonEulerianError when more
         than one node has an outgoing surplus or any imbalance exceeds one.
         """
-        from .fabric import RowLayout
-
         m = self.machine
         with m.stage_scope(tr.STAGE_TRAVERSE):
             store = self._ensure_store(g)

@@ -1,9 +1,10 @@
 """Placement planning: where keys, counters, and vertical words live.
 
-Everything here is stateless arithmetic. The hash-table layout packs one
-key per row with an attached vertical counter; counters sit in stripes of
-`value_width` rows, and the key in row r owns the counter at stripe
-r // cols, column r % cols, which is injective because r = stripe*cols+col.
+Everything here is stateless arithmetic. The hash-table layout packs
+`slots` keys per row, one every `pitch` columns, each with an attached
+vertical counter; counters sit in stripes of `value_width` rows, and key
+index j (row * slots + slot) owns the counter at stripe j // cols, column
+j % cols, which is injective because j = stripe*cols+col.
 
 Graph partitioning hashes vertices into M intervals per chip; an edge (u,v)
 lands in block (interval(u), interval(v)), giving M^2 blocks assigned to
@@ -44,7 +45,12 @@ def stable_hash(bits: int, length: int = 0, seed: int = 0) -> int:
 
 @dataclass(frozen=True)
 class HashLayout:
-    """Row map of one hash-table sub-array."""
+    """Row map of one hash-table sub-array.
+
+    Key rows hold `slots` keys each; slot s of a row starts at column
+    s * pitch. Keys are numbered row-major: key index j sits in key row
+    j // slots, slot j % slots.
+    """
 
     rows: int
     cols: int
@@ -54,6 +60,8 @@ class HashLayout:
     stripes: int
     value_width: int
     row_layout: RowLayout
+    pitch: int
+    slots: int
 
     def __post_init__(self) -> None:
         regions = list(self.kmer_rows) + list(self.value_rows) + list(
@@ -63,30 +71,66 @@ class HashLayout:
             raise ConfigError("hash layout regions overlap")
         if len(regions) != self.rows:
             raise ConfigError("hash layout does not cover the sub-array")
+        if self.slots < 1 or self.pitch < 2 * self.k or self.key_span > self.cols:
+            raise ConfigError("key slots do not fit the row")
         if self.capacity > self.stripes * self.cols:
             raise ConfigError("more keys than counter slots")
 
     @property
     def capacity(self) -> int:
-        """Keys storable in this sub-array (one per row)."""
-        return len(self.kmer_rows)
+        """Keys storable in this sub-array (`slots` per key row)."""
+        return len(self.kmer_rows) * self.slots
 
-    def counter_location(self, kmer_row: int) -> tuple[int, int]:
-        """(lsb value row, column) of the counter owned by a key row."""
-        if kmer_row not in self.kmer_rows:
-            raise SizeError(f"row {kmer_row} is not a key row")
-        idx = kmer_row - self.kmer_rows.start
-        stripe, col = divmod(idx, self.cols)
+    @property
+    def key_span(self) -> int:
+        """Columns from 0 through the last bit of the last slot's key."""
+        return (self.slots - 1) * self.pitch + 2 * self.k
+
+    def key_address(self, key_index: int) -> tuple[int, int]:
+        """(key row, first column) of a key index."""
+        if not 0 <= key_index < self.capacity:
+            raise SizeError(f"key index {key_index} outside [0, {self.capacity})")
+        row, slot = divmod(key_index, self.slots)
+        return self.kmer_rows.start + row, slot * self.pitch
+
+    def replicate(self, bits: int) -> int:
+        """Row image holding the key `bits` in every slot."""
+        return sum(bits << (s * self.pitch) for s in range(self.slots))
+
+    def matched_slot(self, mask: int, occupied: int) -> int | None:
+        """First of a row's `occupied` leading slots whose key bits all matched.
+
+        `mask` is a compare mask over the row's key span. Empty slots are
+        never reported, so a key that packs to 0 cannot match one.
+        """
+        full = (1 << (2 * self.k)) - 1
+        for s in range(occupied):
+            if (mask >> (s * self.pitch)) & full == full:
+                return s
+        return None
+
+    def counter_location(self, key_index: int) -> tuple[int, int]:
+        """(lsb value row, column) of the counter owned by a key index."""
+        if not 0 <= key_index < self.capacity:
+            raise SizeError(f"key index {key_index} outside [0, {self.capacity})")
+        stripe, col = divmod(key_index, self.cols)
         return self.value_rows.start + stripe * self.value_width, col
 
 
 def layout_hash(dims: tuple[int, int], k: int, value_width: int = 8) -> HashLayout:
     """Plan a hash-table sub-array for length-k keys at 2 bits per base.
 
-    Twelve rows are reserved (2 temp, 2 init, 2 carry, 6 spare); counter
-    stripes are sized so every key row gets a slot; the rest hold keys. For
-    the default 1024 x 256 geometry that is 980 key rows and 4 stripes of
-    8 value rows. Keys wider than one row are rejected.
+    Keys sit at a pitch of the smallest power of two >= 2k columns, so a
+    row holds max(1, cols // pitch) of them and one row compare checks
+    them all. The power-of-two pitch gives every k between two powers the
+    same slot count (4 for k = 17..32 on 256 columns), so fewer, longer
+    k-mers never cost more to scan; the densest packing, cols // 2k, would
+    give 5 slots at k=25 but 4 at k=27. Twelve rows are reserved (2 temp, 2 init,
+    2 carry, 6 spare); the fewest counter stripes that give every key a
+    slot are taken, and the rest of the rows hold keys. For the default
+    1024 x 256 geometry at k=25 that is 892 key rows of 4 slots (3,568
+    keys) and 15 stripes of 8 value rows. Keys wider than one row are
+    rejected.
     """
     rows, cols = dims
     if k < 2:
@@ -96,9 +140,13 @@ def layout_hash(dims: tuple[int, int], k: int, value_width: int = 8) -> HashLayo
             f"k={k} needs {2 * k} columns but the row has {cols}; "
             "multi-row keys are not supported"
         )
+    pitch = 1 << (2 * k - 1).bit_length()
+    slots = max(1, cols // pitch)
     special = 12
-    stripes = math.ceil(max(rows - special, 0) / (cols + value_width))
-    n_keys = rows - special - stripes * value_width
+    # fewest stripes s with (free - s*value_width) * slots <= s * cols
+    free = max(rows - special, 0)
+    stripes = math.ceil(free * slots / (cols + value_width * slots))
+    n_keys = free - stripes * value_width
     if stripes < 1 or n_keys < 1:
         raise CapacityError(f"geometry {dims} too small for a hash sub-array")
     kmer_rows = range(0, n_keys)
@@ -121,6 +169,8 @@ def layout_hash(dims: tuple[int, int], k: int, value_width: int = 8) -> HashLayo
         stripes=stripes,
         value_width=value_width,
         row_layout=row_layout,
+        pitch=pitch,
+        slots=slots,
     )
 
 

@@ -22,6 +22,7 @@ from pimgasm.assembly import (
 )
 from pimgasm.encoding import EncodedSeq, extract_kmers
 from pimgasm.errors import (
+    ConfigError,
     ConsistencyError,
     DisconnectedGraphError,
     NonEulerianError,
@@ -71,14 +72,34 @@ def test_kmer_counts_match_a_host_counter(reads, k):
 
 
 def test_insert_cost_oracle_single_read():
-    # CGTGTGCA, k=5: four distinct k-mers land in one bucket. Insert i
-    # scans the i occupied rows (one compare each), stages the query once,
-    # copies it into its key row, and seeds the counter LSB:
+    # CGTGTGCA, k=5: four distinct k-mers land in one bucket. 10-bit keys
+    # at a 16-column pitch give 4 slots per 64-bit row, so all four share
+    # key row 0. Insert i scans the ceil(i/4) occupied rows (one compare
+    # each), stages the query once, copies it into its slot, and seeds the
+    # counter LSB:
     #   W = 4 * (temp + insert + counter) = 12,  R = 4 insert reads,
-    #   C_ADD = DPU = 0 + 1 + 2 + 3 = 6.
+    #   C_ADD = DPU = 0 + 1 + 1 + 1 = 3.
     asm = make_asm()
     asm.build_kmer_table([E("CGTGTGCA")], 5)
-    assert hashmap_totals(asm.trace) == {tr.R: 4, tr.W: 12, tr.C_ADD: 6, tr.DPU: 6}
+    assert hashmap_totals(asm.trace) == {tr.R: 4, tr.W: 12, tr.C_ADD: 3, tr.DPU: 3}
+
+
+def test_miss_cost_is_one_compare_per_occupied_row():
+    # k=5 on 64 columns: 4 slots per row and 304 keys per sub-array, so
+    # every key below lands in one one-member bucket. The miss that inserts
+    # key index j compares the query against the ceil(j/4) occupied rows.
+    seq = "ACGTTGCATGTCGACCATGGAT"
+    assert len({seq[i : i + 5] for i in range(len(seq) - 4)}) == len(seq) - 4
+    prev = {tr.C_ADD: 0, tr.DPU: 0}
+    for j in range(len(seq) - 4):
+        asm = make_asm()
+        table = asm.build_kmer_table([E(seq[: j + 5])], 5)
+        assert table.layout.slots == 4 and asm.machine.subarray_count == 1
+        totals = hashmap_totals(asm.trace)
+        rows = -(-j // 4)
+        assert totals[tr.C_ADD] - prev[tr.C_ADD] == rows
+        assert totals[tr.DPU] - prev[tr.DPU] == rows
+        prev = totals
 
 
 def test_repeat_cost_oracle():
@@ -98,8 +119,53 @@ def test_probe_modes_agree():
     assert [k.to_str() for k in ti.keys] == [k.to_str() for k in tn.keys]
     assert dict(ti.items()) == dict(tn.items())
     assert indexed.trace.records() == naive.trace.records()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         make_asm(probe_mode="bogus")
+
+
+def _count_both_ways(raw, k, **kw):
+    """Count in both probe modes; check they agree with a host Counter."""
+    enc = [E(s) for s in raw]
+    expected = Counter(s[i : i + k] for s in raw for i in range(len(s) - k + 1))
+    runs = []
+    for mode in ("indexed", "naive"):
+        asm = make_asm(probe_mode=mode, **kw)
+        runs.append((asm, asm.build_kmer_table(enc, k)))
+    (indexed, ti), (naive, tn) = runs
+    assert indexed.trace.records() == naive.trace.records()
+    assert [key.to_str() for key in ti.keys] == [key.to_str() for key in tn.keys]
+    assert {key.to_str(): n for key, n in ti.items()} == dict(expected)
+    assert {key.to_str(): n for key, n in tn.items()} == dict(expected)
+    return indexed, ti
+
+
+# 24 x 64 sub-arrays hold 4 key rows of 4 to 16 slots for k = 2..8, so
+# larger read sets overflow buckets into chains
+PACKED = dict(rows=24, cols=64)
+
+
+@given(
+    reads=st.lists(st.text(alphabet="ACGT", min_size=1, max_size=40), min_size=1, max_size=10),
+    poly_a=st.integers(min_value=0, max_value=12),
+    at=st.integers(min_value=0, max_value=10),
+    k=st.integers(min_value=2, max_value=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_packed_rows_probe_modes_agree_with_a_host_counter(reads, poly_a, at, k):
+    # the all-A key packs to 0, like an empty slot
+    raw = list(reads)
+    raw.insert(min(at, len(raw)), "A" * (k + poly_a))
+    _count_both_ways(raw, k, **PACKED)
+
+
+def test_packed_rows_chain_buckets():
+    rng = random.Random(3)
+    genome = "".join(rng.choice("ACGT") for _ in range(160))
+    raw = [genome[i : i + 40] for i in range(0, 121, 20)] + ["A" * 9, genome[:30]]
+    asm, table = _count_both_ways(raw, 6, **PACKED)
+    assert table.layout.slots == 4
+    # more sub-arrays than buckets: at least one bucket chained
+    assert asm.machine.subarray_count > -(-table.distinct() // table.layout.capacity)
 
 
 def test_counter_saturation_clamps_fabric_not_host():

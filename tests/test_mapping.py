@@ -109,12 +109,17 @@ def test_stable_hash_range(bits, length):
 
 
 def test_layout_hash_default_geometry():
+    # 50-bit keys at a 64-column pitch: 4 slots per 256-bit row. 1012
+    # non-special rows; 15 stripes leave 892 key rows = 3568 keys, which
+    # fit 15 * 256 = 3840 counters (14 stripes would leave 3600 > 3584)
     lay = layout_hash((1024, 256), 25)
-    assert lay.capacity == 980
-    assert lay.stripes == 4
+    assert lay.pitch == 64
+    assert lay.slots == 4
+    assert lay.capacity == 3568
+    assert lay.stripes == 15
     assert lay.value_width == 8
-    assert lay.kmer_rows == range(0, 980)
-    assert lay.value_rows == range(980, 1012)
+    assert lay.kmer_rows == range(0, 892)
+    assert lay.value_rows == range(892, 1012)
     # every row is claimed exactly once (enforced again by the constructor)
     claimed = (
         list(lay.kmer_rows)
@@ -126,13 +131,37 @@ def test_layout_hash_default_geometry():
 
 def test_counter_location_is_injective():
     lay = layout_hash((1024, 256), 25)
-    locs = {lay.counter_location(r) for r in lay.kmer_rows}
+    locs = {lay.counter_location(j) for j in range(lay.capacity)}
     assert len(locs) == lay.capacity
-    assert lay.counter_location(0) == (980, 0)
-    assert lay.counter_location(256) == (988, 0)
-    assert lay.counter_location(257) == (988, 1)
+    assert lay.counter_location(0) == (892, 0)
+    assert lay.counter_location(256) == (900, 0)
+    assert lay.counter_location(257) == (900, 1)
     with pytest.raises(SizeError):
-        lay.counter_location(1000)
+        lay.counter_location(3568)
+
+
+def test_key_slots_share_a_row():
+    lay = layout_hash((1024, 256), 25)
+    assert [lay.key_address(j) for j in (0, 1, 3, 4)] == [(0, 0), (0, 64), (0, 192), (1, 0)]
+    assert lay.key_span == 3 * 64 + 50
+    key = (1 << 50) - 1
+    assert lay.replicate(key) == sum(key << (64 * s) for s in range(4))
+    with pytest.raises(SizeError):
+        lay.key_address(lay.capacity)
+    # a query of 0 against a zeroed row matches in every slot; only the
+    # occupied leading slots may report it
+    all_match = (1 << lay.key_span) - 1
+    assert lay.matched_slot(all_match, 4) == 0
+    assert lay.matched_slot(all_match, 0) is None
+    slot2 = ((1 << 50) - 1) << 128
+    assert lay.matched_slot(slot2, 2) is None
+    assert lay.matched_slot(slot2, 3) == 2
+
+
+def test_key_pitch_is_a_power_of_two():
+    # k=22..32 all get 64-bit slots, so the slot count never rises with k
+    assert [layout_hash((1024, 256), k).slots for k in (16, 22, 25, 27, 32)] == [8, 4, 4, 4, 4]
+    assert layout_hash((1024, 64), 20).slots == 1  # 40-bit key, 64-bit pitch
 
 
 def test_layout_hash_rejects_bad_requests():
@@ -154,7 +183,7 @@ def test_layout_hash_counter_slots_cover_keys(rows, cols, k):
     lay = layout_hash((rows, cols), k)
     assert lay.capacity <= lay.stripes * cols
     assert lay.capacity >= 1
-    locs = {lay.counter_location(r) for r in lay.kmer_rows}
+    locs = {lay.counter_location(j) for j in range(lay.capacity)}
     assert len(locs) == lay.capacity
 
 
