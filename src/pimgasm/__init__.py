@@ -46,11 +46,8 @@ from .isa import CmpResult, Machine, MemAddress, VerticalWordRef
 from .mapping import (
     CapacityPlan,
     HashLayout,
-    PartitionPlan,
     capacity_plan,
     layout_hash,
-    partition_graph,
-    place_vertical_word,
     stable_hash,
     subarrays_needed,
 )
@@ -61,9 +58,7 @@ from .perf import (
     SweepResult,
     account,
     calibrated_config,
-    comparison_table,
     fit_pd_calibration,
-    memory_wall_metrics,
     sweep_pd,
 )
 from .trace import OpTrace
@@ -95,7 +90,6 @@ __all__ = [
     "OR3_CFG",
     "OpTrace",
     "ParseError",
-    "PartitionPlan",
     "PlacementError",
     "ProtectionError",
     "READ_CFG",
@@ -116,14 +110,10 @@ __all__ = [
     "calibrated_config",
     "capacity_plan",
     "clean_segments",
-    "comparison_table",
     "contig_from_path",
     "extract_kmers",
     "fit_pd_calibration",
     "layout_hash",
-    "memory_wall_metrics",
-    "partition_graph",
-    "place_vertical_word",
     "stable_hash",
     "subarrays_needed",
     "sweep_pd",

@@ -14,6 +14,15 @@ degree counters column-parallel, picks the start vertex with a bit-plane
 compare of out against in+1, and walks an Euler path bridge-aware,
 decrementing multiplicities in memory as it goes.
 
+A graph holds at most one fabric placement, `SparseGraph.store`: one
+vertical multiplicity word per edge (plus the degree region once
+find_start has built it), bound to the machine that wrote it. build_graph
+places the words as it copies labels out of the hash store; a component
+subgraph selects its parent's words; a collapsed retry gets fresh unit
+words from the walk; and a graph with no placement on the walking
+machine (a synthetic graph, a simplified one, or one placed by another
+Assembler) has its labels and words written in by the host first.
+
 The host keeps mirror bookkeeping (a dict index into the hash store, the
 edge lists, remaining-multiplicity maps) so the simulation runs in sensible
 time, but every datum also lives in fabric bits: keys and counters are
@@ -29,7 +38,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import mapping
 from . import trace as tr
@@ -93,11 +102,8 @@ class SparseGraph:
         self.edge_src: list[int] = []
         self.edge_dst: list[int] = []
         self.mult: list[int] = []
-        # set on views derived from a materialized parent graph
-        self._parent: SparseGraph | None = None
-        self._parent_edges: list[int] | None = None
-        self._unit_mult = False
-        self._store = None
+        # multiplicity words on the one machine that placed this graph
+        self.store: _GraphStore | None = None
 
     # -- construction --
 
@@ -120,14 +126,6 @@ class SparseGraph:
     # -- views --
 
     @property
-    def node1(self) -> list[EncodedSeq]:
-        return [self.nodes[i] for i in self.edge_src]
-
-    @property
-    def node2(self) -> list[EncodedSeq]:
-        return [self.nodes[i] for i in self.edge_dst]
-
-    @property
     def edge_count(self) -> int:
         return len(self.mult)
 
@@ -144,7 +142,10 @@ class SparseGraph:
         return out, inn
 
     def subgraph(self, node_ids: list[int]) -> "SparseGraph":
-        """Edge-induced subgraph on a node subset, keeping edge order."""
+        """Edge-induced subgraph on a node subset, keeping edge order.
+
+        A placed graph hands its subgraph the words of the kept edges.
+        """
         keep = set(node_ids)
         sub = SparseGraph(k=self.k)
         for nid in sorted(node_ids):
@@ -154,20 +155,17 @@ class SparseGraph:
             if u in keep:
                 sub.add_edge(self.nodes[u], self.nodes[v], self.mult[e])
                 edge_ids.append(e)
-        sub._parent = self
-        sub._parent_edges = edge_ids
+        if self.store is not None:
+            sub.store = self.store.select(edge_ids)
         return sub
 
     def collapsed(self) -> "SparseGraph":
-        """Same topology with every multiplicity forced to one."""
+        """Same topology with every multiplicity forced to one, unplaced."""
         c = SparseGraph(k=self.k)
         for lab in self.nodes:
             c.node_id(lab)
         for u, v in zip(self.edge_src, self.edge_dst):
             c.add_edge(self.nodes[u], self.nodes[v], 1)
-        c._parent = self
-        c._parent_edges = list(range(self.edge_count))
-        c._unit_mult = True
         return c
 
     def dump_tsv(self, path) -> None:
@@ -352,7 +350,6 @@ class _DegreeRegion:
     sids: list[int]
     w_deg: int
     w_ec: int
-    spacing: int          # row pitch between the four word planes
     base: int             # first data row
     cols: int
     ec_index: int         # flat slot index of the edge-count word
@@ -371,13 +368,21 @@ class _DegreeRegion:
 
 
 class _GraphStore:
-    """Fabric placement of one graph: label rows and multiplicity words."""
+    """Fabric placement of one graph on one machine.
 
-    def __init__(self):
-        self.label_refs: list[tuple[MemAddress, MemAddress]] = []
-        self.mult_refs: list[VerticalWordRef] = []
-        self.mult_seen: list[bool] = []   # first staging reads fabric, later ones recharge
+    One multiplicity word per edge, plus the degree region once find_start
+    has built it.
+    """
+
+    def __init__(self, machine: Machine, mult_refs: list[VerticalWordRef]):
+        self.machine = machine
+        self.mult_refs = mult_refs
+        self.mult_seen = [False] * len(mult_refs)  # first staging reads fabric, later ones recharge
         self.degree: _DegreeRegion | None = None
+
+    def select(self, edge_ids: list[int]) -> "_GraphStore":
+        """The words of a subset of edges, unread and without degrees."""
+        return _GraphStore(self.machine, [self.mult_refs[e] for e in edge_ids])
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +587,7 @@ class Assembler:
         cap = (1 << table.value_width) - 1
         with m.stage_scope(tr.STAGE_GRAPH):
             g = SparseGraph(k=k)
-            store = _GraphStore()
             labels = _RowBank(m)
-            counters = _CounterBank(m, table.value_width)
             fab_freq = table.frequencies()
             for key, slot in zip(table.keys, table.slots):
                 expect = min(table.host_counts[key.bits], cap)
@@ -596,66 +599,43 @@ class Assembler:
                 row, col = table.layout.key_address(key_i)
                 p_sid, p_row = labels.alloc(1)
                 s_sid, s_row = labels.alloc(1)
-                dst_p = MemAddress(p_sid, p_row, 0, width)
-                dst_s = MemAddress(s_sid, s_row, 0, width)
-                m.mem_insert(dst_p, MemAddress(sid, row, col, width))
-                m.mem_insert(dst_s, MemAddress(sid, row, col + 2, width))
+                m.mem_insert(MemAddress(p_sid, p_row, 0, width), MemAddress(sid, row, col, width))
+                m.mem_insert(MemAddress(s_sid, s_row, 0, width), MemAddress(sid, row, col + 2, width))
                 prefix = key.prefix(k - 1)
                 suffix = key.suffix(k - 1)
                 mask = (1 << width) - 1
                 if m.subarray(p_sid).cells[p_row] & mask != prefix.bits:
                     raise ConsistencyError("prefix label bits corrupted")
-                if (m.subarray(s_sid).cells[s_row] >> 0) & mask != suffix.bits:
+                if m.subarray(s_sid).cells[s_row] & mask != suffix.bits:
                     raise ConsistencyError("suffix label bits corrupted")
-                ref = counters.alloc()
-                m.write_vword(ref, expect)
                 g.add_edge(prefix, suffix, expect)
-                store.label_refs.append((dst_p, dst_s))
-                store.mult_refs.append(ref)
-                store.mult_seen.append(False)
-            g._store = store
+            g.store = self._place_mults(g.mult, table.value_width)
         log.info("graph: %d nodes, %d edges", len(g.nodes), g.edge_count)
         return g
 
-    def _ensure_store(self, g: SparseGraph) -> _GraphStore:
-        if g._store is not None:
-            return g._store
+    def _place_mults(self, mults: list[int], width: int) -> _GraphStore:
+        """Write one width-bit multiplicity word per edge into a counter bank."""
         m = self.machine
-        st = _GraphStore()
-        if g._parent is not None and g._parent._store is not None:
-            ps = g._parent._store
-            ids = g._parent_edges
-            st.label_refs = [ps.label_refs[e] for e in ids]
-            if g._unit_mult:
-                bank = _CounterBank(m, 8)
-                for _ in ids:
-                    ref = bank.alloc()
-                    m.write_vword(ref, 1)
-                    st.mult_refs.append(ref)
-            else:
-                st.mult_refs = [ps.mult_refs[e] for e in ids]
-            st.mult_seen = [False] * len(ids)
-        else:
-            # injected graph: host writes labels and multiplicities in
-            node_addr: list[MemAddress] = []
-            bank = _RowBank(m)
-            for lab in g.nodes:
-                nrows = max(1, math.ceil(lab.bit_length / m.cols))
-                sid, row = bank.alloc(nrows)
-                addr = MemAddress(sid, row, 0, max(1, lab.bit_length))
-                if lab.bit_length:
-                    m.mem_insert(addr, lab.bits)
-                node_addr.append(addr)
-            w_mult = max(8, max(g.mult, default=1).bit_length())
-            counters = _CounterBank(m, w_mult)
-            for e, (u, v) in enumerate(zip(g.edge_src, g.edge_dst)):
-                st.label_refs.append((node_addr[u], node_addr[v]))
-                ref = counters.alloc()
-                m.write_vword(ref, g.mult[e])
-                st.mult_refs.append(ref)
-                st.mult_seen.append(False)
-        g._store = st
-        return st
+        counters = _CounterBank(m, width)
+        refs = []
+        for mult in mults:
+            ref = counters.alloc()
+            m.write_vword(ref, mult)
+            refs.append(ref)
+        return _GraphStore(m, refs)
+
+    def _ensure_store(self, g: SparseGraph) -> _GraphStore:
+        """g's placement on this machine, host-writing labels and words if absent."""
+        m = self.machine
+        if g.store is not None and g.store.machine is m:
+            return g.store
+        labels = _RowBank(m)
+        for lab in g.nodes:
+            sid, row = labels.alloc(max(1, math.ceil(lab.bit_length / m.cols)))
+            if lab.bit_length:
+                m.mem_insert(MemAddress(sid, row, 0, lab.bit_length), lab.bits)
+        g.store = self._place_mults(g.mult, max(8, max(g.mult, default=1).bit_length()))
+        return g.store
 
     # -- optional stage 2.5: chain merging --
 
@@ -835,7 +815,7 @@ class Assembler:
                 if over[ec_col]:
                     raise ConsistencyError("edge counter overflow")
 
-            region = _DegreeRegion(sids, w_deg, w_ec, spacing, base, m.cols, n)
+            region = _DegreeRegion(sids, w_deg, w_ec, base, m.cols, n)
 
             # read the counter planes back; the mirror must agree exactly
             fab_out = [0] * n
@@ -942,7 +922,8 @@ class Assembler:
         """
         with self.machine.stage_scope(tr.STAGE_TRAVERSE):
             store = self._ensure_store(g)
-        if degrees is None and (store.degree is None or start is None):
+        # the walk decrements degree words, so this machine must hold them
+        if store.degree is None or (degrees is None and start is None):
             degrees = self.find_start(g)
         if start is None:
             start = degrees.start
@@ -964,7 +945,7 @@ class Assembler:
             u = start
             path = [u]
             while True:
-                m.dpu_scalar("compare_eq", min(total, 1), 0)
+                m.dpu_charge(1)
                 if total == 0:
                     break
                 nbrs = sorted(v for v, c in adj[u].items() if c > 0)
@@ -1012,6 +993,9 @@ class Assembler:
                 "retrying with unit multiplicities"
             )
         flat = sub.collapsed()
+        # the labels stay where sub's placement wrote them; only words are new
+        with self.machine.stage_scope(tr.STAGE_TRAVERSE):
+            flat.store = self._place_mults(flat.mult, 8)
         try:
             return self.fleury(flat, self.find_start(flat))
         except NonEulerianError as exc:
@@ -1023,17 +1007,13 @@ class Assembler:
         start = max(range(len(flat.nodes)), key=lambda i: (out_d[i] - in_d[i], -i))
         return self.fleury(flat, None, start=start, strict=False)
 
-    def assemble(
-        self, reads: list[EncodedSeq], k: int, *, simplify: bool | None = None
-    ) -> AssemblyResult:
+    def assemble(self, reads: list[EncodedSeq], k: int) -> AssemblyResult:
         """Reads to contigs: count, build, optionally simplify, walk, merge.
 
         Components that fail the Euler-degree screen are retried with all
         multiplicities collapsed to one, and as a last resort walked
         best-effort; each downgrade appends a warning instead of failing.
         """
-        if simplify is None:
-            simplify = self.simplify
         m = self.machine
         warnings: list[str] = []
         usable = [r for r in reads if len(r) >= k]
@@ -1054,7 +1034,7 @@ class Assembler:
                 f"{(1 << table.value_width) - 1}"
             )
         g = self.build_graph(table)
-        work = self.simplify_graph(g) if simplify else g
+        work = self.simplify_graph(g) if self.simplify else g
         with m.stage_scope(tr.STAGE_TRAVERSE):
             m.dpu_charge(len(work.nodes) + work.edge_count)
             comps = weakly_connected_components(work)

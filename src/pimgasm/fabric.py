@@ -325,13 +325,3 @@ class SubArray:
         init_row = self.layout.init1_row if init_bit else self.layout.init0_row
         out = self.activate((row_a, row_b, init_row), cfg)
         return getattr(out, field)
-
-    # ---- debug -------------------------------------------------------
-
-    def dump(self) -> list[str]:
-        """Rows as '0'/'1' strings, column 0 leftmost."""
-        out = []
-        for r in range(self.rows):
-            v = self.cells[r]
-            out.append("".join("1" if (v >> c) & 1 else "0" for c in range(self.cols)))
-        return out

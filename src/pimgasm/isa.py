@@ -324,13 +324,6 @@ class Machine:
             ctr.subarray_id, ctr.lsb_row, ctr.width, [ctr.col], constant
         )[ctr.col]
 
-    def increment(self, ctr: VerticalWordRef) -> int:
-        """ctr += 1; returns the overflow bit (wraps modulo 2**width)."""
-        return self.add_const(ctr, 1)
-
-    def decrement(self, ctr: VerticalWordRef) -> int:
-        return self.add_const(ctr, -1)
-
     # ---- vertical word helpers -----------------------------------------
 
     def write_vword(self, ref: VerticalWordRef, value: int) -> None:
@@ -357,20 +350,6 @@ class Machine:
             raise ShapeError("mask wider than declared width")
         self.trace.emit(tr.DPU, 1)
         return mask == ones(width)
-
-    def dpu_scalar(self, op: str, x: int, y: int):
-        """Small scalar op in the controller (compare/add). One DPU step."""
-        lim = 1 << 32
-        if not (-lim <= x < lim and -lim <= y < lim):
-            raise ShapeError("dpu scalar operands must fit 32 bits")
-        self.trace.emit(tr.DPU, 1)
-        if op == "compare_eq":
-            return x == y
-        if op == "compare_gt":
-            return x > y
-        if op == "add_small":
-            return x + y
-        raise ShapeError(f"unknown dpu op {op!r}")
 
     def dpu_charge(self, n: int) -> None:
         """Account n controller steps for host-assisted work (e.g. DFS)."""

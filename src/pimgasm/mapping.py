@@ -4,22 +4,18 @@ Everything here is stateless arithmetic. The hash-table layout packs
 `slots` keys per row, one every `pitch` columns, each with an attached
 vertical counter; counters sit in stripes of `value_width` rows, and key
 index j (row * slots + slot) owns the counter at stripe j // cols, column
-j % cols, which is injective because j = stripe*cols+col.
-
-Graph partitioning hashes vertices into M intervals per chip; an edge (u,v)
-lands in block (interval(u), interval(v)), giving M^2 blocks assigned to
-sub-array groups round-robin. Hashes are seedable and multiplicative, never
-Python's randomized hash(), so runs reproduce byte for byte.
+j % cols, which is injective because j = stripe*cols+col. Bucket hashes
+are seedable and multiplicative, never Python's randomized hash(), so runs
+reproduce byte for byte. Capacity planning sizes a whole-genome table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CapacityError, ConfigError, SizeError
 from .fabric import RowLayout
-from .isa import VerticalWordRef
 
 _M64 = (1 << 64) - 1
 
@@ -174,73 +170,11 @@ def layout_hash(dims: tuple[int, int], k: int, value_width: int = 8) -> HashLayo
     )
 
 
-@dataclass(frozen=True)
-class PartitionPlan:
-    """Vertex intervals, edge blocks, and their sub-array-group assignment."""
-
-    M: int
-    vertex_interval: tuple[int, ...]          # dense node id -> interval
-    blocks: dict[tuple[int, int], tuple[int, ...]]  # (iu, iv) -> edge ids
-    chip_assignment: dict[tuple[int, int], int]
-    f: int                                     # words per sub-array
-    word_width: int = 8
-    word_lsb: int = 0
-
-
-def partition_graph(
-    graph,
-    M: int,
-    seed: int = 0,
-    dims: tuple[int, int] = (1024, 256),
-    n_groups: int | None = None,
-) -> PartitionPlan:
-    """Partition a sparse edge-list graph into M x M blocks.
-
-    `graph` needs `nodes` (packed labels), `edge_src` and `edge_dst`
-    (dense node ids per edge). Every edge lands in exactly one block, so
-    the blocks are a partition of the edge list.
-    """
-    if M < 1:
-        raise ConfigError("M must be at least 1")
-    if n_groups is None:
-        n_groups = M
-    intervals = tuple(
-        stable_hash(lab.bits, lab.length, seed) % M for lab in graph.nodes
-    )
-    blocks: dict[tuple[int, int], list[int]] = {}
-    for e, (u, v) in enumerate(zip(graph.edge_src, graph.edge_dst)):
-        blocks.setdefault((intervals[u], intervals[v]), []).append(e)
-    frozen = {key: tuple(ids) for key, ids in sorted(blocks.items())}
-    assignment = {key: i % n_groups for i, key in enumerate(frozen)}
-    return PartitionPlan(
-        M=M,
-        vertex_interval=intervals,
-        blocks=frozen,
-        chip_assignment=assignment,
-        f=min(dims),
-    )
-
-
 def subarrays_needed(n_items: int, f: int) -> int:
     """Sub-arrays holding n_items at f vertical words per sub-array."""
     if n_items < 0 or f < 1:
         raise SizeError("need n_items >= 0 and f >= 1")
     return math.ceil(n_items / f)
-
-
-def place_vertical_word(plan: PartitionPlan, node: int) -> VerticalWordRef:
-    """Deterministic (sub-array, column) slot of a node's counter word.
-
-    Nodes fill sub-arrays in dense-id order, f words per sub-array; the
-    sub-array index is relative to whatever region base the caller maps it
-    onto. Overflow simply continues in the next sub-array.
-    """
-    if node < 0:
-        raise SizeError("node id must be non-negative")
-    sub, col = divmod(node, plan.f)
-    return VerticalWordRef(
-        subarray_id=sub, col=col, lsb_row=plan.word_lsb, width=plan.word_width
-    )
 
 
 @dataclass(frozen=True)

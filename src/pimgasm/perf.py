@@ -11,8 +11,6 @@ traces and configs produce bit-identical reports.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field, replace
 
@@ -49,13 +47,15 @@ _CLASS_KEYS = {
 
 @dataclass(frozen=True)
 class CostConfig:
-    """Per-class costs plus leakage, parallelism, and reporting knobs.
+    """Per-class costs plus leakage, parallelism, and a penalty knob.
 
     XFER costs are per byte; the stock values price a 64-byte burst at
     1 ns and 0.1 nJ. leakage_base_mw burns whenever the chip is on;
-    leakage_per_group_mw is added per active sub-array group.
-    penalty_factor inflates reported time and dynamic energy by 1+p
-    (a fairness handicap knob; 0 disables it).
+    leakage_per_group_mw is added per active sub-array group, and
+    parallel_fraction is the Amdahl share that shrinks with the group
+    count. penalty_factor inflates reported time and dynamic energy by
+    1+p (a fairness handicap knob; 0 disables it). Every field is read by
+    account or sweep_pd; from_dict rejects any other key.
     """
 
     classes: dict[str, ClassCost] = field(default_factory=lambda: {
@@ -69,7 +69,6 @@ class CostConfig:
     leakage_base_mw: float = 586.0
     leakage_per_group_mw: float = 0.0
     parallel_fraction: float = 16.0 / 21.0
-    area_mm2: float = 9.3
     penalty_factor: float = 0.0
 
     def __post_init__(self):
@@ -101,7 +100,6 @@ class CostConfig:
         d["leakage_base_mw"] = self.leakage_base_mw
         d["leakage_per_group_mw"] = self.leakage_per_group_mw
         d["parallel_fraction"] = self.parallel_fraction
-        d["area_mm2"] = self.area_mm2
         d["penalty_factor"] = self.penalty_factor
         return d
 
@@ -113,7 +111,6 @@ class CostConfig:
             "leakage_base_mw": base.leakage_base_mw,
             "leakage_per_group_mw": base.leakage_per_group_mw,
             "parallel_fraction": base.parallel_fraction,
-            "area_mm2": base.area_mm2,
             "penalty_factor": base.penalty_factor,
         }
         staged: dict[str, dict[str, float]] = {k: {} for k in _CLASS_KEYS}
@@ -209,20 +206,6 @@ class StageReport:
                 fh.write(text)
         return text
 
-    def to_csv(self, path=None) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["stage", "latency_ns", "energy_nj", "avg_power_w"])
-        for r in self.rows:
-            w.writerow([r.stage, repr(r.latency_ns), repr(r.energy_nj), repr(r.avg_power_w)])
-        w.writerow(["total", repr(self.total_latency_ns), repr(self.total_energy_nj),
-                    repr(self.avg_power_w)])
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
-
 
 def account(trace: tr.OpTrace, cfg: CostConfig) -> StageReport:
     """Serialized single-group pricing of a trace, stage by stage.
@@ -272,11 +255,6 @@ def account(trace: tr.OpTrace, cfg: CostConfig) -> StageReport:
     )
 
 
-def memory_wall_metrics(trace: tr.OpTrace, cfg: CostConfig) -> dict[str, float]:
-    rep = account(trace, cfg)
-    return {"MBR": rep.mbr, "RUR": rep.rur}
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     pd: int
@@ -288,18 +266,6 @@ class SweepPoint:
 @dataclass(frozen=True)
 class SweepResult:
     points: list[SweepPoint]
-
-    def to_csv(self, path=None) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["pd", "runtime_ns", "avg_power_w", "energy_nj"])
-        for p in self.points:
-            w.writerow([p.pd, repr(p.runtime_ns), repr(p.avg_power_w), repr(p.energy_nj)])
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
 
 
 def amdahl_runtime(total_ns: float, parallel_fraction: float, pd: int) -> float:
@@ -372,50 +338,3 @@ def calibrated_config() -> CostConfig:
 
     d = json.loads(files("pimgasm.data").joinpath("pd_calibration.json").read_text())
     return CostConfig.from_dict(d)
-
-
-def comparison_table(reports: list[StageReport], labels: list[str]) -> list[dict]:
-    """One summary row per labeled report, with stage time percentages."""
-    if len(reports) != len(labels):
-        raise ConfigError("need exactly one label per report")
-    rows = []
-    for label, rep in zip(labels, reports):
-        row = {
-            "label": label,
-            "total_latency_ns": rep.total_latency_ns,
-            "avg_power_w": rep.avg_power_w,
-            "total_energy_nj": rep.total_energy_nj,
-        }
-        for r in rep.rows:
-            row[f"pct_{r.stage}"] = 100.0 * rep.stage_fraction(r.stage)
-        rows.append(row)
-    return rows
-
-
-def table_to_csv(rows: list[dict], path=None) -> str:
-    cols: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in cols:
-                cols.append(key)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(cols)
-    for row in rows:
-        w.writerow([
-            row.get(c, "") if isinstance(row.get(c, ""), str) else repr(row.get(c, 0.0))
-            for c in cols
-        ])
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
-
-
-def table_to_json(rows: list[dict], path=None) -> str:
-    text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text

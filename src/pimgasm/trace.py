@@ -89,12 +89,6 @@ class OpTrace:
             total += n
         return total
 
-    def by_stage(self) -> dict[str, dict[str, int]]:
-        out: dict[str, dict[str, int]] = {}
-        for (st, kd), n in self._counts.items():
-            out.setdefault(st, {})[kd] = n
-        return out
-
     def records(self) -> list[tuple[str, str, int]]:
         """(stage, kind, count) rows in first-seen order."""
         return [(st, kd, n) for (st, kd), n in self._counts.items()]
@@ -108,12 +102,6 @@ class OpTrace:
             fh.write("stage,kind,count\n")
             for line in self.export_lines():
                 fh.write(line + "\n")
-
-    def copy(self) -> "OpTrace":
-        t = OpTrace()
-        t._counts = dict(self._counts)
-        t._stage = self._stage
-        return t
 
     @classmethod
     def concat(cls, *traces: "OpTrace") -> "OpTrace":

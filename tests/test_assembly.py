@@ -28,6 +28,7 @@ from pimgasm.errors import (
     NonEulerianError,
     SizeError,
 )
+from pimgasm.seqio import random_genome
 
 E = EncodedSeq.from_str
 
@@ -196,8 +197,8 @@ def build_graph(reads, k, **kw):
 
 def test_graph_edges_follow_kmer_order():
     _, g = build_graph(["CGTGC"], 4)
-    assert [n.to_str() for n in g.node1] == ["CGT", "GTG"]
-    assert [n.to_str() for n in g.node2] == ["GTG", "TGC"]
+    assert [g.nodes[i].to_str() for i in g.edge_src] == ["CGT", "GTG"]
+    assert [g.nodes[i].to_str() for i in g.edge_dst] == ["GTG", "TGC"]
     assert g.mult == [1, 1]
 
 
@@ -377,22 +378,34 @@ def test_fleury_consumes_multiplicity():
     assert path.node_ids == [0, 0, 0, 0]
 
 
-def test_fleury_strict_raises_when_stranded():
-    def two_cycles():
-        g = SparseGraph()
-        g.add_edge(E("A"), E("C"))
-        g.add_edge(E("C"), E("A"))
-        g.add_edge(E("G"), E("T"))
-        g.add_edge(E("T"), E("G"))
-        return g
+def two_cycles():
+    g = SparseGraph()
+    g.add_edge(E("A"), E("C"))
+    g.add_edge(E("C"), E("A"))
+    g.add_edge(E("G"), E("T"))
+    g.add_edge(E("T"), E("G"))
+    return g
 
-    # a graph's fabric store is bound to the machine that materialized it,
-    # so each walk gets a fresh copy
-    asm = make_asm(rows=64, cols=16)
+
+def test_fleury_strict_raises_when_stranded():
+    g = two_cycles()
     with pytest.raises(DisconnectedGraphError):
-        asm.fleury(two_cycles(), start=0)
-    partial = make_asm(rows=64, cols=16).fleury(two_cycles(), start=0, strict=False)
+        make_asm(rows=64, cols=16).fleury(g, start=0)
+    # the same graph on a second machine: its walk must place its own words
+    # and leave the sub-arrays that machine already owns untouched
+    other = make_asm(rows=64, cols=16)
+    owned = [other.machine.new_subarray() for _ in range(3)]
+    before = [list(other.machine.subarray(sid).cells) for sid in owned]
+    partial = other.fleury(g, start=0, strict=False)
     assert partial.node_ids == [0, 1, 0]
+    assert [other.machine.subarray(sid).cells for sid in owned] == before
+
+
+def test_fleury_takes_degrees_from_another_assembler():
+    g = path_graph("AC", "CG", "GT")
+    degrees = make_asm(rows=64, cols=16).find_start(g)
+    path = make_asm(rows=64, cols=16).fleury(g, degrees)
+    assert path.node_ids == [0, 1, 2]
 
 
 def random_eulerian_graph(rng, n_nodes, n_steps):
@@ -523,6 +536,101 @@ def test_assemble_degrades_on_uneven_coverage():
     result = make_asm().assemble(reads, 6)
     assert any("unit multiplicities" in w for w in result.warnings)
     assert [c.to_str() for c in result.contigs] == [genome]
+
+
+def ladder_reads():
+    """Two chromosomes flank(40) + R(30) + mid(20) + R + flank(40), each with
+    its own repeat R, read as 30-base windows every 5 bases. The last window
+    of the 160 bases starts at 130, on the stride, so both ends are read."""
+    rng = random.Random(3)
+    reads = []
+    for _ in range(2):
+        flank, rep, mid, tail = (random_genome(n, rng) for n in (40, 30, 20, 40))
+        chrom = flank + rep + mid + rep + tail
+        reads += [E(chrom[i : i + 30]) for i in range(0, len(chrom) - 29, 5)]
+    return reads
+
+
+_UNIT_RUNG = (
+    "component is not Eulerian under multiplicities ({}); "
+    "retrying with unit multiplicities"
+)
+_BEST_RUNG = (
+    "component has no Euler path even with unit multiplicities ({}); "
+    "emitting a best-effort walk"
+)
+
+# Captured from the assembler as it was before a graph carried a single
+# fabric store; the store rewrite moved none of these values.
+# simplify off: two components, each a subgraph selecting build_graph's
+# words, each falling through both rungs (unit words, then best-effort).
+# simplify on: each component of the merged graph is host-placed, then
+# retried on unit words.
+LADDER = {
+    False: (
+        [
+            ("io", "XFER", 482),
+            ("hashmap", "W", 14774),
+            ("hashmap", "R", 259),
+            ("hashmap", "C_ADD", 24615),
+            ("hashmap", "DPU", 18047),
+            ("graph", "R", 630),
+            ("graph", "W", 2590),
+            ("traverse", "DPU", 1304),
+            ("traverse", "R", 12948),
+            ("traverse", "W", 26234),
+            ("traverse", "C_ADD", 9646),
+        ],
+        43,
+        [
+            "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
+            "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCG",
+            "TAACGCGCGCTAAGGCTCAGCTGCAACGCGGAGCTGGTGTGTTATCCATTCATGGCAGAC"
+            "AACTAATACGCATAAGCGTAGCCAACCGCAGTTATCCATT",
+        ],
+        [
+            _UNIT_RUNG.format("4 nodes have an outgoing surplus"),
+            _BEST_RUNG.format("2 nodes have an outgoing surplus"),
+        ] * 2,
+    ),
+    True: (
+        [
+            ("io", "XFER", 512),
+            ("hashmap", "W", 14774),
+            ("hashmap", "R", 259),
+            ("hashmap", "C_ADD", 24615),
+            ("hashmap", "DPU", 18047),
+            ("graph", "R", 889),
+            ("graph", "W", 2590),
+            ("graph", "DPU", 518),
+            ("traverse", "DPU", 74),
+            ("traverse", "W", 1401),
+            ("traverse", "R", 528),
+            ("traverse", "C_ADD", 512),
+        ],
+        31,
+        [
+            "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
+            "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCGACGGAATTAGATCAGTTAAAT"
+            "TTTAGTCGTGGGATGATCAGTGGGTAAAGGTGGCGCGGGG",
+            "TAACGCGCGCTAAGGCTCAGCTGCAACGCGGAGCTGGTGTGTTATCCATTCATGGCAGAC"
+            "AACTAATACGCATAAGCGTAGCCAACCGCAGTTATCCATTCATGGCAGACAACTAATACG"
+            "TTAGCGTATGAACAAAATAATGCGAGTTGGGCGTACATAC",
+        ],
+        [_UNIT_RUNG.format("node 0 has degree imbalance 4")] * 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("simplify", [False, True])
+def test_fallback_ladder_trace_is_pinned(simplify):
+    records, subarrays, contigs, warnings = LADDER[simplify]
+    asm = Assembler(rows=64, cols=32, simplify=simplify)
+    result = asm.assemble(ladder_reads(), 11)
+    assert asm.trace.records() == records
+    assert asm.machine.subarray_count == subarrays
+    assert [c.to_str() for c in result.contigs] == contigs
+    assert result.warnings == warnings
 
 
 def test_assemble_is_deterministic():

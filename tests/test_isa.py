@@ -238,12 +238,12 @@ def test_add_const_and_counter_helpers():
     m.write_vword(ctr, 7)
     assert m.add_const(ctr, 3) == 0
     assert m.read_vword(ctr) == 10
-    assert m.decrement(ctr) == 1  # adding 0b1111 carries out
+    assert m.add_const(ctr, -1) == 1  # adding 0b1111 carries out
     assert m.read_vword(ctr) == 9
     m.write_vword(ctr, 15)
-    assert m.increment(ctr) == 1
+    assert m.add_const(ctr, 1) == 1
     assert m.read_vword(ctr) == 0
-    assert m.decrement(ctr) == 0
+    assert m.add_const(ctr, -1) == 0
     assert m.read_vword(ctr) == 15
 
 
@@ -284,17 +284,6 @@ def test_dpu_and_reduce():
         m.dpu_and_reduce(0b10000, 4)
     with pytest.raises(ShapeError):
         m.dpu_and_reduce(0, 0)
-
-
-def test_dpu_scalar_ops():
-    m, _ = make_machine()
-    assert m.dpu_scalar("compare_eq", 4, 4) is True
-    assert m.dpu_scalar("compare_gt", 4, 5) is False
-    assert m.dpu_scalar("add_small", 40, 2) == 42
-    with pytest.raises(ShapeError):
-        m.dpu_scalar("xor", 1, 1)
-    with pytest.raises(ShapeError):
-        m.dpu_scalar("add_small", 1 << 33, 0)
 
 
 def test_dpu_charge_and_xfer_accumulate():

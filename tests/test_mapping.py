@@ -11,8 +11,6 @@ from pimgasm.errors import CapacityError, ConfigError, ShapeError, SizeError
 from pimgasm.mapping import (
     capacity_plan,
     layout_hash,
-    partition_graph,
-    place_vertical_word,
     stable_hash,
     subarrays_needed,
 )
@@ -210,43 +208,3 @@ def test_subarrays_needed():
         subarrays_needed(-1, 256)
     with pytest.raises(SizeError):
         subarrays_needed(1, 0)
-
-
-# ---- graph partitioning ----------------------------------------------------
-
-
-class _Edges:
-    def __init__(self, labels, edges):
-        self.nodes = [EncodedSeq.from_str(s) for s in labels]
-        self.edge_src = [u for u, _ in edges]
-        self.edge_dst = [v for _, v in edges]
-
-
-def test_partition_graph_blocks_partition_the_edges():
-    g = _Edges(
-        ["AC", "CG", "GT", "TA"],
-        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)],
-    )
-    plan = partition_graph(g, M=2, seed=3)
-    assert all(0 <= iv < 2 for iv in plan.vertex_interval)
-    seen = sorted(e for ids in plan.blocks.values() for e in ids)
-    assert seen == [0, 1, 2, 3, 4]
-    assert set(plan.chip_assignment) == set(plan.blocks)
-    assert plan.f == 256
-
-    again = partition_graph(g, M=2, seed=3)
-    assert again.blocks == plan.blocks
-    with pytest.raises(ConfigError):
-        partition_graph(g, M=0)
-
-
-def test_place_vertical_word():
-    g = _Edges(["AC"], [])
-    plan = partition_graph(g, M=1)
-    assert (plan.f, plan.word_width) == (256, 8)
-    r0 = place_vertical_word(plan, 0)
-    assert (r0.subarray_id, r0.col) == (0, 0)
-    r = place_vertical_word(plan, 300)
-    assert (r.subarray_id, r.col) == (1, 44)
-    with pytest.raises(SizeError):
-        place_vertical_word(plan, -1)
