@@ -12,7 +12,9 @@ and emits one edge per distinct k-mer (prefix node, suffix node,
 multiplicity = frequency) into an edge store. Stage 3 accumulates vertical
 degree counters column-parallel, picks the start vertex with a bit-plane
 compare of out against in+1, and walks an Euler path bridge-aware,
-decrementing multiplicities in memory as it goes.
+decrementing the multiplicity and out-degree words in memory as it goes.
+The out-degree words sum to the edge units left, so a complete walk must
+leave every one of them at zero.
 
 A graph holds at most one fabric placement, `SparseGraph.store`: one
 vertical multiplicity word per edge (plus the degree region once
@@ -299,19 +301,19 @@ class _Bucket:
 class _RowBank:
     """Sequential row allocator over plain store sub-arrays."""
 
-    def __init__(self, machine: Machine):
-        self.machine = machine
+    def __init__(self, asm: "Assembler"):
+        self.asm = asm
         self.sids: list[int] = []
         self._next = 0
         self._sid = -1
-        self._layout = RowLayout.default(machine.rows)
+        self._layout = RowLayout.default(asm.rows)
         self._cap = len(self._layout.data_region)
 
     def alloc(self, nrows: int) -> tuple[int, int]:
         if nrows > self._cap:
             raise CapacityError("entry taller than a sub-array data region")
         if self._sid < 0 or self._next + nrows > self._cap:
-            self._sid = self.machine.new_subarray(self._layout)
+            self._sid = self.asm._new_subarray(self._layout)
             self.sids.append(self._sid)
             self._next = 0
         row = self._layout.data_region.start + self._next
@@ -322,23 +324,23 @@ class _RowBank:
 class _CounterBank:
     """Vertical-word slots packed in stripes across store sub-arrays."""
 
-    def __init__(self, machine: Machine, width: int):
-        self.machine = machine
+    def __init__(self, asm: "Assembler", width: int):
+        self.asm = asm
         self.width = width
-        self._layout = RowLayout.default(machine.rows)
+        self._layout = RowLayout.default(asm.rows)
         stripes = len(self._layout.data_region) // width
         if stripes < 1:
             raise CapacityError("sub-array too short for counters")
-        self._per_sub = stripes * machine.cols
+        self._per_sub = stripes * asm.cols
         self._n = 0
         self.sids: list[int] = []
 
     def alloc(self) -> VerticalWordRef:
         local = self._n % self._per_sub
         if local == 0:
-            self.sids.append(self.machine.new_subarray(self._layout))
+            self.sids.append(self.asm._new_subarray(self._layout))
         sid = self.sids[-1]
-        stripe, col = divmod(local, self.machine.cols)
+        stripe, col = divmod(local, self.asm.cols)
         self._n += 1
         return VerticalWordRef(
             sid, col, self._layout.data_region.start + stripe * self.width, self.width
@@ -349,22 +351,12 @@ class _CounterBank:
 class _DegreeRegion:
     sids: list[int]
     w_deg: int
-    w_ec: int
-    base: int             # first data row
+    base: int             # first data row: LSB of the out-degree words
     cols: int
-    ec_index: int         # flat slot index of the edge-count word
-
-    def node_slot(self, nid: int) -> tuple[int, int]:
-        sub, col = divmod(nid, self.cols)
-        return self.sids[sub], col
 
     def out_ref(self, nid: int) -> VerticalWordRef:
-        sid, col = self.node_slot(nid)
-        return VerticalWordRef(sid, col, self.base, self.w_deg)
-
-    def ec_ref(self) -> VerticalWordRef:
-        sub, col = divmod(self.ec_index, self.cols)
-        return VerticalWordRef(self.sids[sub], col, self.base, self.w_ec)
+        sub, col = divmod(nid, self.cols)
+        return VerticalWordRef(self.sids[sub], col, self.base, self.w_deg)
 
 
 class _GraphStore:
@@ -377,7 +369,6 @@ class _GraphStore:
     def __init__(self, machine: Machine, mult_refs: list[VerticalWordRef]):
         self.machine = machine
         self.mult_refs = mult_refs
-        self.mult_seen = [False] * len(mult_refs)  # first staging reads fabric, later ones recharge
         self.degree: _DegreeRegion | None = None
 
     def select(self, edge_ids: list[int]) -> "_GraphStore":
@@ -399,6 +390,9 @@ class Assembler:
     and executes only the final row compare physically; "naive" executes
     every row compare in fabric. Both modes produce identical traces and
     results; naive is O(rows) per query and only suitable for small inputs.
+    max_subarrays caps the sub-arrays on the machine: any stage that would
+    allocate past it (hash store, label and counter banks, degree regions)
+    raises CapacityError.
     """
 
     def __init__(
@@ -427,6 +421,15 @@ class Assembler:
     @property
     def trace(self) -> tr.OpTrace:
         return self.machine.trace
+
+    def _new_subarray(self, layout: RowLayout) -> int:
+        """Allocate one sub-array; CapacityError once max_subarrays exist."""
+        m = self.machine
+        if m.subarray_count >= self.max_subarrays:
+            raise CapacityError(
+                f"{m.trace.stage} stage exceeds the {self.max_subarrays} sub-array budget"
+            )
+        return m.new_subarray(layout)
 
     # -- stage 1: k-mer counting --
 
@@ -529,11 +532,7 @@ class Assembler:
                 raise ConsistencyError("fabric holds a key the index does not")
 
         if not bucket.chain or bucket.fills[-1] >= lay.capacity:
-            if m.subarray_count >= self.max_subarrays:
-                raise CapacityError(
-                    f"hash store exceeds the {self.max_subarrays} sub-array budget"
-                )
-            bucket.chain.append(m.new_subarray(lay.row_layout))
+            bucket.chain.append(self._new_subarray(lay.row_layout))
             bucket.fills.append(0)
         target = bucket.chain[-1]
         if target != temp_sid:
@@ -587,7 +586,7 @@ class Assembler:
         cap = (1 << table.value_width) - 1
         with m.stage_scope(tr.STAGE_GRAPH):
             g = SparseGraph(k=k)
-            labels = _RowBank(m)
+            labels = _RowBank(self)
             fab_freq = table.frequencies()
             for key, slot in zip(table.keys, table.slots):
                 expect = min(table.host_counts[key.bits], cap)
@@ -616,7 +615,7 @@ class Assembler:
     def _place_mults(self, mults: list[int], width: int) -> _GraphStore:
         """Write one width-bit multiplicity word per edge into a counter bank."""
         m = self.machine
-        counters = _CounterBank(m, width)
+        counters = _CounterBank(self, width)
         refs = []
         for mult in mults:
             ref = counters.alloc()
@@ -629,7 +628,7 @@ class Assembler:
         m = self.machine
         if g.store is not None and g.store.machine is m:
             return g.store
-        labels = _RowBank(m)
+        labels = _RowBank(self)
         for lab in g.nodes:
             sid, row = labels.alloc(max(1, math.ceil(lab.bit_length / m.cols)))
             if lab.bit_length:
@@ -726,18 +725,12 @@ class Assembler:
     # -- stage 3: degree accumulation and start pick --
 
     def _mult_value(self, store: _GraphStore, g: SparseGraph, e: int) -> int:
-        """Multiplicity of edge e, read from fabric on first touch."""
-        m = self.machine
-        ref = store.mult_refs[e]
-        if store.mult_seen[e]:
-            m.trace.emit(tr.R, ref.width)
-            return g.mult[e]
-        val = m.read_vword(ref)
+        """Multiplicity of edge e, read from fabric and checked against g."""
+        val = self.machine.read_vword(store.mult_refs[e])
         if val != g.mult[e]:
             raise ConsistencyError(
                 f"multiplicity word of edge {e} reads {val}, expected {g.mult[e]}"
             )
-        store.mult_seen[e] = True
         return val
 
     def find_start(self, g: SparseGraph) -> DegreeTable:
@@ -747,29 +740,28 @@ class Assembler:
         word plane and added into the out/in counter words one occupancy
         rank at a time, so a whole sub-array row of nodes advances per add.
         The start test compares out against in+1 across all columns with
-        one compare cycle per bit plane. Raises NonEulerianError when more
-        than one node has an outgoing surplus or any imbalance exceeds one.
+        one compare cycle per bit plane. The edge-unit total needs no word
+        of its own: it is the sum of the out-degree words. Raises
+        NonEulerianError when more than one node has an outgoing surplus or
+        any imbalance exceeds one.
         """
         m = self.machine
         with m.stage_scope(tr.STAGE_TRAVERSE):
             store = self._ensure_store(g)
             n = len(g.nodes)
             host_out, host_in = g.degrees()
-            total = sum(g.mult)
             maxdeg = max(max(host_out, default=0), max(host_in, default=0))
             w_deg = max(8, (maxdeg + 1).bit_length() + 1)
-            w_ec = max(8, (total + 1).bit_length())
-            spacing = max(w_deg, w_ec)
             lay = RowLayout.default(m.rows)
-            if 4 * spacing > len(lay.data_region):
+            if 4 * w_deg > len(lay.data_region):
                 raise CapacityError("degree counters taller than the data region")
-            n_sub = mapping.subarrays_needed(n + 1, m.cols)
-            sids = [m.new_subarray(lay) for _ in range(n_sub)]
+            n_sub = mapping.subarrays_needed(n, m.cols)
+            sids = [self._new_subarray(lay) for _ in range(n_sub)]
             base = lay.data_region.start
             out_base = base
-            in_base = base + spacing
-            tmp_base = base + 2 * spacing
-            stg_base = base + 3 * spacing
+            in_base = base + w_deg
+            tmp_base = base + 2 * w_deg
+            stg_base = base + 3 * w_deg
 
             for ends, word_base in ((g.edge_src, out_base), (g.edge_dst, in_base)):
                 per: dict[int, dict[int, list[int]]] = {}
@@ -802,20 +794,7 @@ class Assembler:
                             raise ConsistencyError("degree counter overflow")
                         rank += 1
 
-            # global edge-unit counter in the column after the last node
-            ec_sub_i, ec_col = divmod(n, m.cols)
-            ec_sid = sids[ec_sub_i]
-            ec_sub = m.subarray(ec_sid)
-            ec_mask = 1 << ec_col
-            for e in range(g.edge_count):
-                v = self._mult_value(store, g, e)
-                for i in range(w_ec):
-                    ec_sub.write_masked(stg_base + i, ((v >> i) & 1) << ec_col, ec_mask)
-                over = m.add_cols(ec_sid, stg_base, out_base, out_base, w_ec, [ec_col])
-                if over[ec_col]:
-                    raise ConsistencyError("edge counter overflow")
-
-            region = _DegreeRegion(sids, w_deg, w_ec, base, m.cols, n)
+            region = _DegreeRegion(sids, w_deg, base, m.cols)
 
             # read the counter planes back; the mirror must agree exactly
             fab_out = [0] * n
@@ -859,8 +838,6 @@ class Assembler:
 
             if fab_out != host_out or fab_in != host_in:
                 raise ConsistencyError("degree planes disagree with the edge lists")
-            if m.read_vword(region.ec_ref()) != total:
-                raise ConsistencyError("edge counter disagrees with the edge lists")
             if candidates != [i for i in range(n) if host_out[i] == host_in[i] + 1]:
                 raise ConsistencyError("start probe disagrees with the degree mirror")
 
@@ -876,7 +853,7 @@ class Assembler:
                     f"{len(candidates)} nodes have an outgoing surplus"
                 )
             start = candidates[0] if candidates else 0
-        return DegreeTable(list(host_out), list(host_in), total, start)
+        return DegreeTable(list(host_out), list(host_in), g.total_multiplicity(), start)
 
     # -- stage 4: Euler walk --
 
@@ -915,8 +892,11 @@ class Assembler:
         Neighbours are tried in ascending node id; a candidate is taken if
         removing one unit of the edge keeps the rest reachable, and the
         lowest neighbour is the fallback when every choice burns a bridge.
-        Every traversed unit decrements its multiplicity word, the source's
-        out-degree word, and the global edge counter in fabric. With
+        Every traversed unit decrements its multiplicity word and the
+        source's out-degree word in fabric; a complete walk then reads the
+        out-degree planes back and requires every word to be zero. The walk
+        consumes the degree region, so walking g again re-runs find_start,
+        which raises ConsistencyError on the spent multiplicity words. With
         strict=False a stranded walk returns the partial path instead of
         raising DisconnectedGraphError.
         """
@@ -927,7 +907,7 @@ class Assembler:
             degrees = self.find_start(g)
         if start is None:
             start = degrees.start
-        region = store.degree
+        region, store.degree = store.degree, None
         m = self.machine
         with m.stage_scope(tr.STAGE_TRAVERSE):
             n = len(g.nodes)
@@ -968,7 +948,6 @@ class Assembler:
                 e = next(eid for eid in pair_edges[(u, v)] if rem[eid] > 0)
                 m.add_const(store.mult_refs[e], -1)
                 m.add_const(region.out_ref(u), -1)
-                m.add_const(region.ec_ref(), -1)
                 rem[e] -= 1
                 adj[u][v] -= 1
                 und[u][v] -= 1
@@ -976,8 +955,13 @@ class Assembler:
                 total -= 1
                 u = v
                 path.append(v)
-            if total == 0 and m.read_vword(region.ec_ref()) != 0:
-                raise ConsistencyError("edge counter nonzero after a complete walk")
+            # one read per out-degree plane: a complete walk spends every word
+            if total == 0 and any(
+                m.subarray(sid).read_row(region.base + i)
+                for sid in region.sids
+                for i in range(region.w_deg)
+            ):
+                raise ConsistencyError("out-degree word nonzero after a complete walk")
         return EulerPath(path, [g.nodes[i] for i in path])
 
     # -- full pipeline --

@@ -22,6 +22,7 @@ from pimgasm.assembly import (
 )
 from pimgasm.encoding import EncodedSeq, extract_kmers
 from pimgasm.errors import (
+    CapacityError,
     ConfigError,
     ConsistencyError,
     DisconnectedGraphError,
@@ -408,6 +409,58 @@ def test_fleury_takes_degrees_from_another_assembler():
     assert path.node_ids == [0, 1, 2]
 
 
+def traverse_totals(trace):
+    return {
+        kind: trace.total(kind, stage=tr.STAGE_TRAVERSE)
+        for kind in (tr.R, tr.W, tr.C_ADD, tr.DPU)
+    }
+
+
+def test_walk_cost_oracle_on_a_path():
+    # AC -> CG -> GT on 64 x 16: 3 nodes in one degree sub-array, 8-bit
+    # multiplicity and degree words (w = 8).
+    asm = make_asm(rows=64, cols=16)
+    g = path_graph("AC", "CG", "GT")
+    d = asm.find_start(g)
+    # host placement: 3 label W + 2 words * 8 W = 19 W
+    # out and in passes, one rank each: 2 word reads (16 R), 8 staging W,
+    #   one add (8 C_ADD + 16 W)                     -> 32 R, 48 W, 16 C_ADD
+    # read-back of the out and in planes             -> 16 R
+    # start probe: copy in -> tmp (8 R + 8 W), +1 (8 C_ADD + 16 W),
+    #   8 plane compares (8 C_ADD + 8 DPU), 1 DPU     -> 8 R, 24 W, 16 C_ADD, 9 DPU
+    assert traverse_totals(asm.trace) == {tr.R: 56, tr.W: 91, tr.C_ADD: 32, tr.DPU: 9}
+    path = asm.fleury(g, d)
+    assert path.node_ids == [0, 1, 2]
+    # 2 units, each decrementing one multiplicity and one out-degree word
+    #   (2 * (8 C_ADD + 16 W)), 3 loop DPU, and the end-of-walk read of the
+    #   8 out-degree planes of the one degree sub-array
+    assert traverse_totals(asm.trace) == {tr.R: 64, tr.W: 155, tr.C_ADD: 64, tr.DPU: 12}
+
+
+@pytest.mark.parametrize("node, word", [(1, 2), (2, 1)])
+def test_walk_end_check_reads_every_out_degree_word(node, word):
+    asm = make_asm(rows=64, cols=16)
+    g = path_graph("AC", "CG", "GT")
+    d = asm.find_start(g)
+    asm.machine.write_vword(g.store.degree.out_ref(node), word)
+    with pytest.raises(ConsistencyError, match="out-degree word nonzero"):
+        asm.fleury(g, d)
+
+
+def test_a_walked_graph_cannot_be_walked_again():
+    asm = make_asm(rows=64, cols=16)
+    g = SparseGraph(k=3)
+    g.add_edge(E("AA"), E("AA"), mult=3)
+    assert asm.fleury(g).node_ids == [0, 0, 0, 0]
+    word = g.store.mult_refs[0]
+    assert asm.machine.read_vword(word) == 0
+    with pytest.raises(ConsistencyError, match="multiplicity word"):
+        asm.fleury(g)
+    with pytest.raises(ConsistencyError, match="multiplicity word"):
+        asm.fleury(g, asm.find_start(g))
+    assert asm.machine.read_vword(word) == 0
+
+
 def random_eulerian_graph(rng, n_nodes, n_steps):
     """Closed random walk, aggregated to weighted edges: Eulerian by build."""
     labels = ["".join(p) for p in itertools.product("ACGT", repeat=3)]
@@ -561,7 +614,9 @@ _BEST_RUNG = (
 )
 
 # Captured from the assembler as it was before a graph carried a single
-# fabric store; the store rewrite moved none of these values.
+# fabric store; the store rewrite moved none of these values. Dropping the
+# global edge-unit counter moved only the traverse R, W and C_ADD rows (its
+# per-edge accumulation, read-back and per-unit decrements are gone).
 # simplify off: two components, each a subgraph selecting build_graph's
 # words, each falling through both rungs (unit words, then best-effort).
 # simplify on: each component of the merged graph is host-placed, then
@@ -577,9 +632,9 @@ LADDER = {
             ("graph", "R", 630),
             ("graph", "W", 2590),
             ("traverse", "DPU", 1304),
-            ("traverse", "R", 12948),
-            ("traverse", "W", 26234),
-            ("traverse", "C_ADD", 9646),
+            ("traverse", "R", 8768),
+            ("traverse", "W", 9384),
+            ("traverse", "C_ADD", 3552),
         ],
         43,
         [
@@ -604,9 +659,9 @@ LADDER = {
             ("graph", "W", 2590),
             ("graph", "DPU", 518),
             ("traverse", "DPU", 74),
-            ("traverse", "W", 1401),
-            ("traverse", "R", 528),
-            ("traverse", "C_ADD", 512),
+            ("traverse", "W", 889),
+            ("traverse", "R", 368),
+            ("traverse", "C_ADD", 320),
         ],
         31,
         [
@@ -631,6 +686,22 @@ def test_fallback_ladder_trace_is_pinned(simplify):
     assert asm.machine.subarray_count == subarrays
     assert [c.to_str() for c in result.contigs] == contigs
     assert result.warnings == warnings
+
+
+def test_subarray_budget_holds_in_every_stage():
+    # CGTGTGCA at k=5 takes one hash sub-array, one label and one counter
+    # sub-array in the graph stage, then one degree sub-array
+    reads = [E("CGTGTGCA")]
+    stages = {1: "graph", 2: "graph", 3: "traverse"}
+    for budget, stage in stages.items():
+        asm = make_asm(max_subarrays=budget)
+        with pytest.raises(CapacityError, match=f"{stage} stage exceeds the {budget} "):
+            asm.assemble(reads, 5)
+        assert asm.machine.subarray_count == budget
+    result = make_asm(max_subarrays=4).assemble(reads, 5)
+    assert [c.to_str() for c in result.contigs] == ["CGTGTGCA"]
+    with pytest.raises(CapacityError, match="hashmap stage"):
+        make_asm(max_subarrays=0).assemble(reads, 5)
 
 
 def test_assemble_is_deterministic():
