@@ -21,8 +21,6 @@ from .errors import (
     CapacityError,
     ConfigError,
     ConsistencyError,
-    DisconnectedGraphError,
-    NonEulerianError,
     ParseError,
     PlacementError,
     ProtectionError,
@@ -78,7 +76,6 @@ __all__ = [
     "ConsistencyError",
     "CostConfig",
     "DegreeTable",
-    "DisconnectedGraphError",
     "EncodedSeq",
     "EulerPath",
     "HashLayout",
@@ -86,7 +83,6 @@ __all__ = [
     "MAJ_CFG",
     "Machine",
     "MemAddress",
-    "NonEulerianError",
     "OR3_CFG",
     "OpTrace",
     "ParseError",

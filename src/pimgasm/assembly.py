@@ -10,11 +10,14 @@ increments the key's vertical counter in place, a miss appends the key in
 the next free slot and starts its counter at one. Stage 2 walks the table
 and emits one edge per distinct k-mer (prefix node, suffix node,
 multiplicity = frequency) into an edge store. Stage 3 accumulates vertical
-degree counters column-parallel, picks the start vertex with a bit-plane
-compare of out against in+1, and walks an Euler path bridge-aware,
-decrementing the multiplicity and out-degree words in memory as it goes.
-The out-degree words sum to the edge units left, so a complete walk must
-leave every one of them at zero.
+degree counters column-parallel, probes the start vertex with a bit-plane
+compare of out against in+1, and covers each weak component with the
+fewest trails its degrees allow, max(1, sum of outgoing surpluses): one
+trail per surplus unit, or one Euler circuit when there is none, walked
+bridge-aware. Each walked unit decrements its multiplicity and out-degree
+words in memory. The out-degree words sum to the edge units left, so the
+walk must leave every one of them at zero, and every distinct k-mer ends
+up in some contig.
 
 A graph holds at most one fabric placement, `SparseGraph.store`: one
 vertical multiplicity word per edge (plus the degree region once
@@ -45,14 +48,7 @@ from dataclasses import dataclass
 from . import mapping
 from . import trace as tr
 from .encoding import EncodedSeq, extract_kmers
-from .errors import (
-    CapacityError,
-    ConfigError,
-    ConsistencyError,
-    DisconnectedGraphError,
-    NonEulerianError,
-    SizeError,
-)
+from .errors import CapacityError, ConfigError, ConsistencyError, SizeError
 from .fabric import RowLayout
 from .isa import Machine, MemAddress, VerticalWordRef
 
@@ -65,12 +61,16 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class DegreeTable:
-    """Multiplicity-weighted degrees plus the chosen walk start."""
+    """Multiplicity-weighted degrees plus the trail starts.
+
+    `starts` lists each node id once per unit of outgoing surplus
+    (out - in), in ascending order.
+    """
 
     out_degree: list[int]
     in_degree: list[int]
     edge_cnt: int
-    start: int
+    starts: list[int]
 
 
 @dataclass
@@ -741,9 +741,11 @@ class Assembler:
         rank at a time, so a whole sub-array row of nodes advances per add.
         The start test compares out against in+1 across all columns with
         one compare cycle per bit plane. The edge-unit total needs no word
-        of its own: it is the sum of the out-degree words. Raises
-        NonEulerianError when more than one node has an outgoing surplus or
-        any imbalance exceeds one.
+        of its own: it is the sum of the out-degree words. Any degree
+        sequence is accepted: `starts` lists every node once per unit of
+        outgoing surplus, from the host degree lists the fabric planes were
+        just checked against, so an Euler path is the case of one start or
+        none.
         """
         m = self.machine
         with m.stage_scope(tr.STAGE_TRAVERSE):
@@ -842,18 +844,8 @@ class Assembler:
                 raise ConsistencyError("start probe disagrees with the degree mirror")
 
             store.degree = region
-            for i in range(n):
-                d = host_out[i] - host_in[i]
-                if d >= 2 or d <= -2:
-                    raise NonEulerianError(
-                        f"node {i} has degree imbalance {d}"
-                    )
-            if len(candidates) > 1:
-                raise NonEulerianError(
-                    f"{len(candidates)} nodes have an outgoing surplus"
-                )
-            start = candidates[0] if candidates else 0
-        return DegreeTable(list(host_out), list(host_in), g.total_multiplicity(), start)
+            starts = [i for i in range(n) for _ in range(host_out[i] - host_in[i])]
+        return DegreeTable(list(host_out), list(host_in), g.total_multiplicity(), starts)
 
     # -- stage 4: Euler walk --
 
@@ -879,34 +871,26 @@ class Assembler:
         und[v][u] += 1
         return after < before
 
-    def fleury(
-        self,
-        g: SparseGraph,
-        degrees: DegreeTable | None = None,
-        *,
-        start: int | None = None,
-        strict: bool = True,
-    ) -> EulerPath:
-        """Walk an Euler path, preferring non-bridge edges.
+    def fleury(self, g: SparseGraph, degrees: DegreeTable | None = None) -> list[EulerPath]:
+        """Cover every edge unit with trails, preferring non-bridge edges.
 
-        Neighbours are tried in ascending node id; a candidate is taken if
-        removing one unit of the edge keeps the rest reachable, and the
-        lowest neighbour is the fallback when every choice burns a bridge.
-        Every traversed unit decrements its multiplicity word and the
-        source's out-degree word in fabric; a complete walk then reads the
-        out-degree planes back and requires every word to be zero. The walk
-        consumes the degree region, so walking g again re-runs find_start,
-        which raises ConsistencyError on the spent multiplicity words. With
-        strict=False a stranded walk returns the partial path instead of
-        raising DisconnectedGraphError.
+        One trail starts at each entry of `degrees.starts`, then one at the
+        lowest node still holding units, until every unit is spent; a trail
+        ends at a node with no units left. Neighbours are tried in ascending
+        node id; a candidate is taken if removing one unit of the edge keeps
+        the rest reachable, and the lowest neighbour is the fallback when
+        every choice burns a bridge. Every traversed unit decrements its
+        multiplicity word and the source's out-degree word in fabric; the
+        walk then reads the out-degree planes back and requires every word
+        to be zero. The walk consumes the degree region, so walking g again
+        re-runs find_start, which raises ConsistencyError on the spent
+        multiplicity words.
         """
         with self.machine.stage_scope(tr.STAGE_TRAVERSE):
             store = self._ensure_store(g)
         # the walk decrements degree words, so this machine must hold them
-        if store.degree is None or (degrees is None and start is None):
+        if store.degree is None or degrees is None:
             degrees = self.find_start(g)
-        if start is None:
-            start = degrees.start
         region, store.degree = store.degree, None
         m = self.machine
         with m.stage_scope(tr.STAGE_TRAVERSE):
@@ -922,81 +906,76 @@ class Assembler:
                 und[v][u] = und[v].get(u, 0) + mu
                 pair_edges.setdefault((u, v), []).append(e)
             total = sum(rem)
-            u = start
-            path = [u]
-            while True:
-                m.dpu_charge(1)
-                if total == 0:
-                    break
-                nbrs = sorted(v for v, c in adj[u].items() if c > 0)
-                if not nbrs:
-                    if strict:
-                        raise DisconnectedGraphError(
-                            f"walk stranded at node {u} with {total} edge units left"
-                        )
-                    break
-                if len(nbrs) == 1:
+            starts = iter(degrees.starts)
+            paths = []
+            while total:
+                u = next(starts, None)
+                if u is None:
+                    u = next(x for x in range(n) if any(adj[x].values()))
+                path = [u]
+                while True:
+                    m.dpu_charge(1)
+                    nbrs = sorted(v for v, c in adj[u].items() if c > 0)
+                    if not nbrs:
+                        break
                     v = nbrs[0]
-                else:
-                    v = None
-                    for cand in nbrs:
-                        if not self._is_bridge(und, u, cand):
-                            v = cand
-                            break
-                    if v is None:
-                        v = nbrs[0]
-                e = next(eid for eid in pair_edges[(u, v)] if rem[eid] > 0)
-                m.add_const(store.mult_refs[e], -1)
-                m.add_const(region.out_ref(u), -1)
-                rem[e] -= 1
-                adj[u][v] -= 1
-                und[u][v] -= 1
-                und[v][u] -= 1
-                total -= 1
-                u = v
-                path.append(v)
-            # one read per out-degree plane: a complete walk spends every word
-            if total == 0 and any(
+                    if len(nbrs) > 1:
+                        v = next((c for c in nbrs if not self._is_bridge(und, u, c)), v)
+                    e = next(eid for eid in pair_edges[(u, v)] if rem[eid] > 0)
+                    m.add_const(store.mult_refs[e], -1)
+                    m.add_const(region.out_ref(u), -1)
+                    rem[e] -= 1
+                    adj[u][v] -= 1
+                    und[u][v] -= 1
+                    und[v][u] -= 1
+                    total -= 1
+                    u = v
+                    path.append(v)
+                paths.append(EulerPath(path, [g.nodes[i] for i in path]))
+            # one read per out-degree plane: the walk spends every word
+            if any(
                 m.subarray(sid).read_row(region.base + i)
                 for sid in region.sids
                 for i in range(region.w_deg)
             ):
-                raise ConsistencyError("out-degree word nonzero after a complete walk")
-        return EulerPath(path, [g.nodes[i] for i in path])
+                raise ConsistencyError("out-degree word nonzero after the walk")
+        return paths
 
     # -- full pipeline --
 
-    def _walk_component(self, sub: SparseGraph, warnings: list[str]) -> EulerPath:
+    def _walk_component(self, sub: SparseGraph, warnings: list[str]) -> list[EulerPath]:
+        """Trails of one weak component.
+
+        Multiplicities are walked as they are when their outgoing surplus
+        sums to at most one (an Euler path); otherwise the component is
+        walked with every multiplicity collapsed to one.
+        """
         if sub.edge_count == 0:
-            return EulerPath([0], [sub.nodes[0]])
-        try:
-            return self.fleury(sub, self.find_start(sub))
-        except NonEulerianError as exc:
+            return [EulerPath([0], [sub.nodes[0]])]
+        degrees = self.find_start(sub)
+        if len(degrees.starts) > 1:
             warnings.append(
-                f"component is not Eulerian under multiplicities ({exc}); "
-                "retrying with unit multiplicities"
+                f"component is not Eulerian under multiplicities (outgoing surplus "
+                f"sums to {len(degrees.starts)}); retrying with unit multiplicities"
             )
-        flat = sub.collapsed()
-        # the labels stay where sub's placement wrote them; only words are new
-        with self.machine.stage_scope(tr.STAGE_TRAVERSE):
-            flat.store = self._place_mults(flat.mult, 8)
-        try:
-            return self.fleury(flat, self.find_start(flat))
-        except NonEulerianError as exc:
-            warnings.append(
-                f"component has no Euler path even with unit multiplicities "
-                f"({exc}); emitting a best-effort walk"
-            )
-        out_d, in_d = flat.degrees()
-        start = max(range(len(flat.nodes)), key=lambda i: (out_d[i] - in_d[i], -i))
-        return self.fleury(flat, None, start=start, strict=False)
+            sub = sub.collapsed()
+            # the labels stay where the placement wrote them; only words are new
+            with self.machine.stage_scope(tr.STAGE_TRAVERSE):
+                sub.store = self._place_mults(sub.mult, 8)
+            degrees = self.find_start(sub)
+        paths = self.fleury(sub, degrees)
+        if len(paths) > 1:
+            warnings.append(f"component splits into {len(paths)} contigs")
+        return paths
 
     def assemble(self, reads: list[EncodedSeq], k: int) -> AssemblyResult:
         """Reads to contigs: count, build, optionally simplify, walk, merge.
 
         Components that fail the Euler-degree screen are retried with all
-        multiplicities collapsed to one, and as a last resort walked
-        best-effort; each downgrade appends a warning instead of failing.
+        multiplicities collapsed to one. Every component is covered by
+        trails, one contig each, so every distinct k-mer of the reads lands
+        in some contig; the retry and any split into several contigs each
+        append a warning.
         """
         m = self.machine
         warnings: list[str] = []
@@ -1026,9 +1005,9 @@ class Assembler:
         paths = []
         for comp in comps:
             sub = work.subgraph(comp) if len(comps) > 1 else work
-            path = self._walk_component(sub, warnings)
-            paths.append(path)
-            contigs.append(contig_from_path(path.vertices, work.k or 2))
+            for path in self._walk_component(sub, warnings):
+                paths.append(path)
+                contigs.append(contig_from_path(path.vertices, work.k or 2))
         with m.stage_scope(tr.STAGE_IO):
             m.xfer(sum((c.bit_length + 7) // 8 for c in contigs))
         for w in warnings:

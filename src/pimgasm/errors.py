@@ -45,13 +45,5 @@ class ParseError(SimError):
     """Malformed input file."""
 
 
-class NonEulerianError(SimError):
-    """Degree sequence admits no Euler path."""
-
-
-class DisconnectedGraphError(SimError):
-    """Walk got stuck with unconsumed edges remaining."""
-
-
 class ConsistencyError(SimError):
     """Cross-check between fabric contents and host bookkeeping failed."""

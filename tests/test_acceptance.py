@@ -202,7 +202,7 @@ def test_criterion_05_graph_conservation_and_euler_coverage():
             dense_edges = Counter()
             for u, v, mult in zip(g.edge_src, g.edge_dst, g.mult):
                 dense_edges[(u, v)] += mult
-            path = Assembler(rows=128, cols=64).fleury(g)
+            [path] = Assembler(rows=128, cols=64).fleury(g)
             oracle = _host_hierholzer(dense_edges)
             assert len(path.node_ids) == len(oracle)
             assert Counter(zip(path.node_ids, path.node_ids[1:])) == dense_edges
