@@ -22,11 +22,13 @@ up in some contig.
 A graph holds at most one fabric placement, `SparseGraph.store`: one
 vertical multiplicity word per edge (plus the degree region once
 find_start has built it), bound to the machine that wrote it. build_graph
-places the words as it copies labels out of the hash store; a component
-subgraph selects its parent's words; a collapsed retry gets fresh unit
-words from the walk; and a graph with no placement on the walking
-machine (a synthetic graph, a simplified one, or one placed by another
-Assembler) has its labels and words written in by the host first.
+places the words as it copies labels out of the hash store, and a graph
+with no placement on the walking machine (a synthetic graph, a simplified
+one, or one placed by another Assembler) has its labels and words written
+in by the host first. The traverse stage runs once over the whole graph:
+a component whose multiplicities admit no Euler path has its words
+rewritten to one in place, and the repeat degree pass clears and reuses
+the first pass's region.
 
 The host keeps mirror bookkeeping (a dict index into the hash store, the
 edge lists, remaining-multiplicity maps) so the simulation runs in sensible
@@ -34,21 +36,21 @@ time, but every datum also lives in fabric bits: keys and counters are
 physically written, counters are incremented by real add cycles, and the
 mirrors are cross-checked against fabric contents at every stage boundary,
 raising ConsistencyError on any divergence. Scan-cost events that the
-mirror makes redundant are emitted in bulk with identical counts; a naive
-probe mode that executes every comparison physically is kept for
-equivalence testing.
+mirror makes redundant are emitted in bulk with identical counts; the test
+suite checks them against a physical scan of every occupied key row.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from . import mapping
 from . import trace as tr
 from .encoding import EncodedSeq, extract_kmers
-from .errors import CapacityError, ConfigError, ConsistencyError, SizeError
+from .errors import CapacityError, ConsistencyError, SizeError
 from .fabric import RowLayout
 from .isa import Machine, MemAddress, VerticalWordRef
 
@@ -134,41 +136,15 @@ class SparseGraph:
     def total_multiplicity(self) -> int:
         return sum(self.mult)
 
-    def degrees(self) -> tuple[list[int], list[int]]:
-        """Host-side multiplicity-weighted (out, in) degree lists."""
+    def degrees(self, mult: list[int] | None = None) -> tuple[list[int], list[int]]:
+        """Host-side (out, in) degree lists, weighted by `mult` per edge
+        (the graph's own multiplicities by default)."""
         out = [0] * len(self.nodes)
         inn = [0] * len(self.nodes)
-        for u, v, m in zip(self.edge_src, self.edge_dst, self.mult):
+        for u, v, m in zip(self.edge_src, self.edge_dst, self.mult if mult is None else mult):
             out[u] += m
             inn[v] += m
         return out, inn
-
-    def subgraph(self, node_ids: list[int]) -> "SparseGraph":
-        """Edge-induced subgraph on a node subset, keeping edge order.
-
-        A placed graph hands its subgraph the words of the kept edges.
-        """
-        keep = set(node_ids)
-        sub = SparseGraph(k=self.k)
-        for nid in sorted(node_ids):
-            sub.node_id(self.nodes[nid])
-        edge_ids = []
-        for e, (u, v) in enumerate(zip(self.edge_src, self.edge_dst)):
-            if u in keep:
-                sub.add_edge(self.nodes[u], self.nodes[v], self.mult[e])
-                edge_ids.append(e)
-        if self.store is not None:
-            sub.store = self.store.select(edge_ids)
-        return sub
-
-    def collapsed(self) -> "SparseGraph":
-        """Same topology with every multiplicity forced to one, unplaced."""
-        c = SparseGraph(k=self.k)
-        for lab in self.nodes:
-            c.node_id(lab)
-        for u, v in zip(self.edge_src, self.edge_dst):
-            c.add_edge(self.nodes[u], self.nodes[v], 1)
-        return c
 
     def dump_tsv(self, path) -> None:
         with open(path, "w") as fh:
@@ -362,18 +338,16 @@ class _DegreeRegion:
 class _GraphStore:
     """Fabric placement of one graph on one machine.
 
-    One multiplicity word per edge, plus the degree region once find_start
-    has built it.
+    One multiplicity word per edge, with `mult` mirroring the values the
+    words hold until a walk spends them, plus the degree region once
+    find_start has built it.
     """
 
-    def __init__(self, machine: Machine, mult_refs: list[VerticalWordRef]):
+    def __init__(self, machine: Machine, mult_refs: list[VerticalWordRef], mult: list[int]):
         self.machine = machine
         self.mult_refs = mult_refs
+        self.mult = mult
         self.degree: _DegreeRegion | None = None
-
-    def select(self, edge_ids: list[int]) -> "_GraphStore":
-        """The words of a subset of edges, unread and without degrees."""
-        return _GraphStore(self.machine, [self.mult_refs[e] for e in edge_ids])
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +355,12 @@ class _GraphStore:
 
 
 class Assembler:
-    """Runs the counting, graph build, and walk stages on one machine.
+    """Runs the counting, graph build, and walk stages on its own machine.
 
     The hash store packs `slots` keys into each key row (see
     mapping.layout_hash), so a bucket scan costs one compare per occupied
-    row, not one per key. probe_mode selects how hash-store lookups are
-    costed: "indexed" uses the host mirror to emit the scan events in bulk
-    and executes only the final row compare physically; "naive" executes
-    every row compare in fabric. Both modes produce identical traces and
-    results; naive is O(rows) per query and only suitable for small inputs.
+    row, not one per key. Lookups use the host index to emit the scan
+    events in bulk and execute only the decisive row compare physically.
     max_subarrays caps the sub-arrays on the machine: any stage that would
     allocate past it (hash store, label and counter banks, degree regions)
     raises CapacityError.
@@ -397,25 +368,20 @@ class Assembler:
 
     def __init__(
         self,
-        machine: Machine | None = None,
         *,
         rows: int = 1024,
         cols: int = 256,
         value_width: int = 8,
         simplify: bool = False,
         seed: int = 0,
-        probe_mode: str = "indexed",
         max_subarrays: int = 200_000,
     ):
-        if probe_mode not in ("indexed", "naive"):
-            raise ConfigError(f"unknown probe mode {probe_mode!r}")
-        self.machine = machine if machine is not None else Machine(rows=rows, cols=cols)
-        self.rows = self.machine.rows
-        self.cols = self.machine.cols
+        self.machine = Machine(rows=rows, cols=cols)
+        self.rows = rows
+        self.cols = cols
         self.value_width = value_width
         self.simplify = simplify
         self.seed = seed
-        self.probe_mode = probe_mode
         self.max_subarrays = max_subarrays
 
     @property
@@ -457,11 +423,9 @@ class Assembler:
 
     def _observe(self, table, buckets, index, n_buckets, kmer: EncodedSeq) -> None:
         m = self.machine
-        trace = m.trace
         lay = table.layout
         bits = kmer.bits
         width = 2 * table.k
-        span = lay.key_span
         image = lay.replicate(bits)
         temp_row = lay.row_layout.temp_rows[0]
         cap = (1 << lay.value_width) - 1
@@ -469,33 +433,13 @@ class Assembler:
 
         hit = index.get(bits)
         if hit is not None:
-            bucket_i, member_i, key_i, scan_pos = hit
+            bucket_i, member_i, key_i, _ = hit
             bucket = buckets[bucket_i]
-            sid = bucket.chain[member_i]
-            if self.probe_mode == "naive":
-                found = self._scan_naive(bucket, image, temp_row, lay)
-                if found != (member_i, key_i):
-                    raise ConsistencyError("fabric scan disagrees with the index")
-            else:
-                # chain members and rows before the hit: temp writes plus scan
-                if member_i:
-                    trace.emit(tr.W, member_i)
-                if scan_pos:
-                    trace.emit(tr.C_ADD, scan_pos)
-                    trace.emit(tr.DPU, scan_pos)
-                m.subarray(sid).write_bits(temp_row, 0, span, image)
-                key_row, _ = lay.key_address(key_i)
-                res = m.cmp(
-                    MemAddress(sid, temp_row, 0, span),
-                    MemAddress(sid, key_row, 0, span),
-                )
-                slot = key_i % lay.slots
-                if lay.matched_slot(res.mask, slot + 1) != slot:
-                    raise ConsistencyError("stored key does not match its index entry")
+            self._probe(bucket, hit[1:], image, temp_row, lay)
             count = table.host_counts[bits]
             if count < cap:
                 lsb, col = lay.counter_location(key_i)
-                m.add_const_cols(sid, lsb, lay.value_width, [col], 1)
+                m.add_const_cols(bucket.chain[member_i], lsb, lay.value_width, [col], 1)
             elif count == cap:
                 table.saturated_keys += 1
             table.host_counts[bits] = count + 1
@@ -504,39 +448,15 @@ class Assembler:
         # miss: scan the whole bucket, then append the key
         bucket_i = mapping.stable_hash(bits, width, self.seed) % n_buckets
         bucket = buckets[bucket_i]
-        temp_sid = None
-        if self.probe_mode == "naive":
-            found = self._scan_naive(bucket, image, temp_row, lay)
-            if found is not None:
-                raise ConsistencyError("fabric holds a key the index does not")
-            if bucket.chain:
-                temp_sid = bucket.chain[-1]
-        elif bucket.chain:
-            members = len(bucket.chain)
-            if members > 1:
-                trace.emit(tr.W, members - 1)
-            if bucket.rows > 1:
-                trace.emit(tr.C_ADD, bucket.rows - 1)
-                trace.emit(tr.DPU, bucket.rows - 1)
-            # the compare of the last occupied row runs for real
-            temp_sid = bucket.chain[-1]
-            fill = bucket.fills[-1]
-            first = (fill - 1) // lay.slots * lay.slots
-            last_row, _ = lay.key_address(first)
-            m.subarray(temp_sid).write_bits(temp_row, 0, span, image)
-            res = m.cmp(
-                MemAddress(temp_sid, temp_row, 0, span),
-                MemAddress(temp_sid, last_row, 0, span),
-            )
-            if lay.matched_slot(res.mask, fill - first) is not None:
-                raise ConsistencyError("fabric holds a key the index does not")
-
+        self._probe(bucket, None, image, temp_row, lay)
+        # the scan leaves the query in the temp row of the last chain member
+        temp_sid = bucket.chain[-1] if bucket.chain else None
         if not bucket.chain or bucket.fills[-1] >= lay.capacity:
             bucket.chain.append(self._new_subarray(lay.row_layout))
             bucket.fills.append(0)
         target = bucket.chain[-1]
         if target != temp_sid:
-            m.subarray(target).write_bits(temp_row, 0, span, image)
+            m.subarray(target).write_bits(temp_row, 0, lay.key_span, image)
         key_i = bucket.fills[-1]
         key_row, col = lay.key_address(key_i)
         m.mem_insert(
@@ -557,25 +477,48 @@ class Assembler:
         table.keys.append(kmer)
         table.slots.append((target, key_i))
 
-    def _scan_naive(self, bucket, image, temp_row, lay):
-        """Physically compare the query against every occupied key row.
+    def _probe(
+        self,
+        bucket: _Bucket,
+        hit: tuple[int, int, int] | None,
+        image: int,
+        temp_row: int,
+        lay: mapping.HashLayout,
+    ) -> None:
+        """Cost the query's scan of its bucket; compare the decisive row in fabric.
 
-        Returns (chain member, key index) of the first occupied slot that
-        matches, or None.
+        `hit` is the index entry (chain member, key index, occupied rows
+        before it) of a stored key, or None for a new one. A scan writes the
+        query into the temp row of each chain member it visits and compares
+        one occupied key row per cycle. Everything before the decisive row
+        (the hit's row, or a miss's last occupied row) is emitted in bulk;
+        that row's compare runs physically and must agree with the index.
         """
+        if hit is None and not bucket.chain:
+            return
         m = self.machine
+        trace = m.trace
         span = lay.key_span
-        for member_i, sid in enumerate(bucket.chain):
-            m.subarray(sid).write_bits(temp_row, 0, span, image)
-            src = MemAddress(sid, temp_row, 0, span)
-            fill = bucket.fills[member_i]
-            for first in range(0, fill, lay.slots):
-                row, _ = lay.key_address(first)
-                res = m.cmp(src, MemAddress(sid, row, 0, span))
-                slot = lay.matched_slot(res.mask, min(lay.slots, fill - first))
-                if slot is not None:
-                    return member_i, first + slot
-        return None
+        if hit is not None:
+            member_i, key_i, rows_before = hit
+            first = key_i - key_i % lay.slots
+            want, occupied = key_i - first, key_i - first + 1
+        else:
+            member_i, rows_before = len(bucket.chain) - 1, bucket.rows - 1
+            fill = bucket.fills[-1]
+            first = (fill - 1) // lay.slots * lay.slots
+            want, occupied = None, fill - first
+        if member_i:
+            trace.emit(tr.W, member_i)
+        if rows_before:
+            trace.emit(tr.C_ADD, rows_before)
+            trace.emit(tr.DPU, rows_before)
+        sid = bucket.chain[member_i]
+        m.subarray(sid).write_bits(temp_row, 0, span, image)
+        row, _ = lay.key_address(first)
+        res = m.cmp(MemAddress(sid, temp_row, 0, span), MemAddress(sid, row, 0, span))
+        if lay.matched_slot(res.mask, occupied) != want:
+            raise ConsistencyError("fabric scan disagrees with the index")
 
     # -- stage 2: graph construction --
 
@@ -621,7 +564,7 @@ class Assembler:
             ref = counters.alloc()
             m.write_vword(ref, mult)
             refs.append(ref)
-        return _GraphStore(m, refs)
+        return _GraphStore(m, refs, list(mults))
 
     def _ensure_store(self, g: SparseGraph) -> _GraphStore:
         """g's placement on this machine, host-writing labels and words if absent."""
@@ -724,46 +667,55 @@ class Assembler:
 
     # -- stage 3: degree accumulation and start pick --
 
-    def _mult_value(self, store: _GraphStore, g: SparseGraph, e: int) -> int:
-        """Multiplicity of edge e, read from fabric and checked against g."""
+    def _mult_value(self, store: _GraphStore, e: int) -> int:
+        """Multiplicity of edge e, read from fabric and checked against the mirror."""
         val = self.machine.read_vword(store.mult_refs[e])
-        if val != g.mult[e]:
+        if val != store.mult[e]:
             raise ConsistencyError(
-                f"multiplicity word of edge {e} reads {val}, expected {g.mult[e]}"
+                f"multiplicity word of edge {e} reads {val}, expected {store.mult[e]}"
             )
         return val
 
     def find_start(self, g: SparseGraph) -> DegreeTable:
         """Accumulate degrees column-parallel and pick the walk start.
 
-        Each node owns one column; multiplicities are staged into a scratch
-        word plane and added into the out/in counter words one occupancy
-        rank at a time, so a whole sub-array row of nodes advances per add.
-        The start test compares out against in+1 across all columns with
-        one compare cycle per bit plane. The edge-unit total needs no word
-        of its own: it is the sum of the out-degree words. Any degree
-        sequence is accepted: `starts` lists every node once per unit of
-        outgoing surplus, from the host degree lists the fabric planes were
-        just checked against, so an Euler path is the case of one start or
-        none.
+        Each node owns one column; the multiplicity words are staged into a
+        scratch word plane and added into the out/in counter words one
+        occupancy rank at a time, so a whole sub-array row of nodes advances
+        per add. A repeat pass on the same placement (after the words were
+        rewritten, say) reuses the degree region, zeroing its out and in
+        word rows first, and allocates nothing. The start test compares out
+        against in+1 across all columns with one compare cycle per bit
+        plane. The edge-unit total needs no word of its own: it is the sum
+        of the out-degree words. Any degree sequence is accepted: `starts`
+        lists every node once per unit of outgoing surplus, from the host
+        degree lists the fabric planes were just checked against, so an
+        Euler path is the case of one start or none.
         """
         m = self.machine
         with m.stage_scope(tr.STAGE_TRAVERSE):
             store = self._ensure_store(g)
             n = len(g.nodes)
-            host_out, host_in = g.degrees()
+            host_out, host_in = g.degrees(store.mult)
             maxdeg = max(max(host_out, default=0), max(host_in, default=0))
             w_deg = max(8, (maxdeg + 1).bit_length() + 1)
             lay = RowLayout.default(m.rows)
             if 4 * w_deg > len(lay.data_region):
                 raise CapacityError("degree counters taller than the data region")
-            n_sub = mapping.subarrays_needed(n, m.cols)
-            sids = [self._new_subarray(lay) for _ in range(n_sub)]
             base = lay.data_region.start
             out_base = base
             in_base = base + w_deg
             tmp_base = base + 2 * w_deg
             stg_base = base + 3 * w_deg
+            if store.degree is None:
+                n_sub = mapping.subarrays_needed(n, m.cols)
+                sids = [self._new_subarray(lay) for _ in range(n_sub)]
+            else:
+                sids = store.degree.sids
+                for sid in sids:
+                    sub = m.subarray(sid)
+                    for row in range(out_base, tmp_base):
+                        sub.write_row(row, 0)
 
             for ends, word_base in ((g.edge_src, out_base), (g.edge_dst, in_base)):
                 per: dict[int, dict[int, list[int]]] = {}
@@ -781,7 +733,7 @@ class Assembler:
                         colmask = 0
                         planes = [0] * w_deg
                         for col, e in wave:
-                            v = self._mult_value(store, g, e)
+                            v = self._mult_value(store, e)
                             colmask |= 1 << col
                             for i in range(v.bit_length()):
                                 if (v >> i) & 1:
@@ -845,46 +797,28 @@ class Assembler:
 
             store.degree = region
             starts = [i for i in range(n) for _ in range(host_out[i] - host_in[i])]
-        return DegreeTable(list(host_out), list(host_in), g.total_multiplicity(), starts)
+        return DegreeTable(host_out, host_in, sum(store.mult), starts)
 
     # -- stage 4: Euler walk --
-
-    def _reach(self, und: list[dict[int, int]], src: int) -> int:
-        """Size of the undirected reachable set; one controller op per visit."""
-        seen = {src}
-        stack = [src]
-        while stack:
-            x = stack.pop()
-            for y, c in und[x].items():
-                if c and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        self.machine.dpu_charge(len(seen))
-        return len(seen)
-
-    def _is_bridge(self, und: list[dict[int, int]], u: int, v: int) -> bool:
-        before = self._reach(und, u)
-        und[u][v] -= 1
-        und[v][u] -= 1
-        after = self._reach(und, u)
-        und[u][v] += 1
-        und[v][u] += 1
-        return after < before
 
     def fleury(self, g: SparseGraph, degrees: DegreeTable | None = None) -> list[EulerPath]:
         """Cover every edge unit with trails, preferring non-bridge edges.
 
         One trail starts at each entry of `degrees.starts`, then one at the
         lowest node still holding units, until every unit is spent; a trail
-        ends at a node with no units left. Neighbours are tried in ascending
-        node id; a candidate is taken if removing one unit of the edge keeps
-        the rest reachable, and the lowest neighbour is the fallback when
-        every choice burns a bridge. Every traversed unit decrements its
-        multiplicity word and the source's out-degree word in fabric; the
-        walk then reads the out-degree planes back and requires every word
-        to be zero. The walk consumes the degree region, so walking g again
-        re-runs find_start, which raises ConsistencyError on the spent
-        multiplicity words.
+        ends at a node with no units left. The units are the values of the
+        multiplicity words, so one call walks every component of g. The
+        walk keeps per-node lists of out- and in-edge ids. Neighbours are
+        tried in ascending node id; a candidate is taken if removing one
+        unit of its first edge holding units keeps the rest reachable (one
+        undirected reachability pass before and one after, each charging a
+        controller op per visited node), and the lowest neighbour is the
+        fallback when every choice burns a bridge. Every traversed unit
+        decrements its multiplicity word and the source's out-degree word
+        in fabric; the walk then reads the out-degree planes back and
+        requires every word to be zero. The walk consumes the degree region,
+        so walking g again re-runs find_start, which raises ConsistencyError
+        on the spent multiplicity words.
         """
         with self.machine.stage_scope(tr.STAGE_TRAVERSE):
             store = self._ensure_store(g)
@@ -895,39 +829,65 @@ class Assembler:
         m = self.machine
         with m.stage_scope(tr.STAGE_TRAVERSE):
             n = len(g.nodes)
-            adj: list[dict[int, int]] = [dict() for _ in range(n)]
-            und: list[dict[int, int]] = [dict() for _ in range(n)]
-            pair_edges: dict[tuple[int, int], list[int]] = {}
-            rem = list(g.mult)
-            for e, (u, v) in enumerate(zip(g.edge_src, g.edge_dst)):
-                mu = g.mult[e]
-                adj[u][v] = adj[u].get(v, 0) + mu
-                und[u][v] = und[u].get(v, 0) + mu
-                und[v][u] = und[v].get(u, 0) + mu
-                pair_edges.setdefault((u, v), []).append(e)
+            src, dst = g.edge_src, g.edge_dst
+            out_e: list[list[int]] = [[] for _ in range(n)]
+            in_e: list[list[int]] = [[] for _ in range(n)]
+            for e, (u, v) in enumerate(zip(src, dst)):
+                out_e[u].append(e)
+                in_e[v].append(e)
+            rem = list(store.mult)
+
+            def reach(x0: int) -> int:
+                """Nodes reachable from x0 over edges holding units, either way."""
+                seen = {x0}
+                stack = [x0]
+                while stack:
+                    x = stack.pop()
+                    for e in out_e[x]:
+                        if rem[e] and dst[e] not in seen:
+                            seen.add(dst[e])
+                            stack.append(dst[e])
+                    for e in in_e[x]:
+                        if rem[e] and src[e] not in seen:
+                            seen.add(src[e])
+                            stack.append(src[e])
+                m.dpu_charge(len(seen))
+                return len(seen)
+
             total = sum(rem)
             starts = iter(degrees.starts)
+            lowest = 0  # units only shrink, so the lowest holder never falls
             paths = []
             while total:
                 u = next(starts, None)
                 if u is None:
-                    u = next(x for x in range(n) if any(adj[x].values()))
+                    while not any(rem[e] for e in out_e[lowest]):
+                        lowest += 1
+                    u = lowest
                 path = [u]
                 while True:
                     m.dpu_charge(1)
-                    nbrs = sorted(v for v, c in adj[u].items() if c > 0)
-                    if not nbrs:
+                    first: dict[int, int] = {}  # neighbour -> first edge holding units
+                    for e in out_e[u]:
+                        if rem[e]:
+                            first.setdefault(dst[e], e)
+                    if not first:
                         break
+                    nbrs = sorted(first)
                     v = nbrs[0]
                     if len(nbrs) > 1:
-                        v = next((c for c in nbrs if not self._is_bridge(und, u, c)), v)
-                    e = next(eid for eid in pair_edges[(u, v)] if rem[eid] > 0)
+                        for c in nbrs:
+                            before = reach(u)
+                            rem[first[c]] -= 1
+                            after = reach(u)
+                            rem[first[c]] += 1
+                            if after == before:
+                                v = c
+                                break
+                    e = first[v]
                     m.add_const(store.mult_refs[e], -1)
                     m.add_const(region.out_ref(u), -1)
                     rem[e] -= 1
-                    adj[u][v] -= 1
-                    und[u][v] -= 1
-                    und[v][u] -= 1
                     total -= 1
                     u = v
                     path.append(v)
@@ -943,39 +903,20 @@ class Assembler:
 
     # -- full pipeline --
 
-    def _walk_component(self, sub: SparseGraph, warnings: list[str]) -> list[EulerPath]:
-        """Trails of one weak component.
-
-        Multiplicities are walked as they are when their outgoing surplus
-        sums to at most one (an Euler path); otherwise the component is
-        walked with every multiplicity collapsed to one.
-        """
-        if sub.edge_count == 0:
-            return [EulerPath([0], [sub.nodes[0]])]
-        degrees = self.find_start(sub)
-        if len(degrees.starts) > 1:
-            warnings.append(
-                f"component is not Eulerian under multiplicities (outgoing surplus "
-                f"sums to {len(degrees.starts)}); retrying with unit multiplicities"
-            )
-            sub = sub.collapsed()
-            # the labels stay where the placement wrote them; only words are new
-            with self.machine.stage_scope(tr.STAGE_TRAVERSE):
-                sub.store = self._place_mults(sub.mult, 8)
-            degrees = self.find_start(sub)
-        paths = self.fleury(sub, degrees)
-        if len(paths) > 1:
-            warnings.append(f"component splits into {len(paths)} contigs")
-        return paths
-
     def assemble(self, reads: list[EncodedSeq], k: int) -> AssemblyResult:
         """Reads to contigs: count, build, optionally simplify, walk, merge.
 
-        Components that fail the Euler-degree screen are retried with all
-        multiplicities collapsed to one. Every component is covered by
-        trails, one contig each, so every distinct k-mer of the reads lands
-        in some contig; the retry and any split into several contigs each
-        append a warning.
+        The traverse stage runs once over the whole graph. A component whose
+        multiplicity-weighted outgoing surplus sums to more than one admits
+        no Euler path, so its multiplicity words are rewritten to one in
+        place and a second find_start reuses the first one's degree region;
+        components that pass keep their words. One fleury call then covers
+        every component with trails, one contig each, so every distinct
+        k-mer of the reads lands in some contig; an edge-less component (a
+        chain that simplify merged into one node) is a single-node path.
+        Paths come out grouped by component, in component order, and their
+        node ids index the returned graph. Each retried component, then
+        each component that splits into several contigs, appends a warning.
         """
         m = self.machine
         warnings: list[str] = []
@@ -1001,13 +942,39 @@ class Assembler:
         with m.stage_scope(tr.STAGE_TRAVERSE):
             m.dpu_charge(len(work.nodes) + work.edge_count)
             comps = weakly_connected_components(work)
-        contigs = []
-        paths = []
-        for comp in comps:
-            sub = work.subgraph(comp) if len(comps) > 1 else work
-            for path in self._walk_component(sub, warnings):
-                paths.append(path)
-                contigs.append(contig_from_path(path.vertices, work.k or 2))
+        comp_of = [0] * len(work.nodes)
+        for ci, comp in enumerate(comps):
+            for nid in comp:
+                comp_of[nid] = ci
+        surplus: Counter[int] = Counter()
+        paths: list[EulerPath] = []
+        if work.edge_count:  # an edge-less graph has nothing to place or walk
+            degrees = self.find_start(work)
+            surplus.update(comp_of[u] for u in degrees.starts)
+            retried = {ci for ci, s in surplus.items() if s > 1}
+            if retried:
+                store = work.store
+                with m.stage_scope(tr.STAGE_TRAVERSE):
+                    for e, u in enumerate(work.edge_src):
+                        if comp_of[u] in retried:
+                            m.write_vword(store.mult_refs[e], 1)
+                            store.mult[e] = 1
+                degrees = self.find_start(work)
+            paths = self.fleury(work, degrees)
+        trails = Counter(comp_of[p.node_ids[0]] for p in paths)
+        for ci, comp in enumerate(comps):
+            if not trails[ci]:
+                paths.append(EulerPath([comp[0]], [work.nodes[comp[0]]]))
+            if surplus[ci] > 1:
+                warnings.append(
+                    f"component is not Eulerian under multiplicities (outgoing surplus "
+                    f"sums to {surplus[ci]}); retrying with unit multiplicities"
+                )
+            if trails[ci] > 1:
+                warnings.append(f"component splits into {trails[ci]} contigs")
+        # fleury walks every start's trail before any circuit: regroup
+        paths.sort(key=lambda p: comp_of[p.node_ids[0]])
+        contigs = [contig_from_path(p.vertices, work.k or 2) for p in paths]
         with m.stage_scope(tr.STAGE_IO):
             m.xfer(sum((c.bit_length + 7) // 8 for c in contigs))
         for w in warnings:

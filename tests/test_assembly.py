@@ -21,19 +21,40 @@ from pimgasm.assembly import (
     weakly_connected_components,
 )
 from pimgasm.encoding import EncodedSeq, extract_kmers
-from pimgasm.errors import (
-    CapacityError,
-    ConfigError,
-    ConsistencyError,
-    SizeError,
-)
+from pimgasm.errors import CapacityError, ConsistencyError, SizeError
+from pimgasm.isa import MemAddress
 from pimgasm.seqio import distinct_window_genome, random_genome
 
 E = EncodedSeq.from_str
 
 
-def make_asm(rows=128, cols=64, **kw):
-    return Assembler(rows=rows, cols=cols, **kw)
+class PhysicalScan(Assembler):
+    """Oracle of the indexed scan: the query is written into the temp row of
+    every chain member it visits and compared against each occupied key row
+    in fabric, up to the first match, which must be the index's answer."""
+
+    def _probe(self, bucket, hit, image, temp_row, lay):
+        m = self.machine
+        span = lay.key_span
+        found = None
+        for member_i, sid in enumerate(bucket.chain):
+            m.subarray(sid).write_bits(temp_row, 0, span, image)
+            src = MemAddress(sid, temp_row, 0, span)
+            fill = bucket.fills[member_i]
+            for first in range(0, fill, lay.slots):
+                row, _ = lay.key_address(first)
+                res = m.cmp(src, MemAddress(sid, row, 0, span))
+                slot = lay.matched_slot(res.mask, min(lay.slots, fill - first))
+                if slot is not None:
+                    found = (member_i, first + slot)
+                    break
+            if found is not None:
+                break
+        assert found == (None if hit is None else hit[:2])
+
+
+def make_asm(rows=128, cols=64, oracle=False, **kw):
+    return (PhysicalScan if oracle else Assembler)(rows=rows, cols=cols, **kw)
 
 
 def hashmap_totals(trace):
@@ -111,25 +132,25 @@ def test_repeat_cost_oracle():
 
 
 def test_probe_modes_agree():
+    # the indexed scan against the physical all-rows scan
     reads = [E("CGTGTGCAACGT"), E("TTACGTGTGC"), E("CGTGTGCA")]
-    indexed = make_asm(probe_mode="indexed")
-    naive = make_asm(probe_mode="naive")
+    indexed = make_asm()
+    naive = make_asm(oracle=True)
     ti = indexed.build_kmer_table(reads, 4)
     tn = naive.build_kmer_table(reads, 4)
     assert [k.to_str() for k in ti.keys] == [k.to_str() for k in tn.keys]
     assert dict(ti.items()) == dict(tn.items())
     assert indexed.trace.records() == naive.trace.records()
-    with pytest.raises(ConfigError):
-        make_asm(probe_mode="bogus")
 
 
 def _count_both_ways(raw, k, **kw):
-    """Count in both probe modes; check they agree with a host Counter."""
+    """Count with the indexed scan and with the physical-scan oracle; check
+    they agree with each other and with a host Counter."""
     enc = [E(s) for s in raw]
     expected = Counter(s[i : i + k] for s in raw for i in range(len(s) - k + 1))
     runs = []
-    for mode in ("indexed", "naive"):
-        asm = make_asm(probe_mode=mode, **kw)
+    for oracle in (False, True):
+        asm = make_asm(oracle=oracle, **kw)
         runs.append((asm, asm.build_kmer_table(enc, k)))
     (indexed, ti), (naive, tn) = runs
     assert indexed.trace.records() == naive.trace.records()
@@ -354,6 +375,27 @@ def test_find_start_degrees_weight_multiplicity():
     assert table.edge_cnt == 3
 
 
+def test_a_repeat_find_start_reuses_the_degree_region():
+    # 19 nodes on 16 columns: a two-sub-array degree region
+    asm, g = build_graph(["ACGTTGCATGTCGACCATGGAT"], 5, rows=64, cols=16)
+    w_before = asm.trace.total(tr.W, stage=tr.STAGE_TRAVERSE)
+    first = asm.find_start(g)
+    sids = g.store.degree.sids
+    assert len(sids) == 2
+    count = asm.machine.subarray_count
+    w_first = asm.trace.total(tr.W, stage=tr.STAGE_TRAVERSE) - w_before
+    second = asm.find_start(g)
+    assert asm.machine.subarray_count == count
+    assert g.store.degree.sids == sids
+    assert second == first
+    # the same pass again, plus one charged write per cleared out/in row
+    w_second = asm.trace.total(tr.W, stage=tr.STAGE_TRAVERSE) - w_before - w_first
+    assert w_second == w_first + len(sids) * 2 * 8
+    # the cleared words add up afresh: the walk spends every one of them
+    [path] = asm.fleury(g, second)
+    assert len(path.node_ids) == g.edge_count + 1
+
+
 # ---- Euler walks -----------------------------------------------------------
 
 
@@ -546,18 +588,6 @@ def test_weak_components():
     assert weakly_connected_components(SparseGraph()) == []
 
 
-def test_subgraph_and_collapsed_views():
-    g = SparseGraph(k=3)
-    g.add_edge(E("AC"), E("CG"), mult=4)
-    g.add_edge(E("GG"), E("GT"))
-    sub = g.subgraph([0, 1])
-    assert sub.edge_count == 1
-    assert sub.mult == [4]
-    flat = g.collapsed()
-    assert flat.mult == [1, 1]
-    assert [n.to_str() for n in flat.nodes] == [n.to_str() for n in g.nodes]
-
-
 # ---- whole pipeline --------------------------------------------------------
 
 
@@ -573,6 +603,32 @@ def test_assemble_two_components():
     asm = make_asm()
     result = asm.assemble([E("ACGTT"), E("GAAAG")], 3)
     assert [c.to_str() for c in result.contigs] == ["ACGTT", "GAAAG"]
+    # path node ids index the returned graph
+    g = result.graph
+    assert [p.node_ids for p in result.paths] == [[0, 1, 2, 3], [4, 5, 5, 6]]
+    for p in result.paths:
+        assert [g.nodes[i].to_str() for i in p.node_ids] == [v.to_str() for v in p.vertices]
+
+
+def test_only_the_retried_component_walks_unit_words():
+    # GA->AA, AA->AA x2, AA->AG is an Euler path under multiplicities;
+    # CG->GT x3 has an outgoing surplus of 3 and is retried on a unit word
+    asm = make_asm()
+    walked_words = []
+    walk = asm.fleury
+
+    def snapshot_then_walk(g, degrees=None):
+        walked_words.extend(asm.machine.read_vword(ref) for ref in g.store.mult_refs)
+        return walk(g, degrees)
+
+    asm.fleury = snapshot_then_walk
+    result = asm.assemble([E("GAAAAG")] + [E("CGT")] * 3, 3)
+    assert walked_words == [1, 2, 1, 1]
+    assert result.graph.store.mult == [1, 2, 1, 1]
+    assert result.graph.mult == [1, 2, 1, 3]  # the graph keeps its counts
+    assert [p.node_ids for p in result.paths] == [[0, 1, 1, 1, 2], [3, 4]]
+    assert [c.to_str() for c in result.contigs] == ["GAAAAG", "CGT"]
+    assert result.warnings == [_UNIT_RUNG.format(3)]
 
 
 def test_assemble_overlapping_reads_reconstruct_the_genome():
@@ -665,10 +721,13 @@ def kmer_set(seqs, k):
 def component_trails(g, comp):
     """Trails a component needs: one Euler path when its multiplicities
     allow it, else the minimum trail cover of its unit-multiplicity graph."""
-    sub = g.subgraph(comp)
-    if total_surplus(sub) <= 1:
+
+    def surplus(out_d, in_d):
+        return sum(max(0, out_d[nid] - in_d[nid]) for nid in comp)
+
+    if surplus(*g.degrees()) <= 1:
         return 1
-    return max(1, total_surplus(sub.collapsed()))
+    return max(1, surplus(*g.degrees([1] * g.edge_count)))
 
 
 @given(workload=repeat_workloads())
@@ -709,22 +768,43 @@ _UNIT_RUNG = (
 # fabric store; the store rewrite moved none of these values. Dropping the
 # global edge-unit counter moved only the traverse R, W and C_ADD rows (its
 # per-edge accumulation, read-back and per-unit decrements are gone).
-# simplify off: two components, each a subgraph selecting build_graph's
-# words, each retried on unit words. Unit degrees leave an outgoing surplus
-# of 2 per component, so each is covered by two trails, one contig each.
-# A single walk per component stopped at its first stranded node, after 89
-# and 90 of the 129 and 130 units; the second trails walk the other 40 + 40:
-#   W      +2,560  80 units * 2 decrements (multiplicity and out-degree
-#                  word) * 16 W per 8-bit add
-#   C_ADD  +1,280  80 units * 2 decrements * 8 C_ADD
-#   DPU    +82     one loop step per unit, plus the end of each second trail
-#   R      +80     the end check, which a stranded single walk skipped: the 8
-#                  out-degree planes of the 5 degree sub-arrays, twice
-#   XFER   +26     the two 50-base contigs out, 13 bytes each
-# The walk allocates nothing, so the sub-array count stays 43.
-# simplify on: each component of the merged graph is host-placed, then
-# retried on unit words; the unit walk is a single trail, so nothing moved
-# but the retry warning's wording.
+# Unit degrees leave an outgoing surplus of 2 per component, so each is
+# covered by two trails, one contig each; a single walk per component had
+# stopped at its first stranded node, after 89 and 90 of the 129 and 130
+# units, and the second trails walk the other 40 + 40 (+2,560 W, +1,280
+# C_ADD, +82 DPU, +80 R for the end checks, +26 XFER for the contigs).
+#
+# The traverse stage now runs once over the whole graph: one find_start,
+# the retried components' words rewritten to one in place (the same 8 W per
+# edge as the fresh unit words they replace), a second find_start on the
+# same degree region, one walk. Only the traverse rows and the sub-array
+# count move. Costs per degree sub-array and find_start pass: 9 DPU (8
+# plane compares, one controller op), 24 R (16 plane read-backs, 8 reads
+# copying in to tmp), 24 W and 16 C_ADD (the copy, the +1, the compares);
+# per occupancy-rank wave: 24 W and 8 C_ADD (8 staging writes, one 8-bit
+# add); clearing a reused region: 16 W per sub-array; a walk's end check:
+# 8 R per sub-array.
+# simplify off: the 129- and 130-node components each ran two passes over
+# their own 5 sub-arrays and placed a fresh 8-bit unit-word bank, 22
+# traverse sub-arrays; now both passes share one 9-sub-array region over
+# all 259 nodes. Component A's fifth sub-array held one node; now it is
+# shared with component B, so each pass runs 22 waves, not 11 + 12.
+#   sub-arrays  43 - 22 + 9                      =     30
+#   DPU      1,386 - 2 * 9                        =  1,368  (18 sub-array passes, not 20)
+#   R        8,848 - 2 * 24 - 8                   =  8,792  (one end check over 9, not two over 5)
+#   W       11,944 - 2 * 24 + 9 * 16 - 2 * 24    = 11,992
+#   C_ADD    4,832 - 2 * 16 - 2 * 8               =  4,784
+# simplify on: each of the two 4-node components of the merged graph was
+# host-placed (a label bank and a word bank), ran two one-sub-array passes
+# and placed a unit-word bank, 10 traverse sub-arrays; now one placement
+# and one region take 3. The two components share the region's one
+# sub-array, so each pass runs 4 waves, not 4 per component.
+#   sub-arrays  31 - 10 + 3                      =     24
+#   DPU         74 - 2 * 9                        =     56
+#   R          368 - 2 * 24 - 8                   =    312
+#   W          889 - 2 * 24 + 16 - 8 * 24        =    665
+#   C_ADD      320 - 2 * 16 - 8 * 8               =    224
+# Contigs and warnings are unchanged.
 LADDER = {
     False: (
         [
@@ -735,12 +815,12 @@ LADDER = {
             ("hashmap", "DPU", 18047),
             ("graph", "R", 630),
             ("graph", "W", 2590),
-            ("traverse", "DPU", 1386),
-            ("traverse", "R", 8848),
-            ("traverse", "W", 11944),
-            ("traverse", "C_ADD", 4832),
+            ("traverse", "DPU", 1368),
+            ("traverse", "R", 8792),
+            ("traverse", "W", 11992),
+            ("traverse", "C_ADD", 4784),
         ],
-        43,
+        30,
         [
             "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
             "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCG",
@@ -761,12 +841,12 @@ LADDER = {
             ("graph", "R", 889),
             ("graph", "W", 2590),
             ("graph", "DPU", 518),
-            ("traverse", "DPU", 74),
-            ("traverse", "W", 889),
-            ("traverse", "R", 368),
-            ("traverse", "C_ADD", 320),
+            ("traverse", "DPU", 56),
+            ("traverse", "W", 665),
+            ("traverse", "R", 312),
+            ("traverse", "C_ADD", 224),
         ],
-        31,
+        24,
         [
             "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
             "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCGACGGAATTAGATCAGTTAAAT"
