@@ -1,11 +1,16 @@
 """De Bruijn graph assembly driven by the memory-side instruction set.
 
 Stage 1 counts k-mers in an associative hash store whose key rows hold
-several keys each, one per slot at a power-of-two column pitch. Each query
-is written once into every slot of a temp row and compared against the
-occupied key rows of its hash bucket: one XNOR-compare cycle plus one
-AND-reduce per row checks every key in it, and only occupied slots count,
-so an all-A key (packed to 0) never matches an empty slot. A hit
+several keys each, one per slot at a power-of-two column pitch. The store
+is cut into groups of sub-arrays, one group per sub-array's worth of
+distinct keys, and every group into one hash bucket per counter stripe, so
+a full bucket holds about one stripe of counters. A bucket takes key rows
+one at a time from its group's current sub-array, so the rows of a group's
+buckets interleave there, and a full group chains into a new sub-array.
+Each query is written once into every slot of a temp row and compared
+against the occupied key rows of its own bucket only: one XNOR-compare
+cycle plus one AND-reduce per row checks every key in it, and only occupied
+slots count, so an all-A key (packed to 0) never matches an empty slot. A hit
 increments the key's vertical counter in place, a miss appends the key in
 the next free slot and starts its counter at one. Stage 2 walks the table
 and emits one edge per distinct k-mer (prefix node, suffix node,
@@ -229,15 +234,17 @@ class KmerTable:
     def frequencies(self) -> dict[EncodedSeq, int]:
         """Counter values decoded from fabric bits.
 
-        Each sub-array's value rows are read up to the last counter stripe
-        its keys occupy; stripes past it hold no counters.
+        Each sub-array's value rows are read up to the counter stripe of
+        its highest key index; stripes past it hold no counters. Buckets
+        interleave their rows, so the last key inserted need not be the
+        highest.
         """
         lay = self.layout
-        last: dict[int, int] = {}  # sub-array id -> highest key index
+        top: dict[int, int] = {}  # sub-array id -> highest key index
         for sid, key_i in self.slots:
-            last[sid] = key_i
+            top[sid] = max(key_i, top.get(sid, 0))
         planes: dict[int, list[int]] = {}
-        for sid, key_i in last.items():
+        for sid, key_i in top.items():
             sub = self.machine.subarray(sid)
             stop = lay.counter_location(key_i)[0] + lay.value_width
             planes[sid] = [sub.read_row(r) for r in range(lay.value_rows.start, stop)]
@@ -266,12 +273,30 @@ class KmerTable:
 
 
 class _Bucket:
-    __slots__ = ("chain", "fills", "rows")
+    """One counter stripe's worth of keys inside its group's sub-arrays.
+
+    `rows` lists the bucket's key rows in scan order as (chain member, key
+    row); `chain` holds the sub-array ids those members name, oldest
+    first; `last_fill` counts the keys in the last row.
+    """
+
+    __slots__ = ("chain", "rows", "last_fill")
 
     def __init__(self):
-        self.chain: list[int] = []   # sub-array ids, oldest first
-        self.fills: list[int] = []   # keys held by each chain member
-        self.rows = 0                # occupied key rows over the whole chain
+        self.chain: list[int] = []
+        self.rows: list[tuple[int, int]] = []
+        self.last_fill = 0
+
+
+class _Group:
+    """A bucket group's sub-arrays, oldest first, and the row cursor over
+    the last one's key rows."""
+
+    __slots__ = ("chain", "next_row")
+
+    def __init__(self):
+        self.chain: list[int] = []
+        self.next_row = 0
 
 
 class _RowBank:
@@ -359,7 +384,9 @@ class Assembler:
 
     The hash store packs `slots` keys into each key row (see
     mapping.layout_hash), so a bucket scan costs one compare per occupied
-    row, not one per key. Lookups use the host index to emit the scan
+    row, not one per key. It keeps ceil(distinct / capacity) groups of
+    sub-arrays and `stripes` buckets per group, so a probe scans about one
+    counter stripe of keys. Lookups use the host index to emit the scan
     events in bulk and execute only the decisive row compare physically.
     max_subarrays caps the sub-arrays on the machine: any stage that would
     allocate past it (hash store, label and counter banks, degree regions)
@@ -408,20 +435,20 @@ class Assembler:
             distinct = len({w.bits for r in reads for w in extract_kmers(r, k)})
             if distinct == 0:
                 raise SizeError(f"no k-mers: every read is shorter than k={k}")
-            n_buckets = max(1, math.ceil(distinct / layout.capacity))
-            buckets = [_Bucket() for _ in range(n_buckets)]
-            index: dict[int, tuple[int, int, int, int]] = {}
+            groups = [_Group() for _ in range(math.ceil(distinct / layout.capacity))]
+            buckets = [_Bucket() for _ in range(len(groups) * layout.stripes)]
+            index: dict[int, tuple[int, int, int]] = {}
             for read in reads:
                 for kmer in extract_kmers(read, k):
-                    self._observe(table, buckets, index, n_buckets, kmer)
+                    self._observe(table, groups, buckets, index, kmer)
         log.info(
-            "k-mer table: %d queries, %d distinct, %d buckets, %d sub-arrays",
-            table.total_kmers, table.distinct(), n_buckets,
-            sum(len(b.chain) for b in buckets),
+            "k-mer table: %d queries, %d distinct, %d groups, %d buckets, %d sub-arrays",
+            table.total_kmers, table.distinct(), len(groups), len(buckets),
+            sum(len(g.chain) for g in groups),
         )
         return table
 
-    def _observe(self, table, buckets, index, n_buckets, kmer: EncodedSeq) -> None:
+    def _observe(self, table, groups, buckets, index, kmer: EncodedSeq) -> None:
         m = self.machine
         lay = table.layout
         bits = kmer.bits
@@ -433,31 +460,39 @@ class Assembler:
 
         hit = index.get(bits)
         if hit is not None:
-            bucket_i, member_i, key_i, _ = hit
+            bucket_i, pos, key_i = hit
             bucket = buckets[bucket_i]
             self._probe(bucket, hit[1:], image, temp_row, lay)
             count = table.host_counts[bits]
             if count < cap:
                 lsb, col = lay.counter_location(key_i)
-                m.add_const_cols(bucket.chain[member_i], lsb, lay.value_width, [col], 1)
+                sid = bucket.chain[bucket.rows[pos][0]]
+                m.add_const_cols(sid, lsb, lay.value_width, [col], 1)
             elif count == cap:
                 table.saturated_keys += 1
             table.host_counts[bits] = count + 1
             return
 
         # miss: scan the whole bucket, then append the key
-        bucket_i = mapping.stable_hash(bits, width, self.seed) % n_buckets
+        bucket_i = mapping.stable_hash(bits, width, self.seed) % len(buckets)
         bucket = buckets[bucket_i]
         self._probe(bucket, None, image, temp_row, lay)
         # the scan leaves the query in the temp row of the last chain member
         temp_sid = bucket.chain[-1] if bucket.chain else None
-        if not bucket.chain or bucket.fills[-1] >= lay.capacity:
-            bucket.chain.append(self._new_subarray(lay.row_layout))
-            bucket.fills.append(0)
+        if not bucket.rows or bucket.last_fill == lay.slots:
+            group = groups[bucket_i // lay.stripes]
+            if not group.chain or group.next_row == len(lay.kmer_rows):
+                group.chain.append(self._new_subarray(lay.row_layout))
+                group.next_row = 0
+            if group.chain[-1] != temp_sid:
+                bucket.chain.append(group.chain[-1])
+            bucket.rows.append((len(bucket.chain) - 1, group.next_row))
+            group.next_row += 1
+            bucket.last_fill = 0
         target = bucket.chain[-1]
         if target != temp_sid:
             m.subarray(target).write_bits(temp_row, 0, lay.key_span, image)
-        key_i = bucket.fills[-1]
+        key_i = bucket.rows[-1][1] * lay.slots + bucket.last_fill
         key_row, col = lay.key_address(key_i)
         m.mem_insert(
             MemAddress(target, key_row, col, width),
@@ -468,11 +503,8 @@ class Assembler:
             raise ConsistencyError("inserted key bits corrupted")
         lsb, ctr_col = lay.counter_location(key_i)
         sub.write_cell(lsb, ctr_col, 1)
-        if key_i % lay.slots == 0:
-            bucket.rows += 1
-        # the new key sits in the bucket's last occupied row
-        index[bits] = (bucket_i, len(bucket.chain) - 1, key_i, bucket.rows - 1)
-        bucket.fills[-1] += 1
+        index[bits] = (bucket_i, len(bucket.rows) - 1, key_i)
+        bucket.last_fill += 1
         table.host_counts[bits] = 1
         table.keys.append(kmer)
         table.slots.append((target, key_i))
@@ -480,39 +512,39 @@ class Assembler:
     def _probe(
         self,
         bucket: _Bucket,
-        hit: tuple[int, int, int] | None,
+        hit: tuple[int, int] | None,
         image: int,
         temp_row: int,
         lay: mapping.HashLayout,
     ) -> None:
         """Cost the query's scan of its bucket; compare the decisive row in fabric.
 
-        `hit` is the index entry (chain member, key index, occupied rows
-        before it) of a stored key, or None for a new one. A scan writes the
-        query into the temp row of each chain member it visits and compares
-        one occupied key row per cycle. Everything before the decisive row
-        (the hit's row, or a miss's last occupied row) is emitted in bulk;
-        that row's compare runs physically and must agree with the index.
+        `hit` is the (row position, key index) of a stored key, or None for
+        a new one. A scan walks the bucket's own rows in order, writing the
+        query into the temp row of each chain member it visits and comparing
+        one occupied key row per cycle; the other buckets of the group are
+        never scanned. Everything before the decisive row (the hit's row, or
+        a miss's last row) is emitted in bulk; that row's compare runs
+        physically and must agree with the index.
         """
-        if hit is None and not bucket.chain:
+        if hit is None and not bucket.rows:
             return
         m = self.machine
         trace = m.trace
         span = lay.key_span
-        if hit is not None:
-            member_i, key_i, rows_before = hit
-            first = key_i - key_i % lay.slots
-            want, occupied = key_i - first, key_i - first + 1
+        pos, key_i = hit if hit is not None else (len(bucket.rows) - 1, None)
+        member_i, row_i = bucket.rows[pos]
+        first = row_i * lay.slots
+        if key_i is None:
+            want, occupied = None, bucket.last_fill
         else:
-            member_i, rows_before = len(bucket.chain) - 1, bucket.rows - 1
-            fill = bucket.fills[-1]
-            first = (fill - 1) // lay.slots * lay.slots
-            want, occupied = None, fill - first
+            want = key_i - first
+            occupied = want + 1
         if member_i:
             trace.emit(tr.W, member_i)
-        if rows_before:
-            trace.emit(tr.C_ADD, rows_before)
-            trace.emit(tr.DPU, rows_before)
+        if pos:
+            trace.emit(tr.C_ADD, pos)
+            trace.emit(tr.DPU, pos)
         sid = bucket.chain[member_i]
         m.subarray(sid).write_bits(temp_row, 0, span, image)
         row, _ = lay.key_address(first)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pimgasm import mapping
 from pimgasm import trace as tr
 from pimgasm.assembly import (
     Assembler,
@@ -29,32 +30,42 @@ E = EncodedSeq.from_str
 
 
 class PhysicalScan(Assembler):
-    """Oracle of the indexed scan: the query is written into the temp row of
-    every chain member it visits and compared against each occupied key row
-    in fabric, up to the first match, which must be the index's answer."""
+    """Oracle of the indexed scan: the query walks its bucket's rows in
+    order, is written into the temp row once per chain member it reaches,
+    and is compared against each occupied key row in fabric, up to the
+    first match, which must be the index's answer."""
 
     def _probe(self, bucket, hit, image, temp_row, lay):
         m = self.machine
         span = lay.key_span
         found = None
-        for member_i, sid in enumerate(bucket.chain):
-            m.subarray(sid).write_bits(temp_row, 0, span, image)
-            src = MemAddress(sid, temp_row, 0, span)
-            fill = bucket.fills[member_i]
-            for first in range(0, fill, lay.slots):
-                row, _ = lay.key_address(first)
-                res = m.cmp(src, MemAddress(sid, row, 0, span))
-                slot = lay.matched_slot(res.mask, min(lay.slots, fill - first))
-                if slot is not None:
-                    found = (member_i, first + slot)
-                    break
-            if found is not None:
+        staged = None
+        for pos, (member_i, row_i) in enumerate(bucket.rows):
+            sid = bucket.chain[member_i]
+            if member_i != staged:
+                m.subarray(sid).write_bits(temp_row, 0, span, image)
+                staged = member_i
+            first = row_i * lay.slots
+            row, _ = lay.key_address(first)
+            res = m.cmp(MemAddress(sid, temp_row, 0, span), MemAddress(sid, row, 0, span))
+            last = pos == len(bucket.rows) - 1
+            slot = lay.matched_slot(res.mask, bucket.last_fill if last else lay.slots)
+            if slot is not None:
+                found = (pos, first + slot)
                 break
-        assert found == (None if hit is None else hit[:2])
+        assert found == hit
 
 
 def make_asm(rows=128, cols=64, oracle=False, **kw):
     return (PhysicalScan if oracle else Assembler)(rows=rows, cols=cols, **kw)
+
+
+def bucket_of(table, key):
+    """Hash bucket of a key: one per counter stripe of each sub-array's
+    worth of distinct keys."""
+    lay = table.layout
+    n_buckets = -(-table.distinct() // lay.capacity) * lay.stripes
+    return mapping.stable_hash(key.bits, 2 * table.k) % n_buckets
 
 
 def hashmap_totals(trace):
@@ -93,34 +104,45 @@ def test_kmer_counts_match_a_host_counter(reads, k):
 
 
 def test_insert_cost_oracle_single_read():
-    # CGTGTGCA, k=5: four distinct k-mers land in one bucket. 10-bit keys
-    # at a 16-column pitch give 4 slots per 64-bit row, so all four share
-    # key row 0. Insert i scans the ceil(i/4) occupied rows (one compare
-    # each), stages the query once, copies it into its slot, and seeds the
-    # counter LSB:
+    # CGTGTGCA, k=5: four distinct k-mers in one sub-array of 5 counter
+    # stripes, so one group of 5 buckets. 10-bit keys at a 16-column pitch
+    # give 4 slots per 64-bit row. CGTGT and TGTGC hash to bucket 3, GTGTG
+    # to 1 and GTGCA to 0, so only TGTGC finds an occupied row (CGTGT's)
+    # to compare against. Each insert stages the query once, copies it
+    # into its slot, and seeds the counter LSB:
     #   W = 4 * (temp + insert + counter) = 12,  R = 4 insert reads,
-    #   C_ADD = DPU = 0 + 1 + 1 + 1 = 3.
+    #   C_ADD = DPU = 0 + 0 + 1 + 0 = 1.
     asm = make_asm()
-    asm.build_kmer_table([E("CGTGTGCA")], 5)
-    assert hashmap_totals(asm.trace) == {tr.R: 4, tr.W: 12, tr.C_ADD: 3, tr.DPU: 3}
+    table = asm.build_kmer_table([E("CGTGTGCA")], 5)
+    assert [bucket_of(table, key) for key in table.keys] == [3, 1, 3, 0]
+    assert hashmap_totals(asm.trace) == {tr.R: 4, tr.W: 12, tr.C_ADD: 1, tr.DPU: 1}
 
 
 def test_miss_cost_is_one_compare_per_occupied_row():
-    # k=5 on 64 columns: 4 slots per row and 304 keys per sub-array, so
-    # every key below lands in one one-member bucket. The miss that inserts
-    # key index j compares the query against the ceil(j/4) occupied rows.
+    # k=5 on 64 columns: 4 slots per row, 304 keys and 5 counter stripes
+    # per sub-array, so every key below lands in one group of 5 buckets.
+    # The miss that inserts a key compares the query against the
+    # ceil(f/4) occupied rows of its own bucket, f the keys already in it.
     seq = "ACGTTGCATGTCGACCATGGAT"
-    assert len({seq[i : i + 5] for i in range(len(seq) - 4)}) == len(seq) - 4
+    kmers = [E(seq[i : i + 5]) for i in range(len(seq) - 4)]
+    assert len({key.bits for key in kmers}) == len(kmers)
     prev = {tr.C_ADD: 0, tr.DPU: 0}
-    for j in range(len(seq) - 4):
+    scanned = []
+    for j in range(len(kmers)):
         asm = make_asm()
         table = asm.build_kmer_table([E(seq[: j + 5])], 5)
-        assert table.layout.slots == 4 and asm.machine.subarray_count == 1
+        assert table.layout.slots == 4 and table.layout.stripes == 5
+        assert asm.machine.subarray_count == 1
+        buckets = [bucket_of(table, key) for key in kmers[: j + 1]]
+        f = buckets[:-1].count(buckets[-1])
         totals = hashmap_totals(asm.trace)
-        rows = -(-j // 4)
+        rows = -(-f // 4)
+        scanned.append(rows)
         assert totals[tr.C_ADD] - prev[tr.C_ADD] == rows
         assert totals[tr.DPU] - prev[tr.DPU] == rows
         prev = totals
+    # empty, one-row and two-row buckets all occur
+    assert set(scanned) == {0, 1, 2}
 
 
 def test_repeat_cost_oracle():
@@ -185,8 +207,67 @@ def test_packed_rows_chain_buckets():
     raw = [genome[i : i + 40] for i in range(0, 121, 20)] + ["A" * 9, genome[:30]]
     asm, table = _count_both_ways(raw, 6, **PACKED)
     assert table.layout.slots == 4
-    # more sub-arrays than buckets: at least one bucket chained
+    # more sub-arrays than groups: at least one group chained
     assert asm.machine.subarray_count > -(-table.distinct() // table.layout.capacity)
+
+
+def test_counters_read_back_to_the_highest_key_stripe():
+    # Buckets interleave their rows, so the key inserted last into a
+    # sub-array can sit in a lower counter stripe than its highest key:
+    # here the last of 57 keys has index 53 (stripe 0 of 64 columns) while
+    # another has index 64 (stripe 1). Reading counters only up to the last
+    # key's stripe would leave stripe 1 unread.
+    raw = ["TCTTACCCGTTGCTACTTGAATAGCTGACG", "AGCCTAGCGGTAACGCACCGGTGGTCGTGTTGCAAC"]
+    asm = make_asm()
+    table = asm.build_kmer_table([E(s) for s in raw], 5)
+    lay = table.layout
+    assert asm.machine.subarray_count == 1
+    last, top = table.slots[-1][1], max(key_i for _, key_i in table.slots)
+    assert lay.counter_location(last)[0] < lay.counter_location(top)[0]
+    expected = Counter(s[i : i + 5] for s in raw for i in range(len(s) - 4))
+    assert {key.to_str(): n for key, n in table.items()} == dict(expected)
+
+
+class BucketRecorder(Assembler):
+    """Keeps the hash stage's groups and buckets for inspection."""
+
+    def _observe(self, table, groups, buckets, index, kmer):
+        self.groups, self.buckets = groups, buckets
+        super()._observe(table, groups, buckets, index, kmer)
+
+
+@pytest.mark.parametrize("length", [150, 220, 230, 250, 300, 420])
+def test_buckets_stay_inside_their_group(length):
+    # 64 x 64 at k=5: 28 key rows of 4 slots and 3 counter stripes, so
+    # 112 keys per sub-array and 3 buckets per group; at lengths 220 and
+    # 250 one group outgrows its sub-array and chains
+    genome = random_genome(length, random.Random(length))
+    raw = [genome[i : i + 30] for i in range(0, length - 29, 10)]
+    _count_both_ways(raw, 5, rows=64, cols=64)
+    asm = BucketRecorder(rows=64, cols=64)
+    table = asm.build_kmer_table([E(s) for s in raw], 5)
+    lay = table.layout
+    groups, buckets = asm.groups, asm.buckets
+    assert len(groups) == -(-table.distinct() // lay.capacity) >= 2
+    assert len(buckets) == len(groups) * lay.stripes == len(groups) * 3
+    owner = {}
+    for gi, group in enumerate(groups):
+        for sid in group.chain:
+            assert owner.setdefault(sid, gi) == gi, "two groups share a sub-array"
+    rows = set()
+    for bi, bucket in enumerate(buckets):
+        assert set(bucket.chain) <= set(groups[bi // lay.stripes].chain)
+        for member_i, row_i in bucket.rows:
+            assert (bucket.chain[member_i], row_i) not in rows
+            rows.add((bucket.chain[member_i], row_i))
+    # every key sits in a row of the bucket its hash names
+    for key, (sid, key_i) in zip(table.keys, table.slots):
+        bucket = buckets[bucket_of(table, key)]
+        assert (sid, key_i // lay.slots) in {(bucket.chain[m], r) for m, r in bucket.rows}
+    if all(len(group.chain) == 1 for group in groups):
+        assert asm.machine.subarray_count == len(groups)
+    else:
+        assert asm.machine.subarray_count > len(groups)
 
 
 def test_counter_saturation_clamps_fabric_not_host():
@@ -805,15 +886,35 @@ _UNIT_RUNG = (
 #   W          889 - 2 * 24 + 16 - 8 * 24        =    665
 #   C_ADD      320 - 2 * 16 - 8 * 8               =    224
 # Contigs and warnings are unchanged.
+#
+# One hash bucket per counter stripe: at 64 x 32 and k=11 a key row holds
+# one key and a sub-array 36 keys in 2 stripes, so the 259 distinct keys
+# take 8 groups of 2 buckets, not 8 one-group buckets. The hash stage keeps
+# its 10 sub-arrays (two groups chain, as two buckets did), and only the
+# hashmap W, C_ADD and DPU rows and graph R move, the same way with and
+# without simplify. With one key per row a miss compares every key already
+# in its bucket and a hit every key up to its own; halving the buckets
+# roughly halves both sums:
+#   misses (259)   4,227 -> 2,134 compares
+#   hits   (821)  13,820 -> 7,338 compares
+#   DPU   18,047 - 8,575 = 9,472;  C_ADD 24,615 - 8,575 = 16,040
+# A scan that reaches a bucket's second chain member stages the query
+# there once; such writes go 38 -> 65. A bucket that chains stages its
+# inserted key in the new sub-array: 2 buckets -> 4 (both buckets of both
+# chained groups).
+#   W     14,774 + 27 + 2 = 14,803
+# Graph R reads each hash sub-array's counters up to its highest key's
+# stripe (8 rows each): 4 sub-arrays held a key index of 32 or more, now 3.
+#   graph R  630 - 8 = 622 (simplify on: 889 - 8 = 881)
 LADDER = {
     False: (
         [
             ("io", "XFER", 508),
-            ("hashmap", "W", 14774),
+            ("hashmap", "W", 14803),
             ("hashmap", "R", 259),
-            ("hashmap", "C_ADD", 24615),
-            ("hashmap", "DPU", 18047),
-            ("graph", "R", 630),
+            ("hashmap", "C_ADD", 16040),
+            ("hashmap", "DPU", 9472),
+            ("graph", "R", 622),
             ("graph", "W", 2590),
             ("traverse", "DPU", 1368),
             ("traverse", "R", 8792),
@@ -834,11 +935,11 @@ LADDER = {
     True: (
         [
             ("io", "XFER", 512),
-            ("hashmap", "W", 14774),
+            ("hashmap", "W", 14803),
             ("hashmap", "R", 259),
-            ("hashmap", "C_ADD", 24615),
-            ("hashmap", "DPU", 18047),
-            ("graph", "R", 889),
+            ("hashmap", "C_ADD", 16040),
+            ("hashmap", "DPU", 9472),
+            ("graph", "R", 881),
             ("graph", "W", 2590),
             ("graph", "DPU", 518),
             ("traverse", "DPU", 56),
