@@ -10,19 +10,22 @@ buckets interleave there, and a full group chains into a new sub-array.
 Each query is written once into every slot of a temp row and compared
 against the occupied key rows of its own bucket only: one XNOR-compare
 cycle plus one AND-reduce per row checks every key in it, and only occupied
-slots count, so an all-A key (packed to 0) never matches an empty slot. A hit
-increments the key's vertical counter in place, a miss appends the key in
-the next free slot and starts its counter at one. Stage 2 walks the table
-and emits one edge per distinct k-mer (prefix node, suffix node,
-multiplicity = frequency) into an edge store. Stage 3 accumulates vertical
-degree counters column-parallel, probes the start vertex with a bit-plane
-compare of out against in+1, and covers each weak component with the
-fewest trails its degrees allow, max(1, sum of outgoing surpluses): one
+slots count, so an all-A key (packed to 0) never matches an empty slot. A
+miss appends the key in the next free slot and starts its counter at one.
+A hit records an increment for the key's vertical counter, and when the
+read ends its increments are added in place, one column-parallel add per
+sub-array counter stripe and amount: an add costs the same for one column
+or all of them, so a read pays per stripe it touches, not per hit. Stage 2
+walks the table and emits one edge per distinct k-mer (prefix node, suffix
+node, multiplicity = frequency) into an edge store. Stage 3 accumulates
+vertical degree counters column-parallel, probes the start vertex with a
+bit-plane compare of out against in+1, and covers each weak component with
+the fewest trails its degrees allow, max(1, sum of outgoing surpluses): one
 trail per surplus unit, or one Euler circuit when there is none, walked
 bridge-aware. Each walked unit decrements its multiplicity and out-degree
 words in memory. The out-degree words sum to the edge units left, so the
-walk must leave every one of them at zero, and every distinct k-mer ends
-up in some contig.
+walk must leave every one of them at zero, and every distinct k-mer ends up
+in some contig.
 
 A graph holds at most one fabric placement, `SparseGraph.store`: one
 vertical multiplicity word per edge (plus the degree region once
@@ -388,6 +391,9 @@ class Assembler:
     sub-arrays and `stripes` buckets per group, so a probe scans about one
     counter stripe of keys. Lookups use the host index to emit the scan
     events in bulk and execute only the decisive row compare physically.
+    Counter increments are batched per read: each read ends with one
+    column-parallel add per (sub-array, counter stripe, amount), the amounts
+    decided by the host mirror, which stops a counter at its cap.
     max_subarrays caps the sub-arrays on the machine: any stage that would
     allocate past it (hash store, label and counter banks, degree regions)
     raises CapacityError.
@@ -438,17 +444,50 @@ class Assembler:
             groups = [_Group() for _ in range(math.ceil(distinct / layout.capacity))]
             buckets = [_Bucket() for _ in range(len(groups) * layout.stripes)]
             index: dict[int, tuple[int, int, int]] = {}
+            adds = 0
             for read in reads:
+                # (sub-array, stripe lsb, column) -> this read's increment
+                pending: dict[tuple[int, int, int], int] = {}
                 for kmer in extract_kmers(read, k):
-                    self._observe(table, groups, buckets, index, kmer)
+                    self._observe(table, groups, buckets, index, pending, kmer)
+                adds += self._add_counts(layout, pending)
         log.info(
-            "k-mer table: %d queries, %d distinct, %d groups, %d buckets, %d sub-arrays",
-            table.total_kmers, table.distinct(), len(groups), len(buckets),
+            "k-mer table: %d queries, %d hits, %d counter adds, %d distinct, "
+            "%d groups, %d buckets, %d sub-arrays",
+            table.total_kmers, table.total_kmers - table.distinct(), adds,
+            table.distinct(), len(groups), len(buckets),
             sum(len(g.chain) for g in groups),
         )
         return table
 
-    def _observe(self, table, groups, buckets, index, kmer: EncodedSeq) -> None:
+    def _add_counts(
+        self, lay: mapping.HashLayout, pending: dict[tuple[int, int, int], int]
+    ) -> int:
+        """Add one read's counter increments; returns the adds issued.
+
+        Counters of one sub-array's stripe that take the same amount share
+        one column-parallel add, which costs the same as a single-column
+        one. The mirror never lets a counter pass its cap, so any overflow
+        bit means fabric and mirror diverged.
+        """
+        batches: dict[tuple[int, int, int], list[int]] = {}
+        for (sid, lsb, col), amount in pending.items():
+            batches.setdefault((sid, lsb, amount), []).append(col)
+        for (sid, lsb, amount), cols in batches.items():
+            overflow = self.machine.add_const_cols(sid, lsb, lay.value_width, cols, amount)
+            if any(overflow.values()):
+                raise ConsistencyError(
+                    f"counter add overflowed in sub-array {sid}, stripe row {lsb}"
+                )
+        return len(batches)
+
+    def _observe(self, table, groups, buckets, index, pending, kmer: EncodedSeq) -> None:
+        """Probe the table for one k-mer.
+
+        A hit adds nothing yet: it records one increment for the key's
+        counter in `pending` while the key is below the cap, and a miss
+        inserts the key with its counter at one.
+        """
         m = self.machine
         lay = table.layout
         bits = kmer.bits
@@ -466,8 +505,8 @@ class Assembler:
             count = table.host_counts[bits]
             if count < cap:
                 lsb, col = lay.counter_location(key_i)
-                sid = bucket.chain[bucket.rows[pos][0]]
-                m.add_const_cols(sid, lsb, lay.value_width, [col], 1)
+                slot = (bucket.chain[bucket.rows[pos][0]], lsb, col)
+                pending[slot] = pending.get(slot, 0) + 1
             elif count == cap:
                 table.saturated_keys += 1
             table.host_counts[bits] = count + 1

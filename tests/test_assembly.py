@@ -6,7 +6,9 @@ things at once: the returned values, the mirror/fabric consistency hooks
 """
 
 import itertools
+import logging
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -23,7 +25,7 @@ from pimgasm.assembly import (
 )
 from pimgasm.encoding import EncodedSeq, extract_kmers
 from pimgasm.errors import CapacityError, ConsistencyError, SizeError
-from pimgasm.isa import MemAddress
+from pimgasm.isa import MemAddress, VerticalWordRef
 from pimgasm.seqio import distinct_window_genome, random_genome
 
 E = EncodedSeq.from_str
@@ -146,11 +148,13 @@ def test_miss_cost_is_one_compare_per_occupied_row():
 
 
 def test_repeat_cost_oracle():
-    # AAA observed three times: one insert (3 W, 1 R) plus two hits, each a
-    # temp write, one compare, and an 8-bit counter increment (16 W, 8 C_ADD).
+    # AAA observed three times in one read: one insert (3 W, 1 R) plus two
+    # hits, each a temp write and one compare (1 W, 1 C_ADD, 1 DPU). The
+    # read ends with one +2 add on the key's 8-bit counter (16 W, 8 C_ADD):
+    #   W = 3 + 2 + 16 = 21,  C_ADD = 2 + 8 = 10.
     asm = make_asm()
     asm.build_kmer_table([E("AAAAA")], 3)
-    assert hashmap_totals(asm.trace) == {tr.R: 1, tr.W: 37, tr.C_ADD: 18, tr.DPU: 2}
+    assert hashmap_totals(asm.trace) == {tr.R: 1, tr.W: 21, tr.C_ADD: 10, tr.DPU: 2}
 
 
 def test_probe_modes_agree():
@@ -231,9 +235,9 @@ def test_counters_read_back_to_the_highest_key_stripe():
 class BucketRecorder(Assembler):
     """Keeps the hash stage's groups and buckets for inspection."""
 
-    def _observe(self, table, groups, buckets, index, kmer):
+    def _observe(self, table, groups, buckets, index, pending, kmer):
         self.groups, self.buckets = groups, buckets
-        super()._observe(table, groups, buckets, index, kmer)
+        super()._observe(table, groups, buckets, index, pending, kmer)
 
 
 @pytest.mark.parametrize("length", [150, 220, 230, 250, 300, 420])
@@ -277,6 +281,95 @@ def test_counter_saturation_clamps_fabric_not_host():
     assert table.host_counts[E("AAA").bits] == 5
     assert table.saturated_keys == 1
     assert table.total_kmers == 5
+
+
+# reads built from 1 to 6 homopolymer runs of 1 to 9 bases each
+homopolymer_reads = st.lists(
+    st.lists(st.tuples(st.sampled_from("ACGT"), st.integers(1, 9)), min_size=1, max_size=6),
+    min_size=1,
+    max_size=5,
+).map(lambda reads: ["".join(base * n for base, n in runs) for runs in reads])
+
+
+@given(reads=homopolymer_reads, at=st.integers(0, 5), k=st.integers(2, 4))
+@settings(max_examples=40, deadline=None)
+def test_two_bit_counters_saturate_inside_and_across_reads(reads, at, k):
+    # The all-A key occurs 5 times in one read, so it passes the cap of 3
+    # inside that read; the all-C key occurs twice in each of two reads, so
+    # it reaches the cap in the second read.
+    raw = list(reads)
+    raw[min(at, len(raw)) : min(at, len(raw))] = ["A" * (k + 4), "C" * (k + 1)]
+    raw.append("C" * (k + 1))
+    cap = 3
+    expected = Counter(s[i : i + k] for s in raw for i in range(len(s) - k + 1))
+    assert expected["A" * k] >= 5 and expected["C" * k] >= 4
+    runs = []
+    for oracle in (False, True):
+        asm = make_asm(oracle=oracle, value_width=2, **PACKED)
+        runs.append((asm, asm.build_kmer_table([E(s) for s in raw], k)))
+    (indexed, table), (naive, oracle_table) = runs
+    assert indexed.trace.records() == naive.trace.records()
+    host = {key.to_str(): table.host_counts[key.bits] for key in table.keys}
+    assert host == dict(expected)
+    assert {key.to_str(): n for key, n in table.items()} == {
+        key: min(n, cap) for key, n in expected.items()
+    }
+    assert table.saturated_keys == sum(n > cap for n in expected.values())
+    assert dict(oracle_table.items()) == dict(table.items())
+    assert oracle_table.saturated_keys == table.saturated_keys
+
+
+@pytest.mark.parametrize("width", [4, 8])
+def test_a_read_seen_twice_adds_once_per_stripe_and_amount(width, caplog):
+    # Seen again, every k-mer of the read is a hit. Its probe writes the
+    # query into the temp row once (no bucket chains here) and compares
+    # rows up to the key's, one C_ADD plus one DPU each, so the probes'
+    # C_ADD equals their DPU. The read then ends with one w-bit add
+    # (w C_ADD, 2w W) per (sub-array, counter stripe, amount) group; a k-mer
+    # the read holds twice adds 2, in its own group.
+    genome = random_genome(100, random.Random(5))
+    read, k = genome + genome[:12], 5
+    occurrences = Counter(read[i : i + k] for i in range(len(read) - k + 1))
+    asms = []
+    for copies in (1, 2):
+        asm = make_asm(value_width=width)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="pimgasm.assembly"):
+            table = asm.build_kmer_table([E(read)] * copies, k)
+        hits, adds = map(int, re.search(r"(\d+) hits, (\d+) counter adds", caplog.text).groups())
+        assert hits == table.total_kmers - table.distinct()
+        asms.append((asm, adds))
+    (once, adds_once), (twice, adds_twice) = asms
+    assert twice.machine.subarray_count == 1
+    lay = table.layout
+    groups = {
+        (sid, lay.counter_location(key_i)[0], occurrences[key.to_str()])
+        for key, (sid, key_i) in zip(table.keys, table.slots)
+    }
+    assert len({lsb for _, lsb, _ in groups}) > 1
+    assert {amount for _, _, amount in groups} == {1, 2}
+    assert adds_twice - adds_once == len(groups)
+    a, b = hashmap_totals(once.trace), hashmap_totals(twice.trace)
+    probe_dpu = b[tr.DPU] - a[tr.DPU]
+    assert b[tr.R] == a[tr.R]
+    assert b[tr.C_ADD] - a[tr.C_ADD] == probe_dpu + width * len(groups)
+    assert b[tr.W] - a[tr.W] == sum(occurrences.values()) + 2 * width * len(groups)
+
+
+class CorruptCounters(Assembler):
+    """Sets each counter a read is about to add to to its top value."""
+
+    def _add_counts(self, lay, pending):
+        for sid, lsb, col in pending:
+            ref = VerticalWordRef(sid, col, lsb, lay.value_width)
+            self.machine.write_vword(ref, (1 << lay.value_width) - 1)
+        return super()._add_counts(lay, pending)
+
+
+def test_a_counter_add_that_overflows_raises():
+    asm = CorruptCounters(rows=128, cols=64)
+    with pytest.raises(ConsistencyError, match="counter add overflowed"):
+        asm.build_kmer_table([E("CGTAC"), E("CGTAC")], 5)
 
 
 def test_kmer_table_dump(tmp_path):
@@ -906,13 +999,22 @@ _UNIT_RUNG = (
 # Graph R reads each hash sub-array's counters up to its highest key's
 # stripe (8 rows each): 4 sub-arrays held a key index of 32 or more, now 3.
 #   graph R  630 - 8 = 622 (simplify on: 889 - 8 = 881)
+#
+# One counter add per read and stripe: the 821 hits each cost an 8-bit
+# single-column add (16 W, 8 C_ADD); now each read ends with one add per
+# (sub-array, stripe, amount). No k-mer repeats inside a 30-base read, so
+# every amount is 1, and the 52 reads with hits (15 to 20 each) touch 6 to
+# 9 sub-array stripes: 382 adds in all. Only the hashmap W and C_ADD rows
+# move, the same way with and without simplify:
+#   W      14,803 - 16 * (821 - 382) = 7,779
+#   C_ADD  16,040 -  8 * (821 - 382) = 12,528
 LADDER = {
     False: (
         [
             ("io", "XFER", 508),
-            ("hashmap", "W", 14803),
+            ("hashmap", "W", 7779),
             ("hashmap", "R", 259),
-            ("hashmap", "C_ADD", 16040),
+            ("hashmap", "C_ADD", 12528),
             ("hashmap", "DPU", 9472),
             ("graph", "R", 622),
             ("graph", "W", 2590),
@@ -935,9 +1037,9 @@ LADDER = {
     True: (
         [
             ("io", "XFER", 512),
-            ("hashmap", "W", 14803),
+            ("hashmap", "W", 7779),
             ("hashmap", "R", 259),
-            ("hashmap", "C_ADD", 16040),
+            ("hashmap", "C_ADD", 12528),
             ("hashmap", "DPU", 9472),
             ("graph", "R", 881),
             ("graph", "W", 2590),
