@@ -8,7 +8,6 @@ latency/energy/power model.
 from .assembly import (
     Assembler,
     AssemblyResult,
-    DegreeTable,
     EulerPath,
     KmerTable,
     SparseGraph,
@@ -75,7 +74,6 @@ __all__ = [
     "ConfigError",
     "ConsistencyError",
     "CostConfig",
-    "DegreeTable",
     "EncodedSeq",
     "EulerPath",
     "HashLayout",

@@ -27,9 +27,16 @@ words in memory. The out-degree words sum to the edge units left, so the
 walk must leave every one of them at zero, and every distinct k-mer ends up
 in some contig.
 
-A graph holds at most one fabric placement, `SparseGraph.store`: one
-vertical multiplicity word per edge (plus the degree region once
-find_start has built it), bound to the machine that wrote it. build_graph
+Every store takes its rows from one allocator, `_RowBank`, which hands
+out rows of one region (a hash group's key rows, or a plain sub-array's
+data rows) and chains a new sub-array when an entry no longer fits.
+Vertical words cross the instruction layer whole: Machine.write_vwords and
+read_vwords cost one row per bit plane for any number of columns.
+
+A graph holds at most one fabric placement, `SparseGraph.store`, bound to
+the machine that wrote it: one vertical multiplicity word per edge, one
+word-high stripe per `cols` edges, plus the last find_start pass (its
+degree region and trail starts) until a walk consumes it. build_graph
 places the words as it copies labels out of the hash store, and a graph
 with no placement on the walking machine (a synthetic graph, a simplified
 one, or one placed by another Assembler) has its labels and words written
@@ -67,20 +74,6 @@ log = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
 # result types
-
-
-@dataclass
-class DegreeTable:
-    """Multiplicity-weighted degrees plus the trail starts.
-
-    `starts` lists each node id once per unit of outgoing surplus
-    (out - in), in ascending order.
-    """
-
-    out_degree: list[int]
-    in_degree: list[int]
-    edge_cnt: int
-    starts: list[int]
 
 
 @dataclass
@@ -246,20 +239,15 @@ class KmerTable:
         top: dict[int, int] = {}  # sub-array id -> highest key index
         for sid, key_i in self.slots:
             top[sid] = max(key_i, top.get(sid, 0))
-        planes: dict[int, list[int]] = {}
+        words: dict[tuple[int, int], list[int]] = {}  # (sid, stripe lsb) -> words
         for sid, key_i in top.items():
-            sub = self.machine.subarray(sid)
-            stop = lay.counter_location(key_i)[0] + lay.value_width
-            planes[sid] = [sub.read_row(r) for r in range(lay.value_rows.start, stop)]
+            stop = lay.counter_location(key_i)[0] + 1
+            for lsb in range(lay.value_rows.start, stop, lay.value_width):
+                words[sid, lsb] = self.machine.read_vwords(sid, lsb, lay.value_width)
         out: dict[EncodedSeq, int] = {}
         for key, (sid, key_i) in zip(self.keys, self.slots):
             lsb, col = lay.counter_location(key_i)
-            rows = planes[sid]
-            base = lsb - lay.value_rows.start
-            v = 0
-            for i in range(lay.value_width):
-                v |= ((rows[base + i] >> col) & 1) << i
-            out[key] = v
+            out[key] = words[sid, lsb][col]
         return out
 
     def items(self):
@@ -291,72 +279,46 @@ class _Bucket:
         self.last_fill = 0
 
 
-class _Group:
-    """A bucket group's sub-arrays, oldest first, and the row cursor over
-    the last one's key rows."""
-
-    __slots__ = ("chain", "next_row")
-
-    def __init__(self):
-        self.chain: list[int] = []
-        self.next_row = 0
-
-
 class _RowBank:
-    """Sequential row allocator over plain store sub-arrays."""
+    """Sequential row allocator over a chain of sub-arrays, oldest first.
 
-    def __init__(self, asm: "Assembler"):
+    Rows come from `region` (the layout's data region by default) of the
+    last sub-array in `sids`; an entry that does not fit chains a new one.
+    """
+
+    def __init__(
+        self, asm: "Assembler", layout: RowLayout | None = None, region: range | None = None
+    ):
         self.asm = asm
         self.sids: list[int] = []
+        self._layout = layout or RowLayout.default(asm.rows)
+        self._region = self._layout.data_region if region is None else region
         self._next = 0
-        self._sid = -1
-        self._layout = RowLayout.default(asm.rows)
-        self._cap = len(self._layout.data_region)
 
     def alloc(self, nrows: int) -> tuple[int, int]:
-        if nrows > self._cap:
+        if nrows > len(self._region):
             raise CapacityError("entry taller than a sub-array data region")
-        if self._sid < 0 or self._next + nrows > self._cap:
-            self._sid = self.asm._new_subarray(self._layout)
-            self.sids.append(self._sid)
-            self._next = 0
-        row = self._layout.data_region.start + self._next
-        self._next += nrows
-        return self._sid, row
-
-
-class _CounterBank:
-    """Vertical-word slots packed in stripes across store sub-arrays."""
-
-    def __init__(self, asm: "Assembler", width: int):
-        self.asm = asm
-        self.width = width
-        self._layout = RowLayout.default(asm.rows)
-        stripes = len(self._layout.data_region) // width
-        if stripes < 1:
-            raise CapacityError("sub-array too short for counters")
-        self._per_sub = stripes * asm.cols
-        self._n = 0
-        self.sids: list[int] = []
-
-    def alloc(self) -> VerticalWordRef:
-        local = self._n % self._per_sub
-        if local == 0:
+        if not self.sids or self._next + nrows > len(self._region):
             self.sids.append(self.asm._new_subarray(self._layout))
-        sid = self.sids[-1]
-        stripe, col = divmod(local, self.asm.cols)
-        self._n += 1
-        return VerticalWordRef(
-            sid, col, self._layout.data_region.start + stripe * self.width, self.width
-        )
+            self._next = 0
+        row = self._region.start + self._next
+        self._next += nrows
+        return self.sids[-1], row
 
 
 @dataclass
-class _DegreeRegion:
+class _DegreePass:
+    """One find_start pass: its degree region and the trail starts it found.
+
+    `starts` lists each node id once per unit of outgoing surplus
+    (out - in), in ascending order.
+    """
+
     sids: list[int]
     w_deg: int
     base: int             # first data row: LSB of the out-degree words
     cols: int
+    starts: list[int]
 
     def out_ref(self, nid: int) -> VerticalWordRef:
         sub, col = divmod(nid, self.cols)
@@ -367,15 +329,15 @@ class _GraphStore:
     """Fabric placement of one graph on one machine.
 
     One multiplicity word per edge, with `mult` mirroring the values the
-    words hold until a walk spends them, plus the degree region once
-    find_start has built it.
+    words hold until a walk spends them, plus the last find_start pass
+    until a walk consumes it.
     """
 
     def __init__(self, machine: Machine, mult_refs: list[VerticalWordRef], mult: list[int]):
         self.machine = machine
         self.mult_refs = mult_refs
         self.mult = mult
-        self.degree: _DegreeRegion | None = None
+        self.degree: _DegreePass | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +357,8 @@ class Assembler:
     column-parallel add per (sub-array, counter stripe, amount), the amounts
     decided by the host mirror, which stops a counter at its cap.
     max_subarrays caps the sub-arrays on the machine: any stage that would
-    allocate past it (hash store, label and counter banks, degree regions)
-    raises CapacityError.
+    allocate past it (hash groups, label and multiplicity banks, degree
+    regions) raises CapacityError.
     """
 
     def __init__(
@@ -441,7 +403,10 @@ class Assembler:
             distinct = len({w.bits for r in reads for w in extract_kmers(r, k)})
             if distinct == 0:
                 raise SizeError(f"no k-mers: every read is shorter than k={k}")
-            groups = [_Group() for _ in range(math.ceil(distinct / layout.capacity))]
+            groups = [
+                _RowBank(self, layout.row_layout, layout.kmer_rows)
+                for _ in range(math.ceil(distinct / layout.capacity))
+            ]
             buckets = [_Bucket() for _ in range(len(groups) * layout.stripes)]
             index: dict[int, tuple[int, int, int]] = {}
             adds = 0
@@ -456,7 +421,7 @@ class Assembler:
             "%d groups, %d buckets, %d sub-arrays",
             table.total_kmers, table.total_kmers - table.distinct(), adds,
             table.distinct(), len(groups), len(buckets),
-            sum(len(g.chain) for g in groups),
+            sum(len(g.sids) for g in groups),
         )
         return table
 
@@ -519,14 +484,10 @@ class Assembler:
         # the scan leaves the query in the temp row of the last chain member
         temp_sid = bucket.chain[-1] if bucket.chain else None
         if not bucket.rows or bucket.last_fill == lay.slots:
-            group = groups[bucket_i // lay.stripes]
-            if not group.chain or group.next_row == len(lay.kmer_rows):
-                group.chain.append(self._new_subarray(lay.row_layout))
-                group.next_row = 0
-            if group.chain[-1] != temp_sid:
-                bucket.chain.append(group.chain[-1])
-            bucket.rows.append((len(bucket.chain) - 1, group.next_row))
-            group.next_row += 1
+            sid, row = groups[bucket_i // lay.stripes].alloc(1)
+            if sid != temp_sid:
+                bucket.chain.append(sid)
+            bucket.rows.append((len(bucket.chain) - 1, row - lay.kmer_rows.start))
             bucket.last_fill = 0
         target = bucket.chain[-1]
         if target != temp_sid:
@@ -627,12 +588,16 @@ class Assembler:
         return g
 
     def _place_mults(self, mults: list[int], width: int) -> _GraphStore:
-        """Write one width-bit multiplicity word per edge into a counter bank."""
+        """Write one width-bit multiplicity word per edge, one width-row
+        stripe per `cols` edges, each edge's word in its own column."""
         m = self.machine
-        counters = _CounterBank(self, width)
+        stripes = _RowBank(self)
         refs = []
-        for mult in mults:
-            ref = counters.alloc()
+        for e, mult in enumerate(mults):
+            col = e % m.cols
+            if col == 0:
+                sid, lsb = stripes.alloc(width)
+            ref = VerticalWordRef(sid, col, lsb, width)
             m.write_vword(ref, mult)
             refs.append(ref)
         return _GraphStore(m, refs, list(mults))
@@ -747,8 +712,8 @@ class Assembler:
             )
         return val
 
-    def find_start(self, g: SparseGraph) -> DegreeTable:
-        """Accumulate degrees column-parallel and pick the walk start.
+    def find_start(self, g: SparseGraph) -> list[int]:
+        """Accumulate degrees column-parallel and return the trail starts.
 
         Each node owns one column; the multiplicity words are staged into a
         scratch word plane and added into the out/in counter words one
@@ -758,10 +723,12 @@ class Assembler:
         word rows first, and allocates nothing. The start test compares out
         against in+1 across all columns with one compare cycle per bit
         plane. The edge-unit total needs no word of its own: it is the sum
-        of the out-degree words. Any degree sequence is accepted: `starts`
-        lists every node once per unit of outgoing surplus, from the host
-        degree lists the fabric planes were just checked against, so an
-        Euler path is the case of one start or none.
+        of the out-degree words. Any degree sequence is accepted: the starts
+        list every node once per unit of outgoing surplus, in ascending
+        order, from the host degree lists the fabric planes were just
+        checked against, so an Euler path is the case of one start or none.
+        The pass (its degree region and starts) is stored as
+        `g.store.degree`, where the next fleury call walks it.
         """
         m = self.machine
         with m.stage_scope(tr.STAGE_TRAVERSE):
@@ -782,7 +749,8 @@ class Assembler:
                 n_sub = mapping.subarrays_needed(n, m.cols)
                 sids = [self._new_subarray(lay) for _ in range(n_sub)]
             else:
-                sids = store.degree.sids
+                # the old pass is void from here on, even if this one fails
+                sids, store.degree = store.degree.sids, None
                 for sid in sids:
                     sub = m.subarray(sid)
                     for row in range(out_base, tmp_base):
@@ -794,53 +762,34 @@ class Assembler:
                     sub_i, col = divmod(nid, m.cols)
                     per.setdefault(sub_i, {}).setdefault(col, []).append(e)
                 for sub_i in sorted(per):
-                    sub = m.subarray(sids[sub_i])
                     colmap = per[sub_i]
                     rank = 0
                     while True:
-                        wave = [(c, ids[rank]) for c, ids in colmap.items() if len(ids) > rank]
+                        wave = {c: ids[rank] for c, ids in colmap.items() if len(ids) > rank}
                         if not wave:
                             break
-                        colmask = 0
-                        planes = [0] * w_deg
-                        for col, e in wave:
-                            v = self._mult_value(store, e)
-                            colmask |= 1 << col
-                            for i in range(v.bit_length()):
-                                if (v >> i) & 1:
-                                    planes[i] |= 1 << col
-                        for i in range(w_deg):
-                            sub.write_masked(stg_base + i, planes[i], colmask)
+                        m.write_vwords(
+                            sids[sub_i], stg_base, w_deg,
+                            {col: self._mult_value(store, e) for col, e in wave.items()},
+                        )
                         over = m.add_cols(
-                            sids[sub_i], stg_base, word_base, word_base, w_deg,
-                            [c for c, _ in wave],
+                            sids[sub_i], stg_base, word_base, word_base, w_deg, wave
                         )
                         if any(over.values()):
                             raise ConsistencyError("degree counter overflow")
                         rank += 1
 
-            region = _DegreeRegion(sids, w_deg, base, m.cols)
-
             # read the counter planes back; the mirror must agree exactly
-            fab_out = [0] * n
-            fab_in = [0] * n
+            fab_out: list[int] = []
+            fab_in: list[int] = []
             candidates: list[int] = []
             for sub_i, sid in enumerate(sids):
                 lo = sub_i * m.cols
                 hi = min(n, lo + m.cols)
                 if hi <= lo:
                     continue
-                sub = m.subarray(sid)
-                out_planes = [sub.read_row(out_base + i) for i in range(w_deg)]
-                in_planes = [sub.read_row(in_base + i) for i in range(w_deg)]
-                for nid in range(lo, hi):
-                    col = nid - lo
-                    fab_out[nid] = sum(
-                        ((out_planes[i] >> col) & 1) << i for i in range(w_deg)
-                    )
-                    fab_in[nid] = sum(
-                        ((in_planes[i] >> col) & 1) << i for i in range(w_deg)
-                    )
+                fab_out += m.read_vwords(sid, out_base, w_deg)[: hi - lo]
+                fab_in += m.read_vwords(sid, in_base, w_deg)[: hi - lo]
                 # start probe: tmp = in + 1, then plane-compare against out
                 node_cols = list(range(hi - lo))
                 for i in range(w_deg):
@@ -866,18 +815,20 @@ class Assembler:
             if candidates != [i for i in range(n) if host_out[i] == host_in[i] + 1]:
                 raise ConsistencyError("start probe disagrees with the degree mirror")
 
-            store.degree = region
             starts = [i for i in range(n) for _ in range(host_out[i] - host_in[i])]
-        return DegreeTable(host_out, host_in, sum(store.mult), starts)
+            store.degree = _DegreePass(sids, w_deg, base, m.cols, starts)
+        return starts
 
     # -- stage 4: Euler walk --
 
-    def fleury(self, g: SparseGraph, degrees: DegreeTable | None = None) -> list[EulerPath]:
+    def fleury(self, g: SparseGraph) -> list[EulerPath]:
         """Cover every edge unit with trails, preferring non-bridge edges.
 
-        One trail starts at each entry of `degrees.starts`, then one at the
-        lowest node still holding units, until every unit is spent; a trail
-        ends at a node with no units left. The units are the values of the
+        The walk takes the degree pass stored on g's placement on this
+        machine, and runs find_start first when there is none. One trail
+        starts at each of the pass's starts, then one at the lowest node
+        still holding units, until every unit is spent; a trail ends at a
+        node with no units left. The units are the values of the
         multiplicity words, so one call walks every component of g. The
         walk keeps per-node lists of out- and in-edge ids. Neighbours are
         tried in ascending node id; a candidate is taken if removing one
@@ -887,16 +838,15 @@ class Assembler:
         fallback when every choice burns a bridge. Every traversed unit
         decrements its multiplicity word and the source's out-degree word
         in fabric; the walk then reads the out-degree planes back and
-        requires every word to be zero. The walk consumes the degree region,
+        requires every word to be zero. The walk consumes the degree pass,
         so walking g again re-runs find_start, which raises ConsistencyError
         on the spent multiplicity words.
         """
         with self.machine.stage_scope(tr.STAGE_TRAVERSE):
             store = self._ensure_store(g)
-        # the walk decrements degree words, so this machine must hold them
-        if store.degree is None or degrees is None:
-            degrees = self.find_start(g)
-        region, store.degree = store.degree, None
+        if store.degree is None:
+            self.find_start(g)
+        deg, store.degree = store.degree, None
         m = self.machine
         with m.stage_scope(tr.STAGE_TRAVERSE):
             n = len(g.nodes)
@@ -926,7 +876,7 @@ class Assembler:
                 return len(seen)
 
             total = sum(rem)
-            starts = iter(degrees.starts)
+            starts = iter(deg.starts)
             lowest = 0  # units only shrink, so the lowest holder never falls
             paths = []
             while total:
@@ -957,18 +907,14 @@ class Assembler:
                                 break
                     e = first[v]
                     m.add_const(store.mult_refs[e], -1)
-                    m.add_const(region.out_ref(u), -1)
+                    m.add_const(deg.out_ref(u), -1)
                     rem[e] -= 1
                     total -= 1
                     u = v
                     path.append(v)
                 paths.append(EulerPath(path, [g.nodes[i] for i in path]))
             # one read per out-degree plane: the walk spends every word
-            if any(
-                m.subarray(sid).read_row(region.base + i)
-                for sid in region.sids
-                for i in range(region.w_deg)
-            ):
+            if any(any(m.read_vwords(sid, deg.base, deg.w_deg)) for sid in deg.sids):
                 raise ConsistencyError("out-degree word nonzero after the walk")
         return paths
 
@@ -1020,8 +966,8 @@ class Assembler:
         surplus: Counter[int] = Counter()
         paths: list[EulerPath] = []
         if work.edge_count:  # an edge-less graph has nothing to place or walk
-            degrees = self.find_start(work)
-            surplus.update(comp_of[u] for u in degrees.starts)
+            starts = self.find_start(work)
+            surplus.update(comp_of[u] for u in starts)
             retried = {ci for ci, s in surplus.items() if s > 1}
             if retried:
                 store = work.store
@@ -1030,8 +976,8 @@ class Assembler:
                         if comp_of[u] in retried:
                             m.write_vword(store.mult_refs[e], 1)
                             store.mult[e] = 1
-                degrees = self.find_start(work)
-            paths = self.fleury(work, degrees)
+                self.find_start(work)
+            paths = self.fleury(work)
         trails = Counter(comp_of[p.node_ids[0]] for p in paths)
         for ci, comp in enumerate(comps):
             if not trails[ci]:

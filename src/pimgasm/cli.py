@@ -10,7 +10,7 @@ import argparse
 import logging
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import perf, seqio
 from .assembly import Assembler
@@ -36,47 +36,26 @@ EXIT_CAPACITY = 3
 EXIT_CONFIG = 4
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """One reproducible run: inputs, geometry, knobs, and output prefix."""
-
-    input: str | None
-    k: int
-    rows: int
-    cols: int
-    pd: int
-    cost_config: str | None
-    seed: int
-    simplify: bool
-    out: str
-
-    def __post_init__(self):
-        if not 2 <= self.k <= 128:
-            raise ConfigError(f"k must lie in [2, 128], got {self.k}")
-        if self.pd < 1:
-            raise ConfigError(f"parallelism degree must be >= 1, got {self.pd}")
-        if self.rows < 16 or self.cols < 8:
-            raise ConfigError("sub-array geometry too small to be useful")
+def _check_run(args, k_list: list[int]) -> None:
+    """Reject run settings that no assembly can use (exit code 4)."""
+    for k in k_list:
+        if not 2 <= k <= 128:
+            raise ConfigError(f"k must lie in [2, 128], got {k}")
+    if args.pd < 1:
+        raise ConfigError(f"parallelism degree must be >= 1, got {args.pd}")
+    if args.rows < 16 or args.cols < 8:
+        raise ConfigError("sub-array geometry too small to be useful")
 
 
-def _spec_from_args(args) -> RunSpec:
-    return RunSpec(
-        input=getattr(args, "input", None),
-        k=args.k,
-        rows=args.rows,
-        cols=args.cols,
-        pd=args.pd,
-        cost_config=args.cost_config,
-        seed=args.seed,
-        simplify=args.simplify,
-        out=args.out,
-    )
-
-
-def _load_cost_config(spec: RunSpec) -> perf.CostConfig:
-    if spec.cost_config:
-        return perf.CostConfig.from_json(spec.cost_config)
+def _load_cost_config(args) -> perf.CostConfig:
+    if args.cost_config:
+        return perf.CostConfig.from_json(args.cost_config)
     return perf.calibrated_config()
+
+
+def _add_seed_out(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0, help="RNG / hash seed")
+    p.add_argument("--out", default="pimgasm", help="output path prefix")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -85,29 +64,28 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cols", type=int, default=256, help="sub-array bit-line columns")
     p.add_argument("--pd", type=int, default=1, help="parallelism degree for reporting")
     p.add_argument("--k", type=int, default=25, help="k-mer length")
-    p.add_argument("--seed", type=int, default=0, help="RNG / hash seed")
     p.add_argument("--simplify", action="store_true", help="merge unbranched graph chains")
-    p.add_argument("--out", default="pimgasm", help="output path prefix")
+    _add_seed_out(p)
 
 
 def cmd_assemble(args) -> int:
-    spec = _spec_from_args(args)
-    cfg = _load_cost_config(spec)
-    records = seqio.read_sequences(spec.input)
+    _check_run(args, [args.k])
+    cfg = _load_cost_config(args)
+    records = seqio.read_sequences(args.input)
     reads, dropped = seqio.encode_records(records)
     if dropped:
         log.warning("dropped %d non-ACGT symbols (reads split at each)", dropped)
     asm = Assembler(
-        rows=spec.rows, cols=spec.cols, seed=spec.seed, simplify=spec.simplify
+        rows=args.rows, cols=args.cols, seed=args.seed, simplify=args.simplify
     )
-    result = asm.assemble(reads, spec.k)
+    result = asm.assemble(reads, args.k)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     contigs = [(f"contig_{i}", c.to_str()) for i, c in enumerate(result.contigs)]
-    seqio.write_fasta(f"{spec.out}.contigs.fasta", contigs)
-    report = replace(perf.account(asm.trace, cfg), pd=spec.pd)
-    report.to_json(f"{spec.out}.report.json")
-    asm.trace.write_csv(f"{spec.out}.trace.csv")
+    seqio.write_fasta(f"{args.out}.contigs.fasta", contigs)
+    report = replace(perf.account(asm.trace, cfg), pd=args.pd)
+    report.to_json(f"{args.out}.report.json")
+    asm.trace.write_csv(f"{args.out}.trace.csv")
     if args.dump_kmers:
         result.table.dump_tsv(args.dump_kmers)
     if args.dump_graph:
@@ -151,22 +129,22 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    spec = _spec_from_args(args)
-    cfg = _load_cost_config(spec)
+    k_list = _int_list(args.k_list) if args.k_list else [args.k]
+    _check_run(args, k_list)
+    cfg = _load_cost_config(args)
     pd_list = _int_list(args.pd_list)
-    k_list = _int_list(args.k_list) if args.k_list else [spec.k]
-    records = seqio.read_sequences(spec.input)
+    records = seqio.read_sequences(args.input)
     reads, _ = seqio.encode_records(records)
     lines = ["k,pd,runtime_ns,avg_power_w,energy_nj"]
     for k in k_list:
         asm = Assembler(
-            rows=spec.rows, cols=spec.cols, seed=spec.seed, simplify=spec.simplify
+            rows=args.rows, cols=args.cols, seed=args.seed, simplify=args.simplify
         )
         asm.assemble(reads, k)
         res = perf.sweep_pd(asm.trace, cfg, pd_list)
         for p in res.points:
             lines.append(f"{k},{p.pd},{p.runtime_ns!r},{p.avg_power_w!r},{p.energy_nj!r}")
-    path = f"{spec.out}.sweep.csv"
+    path = f"{args.out}.sweep.csv"
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} sweep rows to {path}")
@@ -238,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_assemble)
 
     p = sub.add_parser("gen", help="generate a synthetic genome and reads")
-    _add_common(p)
+    _add_seed_out(p)
     p.add_argument("--length", type=int, default=10_000, help="genome length")
     p.add_argument("--read-len", type=int, default=100, help="read length")
     mode = p.add_mutually_exclusive_group()
@@ -258,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("truthtable", help="dump and self-check the sense logic")
-    _add_common(p)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_truthtable)
     return ap

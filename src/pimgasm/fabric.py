@@ -100,8 +100,7 @@ class SenseOutput:
     """Per-column outputs of one activation, one int bit-plane per function.
 
     Complement taps come from the inverted side of the same amps, so they
-    are available in the same cycle at no extra cost. `read` is populated
-    only by single-row reads.
+    are available in the same cycle at no extra cost.
     """
 
     cols: int
@@ -112,7 +111,6 @@ class SenseOutput:
     nor3: int
     min3: int
     nand3: int
-    read: int | None = None
 
     def bit(self, field: str, col: int) -> int:
         return (getattr(self, field) >> col) & 1

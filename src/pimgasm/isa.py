@@ -11,13 +11,17 @@ is deliberately tiny:
 Vertical words put bit i of a value in row lsb_row + i of one column, so a
 width-w add ripples through w full-add cycles. Because sensing covers every
 column, the same w cycles add up to `cols` word pairs when callers batch by
-column; cost is identical for 1 or cols columns.
+column; cost is identical for 1 or cols columns. Writing and reading
+vertical words batches the same way: one row per bit plane moves that bit
+of every listed column's word.
 
 Cost contract (pinned by tests):
-  mem_insert: ceil(size/row_span) R (memory source only) + the same W
-  cmp:        ceil(size/row_span) C_ADD + 1 DPU
-  add/const:  w C_ADD + 2w W   (w sum writes, w-1 carry writes, 1 zero
-              write that restores the carry row)
+  mem_insert:   ceil(size/row_span) R (memory source only) + the same W
+  cmp:          ceil(size/row_span) C_ADD + 1 DPU
+  add/const:    w C_ADD + 2w W (w sum writes, w-1 carry writes, 1 zero
+                write that restores the carry row)
+  write_vwords: w W, one masked write per bit plane, for any column count
+  read_vwords:  w R, one read per bit plane, every column's word decoded
 """
 
 from __future__ import annotations
@@ -324,16 +328,48 @@ class Machine:
             ctr.subarray_id, ctr.lsb_row, ctr.width, [ctr.col], constant
         )[ctr.col]
 
-    # ---- vertical word helpers -----------------------------------------
+    # ---- vertical words -----------------------------------------------
+
+    def write_vwords(self, sid: int, lsb: int, width: int, words: dict[int, int]) -> None:
+        """Write one width-bit vertical word per listed column, {col: value}.
+
+        Bit i of every word goes into row lsb + i in one masked write, so
+        the cost is width W however many columns are listed; unlisted
+        columns keep their cells.
+        """
+        if not words:
+            raise ShapeError("write needs at least one column")
+        sub = self.subarray(sid)
+        colmask = 0
+        planes = [0] * width
+        for col, value in words.items():
+            sub._check_col(col)
+            if value < 0 or value >> width:
+                raise SizeError("value does not fit word width")
+            colmask |= 1 << col
+            for i in range(value.bit_length()):
+                if (value >> i) & 1:
+                    planes[i] |= 1 << col
+        for i in range(width):
+            sub.write_masked(lsb + i, planes[i], colmask)
+
+    def read_vwords(self, sid: int, lsb: int, width: int) -> list[int]:
+        """Every column's width-bit vertical word at lsb: width R."""
+        sub = self.subarray(sid)
+        words = [0] * sub.cols
+        for i in range(width):
+            plane = sub.read_row(lsb + i)
+            while plane:
+                low = plane & -plane
+                words[low.bit_length() - 1] |= 1 << i
+                plane ^= low
+        return words
 
     def write_vword(self, ref: VerticalWordRef, value: int) -> None:
-        if value < 0 or value >> ref.width:
-            raise SizeError("value does not fit word width")
-        sub = self.subarray(ref.subarray_id)
-        for i, row in enumerate(ref.rows):
-            sub.write_cell(row, ref.col, (value >> i) & 1)
+        self.write_vwords(ref.subarray_id, ref.lsb_row, ref.width, {ref.col: value})
 
     def read_vword(self, ref: VerticalWordRef) -> int:
+        """One column's word: width R, decoding only that column."""
         sub = self.subarray(ref.subarray_id)
         v = 0
         for i, row in enumerate(ref.rows):

@@ -103,15 +103,6 @@ class OpTrace:
             for line in self.export_lines():
                 fh.write(line + "\n")
 
-    @classmethod
-    def concat(cls, *traces: "OpTrace") -> "OpTrace":
-        """Merge traces by summing counts; earlier traces define record order."""
-        merged = cls()
-        for tr in traces:
-            for key, n in tr._counts.items():
-                merged._counts[key] = merged._counts.get(key, 0) + n
-        return merged
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, OpTrace):
             return NotImplemented

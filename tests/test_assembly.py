@@ -256,11 +256,11 @@ def test_buckets_stay_inside_their_group(length):
     assert len(buckets) == len(groups) * lay.stripes == len(groups) * 3
     owner = {}
     for gi, group in enumerate(groups):
-        for sid in group.chain:
+        for sid in group.sids:
             assert owner.setdefault(sid, gi) == gi, "two groups share a sub-array"
     rows = set()
     for bi, bucket in enumerate(buckets):
-        assert set(bucket.chain) <= set(groups[bi // lay.stripes].chain)
+        assert set(bucket.chain) <= set(groups[bi // lay.stripes].sids)
         for member_i, row_i in bucket.rows:
             assert (bucket.chain[member_i], row_i) not in rows
             rows.add((bucket.chain[member_i], row_i))
@@ -268,7 +268,7 @@ def test_buckets_stay_inside_their_group(length):
     for key, (sid, key_i) in zip(table.keys, table.slots):
         bucket = buckets[bucket_of(table, key)]
         assert (sid, key_i // lay.slots) in {(bucket.chain[m], r) for m, r in bucket.rows}
-    if all(len(group.chain) == 1 for group in groups):
+    if all(len(group.sids) == 1 for group in groups):
         assert asm.machine.subarray_count == len(groups)
     else:
         assert asm.machine.subarray_count > len(groups)
@@ -503,24 +503,34 @@ def path_graph(*labels):
     return g
 
 
+def degree_words(asm, g):
+    """The stored pass's out- and in-degree words, read back from fabric."""
+    d = g.store.degree
+    out, inn = [], []
+    for sid in d.sids:
+        out += asm.machine.read_vwords(sid, d.base, d.w_deg)
+        inn += asm.machine.read_vwords(sid, d.base + d.w_deg, d.w_deg)
+    return out[: len(g.nodes)], inn[: len(g.nodes)]
+
+
 def test_find_start_on_a_path():
     asm = make_asm(rows=64, cols=16)
     g = path_graph("AC", "CG", "GT")
-    table = asm.find_start(g)
-    assert table.starts == [0]
-    assert table.edge_cnt == 2
-    assert table.out_degree == [1, 1, 0]
-    assert table.in_degree == [0, 1, 1]
+    assert asm.find_start(g) == [0]
+    assert g.store.degree.starts == [0]
+    out, inn = degree_words(asm, g)
+    assert (out, inn) == g.degrees()
+    assert out == [1, 1, 0] and inn == [0, 1, 1]
+    assert sum(out) == 2
 
 
 def test_find_start_on_a_cycle_defaults_to_node_zero():
     asm = make_asm(rows=64, cols=16)
     g = path_graph("AC", "CG", "GA", "AC")
-    table = asm.find_start(g)
-    assert table.starts == []
-    assert table.edge_cnt == 3
+    assert asm.find_start(g) == []
+    assert sum(degree_words(asm, g)[0]) == 3
     # no surplus: the one trail starts at the lowest node holding units
-    [path] = asm.fleury(g, table)
+    [path] = asm.fleury(g)
     assert path.node_ids == [0, 1, 2, 0]
 
 
@@ -529,7 +539,7 @@ def test_find_start_lists_a_surplus_of_two_twice():
     g = SparseGraph(k=3)
     g.add_edge(E("AC"), E("CG"))
     g.add_edge(E("AC"), E("CT"))
-    assert asm.find_start(g).starts == [0, 0]
+    assert asm.find_start(g) == [0, 0]
 
 
 def test_find_start_lists_every_surplus_node():
@@ -537,16 +547,17 @@ def test_find_start_lists_every_surplus_node():
     g = SparseGraph(k=3)
     g.add_edge(E("AC"), E("CG"))
     g.add_edge(E("TT"), E("TA"))
-    assert asm.find_start(g).starts == [0, 2]
+    assert asm.find_start(g) == [0, 2]
 
 
 def test_find_start_degrees_weight_multiplicity():
     asm = make_asm(rows=64, cols=16)
     g = SparseGraph(k=3)
     g.add_edge(E("AA"), E("AA"), mult=3)
-    table = asm.find_start(g)
-    assert table.out_degree == table.in_degree == [3]
-    assert table.edge_cnt == 3
+    assert asm.find_start(g) == []
+    out, inn = degree_words(asm, g)
+    assert (out, inn) == g.degrees()
+    assert out == inn == [3]
 
 
 def test_a_repeat_find_start_reuses_the_degree_region():
@@ -554,6 +565,8 @@ def test_a_repeat_find_start_reuses_the_degree_region():
     asm, g = build_graph(["ACGTTGCATGTCGACCATGGAT"], 5, rows=64, cols=16)
     w_before = asm.trace.total(tr.W, stage=tr.STAGE_TRAVERSE)
     first = asm.find_start(g)
+    words = degree_words(asm, g)
+    assert words == g.degrees()
     sids = g.store.degree.sids
     assert len(sids) == 2
     count = asm.machine.subarray_count
@@ -562,11 +575,12 @@ def test_a_repeat_find_start_reuses_the_degree_region():
     assert asm.machine.subarray_count == count
     assert g.store.degree.sids == sids
     assert second == first
+    assert degree_words(asm, g) == words
     # the same pass again, plus one charged write per cleared out/in row
     w_second = asm.trace.total(tr.W, stage=tr.STAGE_TRAVERSE) - w_before - w_first
     assert w_second == w_first + len(sids) * 2 * 8
     # the cleared words add up afresh: the walk spends every one of them
-    [path] = asm.fleury(g, second)
+    [path] = asm.fleury(g)
     assert len(path.node_ids) == g.edge_count + 1
 
 
@@ -619,8 +633,8 @@ def test_fleury_walks_two_cycles_as_two_trails():
 
 def test_fleury_takes_degrees_from_another_assembler():
     g = path_graph("AC", "CG", "GT")
-    degrees = make_asm(rows=64, cols=16).find_start(g)
-    [path] = make_asm(rows=64, cols=16).fleury(g, degrees)
+    make_asm(rows=64, cols=16).find_start(g)
+    [path] = make_asm(rows=64, cols=16).fleury(g)
     assert path.node_ids == [0, 1, 2]
 
 
@@ -636,7 +650,7 @@ def test_walk_cost_oracle_on_a_path():
     # multiplicity and degree words (w = 8).
     asm = make_asm(rows=64, cols=16)
     g = path_graph("AC", "CG", "GT")
-    d = asm.find_start(g)
+    asm.find_start(g)
     # host placement: 3 label W + 2 words * 8 W = 19 W
     # out and in passes, one rank each: 2 word reads (16 R), 8 staging W,
     #   one add (8 C_ADD + 16 W)                     -> 32 R, 48 W, 16 C_ADD
@@ -644,7 +658,7 @@ def test_walk_cost_oracle_on_a_path():
     # start probe: copy in -> tmp (8 R + 8 W), +1 (8 C_ADD + 16 W),
     #   8 plane compares (8 C_ADD + 8 DPU), 1 DPU     -> 8 R, 24 W, 16 C_ADD, 9 DPU
     assert traverse_totals(asm.trace) == {tr.R: 56, tr.W: 91, tr.C_ADD: 32, tr.DPU: 9}
-    [path] = asm.fleury(g, d)
+    [path] = asm.fleury(g)
     assert path.node_ids == [0, 1, 2]
     # 2 units, each decrementing one multiplicity and one out-degree word
     #   (2 * (8 C_ADD + 16 W)), 3 loop DPU, and the end-of-walk read of the
@@ -656,10 +670,10 @@ def test_walk_cost_oracle_on_a_path():
 def test_walk_end_check_reads_every_out_degree_word(node, word):
     asm = make_asm(rows=64, cols=16)
     g = path_graph("AC", "CG", "GT")
-    d = asm.find_start(g)
+    asm.find_start(g)
     asm.machine.write_vword(g.store.degree.out_ref(node), word)
     with pytest.raises(ConsistencyError, match="out-degree word nonzero"):
-        asm.fleury(g, d)
+        asm.fleury(g)
 
 
 def test_a_walked_graph_cannot_be_walked_again():
@@ -673,7 +687,7 @@ def test_a_walked_graph_cannot_be_walked_again():
     with pytest.raises(ConsistencyError, match="multiplicity word"):
         asm.fleury(g)
     with pytest.raises(ConsistencyError, match="multiplicity word"):
-        asm.fleury(g, asm.find_start(g))
+        asm.find_start(g)
     assert asm.machine.read_vword(word) == 0
 
 
@@ -791,9 +805,9 @@ def test_only_the_retried_component_walks_unit_words():
     walked_words = []
     walk = asm.fleury
 
-    def snapshot_then_walk(g, degrees=None):
+    def snapshot_then_walk(g):
         walked_words.extend(asm.machine.read_vword(ref) for ref in g.store.mult_refs)
-        return walk(g, degrees)
+        return walk(g)
 
     asm.fleury = snapshot_then_walk
     result = asm.assemble([E("GAAAAG")] + [E("CGT")] * 3, 3)

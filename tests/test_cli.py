@@ -171,6 +171,31 @@ def test_sweep_rejects_bad_lists(tmp_path):
                 "--out", tmp_path / "s"]) == 4
 
 
+def test_sweep_checks_every_k_like_assemble(tmp_path):
+    reads = tmp_path / "reads.fasta"
+    reads.write_text(">a\nCGTGTGCA\n")
+    for k in (200, 129, 1):
+        assert run(["assemble", reads, *SMALL, "--k", k, "--out", tmp_path / "a"]) == 4
+        assert run(["sweep", reads, *SMALL, "--k-list", f"5,{k}",
+                    "--out", tmp_path / "s"]) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--k", "999"],
+    ["gen", "--pd", "0"],
+    ["gen", "--rows", "1"],
+    ["gen", "--cost-config", "nope"],
+    ["truthtable", "--pd", "0"],
+    ["truthtable", "--seed", "1"],
+    ["truthtable", "--out", "x"],
+])
+def test_gen_and_truthtable_reject_flags_they_never_read(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a gen that ran would write its outputs here
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_truthtable_self_check(capsys):
     assert main(["truthtable"]) == 0
     out = capsys.readouterr().out

@@ -119,6 +119,44 @@ def vword(sid, col, lsb, width):
     return VerticalWordRef(sid, col, lsb, width)
 
 
+def test_vertical_words_cost_one_row_per_plane_for_any_columns():
+    for cols in ([5], [0, 3, 15], list(range(16))):
+        m, sid = make_machine()
+        before = deltas(m.trace, (R, W))
+        m.write_vwords(sid, 4, 6, {c: 37 + c for c in cols})
+        assert m.trace.total(W) - before[W] == 6
+        words = m.read_vwords(sid, 4, 6)
+        assert m.trace.total(R) - before[R] == 6
+        assert words == [37 + c if c in cols else 0 for c in range(16)]
+
+
+def test_vertical_words_leave_unlisted_columns_untouched():
+    m, sid = make_machine()
+    m.write_vwords(sid, 2, 5, {c: c for c in range(16)})
+    m.write_vwords(sid, 2, 5, {1: 31, 7: 0})
+    assert m.read_vwords(sid, 2, 5) == [31 if c == 1 else 0 if c == 7 else c for c in range(16)]
+    # the single-column helpers are the same codec at the same cost
+    ref = vword(sid, 9, 2, 5)
+    assert m.read_vword(ref) == 9
+    before = m.trace.total(W)
+    m.write_vword(ref, 22)
+    assert m.trace.total(W) - before == 5
+    assert m.read_vwords(sid, 2, 5)[9] == 22
+
+
+def test_vertical_words_reject_bad_values_and_columns():
+    m, sid = make_machine()
+    for value in (-1, 1 << 5):
+        with pytest.raises(SizeError):
+            m.write_vwords(sid, 0, 5, {3: value})
+    for col in (-1, 16):
+        with pytest.raises(AddressError):
+            m.write_vwords(sid, 0, 5, {col: 1})
+    with pytest.raises(ShapeError):
+        m.write_vwords(sid, 0, 5, {})
+    assert m.trace.total(W) == 0
+
+
 def test_vertical_word_round_trip():
     m, sid = make_machine()
     ref = vword(sid, 3, 5, 9)

@@ -58,11 +58,11 @@ def test_account_empty_trace():
 
 
 def test_account_is_additive_over_traces():
-    t1 = make_trace([(tr.STAGE_HASHMAP, tr.W, 500), (tr.STAGE_GRAPH, tr.R, 20)])
-    t2 = make_trace([(tr.STAGE_HASHMAP, tr.W, 100), (tr.STAGE_IO, tr.XFER, 64)])
+    spec1 = [(tr.STAGE_HASHMAP, tr.W, 500), (tr.STAGE_GRAPH, tr.R, 20)]
+    spec2 = [(tr.STAGE_HASHMAP, tr.W, 100), (tr.STAGE_IO, tr.XFER, 64)]
     cfg = CostConfig()
-    merged = account(OpTrace.concat(t1, t2), cfg)
-    r1, r2 = account(t1, cfg), account(t2, cfg)
+    merged = account(make_trace(spec1 + spec2), cfg)
+    r1, r2 = account(make_trace(spec1), cfg), account(make_trace(spec2), cfg)
     assert merged.total_latency_ns == pytest.approx(r1.total_latency_ns + r2.total_latency_ns)
     assert merged.dynamic_energy_nj == pytest.approx(r1.dynamic_energy_nj + r2.dynamic_energy_nj)
 
