@@ -22,16 +22,18 @@ vertical degree counters column-parallel, probes the start vertex with a
 bit-plane compare of out against in+1, and covers each weak component with
 the fewest trails its degrees allow, max(1, sum of outgoing surpluses): one
 trail per surplus unit, or one Euler circuit when there is none, walked
-bridge-aware. Each walked unit decrements its multiplicity and out-degree
-words in memory. The out-degree words sum to the edge units left, so the
-walk must leave every one of them at zero, and every distinct k-mer ends up
-in some contig.
+bridge-aware. Each walked unit decrements its multiplicity word in memory,
+and only that word: the multiplicity words hold the edge units left, and
+per node they sum to its out-degree. So the walk must leave every one of
+them at zero, and every distinct k-mer ends up in some contig.
 
 Every store takes its rows from one allocator, `_RowBank`, which hands
 out rows of one region (a hash group's key rows, or a plain sub-array's
 data rows) and chains a new sub-array when an entry no longer fits.
-Vertical words cross the instruction layer whole: Machine.write_vwords and
-read_vwords cost one row per bit plane for any number of columns.
+Vertical words cross the instruction layer a stripe at a time:
+Machine.write_vwords and read_vwords cost one row per bit plane for any
+number of columns, so the multiplicity words are placed, read and
+rewritten one stripe per call.
 
 A graph holds at most one fabric placement, `SparseGraph.store`, bound to
 the machine that wrote it: one vertical multiplicity word per edge, one
@@ -42,8 +44,8 @@ with no placement on the walking machine (a synthetic graph, a simplified
 one, or one placed by another Assembler) has its labels and words written
 in by the host first. The traverse stage runs once over the whole graph:
 a component whose multiplicities admit no Euler path has its words
-rewritten to one in place, and the repeat degree pass clears and reuses
-the first pass's region.
+rewritten to one in place, and the repeat degree pass reuses the first
+pass's region, clearing and re-accumulating only those components' nodes.
 
 The host keeps mirror bookkeeping (a dict index into the hash store, the
 edge lists, remaining-multiplicity maps) so the simulation runs in sensible
@@ -61,13 +63,14 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import mapping
 from . import trace as tr
 from .encoding import EncodedSeq, extract_kmers
 from .errors import CapacityError, ConsistencyError, SizeError
 from .fabric import RowLayout
-from .isa import Machine, MemAddress, VerticalWordRef
+from .isa import Machine, MemAddress
 
 log = logging.getLogger(__name__)
 
@@ -317,27 +320,53 @@ class _DegreePass:
     sids: list[int]
     w_deg: int
     base: int             # first data row: LSB of the out-degree words
-    cols: int
     starts: list[int]
-
-    def out_ref(self, nid: int) -> VerticalWordRef:
-        sub, col = divmod(nid, self.cols)
-        return VerticalWordRef(self.sids[sub], col, self.base, self.w_deg)
 
 
 class _GraphStore:
     """Fabric placement of one graph on one machine.
 
-    One multiplicity word per edge, with `mult` mirroring the values the
-    words hold until a walk spends them, plus the last find_start pass
-    until a walk consumes it.
+    One width-bit multiplicity word per edge: edge e sits in column
+    e % cols of stripe e // cols, where `stripes` lists each stripe's
+    (sub-array id, LSB row). `mult` mirrors the values the words hold until
+    a walk spends them. The store also keeps the last find_start pass until
+    a walk consumes it.
     """
 
-    def __init__(self, machine: Machine, mult_refs: list[VerticalWordRef], mult: list[int]):
+    def __init__(
+        self, machine: Machine, stripes: list[tuple[int, int]], width: int, mult: list[int]
+    ):
         self.machine = machine
-        self.mult_refs = mult_refs
+        self.stripes = stripes
+        self.width = width
         self.mult = mult
         self.degree: _DegreePass | None = None
+
+    def read(self) -> list[int]:
+        """Every edge's word from fabric: one read_vwords per stripe."""
+        m = self.machine
+        words: list[int] = []
+        for sid, lsb in self.stripes:
+            words += m.read_vwords(sid, lsb, self.width)
+        return words[: len(self.mult)]
+
+    def write(self, values: dict[int, int]) -> None:
+        """Set the listed edges' words and their mirror, {edge: value}: one
+        write_vwords per stripe the edges touch."""
+        per: dict[int, dict[int, int]] = {}
+        for e, value in values.items():
+            stripe, col = divmod(e, self.machine.cols)
+            per.setdefault(stripe, {})[col] = value
+            self.mult[e] = value
+        for stripe, words in per.items():
+            sid, lsb = self.stripes[stripe]
+            self.machine.write_vwords(sid, lsb, self.width, words)
+
+    def spend(self, e: int) -> None:
+        """Decrement edge e's word in place, leaving the mirror alone."""
+        stripe, col = divmod(e, self.machine.cols)
+        sid, lsb = self.stripes[stripe]
+        self.machine.add_const_cols(sid, lsb, self.width, [col], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -589,18 +618,13 @@ class Assembler:
 
     def _place_mults(self, mults: list[int], width: int) -> _GraphStore:
         """Write one width-bit multiplicity word per edge, one width-row
-        stripe per `cols` edges, each edge's word in its own column."""
-        m = self.machine
-        stripes = _RowBank(self)
-        refs = []
-        for e, mult in enumerate(mults):
-            col = e % m.cols
-            if col == 0:
-                sid, lsb = stripes.alloc(width)
-            ref = VerticalWordRef(sid, col, lsb, width)
-            m.write_vword(ref, mult)
-            refs.append(ref)
-        return _GraphStore(m, refs, list(mults))
+        stripe per `cols` edges, each edge's word in its own column: one
+        write_vwords (width W) per stripe."""
+        bank = _RowBank(self)
+        stripes = [bank.alloc(width) for _ in range(0, len(mults), self.cols)]
+        store = _GraphStore(self.machine, stripes, width, list(mults))
+        store.write(dict(enumerate(mults)))
+        return store
 
     def _ensure_store(self, g: SparseGraph) -> _GraphStore:
         """g's placement on this machine, host-writing labels and words if absent."""
@@ -703,36 +727,37 @@ class Assembler:
 
     # -- stage 3: degree accumulation and start pick --
 
-    def _mult_value(self, store: _GraphStore, e: int) -> int:
-        """Multiplicity of edge e, read from fabric and checked against the mirror."""
-        val = self.machine.read_vword(store.mult_refs[e])
-        if val != store.mult[e]:
-            raise ConsistencyError(
-                f"multiplicity word of edge {e} reads {val}, expected {store.mult[e]}"
-            )
-        return val
-
-    def find_start(self, g: SparseGraph) -> list[int]:
+    def find_start(self, g: SparseGraph, nodes: Iterable[int] | None = None) -> list[int]:
         """Accumulate degrees column-parallel and return the trail starts.
 
-        Each node owns one column; the multiplicity words are staged into a
-        scratch word plane and added into the out/in counter words one
+        Each node owns one column. The pass reads every multiplicity stripe
+        once and checks it against the mirror, stages the words into a
+        scratch word plane, and adds them into the out/in counter words one
         occupancy rank at a time, so a whole sub-array row of nodes advances
-        per add. A repeat pass on the same placement (after the words were
-        rewritten, say) reuses the degree region, zeroing its out and in
-        word rows first, and allocates nothing. The start test compares out
-        against in+1 across all columns with one compare cycle per bit
-        plane. The edge-unit total needs no word of its own: it is the sum
-        of the out-degree words. Any degree sequence is accepted: the starts
-        list every node once per unit of outgoing surplus, in ascending
-        order, from the host degree lists the fabric planes were just
-        checked against, so an Euler path is the case of one start or none.
-        The pass (its degree region and starts) is stored as
-        `g.store.degree`, where the next fleury call walks it.
+        per add. A repeat pass on the same placement (after some words were
+        rewritten, say) reuses the degree region and allocates nothing: it
+        zeroes and re-accumulates only the columns of `nodes` (every node
+        by default) with masked writes, and the other nodes keep the last
+        pass's words. A change of word width re-accumulates every node. The
+        read-back and the start test still cover every column: the test
+        compares out against in+1 with one compare cycle per bit plane. The
+        edge-unit total needs no word of its own: it is the sum of the
+        out-degree words. Any degree sequence is accepted: the starts list
+        every node once per unit of outgoing surplus, in ascending order,
+        from the host degree lists the fabric planes were just checked
+        against, so an Euler path is the case of one start or none. The
+        pass (its degree region and starts) is stored as `g.store.degree`,
+        where the next fleury call walks it.
         """
         m = self.machine
         with m.stage_scope(tr.STAGE_TRAVERSE):
             store = self._ensure_store(g)
+            words = store.read()
+            for e, (val, want) in enumerate(zip(words, store.mult)):
+                if val != want:
+                    raise ConsistencyError(
+                        f"multiplicity word of edge {e} reads {val}, expected {want}"
+                    )
             n = len(g.nodes)
             host_out, host_in = g.degrees(store.mult)
             maxdeg = max(max(host_out, default=0), max(host_in, default=0))
@@ -745,22 +770,31 @@ class Assembler:
             in_base = base + w_deg
             tmp_base = base + 2 * w_deg
             stg_base = base + 3 * w_deg
-            if store.degree is None:
+            prev = store.degree
+            redo = set(range(n))
+            if prev is None:
                 n_sub = mapping.subarrays_needed(n, m.cols)
                 sids = [self._new_subarray(lay) for _ in range(n_sub)]
             else:
                 # the old pass is void from here on, even if this one fails
-                sids, store.degree = store.degree.sids, None
-                for sid in sids:
-                    sub = m.subarray(sid)
+                sids, store.degree = prev.sids, None
+                if nodes is not None and prev.w_deg == w_deg:
+                    redo = set(nodes)
+                clear: dict[int, int] = {}  # sub-array index -> redone columns
+                for nid in redo:
+                    sub_i, col = divmod(nid, m.cols)
+                    clear[sub_i] = clear.get(sub_i, 0) | 1 << col
+                for sub_i, colmask in sorted(clear.items()):
+                    sub = m.subarray(sids[sub_i])
                     for row in range(out_base, tmp_base):
-                        sub.write_row(row, 0)
+                        sub.write_masked(row, 0, colmask)
 
             for ends, word_base in ((g.edge_src, out_base), (g.edge_dst, in_base)):
                 per: dict[int, dict[int, list[int]]] = {}
                 for e, nid in enumerate(ends):
-                    sub_i, col = divmod(nid, m.cols)
-                    per.setdefault(sub_i, {}).setdefault(col, []).append(e)
+                    if nid in redo:
+                        sub_i, col = divmod(nid, m.cols)
+                        per.setdefault(sub_i, {}).setdefault(col, []).append(e)
                 for sub_i in sorted(per):
                     colmap = per[sub_i]
                     rank = 0
@@ -770,7 +804,7 @@ class Assembler:
                             break
                         m.write_vwords(
                             sids[sub_i], stg_base, w_deg,
-                            {col: self._mult_value(store, e) for col, e in wave.items()},
+                            {col: words[e] for col, e in wave.items()},
                         )
                         over = m.add_cols(
                             sids[sub_i], stg_base, word_base, word_base, w_deg, wave
@@ -816,7 +850,7 @@ class Assembler:
                 raise ConsistencyError("start probe disagrees with the degree mirror")
 
             starts = [i for i in range(n) for _ in range(host_out[i] - host_in[i])]
-            store.degree = _DegreePass(sids, w_deg, base, m.cols, starts)
+            store.degree = _DegreePass(sids, w_deg, base, starts)
         return starts
 
     # -- stage 4: Euler walk --
@@ -836,17 +870,18 @@ class Assembler:
         undirected reachability pass before and one after, each charging a
         controller op per visited node), and the lowest neighbour is the
         fallback when every choice burns a bridge. Every traversed unit
-        decrements its multiplicity word and the source's out-degree word
-        in fabric; the walk then reads the out-degree planes back and
-        requires every word to be zero. The walk consumes the degree pass,
-        so walking g again re-runs find_start, which raises ConsistencyError
-        on the spent multiplicity words.
+        decrements its multiplicity word in fabric, and nothing else: the
+        choices come from the host mirror of the units left, and per node
+        the multiplicity words sum to the out-degree. The walk then reads
+        every multiplicity stripe back and requires every word to be zero.
+        The walk consumes the degree pass, so walking g again re-runs
+        find_start, which raises ConsistencyError on the spent words.
         """
         with self.machine.stage_scope(tr.STAGE_TRAVERSE):
             store = self._ensure_store(g)
         if store.degree is None:
             self.find_start(g)
-        deg, store.degree = store.degree, None
+        starts, store.degree = iter(store.degree.starts), None
         m = self.machine
         with m.stage_scope(tr.STAGE_TRAVERSE):
             n = len(g.nodes)
@@ -876,7 +911,6 @@ class Assembler:
                 return len(seen)
 
             total = sum(rem)
-            starts = iter(deg.starts)
             lowest = 0  # units only shrink, so the lowest holder never falls
             paths = []
             while total:
@@ -906,16 +940,19 @@ class Assembler:
                                 v = c
                                 break
                     e = first[v]
-                    m.add_const(store.mult_refs[e], -1)
-                    m.add_const(deg.out_ref(u), -1)
+                    store.spend(e)
                     rem[e] -= 1
                     total -= 1
                     u = v
                     path.append(v)
                 paths.append(EulerPath(path, [g.nodes[i] for i in path]))
-            # one read per out-degree plane: the walk spends every word
-            if any(any(m.read_vwords(sid, deg.base, deg.w_deg)) for sid in deg.sids):
-                raise ConsistencyError("out-degree word nonzero after the walk")
+            # one read per multiplicity plane: the walk spends every word
+            left = store.read()
+            if any(left):
+                e = next(e for e, val in enumerate(left) if val)
+                raise ConsistencyError(
+                    f"multiplicity word of edge {e} reads {left[e]} after the walk"
+                )
         return paths
 
     # -- full pipeline --
@@ -926,8 +963,9 @@ class Assembler:
         The traverse stage runs once over the whole graph. A component whose
         multiplicity-weighted outgoing surplus sums to more than one admits
         no Euler path, so its multiplicity words are rewritten to one in
-        place and a second find_start reuses the first one's degree region;
-        components that pass keep their words. One fleury call then covers
+        place and a second find_start, on the first one's degree region,
+        re-accumulates only the retried components' nodes; components that
+        pass keep their words and degrees. One fleury call then covers
         every component with trails, one contig each, so every distinct
         k-mer of the reads lands in some contig; an edge-less component (a
         chain that simplify merged into one node) is a single-node path.
@@ -970,13 +1008,11 @@ class Assembler:
             surplus.update(comp_of[u] for u in starts)
             retried = {ci for ci, s in surplus.items() if s > 1}
             if retried:
-                store = work.store
                 with m.stage_scope(tr.STAGE_TRAVERSE):
-                    for e, u in enumerate(work.edge_src):
-                        if comp_of[u] in retried:
-                            m.write_vword(store.mult_refs[e], 1)
-                            store.mult[e] = 1
-                self.find_start(work)
+                    work.store.write(
+                        {e: 1 for e, u in enumerate(work.edge_src) if comp_of[u] in retried}
+                    )
+                self.find_start(work, (nid for nid, ci in enumerate(comp_of) if ci in retried))
             paths = self.fleury(work)
         trails = Counter(comp_of[p.node_ids[0]] for p in paths)
         for ci, comp in enumerate(comps):

@@ -41,8 +41,6 @@ def _check_run(args, k_list: list[int]) -> None:
     for k in k_list:
         if not 2 <= k <= 128:
             raise ConfigError(f"k must lie in [2, 128], got {k}")
-    if args.pd < 1:
-        raise ConfigError(f"parallelism degree must be >= 1, got {args.pd}")
     if args.rows < 16 or args.cols < 8:
         raise ConfigError("sub-array geometry too small to be useful")
 
@@ -62,7 +60,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cost-config", default=None, help="JSON cost table (default: packaged calibration)")
     p.add_argument("--rows", type=int, default=1024, help="sub-array rows")
     p.add_argument("--cols", type=int, default=256, help="sub-array bit-line columns")
-    p.add_argument("--pd", type=int, default=1, help="parallelism degree for reporting")
     p.add_argument("--k", type=int, default=25, help="k-mer length")
     p.add_argument("--simplify", action="store_true", help="merge unbranched graph chains")
     _add_seed_out(p)
@@ -70,6 +67,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def cmd_assemble(args) -> int:
     _check_run(args, [args.k])
+    if args.pd < 1:
+        raise ConfigError(f"parallelism degree must be >= 1, got {args.pd}")
     cfg = _load_cost_config(args)
     records = seqio.read_sequences(args.input)
     reads, dropped = seqio.encode_records(records)
@@ -211,6 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("assemble", help="assemble reads into contigs")
     p.add_argument("input", help="FASTA/FASTQ reads")
     _add_common(p)
+    p.add_argument("--pd", type=int, default=1, help="parallelism degree for reporting")
     p.add_argument("--dump-kmers", default=None, help="write the k-mer table as TSV")
     p.add_argument("--dump-graph", default=None, help="write the edge list as TSV")
     p.set_defaults(func=cmd_assemble)
@@ -228,7 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("sweep", help="price a workload across k and parallelism degree")
+    # no abbreviated flags, so a `--pd` is refused, not read as `--pd-list`
+    p = sub.add_parser(
+        "sweep", allow_abbrev=False, help="price a workload across k and parallelism degree"
+    )
     p.add_argument("input", help="FASTA/FASTQ reads")
     _add_common(p)
     p.add_argument("--pd-list", default="1,2,3,4,5,6,7,8", help="comma-separated degrees")

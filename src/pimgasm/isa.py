@@ -75,10 +75,6 @@ class VerticalWordRef:
         if self.col < 0 or self.lsb_row < 0:
             raise AddressError("negative address")
 
-    @property
-    def rows(self) -> range:
-        return range(self.lsb_row, self.lsb_row + self.width)
-
 
 @dataclass(frozen=True)
 class CmpResult:
@@ -364,17 +360,6 @@ class Machine:
                 words[low.bit_length() - 1] |= 1 << i
                 plane ^= low
         return words
-
-    def write_vword(self, ref: VerticalWordRef, value: int) -> None:
-        self.write_vwords(ref.subarray_id, ref.lsb_row, ref.width, {ref.col: value})
-
-    def read_vword(self, ref: VerticalWordRef) -> int:
-        """One column's word: width R, decoding only that column."""
-        sub = self.subarray(ref.subarray_id)
-        v = 0
-        for i, row in enumerate(ref.rows):
-            v |= ((sub.read_row(row) >> ref.col) & 1) << i
-        return v
 
     # ---- controller scalar unit ----------------------------------------
 

@@ -25,7 +25,7 @@ from pimgasm.assembly import (
 )
 from pimgasm.encoding import EncodedSeq, extract_kmers
 from pimgasm.errors import CapacityError, ConsistencyError, SizeError
-from pimgasm.isa import MemAddress, VerticalWordRef
+from pimgasm.isa import MemAddress
 from pimgasm.seqio import distinct_window_genome, random_genome
 
 E = EncodedSeq.from_str
@@ -361,8 +361,7 @@ class CorruptCounters(Assembler):
 
     def _add_counts(self, lay, pending):
         for sid, lsb, col in pending:
-            ref = VerticalWordRef(sid, col, lsb, lay.value_width)
-            self.machine.write_vword(ref, (1 << lay.value_width) - 1)
+            self.machine.write_vwords(sid, lsb, lay.value_width, {col: (1 << lay.value_width) - 1})
         return super()._add_counts(lay, pending)
 
 
@@ -409,6 +408,20 @@ def test_graph_example_eight_base_read():
     assert len(g.nodes) == 5
     assert g.edge_count == 4
     assert [n.to_str() for n in g.nodes] == ["CGTG", "GTGT", "TGTG", "GTGC", "TGCA"]
+
+
+def test_multiplicity_words_cost_one_write_per_stripe_plane():
+    # 17 distinct 5-mers on 64 x 16: 17 edges take two 8-bit multiplicity
+    # stripes (16 + 1 words). Each edge's two 8-bit labels are copied out of
+    # the hash store (1 R + 1 W each), and each stripe costs 8 W however
+    # many words it holds: 2 * 17 + 2 * 8 graph W, where writing each word
+    # on its own would cost 2 * 17 + 17 * 8.
+    genome = distinct_window_genome(21, 5, random.Random(5))
+    asm, g = build_graph([genome], 5, rows=64, cols=16)
+    assert g.edge_count == 17
+    assert len(g.store.stripes) == 2
+    assert asm.trace.total(tr.W, stage=tr.STAGE_GRAPH) == 2 * 17 + 2 * 8
+    assert g.store.read() == g.mult
 
 
 @given(reads=reads_strategy, k=st.integers(min_value=2, max_value=5))
@@ -584,6 +597,22 @@ def test_a_repeat_find_start_reuses_the_degree_region():
     assert len(path.node_ids) == g.edge_count + 1
 
 
+def test_a_repeat_pass_on_a_new_word_width_redoes_every_node():
+    # a 200-unit self-loop needs 9-bit degree words; rewritten to one unit
+    # it needs 8, so the kept words of the other node would sit on the old
+    # rows: the pass re-accumulates every node, whatever `nodes` says
+    asm = make_asm(rows=64, cols=16)
+    g = SparseGraph(k=3)
+    g.add_edge(E("AA"), E("AA"), mult=200)
+    g.add_edge(E("CC"), E("CC"), mult=2)
+    assert asm.find_start(g) == []
+    assert g.store.degree.w_deg == 9
+    g.store.write({0: 1})
+    assert asm.find_start(g, [0]) == []
+    assert g.store.degree.w_deg == 8
+    assert degree_words(asm, g) == g.degrees(g.store.mult) == ([1, 2], [1, 2])
+
+
 # ---- Euler walks -----------------------------------------------------------
 
 
@@ -651,28 +680,36 @@ def test_walk_cost_oracle_on_a_path():
     asm = make_asm(rows=64, cols=16)
     g = path_graph("AC", "CG", "GT")
     asm.find_start(g)
-    # host placement: 3 label W + 2 words * 8 W = 19 W
-    # out and in passes, one rank each: 2 word reads (16 R), 8 staging W,
-    #   one add (8 C_ADD + 16 W)                     -> 32 R, 48 W, 16 C_ADD
+    # host placement: 3 label W + one 2-word stripe, 8 W  -> 11 W
+    # one read of that stripe, 8 R, checked against the mirror
+    # out and in passes, one rank each: 8 staging W, one add
+    #   (8 C_ADD + 16 W)                              -> 48 W, 16 C_ADD
     # read-back of the out and in planes             -> 16 R
     # start probe: copy in -> tmp (8 R + 8 W), +1 (8 C_ADD + 16 W),
     #   8 plane compares (8 C_ADD + 8 DPU), 1 DPU     -> 8 R, 24 W, 16 C_ADD, 9 DPU
-    assert traverse_totals(asm.trace) == {tr.R: 56, tr.W: 91, tr.C_ADD: 32, tr.DPU: 9}
+    assert traverse_totals(asm.trace) == {tr.R: 32, tr.W: 83, tr.C_ADD: 32, tr.DPU: 9}
     [path] = asm.fleury(g)
     assert path.node_ids == [0, 1, 2]
-    # 2 units, each decrementing one multiplicity and one out-degree word
+    # 2 units, each decrementing its multiplicity word only
     #   (2 * (8 C_ADD + 16 W)), 3 loop DPU, and the end-of-walk read of the
-    #   8 out-degree planes of the one degree sub-array
-    assert traverse_totals(asm.trace) == {tr.R: 64, tr.W: 155, tr.C_ADD: 64, tr.DPU: 12}
+    #   8 planes of the one multiplicity stripe
+    assert traverse_totals(asm.trace) == {tr.R: 40, tr.W: 115, tr.C_ADD: 48, tr.DPU: 12}
 
 
-@pytest.mark.parametrize("node, word", [(1, 2), (2, 1)])
-def test_walk_end_check_reads_every_out_degree_word(node, word):
+@pytest.mark.parametrize("edge, word", [(0, 2), (1, 0), (16, 3), (17, 255)])
+def test_walk_end_check_reads_every_multiplicity_word(edge, word):
+    # 18 unit edges on 16 columns: two multiplicity stripes. The corrupted
+    # word is set after find_start checked it, so the walk spends the
+    # mirror's one unit and leaves the fabric word at word - 1 (mod 256),
+    # which the end check must find in whichever stripe it sits.
     asm = make_asm(rows=64, cols=16)
-    g = path_graph("AC", "CG", "GT")
+    labels = ["".join(p) for p in itertools.product("ACGT", repeat=3)][:19]
+    g = path_graph(*labels)
     asm.find_start(g)
-    asm.machine.write_vword(g.store.degree.out_ref(node), word)
-    with pytest.raises(ConsistencyError, match="out-degree word nonzero"):
+    sid, lsb = g.store.stripes[edge // 16]
+    asm.machine.write_vwords(sid, lsb, g.store.width, {edge % 16: word})
+    left = (word - 1) % 256
+    with pytest.raises(ConsistencyError, match=f"edge {edge} reads {left} after the walk"):
         asm.fleury(g)
 
 
@@ -682,13 +719,12 @@ def test_a_walked_graph_cannot_be_walked_again():
     g.add_edge(E("AA"), E("AA"), mult=3)
     [path] = asm.fleury(g)
     assert path.node_ids == [0, 0, 0, 0]
-    word = g.store.mult_refs[0]
-    assert asm.machine.read_vword(word) == 0
+    assert g.store.read() == [0]
     with pytest.raises(ConsistencyError, match="multiplicity word"):
         asm.fleury(g)
     with pytest.raises(ConsistencyError, match="multiplicity word"):
         asm.find_start(g)
-    assert asm.machine.read_vword(word) == 0
+    assert g.store.read() == [0]
 
 
 def random_eulerian_graph(rng, n_nodes, n_steps):
@@ -803,15 +839,40 @@ def test_only_the_retried_component_walks_unit_words():
     # CG->GT x3 has an outgoing surplus of 3 and is retried on a unit word
     asm = make_asm()
     walked_words = []
+    pass_costs = []
     walk = asm.fleury
+    degree_pass = asm.find_start
 
     def snapshot_then_walk(g):
-        walked_words.extend(asm.machine.read_vword(ref) for ref in g.store.mult_refs)
+        walked_words.extend(g.store.read())
+        assert degree_words(asm, g) == g.degrees(g.store.mult)
         return walk(g)
 
+    def costed_pass(g, nodes=None):
+        before = traverse_totals(asm.trace)
+        starts = degree_pass(g, nodes)
+        after = traverse_totals(asm.trace)
+        pass_costs.append({kind: after[kind] - before[kind] for kind in after})
+        return starts
+
     asm.fleury = snapshot_then_walk
+    asm.find_start = costed_pass
     result = asm.assemble([E("GAAAAG")] + [E("CGT")] * 3, 3)
     assert walked_words == [1, 2, 1, 1]
+    # 5 nodes in one degree sub-array, 4 edges in one stripe, 8-bit words.
+    # Every pass reads the stripe (8 R) and the out and in planes (16 R),
+    # and runs the start probe on all columns (8 R, 24 W, 16 C_ADD, 9 DPU).
+    # A wave stages and adds one word per column: 8 + 16 W, 8 C_ADD. AA has
+    # two out- and two in-edges, so the first pass runs 2 + 2 waves:
+    #   W 4 * 24 + 24 = 120, C_ADD 4 * 8 + 16 = 48
+    # The second pass zeroes the out and in rows of CG and GT only (16
+    # masked W) and redoes only their one edge, 1 + 1 waves; re-adding the
+    # passing component too would cost 2 more waves (+48 W, +16 C_ADD).
+    #   W 16 + 2 * 24 + 24 = 88, C_ADD 2 * 8 + 16 = 32
+    assert pass_costs == [
+        {tr.R: 32, tr.W: 120, tr.C_ADD: 48, tr.DPU: 9},
+        {tr.R: 32, tr.W: 88, tr.C_ADD: 32, tr.DPU: 9},
+    ]
     assert result.graph.store.mult == [1, 2, 1, 1]
     assert result.graph.mult == [1, 2, 1, 3]  # the graph keeps its counts
     assert [p.node_ids for p in result.paths] == [[0, 1, 1, 1, 2], [3, 4]]
@@ -1022,6 +1083,27 @@ _UNIT_RUNG = (
 # move, the same way with and without simplify:
 #   W      14,803 - 16 * (821 - 382) = 7,779
 #   C_ADD  16,040 -  8 * (821 - 382) = 12,528
+#
+# Multiplicity words move a stripe at a time, and the walk spends each unit
+# once. A stripe holds 32 edges on 32 columns; each write_vwords or
+# read_vwords of it costs 8 W or 8 R, where each edge's word cost 8 on its
+# own. Only the graph W and traverse R, W and C_ADD rows move.
+# simplify off: 259 edges in 9 stripes, 259 nodes in 9 degree sub-arrays;
+# both components are retried, so the repeat pass redoes every node.
+#   graph W     2,590 - 259 * 8 + 9 * 8            =    590  (placement)
+#   R           8,792 - 2 * (2 * 259 * 8 - 9 * 8)  =    648  (each pass reads
+#                 every stripe once, not every word once per direction; the
+#                 end check reads 9 stripes, not 9 out-degree planes, 72 R both)
+#   W          11,992 - (259 * 8 - 9 * 8) - 259 * 16 = 5,848  (retry rewrite per
+#                 stripe; each of the 259 walked units no longer decrements
+#                 an out-degree word)
+#   C_ADD       4,784 - 259 * 8                    =  2,712
+# simplify on: the traverse stage host-places the 8-edge merged graph in one
+# stripe, rewrites it once and walks 8 units; the end check reads 1 stripe,
+# not 1 out-degree plane, 8 R both.
+#   W             665 - (64 - 8) - (64 - 8) - 8 * 16 =  425
+#   R             312 - 2 * (2 * 8 * 8 - 8)          =   72
+#   C_ADD         224 - 8 * 8                        =  160
 LADDER = {
     False: (
         [
@@ -1031,11 +1113,11 @@ LADDER = {
             ("hashmap", "C_ADD", 12528),
             ("hashmap", "DPU", 9472),
             ("graph", "R", 622),
-            ("graph", "W", 2590),
+            ("graph", "W", 590),
             ("traverse", "DPU", 1368),
-            ("traverse", "R", 8792),
-            ("traverse", "W", 11992),
-            ("traverse", "C_ADD", 4784),
+            ("traverse", "R", 648),
+            ("traverse", "W", 5848),
+            ("traverse", "C_ADD", 2712),
         ],
         30,
         [
@@ -1056,12 +1138,12 @@ LADDER = {
             ("hashmap", "C_ADD", 12528),
             ("hashmap", "DPU", 9472),
             ("graph", "R", 881),
-            ("graph", "W", 2590),
+            ("graph", "W", 590),
             ("graph", "DPU", 518),
             ("traverse", "DPU", 56),
-            ("traverse", "W", 665),
-            ("traverse", "R", 312),
-            ("traverse", "C_ADD", 224),
+            ("traverse", "W", 425),
+            ("traverse", "R", 72),
+            ("traverse", "C_ADD", 160),
         ],
         24,
         [

@@ -180,6 +180,18 @@ def test_sweep_checks_every_k_like_assemble(tmp_path):
                     "--out", tmp_path / "s"]) == 4
 
 
+def test_sweep_takes_no_pd(tmp_path):
+    # sweep prices every --pd-list value, so a --pd would be read by
+    # nothing; nor is it taken as an abbreviation of --pd-list
+    reads = tmp_path / "reads.fasta"
+    reads.write_text(">a\nCGTGTGCA\n")
+    argv = ["sweep", reads, *SMALL, "--k-list", 5, "--out", tmp_path / "s"]
+    assert run(argv) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--pd", 1])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--k", "999"],
     ["gen", "--pd", "0"],

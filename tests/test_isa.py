@@ -119,6 +119,16 @@ def vword(sid, col, lsb, width):
     return VerticalWordRef(sid, col, lsb, width)
 
 
+def put(m, ref, value):
+    """Write one column's word through the stripe codec."""
+    m.write_vwords(ref.subarray_id, ref.lsb_row, ref.width, {ref.col: value})
+
+
+def get(m, ref):
+    """Read one column's word through the stripe codec."""
+    return m.read_vwords(ref.subarray_id, ref.lsb_row, ref.width)[ref.col]
+
+
 def test_vertical_words_cost_one_row_per_plane_for_any_columns():
     for cols in ([5], [0, 3, 15], list(range(16))):
         m, sid = make_machine()
@@ -135,11 +145,10 @@ def test_vertical_words_leave_unlisted_columns_untouched():
     m.write_vwords(sid, 2, 5, {c: c for c in range(16)})
     m.write_vwords(sid, 2, 5, {1: 31, 7: 0})
     assert m.read_vwords(sid, 2, 5) == [31 if c == 1 else 0 if c == 7 else c for c in range(16)]
-    # the single-column helpers are the same codec at the same cost
-    ref = vword(sid, 9, 2, 5)
-    assert m.read_vword(ref) == 9
+    # one column costs the same 5 W as sixteen
+    assert m.read_vwords(sid, 2, 5)[9] == 9
     before = m.trace.total(W)
-    m.write_vword(ref, 22)
+    m.write_vwords(sid, 2, 5, {9: 22})
     assert m.trace.total(W) - before == 5
     assert m.read_vwords(sid, 2, 5)[9] == 22
 
@@ -160,10 +169,10 @@ def test_vertical_words_reject_bad_values_and_columns():
 def test_vertical_word_round_trip():
     m, sid = make_machine()
     ref = vword(sid, 3, 5, 9)
-    m.write_vword(ref, 0b101110011)
-    assert m.read_vword(ref) == 0b101110011
+    put(m, ref, 0b101110011)
+    assert get(m, ref) == 0b101110011
     with pytest.raises(SizeError):
-        m.write_vword(ref, 1 << 9)
+        put(m, ref, 1 << 9)
 
 
 @given(
@@ -176,10 +185,10 @@ def test_add_matches_integer_addition(w, data):
     b = data.draw(st.integers(min_value=0, max_value=(1 << w) - 1))
     m, sid = make_machine(rows=32, cols=4)
     ra, rb, ro = vword(sid, 1, 0, w), vword(sid, 1, 8, w), vword(sid, 1, 16, w)
-    m.write_vword(ra, a)
-    m.write_vword(rb, b)
+    put(m, ra, a)
+    put(m, rb, b)
     overflow = m.add(ra, rb, ro)
-    assert m.read_vword(ro) == (a + b) & ((1 << w) - 1)
+    assert get(m, ro) == (a + b) & ((1 << w) - 1)
     assert overflow == (a + b) >> w
 
 
@@ -188,17 +197,17 @@ def test_add_exhaustive_width_3():
         for b in range(8):
             m, sid = make_machine(rows=32, cols=2)
             ra, rb, ro = vword(sid, 0, 0, 3), vword(sid, 0, 4, 3), vword(sid, 0, 8, 3)
-            m.write_vword(ra, a)
-            m.write_vword(rb, b)
+            put(m, ra, a)
+            put(m, rb, b)
             ov = m.add(ra, rb, ro)
-            assert ov * 8 + m.read_vword(ro) == a + b
+            assert ov * 8 + get(m, ro) == a + b
 
 
 def test_add_cost_is_w_cycles_and_2w_writes():
     m, sid = make_machine(rows=64, cols=4)
     ra, rb, ro = vword(sid, 0, 0, 5), vword(sid, 0, 8, 5), vword(sid, 0, 16, 5)
-    m.write_vword(ra, 19)
-    m.write_vword(rb, 7)
+    put(m, ra, 19)
+    put(m, rb, 7)
     before = deltas(m.trace, (C_ADD, W))
     m.add(ra, rb, ro)
     assert m.trace.total(C_ADD) - before[C_ADD] == 5
@@ -208,8 +217,8 @@ def test_add_cost_is_w_cycles_and_2w_writes():
 def test_add_restores_carry_row_to_zero():
     m, sid = make_machine(rows=32, cols=4)
     ra, rb, ro = vword(sid, 2, 0, 4), vword(sid, 2, 8, 4), vword(sid, 2, 16, 4)
-    m.write_vword(ra, 15)
-    m.write_vword(rb, 15)
+    put(m, ra, 15)
+    put(m, rb, 15)
     assert m.add(ra, rb, ro) == 1
     carry = m.subarray(sid).layout.carry_rows[0]
     assert m.subarray(sid).cells[carry] & (1 << 2) == 0
@@ -230,24 +239,24 @@ def test_add_cols_batches_many_words_for_one_word_cost():
     m, sid = make_machine(rows=64, cols=8)
     words = {0: (5, 9), 3: (12, 12), 7: (1, 0)}
     for col, (a, b) in words.items():
-        m.write_vword(vword(sid, col, 0, 4), a)
-        m.write_vword(vword(sid, col, 8, 4), b)
+        put(m, vword(sid, col, 0, 4), a)
+        put(m, vword(sid, col, 8, 4), b)
     before = deltas(m.trace, (C_ADD, W))
     ov = m.add_cols(sid, 0, 8, 16, 4, words)
     assert m.trace.total(C_ADD) - before[C_ADD] == 4
     assert m.trace.total(W) - before[W] == 8
     for col, (a, b) in words.items():
-        assert m.read_vword(vword(sid, col, 16, 4)) == (a + b) % 16
+        assert get(m, vword(sid, col, 16, 4)) == (a + b) % 16
         assert ov[col] == (a + b) // 16
 
 
 def test_add_aliasing_rules():
     m, sid = make_machine(rows=32, cols=4)
     ra, rb = vword(sid, 1, 0, 4), vword(sid, 1, 8, 4)
-    m.write_vword(ra, 6)
-    m.write_vword(rb, 5)
+    put(m, ra, 6)
+    put(m, rb, 5)
     m.add(ra, rb, ra)  # exact alias is in-place accumulate
-    assert m.read_vword(ra) == 11
+    assert get(m, ra) == 11
     with pytest.raises(AddressError):
         m.add_cols(sid, 0, 8, 1, 4, [1])  # partial overlap with operand a
     with pytest.raises(AddressError):
@@ -273,29 +282,29 @@ def test_add_operand_compatibility():
 def test_add_const_and_counter_helpers():
     m, sid = make_machine(rows=32, cols=4)
     ctr = vword(sid, 2, 0, 4)
-    m.write_vword(ctr, 7)
+    put(m, ctr, 7)
     assert m.add_const(ctr, 3) == 0
-    assert m.read_vword(ctr) == 10
+    assert get(m, ctr) == 10
     assert m.add_const(ctr, -1) == 1  # adding 0b1111 carries out
-    assert m.read_vword(ctr) == 9
-    m.write_vword(ctr, 15)
+    assert get(m, ctr) == 9
+    put(m, ctr, 15)
     assert m.add_const(ctr, 1) == 1
-    assert m.read_vword(ctr) == 0
+    assert get(m, ctr) == 0
     assert m.add_const(ctr, -1) == 0
-    assert m.read_vword(ctr) == 15
+    assert get(m, ctr) == 15
 
 
 def test_add_const_costs_like_a_regular_add():
     # the constant comes from the init rows, so no operand writes happen
     m, sid = make_machine(rows=32, cols=4)
     ctr = vword(sid, 0, 0, 8)
-    m.write_vword(ctr, 200)
+    put(m, ctr, 200)
     before = deltas(m.trace, (C_ADD, W, R))
     m.add_const(ctr, 55)
     assert m.trace.total(C_ADD) - before[C_ADD] == 8
     assert m.trace.total(W) - before[W] == 16
     assert m.trace.total(R) - before[R] == 0
-    assert m.read_vword(ctr) == 255
+    assert get(m, ctr) == 255
 
 
 @given(
@@ -307,9 +316,9 @@ def test_add_const_costs_like_a_regular_add():
 def test_add_const_is_modular(w, start, c):
     m, sid = make_machine(rows=32, cols=2)
     ctr = vword(sid, 1, 0, w)
-    m.write_vword(ctr, start % (1 << w))
+    put(m, ctr, start % (1 << w))
     m.add_const(ctr, c)
-    assert m.read_vword(ctr) == (start % (1 << w) + c) % (1 << w)
+    assert get(m, ctr) == (start % (1 << w) + c) % (1 << w)
 
 
 def test_dpu_and_reduce():
