@@ -39,7 +39,7 @@ from .fabric import (
     SenseOutput,
     SubArray,
 )
-from .isa import CmpResult, Machine, MemAddress, VerticalWordRef
+from .isa import CmpResult, Machine, MemAddress
 from .mapping import (
     CapacityPlan,
     HashLayout,
@@ -98,7 +98,6 @@ __all__ = [
     "StateError",
     "SubArray",
     "SweepResult",
-    "VerticalWordRef",
     "XOR3_CFG",
     "account",
     "calibrated_config",

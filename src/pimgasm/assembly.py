@@ -36,16 +36,19 @@ number of columns, so the multiplicity words are placed, read and
 rewritten one stripe per call.
 
 A graph holds at most one fabric placement, `SparseGraph.store`, bound to
-the machine that wrote it: one vertical multiplicity word per edge, one
-word-high stripe per `cols` edges, plus the last find_start pass (its
-degree region and trail starts) until a walk consumes it. build_graph
-places the words as it copies labels out of the hash store, and a graph
-with no placement on the walking machine (a synthetic graph, a simplified
-one, or one placed by another Assembler) has its labels and words written
-in by the host first. The traverse stage runs once over the whole graph:
-a component whose multiplicities admit no Euler path has its words
-rewritten to one in place, and the repeat degree pass reuses the first
-pass's region, clearing and re-accumulating only those components' nodes.
+the machine that wrote it: one label row per node, one vertical
+multiplicity word per edge, one word-high stripe per `cols` edges, plus the
+last find_start pass (its degree region and trail starts) until a walk
+consumes it. One routine, `Assembler._place`, writes every placement and
+checks each label it writes: build_graph copies each node's label once out
+of the hash store, from the key slot where the node first appears, and a
+graph with no placement on the walking machine (a synthetic graph, a
+simplified one, or one placed by another Assembler) gets its labels as
+host immediates, in the traverse stage. The traverse stage runs once over
+the whole graph: a component whose multiplicities admit no Euler path has
+its words rewritten to one in place, and the repeat degree pass reuses the
+first pass's region, clearing and re-accumulating only those components'
+nodes.
 
 The host keeps mirror bookkeeping (a dict index into the hash store, the
 edge lists, remaining-multiplicity maps) so the simulation runs in sensible
@@ -585,58 +588,66 @@ class Assembler:
 
     def build_graph(self, table: KmerTable) -> SparseGraph:
         k = table.k
-        m = self.machine
         width = 2 * (k - 1)
         cap = (1 << table.value_width) - 1
-        with m.stage_scope(tr.STAGE_GRAPH):
+        with self.machine.stage_scope(tr.STAGE_GRAPH):
             g = SparseGraph(k=k)
-            labels = _RowBank(self)
+            sources: list[MemAddress] = []  # node id -> its label's key bits
             fab_freq = table.frequencies()
-            for key, slot in zip(table.keys, table.slots):
+            for key, (sid, key_i) in zip(table.keys, table.slots):
                 expect = min(table.host_counts[key.bits], cap)
                 if fab_freq[key] != expect:
                     raise ConsistencyError(
                         f"counter for {key.to_str()} reads {fab_freq[key]}, expected {expect}"
                     )
-                sid, key_i = slot
                 row, col = table.layout.key_address(key_i)
-                p_sid, p_row = labels.alloc(1)
-                s_sid, s_row = labels.alloc(1)
-                m.mem_insert(MemAddress(p_sid, p_row, 0, width), MemAddress(sid, row, col, width))
-                m.mem_insert(MemAddress(s_sid, s_row, 0, width), MemAddress(sid, row, col + 2, width))
-                prefix = key.prefix(k - 1)
-                suffix = key.suffix(k - 1)
-                mask = (1 << width) - 1
-                if m.subarray(p_sid).cells[p_row] & mask != prefix.bits:
-                    raise ConsistencyError("prefix label bits corrupted")
-                if m.subarray(s_sid).cells[s_row] & mask != suffix.bits:
-                    raise ConsistencyError("suffix label bits corrupted")
+                prefix, suffix = key.prefix(k - 1), key.suffix(k - 1)
+                for label, offset in ((prefix, 0), (suffix, 2)):
+                    if g.node_id(label) == len(sources):
+                        sources.append(MemAddress(sid, row, col + offset, width))
                 g.add_edge(prefix, suffix, expect)
-            g.store = self._place_mults(g.mult, table.value_width)
+            g.store = self._place(g, sources, table.value_width)
         log.info("graph: %d nodes, %d edges", len(g.nodes), g.edge_count)
         return g
 
-    def _place_mults(self, mults: list[int], width: int) -> _GraphStore:
-        """Write one width-bit multiplicity word per edge, one width-row
-        stripe per `cols` edges, each edge's word in its own column: one
-        write_vwords (width W) per stripe."""
-        bank = _RowBank(self)
-        stripes = [bank.alloc(width) for _ in range(0, len(mults), self.cols)]
-        store = _GraphStore(self.machine, stripes, width, list(mults))
-        store.write(dict(enumerate(mults)))
+    def _place(
+        self, g: SparseGraph, sources: list[MemAddress | int], width: int
+    ) -> _GraphStore:
+        """Place g on this machine: one label per node, one word per edge.
+
+        Each node's label takes its own rows from one bank and is copied in
+        from its source, `sources[node id]`: a key slot's prefix or suffix
+        bits in the hash store, or the label's own bits as an immediate. The
+        written bits must read back as the label. Then each edge gets one
+        width-bit multiplicity word, one width-row stripe per `cols` edges,
+        each edge's word in its own column: one write_vwords (width W) per
+        stripe.
+        """
+        m = self.machine
+        labels = _RowBank(self)
+        for lab, src in zip(g.nodes, sources, strict=True):
+            nbits = lab.bit_length
+            sid, row = labels.alloc(max(1, math.ceil(nbits / m.cols)))
+            if not nbits:
+                continue
+            m.mem_insert(MemAddress(sid, row, 0, nbits), src)
+            cells = m.subarray(sid).cells
+            stored = 0
+            for i, off in enumerate(range(0, nbits, m.cols)):
+                stored |= cells[row + i] << off
+            if stored & ((1 << nbits) - 1) != lab.bits:
+                raise ConsistencyError(f"label of {lab.to_str()} stored corrupted")
+        words = _RowBank(self)
+        stripes = [words.alloc(width) for _ in range(0, g.edge_count, m.cols)]
+        store = _GraphStore(m, stripes, width, list(g.mult))
+        store.write(dict(enumerate(g.mult)))
         return store
 
     def _ensure_store(self, g: SparseGraph) -> _GraphStore:
-        """g's placement on this machine, host-writing labels and words if absent."""
-        m = self.machine
-        if g.store is not None and g.store.machine is m:
-            return g.store
-        labels = _RowBank(self)
-        for lab in g.nodes:
-            sid, row = labels.alloc(max(1, math.ceil(lab.bit_length / m.cols)))
-            if lab.bit_length:
-                m.mem_insert(MemAddress(sid, row, 0, lab.bit_length), lab.bits)
-        g.store = self._place_mults(g.mult, max(8, max(g.mult, default=1).bit_length()))
+        """g's placement on this machine, host-placing g first if it has none."""
+        if g.store is None or g.store.machine is not self.machine:
+            width = max(8, max(g.mult, default=1).bit_length())
+            g.store = self._place(g, [lab.bits for lab in g.nodes], width)
         return g.store
 
     # -- optional stage 2.5: chain merging --
@@ -667,8 +678,10 @@ class Assembler:
             consumed: set[int] = set()
             chains: list[list[int]] = []
             visited: set[int] = set()
-            for u in range(n):
-                if u in visited or u in has_prev:
+            # chain heads first; the nodes left over form contractible cycles,
+            # whose closing edge stops the chain and survives as a self-loop
+            for u in sorted(range(n), key=lambda u: u in has_prev):
+                if u in visited:
                     continue
                 chain = [u]
                 visited.add(u)
@@ -680,32 +693,12 @@ class Assembler:
                     visited.add(v)
                     consumed.add(e)
                 chains.append(chain)
-            for u in range(n):
-                # leftovers are pure contractible cycles
-                if u in visited:
-                    continue
-                chain = [u]
-                visited.add(u)
-                while True:
-                    v, e = nxt[chain[-1]]
-                    if v == u:
-                        break  # closing edge survives as a self-loop
-                    chain.append(v)
-                    visited.add(v)
-                    consumed.add(e)
-                chains.append(chain)
 
-            ov = max(g.k - 2, 0) if g.k else 0
             new = SparseGraph(k=g.k)
             node_map: dict[int, int] = {}
             rows_read = 0
             for chain in chains:
-                label = g.nodes[chain[0]]
-                for nid in chain[1:]:
-                    lab = g.nodes[nid]
-                    if label.suffix(ov).bits != lab.prefix(ov).bits:
-                        raise ConsistencyError("chain labels lack the expected overlap")
-                    label = label.concat(lab.window(ov, len(lab) - ov))
+                label = contig_from_path([g.nodes[nid] for nid in chain], g.k or 2)
                 if len(chain) > 1:
                     rows_read += len(chain)
                 mid = new.node_id(label)

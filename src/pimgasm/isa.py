@@ -61,22 +61,6 @@ class MemAddress:
 
 
 @dataclass(frozen=True)
-class VerticalWordRef:
-    """A width-bit integer stored vertically in one column, LSB lowest row."""
-
-    subarray_id: int
-    col: int
-    lsb_row: int
-    width: int
-
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ShapeError("word width must be positive")
-        if self.col < 0 or self.lsb_row < 0:
-            raise AddressError("negative address")
-
-
-@dataclass(frozen=True)
 class CmpResult:
     equal: bool
     mask: int    # bit i set iff operand bits i matched
@@ -280,16 +264,6 @@ class Machine:
         cy = self._add_planes(sub, a_rows, b_rows, out_lsb, width, colmask)
         return {c: (cy >> c) & 1 for c in cols}
 
-    def add(self, a: VerticalWordRef, b: VerticalWordRef, out: VerticalWordRef) -> int:
-        """Single-column vertical add, out = a + b mod 2**w; returns overflow."""
-        if not (a.subarray_id == b.subarray_id == out.subarray_id):
-            raise PlacementError("add operands must share a sub-array")
-        if not (a.width == b.width == out.width):
-            raise ShapeError("add operands must share a width")
-        if not (a.col == b.col == out.col):
-            raise ShapeError("vertical operands must share a bit-line (column)")
-        return self.add_cols(a.subarray_id, a.lsb_row, b.lsb_row, out.lsb_row, a.width, [a.col])[a.col]
-
     def add_const_cols(
         self, sid: int, lsb: int, width: int, cols: Iterable[int], constant: int
     ) -> dict[int, int]:
@@ -318,11 +292,6 @@ class Machine:
         a_rows = range(lsb, lsb + width)
         cy = self._add_planes(sub, a_rows, b_rows, lsb, width, colmask)
         return {c: (cy >> c) & 1 for c in cols}
-
-    def add_const(self, ctr: VerticalWordRef, constant: int) -> int:
-        return self.add_const_cols(
-            ctr.subarray_id, ctr.lsb_row, ctr.width, [ctr.col], constant
-        )[ctr.col]
 
     # ---- vertical words -----------------------------------------------
 

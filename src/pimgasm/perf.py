@@ -47,15 +47,14 @@ _CLASS_KEYS = {
 
 @dataclass(frozen=True)
 class CostConfig:
-    """Per-class costs plus leakage, parallelism, and a penalty knob.
+    """Per-class costs plus leakage and parallelism.
 
     XFER costs are per byte; the stock values price a 64-byte burst at
     1 ns and 0.1 nJ. leakage_base_mw burns whenever the chip is on;
     leakage_per_group_mw is added per active sub-array group, and
     parallel_fraction is the Amdahl share that shrinks with the group
-    count. penalty_factor inflates reported time and dynamic energy by
-    1+p (a fairness handicap knob; 0 disables it). Every field is read by
-    account or sweep_pd; from_dict rejects any other key.
+    count. Every field is read by account or sweep_pd; from_dict rejects
+    any other key.
     """
 
     classes: dict[str, ClassCost] = field(default_factory=lambda: {
@@ -69,7 +68,6 @@ class CostConfig:
     leakage_base_mw: float = 586.0
     leakage_per_group_mw: float = 0.0
     parallel_fraction: float = 16.0 / 21.0
-    penalty_factor: float = 0.0
 
     def __post_init__(self):
         missing = [k for k in tr.KINDS if k not in self.classes]
@@ -79,8 +77,6 @@ class CostConfig:
             raise ConfigError("parallel_fraction must lie in [0, 1]")
         if self.leakage_base_mw < 0 or self.leakage_per_group_mw < 0:
             raise ConfigError("leakage must be non-negative")
-        if self.penalty_factor < 0:
-            raise ConfigError("penalty_factor must be non-negative")
 
     def cost(self, kind: str) -> ClassCost:
         try:
@@ -100,7 +96,6 @@ class CostConfig:
         d["leakage_base_mw"] = self.leakage_base_mw
         d["leakage_per_group_mw"] = self.leakage_per_group_mw
         d["parallel_fraction"] = self.parallel_fraction
-        d["penalty_factor"] = self.penalty_factor
         return d
 
     @classmethod
@@ -111,7 +106,6 @@ class CostConfig:
             "leakage_base_mw": base.leakage_base_mw,
             "leakage_per_group_mw": base.leakage_per_group_mw,
             "parallel_fraction": base.parallel_fraction,
-            "penalty_factor": base.penalty_factor,
         }
         staged: dict[str, dict[str, float]] = {k: {} for k in _CLASS_KEYS}
         for key, val in d.items():
@@ -142,8 +136,11 @@ class CostConfig:
 
     @classmethod
     def from_json(cls, path) -> "CostConfig":
-        with open(path) as fh:
-            d = json.load(fh)
+        try:
+            with open(path) as fh:
+                d = json.load(fh)
+        except ValueError as exc:  # undecodable bytes or malformed JSON
+            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
         if not isinstance(d, dict):
             raise ConfigError("cost config must be a JSON object")
         return cls.from_dict(d)
@@ -212,10 +209,8 @@ def account(trace: tr.OpTrace, cfg: CostConfig) -> StageReport:
 
     Latency is the straight sum of event count x class latency; dynamic
     energy likewise; leakage is the single-group leakage power times the
-    total latency. A nonzero penalty factor scales every row's time and
-    energy by 1+p. Unknown event classes raise ConfigError.
+    total latency. Unknown event classes raise ConfigError.
     """
-    scale = 1.0 + cfg.penalty_factor
     leak_w = cfg.leakage_w(1)
     per_stage: dict[str, dict[str, int]] = {}
     for stage, kind, count in trace.records():
@@ -230,9 +225,9 @@ def account(trace: tr.OpTrace, cfg: CostConfig) -> StageReport:
         nj = 0.0
         for kind, count in cycles.items():
             c = cfg.cost(kind)
-            k_ns = count * c.latency_ns * scale
+            k_ns = count * c.latency_ns
             ns += k_ns
-            nj += count * c.energy_nj * scale
+            nj += count * c.energy_nj
             if kind == tr.XFER:
                 xfer_ns += k_ns
             elif kind in _COMPUTE_KINDS:

@@ -410,17 +410,54 @@ def test_graph_example_eight_base_read():
     assert [n.to_str() for n in g.nodes] == ["CGTG", "GTGT", "TGTG", "GTGC", "TGCA"]
 
 
+@pytest.mark.parametrize("bit, label", [(0, "CGTG"), (5, "CGTG"), (9, "GTGT")])
+def test_a_corrupted_key_fails_the_label_check(bit, label):
+    # CGTGTGCA at k=5: the first key, CGTGT, is where the nodes CGTG (its
+    # low 8 bits) and GTGT (its high 8 bits) first appear, so both labels
+    # are copied from its slot. Flipping one of its bits after counting
+    # leaves the counters intact and corrupts the label that bit falls in
+    # (bit 5 lies in both; CGTG is copied first).
+    asm = make_asm()
+    table = asm.build_kmer_table([E("CGTGTGCA")], 5)
+    assert table.keys[0].to_str() == "CGTGT"
+    sid, key_i = table.slots[0]
+    row, col = table.layout.key_address(key_i)
+    asm.machine.subarray(sid).cells[row] ^= 1 << (col + bit)
+    with pytest.raises(ConsistencyError, match=f"label of {label} "):
+        asm.build_graph(table)
+
+
+@pytest.mark.parametrize("chunk", [0, 2, 4])
+def test_the_label_check_covers_every_row_of_a_long_label(chunk, monkeypatch):
+    # a 36-base label is 72 bits: five rows on 16 columns (4 x 16 + 8).
+    # One bit flipped after the write in any of its rows fails the check.
+    asm = make_asm(rows=64, cols=16)
+    g = SparseGraph(k=3)
+    g.add_edge(E("AC" * 18), E("CA" * 18))
+    write = asm.machine.mem_insert
+
+    def write_then_flip(dst, src, size=None):
+        write(dst, src, size)
+        asm.machine.subarray(dst.subarray_id).cells[dst.row + chunk] ^= 1
+
+    monkeypatch.setattr(asm.machine, "mem_insert", write_then_flip)
+    with pytest.raises(ConsistencyError, match="label of ACAC"):
+        asm.find_start(g)
+
+
 def test_multiplicity_words_cost_one_write_per_stripe_plane():
     # 17 distinct 5-mers on 64 x 16: 17 edges take two 8-bit multiplicity
-    # stripes (16 + 1 words). Each edge's two 8-bit labels are copied out of
-    # the hash store (1 R + 1 W each), and each stripe costs 8 W however
-    # many words it holds: 2 * 17 + 2 * 8 graph W, where writing each word
-    # on its own would cost 2 * 17 + 17 * 8.
+    # stripes (16 + 1 words). The 17 edges form one path over 18 distinct
+    # 4-mer nodes, and each node's 8-bit label is copied out of the hash
+    # store once (1 R + 1 W), where copying two labels per edge cost 2 * 17.
+    # Each stripe costs 8 W however many words it holds: 18 + 2 * 8 graph W,
+    # where writing each word on its own would cost 18 + 17 * 8.
     genome = distinct_window_genome(21, 5, random.Random(5))
     asm, g = build_graph([genome], 5, rows=64, cols=16)
     assert g.edge_count == 17
+    assert len(g.nodes) == 18
     assert len(g.store.stripes) == 2
-    assert asm.trace.total(tr.W, stage=tr.STAGE_GRAPH) == 2 * 17 + 2 * 8
+    assert asm.trace.total(tr.W, stage=tr.STAGE_GRAPH) == 18 + 2 * 8
     assert g.store.read() == g.mult
 
 
@@ -1104,6 +1141,18 @@ _UNIT_RUNG = (
 #   W             665 - (64 - 8) - (64 - 8) - 8 * 16 =  425
 #   R             312 - 2 * (2 * 8 * 8 - 8)          =   72
 #   C_ADD         224 - 8 * 8                        =  160
+#
+# One label row per node: build_graph copied two label rows per edge (the
+# key's prefix and suffix, 1 R + 1 W each) and now copies each node's label
+# once, from the key where the node first appears. The 259 edges span 259
+# nodes, and a 64-row sub-array has 58 data rows. Only the graph R and W
+# rows and the sub-array count move, the same way with and without
+# simplify (which reads one label row per merged member, as before).
+#   graph R     622 - 2 * 259 + 259 =  363  (104 counter-stripe reads stay;
+#                 simplify on: 881 - 259 = 622)
+#   graph W     590 - 2 * 259 + 259 =  331  (the 9 stripes' 72 W stay)
+#   sub-arrays  label rows 518 -> 259: ceil(518 / 58) = 9 -> ceil(259 / 58)
+#                 = 5, so 30 -> 26 (simplify on: 24 -> 20)
 LADDER = {
     False: (
         [
@@ -1112,14 +1161,14 @@ LADDER = {
             ("hashmap", "R", 259),
             ("hashmap", "C_ADD", 12528),
             ("hashmap", "DPU", 9472),
-            ("graph", "R", 622),
-            ("graph", "W", 590),
+            ("graph", "R", 363),
+            ("graph", "W", 331),
             ("traverse", "DPU", 1368),
             ("traverse", "R", 648),
             ("traverse", "W", 5848),
             ("traverse", "C_ADD", 2712),
         ],
-        30,
+        26,
         [
             "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
             "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCG",
@@ -1137,15 +1186,15 @@ LADDER = {
             ("hashmap", "R", 259),
             ("hashmap", "C_ADD", 12528),
             ("hashmap", "DPU", 9472),
-            ("graph", "R", 881),
-            ("graph", "W", 590),
+            ("graph", "R", 622),
+            ("graph", "W", 331),
             ("graph", "DPU", 518),
             ("traverse", "DPU", 56),
             ("traverse", "W", 425),
             ("traverse", "R", 72),
             ("traverse", "C_ADD", 160),
         ],
-        24,
+        20,
         [
             "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
             "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCGACGGAATTAGATCAGTTAAAT"

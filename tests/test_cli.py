@@ -128,6 +128,24 @@ def test_assemble_exit_codes(tmp_path):
                 "--out", tmp_path / "o"]) == 3
 
 
+@pytest.mark.parametrize("reads_bytes, cost_bytes, code", [
+    (b">r\n\xff\xfeACGT\n", None, 2),           # parse error
+    (b">r\nCGTGTGCA\n", b">r\nCGTGTGCA\n", 4),  # configuration error
+], ids=["reads-not-utf8", "cost-config-not-json"])
+def test_assemble_maps_undecodable_inputs_to_exit_codes(
+    reads_bytes, cost_bytes, code, tmp_path, capsys
+):
+    reads = tmp_path / "reads.fasta"
+    reads.write_bytes(reads_bytes)
+    argv = ["assemble", reads, "--k", 5, *SMALL, "--out", tmp_path / "o"]
+    if cost_bytes is not None:
+        cfg = tmp_path / "cost.json"
+        cfg.write_bytes(cost_bytes)
+        argv += ["--cost-config", cfg]
+    assert run(argv) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_assemble_custom_cost_config(tmp_path):
     from pimgasm.perf import CostConfig
 

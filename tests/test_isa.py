@@ -11,7 +11,7 @@ from pimgasm.errors import (
     SizeError,
     StateError,
 )
-from pimgasm.isa import Machine, MemAddress, VerticalWordRef
+from pimgasm.isa import Machine, MemAddress
 from pimgasm.trace import C_ADD, DPU, R, W, XFER
 
 
@@ -115,18 +115,24 @@ def test_cmp_placement_rules():
         m.cmp(MemAddress(sid, 0, 0, 8), MemAddress(sid, 1, 0, 8), size=9)
 
 
-def vword(sid, col, lsb, width):
-    return VerticalWordRef(sid, col, lsb, width)
-
-
-def put(m, ref, value):
+def put(m, sid, col, lsb, width, value):
     """Write one column's word through the stripe codec."""
-    m.write_vwords(ref.subarray_id, ref.lsb_row, ref.width, {ref.col: value})
+    m.write_vwords(sid, lsb, width, {col: value})
 
 
-def get(m, ref):
+def get(m, sid, col, lsb, width):
     """Read one column's word through the stripe codec."""
-    return m.read_vwords(ref.subarray_id, ref.lsb_row, ref.width)[ref.col]
+    return m.read_vwords(sid, lsb, width)[col]
+
+
+def add1(m, sid, col, a_lsb, b_lsb, out_lsb, width):
+    """One-column vertical add, out = a + b; returns the overflow bit."""
+    return m.add_cols(sid, a_lsb, b_lsb, out_lsb, width, [col])[col]
+
+
+def add_const1(m, sid, col, lsb, width, constant):
+    """One-column in-place ctr += constant; returns the overflow bit."""
+    return m.add_const_cols(sid, lsb, width, [col], constant)[col]
 
 
 def test_vertical_words_cost_one_row_per_plane_for_any_columns():
@@ -168,11 +174,10 @@ def test_vertical_words_reject_bad_values_and_columns():
 
 def test_vertical_word_round_trip():
     m, sid = make_machine()
-    ref = vword(sid, 3, 5, 9)
-    put(m, ref, 0b101110011)
-    assert get(m, ref) == 0b101110011
+    put(m, sid, 3, 5, 9, 0b101110011)
+    assert get(m, sid, 3, 5, 9) == 0b101110011
     with pytest.raises(SizeError):
-        put(m, ref, 1 << 9)
+        put(m, sid, 3, 5, 9, 1 << 9)
 
 
 @given(
@@ -184,11 +189,10 @@ def test_add_matches_integer_addition(w, data):
     a = data.draw(st.integers(min_value=0, max_value=(1 << w) - 1))
     b = data.draw(st.integers(min_value=0, max_value=(1 << w) - 1))
     m, sid = make_machine(rows=32, cols=4)
-    ra, rb, ro = vword(sid, 1, 0, w), vword(sid, 1, 8, w), vword(sid, 1, 16, w)
-    put(m, ra, a)
-    put(m, rb, b)
-    overflow = m.add(ra, rb, ro)
-    assert get(m, ro) == (a + b) & ((1 << w) - 1)
+    put(m, sid, 1, 0, w, a)
+    put(m, sid, 1, 8, w, b)
+    overflow = add1(m, sid, 1, 0, 8, 16, w)
+    assert get(m, sid, 1, 16, w) == (a + b) & ((1 << w) - 1)
     assert overflow == (a + b) >> w
 
 
@@ -196,67 +200,62 @@ def test_add_exhaustive_width_3():
     for a in range(8):
         for b in range(8):
             m, sid = make_machine(rows=32, cols=2)
-            ra, rb, ro = vword(sid, 0, 0, 3), vword(sid, 0, 4, 3), vword(sid, 0, 8, 3)
-            put(m, ra, a)
-            put(m, rb, b)
-            ov = m.add(ra, rb, ro)
-            assert ov * 8 + get(m, ro) == a + b
+            put(m, sid, 0, 0, 3, a)
+            put(m, sid, 0, 4, 3, b)
+            ov = add1(m, sid, 0, 0, 4, 8, 3)
+            assert ov * 8 + get(m, sid, 0, 8, 3) == a + b
 
 
 def test_add_cost_is_w_cycles_and_2w_writes():
     m, sid = make_machine(rows=64, cols=4)
-    ra, rb, ro = vword(sid, 0, 0, 5), vword(sid, 0, 8, 5), vword(sid, 0, 16, 5)
-    put(m, ra, 19)
-    put(m, rb, 7)
+    put(m, sid, 0, 0, 5, 19)
+    put(m, sid, 0, 8, 5, 7)
     before = deltas(m.trace, (C_ADD, W))
-    m.add(ra, rb, ro)
+    add1(m, sid, 0, 0, 8, 16, 5)
     assert m.trace.total(C_ADD) - before[C_ADD] == 5
     assert m.trace.total(W) - before[W] == 10  # 5 sums, 4 carries, 1 restore
 
 
 def test_add_restores_carry_row_to_zero():
     m, sid = make_machine(rows=32, cols=4)
-    ra, rb, ro = vword(sid, 2, 0, 4), vword(sid, 2, 8, 4), vword(sid, 2, 16, 4)
-    put(m, ra, 15)
-    put(m, rb, 15)
-    assert m.add(ra, rb, ro) == 1
+    put(m, sid, 2, 0, 4, 15)
+    put(m, sid, 2, 8, 4, 15)
+    assert add1(m, sid, 2, 0, 8, 16, 4) == 1
     carry = m.subarray(sid).layout.carry_rows[0]
     assert m.subarray(sid).cells[carry] & (1 << 2) == 0
     # a second add through the same column must not trip the dirty check
-    assert m.add(ra, rb, ro) == 1
+    assert add1(m, sid, 2, 0, 8, 16, 4) == 1
 
 
 def test_dirty_carry_row_is_rejected():
     m, sid = make_machine(rows=32, cols=4)
     sub = m.subarray(sid)
     sub.write_cell(sub.layout.carry_rows[0], 1, 1)
-    ra, rb, ro = vword(sid, 1, 0, 4), vword(sid, 1, 8, 4), vword(sid, 1, 16, 4)
     with pytest.raises(StateError):
-        m.add(ra, rb, ro)
+        add1(m, sid, 1, 0, 8, 16, 4)
 
 
 def test_add_cols_batches_many_words_for_one_word_cost():
     m, sid = make_machine(rows=64, cols=8)
     words = {0: (5, 9), 3: (12, 12), 7: (1, 0)}
     for col, (a, b) in words.items():
-        put(m, vword(sid, col, 0, 4), a)
-        put(m, vword(sid, col, 8, 4), b)
+        put(m, sid, col, 0, 4, a)
+        put(m, sid, col, 8, 4, b)
     before = deltas(m.trace, (C_ADD, W))
     ov = m.add_cols(sid, 0, 8, 16, 4, words)
     assert m.trace.total(C_ADD) - before[C_ADD] == 4
     assert m.trace.total(W) - before[W] == 8
     for col, (a, b) in words.items():
-        assert get(m, vword(sid, col, 16, 4)) == (a + b) % 16
+        assert get(m, sid, col, 16, 4) == (a + b) % 16
         assert ov[col] == (a + b) // 16
 
 
 def test_add_aliasing_rules():
     m, sid = make_machine(rows=32, cols=4)
-    ra, rb = vword(sid, 1, 0, 4), vword(sid, 1, 8, 4)
-    put(m, ra, 6)
-    put(m, rb, 5)
-    m.add(ra, rb, ra)  # exact alias is in-place accumulate
-    assert get(m, ra) == 11
+    put(m, sid, 1, 0, 4, 6)
+    put(m, sid, 1, 8, 4, 5)
+    add1(m, sid, 1, 0, 8, 0, 4)  # exact alias is in-place accumulate
+    assert get(m, sid, 1, 0, 4) == 11
     with pytest.raises(AddressError):
         m.add_cols(sid, 0, 8, 1, 4, [1])  # partial overlap with operand a
     with pytest.raises(AddressError):
@@ -267,44 +266,30 @@ def test_add_aliasing_rules():
         m.add_cols(sid, 0, 8, 16, 4, [1, 1])
 
 
-def test_add_operand_compatibility():
-    m, sid = make_machine(rows=32, cols=4)
-    other = m.new_subarray()
-    a, b = vword(sid, 1, 0, 4), vword(sid, 1, 8, 4)
-    with pytest.raises(PlacementError):
-        m.add(a, b, vword(other, 1, 16, 4))
-    with pytest.raises(ShapeError):
-        m.add(a, b, vword(sid, 1, 16, 5))
-    with pytest.raises(ShapeError):
-        m.add(a, b, vword(sid, 2, 16, 4))
-
-
 def test_add_const_and_counter_helpers():
     m, sid = make_machine(rows=32, cols=4)
-    ctr = vword(sid, 2, 0, 4)
-    put(m, ctr, 7)
-    assert m.add_const(ctr, 3) == 0
-    assert get(m, ctr) == 10
-    assert m.add_const(ctr, -1) == 1  # adding 0b1111 carries out
-    assert get(m, ctr) == 9
-    put(m, ctr, 15)
-    assert m.add_const(ctr, 1) == 1
-    assert get(m, ctr) == 0
-    assert m.add_const(ctr, -1) == 0
-    assert get(m, ctr) == 15
+    put(m, sid, 2, 0, 4, 7)
+    assert add_const1(m, sid, 2, 0, 4, 3) == 0
+    assert get(m, sid, 2, 0, 4) == 10
+    assert add_const1(m, sid, 2, 0, 4, -1) == 1  # adding 0b1111 carries out
+    assert get(m, sid, 2, 0, 4) == 9
+    put(m, sid, 2, 0, 4, 15)
+    assert add_const1(m, sid, 2, 0, 4, 1) == 1
+    assert get(m, sid, 2, 0, 4) == 0
+    assert add_const1(m, sid, 2, 0, 4, -1) == 0
+    assert get(m, sid, 2, 0, 4) == 15
 
 
 def test_add_const_costs_like_a_regular_add():
     # the constant comes from the init rows, so no operand writes happen
     m, sid = make_machine(rows=32, cols=4)
-    ctr = vword(sid, 0, 0, 8)
-    put(m, ctr, 200)
+    put(m, sid, 0, 0, 8, 200)
     before = deltas(m.trace, (C_ADD, W, R))
-    m.add_const(ctr, 55)
+    add_const1(m, sid, 0, 0, 8, 55)
     assert m.trace.total(C_ADD) - before[C_ADD] == 8
     assert m.trace.total(W) - before[W] == 16
     assert m.trace.total(R) - before[R] == 0
-    assert get(m, ctr) == 255
+    assert get(m, sid, 0, 0, 8) == 255
 
 
 @given(
@@ -315,10 +300,9 @@ def test_add_const_costs_like_a_regular_add():
 @settings(max_examples=60, deadline=None)
 def test_add_const_is_modular(w, start, c):
     m, sid = make_machine(rows=32, cols=2)
-    ctr = vword(sid, 1, 0, w)
-    put(m, ctr, start % (1 << w))
-    m.add_const(ctr, c)
-    assert get(m, ctr) == (start % (1 << w) + c) % (1 << w)
+    put(m, sid, 1, 0, w, start % (1 << w))
+    add_const1(m, sid, 1, 0, w, c)
+    assert get(m, sid, 1, 0, w) == (start % (1 << w) + c) % (1 << w)
 
 
 def test_dpu_and_reduce():
@@ -358,7 +342,3 @@ def test_address_validation():
         MemAddress(0, 0, 0, 0)
     with pytest.raises(AddressError):
         MemAddress(0, -1, 0, 4)
-    with pytest.raises(ShapeError):
-        VerticalWordRef(0, 0, 0, 0)
-    with pytest.raises(AddressError):
-        VerticalWordRef(0, -2, 0, 4)

@@ -92,16 +92,6 @@ def test_leakage_burns_power_for_the_whole_runtime():
     )
 
 
-def test_penalty_factor_inflates_time_and_energy():
-    t = make_trace([(tr.STAGE_HASHMAP, tr.C_ADD, 100), (tr.STAGE_IO, tr.XFER, 640)])
-    base = account(t, NO_LEAK)
-    poked = account(t, CostConfig(leakage_base_mw=0.0, penalty_factor=0.5))
-    assert poked.total_latency_ns == pytest.approx(1.5 * base.total_latency_ns)
-    assert poked.dynamic_energy_nj == pytest.approx(1.5 * base.dynamic_energy_nj)
-    assert poked.mbr == pytest.approx(base.mbr)
-    assert poked.rur == pytest.approx(base.rur)
-
-
 def test_memory_wall_metrics_extremes():
     cfg = CostConfig()
     all_xfer = account(make_trace([(tr.STAGE_IO, tr.XFER, 100)]), cfg)
@@ -131,11 +121,11 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         CostConfig(leakage_base_mw=-1.0)
     with pytest.raises(ConfigError):
-        CostConfig(penalty_factor=-0.1)
-    with pytest.raises(ConfigError):
         ClassCost(-1.0, 0.0)
     with pytest.raises(ConfigError):
         CostConfig.from_dict({"bogus_key": 1.0})
+    with pytest.raises(ConfigError, match="unknown cost-config key 'penalty_factor'"):
+        CostConfig.from_dict({"penalty_factor": 0.0})
     with pytest.raises(ConfigError):
         CostConfig.from_dict({"r_latency_ns": True})
 
@@ -149,13 +139,16 @@ def test_config_dict_round_trip():
 
 
 def test_config_json_round_trip(tmp_path):
-    cfg = CostConfig.from_dict({"w_energy_nj": 0.5, "penalty_factor": 0.25})
+    cfg = CostConfig.from_dict({"w_energy_nj": 0.5, "parallel_fraction": 0.25})
     path = tmp_path / "cost.json"
     cfg.to_json(path)
     assert CostConfig.from_json(path) == cfg
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]\n")
     with pytest.raises(ConfigError):
+        CostConfig.from_json(bad)
+    bad.write_text(">r\nACGT\n")
+    with pytest.raises(ConfigError, match="not valid JSON"):
         CostConfig.from_json(bad)
 
 
