@@ -25,7 +25,18 @@ trail per surplus unit, or one Euler circuit when there is none, walked
 bridge-aware. Each walked unit decrements its multiplicity word in memory,
 and only that word: the multiplicity words hold the edge units left, and
 per node they sum to its out-degree. So the walk must leave every one of
-them at zero, and every distinct k-mer ends up in some contig.
+them at zero, and every distinct k-mer ends up in some contig. A candidate
+step is a bridge only if its edge holds its last unit and leads to another
+node, and then exactly when a search from the walk's node, stopping at the
+edge's head, no longer finds it.
+
+A bit-serial add costs one cycle and two writes per bit plane, so every
+vertical word is as wide as the values it holds, and no wider. A
+multiplicity word takes the bit length of the largest multiplicity, and
+the store narrows when a rewrite lowers it; a degree word takes the bit
+length of the largest degree plus one, the largest value the start probe
+forms. Each add's carry-out is checked: a decrement that does not carry
+spent a zero word, and an in + 1 that does overflowed its word.
 
 Every store takes its rows from one allocator, `_RowBank`, which hands
 out rows of one region (a hash group's key rows, or a plain sub-array's
@@ -331,9 +342,10 @@ class _GraphStore:
 
     One width-bit multiplicity word per edge: edge e sits in column
     e % cols of stripe e // cols, where `stripes` lists each stripe's
-    (sub-array id, LSB row). `mult` mirrors the values the words hold until
-    a walk spends them. The store also keeps the last find_start pass until
-    a walk consumes it.
+    (sub-array id, LSB row). `width` is the bit length of the largest value
+    in `mult`, which mirrors the values the words hold until a walk spends
+    them; every read, write and decrement moves that many planes. The store
+    also keeps the last find_start pass until a walk consumes it.
     """
 
     def __init__(
@@ -355,7 +367,12 @@ class _GraphStore:
 
     def write(self, values: dict[int, int]) -> None:
         """Set the listed edges' words and their mirror, {edge: value}: one
-        write_vwords per stripe the edges touch."""
+        write_vwords per stripe the edges touch, at the current width.
+
+        The store then narrows to the bit length of its largest value. Every
+        word written here filled the old width, and every other word already
+        fits the new one, so the planes it drops hold zeros.
+        """
         per: dict[int, dict[int, int]] = {}
         for e, value in values.items():
             stripe, col = divmod(e, self.machine.cols)
@@ -364,12 +381,18 @@ class _GraphStore:
         for stripe, words in per.items():
             sid, lsb = self.stripes[stripe]
             self.machine.write_vwords(sid, lsb, self.width, words)
+        self.width = max(self.mult, default=0).bit_length()
 
     def spend(self, e: int) -> None:
-        """Decrement edge e's word in place, leaving the mirror alone."""
+        """Decrement edge e's word in place, leaving the mirror alone.
+
+        The decrement adds all-ones, which carries out of every nonzero
+        word: no carry means the walk spent a unit the word did not hold.
+        """
         stripe, col = divmod(e, self.machine.cols)
         sid, lsb = self.stripes[stripe]
-        self.machine.add_const_cols(sid, lsb, self.width, [col], -1)
+        if not self.machine.add_const_cols(sid, lsb, self.width, [col], -1)[col]:
+            raise ConsistencyError(f"the walk spent edge {e}, whose multiplicity word is zero")
 
 
 # ---------------------------------------------------------------------------
@@ -606,22 +629,20 @@ class Assembler:
                     if g.node_id(label) == len(sources):
                         sources.append(MemAddress(sid, row, col + offset, width))
                 g.add_edge(prefix, suffix, expect)
-            g.store = self._place(g, sources, table.value_width)
+            g.store = self._place(g, sources)
         log.info("graph: %d nodes, %d edges", len(g.nodes), g.edge_count)
         return g
 
-    def _place(
-        self, g: SparseGraph, sources: list[MemAddress | int], width: int
-    ) -> _GraphStore:
+    def _place(self, g: SparseGraph, sources: list[MemAddress | int]) -> _GraphStore:
         """Place g on this machine: one label per node, one word per edge.
 
         Each node's label takes its own rows from one bank and is copied in
         from its source, `sources[node id]`: a key slot's prefix or suffix
         bits in the hash store, or the label's own bits as an immediate. The
         written bits must read back as the label. Then each edge gets one
-        width-bit multiplicity word, one width-row stripe per `cols` edges,
-        each edge's word in its own column: one write_vwords (width W) per
-        stripe.
+        multiplicity word as wide as the largest multiplicity's bit length,
+        one word-high stripe per `cols` edges, each edge's word in its own
+        column: one write_vwords (width W) per stripe.
         """
         m = self.machine
         labels = _RowBank(self)
@@ -637,6 +658,7 @@ class Assembler:
                 stored |= cells[row + i] << off
             if stored & ((1 << nbits) - 1) != lab.bits:
                 raise ConsistencyError(f"label of {lab.to_str()} stored corrupted")
+        width = max(g.mult, default=1).bit_length()
         words = _RowBank(self)
         stripes = [words.alloc(width) for _ in range(0, g.edge_count, m.cols)]
         store = _GraphStore(m, stripes, width, list(g.mult))
@@ -646,8 +668,7 @@ class Assembler:
     def _ensure_store(self, g: SparseGraph) -> _GraphStore:
         """g's placement on this machine, host-placing g first if it has none."""
         if g.store is None or g.store.machine is not self.machine:
-            width = max(8, max(g.mult, default=1).bit_length())
-            g.store = self._place(g, [lab.bits for lab in g.nodes], width)
+            g.store = self._place(g, [lab.bits for lab in g.nodes])
         return g.store
 
     # -- optional stage 2.5: chain merging --
@@ -727,15 +748,17 @@ class Assembler:
         once and checks it against the mirror, stages the words into a
         scratch word plane, and adds them into the out/in counter words one
         occupancy rank at a time, so a whole sub-array row of nodes advances
-        per add. A repeat pass on the same placement (after some words were
-        rewritten, say) reuses the degree region and allocates nothing: it
-        zeroes and re-accumulates only the columns of `nodes` (every node
-        by default) with masked writes, and the other nodes keep the last
-        pass's words. A change of word width re-accumulates every node. The
-        read-back and the start test still cover every column: the test
-        compares out against in+1 with one compare cycle per bit plane. The
-        edge-unit total needs no word of its own: it is the sum of the
-        out-degree words. Any degree sequence is accepted: the starts list
+        per add. The degree words are (largest degree + 1).bit_length()
+        bits wide, just enough for the start probe's in + 1. A repeat pass
+        on the same placement (after some words were rewritten, say) reuses
+        the degree region and allocates nothing: it zeroes and
+        re-accumulates only the columns of `nodes` (every node by default)
+        with masked writes, and the other nodes keep the last pass's words.
+        A change of word width re-accumulates every node. The read-back and
+        the start test still cover every column: the test compares out
+        against in+1 with one compare cycle per bit plane, and an in + 1
+        that carries out raises ConsistencyError. The edge-unit total needs
+        no word of its own: it is the sum of the out-degree words. Any degree sequence is accepted: the starts list
         every node once per unit of outgoing surplus, in ascending order,
         from the host degree lists the fabric planes were just checked
         against, so an Euler path is the case of one start or none. The
@@ -754,7 +777,7 @@ class Assembler:
             n = len(g.nodes)
             host_out, host_in = g.degrees(store.mult)
             maxdeg = max(max(host_out, default=0), max(host_in, default=0))
-            w_deg = max(8, (maxdeg + 1).bit_length() + 1)
+            w_deg = (maxdeg + 1).bit_length()  # the probe's in + 1 fits
             lay = RowLayout.default(m.rows)
             if 4 * w_deg > len(lay.data_region):
                 raise CapacityError("degree counters taller than the data region")
@@ -824,7 +847,8 @@ class Assembler:
                         MemAddress(sid, tmp_base + i, 0, m.cols),
                         MemAddress(sid, in_base + i, 0, m.cols),
                     )
-                m.add_const_cols(sid, tmp_base, w_deg, node_cols, 1)
+                if any(m.add_const_cols(sid, tmp_base, w_deg, node_cols, 1).values()):
+                    raise ConsistencyError("start probe's in + 1 overflowed its degree word")
                 agree = ~0
                 for i in range(w_deg):
                     res = m.cmp(
@@ -859,14 +883,18 @@ class Assembler:
         multiplicity words, so one call walks every component of g. The
         walk keeps per-node lists of out- and in-edge ids. Neighbours are
         tried in ascending node id; a candidate is taken if removing one
-        unit of its first edge holding units keeps the rest reachable (one
-        undirected reachability pass before and one after, each charging a
-        controller op per visited node), and the lowest neighbour is the
-        fallback when every choice burns a bridge. Every traversed unit
-        decrements its multiplicity word in fabric, and nothing else: the
-        choices come from the host mirror of the units left, and per node
-        the multiplicity words sum to the out-degree. The walk then reads
-        every multiplicity stripe back and requires every word to be zero.
+        unit of its first edge holding units keeps the rest connected, and
+        the lowest neighbour is the fallback when every choice burns a
+        bridge. An edge that keeps a unit, or a self-loop, never
+        disconnects anything; otherwise the unit is removed and an
+        undirected search from the walk's node looks for the edge's head,
+        stopping once it finds it and charging a controller op per node it
+        reaches. Every traversed unit decrements its multiplicity word in
+        fabric, and nothing else: the choices come from the host mirror of
+        the units left, and per node the multiplicity words sum to the
+        out-degree. A decrement that does not carry out found a zero word
+        and raises ConsistencyError. The walk then reads every multiplicity
+        stripe back and requires every word to be zero.
         The walk consumes the degree pass, so walking g again re-runs
         find_start, which raises ConsistencyError on the spent words.
         """
@@ -886,22 +914,34 @@ class Assembler:
                 in_e[v].append(e)
             rem = list(store.mult)
 
-            def reach(x0: int) -> int:
-                """Nodes reachable from x0 over edges holding units, either way."""
-                seen = {x0}
-                stack = [x0]
-                while stack:
-                    x = stack.pop()
-                    for e in out_e[x]:
-                        if rem[e] and dst[e] not in seen:
-                            seen.add(dst[e])
-                            stack.append(dst[e])
-                    for e in in_e[x]:
-                        if rem[e] and src[e] not in seen:
-                            seen.add(src[e])
-                            stack.append(src[e])
+            def neighbours(x: int):
+                """x's neighbours over edges holding units, either way."""
+                for e in out_e[x]:
+                    if rem[e]:
+                        yield dst[e]
+                for e in in_e[x]:
+                    if rem[e]:
+                        yield src[e]
+
+            def bridge(u: int, e: int) -> bool:
+                """Whether spending one unit of e, out of u, disconnects the units
+                left: exactly when e's head is then unreachable from u."""
+                c = dst[e]
+                if rem[e] >= 2 or c == u:  # a unit stays on e, or e is a loop
+                    return False
+                rem[e] -= 1
+                seen = {u}
+                stack = [u]
+                while stack and c not in seen:
+                    for y in neighbours(stack.pop()):
+                        if y not in seen:
+                            seen.add(y)
+                            if y == c:
+                                break
+                            stack.append(y)
+                rem[e] += 1
                 m.dpu_charge(len(seen))
-                return len(seen)
+                return c not in seen
 
             total = sum(rem)
             lowest = 0  # units only shrink, so the lowest holder never falls
@@ -924,14 +964,7 @@ class Assembler:
                     nbrs = sorted(first)
                     v = nbrs[0]
                     if len(nbrs) > 1:
-                        for c in nbrs:
-                            before = reach(u)
-                            rem[first[c]] -= 1
-                            after = reach(u)
-                            rem[first[c]] += 1
-                            if after == before:
-                                v = c
-                                break
+                        v = next((c for c in nbrs if not bridge(u, first[c])), v)
                     e = first[v]
                     store.spend(e)
                     rem[e] -= 1
@@ -956,9 +989,11 @@ class Assembler:
         The traverse stage runs once over the whole graph. A component whose
         multiplicity-weighted outgoing surplus sums to more than one admits
         no Euler path, so its multiplicity words are rewritten to one in
-        place and a second find_start, on the first one's degree region,
-        re-accumulates only the retried components' nodes; components that
-        pass keep their words and degrees. One fleury call then covers
+        place (the store then narrows to its largest remaining word) and a
+        second find_start, on the first one's degree region, re-accumulates
+        only the retried components' nodes, or every node if the degree
+        word width changed; components that pass keep their words and
+        degrees. One fleury call then covers
         every component with trails, one contig each, so every distinct
         k-mer of the reads lands in some contig; an edge-less component (a
         chain that simplify merged into one node) is a single-node path.

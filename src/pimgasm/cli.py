@@ -1,7 +1,9 @@
 """Command-line surface: assemble reads, generate workloads, sweep, verify.
 
-Exit codes: 0 success, 1 self-check failure, 2 parse error, 3 capacity
-error, 4 configuration error.
+Exit codes: 0 success, 1 self-check failure, 2 input parse error (a read
+file that is missing, unreadable or malformed), 3 capacity error,
+4 configuration error (a cost config that is missing, unreadable or
+invalid among them), 5 output error (an output path that cannot be written).
 """
 
 from __future__ import annotations
@@ -17,12 +19,10 @@ from .assembly import Assembler
 from .errors import (
     CapacityError,
     ConfigError,
-    ConsistencyError,
     ParseError,
     ShapeError,
     SimError,
     SizeError,
-    StateError,
 )
 from .fabric import AND3_CFG, MAJ_CFG, OR3_CFG, XOR3_CFG, RowLayout, SubArray
 from .trace import OpTrace
@@ -34,6 +34,17 @@ EXIT_SELFCHECK = 1
 EXIT_PARSE = 2
 EXIT_CAPACITY = 3
 EXIT_CONFIG = 4
+EXIT_OUTPUT = 5
+
+# First match wins. Input readers turn their OSErrors into ParseError or
+# ConfigError, so an OSError that reaches main failed to write an output.
+EXIT_CODES = [
+    (ParseError, EXIT_PARSE),
+    (CapacityError, EXIT_CAPACITY),
+    ((ConfigError, SizeError, ShapeError), EXIT_CONFIG),
+    (SimError, EXIT_SELFCHECK),
+    (OSError, EXIT_OUTPUT),
+]
 
 
 def _check_run(args, k_list: list[int]) -> None:
@@ -253,21 +264,11 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except (ConfigError, SizeError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ConsistencyError, StateError, SimError) as exc:
-        print(f"self-check failure: {exc}", file=sys.stderr)
-        return EXIT_SELFCHECK
+    except (SimError, OSError) as exc:
+        code = next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
+        label = "self-check failure" if code == EXIT_SELFCHECK else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

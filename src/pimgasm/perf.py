@@ -141,6 +141,8 @@ class CostConfig:
                 d = json.load(fh)
         except ValueError as exc:  # undecodable bytes or malformed JSON
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
         if not isinstance(d, dict):
             raise ConfigError("cost config must be a JSON object")
         return cls.from_dict(d)

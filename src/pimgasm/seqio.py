@@ -14,14 +14,16 @@ def read_sequences(path) -> list[tuple[str, str]]:
     """Parse (name, raw sequence) records, sniffing FASTA vs FASTQ.
 
     FASTQ quality lines are length-checked and discarded. An empty file
-    yields no records; a file that is not UTF-8 text, or anything else
-    that does not start with '>' or '@', is a parse error.
+    yields no records; a file that cannot be read (missing, a directory),
+    is not UTF-8 text, or does not start with '>' or '@' is a parse error.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read ({exc.strerror})") from None
     stripped = text.lstrip()
     if not stripped:
         return []

@@ -12,7 +12,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pimgasm import mapping
@@ -446,18 +446,21 @@ def test_the_label_check_covers_every_row_of_a_long_label(chunk, monkeypatch):
 
 
 def test_multiplicity_words_cost_one_write_per_stripe_plane():
-    # 17 distinct 5-mers on 64 x 16: 17 edges take two 8-bit multiplicity
-    # stripes (16 + 1 words). The 17 edges form one path over 18 distinct
-    # 4-mer nodes, and each node's 8-bit label is copied out of the hash
-    # store once (1 R + 1 W), where copying two labels per edge cost 2 * 17.
-    # Each stripe costs 8 W however many words it holds: 18 + 2 * 8 graph W,
-    # where writing each word on its own would cost 18 + 17 * 8.
+    # 17 distinct 5-mers on 64 x 16: 17 edges take two multiplicity stripes
+    # (16 + 1 words). Every k-mer occurs once, so every word holds 1 and is
+    # 1.bit_length() = 1 bit wide, where the counters' 8 bits cost 8 planes.
+    # The 17 edges form one path over 18 distinct 4-mer nodes, and each
+    # node's 8-bit label is copied out of the hash store once (1 R + 1 W).
+    # Each stripe costs one W per bit plane however many words it holds:
+    # 18 + 2 * 1 graph W, where writing each word on its own would cost
+    # 18 + 17 * 1, and 8-bit stripes 18 + 2 * 8.
     genome = distinct_window_genome(21, 5, random.Random(5))
     asm, g = build_graph([genome], 5, rows=64, cols=16)
     assert g.edge_count == 17
     assert len(g.nodes) == 18
     assert len(g.store.stripes) == 2
-    assert asm.trace.total(tr.W, stage=tr.STAGE_GRAPH) == 18 + 2 * 8
+    assert g.store.width == 1
+    assert asm.trace.total(tr.W, stage=tr.STAGE_GRAPH) == 18 + 2 * 1
     assert g.store.read() == g.mult
 
 
@@ -611,7 +614,9 @@ def test_find_start_degrees_weight_multiplicity():
 
 
 def test_a_repeat_find_start_reuses_the_degree_region():
-    # 19 nodes on 16 columns: a two-sub-array degree region
+    # 18 nodes on 16 columns: a two-sub-array degree region. The largest
+    # degree is 2, so the start probe's in + 1 needs 3.bit_length() = 2-bit
+    # degree words.
     asm, g = build_graph(["ACGTTGCATGTCGACCATGGAT"], 5, rows=64, cols=16)
     w_before = asm.trace.total(tr.W, stage=tr.STAGE_TRAVERSE)
     first = asm.find_start(g)
@@ -619,6 +624,7 @@ def test_a_repeat_find_start_reuses_the_degree_region():
     assert words == g.degrees()
     sids = g.store.degree.sids
     assert len(sids) == 2
+    assert g.store.degree.w_deg == 2
     count = asm.machine.subarray_count
     w_first = asm.trace.total(tr.W, stage=tr.STAGE_TRAVERSE) - w_before
     second = asm.find_start(g)
@@ -626,27 +632,31 @@ def test_a_repeat_find_start_reuses_the_degree_region():
     assert g.store.degree.sids == sids
     assert second == first
     assert degree_words(asm, g) == words
-    # the same pass again, plus one charged write per cleared out/in row
+    # the same pass again, plus one charged write per cleared out/in row:
+    # 2 sub-arrays, 2 words of 2 rows each
     w_second = asm.trace.total(tr.W, stage=tr.STAGE_TRAVERSE) - w_before - w_first
-    assert w_second == w_first + len(sids) * 2 * 8
+    assert w_second == w_first + len(sids) * 2 * 2
     # the cleared words add up afresh: the walk spends every one of them
     [path] = asm.fleury(g)
     assert len(path.node_ids) == g.edge_count + 1
 
 
 def test_a_repeat_pass_on_a_new_word_width_redoes_every_node():
-    # a 200-unit self-loop needs 9-bit degree words; rewritten to one unit
-    # it needs 8, so the kept words of the other node would sit on the old
-    # rows: the pass re-accumulates every node, whatever `nodes` says
+    # a 200-unit self-loop takes 8-bit multiplicity words and, for the
+    # probe's in + 1 = 201, 8-bit degree words. Rewritten to one unit, the
+    # largest word is CC's 2, so the store narrows to 2 bits and the degree
+    # words to 3.bit_length() = 2 bits; the kept words of CC would sit on
+    # the old rows: the pass re-accumulates every node, whatever `nodes` says
     asm = make_asm(rows=64, cols=16)
     g = SparseGraph(k=3)
     g.add_edge(E("AA"), E("AA"), mult=200)
     g.add_edge(E("CC"), E("CC"), mult=2)
     assert asm.find_start(g) == []
-    assert g.store.degree.w_deg == 9
+    assert (g.store.width, g.store.degree.w_deg) == (8, 8)
     g.store.write({0: 1})
+    assert g.store.width == 2
     assert asm.find_start(g, [0]) == []
-    assert g.store.degree.w_deg == 8
+    assert g.store.degree.w_deg == 2
     assert degree_words(asm, g) == g.degrees(g.store.mult) == ([1, 2], [1, 2])
 
 
@@ -664,6 +674,30 @@ def test_fleury_prefers_non_bridge_edges():
     g.add_edge(lc, la)        # 2 -> 0
     [path] = asm.fleury(g)
     assert path.node_ids == [0, 2, 0, 1]
+
+
+def test_bridge_tests_search_only_single_unit_edges_to_other_nodes():
+    # A=0, C=1, G=2; a circuit, so the walk starts at A. At A the loop is
+    # tried first and is never a bridge; next C, whose edge still holds 2
+    # units; both are taken without a search. Back at A, C's last unit is
+    # searched for: from A, out to G, in from C (its edge back still holds
+    # a unit), found after 3 nodes, 3 DPU. Then A, G, A with one neighbour
+    # each. 8 path nodes, one DPU each: 8 + 3 = 11. Searching the loop too
+    # would add 1 (A itself), and C's first unit 2 (A, C).
+    asm = make_asm(rows=64, cols=16)
+    g = SparseGraph()
+    a, c, gg = E("A"), E("C"), E("G")
+    g.add_edge(a, a)
+    g.add_edge(a, c, mult=2)
+    g.add_edge(c, a, mult=2)
+    g.add_edge(a, gg)
+    g.add_edge(gg, a)
+    asm.find_start(g)
+    before = asm.trace.total(tr.DPU, stage=tr.STAGE_TRAVERSE)
+    [path] = asm.fleury(g)
+    assert path.node_ids == [0, 0, 1, 0, 1, 0, 2, 0]
+    assert path.node_ids == two_pass_fleury(g, g.mult)[0]
+    assert asm.trace.total(tr.DPU, stage=tr.STAGE_TRAVERSE) - before == 11
 
 
 def test_fleury_consumes_multiplicity():
@@ -712,40 +746,45 @@ def traverse_totals(trace):
 
 
 def test_walk_cost_oracle_on_a_path():
-    # AC -> CG -> GT on 64 x 16: 3 nodes in one degree sub-array, 8-bit
-    # multiplicity and degree words (w = 8).
+    # AC -> CG -> GT on 64 x 16: 3 nodes in one degree sub-array. The unit
+    # multiplicity words are 1 bit wide (w = 1); the largest degree is 1,
+    # so the probe's in + 1 needs 2-bit degree words (d = 2).
     asm = make_asm(rows=64, cols=16)
     g = path_graph("AC", "CG", "GT")
     asm.find_start(g)
-    # host placement: 3 label W + one 2-word stripe, 8 W  -> 11 W
-    # one read of that stripe, 8 R, checked against the mirror
-    # out and in passes, one rank each: 8 staging W, one add
-    #   (8 C_ADD + 16 W)                              -> 48 W, 16 C_ADD
-    # read-back of the out and in planes             -> 16 R
-    # start probe: copy in -> tmp (8 R + 8 W), +1 (8 C_ADD + 16 W),
-    #   8 plane compares (8 C_ADD + 8 DPU), 1 DPU     -> 8 R, 24 W, 16 C_ADD, 9 DPU
-    assert traverse_totals(asm.trace) == {tr.R: 32, tr.W: 83, tr.C_ADD: 32, tr.DPU: 9}
+    # host placement: 3 label W + one 2-word stripe, w = 1 W  -> 4 W
+    # one read of that stripe, 1 R, checked against the mirror
+    # out and in passes, one rank each: d = 2 staging W, one add
+    #   (2 C_ADD + 4 W)                               -> 12 W, 4 C_ADD
+    # read-back of the out and in planes             -> 4 R
+    # start probe: copy in -> tmp (2 R + 2 W), +1 (2 C_ADD + 4 W),
+    #   2 plane compares (2 C_ADD + 2 DPU), 1 DPU     -> 2 R, 6 W, 4 C_ADD, 3 DPU
+    assert traverse_totals(asm.trace) == {tr.R: 7, tr.W: 22, tr.C_ADD: 8, tr.DPU: 3}
     [path] = asm.fleury(g)
     assert path.node_ids == [0, 1, 2]
-    # 2 units, each decrementing its multiplicity word only
-    #   (2 * (8 C_ADD + 16 W)), 3 loop DPU, and the end-of-walk read of the
-    #   8 planes of the one multiplicity stripe
-    assert traverse_totals(asm.trace) == {tr.R: 40, tr.W: 115, tr.C_ADD: 48, tr.DPU: 12}
+    # 2 units, each decrementing its 1-bit multiplicity word only
+    #   (2 * (1 C_ADD + 2 W)), 3 loop DPU, no bridge test (one neighbour at
+    #   every step), and the end-of-walk read of the 1 plane of the stripe
+    assert traverse_totals(asm.trace) == {tr.R: 8, tr.W: 26, tr.C_ADD: 10, tr.DPU: 6}
 
 
-@pytest.mark.parametrize("edge, word", [(0, 2), (1, 0), (16, 3), (17, 255)])
+@pytest.mark.parametrize("edge, word", [(0, 2), (1, 3), (16, 3), (18, 3)])
 def test_walk_end_check_reads_every_multiplicity_word(edge, word):
-    # 18 unit edges on 16 columns: two multiplicity stripes. The corrupted
-    # word is set after find_start checked it, so the walk spends the
-    # mirror's one unit and leaves the fabric word at word - 1 (mod 256),
-    # which the end check must find in whichever stripe it sits.
+    # 18 unit edges AAA -> AAC -> ... on 16 columns, then edge 18, a 2-unit
+    # self-loop on AAA: two multiplicity stripes of 2-bit words, which hold
+    # 0 to 3. The corrupted word is set after find_start checked it, so the
+    # walk spends the mirror's units (1, or 2 on the loop) and leaves the
+    # fabric word at word - units > 0, which the end check must find in
+    # whichever stripe it sits.
     asm = make_asm(rows=64, cols=16)
     labels = ["".join(p) for p in itertools.product("ACGT", repeat=3)][:19]
     g = path_graph(*labels)
+    g.add_edge(E("AAA"), E("AAA"), mult=2)
     asm.find_start(g)
+    assert g.store.width == 2
     sid, lsb = g.store.stripes[edge // 16]
     asm.machine.write_vwords(sid, lsb, g.store.width, {edge % 16: word})
-    left = (word - 1) % 256
+    left = word - g.mult[edge]
     with pytest.raises(ConsistencyError, match=f"edge {edge} reads {left} after the walk"):
         asm.fleury(g)
 
@@ -762,6 +801,36 @@ def test_a_walked_graph_cannot_be_walked_again():
     with pytest.raises(ConsistencyError, match="multiplicity word"):
         asm.find_start(g)
     assert g.store.read() == [0]
+
+
+def test_spending_a_zero_word_raises_at_that_step():
+    # the walk decrements by adding all-ones, which carries out of every
+    # nonzero word; a word zeroed behind the mirror's back gives no carry.
+    # Unchecked, it would wrap to 1 and only the end check would see it.
+    asm = make_asm(rows=64, cols=16)
+    g = path_graph("AC", "CG", "GT")
+    asm.find_start(g)
+    sid, lsb = g.store.stripes[0]
+    asm.machine.write_vwords(sid, lsb, g.store.width, {1: 0})
+    with pytest.raises(ConsistencyError, match="spent edge 1, whose multiplicity word is zero"):
+        asm.fleury(g)
+
+
+def test_a_start_probe_that_overflows_raises(monkeypatch):
+    # every in-degree plane reads all-ones as the probe copies it, so in + 1
+    # carries out of the exact-width degree words. Unchecked, the wrapped
+    # sums would only show up as a start list that disagrees with the mirror.
+    asm, g = build_graph(["CGTGTGCA"], 5, rows=64, cols=16)
+    m = asm.machine
+    copy = m.mem_insert
+
+    def saturate_then_copy(dst, src, size=None):
+        m.subarray(src.subarray_id).cells[src.row] = (1 << m.cols) - 1
+        copy(dst, src, size)
+
+    monkeypatch.setattr(m, "mem_insert", saturate_then_copy)
+    with pytest.raises(ConsistencyError, match="in \\+ 1 overflowed"):
+        asm.find_start(g)
 
 
 def random_eulerian_graph(rng, n_nodes, n_steps):
@@ -824,6 +893,118 @@ def test_fleury_covers_random_eulerian_multigraphs():
             expected[(u, v)] += mult
         assert walked == expected
         assert len(paths) == max(1, total_surplus(g))
+
+
+def two_pass_fleury(g, mult):
+    """Host oracle: the walk with its old bridge test, two full reachability
+    passes per candidate. A candidate is a bridge when spending one unit of
+    its edge shrinks the set of nodes reachable from u, either way."""
+    n = len(g.nodes)
+    src, dst = g.edge_src, g.edge_dst
+    out_e = [[] for _ in range(n)]
+    in_e = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(zip(src, dst)):
+        out_e[u].append(e)
+        in_e[v].append(e)
+    rem = list(mult)
+
+    def reach(x0):
+        seen = {x0}
+        stack = [x0]
+        while stack:
+            x = stack.pop()
+            for e in out_e[x]:
+                if rem[e] and dst[e] not in seen:
+                    seen.add(dst[e])
+                    stack.append(dst[e])
+            for e in in_e[x]:
+                if rem[e] and src[e] not in seen:
+                    seen.add(src[e])
+                    stack.append(src[e])
+        return len(seen)
+
+    out_d, in_d = g.degrees(mult)
+    starts = iter([i for i in range(n) for _ in range(out_d[i] - in_d[i])])
+    total = sum(rem)
+    paths = []
+    while total:
+        u = next(starts, None)
+        if u is None:
+            u = min(x for x in range(n) if any(rem[e] for e in out_e[x]))
+        path = [u]
+        while True:
+            first = {}
+            for e in out_e[u]:
+                if rem[e]:
+                    first.setdefault(dst[e], e)
+            if not first:
+                break
+            nbrs = sorted(first)
+            v = nbrs[0]
+            if len(nbrs) > 1:
+                for c in nbrs:
+                    before = reach(u)
+                    rem[first[c]] -= 1
+                    after = reach(u)
+                    rem[first[c]] += 1
+                    if after == before:
+                        v = c
+                        break
+            rem[first[v]] -= 1
+            total -= 1
+            u = v
+            path.append(v)
+        paths.append(path)
+    return paths
+
+
+# 1 and every 2^j - 1 and 2^j up to 255: the values whose bit length a
+# width rule that is off by one would get wrong
+BOUNDARY = [1] + [v for j in range(1, 8) for v in (2**j - 1, 2**j)] + [255]
+
+
+@st.composite
+def boundary_multigraphs(draw):
+    """A multigraph on up to 5 nodes with boundary multiplicities, one node
+    raised by a self-loop to a boundary degree, and the edges a retry
+    would rewrite to one unit."""
+    labels = ["".join(p) for p in itertools.product("ACGT", repeat=3)]
+    n = draw(st.integers(1, 5))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node, st.sampled_from(BOUNDARY)), max_size=4))
+    x, degree = draw(node), draw(st.sampled_from(BOUNDARY))
+    out_x = sum(m for u, _, m in edges if u == x)
+    in_x = sum(m for _, v, m in edges if v == x)
+    if degree > max(out_x, in_x):
+        edges.append((x, x, degree - max(out_x, in_x)))
+    g = SparseGraph()
+    for u, v, m in edges:
+        g.add_edge(E(labels[u]), E(labels[v]), mult=m)
+    rewrite = draw(st.sets(st.integers(0, len(edges) - 1)))
+    return g, rewrite
+
+
+@given(case=boundary_multigraphs())
+@settings(max_examples=50, deadline=None)
+def test_word_widths_and_the_bridge_test_at_boundary_values(case):
+    g, rewrite = case
+    assume(max(max(d) for d in g.degrees()) <= 255)
+    asm = make_asm(rows=64, cols=4)  # several stripes and degree sub-arrays
+
+    def degree_pass(nodes=None):
+        asm.find_start(g, nodes)
+        out_d, in_d = g.degrees(g.store.mult)
+        assert degree_words(asm, g) == (out_d, in_d)
+        assert g.store.width == max(g.store.mult).bit_length()
+        assert g.store.degree.w_deg == (max(out_d + in_d) + 1).bit_length()
+
+    degree_pass()
+    if rewrite:
+        g.store.write({e: 1 for e in rewrite})
+        degree_pass({x for e in rewrite for x in (g.edge_src[e], g.edge_dst[e])})
+    want = two_pass_fleury(g, g.store.mult)
+    assert [p.node_ids for p in asm.fleury(g)] == want
+    assert g.store.read() == [0] * g.edge_count
 
 
 # ---- path merging and components -------------------------------------------
@@ -896,19 +1077,22 @@ def test_only_the_retried_component_walks_unit_words():
     asm.find_start = costed_pass
     result = asm.assemble([E("GAAAAG")] + [E("CGT")] * 3, 3)
     assert walked_words == [1, 2, 1, 1]
-    # 5 nodes in one degree sub-array, 4 edges in one stripe, 8-bit words.
-    # Every pass reads the stripe (8 R) and the out and in planes (16 R),
-    # and runs the start probe on all columns (8 R, 24 W, 16 C_ADD, 9 DPU).
-    # A wave stages and adds one word per column: 8 + 16 W, 8 C_ADD. AA has
+    # 5 nodes in one degree sub-array, 4 edges in one stripe. The words hold
+    # 1, 2, 1, 3: 2 bits wide, narrowed to 2.bit_length() = 2 by the retry.
+    # AA's in- and out-degree is 3 in both passes, so the probe's in + 1
+    # needs 4.bit_length() = 3-bit degree words (d = 3) both times.
+    # Every pass reads the stripe (2 R) and the out and in planes (6 R),
+    # and runs the start probe on all columns (3 R, 3 + 6 W, 6 C_ADD, 4 DPU).
+    # A wave stages and adds one word per column: 3 + 6 W, 3 C_ADD. AA has
     # two out- and two in-edges, so the first pass runs 2 + 2 waves:
-    #   W 4 * 24 + 24 = 120, C_ADD 4 * 8 + 16 = 48
-    # The second pass zeroes the out and in rows of CG and GT only (16
+    #   W 4 * 9 + 9 = 45, C_ADD 4 * 3 + 6 = 18
+    # The second pass zeroes the out and in rows of CG and GT only (6
     # masked W) and redoes only their one edge, 1 + 1 waves; re-adding the
-    # passing component too would cost 2 more waves (+48 W, +16 C_ADD).
-    #   W 16 + 2 * 24 + 24 = 88, C_ADD 2 * 8 + 16 = 32
+    # passing component too would cost 2 more waves (+18 W, +6 C_ADD).
+    #   W 6 + 2 * 9 + 9 = 33, C_ADD 2 * 3 + 6 = 12
     assert pass_costs == [
-        {tr.R: 32, tr.W: 120, tr.C_ADD: 48, tr.DPU: 9},
-        {tr.R: 32, tr.W: 88, tr.C_ADD: 32, tr.DPU: 9},
+        {tr.R: 11, tr.W: 45, tr.C_ADD: 18, tr.DPU: 4},
+        {tr.R: 11, tr.W: 33, tr.C_ADD: 12, tr.DPU: 4},
     ]
     assert result.graph.store.mult == [1, 2, 1, 1]
     assert result.graph.mult == [1, 2, 1, 3]  # the graph keeps its counts
@@ -1153,6 +1337,39 @@ _UNIT_RUNG = (
 #   graph W     590 - 2 * 259 + 259 =  331  (the 9 stripes' 72 W stay)
 #   sub-arrays  label rows 518 -> 259: ceil(518 / 58) = 9 -> ceil(259 / 58)
 #                 = 5, so 30 -> 26 (simplify on: 24 -> 20)
+#
+# Words sized to their values, and one early-exit search per bridge test.
+# The largest count is 8, so the 9 multiplicity stripes are 4 bits wide,
+# not the counters' 8. The retry rewrites every word to one, and the store
+# narrows to 1 bit. Degree words are (largest degree + 1).bit_length() bits:
+# 4 in the first pass (largest degree 8), 2 in the second (largest 2), not
+# 8 both times. The width changes, so the second pass still redoes every
+# node, 22 waves each as before. Per degree sub-array and pass of d-bit
+# words: 3d R, 3d W, 2d C_ADD, d + 1 DPU for the read-back and the probe;
+# per wave 3d W and d C_ADD; clearing 2d W. simplify off:
+#   graph W      259 labels + 9 stripes * 4 rows          =   295
+#   sub-arrays   the word stripes take 36 rows, not 72: one sub-array of 58
+#                  data rows, not two, so 26 -> 25 (simplify on: 20 -> 19)
+#   R     pass 1: 9 * 4 stripe + 9 * 12 = 144; pass 2: 9 * 1 + 9 * 6 = 63;
+#         end check 9 * 1 = 9                              =   216
+#   W     pass 1: 9 * 12 + 22 * 12 = 372; retry rewrite at 4 bits 9 * 4 =
+#         36; pass 2: 9 * 4 clear + 9 * 6 + 22 * 6 = 222; 259 units * 2 W
+#         = 518                                            = 1,148
+#   C_ADD pass 1: 9 * 8 + 22 * 4 = 160; pass 2: 9 * 4 + 22 * 2 = 80;
+#         259 units * 1                                    =   499
+#   DPU   the probe compares 9 * (8 - 4) + 9 * (8 - 2) = 90 fewer. The walk
+#         tests four candidates, each of them a bridge, so the search never
+#         meets the edge's head and visits exactly the 41, 30, 41 and 31
+#         nodes the old second reach pass did; the first pass's 70, 70, 71
+#         and 71 are gone: 1,368 - 90 - 282               =   996
+# simplify on: the traverse stage host-places the 8 merged edges of
+# multiplicity 4 in one 3-bit stripe (3 W, not 8), rewrites it at 3 bits
+# and narrows it to 1; one degree sub-array, 4 waves per pass.
+#   W     25 labels + 3 + (12 + 4 * 12) + 3 + (4 + 6 + 4 * 6) + 8 * 2 = 141
+#   R     (3 + 12) + (1 + 6) + 1                           =    23
+#   C_ADD (8 + 4 * 4) + (4 + 4 * 2) + 8                    =    44
+#   DPU   56 - (8 - 4) - (8 - 2) - 6: two tests, each a bridge, search the
+#         3 nodes left, where 4 reach passes visited 3 each =   40
 LADDER = {
     False: (
         [
@@ -1162,13 +1379,13 @@ LADDER = {
             ("hashmap", "C_ADD", 12528),
             ("hashmap", "DPU", 9472),
             ("graph", "R", 363),
-            ("graph", "W", 331),
-            ("traverse", "DPU", 1368),
-            ("traverse", "R", 648),
-            ("traverse", "W", 5848),
-            ("traverse", "C_ADD", 2712),
+            ("graph", "W", 295),
+            ("traverse", "DPU", 996),
+            ("traverse", "R", 216),
+            ("traverse", "W", 1148),
+            ("traverse", "C_ADD", 499),
         ],
-        26,
+        25,
         [
             "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
             "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCG",
@@ -1187,14 +1404,14 @@ LADDER = {
             ("hashmap", "C_ADD", 12528),
             ("hashmap", "DPU", 9472),
             ("graph", "R", 622),
-            ("graph", "W", 331),
+            ("graph", "W", 295),
             ("graph", "DPU", 518),
-            ("traverse", "DPU", 56),
-            ("traverse", "W", 425),
-            ("traverse", "R", 72),
-            ("traverse", "C_ADD", 160),
+            ("traverse", "DPU", 40),
+            ("traverse", "W", 141),
+            ("traverse", "R", 23),
+            ("traverse", "C_ADD", 44),
         ],
-        20,
+        19,
         [
             "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
             "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCGACGGAATTAGATCAGTTAAAT"

@@ -1,8 +1,12 @@
 """End-to-end command-line runs: files in, files out, exit codes."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pimgasm.cli import main
 from pimgasm.seqio import read_sequences
@@ -143,6 +147,37 @@ def test_assemble_maps_undecodable_inputs_to_exit_codes(
         cfg.write_bytes(cost_bytes)
         argv += ["--cost-config", cfg]
     assert run(argv) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["assemble", "{dir}", "--out", "{dir}/o"], 2),
+    (["assemble", "{ok}", "--cost-config", "{dir}/none.json", "--out", "{dir}/o"], 4),
+    (["assemble", "{ok}", "--out", "{dir}/none/o"], 5),
+    (["sweep", "{ok}", "--k-list", "5", "--out", "{dir}/none/o"], 5),
+    (["gen", "--length", "200", "--read-len", "50", "--out", "{dir}/none/o"], 5),
+], ids=["input-is-a-directory", "cost-config-missing", "assemble-out-dir-missing",
+        "sweep-out-dir-missing", "gen-out-dir-missing"])
+def test_file_failures_map_to_exit_codes(argv, code, tmp_path, capsys):
+    ok = tmp_path / "ok.fasta"
+    ok.write_text(">r\nCGTGTGCA\n")
+    argv = [a.format(dir=tmp_path, ok=ok) for a in argv]
+    if argv[0] != "gen":
+        argv += ["--k", "5", *SMALL]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@given(head=st.sampled_from([b">", b"@", b""]), body=st.binary(max_size=120))
+# capsys is drained by every example, so sharing it across examples is safe
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_assemble_takes_any_bytes_with_exit_0_or_2(head, body, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        reads = Path(tmp) / "reads.fa"
+        reads.write_bytes(head + body)
+        assert run(["assemble", reads, "--k", 3, *SMALL, "--out", Path(tmp) / "o"]) in (0, 2)
     assert "Traceback" not in capsys.readouterr().err
 
 
