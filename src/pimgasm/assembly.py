@@ -3,10 +3,13 @@
 Stage 1 counts k-mers in an associative hash store whose key rows hold
 several keys each, one per slot at a power-of-two column pitch. The store
 is cut into groups of sub-arrays, one group per sub-array's worth of
-distinct keys, and every group into one hash bucket per counter stripe, so
-a full bucket holds about one stripe of counters. A bucket takes key rows
-one at a time from its group's current sub-array, so the rows of a group's
-buckets interleave there, and a full group chains into a new sub-array.
+distinct keys, and every group into hash buckets. A host pre-scan of the
+distinct keys sizes the bucket directory (mapping.bucket_directory): the
+most buckets per group, from stripes * slots down by halves, under which
+every group fits in one sub-array, else one per counter stripe. A bucket
+takes key rows one at a time from its group's current sub-array, so the
+rows of a group's buckets interleave there, and a full group chains into a
+new sub-array, which only the one-per-stripe directory lets happen.
 Each query is written once into every slot of a temp row and compared
 against the occupied key rows of its own bucket only: one XNOR-compare
 cycle plus one AND-reduce per row checks every key in it, and only occupied
@@ -225,7 +228,12 @@ def contig_from_path(vertices: list[EncodedSeq], k: int) -> EncodedSeq:
 
 
 class KmerTable:
-    """Hash-store handle: ordered keys, where they sit, and counter access."""
+    """Hash-store handle: ordered keys, where they sit, and counter access.
+
+    `buckets` is the size of the bucket directory the keys were hashed
+    into, `buckets_per_group` of each group's share of it: bucket b lies in
+    group b // buckets_per_group.
+    """
 
     def __init__(self, k: int, layout: mapping.HashLayout, machine: Machine):
         self.k = k
@@ -236,6 +244,8 @@ class KmerTable:
         self.host_counts: dict[int, int] = {}   # packed key -> exact count
         self.total_kmers = 0
         self.saturated_keys = 0
+        self.buckets = 0
+        self.buckets_per_group = 0
 
     @property
     def value_width(self) -> int:
@@ -281,7 +291,7 @@ class KmerTable:
 
 
 class _Bucket:
-    """One counter stripe's worth of keys inside its group's sub-arrays.
+    """One directory entry's keys inside its group's sub-arrays.
 
     `rows` lists the bucket's key rows in scan order as (chain member, key
     row); `chain` holds the sub-array ids those members name, oldest
@@ -405,9 +415,10 @@ class Assembler:
     The hash store packs `slots` keys into each key row (see
     mapping.layout_hash), so a bucket scan costs one compare per occupied
     row, not one per key. It keeps ceil(distinct / capacity) groups of
-    sub-arrays and `stripes` buckets per group, so a probe scans about one
-    counter stripe of keys. Lookups use the host index to emit the scan
-    events in bulk and execute only the decisive row compare physically.
+    sub-arrays and as many buckets per group as the groups' sub-arrays can
+    hold without chaining (see build_kmer_table), so a probe scans a few
+    rows. Lookups use the host index to emit the scan events in bulk and
+    execute only the decisive row compare physically.
     Counter increments are batched per read: each read ends with one
     column-parallel add per (sub-array, counter stripe, amount), the amounts
     decided by the host mirror, which stops a counter at its cap.
@@ -450,19 +461,29 @@ class Assembler:
     # -- stage 1: k-mer counting --
 
     def build_kmer_table(self, reads: list[EncodedSeq], k: int) -> KmerTable:
+        """Count the reads' k-mers in a fabric hash store.
+
+        A host pre-scan hashes each distinct key once, with the miss path's
+        own hash, and mapping.bucket_directory sizes the groups and their
+        buckets from those hashes: at 1024 x 256 and k=25, 60 or 30 buckets
+        per group when every group then fits in one sub-array, else 15,
+        whose full groups chain. Each k-mer is then probed in read order,
+        and each read's counter increments are added at its end.
+        """
         layout = mapping.layout_hash((self.rows, self.cols), k, self.value_width)
         table = KmerTable(k, layout, self.machine)
         with self.machine.stage_scope(tr.STAGE_HASHMAP):
-            # host pre-scan sizes the bucket directory so sub-arrays fill
-            # densely instead of fragmenting across half-empty chains
-            distinct = len({w.bits for r in reads for w in extract_kmers(r, k)})
-            if distinct == 0:
+            distinct = {w.bits for r in reads for w in extract_kmers(r, k)}
+            if not distinct:
                 raise SizeError(f"no k-mers: every read is shorter than k={k}")
+            n_groups, table.buckets_per_group = mapping.bucket_directory(
+                layout, [mapping.stable_hash(bits, 2 * k, self.seed) for bits in distinct]
+            )
             groups = [
-                _RowBank(self, layout.row_layout, layout.kmer_rows)
-                for _ in range(math.ceil(distinct / layout.capacity))
+                _RowBank(self, layout.row_layout, layout.kmer_rows) for _ in range(n_groups)
             ]
-            buckets = [_Bucket() for _ in range(len(groups) * layout.stripes)]
+            table.buckets = n_groups * table.buckets_per_group
+            buckets = [_Bucket() for _ in range(table.buckets)]
             index: dict[int, tuple[int, int, int]] = {}
             adds = 0
             for read in reads:
@@ -473,9 +494,9 @@ class Assembler:
                 adds += self._add_counts(layout, pending)
         log.info(
             "k-mer table: %d queries, %d hits, %d counter adds, %d distinct, "
-            "%d groups, %d buckets, %d sub-arrays",
+            "%d groups, %d buckets (%d per group), %d sub-arrays",
             table.total_kmers, table.total_kmers - table.distinct(), adds,
-            table.distinct(), len(groups), len(buckets),
+            table.distinct(), len(groups), table.buckets, table.buckets_per_group,
             sum(len(g.sids) for g in groups),
         )
         return table
@@ -539,7 +560,7 @@ class Assembler:
         # the scan leaves the query in the temp row of the last chain member
         temp_sid = bucket.chain[-1] if bucket.chain else None
         if not bucket.rows or bucket.last_fill == lay.slots:
-            sid, row = groups[bucket_i // lay.stripes].alloc(1)
+            sid, row = groups[bucket_i // table.buckets_per_group].alloc(1)
             if sid != temp_sid:
                 bucket.chain.append(sid)
             bucket.rows.append((len(bucket.chain) - 1, row - lay.kmer_rows.start))

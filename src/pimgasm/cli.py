@@ -3,13 +3,16 @@
 Exit codes: 0 success, 1 self-check failure, 2 input parse error (a read
 file that is missing, unreadable or malformed), 3 capacity error,
 4 configuration error (a cost config that is missing, unreadable or
-invalid among them), 5 output error (an output path that cannot be written).
+invalid among them), 5 output error (an output path that cannot be written;
+assemble and sweep check their output directories before assembling).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
+import os
 import random
 import sys
 from dataclasses import replace
@@ -56,6 +59,20 @@ def _check_run(args, k_list: list[int]) -> None:
         raise ConfigError("sub-array geometry too small to be useful")
 
 
+def _check_outputs(*paths: str | None) -> None:
+    """Raise OSError (exit code 5) unless the directory of every given
+    output path exists and is writable, so that a bad path fails before
+    the assembly rather than after it."""
+    for path in paths:
+        if path is None:
+            continue
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise FileNotFoundError(errno.ENOENT, "no output directory", directory)
+        if not os.access(directory, os.W_OK):
+            raise PermissionError(errno.EACCES, "output directory not writable", directory)
+
+
 def _load_cost_config(args) -> perf.CostConfig:
     if args.cost_config:
         return perf.CostConfig.from_json(args.cost_config)
@@ -85,6 +102,7 @@ def cmd_assemble(args) -> int:
     reads, dropped = seqio.encode_records(records)
     if dropped:
         log.warning("dropped %d non-ACGT symbols (reads split at each)", dropped)
+    _check_outputs(args.out, args.dump_kmers, args.dump_graph)
     asm = Assembler(
         rows=args.rows, cols=args.cols, seed=args.seed, simplify=args.simplify
     )
@@ -145,6 +163,7 @@ def cmd_sweep(args) -> int:
     pd_list = _int_list(args.pd_list)
     records = seqio.read_sequences(args.input)
     reads, _ = seqio.encode_records(records)
+    _check_outputs(args.out)
     lines = ["k,pd,runtime_ns,avg_power_w,energy_nj"]
     for k in k_list:
         asm = Assembler(

@@ -6,12 +6,14 @@ vertical counter; counters sit in stripes of `value_width` rows, and key
 index j (row * slots + slot) owns the counter at stripe j // cols, column
 j % cols, which is injective because j = stripe*cols+col. Bucket hashes
 are seedable and multiplicative, never Python's randomized hash(), so runs
-reproduce byte for byte. Capacity planning sizes a whole-genome table.
+reproduce byte for byte. The bucket directory is sized from the keys'
+hashes, and capacity planning sizes a whole-genome table.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CapacityError, ConfigError, SizeError
@@ -168,6 +170,30 @@ def layout_hash(dims: tuple[int, int], k: int, value_width: int = 8) -> HashLayo
         pitch=pitch,
         slots=slots,
     )
+
+
+def bucket_directory(lay: HashLayout, hashes: list[int]) -> tuple[int, int]:
+    """(groups, buckets per group) of a hash store for keys with these hashes.
+
+    One group of sub-arrays per sub-array's worth of keys. A key with hash
+    h sits in bucket h % (groups * per_group), which belongs to group
+    bucket // per_group, and a bucket of n keys takes ceil(n / slots) key
+    rows. The buckets per group are the finest rung of stripes * slots,
+    stripes * slots / 2, ... under which every group's buckets fit in one
+    sub-array's key rows; when none fits, `stripes`, whose full groups
+    chain. A finer directory shortens every bucket scan, but it also
+    spreads each read's counter increments over more counter stripes.
+    """
+    groups = math.ceil(len(hashes) / lay.capacity)
+    for shift in range(lay.slots.bit_length() - 1):
+        per_group = lay.stripes * (lay.slots >> shift)
+        fill = Counter(h % (groups * per_group) for h in hashes)
+        rows = [0] * groups
+        for bucket, keys in fill.items():
+            rows[bucket // per_group] += math.ceil(keys / lay.slots)
+        if max(rows) <= len(lay.kmer_rows):
+            return groups, per_group
+    return groups, lay.stripes
 
 
 def subarrays_needed(n_items: int, f: int) -> int:

@@ -10,6 +10,7 @@ import logging
 import random
 import re
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -63,11 +64,8 @@ def make_asm(rows=128, cols=64, oracle=False, **kw):
 
 
 def bucket_of(table, key):
-    """Hash bucket of a key: one per counter stripe of each sub-array's
-    worth of distinct keys."""
-    lay = table.layout
-    n_buckets = -(-table.distinct() // lay.capacity) * lay.stripes
-    return mapping.stable_hash(key.bits, 2 * table.k) % n_buckets
+    """Hash bucket of a key in the table's bucket directory."""
+    return mapping.stable_hash(key.bits, 2 * table.k) % table.buckets
 
 
 def hashmap_totals(trace):
@@ -107,25 +105,29 @@ def test_kmer_counts_match_a_host_counter(reads, k):
 
 def test_insert_cost_oracle_single_read():
     # CGTGTGCA, k=5: four distinct k-mers in one sub-array of 5 counter
-    # stripes, so one group of 5 buckets. 10-bit keys at a 16-column pitch
-    # give 4 slots per 64-bit row. CGTGT and TGTGC hash to bucket 3, GTGTG
-    # to 1 and GTGCA to 0, so only TGTGC finds an occupied row (CGTGT's)
-    # to compare against. Each insert stages the query once, copies it
-    # into its slot, and seeds the counter LSB:
+    # stripes. 10-bit keys at a 16-column pitch give 4 slots per 64-bit
+    # row, so the finest rung, 5 * 4 = 20 buckets, fits the one group's 76
+    # key rows. CGTGT and TGTGC hash to bucket 8, GTGTG to 1 and GTGCA to
+    # 10, so only TGTGC finds an occupied row (CGTGT's) to compare against.
+    # Each insert stages the query once, copies it into its slot, and
+    # seeds the counter LSB:
     #   W = 4 * (temp + insert + counter) = 12,  R = 4 insert reads,
     #   C_ADD = DPU = 0 + 0 + 1 + 0 = 1.
     asm = make_asm()
     table = asm.build_kmer_table([E("CGTGTGCA")], 5)
-    assert [bucket_of(table, key) for key in table.keys] == [3, 1, 3, 0]
+    assert table.buckets == table.buckets_per_group == 20
+    assert [bucket_of(table, key) for key in table.keys] == [8, 1, 8, 10]
     assert hashmap_totals(asm.trace) == {tr.R: 4, tr.W: 12, tr.C_ADD: 1, tr.DPU: 1}
 
 
 def test_miss_cost_is_one_compare_per_occupied_row():
-    # k=5 on 64 columns: 4 slots per row, 304 keys and 5 counter stripes
-    # per sub-array, so every key below lands in one group of 5 buckets.
-    # The miss that inserts a key compares the query against the
-    # ceil(f/4) occupied rows of its own bucket, f the keys already in it.
-    seq = "ACGTTGCATGTCGACCATGGAT"
+    # k=5 on 64 columns: 4 slots per row, 304 keys in 76 key rows and 5
+    # counter stripes per sub-array, so every prefix below keeps one group
+    # and takes the finest rung, 5 * 4 = 20 buckets. The miss that inserts
+    # a key compares the query against the ceil(f/4) occupied rows of its
+    # own bucket, f the keys already in it. Of these 36 keys over 20
+    # buckets only the last finds a second row in its bucket (f = 5).
+    seq = "TTGGTGCATAGAGCCTGGGCGTTAACGCCCTTTATTACTA"
     kmers = [E(seq[i : i + 5]) for i in range(len(seq) - 4)]
     assert len({key.bits for key in kmers}) == len(kmers)
     prev = {tr.C_ADD: 0, tr.DPU: 0}
@@ -134,6 +136,7 @@ def test_miss_cost_is_one_compare_per_occupied_row():
         asm = make_asm()
         table = asm.build_kmer_table([E(seq[: j + 5])], 5)
         assert table.layout.slots == 4 and table.layout.stripes == 5
+        assert table.buckets == 20
         assert asm.machine.subarray_count == 1
         buckets = [bucket_of(table, key) for key in kmers[: j + 1]]
         f = buckets[:-1].count(buckets[-1])
@@ -215,6 +218,37 @@ def test_packed_rows_chain_buckets():
     assert asm.machine.subarray_count > -(-table.distinct() // table.layout.capacity)
 
 
+def _stripes_only(lay, hashes):
+    """The directory of one bucket per counter stripe, whatever the keys."""
+    return -(-len(hashes) // lay.capacity), lay.stripes
+
+
+@given(
+    reads=st.lists(st.text(alphabet="ACGT", min_size=1, max_size=60), min_size=1, max_size=12),
+    rows=st.sampled_from([24, 32, 48]),
+    k=st.integers(min_value=2, max_value=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_the_bucket_directory_never_costs_sub_arrays(reads, rows, k):
+    # 24 to 48 rows of 64 columns give 4, 8 or 16 slots per key row and 1
+    # to 3 counter stripes, so the ladder has 3 to 5 rungs; these read sets
+    # take one group or several, a finer rung or the fallback, which may chain
+    raw = [s for s in reads if len(s) >= k]
+    assume(raw)
+    asm, table = _count_both_ways(raw, k, rows=rows, cols=64)
+    lay = table.layout
+    groups = -(-table.distinct() // lay.capacity)
+    ladder = {lay.stripes * (lay.slots >> i) for i in range(lay.slots.bit_length())}
+    assert table.buckets_per_group in ladder
+    assert table.buckets == groups * table.buckets_per_group
+    if table.buckets_per_group > lay.stripes:  # a rung chosen because it fits
+        assert asm.machine.subarray_count <= groups
+    base = make_asm(rows=rows, cols=64)
+    with patch.object(mapping, "bucket_directory", _stripes_only):
+        assert base.build_kmer_table([E(s) for s in raw], k).buckets_per_group == lay.stripes
+    assert asm.machine.subarray_count <= base.machine.subarray_count
+
+
 def test_counters_read_back_to_the_highest_key_stripe():
     # Buckets interleave their rows, so the key inserted last into a
     # sub-array can sit in a lower counter stripe than its highest key:
@@ -240,11 +274,24 @@ class BucketRecorder(Assembler):
         super()._observe(table, groups, buckets, index, pending, kmer)
 
 
-@pytest.mark.parametrize("length", [150, 220, 230, 250, 300, 420])
+# 64 x 64 at k=5: 28 key rows of 4 slots and 3 counter stripes, so 112
+# keys per sub-array and a directory of 12, 6 or 3 buckets per group. Key
+# rows each group's buckets need, rung by rung (12 / 6 / 3), and the rung
+# taken, the finest whose every group fits in 28 rows:
+#   150: 140 keys, 2 groups  24,20 / 21,18 / 18,19                    -> 12
+#   220: 196 keys, 2 groups  26,30 / 28,25 / 29,22                    ->  6
+#   230: 207 keys, 2 groups  33,30 / 28,28 / 26,28                    ->  6
+#   250: 220 keys, 2 groups  33,29 / 31,28 / 27,29                    ->  3
+#   300: 257 keys, 3 groups  28,25,23 / 23,24,23 / 23,19,25           -> 12
+#   420: 354 keys, 4 groups  28,25,26,26 / 26,23,24,25 / 22,24,25,23  -> 12
+# No rung fits at 250, so it takes 3, where its second group outgrows its
+# sub-array and chains (at 220 the 3 rung would chain too).
+RUNG_TAKEN = {150: 12, 220: 6, 230: 6, 250: 3, 300: 12, 420: 12}
+
+
+@pytest.mark.parametrize("length", list(RUNG_TAKEN))
 def test_buckets_stay_inside_their_group(length):
-    # 64 x 64 at k=5: 28 key rows of 4 slots and 3 counter stripes, so
-    # 112 keys per sub-array and 3 buckets per group; at lengths 220 and
-    # 250 one group outgrows its sub-array and chains
+    per_group = RUNG_TAKEN[length]
     genome = random_genome(length, random.Random(length))
     raw = [genome[i : i + 30] for i in range(0, length - 29, 10)]
     _count_both_ways(raw, 5, rows=64, cols=64)
@@ -253,14 +300,15 @@ def test_buckets_stay_inside_their_group(length):
     lay = table.layout
     groups, buckets = asm.groups, asm.buckets
     assert len(groups) == -(-table.distinct() // lay.capacity) >= 2
-    assert len(buckets) == len(groups) * lay.stripes == len(groups) * 3
+    assert table.buckets_per_group == per_group
+    assert len(buckets) == table.buckets == len(groups) * per_group
     owner = {}
     for gi, group in enumerate(groups):
         for sid in group.sids:
             assert owner.setdefault(sid, gi) == gi, "two groups share a sub-array"
     rows = set()
     for bi, bucket in enumerate(buckets):
-        assert set(bucket.chain) <= set(groups[bi // lay.stripes].sids)
+        assert set(bucket.chain) <= set(groups[bi // per_group].sids)
         for member_i, row_i in bucket.rows:
             assert (bucket.chain[member_i], row_i) not in rows
             rows.add((bucket.chain[member_i], row_i))
@@ -268,10 +316,11 @@ def test_buckets_stay_inside_their_group(length):
     for key, (sid, key_i) in zip(table.keys, table.slots):
         bucket = buckets[bucket_of(table, key)]
         assert (sid, key_i // lay.slots) in {(bucket.chain[m], r) for m, r in bucket.rows}
-    if all(len(group.sids) == 1 for group in groups):
-        assert asm.machine.subarray_count == len(groups)
-    else:
+    # a finer rung fits by choice; the fallback at 250 chains
+    if per_group == lay.stripes:
         assert asm.machine.subarray_count > len(groups)
+    else:
+        assert asm.machine.subarray_count == len(groups)
 
 
 def test_counter_saturation_clamps_fabric_not_host():
@@ -1370,6 +1419,11 @@ _UNIT_RUNG = (
 #   C_ADD (8 + 4 * 4) + (4 + 4 * 2) + 8                    =    44
 #   DPU   56 - (8 - 4) - (8 - 2) - 6: two tests, each a bridge, search the
 #         3 nodes left, where 4 reach passes visited 3 each =   40
+#
+# The bucket directory sized from the pre-scan: its rungs are stripes *
+# slots, stripes * slots / 2, ... down to stripes. At 64 x 32 and k=11 the
+# 22-bit key takes a 32-column pitch, one slot per row, so the only rung is
+# stripes itself: 8 groups of 2 buckets as before, and no row moves.
 LADDER = {
     False: (
         [

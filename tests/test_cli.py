@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pimgasm.assembly import Assembler
 from pimgasm.cli import main
 from pimgasm.seqio import read_sequences
 
@@ -154,11 +155,21 @@ def test_assemble_maps_undecodable_inputs_to_exit_codes(
     (["assemble", "{dir}", "--out", "{dir}/o"], 2),
     (["assemble", "{ok}", "--cost-config", "{dir}/none.json", "--out", "{dir}/o"], 4),
     (["assemble", "{ok}", "--out", "{dir}/none/o"], 5),
+    (["assemble", "{ok}", "--out", "{ok}/o"], 5),
+    (["assemble", "{ok}", "--out", "{dir}/o", "--dump-kmers", "{dir}/none/k.tsv"], 5),
+    (["assemble", "{ok}", "--out", "{dir}/o", "--dump-graph", "{dir}/none/g.tsv"], 5),
     (["sweep", "{ok}", "--k-list", "5", "--out", "{dir}/none/o"], 5),
+    (["sweep", "{ok}", "--k-list", "5,6", "--out", "{ok}/o"], 5),
     (["gen", "--length", "200", "--read-len", "50", "--out", "{dir}/none/o"], 5),
 ], ids=["input-is-a-directory", "cost-config-missing", "assemble-out-dir-missing",
-        "sweep-out-dir-missing", "gen-out-dir-missing"])
-def test_file_failures_map_to_exit_codes(argv, code, tmp_path, capsys):
+        "assemble-out-dir-is-a-file", "dump-kmers-dir-missing", "dump-graph-dir-missing",
+        "sweep-out-dir-missing", "sweep-out-dir-is-a-file", "gen-out-dir-missing"])
+def test_file_failures_map_to_exit_codes(argv, code, tmp_path, capsys, monkeypatch):
+    # every one of these fails before any assembly starts
+    def assemble(self, reads, k):
+        raise AssertionError("assembled before the failure")
+
+    monkeypatch.setattr(Assembler, "assemble", assemble)
     ok = tmp_path / "ok.fasta"
     ok.write_text(">r\nCGTGTGCA\n")
     argv = [a.format(dir=tmp_path, ok=ok) for a in argv]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pimgasm.encoding import EncodedSeq, clean_segments, extract_kmers
 from pimgasm.errors import CapacityError, ConfigError, ShapeError, SizeError
 from pimgasm.mapping import (
+    bucket_directory,
     capacity_plan,
     layout_hash,
     stable_hash,
@@ -183,6 +184,44 @@ def test_layout_hash_counter_slots_cover_keys(rows, cols, k):
     assert lay.capacity >= 1
     locs = {lay.counter_location(j) for j in range(lay.capacity)}
     assert len(locs) == lay.capacity
+
+
+# ---- bucket directory ----------------------------------------------------
+
+# 64 x 64 at k=5: 28 key rows of 4 slots (112 keys) and 3 counter stripes,
+# so the rungs are 12 and 6 buckets per group, and the fallback 3
+SMALL = layout_hash((64, 64), 5)
+
+
+@pytest.mark.parametrize(
+    "hashes, directory",
+    [
+        # 48 keys, 4 in each bucket of 12: 12 rows
+        (list(range(48)), (1, 12)),
+        # 96 keys, 16 in each bucket of 6 (4 rows, 24 in all); at 12 each of
+        # those buckets splits 9 + 7 (3 + 2 rows, 30 in all), which overfills
+        ([b + 12 * i for b in range(6) for i in range(9)]
+         + [b + 6 + 12 * i for b in range(6) for i in range(7)], (1, 6)),
+        # 120 keys, 2 groups: at 12 every key hashes into group 0's buckets
+        # 0..11 of 24 (10 keys, 3 rows each: 36); at 6 buckets 0..5 of 12 are
+        # group 0's and 6..11 group 1's, 18 rows each
+        ([24 * i + b for b in range(12) for i in range(10)], (2, 6)),
+        # 112 consecutive hashes: 9 or 10 keys in each bucket of 12 (3 rows,
+        # 36 in all), 18 or 19 in each of 6 (5 rows, 30 in all): no rung
+        # fits, and the fallback's 38, 37, 37 keys will chain
+        (list(range(112)), (1, 3)),
+    ],
+)
+def test_bucket_directory_takes_the_finest_rung_that_fits(hashes, directory):
+    assert bucket_directory(SMALL, hashes) == directory
+
+
+def test_bucket_directory_of_one_slot_rows_is_the_stripes():
+    # a 40-bit key fills its 64-bit pitch, so a row holds one key and the
+    # ladder is the fallback alone
+    lay = layout_hash((1024, 64), 20)
+    assert lay.slots == 1
+    assert bucket_directory(lay, list(range(10))) == (1, lay.stripes)
 
 
 # ---- capacity ------------------------------------------------------------
