@@ -5,18 +5,21 @@ several keys each, one per slot at a power-of-two column pitch. The store
 is cut into groups of sub-arrays, one group per sub-array's worth of
 distinct keys, and every group into hash buckets. A host pre-scan of the
 distinct keys sizes the bucket directory (mapping.bucket_directory): the
-most buckets per group, from stripes * slots down by halves, under which
-every group fits in one sub-array, else one per counter stripe. A bucket
-takes key rows one at a time from its group's current sub-array, so the
-rows of a group's buckets interleave there, and a full group chains into a
-new sub-array, which only the one-per-stripe directory lets happen.
+most buckets per group under which every group fits in one sub-array,
+from at most one per key row down by halves, else one per counter stripe.
+A bucket takes key rows one at a time from its group's current sub-array,
+so the rows of a group's buckets interleave there, and a full group chains
+into a new sub-array, which only the one-per-stripe directory lets happen.
 Each query is written once into every slot of a temp row and compared
 against the occupied key rows of its own bucket only: one XNOR-compare
 cycle plus one AND-reduce per row checks every key in it, and only occupied
 slots count, so an all-A key (packed to 0) never matches an empty slot. A
-miss appends the key in the next free slot and starts its counter at one.
-A hit records an increment for the key's vertical counter, and when the
-read ends its increments are added in place, one column-parallel add per
+miss appends the key in the next free slot of its bucket and starts its
+counter at one, in the sub-array's next free counter: counters are handed
+out in first-seen order, apart from the key slots, so keys first seen
+together share a counter stripe wherever their buckets put them. A hit
+records an increment for the key's vertical counter, and when the read
+ends its increments are added in place, one column-parallel add per
 sub-array counter stripe and amount: an add costs the same for one column
 or all of them, so a read pays per stripe it touches, not per hit. Stage 2
 walks the table and emits one edge per distinct k-mer (prefix node, suffix
@@ -230,6 +233,9 @@ def contig_from_path(vertices: list[EncodedSeq], k: int) -> EncodedSeq:
 class KmerTable:
     """Hash-store handle: ordered keys, where they sit, and counter access.
 
+    Key i sits at `slots[i]` (sub-array id, key index) and owns the counter
+    of counter index `counters[i]`: the number of keys its sub-array held
+    before it, so a sub-array's `fill[sid]` keys own counters 0..n-1.
     `buckets` is the size of the bucket directory the keys were hashed
     into, `buckets_per_group` of each group's share of it: bucket b lies in
     group b // buckets_per_group.
@@ -241,6 +247,8 @@ class KmerTable:
         self.machine = machine
         self.keys: list[EncodedSeq] = []
         self.slots: list[tuple[int, int]] = []  # (sub-array id, key index)
+        self.counters: list[int] = []  # counter index of each key
+        self.fill: dict[int, int] = {}  # sub-array id -> keys stored there
         self.host_counts: dict[int, int] = {}   # packed key -> exact count
         self.total_kmers = 0
         self.saturated_keys = 0
@@ -257,23 +265,18 @@ class KmerTable:
     def frequencies(self) -> dict[EncodedSeq, int]:
         """Counter values decoded from fabric bits.
 
-        Each sub-array's value rows are read up to the counter stripe of
-        its highest key index; stripes past it hold no counters. Buckets
-        interleave their rows, so the last key inserted need not be the
-        highest.
+        A sub-array's n keys hold counter indices 0..n-1, so exactly its
+        first ceil(n / cols) counter stripes are read.
         """
         lay = self.layout
-        top: dict[int, int] = {}  # sub-array id -> highest key index
-        for sid, key_i in self.slots:
-            top[sid] = max(key_i, top.get(sid, 0))
         words: dict[tuple[int, int], list[int]] = {}  # (sid, stripe lsb) -> words
-        for sid, key_i in top.items():
-            stop = lay.counter_location(key_i)[0] + 1
+        for sid, n in self.fill.items():
+            stop = lay.value_rows.start + math.ceil(n / lay.cols) * lay.value_width
             for lsb in range(lay.value_rows.start, stop, lay.value_width):
                 words[sid, lsb] = self.machine.read_vwords(sid, lsb, lay.value_width)
         out: dict[EncodedSeq, int] = {}
-        for key, (sid, key_i) in zip(self.keys, self.slots):
-            lsb, col = lay.counter_location(key_i)
+        for key, (sid, _), ctr_i in zip(self.keys, self.slots, self.counters):
+            lsb, col = lay.counter_location(ctr_i)
             out[key] = words[sid, lsb][col]
         return out
 
@@ -465,10 +468,12 @@ class Assembler:
 
         A host pre-scan hashes each distinct key once, with the miss path's
         own hash, and mapping.bucket_directory sizes the groups and their
-        buckets from those hashes: at 1024 x 256 and k=25, 60 or 30 buckets
-        per group when every group then fits in one sub-array, else 15,
-        whose full groups chain. Each k-mer is then probed in read order,
-        and each read's counter increments are added at its end.
+        buckets from those hashes: at 1024 x 256 and k=25, the finest of
+        480, 240, 120, 60 and 30 buckets per group under which every group
+        fits in one sub-array, else 15, whose full groups chain. Each k-mer
+        is then probed in read order, a new key taking its sub-array's next
+        counter index, and each read's counter increments are added at its
+        end.
         """
         layout = mapping.layout_hash((self.rows, self.cols), k, self.value_width)
         table = KmerTable(k, layout, self.machine)
@@ -484,7 +489,7 @@ class Assembler:
             ]
             table.buckets = n_groups * table.buckets_per_group
             buckets = [_Bucket() for _ in range(table.buckets)]
-            index: dict[int, tuple[int, int, int]] = {}
+            index: dict[int, tuple[int, int, int, int]] = {}
             adds = 0
             for read in reads:
                 # (sub-array, stripe lsb, column) -> this read's increment
@@ -540,12 +545,12 @@ class Assembler:
 
         hit = index.get(bits)
         if hit is not None:
-            bucket_i, pos, key_i = hit
+            bucket_i, pos, key_i, ctr_i = hit
             bucket = buckets[bucket_i]
-            self._probe(bucket, hit[1:], image, temp_row, lay)
+            self._probe(bucket, (pos, key_i), image, temp_row, lay)
             count = table.host_counts[bits]
             if count < cap:
-                lsb, col = lay.counter_location(key_i)
+                lsb, col = lay.counter_location(ctr_i)
                 slot = (bucket.chain[bucket.rows[pos][0]], lsb, col)
                 pending[slot] = pending.get(slot, 0) + 1
             elif count == cap:
@@ -577,13 +582,16 @@ class Assembler:
         sub = m.subarray(target)
         if (sub.cells[key_row] >> col) & ((1 << width) - 1) != bits:
             raise ConsistencyError("inserted key bits corrupted")
-        lsb, ctr_col = lay.counter_location(key_i)
+        ctr_i = table.fill.get(target, 0)
+        table.fill[target] = ctr_i + 1
+        lsb, ctr_col = lay.counter_location(ctr_i)
         sub.write_cell(lsb, ctr_col, 1)
-        index[bits] = (bucket_i, len(bucket.rows) - 1, key_i)
+        index[bits] = (bucket_i, len(bucket.rows) - 1, key_i, ctr_i)
         bucket.last_fill += 1
         table.host_counts[bits] = 1
         table.keys.append(kmer)
         table.slots.append((target, key_i))
+        table.counters.append(ctr_i)
 
     def _probe(
         self,

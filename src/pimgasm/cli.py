@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 self-check failure, 2 input parse error (a read
 file that is missing, unreadable or malformed), 3 capacity error,
 4 configuration error (a cost config that is missing, unreadable or
 invalid among them), 5 output error (an output path that cannot be written;
-assemble and sweep check their output directories before assembling).
+assemble and sweep check their output directories before assembling),
+6 internal error (any other exception: a bug, reported with its
+traceback). Only code 6 prints a traceback.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import logging
 import os
 import random
 import sys
+import traceback
 from dataclasses import replace
 
 from . import perf, seqio
@@ -38,6 +41,7 @@ EXIT_PARSE = 2
 EXIT_CAPACITY = 3
 EXIT_CONFIG = 4
 EXIT_OUTPUT = 5
+EXIT_INTERNAL = 6
 
 # First match wins. Input readers turn their OSErrors into ParseError or
 # ConfigError, so an OSError that reaches main failed to write an output.
@@ -288,6 +292,10 @@ def main(argv=None) -> int:
         label = "self-check failure" if code == EXIT_SELFCHECK else "error"
         print(f"{label}: {exc}", file=sys.stderr)
         return code
+    except Exception as exc:  # a bug: keep its traceback for the report
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

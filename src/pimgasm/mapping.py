@@ -1,13 +1,16 @@
 """Placement planning: where keys, counters, and vertical words live.
 
 Everything here is stateless arithmetic. The hash-table layout packs
-`slots` keys per row, one every `pitch` columns, each with an attached
-vertical counter; counters sit in stripes of `value_width` rows, and key
-index j (row * slots + slot) owns the counter at stripe j // cols, column
-j % cols, which is injective because j = stripe*cols+col. Bucket hashes
-are seedable and multiplicative, never Python's randomized hash(), so runs
-reproduce byte for byte. The bucket directory is sized from the keys'
-hashes, and capacity planning sizes a whole-genome table.
+`slots` keys per row, one every `pitch` columns, and keeps a vertical
+counter per key; counters sit in stripes of `value_width` rows, and counter
+index c owns the counter at stripe c // cols, column c % cols, which is
+injective because c = stripe*cols+col. A key's counter index is not its key
+index: keys take counter indices 0, 1, 2, ... in the order their sub-array
+first sees them, so keys seen together share a stripe wherever their
+buckets put their key rows. Bucket hashes are seedable and multiplicative,
+never Python's randomized hash(), so runs reproduce byte for byte. The
+bucket directory is sized from the keys' hashes, and capacity planning
+sizes a whole-genome table.
 """
 
 from __future__ import annotations
@@ -107,11 +110,15 @@ class HashLayout:
                 return s
         return None
 
-    def counter_location(self, key_index: int) -> tuple[int, int]:
-        """(lsb value row, column) of the counter owned by a key index."""
-        if not 0 <= key_index < self.capacity:
-            raise SizeError(f"key index {key_index} outside [0, {self.capacity})")
-        stripe, col = divmod(key_index, self.cols)
+    def counter_location(self, counter_index: int) -> tuple[int, int]:
+        """(lsb value row, column) of a counter index.
+
+        A sub-array hands out counter indices densely in first-seen order,
+        so its n keys own the counters of the first ceil(n / cols) stripes.
+        """
+        if not 0 <= counter_index < self.capacity:
+            raise SizeError(f"counter index {counter_index} outside [0, {self.capacity})")
+        stripe, col = divmod(counter_index, self.cols)
         return self.value_rows.start + stripe * self.value_width, col
 
 
@@ -178,15 +185,21 @@ def bucket_directory(lay: HashLayout, hashes: list[int]) -> tuple[int, int]:
     One group of sub-arrays per sub-array's worth of keys. A key with hash
     h sits in bucket h % (groups * per_group), which belongs to group
     bucket // per_group, and a bucket of n keys takes ceil(n / slots) key
-    rows. The buckets per group are the finest rung of stripes * slots,
-    stripes * slots / 2, ... under which every group's buckets fit in one
-    sub-array's key rows; when none fits, `stripes`, whose full groups
-    chain. A finer directory shortens every bucket scan, but it also
-    spreads each read's counter increments over more counter stripes.
+    rows. The buckets per group are the finest rung under which every
+    group's buckets fit in one sub-array's key rows; when none fits,
+    `stripes`, whose full groups chain. The rungs run stripes * slots * 2^j
+    down from the largest that is at most the key rows (so at most one
+    bucket per key row), through stripes * slots, then halve the slots:
+    480, 240, 120, 60 and 30 at 1024 x 256 and k=25. A finer directory
+    shortens every bucket scan; counter stripes follow first-seen order,
+    not the bucket, so it does not spread a read's counter increments.
     """
     groups = math.ceil(len(hashes) / lay.capacity)
-    for shift in range(lay.slots.bit_length() - 1):
-        per_group = lay.stripes * (lay.slots >> shift)
+    base = lay.stripes * lay.slots
+    up = (len(lay.kmer_rows) // base).bit_length() - 1
+    rungs = [base << j for j in range(up, 0, -1)]
+    rungs += [lay.stripes * (lay.slots >> s) for s in range(lay.slots.bit_length() - 1)]
+    for per_group in rungs:
         fill = Counter(h % (groups * per_group) for h in hashes)
         rows = [0] * groups
         for bucket, keys in fill.items():

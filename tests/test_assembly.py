@@ -27,7 +27,7 @@ from pimgasm.assembly import (
 from pimgasm.encoding import EncodedSeq, extract_kmers
 from pimgasm.errors import CapacityError, ConsistencyError, SizeError
 from pimgasm.isa import MemAddress
-from pimgasm.seqio import distinct_window_genome, random_genome
+from pimgasm.seqio import distinct_window_genome, random_genome, tile_reads
 
 E = EncodedSeq.from_str
 
@@ -106,28 +106,28 @@ def test_kmer_counts_match_a_host_counter(reads, k):
 def test_insert_cost_oracle_single_read():
     # CGTGTGCA, k=5: four distinct k-mers in one sub-array of 5 counter
     # stripes. 10-bit keys at a 16-column pitch give 4 slots per 64-bit
-    # row, so the finest rung, 5 * 4 = 20 buckets, fits the one group's 76
-    # key rows. CGTGT and TGTGC hash to bucket 8, GTGTG to 1 and GTGCA to
-    # 10, so only TGTGC finds an occupied row (CGTGT's) to compare against.
-    # Each insert stages the query once, copies it into its slot, and
-    # seeds the counter LSB:
+    # row and 76 key rows, so the ladder starts at 5 * 4 * 2 = 40 buckets
+    # (80 would exceed 76), and 40 fits the one group. CGTGT hashes to
+    # bucket 28, GTGTG to 21, TGTGC to 8 and GTGCA to 30: every key finds
+    # its bucket empty and compares against nothing. Each insert stages
+    # the query once, copies it into its slot, and seeds the counter LSB:
     #   W = 4 * (temp + insert + counter) = 12,  R = 4 insert reads,
-    #   C_ADD = DPU = 0 + 0 + 1 + 0 = 1.
+    #   C_ADD = DPU = 0.
     asm = make_asm()
     table = asm.build_kmer_table([E("CGTGTGCA")], 5)
-    assert table.buckets == table.buckets_per_group == 20
-    assert [bucket_of(table, key) for key in table.keys] == [8, 1, 8, 10]
-    assert hashmap_totals(asm.trace) == {tr.R: 4, tr.W: 12, tr.C_ADD: 1, tr.DPU: 1}
+    assert table.buckets == table.buckets_per_group == 40
+    assert [bucket_of(table, key) for key in table.keys] == [28, 21, 8, 30]
+    assert hashmap_totals(asm.trace) == {tr.R: 4, tr.W: 12, tr.C_ADD: 0, tr.DPU: 0}
 
 
 def test_miss_cost_is_one_compare_per_occupied_row():
     # k=5 on 64 columns: 4 slots per row, 304 keys in 76 key rows and 5
     # counter stripes per sub-array, so every prefix below keeps one group
-    # and takes the finest rung, 5 * 4 = 20 buckets. The miss that inserts
-    # a key compares the query against the ceil(f/4) occupied rows of its
-    # own bucket, f the keys already in it. Of these 36 keys over 20
-    # buckets only the last finds a second row in its bucket (f = 5).
-    seq = "TTGGTGCATAGAGCCTGGGCGTTAACGCCCTTTATTACTA"
+    # and takes the finest rung, 5 * 4 * 2 = 40 buckets. The miss that
+    # inserts a key compares the query against the ceil(f/4) occupied rows
+    # of its own bucket, f the keys already in it. Of these 41 keys over
+    # 40 buckets only the last finds a second row in its bucket (f = 5).
+    seq = "TTGGTGCATAGAGCCTGGGCGTTAACGCCCTTTATTACTACTTGT"
     kmers = [E(seq[i : i + 5]) for i in range(len(seq) - 4)]
     assert len({key.bits for key in kmers}) == len(kmers)
     prev = {tr.C_ADD: 0, tr.DPU: 0}
@@ -136,7 +136,7 @@ def test_miss_cost_is_one_compare_per_occupied_row():
         asm = make_asm()
         table = asm.build_kmer_table([E(seq[: j + 5])], 5)
         assert table.layout.slots == 4 and table.layout.stripes == 5
-        assert table.buckets == 20
+        assert table.buckets == 40
         assert asm.machine.subarray_count == 1
         buckets = [bucket_of(table, key) for key in kmers[: j + 1]]
         f = buckets[:-1].count(buckets[-1])
@@ -230,15 +230,22 @@ def _stripes_only(lay, hashes):
 )
 @settings(max_examples=40, deadline=None)
 def test_the_bucket_directory_never_costs_sub_arrays(reads, rows, k):
-    # 24 to 48 rows of 64 columns give 4, 8 or 16 slots per key row and 1
-    # to 3 counter stripes, so the ladder has 3 to 5 rungs; these read sets
-    # take one group or several, a finer rung or the fallback, which may chain
+    # 24 to 48 rows of 64 columns give 4, 8 or 16 slots per key row, 4 to
+    # 20 key rows and 1 to 3 counter stripes. The ladder has 3 to 5 rungs,
+    # the fallback among them: stripes * slots and its halvings, and above
+    # them at k >= 5 on 32 or 48 rows one doubled rung (8 or 16 buckets, at
+    # most one per key row). These read sets take one group or several, a
+    # finer rung or the fallback, which may chain
     raw = [s for s in reads if len(s) >= k]
     assume(raw)
     asm, table = _count_both_ways(raw, k, rows=rows, cols=64)
     lay = table.layout
     groups = -(-table.distinct() // lay.capacity)
     ladder = {lay.stripes * (lay.slots >> i) for i in range(lay.slots.bit_length())}
+    up = 2 * lay.stripes * lay.slots
+    while up <= len(lay.kmer_rows):
+        ladder.add(up)
+        up *= 2
     assert table.buckets_per_group in ladder
     assert table.buckets == groups * table.buckets_per_group
     if table.buckets_per_group > lay.stripes:  # a rung chosen because it fits
@@ -247,23 +254,6 @@ def test_the_bucket_directory_never_costs_sub_arrays(reads, rows, k):
     with patch.object(mapping, "bucket_directory", _stripes_only):
         assert base.build_kmer_table([E(s) for s in raw], k).buckets_per_group == lay.stripes
     assert asm.machine.subarray_count <= base.machine.subarray_count
-
-
-def test_counters_read_back_to_the_highest_key_stripe():
-    # Buckets interleave their rows, so the key inserted last into a
-    # sub-array can sit in a lower counter stripe than its highest key:
-    # here the last of 57 keys has index 53 (stripe 0 of 64 columns) while
-    # another has index 64 (stripe 1). Reading counters only up to the last
-    # key's stripe would leave stripe 1 unread.
-    raw = ["TCTTACCCGTTGCTACTTGAATAGCTGACG", "AGCCTAGCGGTAACGCACCGGTGGTCGTGTTGCAAC"]
-    asm = make_asm()
-    table = asm.build_kmer_table([E(s) for s in raw], 5)
-    lay = table.layout
-    assert asm.machine.subarray_count == 1
-    last, top = table.slots[-1][1], max(key_i for _, key_i in table.slots)
-    assert lay.counter_location(last)[0] < lay.counter_location(top)[0]
-    expected = Counter(s[i : i + 5] for s in raw for i in range(len(s) - 4))
-    assert {key.to_str(): n for key, n in table.items()} == dict(expected)
 
 
 class BucketRecorder(Assembler):
@@ -275,18 +265,19 @@ class BucketRecorder(Assembler):
 
 
 # 64 x 64 at k=5: 28 key rows of 4 slots and 3 counter stripes, so 112
-# keys per sub-array and a directory of 12, 6 or 3 buckets per group. Key
-# rows each group's buckets need, rung by rung (12 / 6 / 3), and the rung
-# taken, the finest whose every group fits in 28 rows:
-#   150: 140 keys, 2 groups  24,20 / 21,18 / 18,19                    -> 12
-#   220: 196 keys, 2 groups  26,30 / 28,25 / 29,22                    ->  6
-#   230: 207 keys, 2 groups  33,30 / 28,28 / 26,28                    ->  6
-#   250: 220 keys, 2 groups  33,29 / 31,28 / 27,29                    ->  3
-#   300: 257 keys, 3 groups  28,25,23 / 23,24,23 / 23,19,25           -> 12
-#   420: 354 keys, 4 groups  28,25,26,26 / 26,23,24,25 / 22,24,25,23  -> 12
+# keys per sub-array and a directory of 24, 12, 6 or 3 buckets per group
+# (24 = 3 * 4 * 2, the most that leave at most one bucket per key row).
+# Key rows each group's buckets need, rung by rung (24 / 12 / 6 / 3), and
+# the rung taken, the finest whose every group fits in 28 rows:
+#   150: 140 keys, 2 groups  26,28 / 24,20 / 21,18 / 18,19                          -> 24
+#   220: 196 keys, 2 groups  34,33 / 26,30 / 28,25 / 29,22                          ->  6
+#   230: 207 keys, 2 groups  36,33 / 33,30 / 28,28 / 26,28                          ->  6
+#   250: 220 keys, 2 groups  39,36 / 33,29 / 31,28 / 27,29                          ->  3
+#   300: 257 keys, 3 groups  30,36,31 / 28,25,23 / 23,24,23 / 23,19,25              -> 12
+#   420: 354 keys, 4 groups  29,30,34,29 / 28,25,26,26 / 26,23,24,25 / 22,24,25,23  -> 12
 # No rung fits at 250, so it takes 3, where its second group outgrows its
 # sub-array and chains (at 220 the 3 rung would chain too).
-RUNG_TAKEN = {150: 12, 220: 6, 230: 6, 250: 3, 300: 12, 420: 12}
+RUNG_TAKEN = {150: 24, 220: 6, 230: 6, 250: 3, 300: 12, 420: 12}
 
 
 @pytest.mark.parametrize("length", list(RUNG_TAKEN))
@@ -321,6 +312,31 @@ def test_buckets_stay_inside_their_group(length):
         assert asm.machine.subarray_count > len(groups)
     else:
         assert asm.machine.subarray_count == len(groups)
+
+
+def test_counter_indices_are_dense_per_sub_array_in_insert_order():
+    # A key's counter index is the number of keys its sub-array held before
+    # it, whatever its bucket and key row. At length 250 no rung fits and
+    # the second group chains, so its second member numbers its keys from
+    # 0 again. frequencies then reads exactly each sub-array's first
+    # ceil(n / cols) counter stripes, value_width R each: 2 + 2 + 1 here.
+    genome = random_genome(250, random.Random(250))
+    raw = [genome[i : i + 30] for i in range(0, 221, 10)]
+    asm = BucketRecorder(rows=64, cols=64)
+    table = asm.build_kmer_table([E(s) for s in raw], 5)
+    lay = table.layout
+    assert [len(group.sids) for group in asm.groups] == [1, 2]
+    per_sid = {}
+    for (sid, _), ctr_i in zip(table.slots, table.counters):
+        per_sid.setdefault(sid, []).append(ctr_i)
+    assert all(ctrs == list(range(len(ctrs))) for ctrs in per_sid.values())
+    assert table.fill == {sid: len(ctrs) for sid, ctrs in per_sid.items()}
+    assert list(table.fill.values()) == [111, 106, 3]
+    before = asm.trace.total(tr.R)
+    freqs = table.frequencies()
+    assert asm.trace.total(tr.R) - before == (2 + 2 + 1) * lay.value_width
+    expected = Counter(s[i : i + 5] for s in raw for i in range(len(s) - 4))
+    assert {key.to_str(): n for key, n in freqs.items()} == dict(expected)
 
 
 def test_counter_saturation_clamps_fabric_not_host():
@@ -375,7 +391,11 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_amount(width, caplog):
     # rows up to the key's, one C_ADD plus one DPU each, so the probes'
     # C_ADD equals their DPU. The read then ends with one w-bit add
     # (w C_ADD, 2w W) per (sub-array, counter stripe, amount) group; a k-mer
-    # the read holds twice adds 2, in its own group.
+    # the read holds twice adds 2, in its own group. The read's 97 distinct
+    # k-mers take counter indices 0..96 in first-seen order, so stripe 0 of
+    # 64 columns holds indices 0..63 and stripe 1 the rest, and both hold
+    # k-mers seen once and twice (GGATC at index 0, AGGAT at 81): four
+    # groups at either counter width.
     genome = random_genome(100, random.Random(5))
     read, k = genome + genome[:12], 5
     occurrences = Counter(read[i : i + k] for i in range(len(read) - k + 1))
@@ -392,10 +412,11 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_amount(width, caplog):
     assert twice.machine.subarray_count == 1
     lay = table.layout
     groups = {
-        (sid, lay.counter_location(key_i)[0], occurrences[key.to_str()])
-        for key, (sid, key_i) in zip(table.keys, table.slots)
+        (sid, lay.counter_location(ctr_i)[0], occurrences[key.to_str()])
+        for key, (sid, _), ctr_i in zip(table.keys, table.slots, table.counters)
     }
-    assert len({lsb for _, lsb, _ in groups}) > 1
+    assert len(groups) == 4
+    assert len({lsb for _, lsb, _ in groups}) == 2
     assert {amount for _, _, amount in groups} == {1, 2}
     assert adds_twice - adds_once == len(groups)
     a, b = hashmap_totals(once.trace), hashmap_totals(twice.trace)
@@ -403,6 +424,32 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_amount(width, caplog):
     assert b[tr.R] == a[tr.R]
     assert b[tr.C_ADD] - a[tr.C_ADD] == probe_dpu + width * len(groups)
     assert b[tr.W] - a[tr.W] == sum(occurrences.values()) + 2 * width * len(groups)
+
+
+class AddRecorder(Assembler):
+    """Keeps the counter adds each read issued."""
+
+    def _add_counts(self, lay, pending):
+        adds = super()._add_counts(lay, pending)
+        self.adds_per_read.append(adds)
+        return adds
+
+
+def test_a_tiled_read_adds_to_at_most_two_counter_stripes():
+    # A 200-base genome with distinct 8-mers, read at stride 1: every read
+    # shares all but its last k-mer with the read before. Its keys took
+    # consecutive counter indices when first seen, so the 22 hits of a
+    # 30-base read lie in a run of 22 counters, which spans at most two
+    # stripes of 64 columns, each taking one +1 add, wherever the 40
+    # buckets put their key rows.
+    genome = distinct_window_genome(200, 8, random.Random(11))
+    asm = AddRecorder(rows=128, cols=64)
+    asm.adds_per_read = []
+    table = asm.build_kmer_table([E(s) for s in tile_reads(genome, 30, 1)], 8)
+    assert table.distinct() == 193 and table.buckets == 40
+    assert asm.machine.subarray_count == 1
+    assert len(asm.adds_per_read) == 171
+    assert max(asm.adds_per_read) == 2 and min(asm.adds_per_read[1:]) == 1
 
 
 class CorruptCounters(Assembler):

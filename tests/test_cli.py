@@ -180,6 +180,20 @@ def test_file_failures_map_to_exit_codes(argv, code, tmp_path, capsys, monkeypat
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_a_bug_exits_6_with_its_traceback(tmp_path, capsys, monkeypatch):
+    # an exception outside SimError and OSError is no self-check failure
+    def assemble(self, reads, k):
+        raise RuntimeError("stub bug")
+
+    monkeypatch.setattr(Assembler, "assemble", assemble)
+    ok = tmp_path / "ok.fasta"
+    ok.write_text(">r\nCGTGTGCA\n")
+    assert run(["assemble", ok, "--k", 5, *SMALL, "--out", tmp_path / "o"]) == 6
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: stub bug" in err
+    assert err.rstrip().endswith("internal error: RuntimeError('stub bug')")
+
+
 @given(head=st.sampled_from([b">", b"@", b""]), body=st.binary(max_size=120))
 # capsys is drained by every example, so sharing it across examples is safe
 @settings(max_examples=40, deadline=None,

@@ -1,6 +1,7 @@
 """Packing, hashing, and placement arithmetic."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -189,39 +190,85 @@ def test_layout_hash_counter_slots_cover_keys(rows, cols, k):
 # ---- bucket directory ----------------------------------------------------
 
 # 64 x 64 at k=5: 28 key rows of 4 slots (112 keys) and 3 counter stripes,
-# so the rungs are 12 and 6 buckets per group, and the fallback 3
+# so the rungs are 24 (3 * 4 * 2; 48 would exceed 28 rows), 12 and 6
+# buckets per group, and the fallback 3
 SMALL = layout_hash((64, 64), 5)
 
 
 @pytest.mark.parametrize(
     "hashes, directory",
     [
-        # 48 keys, 4 in each bucket of 12: 12 rows
-        (list(range(48)), (1, 12)),
+        # 48 keys, 2 in each bucket of 24: 24 rows
+        (list(range(48)), (1, 24)),
         # 96 keys, 16 in each bucket of 6 (4 rows, 24 in all); at 12 each of
-        # those buckets splits 9 + 7 (3 + 2 rows, 30 in all), which overfills
+        # those buckets splits 9 + 7 (3 + 2 rows, 30 in all), and at 24 into
+        # 5 + 4 and 4 + 3 (2 + 1 + 1 + 1 rows, 30 in all): both overfill
         ([b + 12 * i for b in range(6) for i in range(9)]
          + [b + 6 + 12 * i for b in range(6) for i in range(7)], (1, 6)),
-        # 120 keys, 2 groups: at 12 every key hashes into group 0's buckets
-        # 0..11 of 24 (10 keys, 3 rows each: 36); at 6 buckets 0..5 of 12 are
-        # group 0's and 6..11 group 1's, 18 rows each
-        ([24 * i + b for b in range(12) for i in range(10)], (2, 6)),
-        # 112 consecutive hashes: 9 or 10 keys in each bucket of 12 (3 rows,
-        # 36 in all), 18 or 19 in each of 6 (5 rows, 30 in all): no rung
-        # fits, and the fallback's 38, 37, 37 keys will chain
+        # 120 keys, 2 groups: at 24 and 12 every key hashes into group 0's
+        # buckets 0..11 (10 keys, 3 rows each: 36); at 6 buckets 0..5 of 12
+        # are group 0's and 6..11 group 1's, 18 rows each
+        ([48 * i + b for b in range(12) for i in range(10)], (2, 6)),
+        # 112 consecutive hashes: 4 or 5 keys in each bucket of 24 (40 rows),
+        # 9 or 10 in each of 12 (3 rows, 36 in all), 18 or 19 in each of 6
+        # (5 rows, 30 in all): no rung fits, and the fallback's 38, 37, 37
+        # keys will chain
         (list(range(112)), (1, 3)),
+        # 96 keys, 8 in each bucket of 12 (2 rows, 24 in all); at 24 each of
+        # those buckets splits 5 + 3 (2 + 1 rows, 36 in all), which overfills
+        ([b + 24 * i for b in range(12) for i in range(5)]
+         + [b + 12 + 24 * i for b in range(12) for i in range(3)], (1, 12)),
     ],
 )
 def test_bucket_directory_takes_the_finest_rung_that_fits(hashes, directory):
     assert bucket_directory(SMALL, hashes) == directory
 
 
-def test_bucket_directory_of_one_slot_rows_is_the_stripes():
+def test_bucket_directory_of_one_slot_rows_doubles_the_stripes():
     # a 40-bit key fills its 64-bit pitch, so a row holds one key and the
-    # ladder is the fallback alone
+    # rungs are 15 * 2^j: 480 (960 would exceed 892 key rows) down to 30.
+    # Ten keys fit the finest; 893 keys all in bucket 0 overfill group 0's
+    # 892 rows at every rung, so the fallback, 15, takes them
     lay = layout_hash((1024, 64), 20)
-    assert lay.slots == 1
-    assert bucket_directory(lay, list(range(10))) == (1, lay.stripes)
+    assert lay.slots == 1 and lay.stripes == 15 and len(lay.kmer_rows) == 892
+    assert bucket_directory(lay, list(range(10))) == (1, 480)
+    assert bucket_directory(lay, [960 * i for i in range(893)]) == (2, 15)
+
+
+def _stripes_tied_directory(lay, hashes):
+    """The ladder from when a key's counter followed its key slot, the
+    oracle: stripes * slots and its halvings, else the stripes."""
+    groups = math.ceil(len(hashes) / lay.capacity)
+    for shift in range(lay.slots.bit_length() - 1):
+        per_group = lay.stripes * (lay.slots >> shift)
+        fill = Counter(h % (groups * per_group) for h in hashes)
+        rows = [0] * groups
+        for bucket, keys in fill.items():
+            rows[bucket // per_group] += math.ceil(keys / lay.slots)
+        if max(rows) <= len(lay.kmer_rows):
+            return groups, per_group
+    return groups, lay.stripes
+
+
+@given(
+    dims=st.sampled_from([(48, 64), (64, 64), (128, 64), (256, 128), (1024, 64)]),
+    k=st.integers(min_value=2, max_value=32),
+    # spread hashes, and multiples of 960 that pile into few buckets
+    hashes=st.lists(
+        st.integers(0, (1 << 64) - 1) | st.integers(0, 40).map(lambda i: 960 * i),
+        min_size=1,
+        max_size=400,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_bucket_directory_is_never_coarser_than_the_stripes_tied_one(dims, k, hashes):
+    lay = layout_hash(dims, k)
+    groups, per_group = bucket_directory(lay, hashes)
+    old_groups, old_per_group = _stripes_tied_directory(lay, hashes)
+    assert groups == old_groups
+    assert per_group >= old_per_group
+    if per_group > lay.stripes * lay.slots:  # a rung above the old ladder
+        assert per_group <= len(lay.kmer_rows)
 
 
 # ---- capacity ------------------------------------------------------------
