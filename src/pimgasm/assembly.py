@@ -14,27 +14,30 @@ Each query is written once into every slot of a temp row and compared
 against the occupied key rows of its own bucket only: one XNOR-compare
 cycle plus one AND-reduce per row checks every key in it, and only occupied
 slots count, so an all-A key (packed to 0) never matches an empty slot. A
-miss appends the key in the next free slot of its bucket and starts its
-counter at one, in the sub-array's next free counter: counters are handed
-out in first-seen order, apart from the key slots, so keys first seen
-together share a counter stripe wherever their buckets put them. A hit
-records an increment for the key's vertical counter, and when the read
-ends its increments are added in place, one column-parallel add per
-sub-array counter stripe and amount: an add costs the same for one column
-or all of them, so a read pays per stripe it touches, not per hit. Stage 2
-walks the table and emits one edge per distinct k-mer (prefix node, suffix
-node, multiplicity = frequency) into an edge store. Stage 3 accumulates
-vertical degree counters column-parallel, probes the start vertex with a
-bit-plane compare of out against in+1, and covers each weak component with
-the fewest trails its degrees allow, max(1, sum of outgoing surpluses): one
-trail per surplus unit, or one Euler circuit when there is none, walked
-bridge-aware. Each walked unit decrements its multiplicity word in memory,
-and only that word: the multiplicity words hold the edge units left, and
-per node they sum to its out-degree. So the walk must leave every one of
-them at zero, and every distinct k-mer ends up in some contig. A candidate
-step is a bridge only if its edge holds its last unit and leads to another
-node, and then exactly when a search from the walk's node, stopping at the
-edge's head, no longer finds it.
+miss writes the key into the next free slot of its bucket straight from the
+query bits the controller holds (one write, no read), and takes the
+sub-array's next free counter: counters are handed out in first-seen order,
+apart from the key slots, so keys first seen together share a counter
+stripe wherever their buckets put them. A hit records an increment for the
+key's vertical counter. When the read ends, one masked write of counter
+plane 0 per sub-array counter stripe starts all of the read's new counters
+at one (their words are still zero), and then the read's increments are
+added in place, one column-parallel add per sub-array counter stripe and
+amount: a write or an add costs the same for one column or all of them, so
+a read pays per stripe it touches, not per key. Stage 2 walks the table and
+emits one edge per distinct k-mer (prefix node, suffix node, multiplicity =
+frequency) into an edge store. Stage 3 accumulates vertical degree counters
+column-parallel, probes the start vertex with a bit-plane compare of out
+against in+1, and covers each weak component with the fewest trails its
+degrees allow, max(1, sum of outgoing surpluses): one trail per surplus
+unit, or one Euler circuit when there is none, walked bridge-aware. Each
+walked unit decrements its multiplicity word in memory, and only that word:
+the multiplicity words hold the edge units left, and per node they sum to
+its out-degree. So the walk must leave every one of them at zero, and every
+distinct k-mer ends up in some contig. A candidate step is a bridge only if
+its edge holds its last unit and leads to another node, and then exactly
+when a search from the walk's node, stopping at the edge's head, no longer
+finds it.
 
 A bit-serial add costs one cycle and two writes per bit plane, so every
 vertical word is as wide as the values it holds, and no wider. A
@@ -53,15 +56,16 @@ number of columns, so the multiplicity words are placed, read and
 rewritten one stripe per call.
 
 A graph holds at most one fabric placement, `SparseGraph.store`, bound to
-the machine that wrote it: one label row per node, one vertical
-multiplicity word per edge, one word-high stripe per `cols` edges, plus the
-last find_start pass (its degree region and trail starts) until a walk
-consumes it. One routine, `Assembler._place`, writes every placement and
-checks each label it writes: build_graph copies each node's label once out
-of the hash store, from the key slot where the node first appears, and a
-graph with no placement on the walking machine (a synthetic graph, a
-simplified one, or one placed by another Assembler) gets its labels as
-host immediates, in the traverse stage. The traverse stage runs once over
+the machine that wrote it: every node's label, one vertical multiplicity
+word per edge, one word-high stripe per `cols` edges, plus the last
+find_start pass (its degree region and trail starts) until a walk consumes
+it. One routine, `Assembler._place`, writes every placement and checks
+each node's label: build_graph takes each node's label from the key slot
+where the node first appears, and copies each such key row once, so one
+row copy brings every label that first appears in it. A graph with no
+placement on the walking machine (a synthetic graph, a simplified one, or
+one placed by another Assembler) gets its labels as host immediates, one
+label per row, in the traverse stage. The traverse stage runs once over
 the whole graph: a component whose multiplicities admit no Euler path has
 its words rewritten to one in place, and the repeat degree pass reuses the
 first pass's region, clearing and re-accumulating only those components'
@@ -422,9 +426,11 @@ class Assembler:
     hold without chaining (see build_kmer_table), so a probe scans a few
     rows. Lookups use the host index to emit the scan events in bulk and
     execute only the decisive row compare physically.
-    Counter increments are batched per read: each read ends with one
-    column-parallel add per (sub-array, counter stripe, amount), the amounts
-    decided by the host mirror, which stops a counter at its cap.
+    Counter writes are batched per read: each read ends with one seed
+    write per (sub-array, counter stripe) that starts its new counters at
+    one, then one column-parallel add per (sub-array, counter stripe,
+    amount), the amounts decided by the host mirror, which stops a counter
+    at its cap.
     max_subarrays caps the sub-arrays on the machine: any stage that would
     allocate past it (hash groups, label and multiplicity banks, degree
     regions) raises CapacityError.
@@ -472,8 +478,9 @@ class Assembler:
         480, 240, 120, 60 and 30 buckets per group under which every group
         fits in one sub-array, else 15, whose full groups chain. Each k-mer
         is then probed in read order, a new key taking its sub-array's next
-        counter index, and each read's counter increments are added at its
-        end.
+        counter index. At each read's end its new counters are seeded, one
+        write per (sub-array, stripe), and then its increments are added.
+        The log line reports the counter-seed writes next to the adds.
         """
         layout = mapping.layout_hash((self.rows, self.cols), k, self.value_width)
         table = KmerTable(k, layout, self.machine)
@@ -490,21 +497,41 @@ class Assembler:
             table.buckets = n_groups * table.buckets_per_group
             buckets = [_Bucket() for _ in range(table.buckets)]
             index: dict[int, tuple[int, int, int, int]] = {}
-            adds = 0
+            adds = seeds = 0
             for read in reads:
                 # (sub-array, stripe lsb, column) -> this read's increment
                 pending: dict[tuple[int, int, int], int] = {}
+                fresh = table.distinct()
                 for kmer in extract_kmers(read, k):
                     self._observe(table, groups, buckets, index, pending, kmer)
+                seeds += self._seed_counts(table, fresh)
                 adds += self._add_counts(layout, pending)
         log.info(
-            "k-mer table: %d queries, %d hits, %d counter adds, %d distinct, "
-            "%d groups, %d buckets (%d per group), %d sub-arrays",
-            table.total_kmers, table.total_kmers - table.distinct(), adds,
+            "k-mer table: %d queries, %d hits, %d counter adds, %d counter-seed writes, "
+            "%d distinct, %d groups, %d buckets (%d per group), %d sub-arrays",
+            table.total_kmers, table.total_kmers - table.distinct(), adds, seeds,
             table.distinct(), len(groups), table.buckets, table.buckets_per_group,
             sum(len(g.sids) for g in groups),
         )
         return table
+
+    def _seed_counts(self, table: KmerTable, first: int) -> int:
+        """Start the counters of keys `first`.. at one; returns the writes issued.
+
+        A new key's counter word is still zero, so setting bit plane 0 sets
+        it to one: one masked write per (sub-array, counter stripe) covers
+        every new counter of that stripe. The read's increments are added
+        after this, so a key inserted and hit again in one read ends at its
+        exact count.
+        """
+        lay = table.layout
+        planes: dict[tuple[int, int], dict[int, int]] = {}  # (sid, stripe lsb) -> {col: 1}
+        for (sid, _), ctr_i in zip(table.slots[first:], table.counters[first:]):
+            lsb, col = lay.counter_location(ctr_i)
+            planes.setdefault((sid, lsb), {})[col] = 1
+        for (sid, lsb), words in planes.items():
+            self.machine.write_vwords(sid, lsb, 1, words)
+        return len(planes)
 
     def _add_counts(
         self, lay: mapping.HashLayout, pending: dict[tuple[int, int, int], int]
@@ -531,8 +558,10 @@ class Assembler:
         """Probe the table for one k-mer.
 
         A hit adds nothing yet: it records one increment for the key's
-        counter in `pending` while the key is below the cap, and a miss
-        inserts the key with its counter at one.
+        counter in `pending` while the key is below the cap. A miss writes
+        the key into its slot from the query bits, which the controller
+        holds, and takes the sub-array's next counter, which _seed_counts
+        starts at one when the read ends.
         """
         m = self.machine
         lay = table.layout
@@ -562,30 +591,20 @@ class Assembler:
         bucket_i = mapping.stable_hash(bits, width, self.seed) % len(buckets)
         bucket = buckets[bucket_i]
         self._probe(bucket, None, image, temp_row, lay)
-        # the scan leaves the query in the temp row of the last chain member
-        temp_sid = bucket.chain[-1] if bucket.chain else None
         if not bucket.rows or bucket.last_fill == lay.slots:
             sid, row = groups[bucket_i // table.buckets_per_group].alloc(1)
-            if sid != temp_sid:
+            if not bucket.chain or sid != bucket.chain[-1]:
                 bucket.chain.append(sid)
             bucket.rows.append((len(bucket.chain) - 1, row - lay.kmer_rows.start))
             bucket.last_fill = 0
         target = bucket.chain[-1]
-        if target != temp_sid:
-            m.subarray(target).write_bits(temp_row, 0, lay.key_span, image)
         key_i = bucket.rows[-1][1] * lay.slots + bucket.last_fill
         key_row, col = lay.key_address(key_i)
-        m.mem_insert(
-            MemAddress(target, key_row, col, width),
-            MemAddress(target, temp_row, col, width),
-        )
-        sub = m.subarray(target)
-        if (sub.cells[key_row] >> col) & ((1 << width) - 1) != bits:
+        m.mem_insert(MemAddress(target, key_row, col, width), bits)
+        if (m.subarray(target).cells[key_row] >> col) & ((1 << width) - 1) != bits:
             raise ConsistencyError("inserted key bits corrupted")
         ctr_i = table.fill.get(target, 0)
         table.fill[target] = ctr_i + 1
-        lsb, ctr_col = lay.counter_location(ctr_i)
-        sub.write_cell(lsb, ctr_col, 1)
         index[bits] = (bucket_i, len(bucket.rows) - 1, key_i, ctr_i)
         bucket.last_fill += 1
         table.host_counts[bits] = 1
@@ -607,9 +626,11 @@ class Assembler:
         a new one. A scan walks the bucket's own rows in order, writing the
         query into the temp row of each chain member it visits and comparing
         one occupied key row per cycle; the other buckets of the group are
-        never scanned. Everything before the decisive row (the hit's row, or
-        a miss's last row) is emitted in bulk; that row's compare runs
-        physically and must agree with the index.
+        never scanned; an empty bucket costs nothing. Everything before the
+        decisive row (the hit's row, or a miss's last row) is emitted in
+        bulk; that row's compare runs physically and must agree with the
+        index. The temp row only feeds the compares: a miss's insert writes
+        its key from the query bits, not from the temp row.
         """
         if hit is None and not bucket.rows:
             return
@@ -639,6 +660,16 @@ class Assembler:
     # -- stage 2: graph construction --
 
     def build_graph(self, table: KmerTable) -> SparseGraph:
+        """One edge per distinct k-mer, from prefix to suffix node, placed on
+        this machine.
+
+        Every counter is read back from fabric once and must equal the host
+        count, clamped at the cap; it becomes the edge's multiplicity. Nodes
+        are numbered in first-appearance order, and each node's label source
+        is the key slot where it first appears: the key's low 2(k-1) bits
+        for a prefix, the high ones for a suffix. _place then copies each
+        key row that holds a source once.
+        """
         k = table.k
         width = 2 * (k - 1)
         cap = (1 << table.value_width) - 1
@@ -663,28 +694,40 @@ class Assembler:
         return g
 
     def _place(self, g: SparseGraph, sources: list[MemAddress | int]) -> _GraphStore:
-        """Place g on this machine: one label per node, one word per edge.
+        """Place g on this machine: every node's label, one word per edge.
 
-        Each node's label takes its own rows from one bank and is copied in
-        from its source, `sources[node id]`: a key slot's prefix or suffix
-        bits in the hash store, or the label's own bits as an immediate. The
-        written bits must read back as the label. Then each edge gets one
+        Each node's label comes from its source, `sources[node id]`: a key
+        slot's prefix or suffix bits in the hash store, or the label's own
+        bits as an immediate. A key row is copied whole into one row of the
+        label bank the first time a node's source lies in it (1 R + 1 W),
+        and that copy serves every node whose source lies in the row; an
+        immediate takes rows of its own. Each node's bits must read back as
+        its label, at its own columns of its row. Then each edge gets one
         multiplicity word as wide as the largest multiplicity's bit length,
         one word-high stripe per `cols` edges, each edge's word in its own
         column: one write_vwords (width W) per stripe.
         """
         m = self.machine
         labels = _RowBank(self)
+        copies: dict[tuple[int, int], tuple[int, int]] = {}  # key row -> its copy
         for lab, src in zip(g.nodes, sources, strict=True):
             nbits = lab.bit_length
-            sid, row = labels.alloc(max(1, math.ceil(nbits / m.cols)))
-            if not nbits:
-                continue
-            m.mem_insert(MemAddress(sid, row, 0, nbits), src)
-            cells = m.subarray(sid).cells
-            stored = 0
-            for i, off in enumerate(range(0, nbits, m.cols)):
-                stored |= cells[row + i] << off
+            if isinstance(src, MemAddress):
+                at = (src.subarray_id, src.row)
+                if at not in copies:
+                    copies[at] = labels.alloc(1)
+                    m.mem_insert(MemAddress(*copies[at], 0, m.cols), MemAddress(*at, 0, m.cols))
+                sid, row = copies[at]
+                stored = m.subarray(sid).cells[row] >> src.col_start
+            else:
+                sid, row = labels.alloc(max(1, math.ceil(nbits / m.cols)))
+                if not nbits:
+                    continue
+                m.mem_insert(MemAddress(sid, row, 0, nbits), src)
+                cells = m.subarray(sid).cells
+                stored = 0
+                for i, off in enumerate(range(0, nbits, m.cols)):
+                    stored |= cells[row + i] << off
             if stored & ((1 << nbits) - 1) != lab.bits:
                 raise ConsistencyError(f"label of {lab.to_str()} stored corrupted")
         width = max(g.mult, default=1).bit_length()

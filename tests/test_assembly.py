@@ -109,15 +109,18 @@ def test_insert_cost_oracle_single_read():
     # row and 76 key rows, so the ladder starts at 5 * 4 * 2 = 40 buckets
     # (80 would exceed 76), and 40 fits the one group. CGTGT hashes to
     # bucket 28, GTGTG to 21, TGTGC to 8 and GTGCA to 30: every key finds
-    # its bucket empty and compares against nothing. Each insert stages
-    # the query once, copies it into its slot, and seeds the counter LSB:
-    #   W = 4 * (temp + insert + counter) = 12,  R = 4 insert reads,
-    #   C_ADD = DPU = 0.
+    # its bucket empty and compares against nothing. Each insert writes the
+    # key into its slot from the query bits (1 W, no read), and the read
+    # ends with one masked write of counter plane 0 that starts all four
+    # counters, which share stripe 0, at one. Before, each insert staged
+    # the query in the temp row, copied it out (1 R + 1 W) and wrote its
+    # own counter bit: W 4 * 3 = 12, R 4. Now:
+    #   W = 4 inserts + 1 seed = 5,  R = 0,  C_ADD = DPU = 0.
     asm = make_asm()
     table = asm.build_kmer_table([E("CGTGTGCA")], 5)
     assert table.buckets == table.buckets_per_group == 40
     assert [bucket_of(table, key) for key in table.keys] == [28, 21, 8, 30]
-    assert hashmap_totals(asm.trace) == {tr.R: 4, tr.W: 12, tr.C_ADD: 0, tr.DPU: 0}
+    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 5, tr.C_ADD: 0, tr.DPU: 0}
 
 
 def test_miss_cost_is_one_compare_per_occupied_row():
@@ -151,13 +154,82 @@ def test_miss_cost_is_one_compare_per_occupied_row():
 
 
 def test_repeat_cost_oracle():
-    # AAA observed three times in one read: one insert (3 W, 1 R) plus two
-    # hits, each a temp write and one compare (1 W, 1 C_ADD, 1 DPU). The
-    # read ends with one +2 add on the key's 8-bit counter (16 W, 8 C_ADD):
-    #   W = 3 + 2 + 16 = 21,  C_ADD = 2 + 8 = 10.
+    # AAA observed three times in one read: one insert from the query bits
+    # (1 W; it was 3 W and 1 R with the temp-row staging, the copy and the
+    # counter bit) plus two hits, each a temp write and one compare (1 W,
+    # 1 C_ADD, 1 DPU). The read ends with one seed write of counter plane 0
+    # (1 W), then one +2 add on the key's 8-bit counter (16 W, 8 C_ADD):
+    #   W = 1 + 2 + 1 + 16 = 20,  R = 0,  C_ADD = 2 + 8 = 10.
     asm = make_asm()
     asm.build_kmer_table([E("AAAAA")], 3)
-    assert hashmap_totals(asm.trace) == {tr.R: 1, tr.W: 21, tr.C_ADD: 10, tr.DPU: 2}
+    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 20, tr.C_ADD: 10, tr.DPU: 2}
+
+
+def _count_seeding(asm, reads, k, caplog):
+    """Build the table, recording each write_vwords call (sid, lsb, width,
+    columns) and the counter-seed writes the table's log line reports."""
+    calls = []
+    write = asm.machine.write_vwords
+
+    def record(sid, lsb, width, words):
+        calls.append((sid, lsb, width, sorted(words)))
+        write(sid, lsb, width, words)
+
+    caplog.clear()
+    with patch.object(asm.machine, "write_vwords", record), caplog.at_level(
+        logging.INFO, logger="pimgasm.assembly"
+    ):
+        table = asm.build_kmer_table([E(s) for s in reads], k)
+    seeds = int(re.search(r"(\d+) counter-seed writes", caplog.text).group(1))
+    return table, calls, seeds
+
+
+def test_a_read_seeds_its_new_counters_once_per_sub_array_stripe(caplog):
+    # A new key's counter word is zero, so one masked write of counter
+    # plane 0 (a 1-bit write_vwords, 1 W) starts every new counter of a
+    # (sub-array, stripe) at one, whatever their number.
+    # CGTGTGCA at k=5 on 128 x 64: four new keys, counters 0..3 of stripe
+    # 0 of one sub-array, one seed write.
+    asm = make_asm()
+    table, calls, seeds = _count_seeding(asm, ["CGTGTGCA"], 5, caplog)
+    lsb0 = table.layout.value_rows.start
+    assert calls == [(0, lsb0, 1, [0, 1, 2, 3])] and seeds == 1
+    # 64 x 16 at k=5: one key per row and 16-column stripes, so a read of
+    # 20 distinct keys fills stripe 0 and starts stripe 1: two writes.
+    genome = distinct_window_genome(24, 5, random.Random(5))
+    asm = make_asm(rows=64, cols=16)
+    table, calls, seeds = _count_seeding(asm, [genome], 5, caplog)
+    assert table.distinct() == 20 and asm.machine.subarray_count == 1
+    lsb0 = table.layout.value_rows.start
+    lsb1 = lsb0 + table.layout.value_width
+    assert calls == [(0, lsb0, 1, list(range(16))), (0, lsb1, 1, list(range(4)))]
+    assert seeds == 2
+    # 24 x 64 at k=5: 16 keys and one counter stripe per sub-array, so 26
+    # distinct keys take two groups, and the read seeds each sub-array's
+    # stripe once, with all of its keys
+    genome = distinct_window_genome(30, 5, random.Random(5))
+    asm = make_asm(**PACKED)
+    table, calls, seeds = _count_seeding(asm, [genome], 5, caplog)
+    assert table.distinct() == 26 and len(table.fill) == asm.machine.subarray_count == 2
+    lsb0 = table.layout.value_rows.start
+    assert sorted(calls) == [(sid, lsb0, 1, list(range(n))) for sid, n in sorted(table.fill.items())]
+    assert seeds == 2
+    # a read with no new key seeds nothing
+    table, calls, seeds = _count_seeding(make_asm(**PACKED), [genome, genome], 5, caplog)
+    assert len(calls) == seeds == 2
+
+
+@pytest.mark.parametrize("raw", [["ACGTACGTTT"], ["AAAAAAA", "CACACAC"], ["GATTGATTGATTGA"]])
+def test_a_key_inserted_and_hit_in_one_read_reads_back_its_exact_count(raw):
+    # Each read here holds k-mers that are new and then repeat 2 to 4 times
+    # within it. The seed write sets only plane 0, so it must land before
+    # the read's adds: after them, a +1 on a zero word would read back 1,
+    # not 2, and a +3 would read 3, not 4.
+    k = 4
+    expected = Counter(s[i : i + k] for s in raw for i in range(len(s) - k + 1))
+    assert max(expected.values()) >= 2
+    table = make_asm(**PACKED).build_kmer_table([E(s) for s in raw], k)
+    assert {key.to_str(): n for key, n in table.frequencies().items()} == dict(expected)
 
 
 def test_probe_modes_agree():
@@ -545,19 +617,45 @@ def test_multiplicity_words_cost_one_write_per_stripe_plane():
     # 17 distinct 5-mers on 64 x 16: 17 edges take two multiplicity stripes
     # (16 + 1 words). Every k-mer occurs once, so every word holds 1 and is
     # 1.bit_length() = 1 bit wide, where the counters' 8 bits cost 8 planes.
-    # The 17 edges form one path over 18 distinct 4-mer nodes, and each
-    # node's 8-bit label is copied out of the hash store once (1 R + 1 W).
-    # Each stripe costs one W per bit plane however many words it holds:
-    # 18 + 2 * 1 graph W, where writing each word on its own would cost
-    # 18 + 17 * 1, and 8-bit stripes 18 + 2 * 8.
+    # The 17 edges form one path over 18 distinct 4-mer nodes. 16 columns
+    # hold one key slot per row, so the 17 keys sit in 17 key rows, and
+    # each row is copied once (1 R + 1 W): the first key's row brings both
+    # of its nodes, every later row its suffix node, 17 copies where one
+    # per node was 18. Each stripe costs one W per bit plane however many
+    # words it holds: 17 + 2 * 1 graph W, where writing each word on its
+    # own would cost 17 + 17 * 1, and 8-bit stripes 17 + 2 * 8.
     genome = distinct_window_genome(21, 5, random.Random(5))
     asm, g = build_graph([genome], 5, rows=64, cols=16)
     assert g.edge_count == 17
     assert len(g.nodes) == 18
     assert len(g.store.stripes) == 2
     assert g.store.width == 1
-    assert asm.trace.total(tr.W, stage=tr.STAGE_GRAPH) == 18 + 2 * 1
+    assert asm.trace.total(tr.W, stage=tr.STAGE_GRAPH) == 17 + 2 * 1
     assert g.store.read() == g.mult
+
+
+def test_a_key_row_that_introduces_several_nodes_is_copied_once():
+    # 24 x 64 at k=5: 4 slots of 16 columns per key row, 4 key rows, one
+    # 8-bit counter stripe, and 4 buckets, so the 9 keys of TTGGTGCATAGAG
+    # share rows. Key row 0 holds TTGGT, TGGTG, GGTGC and CATAG, where the
+    # 5 nodes TTGG, TGGT, GGTG, GTGC and ATAG first appear; row 1 brings
+    # TGCA, GCAT and AGAG, rows 2 and 3 CATA and TAGA. Each row is copied
+    # into the label bank once (1 R + 1 W), 4 copies for 10 nodes, and each
+    # label is checked at its own columns of its row's copy. Graph stage:
+    #   R = 8 (the counter stripe read back) + 4 copies = 12
+    #   W = 4 copies + 1 (the 1-bit multiplicity stripe) = 5
+    asm = make_asm(**PACKED)
+    table = asm.build_kmer_table([E("TTGGTGCATAGAG")], 5)
+    rows = [key_i // table.layout.slots for _, key_i in table.slots]
+    assert rows == [0, 0, 0, 1, 1, 2, 0, 3, 1]
+    g = asm.build_graph(table)
+    assert len(g.nodes) == 10
+    assert [(kind, n) for stage, kind, n in asm.trace.records() if stage == tr.STAGE_GRAPH] == [
+        (tr.R, 8 + 4),
+        (tr.W, 4 + 1),
+    ]
+    # a hash sub-array, a label bank and a word bank
+    assert asm.machine.subarray_count == 3
 
 
 @given(reads=reads_strategy, k=st.integers(min_value=2, max_value=5))
@@ -1471,16 +1569,32 @@ _UNIT_RUNG = (
 # slots, stripes * slots / 2, ... down to stripes. At 64 x 32 and k=11 the
 # 22-bit key takes a 32-column pitch, one slot per row, so the only rung is
 # stripes itself: 8 groups of 2 buckets as before, and no row moves.
+#
+# Inserts write the key from the query bits, a read seeds its new counters
+# with one write per (sub-array, counter stripe), and placement copies each
+# key row once. Each of the 259 inserts used to cost a copy out of the temp
+# row (1 R + 1 W) and a one-cell counter write (1 W), plus a staging write
+# of the temp row when the scan had not left the query in the target
+# sub-array: the 16 buckets' first keys and the 4 inserts that chained.
+# Now an insert is 1 W, and the 46 reads that insert keys end with 184
+# seed writes, since one key per row spreads a read's new keys over 4
+# (sub-array, stripe) pairs on average. The hashmap R row goes away:
+#   hashmap W   7,779 - 259 * (1 + 1) - 20 + 259 + 184 = 7,684
+#   hashmap R   259 -> 0
+# With one key per row, a copy brings two new nodes only for each
+# component's first key, so the 259 nodes need 257 copies. The label bank
+# takes 257 rows, ceil(257 / 58) = 5 sub-arrays as before:
+#   graph R     363 - 2 = 361  (simplify on: 622 - 2 = 620)
+#   graph W     295 - 2 = 293  (both ways)
 LADDER = {
     False: (
         [
             ("io", "XFER", 508),
-            ("hashmap", "W", 7779),
-            ("hashmap", "R", 259),
+            ("hashmap", "W", 7684),
             ("hashmap", "C_ADD", 12528),
             ("hashmap", "DPU", 9472),
-            ("graph", "R", 363),
-            ("graph", "W", 295),
+            ("graph", "R", 361),
+            ("graph", "W", 293),
             ("traverse", "DPU", 996),
             ("traverse", "R", 216),
             ("traverse", "W", 1148),
@@ -1500,12 +1614,11 @@ LADDER = {
     True: (
         [
             ("io", "XFER", 512),
-            ("hashmap", "W", 7779),
-            ("hashmap", "R", 259),
+            ("hashmap", "W", 7684),
             ("hashmap", "C_ADD", 12528),
             ("hashmap", "DPU", 9472),
-            ("graph", "R", 622),
-            ("graph", "W", 295),
+            ("graph", "R", 620),
+            ("graph", "W", 293),
             ("graph", "DPU", 518),
             ("traverse", "DPU", 40),
             ("traverse", "W", 141),
