@@ -2,14 +2,12 @@
 
 Stage 1 counts k-mers in an associative hash store whose key rows hold
 several keys each, one per slot at a power-of-two column pitch. The store
-is cut into groups of sub-arrays, one group per sub-array's worth of
-distinct keys, and every group into hash buckets. A host pre-scan of the
-distinct keys sizes the bucket directory (mapping.bucket_directory): the
-most buckets per group under which every group fits in one sub-array,
-from at most one per key row down by halves, else one per counter stripe.
-A bucket takes key rows one at a time from its group's current sub-array,
-so the rows of a group's buckets interleave there, and a full group chains
-into a new sub-array, which only the one-per-stripe directory lets happen.
+is cut into groups of one sub-array each, and every group into hash
+buckets. A host pre-scan of the distinct keys sizes the bucket directory
+(mapping.bucket_directory): the fewest groups, then the most buckets per
+group, under which every group's buckets fit in its sub-array. A bucket
+takes key rows one at a time from its group's sub-array, so the rows of a
+group's buckets interleave there.
 Each query is written once into every slot of a temp row and compared
 against the occupied key rows of its own bucket only: one XNOR-compare
 cycle plus one AND-reduce per row checks every key in it, and only occupied
@@ -47,29 +45,27 @@ length of the largest degree plus one, the largest value the start probe
 forms. Each add's carry-out is checked: a decrement that does not carry
 spent a zero word, and an in + 1 that does overflowed its word.
 
-Every store takes its rows from one allocator, `_RowBank`, which hands
-out rows of one region (a hash group's key rows, or a plain sub-array's
-data rows) and chains a new sub-array when an entry no longer fits.
-Vertical words cross the instruction layer a stripe at a time:
-Machine.write_vwords and read_vwords cost one row per bit plane for any
-number of columns, so the multiplicity words are placed, read and
+The graph stage's stores take their rows from one allocator, `_RowBank`,
+which hands out data rows and takes a new sub-array when an entry no
+longer fits. Vertical words cross the instruction layer a stripe at a
+time: Machine.write_vwords and read_vwords cost one row per bit plane for
+any number of columns, so the multiplicity words are placed, read and
 rewritten one stripe per call.
 
-A graph holds at most one fabric placement, `SparseGraph.store`, bound to
-the machine that wrote it: every node's label, one vertical multiplicity
-word per edge, one word-high stripe per `cols` edges, plus the last
-find_start pass (its degree region and trail starts) until a walk consumes
-it. One routine, `Assembler._place`, writes every placement and checks
-each node's label: build_graph takes each node's label from the key slot
-where the node first appears, and copies each such key row once, so one
-row copy brings every label that first appears in it. A graph with no
-placement on the walking machine (a synthetic graph, a simplified one, or
-one placed by another Assembler) gets its labels as host immediates, one
-label per row, in the traverse stage. The traverse stage runs once over
-the whole graph: a component whose multiplicities admit no Euler path has
-its words rewritten to one in place, and the repeat degree pass reuses the
-first pass's region, clearing and re-accumulating only those components'
-nodes.
+build_graph copies each node's label from the key slot where the node
+first appears, and copies each such key row once, so one row copy brings
+every label that first appears in it. With `simplify` on, it then merges
+unbranched chains on the host. A graph holds at most one fabric
+placement, `SparseGraph.store`, bound to the machine that wrote it: one
+vertical multiplicity word per edge, one word-high stripe per `cols`
+edges, plus the last find_start pass (its degree region and trail starts)
+until a walk consumes it. `Assembler._place` writes it once, for the graph
+the walk reads: build_graph's, or in the traverse stage one with no
+placement on the walking machine (a synthetic graph, or one another
+Assembler built). The traverse stage runs once over the whole graph: a
+component whose multiplicities admit no Euler path has its words
+rewritten to one in place, and the repeat degree pass reuses the first
+pass's region, clearing and re-accumulating only those components' nodes.
 
 The host keeps mirror bookkeeping (a dict index into the hash store, the
 edge lists, remaining-multiplicity maps) so the simulation runs in sensible
@@ -297,36 +293,41 @@ class KmerTable:
                 fh.write(f"{key.to_str()}\t{freqs[key]}\n")
 
 
-class _Bucket:
-    """One directory entry's keys inside its group's sub-arrays.
+class _Group:
+    """One hash group: its sub-array, and the next free key row there."""
 
-    `rows` lists the bucket's key rows in scan order as (chain member, key
-    row); `chain` holds the sub-array ids those members name, oldest
-    first; `last_fill` counts the keys in the last row.
+    __slots__ = ("sid", "next_row")
+
+    def __init__(self, sid: int):
+        self.sid = sid
+        self.next_row = 0
+
+
+class _Bucket:
+    """One directory entry's keys inside its group's sub-array `sid`: `rows`
+    lists its key rows in scan order, `last_fill` the keys in the last one.
     """
 
-    __slots__ = ("chain", "rows", "last_fill")
+    __slots__ = ("sid", "rows", "last_fill")
 
-    def __init__(self):
-        self.chain: list[int] = []
-        self.rows: list[tuple[int, int]] = []
+    def __init__(self, sid: int):
+        self.sid = sid
+        self.rows: list[int] = []
         self.last_fill = 0
 
 
 class _RowBank:
-    """Sequential row allocator over a chain of sub-arrays, oldest first.
+    """Sequential row allocator over sub-arrays, oldest first.
 
-    Rows come from `region` (the layout's data region by default) of the
-    last sub-array in `sids`; an entry that does not fit chains a new one.
+    Rows come from the data region of the last sub-array in `sids`; an
+    entry that does not fit takes a new one.
     """
 
-    def __init__(
-        self, asm: "Assembler", layout: RowLayout | None = None, region: range | None = None
-    ):
+    def __init__(self, asm: "Assembler"):
         self.asm = asm
         self.sids: list[int] = []
-        self._layout = layout or RowLayout.default(asm.rows)
-        self._region = self._layout.data_region if region is None else region
+        self._layout = RowLayout.default(asm.rows)
+        self._region = self._layout.data_region
         self._next = 0
 
     def alloc(self, nrows: int) -> tuple[int, int]:
@@ -421,10 +422,9 @@ class Assembler:
 
     The hash store packs `slots` keys into each key row (see
     mapping.layout_hash), so a bucket scan costs one compare per occupied
-    row, not one per key. It keeps ceil(distinct / capacity) groups of
-    sub-arrays and as many buckets per group as the groups' sub-arrays can
-    hold without chaining (see build_kmer_table), so a probe scans a few
-    rows. Lookups use the host index to emit the scan events in bulk and
+    row, not one per key. Each group is one sub-array, with as many buckets
+    as fit in it (see build_kmer_table), so a probe scans a few rows.
+    Lookups use the host index to emit the scan events in bulk and
     execute only the decisive row compare physically.
     Counter writes are batched per read: each read ends with one seed
     write per (sub-array, counter stripe) that starts its new counters at
@@ -474,9 +474,10 @@ class Assembler:
 
         A host pre-scan hashes each distinct key once, with the miss path's
         own hash, and mapping.bucket_directory sizes the groups and their
-        buckets from those hashes: at 1024 x 256 and k=25, the finest of
-        480, 240, 120, 60 and 30 buckets per group under which every group
-        fits in one sub-array, else 15, whose full groups chain. Each k-mer
+        buckets from those hashes: at 1024 x 256 and k=25, the fewest
+        groups, from ceil(distinct / 3,568) up, at which one of 480, 240,
+        120, 60, 30 and 15 buckets per group fits every group in its
+        sub-array, and the finest that fits. Each k-mer
         is then probed in read order, a new key taking its sub-array's next
         counter index. At each read's end its new counters are seeded, one
         write per (sub-array, stripe), and then its increments are added.
@@ -491,11 +492,11 @@ class Assembler:
             n_groups, table.buckets_per_group = mapping.bucket_directory(
                 layout, [mapping.stable_hash(bits, 2 * k, self.seed) for bits in distinct]
             )
-            groups = [
-                _RowBank(self, layout.row_layout, layout.kmer_rows) for _ in range(n_groups)
-            ]
+            groups = [_Group(self._new_subarray(layout.row_layout)) for _ in range(n_groups)]
             table.buckets = n_groups * table.buckets_per_group
-            buckets = [_Bucket() for _ in range(table.buckets)]
+            buckets = [
+                _Bucket(groups[b // table.buckets_per_group].sid) for b in range(table.buckets)
+            ]
             index: dict[int, tuple[int, int, int, int]] = {}
             adds = seeds = 0
             for read in reads:
@@ -508,10 +509,9 @@ class Assembler:
                 adds += self._add_counts(layout, pending)
         log.info(
             "k-mer table: %d queries, %d hits, %d counter adds, %d counter-seed writes, "
-            "%d distinct, %d groups, %d buckets (%d per group), %d sub-arrays",
+            "%d distinct, %d groups (one sub-array each), %d buckets (%d per group)",
             table.total_kmers, table.total_kmers - table.distinct(), adds, seeds,
             table.distinct(), len(groups), table.buckets, table.buckets_per_group,
-            sum(len(g.sids) for g in groups),
         )
         return table
 
@@ -580,7 +580,7 @@ class Assembler:
             count = table.host_counts[bits]
             if count < cap:
                 lsb, col = lay.counter_location(ctr_i)
-                slot = (bucket.chain[bucket.rows[pos][0]], lsb, col)
+                slot = (bucket.sid, lsb, col)
                 pending[slot] = pending.get(slot, 0) + 1
             elif count == cap:
                 table.saturated_keys += 1
@@ -592,13 +592,12 @@ class Assembler:
         bucket = buckets[bucket_i]
         self._probe(bucket, None, image, temp_row, lay)
         if not bucket.rows or bucket.last_fill == lay.slots:
-            sid, row = groups[bucket_i // table.buckets_per_group].alloc(1)
-            if not bucket.chain or sid != bucket.chain[-1]:
-                bucket.chain.append(sid)
-            bucket.rows.append((len(bucket.chain) - 1, row - lay.kmer_rows.start))
+            group = groups[bucket_i // table.buckets_per_group]
+            bucket.rows.append(group.next_row)
+            group.next_row += 1
             bucket.last_fill = 0
-        target = bucket.chain[-1]
-        key_i = bucket.rows[-1][1] * lay.slots + bucket.last_fill
+        target = bucket.sid
+        key_i = bucket.rows[-1] * lay.slots + bucket.last_fill
         key_row, col = lay.key_address(key_i)
         m.mem_insert(MemAddress(target, key_row, col, width), bits)
         if (m.subarray(target).cells[key_row] >> col) & ((1 << width) - 1) != bits:
@@ -623,11 +622,10 @@ class Assembler:
         """Cost the query's scan of its bucket; compare the decisive row in fabric.
 
         `hit` is the (row position, key index) of a stored key, or None for
-        a new one. A scan walks the bucket's own rows in order, writing the
-        query into the temp row of each chain member it visits and comparing
-        one occupied key row per cycle; the other buckets of the group are
-        never scanned; an empty bucket costs nothing. Everything before the
-        decisive row (the hit's row, or a miss's last row) is emitted in
+        a new one. A scan writes the query into the temp row and walks the
+        bucket's own rows in order, comparing one occupied key row per
+        cycle; the other buckets of the group are never scanned; an empty
+        bucket costs nothing. Everything before the decisive row (the hit's row, or a miss's last row) is emitted in
         bulk; that row's compare runs physically and must agree with the
         index. The temp row only feeds the compares: a miss's insert writes
         its key from the query bits, not from the temp row.
@@ -638,19 +636,16 @@ class Assembler:
         trace = m.trace
         span = lay.key_span
         pos, key_i = hit if hit is not None else (len(bucket.rows) - 1, None)
-        member_i, row_i = bucket.rows[pos]
-        first = row_i * lay.slots
+        first = bucket.rows[pos] * lay.slots
         if key_i is None:
             want, occupied = None, bucket.last_fill
         else:
             want = key_i - first
             occupied = want + 1
-        if member_i:
-            trace.emit(tr.W, member_i)
         if pos:
             trace.emit(tr.C_ADD, pos)
             trace.emit(tr.DPU, pos)
-        sid = bucket.chain[member_i]
+        sid = bucket.sid
         m.subarray(sid).write_bits(temp_row, 0, span, image)
         row, _ = lay.key_address(first)
         res = m.cmp(MemAddress(sid, temp_row, 0, span), MemAddress(sid, row, 0, span))
@@ -660,15 +655,16 @@ class Assembler:
     # -- stage 2: graph construction --
 
     def build_graph(self, table: KmerTable) -> SparseGraph:
-        """One edge per distinct k-mer, from prefix to suffix node, placed on
-        this machine.
+        """One edge per distinct k-mer, from prefix to suffix node, chains
+        merged when `simplify` is on, placed on this machine.
 
         Every counter is read back from fabric once and must equal the host
         count, clamped at the cap; it becomes the edge's multiplicity. Nodes
         are numbered in first-appearance order, and each node's label source
         is the key slot where it first appears: the key's low 2(k-1) bits
-        for a prefix, the high ones for a suffix. _place then copies each
-        key row that holds a source once.
+        for a prefix, the high ones for a suffix. _copy_labels copies each
+        key row that holds a source once; only then does simplify_graph
+        merge chains, and only the graph the walk reads is placed.
         """
         k = table.k
         width = 2 * (k - 1)
@@ -689,47 +685,45 @@ class Assembler:
                     if g.node_id(label) == len(sources):
                         sources.append(MemAddress(sid, row, col + offset, width))
                 g.add_edge(prefix, suffix, expect)
-            g.store = self._place(g, sources)
-        log.info("graph: %d nodes, %d edges", len(g.nodes), g.edge_count)
+            label_rows = self._copy_labels(g, sources)
+            log.info("graph: %d nodes, %d edges", len(g.nodes), g.edge_count)
+            if self.simplify:
+                g = self.simplify_graph(g, label_rows)
+            g.store = self._place(g)
         return g
 
-    def _place(self, g: SparseGraph, sources: list[MemAddress | int]) -> _GraphStore:
-        """Place g on this machine: every node's label, one word per edge.
+    def _copy_labels(self, g: SparseGraph, sources: list[MemAddress]) -> list[tuple[int, int]]:
+        """Copy each node's label from its key slot, `sources[node id]`;
+        returns each node's (sub-array, row) in the label bank.
 
-        Each node's label comes from its source, `sources[node id]`: a key
-        slot's prefix or suffix bits in the hash store, or the label's own
-        bits as an immediate. A key row is copied whole into one row of the
-        label bank the first time a node's source lies in it (1 R + 1 W),
-        and that copy serves every node whose source lies in the row; an
-        immediate takes rows of its own. Each node's bits must read back as
-        its label, at its own columns of its row. Then each edge gets one
-        multiplicity word as wide as the largest multiplicity's bit length,
-        one word-high stripe per `cols` edges, each edge's word in its own
-        column: one write_vwords (width W) per stripe.
+        A key row is copied whole into one row of the label bank the first
+        time a node's source lies in it (1 R + 1 W), and that copy serves
+        every node whose source lies in the row. Each node's bits must read
+        back as its label, at its own columns of its row.
         """
         m = self.machine
         labels = _RowBank(self)
         copies: dict[tuple[int, int], tuple[int, int]] = {}  # key row -> its copy
+        rows = []
         for lab, src in zip(g.nodes, sources, strict=True):
-            nbits = lab.bit_length
-            if isinstance(src, MemAddress):
-                at = (src.subarray_id, src.row)
-                if at not in copies:
-                    copies[at] = labels.alloc(1)
-                    m.mem_insert(MemAddress(*copies[at], 0, m.cols), MemAddress(*at, 0, m.cols))
-                sid, row = copies[at]
-                stored = m.subarray(sid).cells[row] >> src.col_start
-            else:
-                sid, row = labels.alloc(max(1, math.ceil(nbits / m.cols)))
-                if not nbits:
-                    continue
-                m.mem_insert(MemAddress(sid, row, 0, nbits), src)
-                cells = m.subarray(sid).cells
-                stored = 0
-                for i, off in enumerate(range(0, nbits, m.cols)):
-                    stored |= cells[row + i] << off
-            if stored & ((1 << nbits) - 1) != lab.bits:
+            at = (src.subarray_id, src.row)
+            if at not in copies:
+                copies[at] = labels.alloc(1)
+                m.mem_insert(MemAddress(*copies[at], 0, m.cols), MemAddress(*at, 0, m.cols))
+            sid, row = copies[at]
+            stored = m.subarray(sid).cells[row] >> src.col_start
+            if stored & ((1 << lab.bit_length) - 1) != lab.bits:
                 raise ConsistencyError(f"label of {lab.to_str()} stored corrupted")
+            rows.append(copies[at])
+        return rows
+
+    def _place(self, g: SparseGraph) -> _GraphStore:
+        """Place g on this machine: one multiplicity word per edge, as wide
+        as the largest multiplicity's bit length, one word-high stripe per
+        `cols` edges, each edge's word in its own column: one write_vwords
+        (width W) per stripe.
+        """
+        m = self.machine
         width = max(g.mult, default=1).bit_length()
         words = _RowBank(self)
         stripes = [words.alloc(width) for _ in range(0, g.edge_count, m.cols)]
@@ -738,14 +732,16 @@ class Assembler:
         return store
 
     def _ensure_store(self, g: SparseGraph) -> _GraphStore:
-        """g's placement on this machine, host-placing g first if it has none."""
+        """g's placement on this machine, placing g first if it has none."""
         if g.store is None or g.store.machine is not self.machine:
-            g.store = self._place(g, [lab.bits for lab in g.nodes])
+            g.store = self._place(g)
         return g.store
 
     # -- optional stage 2.5: chain merging --
 
-    def simplify_graph(self, g: SparseGraph) -> SparseGraph:
+    def simplify_graph(
+        self, g: SparseGraph, label_rows: list[tuple[int, int]] | None = None
+    ) -> SparseGraph:
         """Merge unbranched chains into single nodes.
 
         An edge u->v is contractible when it is u's only outgoing edge
@@ -753,7 +749,8 @@ class Assembler:
         as a single adjacency here, so coverage depth never blocks a
         merge. Contractible edges form disjoint paths and cycles; each
         path becomes one node with the overlap-merged label, each cycle
-        one node with a self-loop.
+        one node with a self-loop. Each distinct label row (`label_rows`,
+        from build_graph) that holds a merged node is read once.
         """
         m = self.machine
         with m.stage_scope(tr.STAGE_GRAPH):
@@ -789,11 +786,11 @@ class Assembler:
 
             new = SparseGraph(k=g.k)
             node_map: dict[int, int] = {}
-            rows_read = 0
+            read: set[tuple[int, int]] = set()  # label rows of merged nodes
             for chain in chains:
                 label = contig_from_path([g.nodes[nid] for nid in chain], g.k or 2)
-                if len(chain) > 1:
-                    rows_read += len(chain)
+                if len(chain) > 1 and label_rows is not None:
+                    read.update(label_rows[nid] for nid in chain)
                 mid = new.node_id(label)
                 for nid in chain:
                     node_map[nid] = mid
@@ -801,9 +798,9 @@ class Assembler:
                 if e in consumed:
                     continue
                 new.add_edge(new.nodes[node_map[u]], new.nodes[node_map[v]], g.mult[e])
-            # merge scan: label reads for merged members, controller pass
-            if rows_read:
-                m.trace.emit(tr.R, rows_read)
+            # merge scan: merged members' label rows, controller pass
+            if read:
+                m.trace.emit(tr.R, len(read))
             m.dpu_charge(n + g.edge_count)
         log.info(
             "simplify: %d -> %d nodes, %d -> %d edges",
@@ -1092,8 +1089,7 @@ class Assembler:
                 f"{table.saturated_keys} k-mer counters saturated at "
                 f"{(1 << table.value_width) - 1}"
             )
-        g = self.build_graph(table)
-        work = self.simplify_graph(g) if self.simplify else g
+        work = self.build_graph(table)
         with m.stage_scope(tr.STAGE_TRAVERSE):
             m.dpu_charge(len(work.nodes) + work.edge_count)
             comps = weakly_connected_components(work)

@@ -18,7 +18,6 @@ import os
 import random
 import sys
 import traceback
-from dataclasses import replace
 
 from . import perf, seqio
 from .assembly import Assembler
@@ -99,8 +98,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def cmd_assemble(args) -> int:
     _check_run(args, [args.k])
-    if args.pd < 1:
-        raise ConfigError(f"parallelism degree must be >= 1, got {args.pd}")
     cfg = _load_cost_config(args)
     records = seqio.read_sequences(args.input)
     reads, dropped = seqio.encode_records(records)
@@ -115,7 +112,7 @@ def cmd_assemble(args) -> int:
         print(f"warning: {w}", file=sys.stderr)
     contigs = [(f"contig_{i}", c.to_str()) for i, c in enumerate(result.contigs)]
     seqio.write_fasta(f"{args.out}.contigs.fasta", contigs)
-    report = replace(perf.account(asm.trace, cfg), pd=args.pd)
+    report = perf.account(asm.trace, cfg)
     report.to_json(f"{args.out}.report.json")
     asm.trace.write_csv(f"{args.out}.trace.csv")
     if args.dump_kmers:
@@ -244,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("assemble", help="assemble reads into contigs")
     p.add_argument("input", help="FASTA/FASTQ reads")
     _add_common(p)
-    p.add_argument("--pd", type=int, default=1, help="parallelism degree for reporting")
     p.add_argument("--dump-kmers", default=None, help="write the k-mer table as TSV")
     p.add_argument("--dump-graph", default=None, help="write the edge list as TSV")
     p.set_defaults(func=cmd_assemble)

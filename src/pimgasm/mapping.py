@@ -182,31 +182,38 @@ def layout_hash(dims: tuple[int, int], k: int, value_width: int = 8) -> HashLayo
 def bucket_directory(lay: HashLayout, hashes: list[int]) -> tuple[int, int]:
     """(groups, buckets per group) of a hash store for keys with these hashes.
 
-    One group of sub-arrays per sub-array's worth of keys. A key with hash
-    h sits in bucket h % (groups * per_group), which belongs to group
-    bucket // per_group, and a bucket of n keys takes ceil(n / slots) key
-    rows. The buckets per group are the finest rung under which every
-    group's buckets fit in one sub-array's key rows; when none fits,
-    `stripes`, whose full groups chain. The rungs run stripes * slots * 2^j
-    down from the largest that is at most the key rows (so at most one
-    bucket per key row), through stripes * slots, then halve the slots:
-    480, 240, 120, 60 and 30 at 1024 x 256 and k=25. A finer directory
-    shortens every bucket scan; counter stripes follow first-seen order,
-    not the bucket, so it does not spread a read's counter increments.
+    Every group is one sub-array. A key with hash h sits in bucket
+    h % (groups * per_group), which belongs to group bucket // per_group,
+    and a bucket of n keys takes ceil(n / slots) key rows. The rungs run
+    stripes * slots * 2^j down from the largest that is at most the key
+    rows (so at most one bucket per key row), through stripes * slots, then
+    halve the slots down to `stripes`: 480, 240, 120, 60, 30 and 15 at
+    1024 x 256 and k=25. The directory takes the fewest groups, from
+    ceil(keys / capacity) up to four times that, at which a rung fits every
+    group's buckets into its sub-array's key rows, and the finest rung that
+    fits there. A finer directory shortens every bucket scan; counter
+    stripes follow first-seen order, not the bucket, so it does not spread
+    a read's counter increments. At four times the fewest groups a group
+    averages a quarter of a sub-array's keys, so only colliding hashes find
+    no fit (stable_hash is injective on keys of up to 32 bases), and they
+    raise CapacityError.
     """
-    groups = math.ceil(len(hashes) / lay.capacity)
+    least = math.ceil(len(hashes) / lay.capacity)
     base = lay.stripes * lay.slots
     up = (len(lay.kmer_rows) // base).bit_length() - 1
     rungs = [base << j for j in range(up, 0, -1)]
-    rungs += [lay.stripes * (lay.slots >> s) for s in range(lay.slots.bit_length() - 1)]
-    for per_group in rungs:
-        fill = Counter(h % (groups * per_group) for h in hashes)
-        rows = [0] * groups
-        for bucket, keys in fill.items():
-            rows[bucket // per_group] += math.ceil(keys / lay.slots)
-        if max(rows) <= len(lay.kmer_rows):
-            return groups, per_group
-    return groups, lay.stripes
+    rungs += [lay.stripes * (lay.slots >> s) for s in range(lay.slots.bit_length())]
+    for groups in range(least, 4 * least + 1):
+        for per_group in rungs:
+            fill = Counter(h % (groups * per_group) for h in hashes)
+            rows = [0] * groups
+            for bucket, keys in fill.items():
+                rows[bucket // per_group] += math.ceil(keys / lay.slots)
+            if max(rows) <= len(lay.kmer_rows):
+                return groups, per_group
+    raise CapacityError(
+        f"{len(hashes)} key hashes fit no bucket directory of {least} to {4 * least} groups"
+    )
 
 
 def subarrays_needed(n_items: int, f: int) -> int:

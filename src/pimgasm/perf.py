@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from . import trace as tr
 from .errors import ConfigError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # compute-busy classes for the utilization ratio; R/W are array accesses
 # and XFER is host traffic, so the three pools never overlap
@@ -167,7 +167,6 @@ class StageReport:
     avg_power_w: float
     mbr: float
     rur: float
-    pd: int = 1
     schema_version: int = SCHEMA_VERSION
 
     def stage_fraction(self, stage: str) -> float:
@@ -178,7 +177,6 @@ class StageReport:
     def to_dict(self) -> dict:
         return {
             "schema_version": self.schema_version,
-            "pd": self.pd,
             "stages": [
                 {
                     "stage": r.stage,

@@ -33,30 +33,39 @@ E = EncodedSeq.from_str
 
 
 class PhysicalScan(Assembler):
-    """Oracle of the indexed scan: the query walks its bucket's rows in
-    order, is written into the temp row once per chain member it reaches,
-    and is compared against each occupied key row in fabric, up to the
-    first match, which must be the index's answer."""
+    """Oracle of the indexed scan: the query is written into its bucket's
+    sub-array's temp row once, walks the bucket's rows in order and is
+    compared against each occupied key row in fabric, up to the first
+    match, which must be the index's answer."""
 
     def _probe(self, bucket, hit, image, temp_row, lay):
+        if not bucket.rows:
+            assert hit is None
+            return
         m = self.machine
         span = lay.key_span
         found = None
-        staged = None
-        for pos, (member_i, row_i) in enumerate(bucket.rows):
-            sid = bucket.chain[member_i]
-            if member_i != staged:
-                m.subarray(sid).write_bits(temp_row, 0, span, image)
-                staged = member_i
+        m.subarray(bucket.sid).write_bits(temp_row, 0, span, image)
+        for pos, row_i in enumerate(bucket.rows):
             first = row_i * lay.slots
             row, _ = lay.key_address(first)
-            res = m.cmp(MemAddress(sid, temp_row, 0, span), MemAddress(sid, row, 0, span))
+            res = m.cmp(
+                MemAddress(bucket.sid, temp_row, 0, span), MemAddress(bucket.sid, row, 0, span)
+            )
             last = pos == len(bucket.rows) - 1
             slot = lay.matched_slot(res.mask, bucket.last_fill if last else lay.slots)
             if slot is not None:
                 found = (pos, first + slot)
                 break
         assert found == hit
+
+
+class BucketRecorder(Assembler):
+    """Keeps the hash stage's groups and buckets for inspection."""
+
+    def _observe(self, table, groups, buckets, index, pending, kmer):
+        self.groups, self.buckets = groups, buckets
+        super()._observe(table, groups, buckets, index, pending, kmer)
 
 
 def make_asm(rows=128, cols=64, oracle=False, **kw):
@@ -244,25 +253,48 @@ def test_probe_modes_agree():
     assert indexed.trace.records() == naive.trace.records()
 
 
+def check_one_sub_array_per_group(asm, table):
+    """Every hash group is one sub-array of its own, the hash stage takes
+    nothing else, and every bucket's key rows lie in its group's sub-array,
+    no row in two buckets. Every key sits in a row of the bucket its hash
+    names."""
+    lay = table.layout
+    groups, buckets = asm.groups, asm.buckets
+    assert len(buckets) == table.buckets == len(groups) * table.buckets_per_group
+    sids = [group.sid for group in groups]
+    assert sorted(sids) == list(range(asm.machine.subarray_count))
+    rows = set()
+    for bi, bucket in enumerate(buckets):
+        assert bucket.sid == sids[bi // table.buckets_per_group]
+        for row_i in bucket.rows:
+            assert 0 <= row_i < len(lay.kmer_rows)
+            assert (bucket.sid, row_i) not in rows
+            rows.add((bucket.sid, row_i))
+    for key, (sid, key_i) in zip(table.keys, table.slots):
+        bucket = buckets[bucket_of(table, key)]
+        assert sid == bucket.sid and key_i // lay.slots in bucket.rows
+
+
 def _count_both_ways(raw, k, **kw):
     """Count with the indexed scan and with the physical-scan oracle; check
-    they agree with each other and with a host Counter."""
+    they agree with each other and with a host Counter, and that every
+    group kept to its one sub-array."""
     enc = [E(s) for s in raw]
     expected = Counter(s[i : i + k] for s in raw for i in range(len(s) - k + 1))
     runs = []
-    for oracle in (False, True):
-        asm = make_asm(oracle=oracle, **kw)
+    for asm in (BucketRecorder(**kw), PhysicalScan(**kw)):
         runs.append((asm, asm.build_kmer_table(enc, k)))
     (indexed, ti), (naive, tn) = runs
     assert indexed.trace.records() == naive.trace.records()
     assert [key.to_str() for key in ti.keys] == [key.to_str() for key in tn.keys]
     assert {key.to_str(): n for key, n in ti.items()} == dict(expected)
     assert {key.to_str(): n for key, n in tn.items()} == dict(expected)
+    check_one_sub_array_per_group(indexed, ti)
     return indexed, ti
 
 
 # 24 x 64 sub-arrays hold 4 key rows of 4 to 16 slots for k = 2..8, so
-# larger read sets overflow buckets into chains
+# larger read sets take many groups, and hash collisions can overfill one
 PACKED = dict(rows=24, cols=64)
 
 
@@ -280,19 +312,17 @@ def test_packed_rows_probe_modes_agree_with_a_host_counter(reads, poly_a, at, k)
     _count_both_ways(raw, k, **PACKED)
 
 
-def test_packed_rows_chain_buckets():
+def test_packed_rows_take_more_groups_than_the_fewest():
+    # 151 distinct 6-mers, 16 keys per sub-array (4 key rows of 4 slots,
+    # one counter stripe): at the fewest 10 groups some group's buckets
+    # need 5 or more rows at every rung; the directory goes on up to the
+    # first group count where one fits
     rng = random.Random(3)
     genome = "".join(rng.choice("ACGT") for _ in range(160))
     raw = [genome[i : i + 40] for i in range(0, 121, 20)] + ["A" * 9, genome[:30]]
     asm, table = _count_both_ways(raw, 6, **PACKED)
-    assert table.layout.slots == 4
-    # more sub-arrays than groups: at least one group chained
-    assert asm.machine.subarray_count > -(-table.distinct() // table.layout.capacity)
-
-
-def _stripes_only(lay, hashes):
-    """The directory of one bucket per counter stripe, whatever the keys."""
-    return -(-len(hashes) // lay.capacity), lay.stripes
+    assert (table.layout.slots, table.layout.capacity, table.distinct()) == (4, 16, 151)
+    assert asm.machine.subarray_count == len(asm.groups) == 15
 
 
 @given(
@@ -303,110 +333,87 @@ def _stripes_only(lay, hashes):
 @settings(max_examples=40, deadline=None)
 def test_the_bucket_directory_never_costs_sub_arrays(reads, rows, k):
     # 24 to 48 rows of 64 columns give 4, 8 or 16 slots per key row, 4 to
-    # 20 key rows and 1 to 3 counter stripes. The ladder has 3 to 5 rungs,
-    # the fallback among them: stripes * slots and its halvings, and above
-    # them at k >= 5 on 32 or 48 rows one doubled rung (8 or 16 buckets, at
-    # most one per key row). These read sets take one group or several, a
-    # finer rung or the fallback, which may chain
+    # 20 key rows and 1 to 3 counter stripes. The ladder has 3 to 5 rungs:
+    # stripes * slots and its halvings down to the stripes, and above them
+    # at k >= 5 on 32 or 48 rows one doubled rung (8 or 16 buckets, at most
+    # one per key row). These read sets take one group or several, from
+    # the fewest up; each group is one sub-array, whatever the rung
     raw = [s for s in reads if len(s) >= k]
     assume(raw)
     asm, table = _count_both_ways(raw, k, rows=rows, cols=64)
     lay = table.layout
-    groups = -(-table.distinct() // lay.capacity)
+    least = -(-table.distinct() // lay.capacity)
     ladder = {lay.stripes * (lay.slots >> i) for i in range(lay.slots.bit_length())}
     up = 2 * lay.stripes * lay.slots
     while up <= len(lay.kmer_rows):
         ladder.add(up)
         up *= 2
     assert table.buckets_per_group in ladder
-    assert table.buckets == groups * table.buckets_per_group
-    if table.buckets_per_group > lay.stripes:  # a rung chosen because it fits
-        assert asm.machine.subarray_count <= groups
-    base = make_asm(rows=rows, cols=64)
-    with patch.object(mapping, "bucket_directory", _stripes_only):
-        assert base.build_kmer_table([E(s) for s in raw], k).buckets_per_group == lay.stripes
-    assert asm.machine.subarray_count <= base.machine.subarray_count
-
-
-class BucketRecorder(Assembler):
-    """Keeps the hash stage's groups and buckets for inspection."""
-
-    def _observe(self, table, groups, buckets, index, pending, kmer):
-        self.groups, self.buckets = groups, buckets
-        super()._observe(table, groups, buckets, index, pending, kmer)
+    assert least <= len(asm.groups) <= 4 * least
 
 
 # 64 x 64 at k=5: 28 key rows of 4 slots and 3 counter stripes, so 112
 # keys per sub-array and a directory of 24, 12, 6 or 3 buckets per group
 # (24 = 3 * 4 * 2, the most that leave at most one bucket per key row).
 # Key rows each group's buckets need, rung by rung (24 / 12 / 6 / 3), and
-# the rung taken, the finest whose every group fits in 28 rows:
-#   150: 140 keys, 2 groups  26,28 / 24,20 / 21,18 / 18,19                          -> 24
-#   220: 196 keys, 2 groups  34,33 / 26,30 / 28,25 / 29,22                          ->  6
-#   230: 207 keys, 2 groups  36,33 / 33,30 / 28,28 / 26,28                          ->  6
-#   250: 220 keys, 2 groups  39,36 / 33,29 / 31,28 / 27,29                          ->  3
-#   300: 257 keys, 3 groups  30,36,31 / 28,25,23 / 23,24,23 / 23,19,25              -> 12
-#   420: 354 keys, 4 groups  29,30,34,29 / 28,25,26,26 / 26,23,24,25 / 22,24,25,23  -> 12
-# No rung fits at 250, so it takes 3, where its second group outgrows its
-# sub-array and chains (at 220 the 3 rung would chain too).
-RUNG_TAKEN = {150: 24, 220: 6, 230: 6, 250: 3, 300: 12, 420: 12}
+# the directory taken, the fewest groups at which a rung fits every group
+# in 28 rows, and the finest such rung:
+#   150: 140 keys, 2 groups  26,28 / 24,20 / 21,18 / 18,19                          -> 2, 24
+#   220: 196 keys, 2 groups  34,33 / 26,30 / 28,25 / 29,22                          -> 2,  6
+#   230: 207 keys, 2 groups  36,33 / 33,30 / 28,28 / 26,28                          -> 2,  6
+#   250: 220 keys, 2 groups  39,36 / 33,29 / 31,28 / 27,29                          -> no fit
+#                  3 groups  26,27,29 / 21,21,25 / 21,21,20 / 18,20,20              -> 3, 12
+#   300: 257 keys, 3 groups  30,36,31 / 28,25,23 / 23,24,23 / 23,19,25              -> 3, 12
+#   420: 354 keys, 4 groups  29,30,34,29 / 28,25,26,26 / 26,23,24,25 / 22,24,25,23  -> 4, 12
+# No rung fits 2 groups at 250, so it takes a third group.
+DIRECTORY_TAKEN = {
+    150: (2, 24), 220: (2, 6), 230: (2, 6), 250: (3, 12), 300: (3, 12), 420: (4, 12)
+}
 
 
-@pytest.mark.parametrize("length", list(RUNG_TAKEN))
-def test_buckets_stay_inside_their_group(length):
-    per_group = RUNG_TAKEN[length]
+def tiled_reads(length):
+    """30-base windows every 10 bases of a random genome of this length."""
     genome = random_genome(length, random.Random(length))
-    raw = [genome[i : i + 30] for i in range(0, length - 29, 10)]
-    _count_both_ways(raw, 5, rows=64, cols=64)
-    asm = BucketRecorder(rows=64, cols=64)
-    table = asm.build_kmer_table([E(s) for s in raw], 5)
-    lay = table.layout
-    groups, buckets = asm.groups, asm.buckets
-    assert len(groups) == -(-table.distinct() // lay.capacity) >= 2
-    assert table.buckets_per_group == per_group
-    assert len(buckets) == table.buckets == len(groups) * per_group
-    owner = {}
-    for gi, group in enumerate(groups):
-        for sid in group.sids:
-            assert owner.setdefault(sid, gi) == gi, "two groups share a sub-array"
-    rows = set()
-    for bi, bucket in enumerate(buckets):
-        assert set(bucket.chain) <= set(groups[bi // per_group].sids)
-        for member_i, row_i in bucket.rows:
-            assert (bucket.chain[member_i], row_i) not in rows
-            rows.add((bucket.chain[member_i], row_i))
-    # every key sits in a row of the bucket its hash names
-    for key, (sid, key_i) in zip(table.keys, table.slots):
-        bucket = buckets[bucket_of(table, key)]
-        assert (sid, key_i // lay.slots) in {(bucket.chain[m], r) for m, r in bucket.rows}
-    # a finer rung fits by choice; the fallback at 250 chains
-    if per_group == lay.stripes:
-        assert asm.machine.subarray_count > len(groups)
-    else:
-        assert asm.machine.subarray_count == len(groups)
+    return [genome[i : i + 30] for i in range(0, length - 29, 10)]
+
+
+@pytest.mark.parametrize("length", list(DIRECTORY_TAKEN))
+def test_buckets_stay_inside_their_group(length):
+    asm, table = _count_both_ways(tiled_reads(length), 5, rows=64, cols=64)
+    assert (len(asm.groups), table.buckets_per_group) == DIRECTORY_TAKEN[length]
+    assert asm.machine.subarray_count == len(asm.groups)
+
+
+def test_colliding_hashes_beyond_a_sub_array_raise():
+    # forged hashes: every key in bucket 0, and 196 distinct keys (length
+    # 220) are more than the 112 one sub-array holds
+    asm = make_asm(rows=64, cols=64)
+    with patch.object(mapping, "stable_hash", lambda bits, length=0, seed=0: 0):
+        with pytest.raises(CapacityError, match="196 key hashes fit no bucket directory"):
+            asm.build_kmer_table([E(s) for s in tiled_reads(220)], 5)
+    assert asm.machine.subarray_count == 0
 
 
 def test_counter_indices_are_dense_per_sub_array_in_insert_order():
     # A key's counter index is the number of keys its sub-array held before
-    # it, whatever its bucket and key row. At length 250 no rung fits and
-    # the second group chains, so its second member numbers its keys from
-    # 0 again. frequencies then reads exactly each sub-array's first
-    # ceil(n / cols) counter stripes, value_width R each: 2 + 2 + 1 here.
-    genome = random_genome(250, random.Random(250))
-    raw = [genome[i : i + 30] for i in range(0, 221, 10)]
+    # it, whatever its bucket and key row. At length 250 the three groups
+    # number their keys from 0 each. frequencies then reads exactly each
+    # sub-array's first ceil(n / cols) counter stripes, value_width R each:
+    # 2 + 2 + 2 here.
+    raw = tiled_reads(250)
     asm = BucketRecorder(rows=64, cols=64)
     table = asm.build_kmer_table([E(s) for s in raw], 5)
     lay = table.layout
-    assert [len(group.sids) for group in asm.groups] == [1, 2]
+    assert len(asm.groups) == 3
     per_sid = {}
     for (sid, _), ctr_i in zip(table.slots, table.counters):
         per_sid.setdefault(sid, []).append(ctr_i)
     assert all(ctrs == list(range(len(ctrs))) for ctrs in per_sid.values())
     assert table.fill == {sid: len(ctrs) for sid, ctrs in per_sid.items()}
-    assert list(table.fill.values()) == [111, 106, 3]
+    assert list(table.fill.values()) == [80, 72, 68]
     before = asm.trace.total(tr.R)
     freqs = table.frequencies()
-    assert asm.trace.total(tr.R) - before == (2 + 2 + 1) * lay.value_width
+    assert asm.trace.total(tr.R) - before == (2 + 2 + 2) * lay.value_width
     expected = Counter(s[i : i + 5] for s in raw for i in range(len(s) - 4))
     assert {key.to_str(): n for key, n in freqs.items()} == dict(expected)
 
@@ -595,24 +602,6 @@ def test_a_corrupted_key_fails_the_label_check(bit, label):
         asm.build_graph(table)
 
 
-@pytest.mark.parametrize("chunk", [0, 2, 4])
-def test_the_label_check_covers_every_row_of_a_long_label(chunk, monkeypatch):
-    # a 36-base label is 72 bits: five rows on 16 columns (4 x 16 + 8).
-    # One bit flipped after the write in any of its rows fails the check.
-    asm = make_asm(rows=64, cols=16)
-    g = SparseGraph(k=3)
-    g.add_edge(E("AC" * 18), E("CA" * 18))
-    write = asm.machine.mem_insert
-
-    def write_then_flip(dst, src, size=None):
-        write(dst, src, size)
-        asm.machine.subarray(dst.subarray_id).cells[dst.row + chunk] ^= 1
-
-    monkeypatch.setattr(asm.machine, "mem_insert", write_then_flip)
-    with pytest.raises(ConsistencyError, match="label of ACAC"):
-        asm.find_start(g)
-
-
 def test_multiplicity_words_cost_one_write_per_stripe_plane():
     # 17 distinct 5-mers on 64 x 16: 17 edges take two multiplicity stripes
     # (16 + 1 words). Every k-mer occurs once, so every word holds 1 and is
@@ -656,6 +645,29 @@ def test_a_key_row_that_introduces_several_nodes_is_copied_once():
     ]
     # a hash sub-array, a label bank and a word bank
     assert asm.machine.subarray_count == 3
+
+
+def test_simplify_reads_each_label_row_of_a_merged_node_once():
+    # The same 10 nodes in 4 copied label rows, now with simplify on. The
+    # graph is one path, so all 10 nodes merge into one node with no edge:
+    # the merge reads the 4 label rows once each, not one row per node, and
+    # no multiplicity word is placed. Graph stage:
+    #   R   = 8 (counter stripe) + 4 copies + 4 merge reads = 16
+    #   W   = 4 copies
+    #   DPU = 10 nodes + 9 edges of the controller pass
+    asm = make_asm(**PACKED, simplify=True)
+    g = asm.build_graph(asm.build_kmer_table([E("TTGGTGCATAGAG")], 5))
+    assert [n.to_str() for n in g.nodes] == ["TTGGTGCATAGAG"]
+    assert g.edge_count == 0 and g.store.stripes == []
+    assert [(kind, n) for stage, kind, n in asm.trace.records() if stage == tr.STAGE_GRAPH] == [
+        (tr.R, 8 + 4 + 4),
+        (tr.W, 4),
+        (tr.DPU, 10 + 9),
+    ]
+    # a synthetic graph has no label copies to read
+    other = make_asm()
+    other.simplify_graph(path_graph("AC", "CG", "GT"))
+    assert other.trace.total(tr.R) == 0
 
 
 @given(reads=reads_strategy, k=st.integers(min_value=2, max_value=5))
@@ -946,20 +958,21 @@ def test_walk_cost_oracle_on_a_path():
     asm = make_asm(rows=64, cols=16)
     g = path_graph("AC", "CG", "GT")
     asm.find_start(g)
-    # host placement: 3 label W + one 2-word stripe, w = 1 W  -> 4 W
+    # placement of the multiplicity words only (a synthetic graph has no
+    # labels in fabric): one 2-word stripe, w = 1 W   -> 1 W
     # one read of that stripe, 1 R, checked against the mirror
     # out and in passes, one rank each: d = 2 staging W, one add
     #   (2 C_ADD + 4 W)                               -> 12 W, 4 C_ADD
     # read-back of the out and in planes             -> 4 R
     # start probe: copy in -> tmp (2 R + 2 W), +1 (2 C_ADD + 4 W),
     #   2 plane compares (2 C_ADD + 2 DPU), 1 DPU     -> 2 R, 6 W, 4 C_ADD, 3 DPU
-    assert traverse_totals(asm.trace) == {tr.R: 7, tr.W: 22, tr.C_ADD: 8, tr.DPU: 3}
+    assert traverse_totals(asm.trace) == {tr.R: 7, tr.W: 19, tr.C_ADD: 8, tr.DPU: 3}
     [path] = asm.fleury(g)
     assert path.node_ids == [0, 1, 2]
     # 2 units, each decrementing its 1-bit multiplicity word only
     #   (2 * (1 C_ADD + 2 W)), 3 loop DPU, no bridge test (one neighbour at
     #   every step), and the end-of-walk read of the 1 plane of the stripe
-    assert traverse_totals(asm.trace) == {tr.R: 8, tr.W: 26, tr.C_ADD: 10, tr.DPU: 6}
+    assert traverse_totals(asm.trace) == {tr.R: 8, tr.W: 23, tr.C_ADD: 10, tr.DPU: 6}
 
 
 @pytest.mark.parametrize("edge, word", [(0, 2), (1, 3), (16, 3), (18, 3)])
@@ -1586,13 +1599,40 @@ _UNIT_RUNG = (
 # takes 257 rows, ceil(257 / 58) = 5 sub-arrays as before:
 #   graph R     363 - 2 = 361  (simplify on: 622 - 2 = 620)
 #   graph W     295 - 2 = 293  (both ways)
+#
+# Every hash group is one sub-array. The rungs are 32, 16, 8, 4 and 2
+# buckets per group (one key per row, 36 key rows, 2 counter stripes). At
+# 8 groups none fits: the fullest group needs 37 rows at 32 and 50 at 2,
+# where 2 of the 8 groups chained. 9 groups of 2 buckets fit (36 rows in
+# the fullest), so the hash stage takes 9 sub-arrays, not 10. Both ways:
+#   hashmap W     7,684 - 65 (no scan reaches a second sub-array) - 2 (two
+#                 more empty buckets, whose first miss writes no temp row)
+#                 + 6 (seed writes 184 -> 190) + 16 * 4 (adds 382 -> 386)
+#                 = 7,687
+#   compare rows  9,472 -> 8,465 over 18 buckets, not 16:
+#   hashmap DPU   8,465;  C_ADD 8,465 + 8 * 386 = 11,553
+#   sub-arrays    25 -> 24 (simplify on: 19 -> 18)
+#
+# The walked graph is placed once. With simplify on, build_graph copies
+# the 259 labels (257 row copies, as with simplify off), merges chains on
+# the host, and writes multiplicity words for the 8 merged edges only, one
+# 3-bit stripe. The unmerged graph's 9 stripes of 4 bits go, and so does
+# the traverse stage's host placement (25 label W, 3 stripe W, a label and
+# a word sub-array). Merging reads each distinct label row of a merged
+# node once, not one row per node: the 259 nodes all sit in merged chains,
+# in 257 rows. The traverse stage now starts with find_start's stripe
+# read, so its R row comes before its W row.
+#   graph R       620 - 259 + 257 =  618
+#   graph W       293 - 9 * 4 + 3 =  260
+#   traverse W    141 - 25 - 3    =  113
+#   sub-arrays    18 - 2          =   16
 LADDER = {
     False: (
         [
             ("io", "XFER", 508),
-            ("hashmap", "W", 7684),
-            ("hashmap", "C_ADD", 12528),
-            ("hashmap", "DPU", 9472),
+            ("hashmap", "W", 7687),
+            ("hashmap", "C_ADD", 11553),
+            ("hashmap", "DPU", 8465),
             ("graph", "R", 361),
             ("graph", "W", 293),
             ("traverse", "DPU", 996),
@@ -1600,7 +1640,7 @@ LADDER = {
             ("traverse", "W", 1148),
             ("traverse", "C_ADD", 499),
         ],
-        25,
+        24,
         [
             "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
             "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCG",
@@ -1614,18 +1654,18 @@ LADDER = {
     True: (
         [
             ("io", "XFER", 512),
-            ("hashmap", "W", 7684),
-            ("hashmap", "C_ADD", 12528),
-            ("hashmap", "DPU", 9472),
-            ("graph", "R", 620),
-            ("graph", "W", 293),
+            ("hashmap", "W", 7687),
+            ("hashmap", "C_ADD", 11553),
+            ("hashmap", "DPU", 8465),
+            ("graph", "R", 618),
+            ("graph", "W", 260),
             ("graph", "DPU", 518),
             ("traverse", "DPU", 40),
-            ("traverse", "W", 141),
             ("traverse", "R", 23),
+            ("traverse", "W", 113),
             ("traverse", "C_ADD", 44),
         ],
-        19,
+        16,
         [
             "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
             "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCGACGGAATTAGATCAGTTAAAT"
@@ -1648,6 +1688,58 @@ def test_fallback_ladder_trace_is_pinned(simplify):
     assert asm.machine.subarray_count == subarrays
     assert [c.to_str() for c in result.contigs] == contigs
     assert result.warnings == warnings
+
+
+# The canonical run (tests/conftest.py: 9,901 reads of 100 bases tiled
+# at stride 1 over a 10,000-base genome with distinct 24-mers, k=25,
+# 1024 x 256, simplify off):
+#   io XFER        9,901 reads * 25 bytes + one 10,000-base contig's
+#                  2,500 bytes                               =   250,025
+#   hashmap        752,476 queries, 9,976 distinct keys in 3 groups of
+#                  120 buckets (fill 3,273, 3,367, 3,336), 3 sub-arrays.
+#     W  a temp-row write per query but the 360 first misses into an empty
+#        bucket (752,116), 9,976 inserts, 9,903 counter-seed writes, and
+#        32,412 8-bit adds at 16 W                           = 1,290,587
+#     DPU one per compared row                              = 3,077,349
+#     C_ADD the compares + 32,412 adds * 8                  = 3,336,645
+#   graph          9,977 nodes, 9,976 edges, largest multiplicity 76.
+#     R  ceil(fill / 256) = 13 + 14 + 14 counter stripes * 8 = 328, and
+#        2,624 label-row copies                              =     2,952
+#     W  2,624 copies + 39 stripes of 7-bit words * 7        =     2,897
+#        (3 label sub-arrays of 1,018 data rows, 1 word sub-array)
+#   traverse       one path; its 76 surplus units at multiplicities make
+#                  it retry at unit words. 39 degree sub-arrays, d = 7
+#                  then 2 (degrees up to 76, then 1); every node has one
+#                  out- and one in-edge, so one wave each way per
+#                  sub-array and pass.
+#     DPU components 9,977 + 9,976; per sub-array and pass d + 1:
+#        39 * 8 + 39 * 3; one per walk step, 9,976 + 1      =    30,359
+#     R  pass 1: 39 * 7 stripe + 39 * 3 * 7 = 1,092; pass 2: 39 * 1 +
+#        39 * 3 * 2 = 273; end check 39 * 1                 =     1,404
+#     W  pass 1: 39 * 21 probe + 78 waves * 21 = 2,457; retry rewrite
+#        39 * 7 = 273; pass 2: 39 * 4 clear + 39 * 6 + 78 * 6 = 858;
+#        9,976 unit decrements * 2                           =    23,540
+#     C_ADD pass 1: 39 * 14 + 78 * 7 = 1,092; pass 2: 39 * 4 + 78 * 2 =
+#        312; 9,976 decrements                               =    11,380
+#   sub-arrays     3 + 4 + 39                                =        46
+CANONICAL_TRACE = [
+    ("io", "XFER", 250_025),
+    ("hashmap", "W", 1_290_587),
+    ("hashmap", "C_ADD", 3_336_645),
+    ("hashmap", "DPU", 3_077_349),
+    ("graph", "R", 2_952),
+    ("graph", "W", 2_897),
+    ("traverse", "DPU", 30_359),
+    ("traverse", "R", 1_404),
+    ("traverse", "W", 23_540),
+    ("traverse", "C_ADD", 11_380),
+]
+
+
+def test_the_canonical_trace_is_pinned(canonical_run):
+    asm = canonical_run["asm"]
+    assert asm.trace.records() == CANONICAL_TRACE
+    assert asm.machine.subarray_count == 46
 
 
 def test_subarray_budget_holds_in_every_stage():

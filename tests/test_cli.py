@@ -73,8 +73,8 @@ def test_assemble_small_input(tmp_path, capsys):
     assert "1 contig(s), 8 bases" in capsys.readouterr().out
     assert read_sequences(f"{out}.contigs.fasta") == [("contig_0", "CGTGTGCA")]
     report = json.loads((tmp_path / "asm.report.json").read_text())
-    assert report["schema_version"] == 1
-    assert report["pd"] == 1
+    assert report["schema_version"] == 2
+    assert "pd" not in report
     assert report["total_latency_ns"] > 0
     trace_lines = (tmp_path / "asm.trace.csv").read_text().splitlines()
     assert trace_lines[0] == "stage,kind,count"
@@ -268,6 +268,16 @@ def test_sweep_takes_no_pd(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(argv + ["--pd", 1])
     assert exc.value.code == 2
+
+
+def test_assemble_takes_no_pd(tmp_path):
+    # the report prices the serial single-group run; only sweep prices pd
+    reads = tmp_path / "reads.fasta"
+    reads.write_text(">a\nCGTGTGCA\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["assemble", reads, *SMALL, "--k", 5, "--pd", 1, "--out", tmp_path / "a"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "a.report.json").exists()
 
 
 @pytest.mark.parametrize("argv", [

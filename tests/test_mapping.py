@@ -190,8 +190,8 @@ def test_layout_hash_counter_slots_cover_keys(rows, cols, k):
 # ---- bucket directory ----------------------------------------------------
 
 # 64 x 64 at k=5: 28 key rows of 4 slots (112 keys) and 3 counter stripes,
-# so the rungs are 24 (3 * 4 * 2; 48 would exceed 28 rows), 12 and 6
-# buckets per group, and the fallback 3
+# so the rungs are 24 (3 * 4 * 2; 48 would exceed 28 rows), 12, 6 and 3
+# buckets per group
 SMALL = layout_hash((64, 64), 5)
 
 
@@ -209,11 +209,12 @@ SMALL = layout_hash((64, 64), 5)
         # buckets 0..11 (10 keys, 3 rows each: 36); at 6 buckets 0..5 of 12
         # are group 0's and 6..11 group 1's, 18 rows each
         ([48 * i + b for b in range(12) for i in range(10)], (2, 6)),
-        # 112 consecutive hashes: 4 or 5 keys in each bucket of 24 (40 rows),
-        # 9 or 10 in each of 12 (3 rows, 36 in all), 18 or 19 in each of 6
-        # (5 rows, 30 in all): no rung fits, and the fallback's 38, 37, 37
-        # keys will chain
-        (list(range(112)), (1, 3)),
+        # 112 consecutive hashes, one group: 4 or 5 keys in each bucket of
+        # 24 (40 rows), 9 or 10 in each of 12 (3 rows, 36 in all), 18 or 19
+        # in each of 6 (5 rows, 30 in all), 38, 37, 37 in each of 3 (10 rows,
+        # 30 in all): no rung fits. Two groups of 24 buckets spread them 3
+        # or 2 to a bucket, one row each, 24 rows per group
+        (list(range(112)), (2, 24)),
         # 96 keys, 8 in each bucket of 12 (2 rows, 24 in all); at 24 each of
         # those buckets splits 5 + 3 (2 + 1 rows, 36 in all), which overfills
         ([b + 24 * i for b in range(12) for i in range(5)]
@@ -226,13 +227,32 @@ def test_bucket_directory_takes_the_finest_rung_that_fits(hashes, directory):
 
 def test_bucket_directory_of_one_slot_rows_doubles_the_stripes():
     # a 40-bit key fills its 64-bit pitch, so a row holds one key and the
-    # rungs are 15 * 2^j: 480 (960 would exceed 892 key rows) down to 30.
-    # Ten keys fit the finest; 893 keys all in bucket 0 overfill group 0's
-    # 892 rows at every rung, so the fallback, 15, takes them
+    # rungs are 15 * 2^j: 480 (960 would exceed 892 key rows) down to 15.
+    # Ten keys fit the finest. At 2 groups, 893 multiples of 960 all fall in
+    # bucket 0, which overfills group 0's 892 rows at every rung; at 3
+    # groups of 480 they take buckets 0, 480 and 960 in turn, 298, 298 and
+    # 297 rows, one bucket in each group
     lay = layout_hash((1024, 64), 20)
     assert lay.slots == 1 and lay.stripes == 15 and len(lay.kmer_rows) == 892
     assert bucket_directory(lay, list(range(10))) == (1, 480)
-    assert bucket_directory(lay, [960 * i for i in range(893)]) == (2, 15)
+    assert bucket_directory(lay, [960 * i for i in range(893)]) == (3, 480)
+
+
+def test_bucket_directory_rejects_more_colliding_hashes_than_a_sub_array_holds():
+    # equal hashes share one bucket at every group count and rung: 112 of
+    # them fill the 28 key rows exactly, 113 fit no directory
+    assert bucket_directory(SMALL, [7] * 112) == (1, 24)
+    with pytest.raises(CapacityError, match="113 key hashes fit no bucket directory"):
+        bucket_directory(SMALL, [7] * 113)
+
+
+def _fits(lay, hashes, groups, per_group):
+    """Whether every group's buckets fit one sub-array's key rows."""
+    fill = Counter(h % (groups * per_group) for h in hashes)
+    rows = [0] * groups
+    for bucket, keys in fill.items():
+        rows[bucket // per_group] += math.ceil(keys / lay.slots)
+    return max(rows) <= len(lay.kmer_rows)
 
 
 def _stripes_tied_directory(lay, hashes):
@@ -241,11 +261,7 @@ def _stripes_tied_directory(lay, hashes):
     groups = math.ceil(len(hashes) / lay.capacity)
     for shift in range(lay.slots.bit_length() - 1):
         per_group = lay.stripes * (lay.slots >> shift)
-        fill = Counter(h % (groups * per_group) for h in hashes)
-        rows = [0] * groups
-        for bucket, keys in fill.items():
-            rows[bucket // per_group] += math.ceil(keys / lay.slots)
-        if max(rows) <= len(lay.kmer_rows):
+        if _fits(lay, hashes, groups, per_group):
             return groups, per_group
     return groups, lay.stripes
 
@@ -262,11 +278,31 @@ def _stripes_tied_directory(lay, hashes):
 )
 @settings(max_examples=60, deadline=None)
 def test_bucket_directory_is_never_coarser_than_the_stripes_tied_one(dims, k, hashes):
+    # at the oracle's group count the directory takes a rung at least as
+    # fine; it adds groups only when even the stripes rung overfills one
     lay = layout_hash(dims, k)
-    groups, per_group = bucket_directory(lay, hashes)
     old_groups, old_per_group = _stripes_tied_directory(lay, hashes)
-    assert groups == old_groups
-    assert per_group >= old_per_group
+    try:
+        groups, per_group = bucket_directory(lay, hashes)
+    except CapacityError:
+        # only hashes that pile up: no group count up to four times the
+        # fewest fits any rung
+        ladder = {lay.stripes * (lay.slots >> i) for i in range(lay.slots.bit_length())}
+        ladder |= {
+            lay.stripes * lay.slots << j
+            for j in range(1, len(lay.kmer_rows).bit_length())
+            if lay.stripes * lay.slots << j <= len(lay.kmer_rows)
+        }
+        assert not any(
+            _fits(lay, hashes, g, p) for g in range(old_groups, 4 * old_groups + 1) for p in ladder
+        )
+        return
+    assert _fits(lay, hashes, groups, per_group)
+    assert old_groups <= groups <= 4 * old_groups
+    if groups == old_groups:
+        assert per_group >= old_per_group
+    else:
+        assert not _fits(lay, hashes, old_groups, lay.stripes)
     if per_group > lay.stripes * lay.slots:  # a rung above the old ladder
         assert per_group <= len(lay.kmer_rows)
 

@@ -243,8 +243,8 @@ def test_calibrated_config_is_loadable_and_sane():
 def test_report_serialization(tmp_path):
     rep = account(WORK, CostConfig())
     parsed = json.loads(rep.to_json(tmp_path / "r.json"))
-    assert parsed["schema_version"] == 1
-    assert parsed["pd"] == 1
+    assert parsed["schema_version"] == 2
+    assert "pd" not in parsed
     assert parsed["total_latency_ns"] == rep.total_latency_ns
     assert {row["stage"] for row in parsed["stages"]} == {
         tr.STAGE_HASHMAP, tr.STAGE_GRAPH, tr.STAGE_IO,
