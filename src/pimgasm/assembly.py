@@ -28,14 +28,18 @@ frequency) into an edge store. Stage 3 accumulates vertical degree counters
 column-parallel, probes the start vertex with a bit-plane compare of out
 against in+1, and covers each weak component with the fewest trails its
 degrees allow, max(1, sum of outgoing surpluses): one trail per surplus
-unit, or one Euler circuit when there is none, walked bridge-aware. Each
-walked unit decrements its multiplicity word in memory, and only that word:
-the multiplicity words hold the edge units left, and per node they sum to
-its out-degree. So the walk must leave every one of them at zero, and every
-distinct k-mer ends up in some contig. A candidate step is a bridge only if
-its edge holds its last unit and leads to another node, and then exactly
-when a search from the walk's node, stopping at the edge's head, no longer
-finds it.
+unit, or one Euler circuit when there is none, walked bridge-aware. The
+walked units come off their multiplicity words in memory, and only those
+words: the multiplicity words hold the edge units left, and per node they
+sum to its out-degree. The walk spends them per decision, not per unit:
+they wait until it stands at a node with two or more candidates, and are
+then taken off with one column-parallel add per (stripe, units). So the
+walk must leave every word at zero, and at the end the contigs' k-mers
+must be exactly the reads' distinct ones. A candidate step is a bridge
+only if its edge holds its last unit and leads to another node, and then
+exactly when a search from the walk's node, stopping at the edge's head,
+no longer finds it. The search crosses an unbranched chain whose edges all
+hold units as one super-node, so it moves from hub to hub.
 
 A bit-serial add costs one cycle and two writes per bit plane, so every
 vertical word is as wide as the values it holds, and no wider. A
@@ -43,7 +47,7 @@ multiplicity word takes the bit length of the largest multiplicity, and
 the store narrows when a rewrite lowers it; a degree word takes the bit
 length of the largest degree plus one, the largest value the start probe
 forms. Each add's carry-out is checked: a decrement that does not carry
-spent a zero word, and an in + 1 that does overflowed its word.
+spent more than the word held, and an in + 1 that does overflowed its word.
 
 The graph stage's stores take their rows from one allocator, `_RowBank`,
 which hands out data rows and takes a new sub-array when an entry no
@@ -68,17 +72,19 @@ rewritten to one in place, and the repeat degree pass reuses the first
 pass's region, clearing and re-accumulating only those components' nodes.
 
 The host keeps mirror bookkeeping (a dict index into the hash store, the
-edge lists, remaining-multiplicity maps) so the simulation runs in sensible
-time, but every datum also lives in fabric bits: keys and counters are
-physically written, counters are incremented by real add cycles, and the
-mirrors are cross-checked against fabric contents at every stage boundary,
-raising ConsistencyError on any divergence. Scan-cost events that the
-mirror makes redundant are emitted in bulk with identical counts; the test
-suite checks them against a physical scan of every occupied key row.
+edge lists, remaining-multiplicity maps, the unitig index) so the
+simulation runs in sensible time, but every datum also lives in fabric
+bits: keys and counters are physically written, counters are incremented
+by real add cycles, and the mirrors are cross-checked against fabric
+contents at every stage boundary, raising ConsistencyError on any
+divergence. Scan-cost events that the mirror makes redundant are emitted in
+bulk with identical counts; the test suite checks them against a physical
+scan of every occupied key row.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from collections import Counter
@@ -202,6 +208,64 @@ def weakly_connected_components(g: SparseGraph) -> list[list[int]]:
     return comps
 
 
+@dataclass
+class Unitigs:
+    """A graph's maximal unbranched chains (unitigs).
+
+    Every node lies in exactly one chain, a lone node being a chain of one.
+    `nodes[i]` lists chain i's nodes in order, `links[i]` the edges between
+    consecutive ones, and `chain_of_edge[e]` is the chain whose link e is,
+    or -1 for an edge that joins chains.
+    """
+
+    nodes: list[list[int]]
+    links: list[list[int]]
+    chain_of_edge: list[int]
+
+
+def unitig_index(g: SparseGraph) -> Unitigs:
+    """g's maximal unbranched chains, found on the host.
+
+    An edge u->v is contractible when it is u's only outgoing edge entry
+    and v's only incoming one, and u != v; a multi-edge counts as a single
+    entry, so coverage depth never splits a chain. Contractible edges form
+    disjoint paths and cycles. Chains start at nodes with no contractible
+    in-edge, in ascending id; the nodes left over form contractible cycles,
+    each cut before the edge back to its lowest node.
+    """
+    n = len(g.nodes)
+    out_slots = [0] * n
+    in_slots = [0] * n
+    for u, v in zip(g.edge_src, g.edge_dst):
+        out_slots[u] += 1
+        in_slots[v] += 1
+    succ = [-1] * n  # node -> its contractible out-edge
+    has_prev = [False] * n
+    for e, (u, v) in enumerate(zip(g.edge_src, g.edge_dst)):
+        if u != v and out_slots[u] == 1 and in_slots[v] == 1:
+            succ[u] = e
+            has_prev[v] = True
+    index = Unitigs([], [], [-1] * g.edge_count)
+    visited = [False] * n
+    heads = (u for u in range(n) if not has_prev[u])
+    for u in itertools.chain(heads, range(n)):
+        if visited[u]:
+            continue
+        chain, links = [u], []
+        visited[u] = True
+        e = succ[u]
+        while e >= 0 and not visited[g.edge_dst[e]]:
+            v = g.edge_dst[e]
+            chain.append(v)
+            visited[v] = True
+            links.append(e)
+            index.chain_of_edge[e] = len(index.nodes)
+            e = succ[v]
+        index.nodes.append(chain)
+        index.links.append(links)
+    return index
+
+
 def contig_from_path(vertices: list[EncodedSeq], k: int) -> EncodedSeq:
     """Merge consecutive path labels that overlap by k-2 bases.
 
@@ -224,6 +288,18 @@ def contig_from_path(vertices: list[EncodedSeq], k: int) -> EncodedSeq:
         out = out.concat(lab.window(ov, len(lab) - ov))
         prev = lab
     return out
+
+
+def _check_coverage(contigs: list[EncodedSeq], table: "KmerTable") -> None:
+    """Require the contigs' k-mers to be exactly the reads' distinct ones, as
+    the hash stage's pre-scan found them: host work, no fabric op."""
+    held = {w.bits for c in contigs for w in extract_kmers(c, table.k)}
+    if held != table.read_kmers:
+        raise ConsistencyError(
+            f"contigs miss {len(table.read_kmers - held)} of the reads' "
+            f"{len(table.read_kmers)} distinct k-mers and hold "
+            f"{len(held - table.read_kmers)} that no read does"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +326,7 @@ class KmerTable:
         self.counters: list[int] = []  # counter index of each key
         self.fill: dict[int, int] = {}  # sub-array id -> keys stored there
         self.host_counts: dict[int, int] = {}   # packed key -> exact count
+        self.read_kmers: set[int] = set()  # the pre-scan's distinct packed keys
         self.total_kmers = 0
         self.saturated_keys = 0
         self.buckets = 0
@@ -401,16 +478,76 @@ class _GraphStore:
             self.machine.write_vwords(sid, lsb, self.width, words)
         self.width = max(self.mult, default=0).bit_length()
 
-    def spend(self, e: int) -> None:
-        """Decrement edge e's word in place, leaving the mirror alone.
+    def spend(self, units: dict[int, int]) -> None:
+        """Take the walked units off the listed edges' words in place,
+        {edge: units}, leaving the mirror alone: one column-parallel add of
+        -units per (stripe, units), which costs what a one-column add does.
 
-        The decrement adds all-ones, which carries out of every nonzero
-        word: no carry means the walk spent a unit the word did not hold.
+        Adding -a carries out of exactly the words that hold a or more, so
+        a column with no carry held fewer units than the walk spent.
         """
-        stripe, col = divmod(e, self.machine.cols)
-        sid, lsb = self.stripes[stripe]
-        if not self.machine.add_const_cols(sid, lsb, self.width, [col], -1)[col]:
-            raise ConsistencyError(f"the walk spent edge {e}, whose multiplicity word is zero")
+        cols = self.machine.cols
+        batches: dict[tuple[int, int], list[int]] = {}
+        for e, amount in units.items():
+            stripe, col = divmod(e, cols)
+            batches.setdefault((stripe, amount), []).append(col)
+        for (stripe, amount), batch in batches.items():
+            sid, lsb = self.stripes[stripe]
+            carry = self.machine.add_const_cols(sid, lsb, self.width, batch, -amount)
+            for col in batch:
+                if not carry[col]:
+                    raise ConsistencyError(
+                        f"the walk spent {amount} of edge {stripe * cols + col}'s units, "
+                        "more than its multiplicity word holds"
+                    )
+
+
+class _ChainView:
+    """The bridge search's view of a graph's unitigs, over the units left.
+
+    A chain of two or more nodes whose links all hold units is intact: its
+    nodes are connected to each other, and only its ends connect to the
+    rest. The search treats it as one super-node. Leaving the head along the
+    first link, or the tail back along the last one, leads straight to the
+    far end (`across`), so the interior is never visited, and the chain
+    counts once in the nodes reached (`reached`). The search meets the ends
+    in the order a node-by-node search would, so it stops at the same
+    point. A chain with a spent link (`cut`) is searched node by node.
+    """
+
+    def __init__(self, g: SparseGraph, rem: list[int]):
+        index = unitig_index(g)
+        self.chain_of_edge = index.chain_of_edge
+        self.chain_of = [0] * len(g.nodes)
+        self.intact: list[bool] = []
+        self.far: dict[int, int] = {}  # end link -> ~(the chain's far end)
+        for ci, (nodes, links) in enumerate(zip(index.nodes, index.links)):
+            for x in nodes:
+                self.chain_of[x] = ci
+            self.intact.append(bool(links) and all(rem[e] for e in links))
+            if len(links) > 1:
+                self.far[links[0]] = ~nodes[-1]
+                self.far[links[-1]] = ~nodes[0]
+
+    def across(self, e: int, y: int) -> int:
+        """The search's next stop along edge e, which leads to node y: y
+        itself, or ~(far end) when e enters an intact chain's interior."""
+        far = self.far.get(e)
+        if far is None or not self.intact[self.chain_of_edge[e]]:
+            return y
+        return far
+
+    def cut(self, e: int) -> None:
+        """Edge e has no units left: its chain, if e is a link, is no longer
+        intact."""
+        ci = self.chain_of_edge[e]
+        if ci >= 0:
+            self.intact[ci] = False
+
+    def reached(self, seen: set[int]) -> int:
+        """Nodes and intact chains among the nodes a search reached."""
+        chain_of, intact = self.chain_of, self.intact
+        return len({~chain_of[y] if intact[chain_of[y]] else y for y in seen})
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +623,12 @@ class Assembler:
         layout = mapping.layout_hash((self.rows, self.cols), k, self.value_width)
         table = KmerTable(k, layout, self.machine)
         with self.machine.stage_scope(tr.STAGE_HASHMAP):
-            distinct = {w.bits for r in reads for w in extract_kmers(r, k)}
-            if not distinct:
+            table.read_kmers = {w.bits for r in reads for w in extract_kmers(r, k)}
+            if not table.read_kmers:
                 raise SizeError(f"no k-mers: every read is shorter than k={k}")
             n_groups, table.buckets_per_group = mapping.bucket_directory(
-                layout, [mapping.stable_hash(bits, 2 * k, self.seed) for bits in distinct]
+                layout,
+                [mapping.stable_hash(bits, 2 * k, self.seed) for bits in table.read_kmers],
             )
             groups = [_Group(self._new_subarray(layout.row_layout)) for _ in range(n_groups)]
             table.buckets = n_groups * table.buckets_per_group
@@ -625,10 +763,11 @@ class Assembler:
         a new one. A scan writes the query into the temp row and walks the
         bucket's own rows in order, comparing one occupied key row per
         cycle; the other buckets of the group are never scanned; an empty
-        bucket costs nothing. Everything before the decisive row (the hit's row, or a miss's last row) is emitted in
-        bulk; that row's compare runs physically and must agree with the
-        index. The temp row only feeds the compares: a miss's insert writes
-        its key from the query bits, not from the temp row.
+        bucket costs nothing. Everything before the decisive row (the hit's
+        row, or a miss's last row) is emitted in bulk; that row's compare
+        runs physically and must agree with the index. The temp row only
+        feeds the compares: a miss's insert writes its key from the query
+        bits, not from the temp row.
         """
         if hit is None and not bucket.rows:
             return
@@ -744,50 +883,20 @@ class Assembler:
     ) -> SparseGraph:
         """Merge unbranched chains into single nodes.
 
-        An edge u->v is contractible when it is u's only outgoing edge
-        entry and v's only incoming one (and u != v); a multi-edge counts
-        as a single adjacency here, so coverage depth never blocks a
-        merge. Contractible edges form disjoint paths and cycles; each
-        path becomes one node with the overlap-merged label, each cycle
-        one node with a self-loop. Each distinct label row (`label_rows`,
-        from build_graph) that holds a merged node is read once.
+        Each chain of unitig_index becomes one node with the overlap-merged
+        label, and its links go; a contractible cycle's closing edge
+        survives as the merged node's self-loop. Each distinct label row
+        (`label_rows`, from build_graph) that holds a merged node is read
+        once, and the controller pays one op per node and per edge.
         """
         m = self.machine
         with m.stage_scope(tr.STAGE_GRAPH):
             n = len(g.nodes)
-            out_slots = [0] * n
-            in_slots = [0] * n
-            for u, v in zip(g.edge_src, g.edge_dst):
-                out_slots[u] += 1
-                in_slots[v] += 1
-            nxt: dict[int, tuple[int, int]] = {}
-            for e, (u, v) in enumerate(zip(g.edge_src, g.edge_dst)):
-                if u != v and out_slots[u] == 1 and in_slots[v] == 1:
-                    nxt[u] = (v, e)
-            has_prev = {v for v, _ in nxt.values()}
-            consumed: set[int] = set()
-            chains: list[list[int]] = []
-            visited: set[int] = set()
-            # chain heads first; the nodes left over form contractible cycles,
-            # whose closing edge stops the chain and survives as a self-loop
-            for u in sorted(range(n), key=lambda u: u in has_prev):
-                if u in visited:
-                    continue
-                chain = [u]
-                visited.add(u)
-                while chain[-1] in nxt:
-                    v, e = nxt[chain[-1]]
-                    if v in visited:
-                        break
-                    chain.append(v)
-                    visited.add(v)
-                    consumed.add(e)
-                chains.append(chain)
-
+            index = unitig_index(g)
             new = SparseGraph(k=g.k)
             node_map: dict[int, int] = {}
             read: set[tuple[int, int]] = set()  # label rows of merged nodes
-            for chain in chains:
+            for chain in index.nodes:
                 label = contig_from_path([g.nodes[nid] for nid in chain], g.k or 2)
                 if len(chain) > 1 and label_rows is not None:
                     read.update(label_rows[nid] for nid in chain)
@@ -795,7 +904,7 @@ class Assembler:
                 for nid in chain:
                     node_map[nid] = mid
             for e, (u, v) in enumerate(zip(g.edge_src, g.edge_dst)):
-                if e in consumed:
+                if index.chain_of_edge[e] >= 0:
                     continue
                 new.add_edge(new.nodes[node_map[u]], new.nodes[node_map[v]], g.mult[e])
             # merge scan: merged members' label rows, controller pass
@@ -827,12 +936,13 @@ class Assembler:
         the start test still cover every column: the test compares out
         against in+1 with one compare cycle per bit plane, and an in + 1
         that carries out raises ConsistencyError. The edge-unit total needs
-        no word of its own: it is the sum of the out-degree words. Any degree sequence is accepted: the starts list
-        every node once per unit of outgoing surplus, in ascending order,
-        from the host degree lists the fabric planes were just checked
-        against, so an Euler path is the case of one start or none. The
-        pass (its degree region and starts) is stored as `g.store.degree`,
-        where the next fleury call walks it.
+        no word of its own: it is the sum of the out-degree words. Any
+        degree sequence is accepted: the starts list every node once per
+        unit of outgoing surplus, in ascending order, from the host degree
+        lists the fabric planes were just checked against, so an Euler path
+        is the case of one start or none. The pass (its degree region and
+        starts) is stored as `g.store.degree`, where the next fleury call
+        walks it.
         """
         m = self.machine
         with m.stage_scope(tr.STAGE_TRAVERSE):
@@ -949,23 +1059,34 @@ class Assembler:
         starts at each of the pass's starts, then one at the lowest node
         still holding units, until every unit is spent; a trail ends at a
         node with no units left. The units are the values of the
-        multiplicity words, so one call walks every component of g. The
-        walk keeps per-node lists of out- and in-edge ids. Neighbours are
-        tried in ascending node id; a candidate is taken if removing one
-        unit of its first edge holding units keeps the rest connected, and
-        the lowest neighbour is the fallback when every choice burns a
-        bridge. An edge that keeps a unit, or a self-loop, never
-        disconnects anything; otherwise the unit is removed and an
-        undirected search from the walk's node looks for the edge's head,
-        stopping once it finds it and charging a controller op per node it
-        reaches. Every traversed unit decrements its multiplicity word in
-        fabric, and nothing else: the choices come from the host mirror of
-        the units left, and per node the multiplicity words sum to the
-        out-degree. A decrement that does not carry out found a zero word
-        and raises ConsistencyError. The walk then reads every multiplicity
-        stripe back and requires every word to be zero.
-        The walk consumes the degree pass, so walking g again re-runs
-        find_start, which raises ConsistencyError on the spent words.
+        multiplicity words, so one call walks every component of g.
+
+        The controller keeps `rem`, the units left per edge, which makes
+        every choice; the per-node lists of out- and in-edge ids; the units
+        walked but not yet spent in fabric; and, from the first bridge
+        test on, g's unitig index. Neighbours are tried in ascending node
+        id; a candidate is taken if removing one unit of its first edge
+        holding units keeps the rest connected, and the lowest neighbour is
+        the fallback when every choice burns a bridge. An edge that keeps a
+        unit, or a self-loop, never disconnects anything; otherwise the
+        unit is removed and an undirected search from the walk's node looks
+        for the edge's head, stopping once it finds it. The search crosses
+        a chain whose links all hold units as one super-node, from one end
+        to the other, and charges a controller op per node or super-node it
+        reaches; a chain with a spent link is searched node by node. The
+        index is built at the first search, one controller op per node and
+        per edge.
+
+        The walked units are spent in fabric per decision, not per unit:
+        they wait until the walk stands at a node with two or more
+        candidates, and before the end check, and are then taken off their
+        multiplicity words with one add per (stripe, units) (see
+        _GraphStore.spend), which raises ConsistencyError on a word that
+        held fewer. Per node the multiplicity words sum to the out-degree,
+        so nothing else is spent. The walk then reads every multiplicity
+        stripe back and requires every word to be zero. It consumes the
+        degree pass, so walking g again re-runs find_start, which raises
+        ConsistencyError on the spent words.
         """
         with self.machine.stage_scope(tr.STAGE_TRAVERSE):
             store = self._ensure_store(g)
@@ -982,38 +1103,55 @@ class Assembler:
                 out_e[u].append(e)
                 in_e[v].append(e)
             rem = list(store.mult)
+            chains: _ChainView | None = None
 
             def neighbours(x: int):
-                """x's neighbours over edges holding units, either way."""
+                """x's neighbours over edges holding units, either way; an end
+                link of an intact chain leads across it (see _ChainView)."""
                 for e in out_e[x]:
                     if rem[e]:
-                        yield dst[e]
+                        yield chains.across(e, dst[e])
                 for e in in_e[x]:
                     if rem[e]:
-                        yield src[e]
+                        yield chains.across(e, src[e])
 
             def bridge(u: int, e: int) -> bool:
                 """Whether spending one unit of e, out of u, disconnects the units
-                left: exactly when e's head is then unreachable from u."""
+                left: exactly when e's head is then unreachable from u. u has
+                two or more out-edges, so e is no chain's link."""
+                nonlocal chains
                 c = dst[e]
                 if rem[e] >= 2 or c == u:  # a unit stays on e, or e is a loop
                     return False
+                if chains is None:
+                    chains = _ChainView(g, rem)
+                    m.dpu_charge(n + g.edge_count)
                 rem[e] -= 1
                 seen = {u}
                 stack = [u]
                 while stack and c not in seen:
-                    for y in neighbours(stack.pop()):
-                        if y not in seen:
+                    x = stack.pop()
+                    if x < 0:  # a step across an intact chain, to its far end ~x
+                        x = ~x
+                        if x not in seen:
+                            seen.add(x)
+                            stack.append(x)
+                        continue
+                    for y in neighbours(x):
+                        if y < 0:
+                            stack.append(y)
+                        elif y not in seen:
                             seen.add(y)
                             if y == c:
                                 break
                             stack.append(y)
                 rem[e] += 1
-                m.dpu_charge(len(seen))
+                m.dpu_charge(chains.reached(seen))
                 return c not in seen
 
             total = sum(rem)
             lowest = 0  # units only shrink, so the lowest holder never falls
+            walked: dict[int, int] = {}  # edge -> units walked, not yet spent
             paths = []
             while total:
                 u = next(starts, None)
@@ -1033,14 +1171,19 @@ class Assembler:
                     nbrs = sorted(first)
                     v = nbrs[0]
                     if len(nbrs) > 1:
+                        store.spend(walked)
+                        walked.clear()
                         v = next((c for c in nbrs if not bridge(u, first[c])), v)
                     e = first[v]
-                    store.spend(e)
+                    walked[e] = walked.get(e, 0) + 1
                     rem[e] -= 1
+                    if chains is not None and not rem[e]:
+                        chains.cut(e)
                     total -= 1
                     u = v
                     path.append(v)
                 paths.append(EulerPath(path, [g.nodes[i] for i in path]))
+            store.spend(walked)
             # one read per multiplicity plane: the walk spends every word
             left = store.read()
             if any(left):
@@ -1062,13 +1205,16 @@ class Assembler:
         second find_start, on the first one's degree region, re-accumulates
         only the retried components' nodes, or every node if the degree
         word width changed; components that pass keep their words and
-        degrees. One fleury call then covers
-        every component with trails, one contig each, so every distinct
-        k-mer of the reads lands in some contig; an edge-less component (a
-        chain that simplify merged into one node) is a single-node path.
-        Paths come out grouped by component, in component order, and their
-        node ids index the returned graph. Each retried component, then
-        each component that splits into several contigs, appends a warning.
+        degrees. One fleury call then covers every component with trails,
+        one contig each, so every distinct k-mer of the reads lands in some
+        contig; an edge-less component (a chain that simplify merged into
+        one node) is a single-node path. Paths come out grouped by
+        component, in component order, and their node ids index the
+        returned graph. Each retried component, then each component that
+        splits into several contigs, appends a warning. Before the contigs
+        go out, the host checks that their k-mers are exactly the distinct
+        ones of the hash stage's pre-scan (`KmerTable.read_kmers`), and
+        raises ConsistencyError otherwise; the check costs no fabric op.
         """
         m = self.machine
         warnings: list[str] = []
@@ -1124,6 +1270,7 @@ class Assembler:
         # fleury walks every start's trail before any circuit: regroup
         paths.sort(key=lambda p: comp_of[p.node_ids[0]])
         contigs = [contig_from_path(p.vertices, work.k or 2) for p in paths]
+        _check_coverage(contigs, table)
         with m.stage_scope(tr.STAGE_IO):
             m.xfer(sum((c.bit_length + 7) // 8 for c in contigs))
         for w in warnings:

@@ -22,6 +22,7 @@ from pimgasm.assembly import (
     Assembler,
     SparseGraph,
     contig_from_path,
+    unitig_index,
     weakly_connected_components,
 )
 from pimgasm.encoding import EncodedSeq, extract_kmers
@@ -752,6 +753,20 @@ def test_simplify_checks_label_overlap():
         make_asm().simplify_graph(g)
 
 
+def test_the_unitig_index_lists_every_node_once():
+    # 0 -> 1 -> 2 with 2 -> 0 and 2 -> 3: node 2 has two out-edges, so
+    # neither joins a chain and 3 is a chain of one; 4 -> 5 -> 6 -> 4 is a
+    # contractible cycle, cut before the edge back to its lowest node
+    g = SparseGraph()
+    labels = ["".join(p) for p in itertools.product("ACGT", repeat=2)]
+    for u, v in [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6), (6, 4)]:
+        g.add_edge(E(labels[u]), E(labels[v]))
+    index = unitig_index(g)
+    assert index.nodes == [[0, 1, 2], [3], [4, 5, 6]]
+    assert index.links == [[0, 1], [], [4, 5]]
+    assert index.chain_of_edge == [0, 0, -1, -1, 2, 2, -1]
+
+
 # ---- degree table and walk start -------------------------------------------
 
 
@@ -889,7 +904,9 @@ def test_bridge_tests_search_only_single_unit_edges_to_other_nodes():
     # searched for: from A, out to G, in from C (its edge back still holds
     # a unit), found after 3 nodes, 3 DPU. Then A, G, A with one neighbour
     # each. 8 path nodes, one DPU each: 8 + 3 = 11. Searching the loop too
-    # would add 1 (A itself), and C's first unit 2 (A, C).
+    # would add 1 (A itself), and C's first unit 2 (A, C). The one search
+    # builds the unitig index first, one DPU per node and per edge (3 + 5);
+    # no edge is contractible, so it searches node by node: 11 + 8 = 19.
     asm = make_asm(rows=64, cols=16)
     g = SparseGraph()
     a, c, gg = E("A"), E("C"), E("G")
@@ -903,7 +920,7 @@ def test_bridge_tests_search_only_single_unit_edges_to_other_nodes():
     [path] = asm.fleury(g)
     assert path.node_ids == [0, 0, 1, 0, 1, 0, 2, 0]
     assert path.node_ids == two_pass_fleury(g, g.mult)[0]
-    assert asm.trace.total(tr.DPU, stage=tr.STAGE_TRAVERSE) - before == 11
+    assert asm.trace.total(tr.DPU, stage=tr.STAGE_TRAVERSE) - before == 19
 
 
 def test_fleury_consumes_multiplicity():
@@ -969,10 +986,12 @@ def test_walk_cost_oracle_on_a_path():
     assert traverse_totals(asm.trace) == {tr.R: 7, tr.W: 19, tr.C_ADD: 8, tr.DPU: 3}
     [path] = asm.fleury(g)
     assert path.node_ids == [0, 1, 2]
-    # 2 units, each decrementing its 1-bit multiplicity word only
-    #   (2 * (1 C_ADD + 2 W)), 3 loop DPU, no bridge test (one neighbour at
-    #   every step), and the end-of-walk read of the 1 plane of the stripe
-    assert traverse_totals(asm.trace) == {tr.R: 8, tr.W: 23, tr.C_ADD: 10, tr.DPU: 6}
+    # 2 units on 2 edges of one stripe, spent at the one flush before the end
+    #   check (no node has two candidates): one 1-bit add of -1 on both
+    #   columns (1 C_ADD + 2 W, where a decrement per unit took 2 C_ADD +
+    #   4 W), 3 loop DPU, no bridge test, and the end-of-walk read of the 1
+    #   plane of the stripe
+    assert traverse_totals(asm.trace) == {tr.R: 8, tr.W: 21, tr.C_ADD: 9, tr.DPU: 6}
 
 
 @pytest.mark.parametrize("edge, word", [(0, 2), (1, 3), (16, 3), (18, 3)])
@@ -1010,17 +1029,24 @@ def test_a_walked_graph_cannot_be_walked_again():
     assert g.store.read() == [0]
 
 
-def test_spending_a_zero_word_raises_at_that_step():
-    # the walk decrements by adding all-ones, which carries out of every
-    # nonzero word; a word zeroed behind the mirror's back gives no carry.
-    # Unchecked, it would wrap to 1 and only the end check would see it.
+@pytest.mark.parametrize("edge", [1, 17], ids=["first-stripe", "second-stripe"])
+def test_spending_a_zero_word_raises_at_the_flush(edge):
+    # 18 unit edges on 16 columns: two stripes of 1-bit words. The walk
+    # spends its units at the next flush by adding -units, which carries out
+    # of every word that holds them; a word zeroed behind the mirror's back
+    # gives no carry. No node of this path has two candidates, so the one
+    # flush comes just before the end check, which it keeps from ever seeing
+    # the wrapped word: the walk reads no stripe back.
     asm = make_asm(rows=64, cols=16)
-    g = path_graph("AC", "CG", "GT")
+    labels = ["".join(p) for p in itertools.product("ACGT", repeat=3)][:19]
+    g = path_graph(*labels)
     asm.find_start(g)
-    sid, lsb = g.store.stripes[0]
-    asm.machine.write_vwords(sid, lsb, g.store.width, {1: 0})
-    with pytest.raises(ConsistencyError, match="spent edge 1, whose multiplicity word is zero"):
+    sid, lsb = g.store.stripes[edge // 16]
+    asm.machine.write_vwords(sid, lsb, g.store.width, {edge % 16: 0})
+    reads = asm.trace.total(tr.R)
+    with pytest.raises(ConsistencyError, match=f"spent 1 of edge {edge}'s units, more than"):
         asm.fleury(g)
+    assert asm.trace.total(tr.R) == reads
 
 
 def test_a_start_probe_that_overflows_raises(monkeypatch):
@@ -1214,6 +1240,115 @@ def test_word_widths_and_the_bridge_test_at_boundary_values(case):
     assert g.store.read() == [0] * g.edge_count
 
 
+def per_node_search_cost(g, mult):
+    """Host oracle of the bridge search's controller ops before chains were
+    super-nodes: the walk of two_pass_fleury, each candidate's one-unit
+    edge searched node by node, from u until its head is found, charging
+    one op per node reached. Returns (searches, ops)."""
+    n = len(g.nodes)
+    src, dst = g.edge_src, g.edge_dst
+    out_e = [[] for _ in range(n)]
+    in_e = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(zip(src, dst)):
+        out_e[u].append(e)
+        in_e[v].append(e)
+    rem = list(mult)
+    searches = ops = 0
+
+    def bridge(u, e):
+        nonlocal searches, ops
+        c = dst[e]
+        if rem[e] >= 2 or c == u:
+            return False
+        rem[e] -= 1
+        seen = {u}
+        stack = [u]
+        while stack and c not in seen:
+            x = stack.pop()
+            nbrs = [dst[f] for f in out_e[x] if rem[f]] + [src[f] for f in in_e[x] if rem[f]]
+            for y in nbrs:
+                if y not in seen:
+                    seen.add(y)
+                    if y == c:
+                        break
+                    stack.append(y)
+        rem[e] += 1
+        searches += 1
+        ops += len(seen)
+        return c not in seen
+
+    out_d, in_d = g.degrees(mult)
+    starts = iter([i for i in range(n) for _ in range(out_d[i] - in_d[i])])
+    total = sum(rem)
+    while total:
+        u = next(starts, None)
+        if u is None:
+            u = min(x for x in range(n) if any(rem[e] for e in out_e[x]))
+        while True:
+            first = {}
+            for e in out_e[u]:
+                if rem[e]:
+                    first.setdefault(dst[e], e)
+            if not first:
+                break
+            nbrs = sorted(first)
+            v = nbrs[0]
+            if len(nbrs) > 1:
+                v = next((c for c in nbrs if not bridge(u, first[c])), v)
+            rem[first[v]] -= 1
+            total -= 1
+            u = v
+    return searches, ops
+
+
+@st.composite
+def hub_and_chain_multigraphs(draw):
+    """2 to 6 hubs joined by chains of 2 to 30 nodes, each edge of 1 to 3
+    units and some self-loops. A chain takes one multiplicity, but some of
+    its edges take another, so trails end inside chains and leave them
+    partly spent."""
+    labels = ["".join(p) for p in itertools.product("ACGT", repeat=5)]
+    hubs = draw(st.integers(2, 6))
+    hub = st.integers(0, hubs - 1)
+    units = st.integers(1, 3)
+    edges = []
+    nodes = hubs
+    for a, b, length, mult in draw(
+        st.lists(st.tuples(hub, hub, st.integers(2, 30), units), min_size=1, max_size=8)
+    ):
+        chain = [a, *range(nodes, nodes + length), b]
+        nodes += length
+        odd = draw(st.dictionaries(st.integers(0, length), units, max_size=3))
+        edges += [(x, y, odd.get(i, mult)) for i, (x, y) in enumerate(zip(chain, chain[1:]))]
+    loops = draw(st.lists(st.tuples(st.integers(0, nodes - 1), units), max_size=3))
+    edges += [(x, x, m) for x, m in loops]
+    g = SparseGraph()
+    for u, v, m in edges:
+        g.add_edge(E(labels[u]), E(labels[v]), mult=m)
+    return g
+
+
+@pytest.mark.parametrize("cols", [4, 16])
+@given(g=hub_and_chain_multigraphs())
+@settings(max_examples=30, deadline=None)
+def test_the_walk_crosses_intact_chains_in_one_step(cols, g):
+    # the same trails as the oracle, every word spent, and no more search
+    # ops than a node-by-node search: the walk reaches the same chain ends
+    # in the same order and pays one op per intact chain instead of one per
+    # node. The walk also pays one op per step, and one per node and edge
+    # for the unitig index once it searches at all.
+    asm = make_asm(rows=64, cols=cols)  # segments cross stripes
+    asm.find_start(g)
+    before = asm.trace.total(tr.DPU, stage=tr.STAGE_TRAVERSE)
+    paths = [p.node_ids for p in asm.fleury(g)]
+    assert paths == two_pass_fleury(g, g.mult)
+    assert g.store.read() == [0] * g.edge_count
+    searches, node_ops = per_node_search_cost(g, g.mult)
+    walk_ops = asm.trace.total(tr.DPU, stage=tr.STAGE_TRAVERSE) - before
+    index_ops = len(g.nodes) + g.edge_count if searches else 0
+    assert walk_ops - g.total_multiplicity() - len(paths) - index_ops <= node_ops
+
+
 # ---- path merging and components -------------------------------------------
 
 
@@ -1257,6 +1392,26 @@ def test_assemble_two_components():
     assert [p.node_ids for p in result.paths] == [[0, 1, 2, 3], [4, 5, 5, 6]]
     for p in result.paths:
         assert [g.nodes[i].to_str() for i in p.node_ids] == [v.to_str() for v in p.vertices]
+
+
+@pytest.mark.parametrize("lost", [0, 1])
+def test_a_lost_trail_fails_the_coverage_check(monkeypatch, lost):
+    # a walk that drops a trail leaves its component to a single-node path,
+    # whose (k-1)-base label holds no k-mer; the self-check finds the 3
+    # k-mers of that read missing and raises before the contigs go out:
+    # the only transfer is the two 5-base reads in, 2 bytes each
+    walk = Assembler.fleury
+
+    def drop_one(self, g):
+        paths = walk(self, g)
+        del paths[lost]
+        return paths
+
+    monkeypatch.setattr(Assembler, "fleury", drop_one)
+    asm = make_asm()
+    with pytest.raises(ConsistencyError, match="contigs miss 3 of the reads' 6 distinct k-mers"):
+        asm.assemble([E("ACGTT"), E("GAAAG")], 3)
+    assert asm.trace.total(tr.XFER) == 4
 
 
 def test_only_the_retried_component_walks_unit_words():
@@ -1626,6 +1781,27 @@ _UNIT_RUNG = (
 #   graph W       293 - 9 * 4 + 3 =  260
 #   traverse W    141 - 25 - 3    =  113
 #   sub-arrays    18 - 2          =   16
+#
+# The walk spends its units per decision, and its bridge search crosses
+# intact chains in one step. Walked units wait until the walk stands at a
+# node with two or more candidates, or at the end check; a flush then
+# takes one add per (stripe, units), here one 1-bit add of -1 per stripe
+# it touches, not one per unit. The first search builds the unitig index,
+# one DPU per node and per edge. Only the traverse rows move.
+# simplify off: the 259 units go in 3 flushes, of 60, 129 and 70 units
+# over 2, 5 and 4 stripes: 11 adds, not 259. The 4 searches cross the 8
+# chains (21 to 40 nodes each) as super-nodes and reach 2, 3, 2 and 3
+# nodes or chains, where they reached 41, 30, 41 and 31 nodes; the index
+# costs more than that saves on a graph this small.
+#   W       1,148 - 259 * 2 + 11 * 2                      =   652
+#   C_ADD     499 - 259 + 11                              =   251
+#   DPU       996 - 143 + (259 + 259) + 10                = 1,381
+# simplify on: 8 units in 3 flushes of one stripe each: 3 adds, not 8. The
+# merged graph's 8 nodes and 8 edges form no chain, so its two searches
+# reach the same 3 nodes each, and the index adds 8 + 8.
+#   W         113 - 8 * 2 + 3 * 2                         =   103
+#   C_ADD      44 - 8 + 3                                 =    39
+#   DPU        40 + 16                                    =    56
 LADDER = {
     False: (
         [
@@ -1635,10 +1811,10 @@ LADDER = {
             ("hashmap", "DPU", 8465),
             ("graph", "R", 361),
             ("graph", "W", 293),
-            ("traverse", "DPU", 996),
+            ("traverse", "DPU", 1381),
             ("traverse", "R", 216),
-            ("traverse", "W", 1148),
-            ("traverse", "C_ADD", 499),
+            ("traverse", "W", 652),
+            ("traverse", "C_ADD", 251),
         ],
         24,
         [
@@ -1660,10 +1836,10 @@ LADDER = {
             ("graph", "R", 618),
             ("graph", "W", 260),
             ("graph", "DPU", 518),
-            ("traverse", "DPU", 40),
+            ("traverse", "DPU", 56),
             ("traverse", "R", 23),
-            ("traverse", "W", 113),
-            ("traverse", "C_ADD", 44),
+            ("traverse", "W", 103),
+            ("traverse", "C_ADD", 39),
         ],
         16,
         [
@@ -1713,15 +1889,20 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #                  out- and one in-edge, so one wave each way per
 #                  sub-array and pass.
 #     DPU components 9,977 + 9,976; per sub-array and pass d + 1:
-#        39 * 8 + 39 * 3; one per walk step, 9,976 + 1      =    30,359
+#        39 * 8 + 39 * 3; one per walk step, 9,976 + 1 (no node has
+#        two candidates: no bridge test, no unitig index)    =    30,359
 #     R  pass 1: 39 * 7 stripe + 39 * 3 * 7 = 1,092; pass 2: 39 * 1 +
 #        39 * 3 * 2 = 273; end check 39 * 1                 =     1,404
 #     W  pass 1: 39 * 21 probe + 78 waves * 21 = 2,457; retry rewrite
 #        39 * 7 = 273; pass 2: 39 * 4 clear + 39 * 6 + 78 * 6 = 858;
-#        9,976 unit decrements * 2                           =    23,540
+#        the walk's one flush, before the end check: one 1-bit add
+#        of -1 per stripe, 39 * 2                            =     3,666
 #     C_ADD pass 1: 39 * 14 + 78 * 7 = 1,092; pass 2: 39 * 4 + 78 * 2 =
-#        312; 9,976 decrements                               =    11,380
+#        312; 39 flush adds                                  =     1,443
 #   sub-arrays     3 + 4 + 39                                =        46
+# Spending the walk's units per decision, not per unit, took traverse W
+# from 23,540 (9,976 decrements * 2) to 3,666 and C_ADD from 11,380 to
+# 1,443: 19,312,242 -> 19,182,167 modeled ns, and RUR 0.6859 -> 0.6885.
 CANONICAL_TRACE = [
     ("io", "XFER", 250_025),
     ("hashmap", "W", 1_290_587),
@@ -1731,8 +1912,8 @@ CANONICAL_TRACE = [
     ("graph", "W", 2_897),
     ("traverse", "DPU", 30_359),
     ("traverse", "R", 1_404),
-    ("traverse", "W", 23_540),
-    ("traverse", "C_ADD", 11_380),
+    ("traverse", "W", 3_666),
+    ("traverse", "C_ADD", 1_443),
 ]
 
 

@@ -180,6 +180,17 @@ def test_file_failures_map_to_exit_codes(argv, code, tmp_path, capsys, monkeypat
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_a_contig_set_that_loses_k_mers_exits_1(tmp_path, capsys, monkeypatch):
+    # the walk drops the second read's trail: the coverage self-check fails
+    walk = Assembler.fleury
+    monkeypatch.setattr(Assembler, "fleury", lambda self, g: walk(self, g)[:1])
+    reads = tmp_path / "r.fasta"
+    reads.write_text(">a\nACGTT\n>b\nGAAAG\n")
+    assert run(["assemble", reads, "--k", 3, *SMALL, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("self-check failure: ") and "contigs miss 3 of" in err
+
+
 def test_a_bug_exits_6_with_its_traceback(tmp_path, capsys, monkeypatch):
     # an exception outside SimError and OSError is no self-check failure
     def assemble(self, reads, k):
