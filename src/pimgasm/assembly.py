@@ -49,9 +49,9 @@ length of the largest degree plus one, the largest value the start probe
 forms. Each add's carry-out is checked: a decrement that does not carry
 spent more than the word held, and an in + 1 that does overflowed its word.
 
-The graph stage's stores take their rows from one allocator, `_RowBank`,
-which hands out data rows and takes a new sub-array when an entry no
-longer fits. Vertical words cross the instruction layer a stripe at a
+The graph stage's stores and the degree pass take their rows from one
+allocator, `_RowBank`, which hands out data rows and takes a new
+sub-array when an entry no longer fits. Vertical words cross the instruction layer a stripe at a
 time: Machine.write_vwords and read_vwords cost one row per bit plane for
 any number of columns, so the multiplicity words are placed, read and
 rewritten one stripe per call.
@@ -62,14 +62,14 @@ every label that first appears in it. With `simplify` on, it then merges
 unbranched chains on the host. A graph holds at most one fabric
 placement, `SparseGraph.store`, bound to the machine that wrote it: one
 vertical multiplicity word per edge, one word-high stripe per `cols`
-edges, plus the last find_start pass (its degree region and trail starts)
+edges, plus the last find_start pass (its degree stripes and trail starts)
 until a walk consumes it. `Assembler._place` writes it once, for the graph
 the walk reads: build_graph's, or in the traverse stage one with no
 placement on the walking machine (a synthetic graph, or one another
 Assembler built). The traverse stage runs once over the whole graph: a
 component whose multiplicities admit no Euler path has its words
 rewritten to one in place, and the repeat degree pass reuses the first
-pass's region, clearing and re-accumulating only those components' nodes.
+pass's stripes, clearing and re-accumulating only those components' nodes.
 
 The host keeps mirror bookkeeping (a dict index into the hash store, the
 edge lists, remaining-multiplicity maps, the unitig index) so the
@@ -420,15 +420,14 @@ class _RowBank:
 
 @dataclass
 class _DegreePass:
-    """One find_start pass: its degree region and the trail starts it found.
+    """One find_start pass: its degree stripes and the trail starts it found.
 
     `starts` lists each node id once per unit of outgoing surplus
     (out - in), in ascending order.
     """
 
-    sids: list[int]
+    stripes: list[tuple[int, int]]  # per `cols` nodes: (sub-array, LSB of the out words)
     w_deg: int
-    base: int             # first data row: LSB of the out-degree words
     starts: list[int]
 
 
@@ -569,8 +568,8 @@ class Assembler:
     amount), the amounts decided by the host mirror, which stops a counter
     at its cap.
     max_subarrays caps the sub-arrays on the machine: any stage that would
-    allocate past it (hash groups, label and multiplicity banks, degree
-    regions) raises CapacityError.
+    allocate past it (hash groups, label, multiplicity and degree banks)
+    raises CapacityError.
     """
 
     def __init__(
@@ -927,12 +926,16 @@ class Assembler:
         scratch word plane, and adds them into the out/in counter words one
         occupancy rank at a time, so a whole sub-array row of nodes advances
         per add. The degree words are (largest degree + 1).bit_length()
-        bits wide, just enough for the start probe's in + 1. A repeat pass
-        on the same placement (after some words were rewritten, say) reuses
-        the degree region and allocates nothing: it zeroes and
-        re-accumulates only the columns of `nodes` (every node by default)
-        with masked writes, and the other nodes keep the last pass's words.
-        A change of word width re-accumulates every node. The read-back and
+        bits wide, just enough for the start probe's in + 1. Each stripe of
+        `cols` nodes takes 4 * w_deg rows from a _RowBank (its out, in,
+        probe and staging words), so the stripes stack in one sub-array. A
+        repeat pass on the same placement (after some words were rewritten,
+        say) whose words are no wider than the last pass's reuses its
+        stripes and allocates nothing: it zeroes and re-accumulates only
+        the columns of `nodes` (every node by default) with masked writes,
+        and the other nodes keep the last pass's words. A change of word
+        width re-accumulates every node, and wider words take new stripes,
+        which start at zero. The read-back and
         the start test still cover every column: the test compares out
         against in+1 with one compare cycle per bit plane, and an in + 1
         that carries out raises ConsistencyError. The edge-unit total needs
@@ -940,7 +943,7 @@ class Assembler:
         degree sequence is accepted: the starts list every node once per
         unit of outgoing surplus, in ascending order, from the host degree
         lists the fabric planes were just checked against, so an Euler path
-        is the case of one start or none. The pass (its degree region and
+        is the case of one start or none. The pass (its degree stripes and
         starts) is stored as `g.store.degree`, where the next fleury call
         walks it.
         """
@@ -957,52 +960,46 @@ class Assembler:
             host_out, host_in = g.degrees(store.mult)
             maxdeg = max(max(host_out, default=0), max(host_in, default=0))
             w_deg = (maxdeg + 1).bit_length()  # the probe's in + 1 fits
-            lay = RowLayout.default(m.rows)
-            if 4 * w_deg > len(lay.data_region):
-                raise CapacityError("degree counters taller than the data region")
-            base = lay.data_region.start
-            out_base = base
-            in_base = base + w_deg
-            tmp_base = base + 2 * w_deg
-            stg_base = base + 3 * w_deg
-            prev = store.degree
+            prev, store.degree = store.degree, None  # void from here on, even on failure
             redo = set(range(n))
-            if prev is None:
-                n_sub = mapping.subarrays_needed(n, m.cols)
-                sids = [self._new_subarray(lay) for _ in range(n_sub)]
+            if prev is None or w_deg > prev.w_deg:
+                bank = _RowBank(self)
+                stripes = [bank.alloc(4 * w_deg) for _ in range(0, n, m.cols)]
             else:
-                # the old pass is void from here on, even if this one fails
-                sids, store.degree = prev.sids, None
+                stripes = prev.stripes
                 if nodes is not None and prev.w_deg == w_deg:
                     redo = set(nodes)
-                clear: dict[int, int] = {}  # sub-array index -> redone columns
+                clear: dict[int, int] = {}  # stripe -> redone columns
                 for nid in redo:
-                    sub_i, col = divmod(nid, m.cols)
-                    clear[sub_i] = clear.get(sub_i, 0) | 1 << col
-                for sub_i, colmask in sorted(clear.items()):
-                    sub = m.subarray(sids[sub_i])
-                    for row in range(out_base, tmp_base):
+                    stripe, col = divmod(nid, m.cols)
+                    clear[stripe] = clear.get(stripe, 0) | 1 << col
+                for stripe, colmask in sorted(clear.items()):
+                    sid, base = stripes[stripe]
+                    sub = m.subarray(sid)
+                    for row in range(base, base + 2 * w_deg):
                         sub.write_masked(row, 0, colmask)
 
-            for ends, word_base in ((g.edge_src, out_base), (g.edge_dst, in_base)):
+            # per stripe: out words at base, then in, probe and staging words
+            for ends, offset in ((g.edge_src, 0), (g.edge_dst, w_deg)):
                 per: dict[int, dict[int, list[int]]] = {}
                 for e, nid in enumerate(ends):
                     if nid in redo:
-                        sub_i, col = divmod(nid, m.cols)
-                        per.setdefault(sub_i, {}).setdefault(col, []).append(e)
-                for sub_i in sorted(per):
-                    colmap = per[sub_i]
+                        stripe, col = divmod(nid, m.cols)
+                        per.setdefault(stripe, {}).setdefault(col, []).append(e)
+                for stripe in sorted(per):
+                    colmap = per[stripe]
+                    sid, base = stripes[stripe]
+                    stg_base = base + 3 * w_deg
                     rank = 0
                     while True:
                         wave = {c: ids[rank] for c, ids in colmap.items() if len(ids) > rank}
                         if not wave:
                             break
                         m.write_vwords(
-                            sids[sub_i], stg_base, w_deg,
-                            {col: words[e] for col, e in wave.items()},
+                            sid, stg_base, w_deg, {col: words[e] for col, e in wave.items()}
                         )
                         over = m.add_cols(
-                            sids[sub_i], stg_base, word_base, word_base, w_deg, wave
+                            sid, stg_base, base + offset, base + offset, w_deg, wave
                         )
                         if any(over.values()):
                             raise ConsistencyError("degree counter overflow")
@@ -1012,12 +1009,11 @@ class Assembler:
             fab_out: list[int] = []
             fab_in: list[int] = []
             candidates: list[int] = []
-            for sub_i, sid in enumerate(sids):
-                lo = sub_i * m.cols
+            for stripe, (sid, base) in enumerate(stripes):
+                lo = stripe * m.cols
                 hi = min(n, lo + m.cols)
-                if hi <= lo:
-                    continue
-                fab_out += m.read_vwords(sid, out_base, w_deg)[: hi - lo]
+                in_base, tmp_base = base + w_deg, base + 2 * w_deg
+                fab_out += m.read_vwords(sid, base, w_deg)[: hi - lo]
                 fab_in += m.read_vwords(sid, in_base, w_deg)[: hi - lo]
                 # start probe: tmp = in + 1, then plane-compare against out
                 node_cols = list(range(hi - lo))
@@ -1031,7 +1027,7 @@ class Assembler:
                 agree = ~0
                 for i in range(w_deg):
                     res = m.cmp(
-                        MemAddress(sid, out_base + i, 0, m.cols),
+                        MemAddress(sid, base + i, 0, m.cols),
                         MemAddress(sid, tmp_base + i, 0, m.cols),
                     )
                     agree &= res.mask
@@ -1046,7 +1042,7 @@ class Assembler:
                 raise ConsistencyError("start probe disagrees with the degree mirror")
 
             starts = [i for i in range(n) for _ in range(host_out[i] - host_in[i])]
-            store.degree = _DegreePass(sids, w_deg, base, starts)
+            store.degree = _DegreePass(stripes, w_deg, starts)
         return starts
 
     # -- stage 4: Euler walk --
@@ -1202,7 +1198,7 @@ class Assembler:
         multiplicity-weighted outgoing surplus sums to more than one admits
         no Euler path, so its multiplicity words are rewritten to one in
         place (the store then narrows to its largest remaining word) and a
-        second find_start, on the first one's degree region, re-accumulates
+        second find_start, on the first one's degree stripes, re-accumulates
         only the retried components' nodes, or every node if the degree
         word width changed; components that pass keep their words and
         degrees. One fleury call then covers every component with trails,

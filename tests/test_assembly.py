@@ -781,9 +781,9 @@ def degree_words(asm, g):
     """The stored pass's out- and in-degree words, read back from fabric."""
     d = g.store.degree
     out, inn = [], []
-    for sid in d.sids:
-        out += asm.machine.read_vwords(sid, d.base, d.w_deg)
-        inn += asm.machine.read_vwords(sid, d.base + d.w_deg, d.w_deg)
+    for sid, base in d.stripes:
+        out += asm.machine.read_vwords(sid, base, d.w_deg)
+        inn += asm.machine.read_vwords(sid, base + d.w_deg, d.w_deg)
     return out[: len(g.nodes)], inn[: len(g.nodes)]
 
 
@@ -835,28 +835,31 @@ def test_find_start_degrees_weight_multiplicity():
 
 
 def test_a_repeat_find_start_reuses_the_degree_region():
-    # 18 nodes on 16 columns: a two-sub-array degree region. The largest
-    # degree is 2, so the start probe's in + 1 needs 3.bit_length() = 2-bit
-    # degree words.
+    # 18 nodes on 16 columns: two degree stripes, stacked in one sub-array.
+    # The largest degree is 2, so the start probe's in + 1 needs
+    # 3.bit_length() = 2-bit degree words, and a stripe 4 * 2 rows.
     asm, g = build_graph(["ACGTTGCATGTCGACCATGGAT"], 5, rows=64, cols=16)
     w_before = asm.trace.total(tr.W, stage=tr.STAGE_TRAVERSE)
+    count = asm.machine.subarray_count
     first = asm.find_start(g)
     words = degree_words(asm, g)
     assert words == g.degrees()
-    sids = g.store.degree.sids
-    assert len(sids) == 2
+    stripes = g.store.degree.stripes
+    assert len(stripes) == 2
+    [(sid, lsb), (sid2, lsb2)] = stripes
+    assert sid2 == sid and lsb2 == lsb + 4 * 2
     assert g.store.degree.w_deg == 2
-    count = asm.machine.subarray_count
+    assert asm.machine.subarray_count == count + 1
     w_first = asm.trace.total(tr.W, stage=tr.STAGE_TRAVERSE) - w_before
     second = asm.find_start(g)
-    assert asm.machine.subarray_count == count
-    assert g.store.degree.sids == sids
+    assert asm.machine.subarray_count == count + 1
+    assert g.store.degree.stripes == stripes
     assert second == first
     assert degree_words(asm, g) == words
     # the same pass again, plus one charged write per cleared out/in row:
-    # 2 sub-arrays, 2 words of 2 rows each
+    # 2 stripes, 2 words of 2 rows each
     w_second = asm.trace.total(tr.W, stage=tr.STAGE_TRAVERSE) - w_before - w_first
-    assert w_second == w_first + len(sids) * 2 * 2
+    assert w_second == w_first + len(stripes) * 2 * 2
     # the cleared words add up afresh: the walk spends every one of them
     [path] = asm.fleury(g)
     assert len(path.node_ids) == g.edge_count + 1
@@ -879,6 +882,35 @@ def test_a_repeat_pass_on_a_new_word_width_redoes_every_node():
     assert asm.find_start(g, [0]) == []
     assert g.store.degree.w_deg == 2
     assert degree_words(asm, g) == g.degrees(g.store.mult) == ([1, 2], [1, 2])
+
+
+def test_a_repeat_pass_on_wider_degree_words_takes_new_stripes():
+    # AC -> CG and AC -> CT at one unit each, and a 2-unit self-loop on TT:
+    # the largest degree is 2, so 2-bit degree words. Rewritten to 3 units
+    # (still 2-bit multiplicity words), AC's out-degree is 6 and its words
+    # need 7.bit_length() = 3 bits: taller than the first pass's stripe,
+    # so the pass takes a new one, which starts at zero, and redoes every
+    # node whatever `nodes` says
+    asm = make_asm(rows=64, cols=16)
+    g = SparseGraph(k=3)
+    g.add_edge(E("AC"), E("CG"))
+    g.add_edge(E("AC"), E("CT"))
+    g.add_edge(E("TT"), E("TT"), mult=2)
+    assert asm.find_start(g) == [0, 0]
+    first = g.store.degree.stripes
+    assert (g.store.width, g.store.degree.w_deg) == (2, 2)
+    g.store.write({0: 3, 1: 3})
+    assert g.store.width == 2
+    assert asm.find_start(g, [1]) == [0] * 6
+    assert g.store.degree.w_deg == 3
+    assert g.store.degree.stripes != first
+    assert degree_words(asm, g) == g.degrees(g.store.mult) == ([6, 0, 0, 2], [0, 3, 3, 2])
+    # and a narrower pass after it reuses the wide stripes
+    wide = g.store.degree.stripes
+    g.store.write({0: 1, 1: 1})
+    assert asm.find_start(g) == [0, 0]
+    assert (g.store.degree.w_deg, g.store.degree.stripes) == (2, wide)
+    assert degree_words(asm, g) == g.degrees(g.store.mult) == ([2, 0, 0, 2], [0, 1, 1, 2])
 
 
 # ---- Euler walks -----------------------------------------------------------
@@ -1222,7 +1254,7 @@ def boundary_multigraphs(draw):
 def test_word_widths_and_the_bridge_test_at_boundary_values(case):
     g, rewrite = case
     assume(max(max(d) for d in g.degrees()) <= 255)
-    asm = make_asm(rows=64, cols=4)  # several stripes and degree sub-arrays
+    asm = make_asm(rows=64, cols=4)  # several multiplicity and degree stripes
 
     def degree_pass(nodes=None):
         asm.find_start(g, nodes)
@@ -1802,6 +1834,12 @@ _UNIT_RUNG = (
 #   W         113 - 8 * 2 + 3 * 2                         =   103
 #   C_ADD      44 - 8 + 3                                 =    39
 #   DPU        40 + 16                                    =    56
+#
+# The degree stripes stack: find_start takes each stripe's 4 * d rows from
+# a row bank, not a sub-array per stripe. Every op is row-granular, so only
+# the sub-array count moves. simplify off: 9 stripes of 4 * 4 = 16 rows, 3
+# to a 58-row data region, take 3 sub-arrays, not 9, and the second pass's
+# 2-bit words reuse them: 24 -> 18. simplify on: one stripe, as before: 16.
 LADDER = {
     False: (
         [
@@ -1816,7 +1854,7 @@ LADDER = {
             ("traverse", "W", 652),
             ("traverse", "C_ADD", 251),
         ],
-        24,
+        18,
         [
             "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
             "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCG",
@@ -1884,11 +1922,11 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #     W  2,624 copies + 39 stripes of 7-bit words * 7        =     2,897
 #        (3 label sub-arrays of 1,018 data rows, 1 word sub-array)
 #   traverse       one path; its 76 surplus units at multiplicities make
-#                  it retry at unit words. 39 degree sub-arrays, d = 7
+#                  it retry at unit words. 39 degree stripes, d = 7
 #                  then 2 (degrees up to 76, then 1); every node has one
 #                  out- and one in-edge, so one wave each way per
-#                  sub-array and pass.
-#     DPU components 9,977 + 9,976; per sub-array and pass d + 1:
+#                  stripe and pass.
+#     DPU components 9,977 + 9,976; per stripe and pass d + 1:
 #        39 * 8 + 39 * 3; one per walk step, 9,976 + 1 (no node has
 #        two candidates: no bridge test, no unitig index)    =    30,359
 #     R  pass 1: 39 * 7 stripe + 39 * 3 * 7 = 1,092; pass 2: 39 * 1 +
@@ -1899,10 +1937,13 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #        of -1 per stripe, 39 * 2                            =     3,666
 #     C_ADD pass 1: 39 * 14 + 78 * 7 = 1,092; pass 2: 39 * 4 + 78 * 2 =
 #        312; 39 flush adds                                  =     1,443
-#   sub-arrays     3 + 4 + 39                                =        46
+#   sub-arrays     3 + 4 + 2: the 39 degree stripes of 4 * 7 rows stack,
+#                  36 to a 1,018-row data region, and pass 2's 2-bit
+#                  words reuse them                          =         9
 # Spending the walk's units per decision, not per unit, took traverse W
 # from 23,540 (9,976 decrements * 2) to 3,666 and C_ADD from 11,380 to
 # 1,443: 19,312,242 -> 19,182,167 modeled ns, and RUR 0.6859 -> 0.6885.
+# Stacking the degree stripes took the sub-arrays from 3 + 4 + 39 = 46 to 9.
 CANONICAL_TRACE = [
     ("io", "XFER", 250_025),
     ("hashmap", "W", 1_290_587),
@@ -1920,7 +1961,7 @@ CANONICAL_TRACE = [
 def test_the_canonical_trace_is_pinned(canonical_run):
     asm = canonical_run["asm"]
     assert asm.trace.records() == CANONICAL_TRACE
-    assert asm.machine.subarray_count == 46
+    assert asm.machine.subarray_count == 9
 
 
 def test_subarray_budget_holds_in_every_stage():
