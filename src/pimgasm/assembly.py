@@ -41,7 +41,8 @@ exactly when a search from the walk's node, stopping at the edge's head,
 no longer finds it. The search crosses an unbranched chain whose edges all
 hold units as one super-node, so it moves from hub to hub.
 
-A bit-serial add costs one cycle and two writes per bit plane, so every
+A bit-serial add costs one cycle and two writes per bit plane it passes
+(an increment stops at its last carry plane; see isa), so every
 vertical word is as wide as the values it holds, and no wider. A
 multiplicity word takes the bit length of the largest multiplicity, and
 the store narrows when a rewrite lowers it; a degree word takes the bit
@@ -51,10 +52,10 @@ spent more than the word held, and an in + 1 that does overflowed its word.
 
 The graph stage's stores and the degree pass take their rows from one
 allocator, `_RowBank`, which hands out data rows and takes a new
-sub-array when an entry no longer fits. Vertical words cross the instruction layer a stripe at a
-time: Machine.write_vwords and read_vwords cost one row per bit plane for
-any number of columns, so the multiplicity words are placed, read and
-rewritten one stripe per call.
+sub-array when an entry no longer fits. Vertical words cross the
+instruction layer a stripe at a time: Machine.write_vwords and
+read_vwords cost one row per bit plane for any number of columns, so the
+multiplicity words are placed, read and rewritten one stripe per call.
 
 build_graph copies each node's label from the key slot where the node
 first appears, and copies each such key row once, so one row copy brings
@@ -426,7 +427,7 @@ class _DegreePass:
     (out - in), in ascending order.
     """
 
-    stripes: list[tuple[int, int]]  # per `cols` nodes: (sub-array, LSB of the out words)
+    stripes: list[tuple[int, int]]  # per `cols` nodes: (sub-array, out words' LSB)
     w_deg: int
     starts: list[int]
 

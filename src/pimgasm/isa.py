@@ -18,8 +18,15 @@ of every listed column's word.
 Cost contract (pinned by tests):
   mem_insert:   ceil(size/row_span) R (memory source only) + the same W
   cmp:          ceil(size/row_span) C_ADD + 1 DPU
-  add/const:    w C_ADD + 2w W (w sum writes, w-1 carry writes, 1 zero
+  add:          w C_ADD + 2w W (w sum writes, w-1 carry writes, 1 zero
                 write that restores the carry row)
+  add const c:  c < 0 costs what add does. For c > 0, top = c.bit_length()
+                - 1: every plane from top up to w-2 is followed by one DPU
+                reduce of the carry plane just written, and the add stops
+                at the first such plane p whose carry is zero in every
+                batched column (p = w-1 when none is): (p+1) C_ADD +
+                2(p+1) W + one DPU per plane tested, i.e. p - top + 1 when
+                it stops early and max(0, w-1-top) when it does not
   write_vwords: w W, one masked write per bit plane, for any column count
   read_vwords:  w R, one read per bit plane, every column's word decoded
 """
@@ -194,6 +201,7 @@ class Machine:
         out_lsb: int,
         width: int,
         colmask: int,
+        exit_from: int,
     ) -> int:
         """Shared ripple core: returns the final carry plane (overflow bits).
 
@@ -201,6 +209,14 @@ class Machine:
         bits at the init rows). Writes are masked to the batched columns;
         the final carry write stores zeros, which both hands the overflow
         to the controller and re-arms the carry row.
+
+        Every plane from `exit_from` up to the second-to-last charges one
+        DPU reduce of the carry plane it wrote, and the add stops at the
+        first one that is zero in every batched column. That carry write
+        stored zeros, so the carry row is re-armed. The caller passes a
+        plane above which b holds only zero bits and out aliases a, so the
+        planes left would rewrite each cell unchanged and carry nothing
+        out; `width` never exits.
         """
         carry = sub.layout.carry_rows[0]
         if sub.cells[carry] & colmask:
@@ -210,16 +226,19 @@ class Machine:
             trip = (a_rows[i], b_rows[i], carry)
             if len(set(trip)) != 3:
                 raise AddressError("operand bit rows collide within an activation")
-        cy_plane = 0
+        last = width - 1
         for i in range(width):
             s, cy = sub.full_add_cycle((a_rows[i], b_rows[i], carry))
             sub.write_masked(out_rows[i], s, colmask)
-            if i + 1 < width:
-                sub.write_masked(carry, cy, colmask)
-            else:
+            if i == last:
                 sub.write_masked(carry, 0, colmask)
-                cy_plane = cy
-        return cy_plane & colmask
+                return cy & colmask
+            sub.write_masked(carry, cy, colmask)
+            if i >= exit_from:
+                self.dpu_charge(1)
+                if not cy & colmask:
+                    return 0
+        return 0
 
     @staticmethod
     def _check_word_overlap(out: range, a: range, b: range) -> None:
@@ -261,7 +280,7 @@ class Machine:
             colmask |= 1 << c
         a_rows = range(a_lsb, a_lsb + width)
         b_rows = range(b_lsb, b_lsb + width)
-        cy = self._add_planes(sub, a_rows, b_rows, out_lsb, width, colmask)
+        cy = self._add_planes(sub, a_rows, b_rows, out_lsb, width, colmask, width)
         return {c: (cy >> c) & 1 for c in cols}
 
     def add_const_cols(
@@ -274,6 +293,14 @@ class Machine:
         present on every bit-line without a dedicated operand column.
         constant is taken mod 2**width (so -1 increments by the all-ones
         word, i.e. subtracts 1 in two's complement).
+
+        A positive constant has no bit above its top one, so from that
+        plane on the add stops at the first carry plane that is zero in
+        every listed column (one DPU reduce per plane tested; see the cost
+        contract). Cells and overflow bits equal the full ripple's. A
+        negative constant ripples through every plane: its all-ones upper
+        bits leave no plane that cannot change, and a decrement's caller
+        needs the carry-out of every column.
         """
         cols = list(cols)
         if not cols or len(set(cols)) != len(cols):
@@ -290,7 +317,8 @@ class Machine:
             sub._check_col(c)
             colmask |= 1 << c
         a_rows = range(lsb, lsb + width)
-        cy = self._add_planes(sub, a_rows, b_rows, lsb, width, colmask)
+        top = constant.bit_length() - 1 if constant > 0 else width
+        cy = self._add_planes(sub, a_rows, b_rows, lsb, width, colmask, top)
         return {c: (cy >> c) & 1 for c in cols}
 
     # ---- vertical words -----------------------------------------------

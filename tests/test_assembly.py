@@ -168,11 +168,14 @@ def test_repeat_cost_oracle():
     # (1 W; it was 3 W and 1 R with the temp-row staging, the copy and the
     # counter bit) plus two hits, each a temp write and one compare (1 W,
     # 1 C_ADD, 1 DPU). The read ends with one seed write of counter plane 0
-    # (1 W), then one +2 add on the key's 8-bit counter (16 W, 8 C_ADD):
-    #   W = 1 + 2 + 1 + 16 = 20,  R = 0,  C_ADD = 2 + 8 = 10.
+    # (1 W), then one +2 add on the key's 8-bit counter. 1 + 2 carries
+    # nowhere, so the add stops at the constant's top plane, 1, after one
+    # DPU reduce of its carry plane (4 W, 2 C_ADD, 1 DPU; the full ripple
+    # was 16 W and 8 C_ADD):
+    #   W = 1 + 2 + 1 + 4 = 8,  R = 0,  C_ADD = 2 + 2 = 4,  DPU = 2 + 1 = 3.
     asm = make_asm()
     asm.build_kmer_table([E("AAAAA")], 3)
-    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 20, tr.C_ADD: 10, tr.DPU: 2}
+    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 8, tr.C_ADD: 4, tr.DPU: 3}
 
 
 def _count_seeding(asm, reads, k, caplog):
@@ -469,9 +472,14 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_amount(width, caplog):
     # Seen again, every k-mer of the read is a hit. Its probe writes the
     # query into the temp row once (no bucket chains here) and compares
     # rows up to the key's, one C_ADD plus one DPU each, so the probes'
-    # C_ADD equals their DPU. The read then ends with one w-bit add
-    # (w C_ADD, 2w W) per (sub-array, counter stripe, amount) group; a k-mer
-    # the read holds twice adds 2, in its own group. The read's 97 distinct
+    # C_ADD equals their DPU. The read then ends with one add per
+    # (sub-array, counter stripe, amount) group; a k-mer the read holds
+    # twice adds 2, in its own group. Each add stops at its last carry
+    # plane, at either width: +1 on counters at 1 carries out of plane 0
+    # and stops at plane 1 (2 C_ADD, 4 W, a DPU reduce at planes 0 and 1),
+    # +2 on counters at 2 carries out of plane 1 and stops at plane 2
+    # (3 C_ADD, 6 W, DPU at planes 1 and 2). Per stripe: 5 C_ADD, 10 W and
+    # 4 DPU, where the full ripple took 2w C_ADD and 4w W. The read's 97 distinct
     # k-mers take counter indices 0..96 in first-seen order, so stripe 0 of
     # 64 columns holds indices 0..63 and stripe 1 the rest, and both hold
     # k-mers seen once and twice (GGATC at index 0, AGGAT at 81): four
@@ -500,10 +508,10 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_amount(width, caplog):
     assert {amount for _, _, amount in groups} == {1, 2}
     assert adds_twice - adds_once == len(groups)
     a, b = hashmap_totals(once.trace), hashmap_totals(twice.trace)
-    probe_dpu = b[tr.DPU] - a[tr.DPU]
+    probe_dpu = b[tr.DPU] - a[tr.DPU] - 2 * 4
     assert b[tr.R] == a[tr.R]
-    assert b[tr.C_ADD] - a[tr.C_ADD] == probe_dpu + width * len(groups)
-    assert b[tr.W] - a[tr.W] == sum(occurrences.values()) + 2 * width * len(groups)
+    assert b[tr.C_ADD] - a[tr.C_ADD] == probe_dpu + 2 * 5
+    assert b[tr.W] - a[tr.W] == sum(occurrences.values()) + 2 * 10
 
 
 class AddRecorder(Assembler):
@@ -1013,9 +1021,10 @@ def test_walk_cost_oracle_on_a_path():
     # out and in passes, one rank each: d = 2 staging W, one add
     #   (2 C_ADD + 4 W)                               -> 12 W, 4 C_ADD
     # read-back of the out and in planes             -> 4 R
-    # start probe: copy in -> tmp (2 R + 2 W), +1 (2 C_ADD + 4 W),
-    #   2 plane compares (2 C_ADD + 2 DPU), 1 DPU     -> 2 R, 6 W, 4 C_ADD, 3 DPU
-    assert traverse_totals(asm.trace) == {tr.R: 7, tr.W: 19, tr.C_ADD: 8, tr.DPU: 3}
+    # start probe: copy in -> tmp (2 R + 2 W), +1 (2 C_ADD + 4 W, and one
+    #   DPU reduce of plane 0's carry, which CG's and GT's in = 1 set),
+    #   2 plane compares (2 C_ADD + 2 DPU), 1 DPU     -> 2 R, 6 W, 4 C_ADD, 4 DPU
+    assert traverse_totals(asm.trace) == {tr.R: 7, tr.W: 19, tr.C_ADD: 8, tr.DPU: 4}
     [path] = asm.fleury(g)
     assert path.node_ids == [0, 1, 2]
     # 2 units on 2 edges of one stripe, spent at the one flush before the end
@@ -1023,7 +1032,7 @@ def test_walk_cost_oracle_on_a_path():
     #   columns (1 C_ADD + 2 W, where a decrement per unit took 2 C_ADD +
     #   4 W), 3 loop DPU, no bridge test, and the end-of-walk read of the 1
     #   plane of the stripe
-    assert traverse_totals(asm.trace) == {tr.R: 8, tr.W: 21, tr.C_ADD: 9, tr.DPU: 6}
+    assert traverse_totals(asm.trace) == {tr.R: 8, tr.W: 21, tr.C_ADD: 9, tr.DPU: 7}
 
 
 @pytest.mark.parametrize("edge, word", [(0, 2), (1, 3), (16, 3), (18, 3)])
@@ -1484,9 +1493,12 @@ def test_only_the_retried_component_walks_unit_words():
     # masked W) and redoes only their one edge, 1 + 1 waves; re-adding the
     # passing component too would cost 2 more waves (+18 W, +6 C_ADD).
     #   W 6 + 2 * 9 + 9 = 33, C_ADD 2 * 3 + 6 = 12
+    # The probe's + 1 reduces the carry of every plane below the last: AA's
+    # in = 3 carries out of planes 0 and 1 in both passes, so it tests 2
+    # planes and stops none early: 4 + 2 = 6 DPU per pass.
     assert pass_costs == [
-        {tr.R: 11, tr.W: 45, tr.C_ADD: 18, tr.DPU: 4},
-        {tr.R: 11, tr.W: 33, tr.C_ADD: 12, tr.DPU: 4},
+        {tr.R: 11, tr.W: 45, tr.C_ADD: 18, tr.DPU: 6},
+        {tr.R: 11, tr.W: 33, tr.C_ADD: 12, tr.DPU: 6},
     ]
     assert result.graph.store.mult == [1, 2, 1, 1]
     assert result.graph.mult == [1, 2, 1, 3]  # the graph keeps its counts
@@ -1840,19 +1852,43 @@ _UNIT_RUNG = (
 # the sub-array count moves. simplify off: 9 stripes of 4 * 4 = 16 rows, 3
 # to a 58-row data region, take 3 sub-arrays, not 9, and the second pass's
 # 2-bit words reuse them: 24 -> 18. simplify on: one stripe, as before: 16.
+#
+# An increment stops at its last carry plane: from the constant's top
+# plane, every plane below the last charges one DPU reduce of its carry
+# plane, and the add stops at the first that is zero in every batched
+# column (1 C_ADD + 2 W a plane, as before). Only hashmap and traverse rows
+# move. The 386 counter adds are all +1, and no counter reaches 127, so
+# every add stops early: 67 at plane 0, 125 at 1, 160 at 2 and 34 at 3,
+# 933 planes where the full ripple ran 386 * 8 = 3,088 (both ways):
+#   hashmap W       7,687 - 2 * (3,088 - 933)             = 3,377
+#   hashmap C_ADD  11,553 - (3,088 - 933)                 = 9,398
+#   hashmap DPU     8,465 + 933                           = 9,398
+# simplify off: the first pass's 4-bit probe adds stop at plane 2 on the 4
+# stripes whose in-degrees include 3, at plane 0 on the 4 whose in-degrees
+# are all even, and at plane 1 on the stripe of in-degree 1: 18 planes,
+# not 36, and 18 DPU. The second pass's 2-bit adds test plane 0 and run to
+# plane 1, the last: 9 DPU.
+#   traverse W        652 - 2 * 18                        =   616
+#   traverse C_ADD    251 - 18                            =   233
+#   traverse DPU    1,381 + 18 + 9                        = 1,408
+# simplify on: in-degrees 0, 4 and 8 stop the first pass's add at plane 0
+# (1 plane, not 4, 1 DPU); the second's tests plane 0 (1 DPU).
+#   traverse W        103 - 2 * 3                         =    97
+#   traverse C_ADD     39 - 3                             =    36
+#   traverse DPU       56 + 2                             =    58
 LADDER = {
     False: (
         [
             ("io", "XFER", 508),
-            ("hashmap", "W", 7687),
-            ("hashmap", "C_ADD", 11553),
-            ("hashmap", "DPU", 8465),
+            ("hashmap", "W", 3377),
+            ("hashmap", "C_ADD", 9398),
+            ("hashmap", "DPU", 9398),
             ("graph", "R", 361),
             ("graph", "W", 293),
-            ("traverse", "DPU", 1381),
+            ("traverse", "DPU", 1408),
             ("traverse", "R", 216),
-            ("traverse", "W", 652),
-            ("traverse", "C_ADD", 251),
+            ("traverse", "W", 616),
+            ("traverse", "C_ADD", 233),
         ],
         18,
         [
@@ -1868,16 +1904,16 @@ LADDER = {
     True: (
         [
             ("io", "XFER", 512),
-            ("hashmap", "W", 7687),
-            ("hashmap", "C_ADD", 11553),
-            ("hashmap", "DPU", 8465),
+            ("hashmap", "W", 3377),
+            ("hashmap", "C_ADD", 9398),
+            ("hashmap", "DPU", 9398),
             ("graph", "R", 618),
             ("graph", "W", 260),
             ("graph", "DPU", 518),
-            ("traverse", "DPU", 56),
+            ("traverse", "DPU", 58),
             ("traverse", "R", 23),
-            ("traverse", "W", 103),
-            ("traverse", "C_ADD", 39),
+            ("traverse", "W", 97),
+            ("traverse", "C_ADD", 36),
         ],
         16,
         [
@@ -1911,11 +1947,16 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #                  2,500 bytes                               =   250,025
 #   hashmap        752,476 queries, 9,976 distinct keys in 3 groups of
 #                  120 buckets (fill 3,273, 3,367, 3,336), 3 sub-arrays.
+#     The 32,412 counter adds are all +1 on 8-bit words (a read holds
+#     each k-mer once) and no counter passes 76, so each stops at the
+#     plane after its batch's longest run of low one bits: 140 adds at
+#     plane 0, 392 at 1, 1,548 at 2, 6,052 at 3, 7,658 at 4, 6,782 at 5
+#     and 9,840 at 6, 177,638 planes of 1 C_ADD + 2 W + 1 DPU each.
 #     W  a temp-row write per query but the 360 first misses into an empty
 #        bucket (752,116), 9,976 inserts, 9,903 counter-seed writes, and
-#        32,412 8-bit adds at 16 W                           = 1,290,587
-#     DPU one per compared row                              = 3,077,349
-#     C_ADD the compares + 32,412 adds * 8                  = 3,336,645
+#        the adds' 2 * 177,638                               = 1,127,271
+#     DPU one per compared row (3,077,349) + 177,638         = 3,254,987
+#     C_ADD the compares (3,077,349) + 177,638               = 3,254,987
 #   graph          9,977 nodes, 9,976 edges, largest multiplicity 76.
 #     R  ceil(fill / 256) = 13 + 14 + 14 counter stripes * 8 = 328, and
 #        2,624 label-row copies                              =     2,952
@@ -1926,17 +1967,25 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #                  then 2 (degrees up to 76, then 1); every node has one
 #                  out- and one in-edge, so one wave each way per
 #                  stripe and pass.
+#     The probe's + 1: in pass 1 the 37 middle stripes hold in-degree 76
+#     only, which is even, so their adds stop at plane 0 (1 C_ADD, 2 W,
+#     1 DPU); the first and last stripes hold the ramp 0..76, whose 63
+#     carries to plane 6, the last (7 C_ADD, 14 W, 6 DPU). In pass 2 every
+#     in-degree is 1 (node 0's is 0): each add tests plane 0 and runs to
+#     plane 1, the last (2 C_ADD, 4 W, 1 DPU).
 #     DPU components 9,977 + 9,976; per stripe and pass d + 1:
-#        39 * 8 + 39 * 3; one per walk step, 9,976 + 1 (no node has
-#        two candidates: no bridge test, no unitig index)    =    30,359
+#        39 * 8 + 39 * 3; the probe adds' reduces 37 + 2 * 6 + 39;
+#        one per walk step, 9,976 + 1 (no node has two
+#        candidates: no bridge test, no unitig index)        =    30,447
 #     R  pass 1: 39 * 7 stripe + 39 * 3 * 7 = 1,092; pass 2: 39 * 1 +
 #        39 * 3 * 2 = 273; end check 39 * 1                 =     1,404
-#     W  pass 1: 39 * 21 probe + 78 waves * 21 = 2,457; retry rewrite
-#        39 * 7 = 273; pass 2: 39 * 4 clear + 39 * 6 + 78 * 6 = 858;
-#        the walk's one flush, before the end check: one 1-bit add
-#        of -1 per stripe, 39 * 2                            =     3,666
-#     C_ADD pass 1: 39 * 14 + 78 * 7 = 1,092; pass 2: 39 * 4 + 78 * 2 =
-#        312; 39 flush adds                                  =     1,443
+#     W  pass 1: 39 * 7 probe copies + 37 * 2 + 2 * 14 probe adds +
+#        78 waves * 21 = 2,013; retry rewrite 39 * 7 = 273; pass 2:
+#        39 * 4 clear + 39 * 6 + 78 * 6 = 858; the walk's one flush,
+#        before the end check: one 1-bit add of -1 per stripe,
+#        39 * 2                                              =     3,222
+#     C_ADD pass 1: 39 * 7 compares + 37 + 2 * 7 probe adds + 78 * 7 =
+#        870; pass 2: 39 * 4 + 78 * 2 = 312; 39 flush adds   =     1,221
 #   sub-arrays     3 + 4 + 2: the 39 degree stripes of 4 * 7 rows stack,
 #                  36 to a 1,018-row data region, and pass 2's 2-bit
 #                  words reuse them                          =         9
@@ -1944,17 +1993,22 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 # from 23,540 (9,976 decrements * 2) to 3,666 and C_ADD from 11,380 to
 # 1,443: 19,312,242 -> 19,182,167 modeled ns, and RUR 0.6859 -> 0.6885.
 # Stacking the degree stripes took the sub-arrays from 3 + 4 + 39 = 46 to 9.
+# Stopping each increment at its last carry plane took hashmap W from
+# 1,290,587 to 1,127,271 and C_ADD from 3,336,645 to 3,254,987 (32,412
+# adds * 8 planes = 259,296 planes, now 177,638), and traverse W from 3,666
+# to 3,222; DPU rose by one per plane tested: 19,182,167 -> 18,119,244
+# modeled ns, and RUR 0.6885 -> 0.7117.
 CANONICAL_TRACE = [
     ("io", "XFER", 250_025),
-    ("hashmap", "W", 1_290_587),
-    ("hashmap", "C_ADD", 3_336_645),
-    ("hashmap", "DPU", 3_077_349),
+    ("hashmap", "W", 1_127_271),
+    ("hashmap", "C_ADD", 3_254_987),
+    ("hashmap", "DPU", 3_254_987),
     ("graph", "R", 2_952),
     ("graph", "W", 2_897),
-    ("traverse", "DPU", 30_359),
+    ("traverse", "DPU", 30_447),
     ("traverse", "R", 1_404),
-    ("traverse", "W", 3_666),
-    ("traverse", "C_ADD", 1_443),
+    ("traverse", "W", 3_222),
+    ("traverse", "C_ADD", 1_221),
 ]
 
 

@@ -1,5 +1,7 @@
 """Instruction-layer behavior: region copies, bulk compares, bit-serial adds."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -280,16 +282,103 @@ def test_add_const_and_counter_helpers():
     assert get(m, sid, 2, 0, 4) == 15
 
 
-def test_add_const_costs_like_a_regular_add():
-    # the constant comes from the init rows, so no operand writes happen
+def test_an_increment_stops_at_its_last_carry_plane():
+    # the constant comes from the init rows, so no operand writes happen.
+    # 200 + 55 = 0b11001000 + 0b00110111 carries nowhere: from the
+    # constant's top plane, 5, the first carry plane tested is zero, so the
+    # add stops there: 6 C_ADD, 12 W, 1 DPU, where the full ripple took
+    # 8 C_ADD and 16 W
     m, sid = make_machine(rows=32, cols=4)
     put(m, sid, 0, 0, 8, 200)
-    before = deltas(m.trace, (C_ADD, W, R))
-    add_const1(m, sid, 0, 0, 8, 55)
-    assert m.trace.total(C_ADD) - before[C_ADD] == 8
-    assert m.trace.total(W) - before[W] == 16
-    assert m.trace.total(R) - before[R] == 0
+    before = deltas(m.trace, (C_ADD, W, R, DPU))
+    assert add_const1(m, sid, 0, 0, 8, 55) == 0
+    after = deltas(m.trace, (C_ADD, W, R, DPU))
+    assert {k: after[k] - before[k] for k in after} == {C_ADD: 6, W: 12, R: 0, DPU: 1}
     assert get(m, sid, 0, 0, 8) == 255
+    assert m.subarray(sid).cells[m.subarray(sid).layout.carry_rows[0]] == 0
+
+
+@pytest.mark.parametrize("constant, total, dpu", [(56, 0, 2), (-1, 199, 0)])
+def test_a_carry_to_the_top_or_a_decrement_ripples_through_every_plane(constant, total, dpu):
+    # 200 + 56 = 256 carries from plane 3 to the top: the DPU reduces at
+    # planes 5 and 6 both see a carry, and plane 7 is the last. A negative
+    # constant tests no plane.
+    m, sid = make_machine(rows=32, cols=4)
+    put(m, sid, 0, 0, 8, 200)
+    before = deltas(m.trace, (C_ADD, W, R, DPU))
+    assert add_const1(m, sid, 0, 0, 8, constant) == 1
+    after = deltas(m.trace, (C_ADD, W, R, DPU))
+    assert {k: after[k] - before[k] for k in after} == {C_ADD: 8, W: 16, R: 0, DPU: dpu}
+    assert get(m, sid, 0, 0, 8) == total
+
+
+def full_ripple_const(sub, lsb, width, colmask, constant):
+    """Oracle: in-place ctr += constant through every bit plane, no early
+    exit; returns the overflow plane."""
+    lay = sub.layout
+    carry = lay.carry_rows[0]
+    cy = 0
+    for i in range(width):
+        b_row = lay.init1_row if (constant >> i) & 1 else lay.init0_row
+        s, cy = sub.full_add_cycle((lsb + i, b_row, carry))
+        sub.write_masked(lsb + i, s, colmask)
+        sub.write_masked(carry, cy if i + 1 < width else 0, colmask)
+    return cy & colmask
+
+
+def check_against_full_ripple(w, values, batch, constant):
+    """add_const_cols on `batch` against the oracle on a twin machine: equal
+    cells everywhere (unbatched columns, a zero carry row), equal overflow
+    bits, and the early-exit cost with p taken from the column values."""
+    lsb = 3
+    (m, sid), (om, osid) = make_machine(cols=len(values)), make_machine(cols=len(values))
+    m.write_vwords(sid, lsb, w, dict(enumerate(values)))
+    om.write_vwords(osid, lsb, w, dict(enumerate(values)))
+    before = deltas(m.trace, (C_ADD, W, R, DPU))
+    over = m.add_const_cols(sid, lsb, w, batch, constant)
+    colmask = sum(1 << c for c in batch)
+    want = full_ripple_const(om.subarray(osid), lsb, w, colmask, constant)
+    sub = m.subarray(sid)
+    assert sub.cells == om.subarray(osid).cells
+    assert sub.cells[sub.layout.carry_rows[0]] == 0
+    assert over == {c: (want >> c) & 1 for c in batch}
+
+    top = constant.bit_length() - 1 if constant > 0 else w
+    p = w - 1
+    for i in range(top, w - 1):
+        low = (1 << (i + 1)) - 1
+        if not any(((values[c] & low) + (constant & low)) >> (i + 1) for c in batch):
+            p = i
+            break
+    after = deltas(m.trace, (C_ADD, W, R, DPU))
+    assert {k: after[k] - before[k] for k in after} == {
+        C_ADD: p + 1,
+        W: 2 * (p + 1),
+        R: 0,
+        DPU: max(0, min(p, w - 2) - top + 1),
+    }
+
+
+@given(w=st.integers(min_value=1, max_value=8), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_add_const_equals_the_full_ripple_oracle(w, data):
+    values = data.draw(st.lists(st.integers(0, (1 << w) - 1), min_size=5, max_size=5))
+    batch = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True))
+    constant = data.draw(
+        st.integers(min_value=1, max_value=1 << (w + 1))
+        | st.integers(min_value=-(1 << w), max_value=-1)
+    )
+    check_against_full_ripple(w, values, batch, constant)
+
+
+def test_add_const_equals_the_full_ripple_oracle_at_every_small_case():
+    # every width up to 3, every constant 1..2**w (2**w has no bit in the
+    # word), every value pair in a two-column batch, beside an unbatched
+    # column that must keep its cells
+    for w in (1, 2, 3):
+        for constant in range(1, (1 << w) + 1):
+            for v0, v1 in itertools.product(range(1 << w), repeat=2):
+                check_against_full_ripple(w, [v0, (1 << w) - 1 - v0, v1], [0, 2], constant)
 
 
 @given(
