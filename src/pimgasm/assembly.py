@@ -50,12 +50,13 @@ length of the largest degree plus one, the largest value the start probe
 forms. Each add's carry-out is checked: a decrement that does not carry
 spent more than the word held, and an in + 1 that does overflowed its word.
 
-The graph stage's stores and the degree pass take their rows from one
-allocator, `_RowBank`, which hands out data rows and takes a new
-sub-array when an entry no longer fits. Vertical words cross the
-instruction layer a stripe at a time: Machine.write_vwords and
-read_vwords cost one row per bit plane for any number of columns, so the
-multiplicity words are placed, read and rewritten one stripe per call.
+Each Assembler keeps one row allocator, `_RowBank`: the label copies,
+the multiplicity stripes and every degree pass take their rows from it,
+in order, and it takes a new sub-array when an entry no longer fits.
+Vertical words cross the instruction layer a stripe at a time:
+Machine.write_vwords and read_vwords cost one row per bit plane for any
+number of columns, so the multiplicity words are placed, read and
+rewritten one stripe per call.
 
 build_graph copies each node's label from the key slot where the node
 first appears, and copies each such key row once, so one row copy brings
@@ -69,8 +70,8 @@ the walk reads: build_graph's, or in the traverse stage one with no
 placement on the walking machine (a synthetic graph, or one another
 Assembler built). The traverse stage runs once over the whole graph: a
 component whose multiplicities admit no Euler path has its words
-rewritten to one in place, and the repeat degree pass reuses the first
-pass's stripes, clearing and re-accumulating only those components' nodes.
+rewritten to one in place, and a second degree pass, the same full pass
+on fresh rows, re-accumulates every node.
 
 The host keeps mirror bookkeeping (a dict index into the hash store, the
 edge lists, remaining-multiplicity maps, the unitig index) so the
@@ -90,7 +91,6 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import mapping
 from . import trace as tr
@@ -395,10 +395,12 @@ class _Bucket:
 
 
 class _RowBank:
-    """Sequential row allocator over sub-arrays, oldest first.
+    """An assembler's one row allocator, for label copies, multiplicity
+    stripes and degree passes alike.
 
-    Rows come from the data region of the last sub-array in `sids`; an
-    entry that does not fit takes a new one.
+    Rows come from the data region of the last sub-array in `sids`, in
+    order, and are never handed out twice, so a fresh entry holds zeros;
+    an entry that does not fit takes a new sub-array.
     """
 
     def __init__(self, asm: "Assembler"):
@@ -569,8 +571,8 @@ class Assembler:
     amount), the amounts decided by the host mirror, which stops a counter
     at its cap.
     max_subarrays caps the sub-arrays on the machine: any stage that would
-    allocate past it (hash groups, label, multiplicity and degree banks)
-    raises CapacityError.
+    allocate past it (a hash group, or the row bank that holds the label
+    copies, multiplicity stripes and degree passes) raises CapacityError.
     """
 
     def __init__(
@@ -590,6 +592,7 @@ class Assembler:
         self.simplify = simplify
         self.seed = seed
         self.max_subarrays = max_subarrays
+        self._bank = _RowBank(self)
 
     @property
     def trace(self) -> tr.OpTrace:
@@ -841,13 +844,12 @@ class Assembler:
         back as its label, at its own columns of its row.
         """
         m = self.machine
-        labels = _RowBank(self)
         copies: dict[tuple[int, int], tuple[int, int]] = {}  # key row -> its copy
         rows = []
         for lab, src in zip(g.nodes, sources, strict=True):
             at = (src.subarray_id, src.row)
             if at not in copies:
-                copies[at] = labels.alloc(1)
+                copies[at] = self._bank.alloc(1)
                 m.mem_insert(MemAddress(*copies[at], 0, m.cols), MemAddress(*at, 0, m.cols))
             sid, row = copies[at]
             stored = m.subarray(sid).cells[row] >> src.col_start
@@ -864,8 +866,7 @@ class Assembler:
         """
         m = self.machine
         width = max(g.mult, default=1).bit_length()
-        words = _RowBank(self)
-        stripes = [words.alloc(width) for _ in range(0, g.edge_count, m.cols)]
+        stripes = [self._bank.alloc(width) for _ in range(0, g.edge_count, m.cols)]
         store = _GraphStore(m, stripes, width, list(g.mult))
         store.write(dict(enumerate(g.mult)))
         return store
@@ -919,7 +920,7 @@ class Assembler:
 
     # -- stage 3: degree accumulation and start pick --
 
-    def find_start(self, g: SparseGraph, nodes: Iterable[int] | None = None) -> list[int]:
+    def find_start(self, g: SparseGraph) -> list[int]:
         """Accumulate degrees column-parallel and return the trail starts.
 
         Each node owns one column. The pass reads every multiplicity stripe
@@ -928,17 +929,14 @@ class Assembler:
         occupancy rank at a time, so a whole sub-array row of nodes advances
         per add. The degree words are (largest degree + 1).bit_length()
         bits wide, just enough for the start probe's in + 1. Each stripe of
-        `cols` nodes takes 4 * w_deg rows from a _RowBank (its out, in,
-        probe and staging words), so the stripes stack in one sub-array. A
-        repeat pass on the same placement (after some words were rewritten,
-        say) whose words are no wider than the last pass's reuses its
-        stripes and allocates nothing: it zeroes and re-accumulates only
-        the columns of `nodes` (every node by default) with masked writes,
-        and the other nodes keep the last pass's words. A change of word
-        width re-accumulates every node, and wider words take new stripes,
-        which start at zero. The read-back and
-        the start test still cover every column: the test compares out
-        against in+1 with one compare cycle per bit plane, and an in + 1
+        `cols` nodes takes 4 * w_deg fresh rows from the assembler's row
+        bank (its out, in, probe and staging words), rows never handed out
+        before and so still zero. Every pass is the same full pass: a
+        repeat one (after some words were rewritten, say) takes new stripes
+        after the last pass's and accumulates every node again. The
+        read-back and the start test cover every column: the test
+        compares out against in+1 with one compare cycle per bit plane,
+        and an in + 1
         that carries out raises ConsistencyError. The edge-unit total needs
         no word of its own: it is the sum of the out-degree words. Any
         degree sequence is accepted: the starts list every node once per
@@ -961,32 +959,15 @@ class Assembler:
             host_out, host_in = g.degrees(store.mult)
             maxdeg = max(max(host_out, default=0), max(host_in, default=0))
             w_deg = (maxdeg + 1).bit_length()  # the probe's in + 1 fits
-            prev, store.degree = store.degree, None  # void from here on, even on failure
-            redo = set(range(n))
-            if prev is None or w_deg > prev.w_deg:
-                bank = _RowBank(self)
-                stripes = [bank.alloc(4 * w_deg) for _ in range(0, n, m.cols)]
-            else:
-                stripes = prev.stripes
-                if nodes is not None and prev.w_deg == w_deg:
-                    redo = set(nodes)
-                clear: dict[int, int] = {}  # stripe -> redone columns
-                for nid in redo:
-                    stripe, col = divmod(nid, m.cols)
-                    clear[stripe] = clear.get(stripe, 0) | 1 << col
-                for stripe, colmask in sorted(clear.items()):
-                    sid, base = stripes[stripe]
-                    sub = m.subarray(sid)
-                    for row in range(base, base + 2 * w_deg):
-                        sub.write_masked(row, 0, colmask)
+            store.degree = None  # void from here on, even on failure
+            stripes = [self._bank.alloc(4 * w_deg) for _ in range(0, n, m.cols)]
 
             # per stripe: out words at base, then in, probe and staging words
             for ends, offset in ((g.edge_src, 0), (g.edge_dst, w_deg)):
                 per: dict[int, dict[int, list[int]]] = {}
                 for e, nid in enumerate(ends):
-                    if nid in redo:
-                        stripe, col = divmod(nid, m.cols)
-                        per.setdefault(stripe, {}).setdefault(col, []).append(e)
+                    stripe, col = divmod(nid, m.cols)
+                    per.setdefault(stripe, {}).setdefault(col, []).append(e)
                 for stripe in sorted(per):
                     colmap = per[stripe]
                     sid, base = stripes[stripe]
@@ -1199,10 +1180,9 @@ class Assembler:
         multiplicity-weighted outgoing surplus sums to more than one admits
         no Euler path, so its multiplicity words are rewritten to one in
         place (the store then narrows to its largest remaining word) and a
-        second find_start, on the first one's degree stripes, re-accumulates
-        only the retried components' nodes, or every node if the degree
-        word width changed; components that pass keep their words and
-        degrees. One fleury call then covers every component with trails,
+        second, plain find_start runs over the whole graph; components that
+        pass keep their words. One fleury call then covers every component
+        with trails,
         one contig each, so every distinct k-mer of the reads lands in some
         contig; an edge-less component (a chain that simplify merged into
         one node) is a single-node path. Paths come out grouped by
@@ -1251,7 +1231,7 @@ class Assembler:
                     work.store.write(
                         {e: 1 for e, u in enumerate(work.edge_src) if comp_of[u] in retried}
                     )
-                self.find_start(work, (nid for nid, ci in enumerate(comp_of) if ci in retried))
+                self.find_start(work)
             paths = self.fleury(work)
         trails = Counter(comp_of[p.node_ids[0]] for p in paths)
         for ci, comp in enumerate(comps):

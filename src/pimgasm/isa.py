@@ -5,7 +5,7 @@ the scalar digital unit of the controller. The memory-side instruction set
 is deliberately tiny:
 
   mem_insert  read-then-write copy of a bit region (or an immediate)
-  cmp         bulk equality: per-row XNOR triple plus an AND reduction
+  cmp         bulk equality: one XNOR triple plus an AND reduction
   add         bit-serial addition of vertical words, LSB at the lowest row
 
 Vertical words put bit i of a value in row lsb_row + i of one column, so a
@@ -15,9 +15,12 @@ column; cost is identical for 1 or cols columns. Writing and reading
 vertical words batches the same way: one row per bit plane moves that bit
 of every listed column's word.
 
+Every bit region lies within one row, so a copy or a compare is one row
+operation; a region that runs past its row raises SizeError.
+
 Cost contract (pinned by tests):
-  mem_insert:   ceil(size/row_span) R (memory source only) + the same W
-  cmp:          ceil(size/row_span) C_ADD + 1 DPU
+  mem_insert:   1 R (memory source only) + 1 W
+  cmp:          1 C_ADD + 1 DPU
   add:          w C_ADD + 2w W (w sum writes, w-1 carry writes, 1 zero
                 write that restores the carry row)
   add const c:  c < 0 costs what add does. For c > 0, top = c.bit_length()
@@ -49,10 +52,9 @@ from .fabric import XOR3_CFG, RowLayout, SubArray, ones
 
 @dataclass(frozen=True)
 class MemAddress:
-    """Bit region inside one sub-array: row, starting column, bit length.
-
-    Regions wider than one row must start at column 0 and continue on the
-    following rows, one full row per chunk.
+    """Bit region inside one row of one sub-array: row, starting column,
+    bit length. A region that runs past its row is a SizeError where a
+    Machine op takes it.
     """
 
     subarray_id: int
@@ -109,87 +111,60 @@ class Machine:
 
     # ---- mem_insert ----------------------------------------------------
 
-    def _chunks(self, addr: MemAddress, size: int) -> list[tuple[int, int, int]]:
-        """(row, col_start, span) chunks covering `size` bits from addr."""
-        if addr.col_start + size <= self.cols:
-            return [(addr.row, addr.col_start, size)]
-        if addr.col_start != 0:
-            raise SizeError("multi-row region must start at column 0")
-        out = []
-        row, left = addr.row, size
-        while left > 0:
-            span = min(left, self.cols)
-            out.append((row, 0, span))
-            row += 1
-            left -= span
-        return out
+    def _check_in_row(self, addr: MemAddress) -> None:
+        """Every region lies in one row: SizeError if addr runs past it."""
+        if addr.col_start + addr.bit_len > self.cols:
+            raise SizeError(
+                f"region of {addr.bit_len} bits from column {addr.col_start} "
+                f"runs past its {self.cols}-column row"
+            )
 
-    def mem_insert(
-        self, dst: MemAddress, src: MemAddress | int, size: int | None = None
-    ) -> None:
-        """Copy `size` bits into dst from memory or from an immediate.
+    def mem_insert(self, dst: MemAddress, src: MemAddress | int) -> None:
+        """Copy dst.bit_len bits into dst from memory or from an immediate.
 
-        A memory source is read row-chunk by row-chunk (R each) and written
-        back through the write drivers (W each); an immediate skips the
-        reads. Copying a region onto itself is a legal no-op on the data
-        but still costs the cycles.
+        A memory source, a region of the same length, is read (R) and
+        written back through the write drivers (W); an immediate skips the
+        read. Copying a region onto itself is a legal no-op on the data but
+        still costs the cycles.
         """
-        if size is None:
-            size = dst.bit_len
-        if size < 1:
-            raise SizeError("size must be positive")
-        if size > dst.bit_len:
-            raise SizeError("size exceeds destination region")
+        self._check_in_row(dst)
         dsub = self.subarray(dst.subarray_id)
-        dst_chunks = self._chunks(dst, size)
-
         if isinstance(src, MemAddress):
-            if size > src.bit_len:
-                raise SizeError("size exceeds source region")
-            ssub = self.subarray(src.subarray_id)
-            src_chunks = self._chunks(src, size)
-            vals = [ssub.read_bits(r, c, span) for r, c, span in src_chunks]
+            self._check_in_row(src)
+            if src.bit_len != dst.bit_len:
+                raise SizeError("source and destination regions differ in length")
+            value = self.subarray(src.subarray_id).read_bits(
+                src.row, src.col_start, src.bit_len
+            )
         else:
-            if src < 0 or src >> size:
-                raise SizeError("immediate does not fit size")
-            vals, off = [], 0
-            for _, _, span in dst_chunks:
-                vals.append((src >> off) & ones(span))
-                off += span
-
-        for (r, c, span), v in zip(dst_chunks, vals):
-            dsub.write_bits(r, c, span, v)
+            if src < 0 or src >> dst.bit_len:
+                raise SizeError("immediate does not fit the destination region")
+            value = src
+        dsub.write_bits(dst.row, dst.col_start, dst.bit_len, value)
 
     # ---- cmp -----------------------------------------------------------
 
-    def cmp(self, src1: MemAddress, src2: MemAddress, size: int | None = None) -> CmpResult:
-        """Bulk equality of two row-aligned regions of one sub-array.
+    def cmp(self, src1: MemAddress, src2: MemAddress) -> CmpResult:
+        """Bulk equality of two equal regions at the same columns of one
+        sub-array.
 
-        Each row chunk is one XNOR triple (operand rows plus the all-ones
-        init row under the parity configuration); the controller AND-reduces
-        the concatenated match mask in one DPU step.
+        One XNOR triple (operand rows plus the all-ones init row under the
+        parity configuration); the controller AND-reduces the match mask
+        in one DPU step.
         """
         if src1.subarray_id != src2.subarray_id:
             raise PlacementError("cmp operands must share a sub-array")
         if src1.col_start != src2.col_start:
             raise PlacementError("cmp operands must share a column span")
-        if size is None:
-            size = min(src1.bit_len, src2.bit_len)
-        if size > src1.bit_len or size > src2.bit_len:
-            raise SizeError("size exceeds an operand region")
+        if src1.bit_len != src2.bit_len:
+            raise SizeError("cmp operands differ in length")
+        self._check_in_row(src1)
         sub = self.subarray(src1.subarray_id)
-        init1 = sub.layout.init1_row
-        mask = 0
-        off = 0
-        for (r1, c, span), (r2, _, _) in zip(
-            self._chunks(src1, size), self._chunks(src2, size)
-        ):
-            out = sub.activate((r1, r2, init1), XOR3_CFG)
-            # xor3 with the constant-1 row is XNOR2: bit set iff cells match
-            mask |= ((out.xor3 >> c) & ones(span)) << off
-            off += span
-        equal = self.dpu_and_reduce(mask, size)
-        return CmpResult(equal, mask, size)
+        out = sub.activate((src1.row, src2.row, sub.layout.init1_row), XOR3_CFG)
+        # xor3 with the constant-1 row is XNOR2: bit set iff cells match
+        width = src1.bit_len
+        mask = (out.xor3 >> src1.col_start) & ones(width)
+        return CmpResult(self.dpu_and_reduce(mask, width), mask, width)
 
     # ---- add -----------------------------------------------------------
 

@@ -652,8 +652,9 @@ def test_a_key_row_that_introduces_several_nodes_is_copied_once():
         (tr.R, 8 + 4),
         (tr.W, 4 + 1),
     ]
-    # a hash sub-array, a label bank and a word bank
-    assert asm.machine.subarray_count == 3
+    # a hash sub-array, and one row bank sub-array whose 18 data rows take
+    # the 4 label copies and then the multiplicity stripe
+    assert asm.machine.subarray_count == 2
 
 
 def test_simplify_reads_each_label_row_of_a_merged_node_once():
@@ -842,43 +843,45 @@ def test_find_start_degrees_weight_multiplicity():
     assert out == inn == [3]
 
 
-def test_a_repeat_find_start_reuses_the_degree_region():
-    # 18 nodes on 16 columns: two degree stripes, stacked in one sub-array.
-    # The largest degree is 2, so the start probe's in + 1 needs
-    # 3.bit_length() = 2-bit degree words, and a stripe 4 * 2 rows.
+def test_a_repeat_find_start_takes_fresh_stripes_after_the_first():
+    # 18 nodes on 16 columns: two degree stripes. The largest degree is 2,
+    # so the start probe's in + 1 needs 3.bit_length() = 2-bit degree
+    # words, and a stripe 4 * 2 rows. The row bank's one sub-array holds
+    # the 17 label copies (rows 0-16) and the two 1-bit multiplicity
+    # stripes (17, 18); the first pass stacks its stripes at rows 19 and
+    # 27, and a repeat pass takes fresh ones after them, at 35 and 43, in
+    # the same sub-array. Fresh rows hold zeros, so nothing is cleared:
+    # the repeat re-adds every node at exactly the first pass's cost, and
+    # the first pass's words stay where they were.
     asm, g = build_graph(["ACGTTGCATGTCGACCATGGAT"], 5, rows=64, cols=16)
-    w_before = asm.trace.total(tr.W, stage=tr.STAGE_TRAVERSE)
     count = asm.machine.subarray_count
-    first = asm.find_start(g)
-    words = degree_words(asm, g)
-    assert words == g.degrees()
-    stripes = g.store.degree.stripes
-    assert len(stripes) == 2
-    [(sid, lsb), (sid2, lsb2)] = stripes
-    assert sid2 == sid and lsb2 == lsb + 4 * 2
+    sid = g.store.stripes[0][0]
+    costs = []
+    for _ in range(2):
+        before = traverse_totals(asm.trace)
+        assert asm.find_start(g) == [0]
+        after = traverse_totals(asm.trace)
+        costs.append({kind: after[kind] - before[kind] for kind in after})
+        assert degree_words(asm, g) == g.degrees()
+    assert asm.machine.subarray_count == count
+    assert g.store.stripes == [(sid, 17), (sid, 18)]
     assert g.store.degree.w_deg == 2
-    assert asm.machine.subarray_count == count + 1
-    w_first = asm.trace.total(tr.W, stage=tr.STAGE_TRAVERSE) - w_before
-    second = asm.find_start(g)
-    assert asm.machine.subarray_count == count + 1
-    assert g.store.degree.stripes == stripes
-    assert second == first
-    assert degree_words(asm, g) == words
-    # the same pass again, plus one charged write per cleared out/in row:
-    # 2 stripes, 2 words of 2 rows each
-    w_second = asm.trace.total(tr.W, stage=tr.STAGE_TRAVERSE) - w_before - w_first
-    assert w_second == w_first + len(stripes) * 2 * 2
-    # the cleared words add up afresh: the walk spends every one of them
+    assert g.store.degree.stripes == [(sid, 35), (sid, 43)]
+    assert costs[1] == costs[0]
+    kept = asm.machine.read_vwords(sid, 19, 2) + asm.machine.read_vwords(sid, 27, 2)
+    assert kept[: len(g.nodes)] == g.degrees()[0]
+    # the walk spends every word the repeat pass counted to zero
     [path] = asm.fleury(g)
     assert len(path.node_ids) == g.edge_count + 1
+    assert g.store.read() == [0] * g.edge_count
 
 
 def test_a_repeat_pass_on_a_new_word_width_redoes_every_node():
     # a 200-unit self-loop takes 8-bit multiplicity words and, for the
     # probe's in + 1 = 201, 8-bit degree words. Rewritten to one unit, the
     # largest word is CC's 2, so the store narrows to 2 bits and the degree
-    # words to 3.bit_length() = 2 bits; the kept words of CC would sit on
-    # the old rows: the pass re-accumulates every node, whatever `nodes` says
+    # words to 3.bit_length() = 2 bits; the repeat pass re-accumulates
+    # every node, CC's untouched loop too, on its fresh narrow stripe
     asm = make_asm(rows=64, cols=16)
     g = SparseGraph(k=3)
     g.add_edge(E("AA"), E("AA"), mult=200)
@@ -887,38 +890,9 @@ def test_a_repeat_pass_on_a_new_word_width_redoes_every_node():
     assert (g.store.width, g.store.degree.w_deg) == (8, 8)
     g.store.write({0: 1})
     assert g.store.width == 2
-    assert asm.find_start(g, [0]) == []
+    assert asm.find_start(g) == []
     assert g.store.degree.w_deg == 2
     assert degree_words(asm, g) == g.degrees(g.store.mult) == ([1, 2], [1, 2])
-
-
-def test_a_repeat_pass_on_wider_degree_words_takes_new_stripes():
-    # AC -> CG and AC -> CT at one unit each, and a 2-unit self-loop on TT:
-    # the largest degree is 2, so 2-bit degree words. Rewritten to 3 units
-    # (still 2-bit multiplicity words), AC's out-degree is 6 and its words
-    # need 7.bit_length() = 3 bits: taller than the first pass's stripe,
-    # so the pass takes a new one, which starts at zero, and redoes every
-    # node whatever `nodes` says
-    asm = make_asm(rows=64, cols=16)
-    g = SparseGraph(k=3)
-    g.add_edge(E("AC"), E("CG"))
-    g.add_edge(E("AC"), E("CT"))
-    g.add_edge(E("TT"), E("TT"), mult=2)
-    assert asm.find_start(g) == [0, 0]
-    first = g.store.degree.stripes
-    assert (g.store.width, g.store.degree.w_deg) == (2, 2)
-    g.store.write({0: 3, 1: 3})
-    assert g.store.width == 2
-    assert asm.find_start(g, [1]) == [0] * 6
-    assert g.store.degree.w_deg == 3
-    assert g.store.degree.stripes != first
-    assert degree_words(asm, g) == g.degrees(g.store.mult) == ([6, 0, 0, 2], [0, 3, 3, 2])
-    # and a narrower pass after it reuses the wide stripes
-    wide = g.store.degree.stripes
-    g.store.write({0: 1, 1: 1})
-    assert asm.find_start(g) == [0, 0]
-    assert (g.store.degree.w_deg, g.store.degree.stripes) == (2, wide)
-    assert degree_words(asm, g) == g.degrees(g.store.mult) == ([2, 0, 0, 2], [0, 1, 1, 2])
 
 
 # ---- Euler walks -----------------------------------------------------------
@@ -1098,9 +1072,9 @@ def test_a_start_probe_that_overflows_raises(monkeypatch):
     m = asm.machine
     copy = m.mem_insert
 
-    def saturate_then_copy(dst, src, size=None):
+    def saturate_then_copy(dst, src):
         m.subarray(src.subarray_id).cells[src.row] = (1 << m.cols) - 1
-        copy(dst, src, size)
+        copy(dst, src)
 
     monkeypatch.setattr(m, "mem_insert", saturate_then_copy)
     with pytest.raises(ConsistencyError, match="in \\+ 1 overflowed"):
@@ -1265,8 +1239,8 @@ def test_word_widths_and_the_bridge_test_at_boundary_values(case):
     assume(max(max(d) for d in g.degrees()) <= 255)
     asm = make_asm(rows=64, cols=4)  # several multiplicity and degree stripes
 
-    def degree_pass(nodes=None):
-        asm.find_start(g, nodes)
+    def degree_pass():
+        asm.find_start(g)
         out_d, in_d = g.degrees(g.store.mult)
         assert degree_words(asm, g) == (out_d, in_d)
         assert g.store.width == max(g.store.mult).bit_length()
@@ -1275,7 +1249,7 @@ def test_word_widths_and_the_bridge_test_at_boundary_values(case):
     degree_pass()
     if rewrite:
         g.store.write({e: 1 for e in rewrite})
-        degree_pass({x for e in rewrite for x in (g.edge_src[e], g.edge_dst[e])})
+        degree_pass()
     want = two_pass_fleury(g, g.store.mult)
     assert [p.node_ids for p in asm.fleury(g)] == want
     assert g.store.read() == [0] * g.edge_count
@@ -1469,9 +1443,9 @@ def test_only_the_retried_component_walks_unit_words():
         assert degree_words(asm, g) == g.degrees(g.store.mult)
         return walk(g)
 
-    def costed_pass(g, nodes=None):
+    def costed_pass(g):
         before = traverse_totals(asm.trace)
-        starts = degree_pass(g, nodes)
+        starts = degree_pass(g)
         after = traverse_totals(asm.trace)
         pass_costs.append({kind: after[kind] - before[kind] for kind in after})
         return starts
@@ -1480,25 +1454,25 @@ def test_only_the_retried_component_walks_unit_words():
     asm.find_start = costed_pass
     result = asm.assemble([E("GAAAAG")] + [E("CGT")] * 3, 3)
     assert walked_words == [1, 2, 1, 1]
-    # 5 nodes in one degree sub-array, 4 edges in one stripe. The words hold
+    # 5 nodes in one degree stripe, 4 edges in one stripe. The words hold
     # 1, 2, 1, 3: 2 bits wide, narrowed to 2.bit_length() = 2 by the retry.
     # AA's in- and out-degree is 3 in both passes, so the probe's in + 1
     # needs 4.bit_length() = 3-bit degree words (d = 3) both times.
     # Every pass reads the stripe (2 R) and the out and in planes (6 R),
     # and runs the start probe on all columns (3 R, 3 + 6 W, 6 C_ADD, 4 DPU).
     # A wave stages and adds one word per column: 3 + 6 W, 3 C_ADD. AA has
-    # two out- and two in-edges, so the first pass runs 2 + 2 waves:
+    # two out- and two in-edges, so a pass runs 2 + 2 waves:
     #   W 4 * 9 + 9 = 45, C_ADD 4 * 3 + 6 = 18
-    # The second pass zeroes the out and in rows of CG and GT only (6
-    # masked W) and redoes only their one edge, 1 + 1 waves; re-adding the
-    # passing component too would cost 2 more waves (+18 W, +6 C_ADD).
-    #   W 6 + 2 * 9 + 9 = 33, C_ADD 2 * 3 + 6 = 12
+    # The second pass is the same full pass on fresh, zero rows: it clears
+    # nothing, where redoing only CG and GT on the first pass's rows cost 6
+    # masked W and 1 + 1 waves (W 33, C_ADD 12), and it re-adds the passing
+    # component's edges too: 2 more waves, +18 W and +6 C_ADD.
     # The probe's + 1 reduces the carry of every plane below the last: AA's
     # in = 3 carries out of planes 0 and 1 in both passes, so it tests 2
     # planes and stops none early: 4 + 2 = 6 DPU per pass.
     assert pass_costs == [
         {tr.R: 11, tr.W: 45, tr.C_ADD: 18, tr.DPU: 6},
-        {tr.R: 11, tr.W: 33, tr.C_ADD: 12, tr.DPU: 6},
+        {tr.R: 11, tr.W: 45, tr.C_ADD: 18, tr.DPU: 6},
     ]
     assert result.graph.store.mult == [1, 2, 1, 1]
     assert result.graph.mult == [1, 2, 1, 3]  # the graph keeps its counts
@@ -1876,6 +1850,29 @@ _UNIT_RUNG = (
 #   traverse W        103 - 2 * 3                         =    97
 #   traverse C_ADD     39 - 3                             =    36
 #   traverse DPU       56 + 2                             =    58
+#
+# One row bank per assembler, and every degree pass on fresh rows: the
+# label copies, the multiplicity stripes and both degree passes take rows
+# in turn from one bank of 58-row data regions, and the retry's pass,
+# which re-added every node on the first pass's rows after clearing their
+# out and in words (2 * d masked W a stripe), now takes new stripes, which
+# hold zeros. Only traverse W and the sub-array count move.
+# simplify off: 257 label rows fill 4 bank sub-arrays and 25 rows of a
+# 5th, which takes 8 of the 9 4-bit multiplicity stripes (57 rows); the
+# 9th opens a 6th, whose 54 rows left take 3 of pass 1's 16-row stripes,
+# 3 more fill a 7th and the last 3 start an 8th (48 rows); pass 2's 8-row
+# stripes put 1 there, 7 in a 9th and 1 in a 10th. 9 hash sub-arrays +
+# 10 = 19, where separate label, word and degree banks took 5 + 1 + 3
+# and the retry reused pass 1's stripes (18): at 58 data rows the fresh
+# stripes cost one more sub-array than they share.
+#   traverse W        616 - 9 * 2 * 2                     =   580
+#   sub-arrays        9 + 10                              =    19
+# simplify on: the 5th label sub-array's 25 rows are followed by the
+# 3-bit multiplicity stripe, pass 1's 16-row stripe and pass 2's 8-row
+# one (rows 25 to 51), where the word and degree banks took a sub-array
+# each.
+#   traverse W         97 - 1 * 2 * 2                     =    93
+#   sub-arrays        9 + 5                               =    14
 LADDER = {
     False: (
         [
@@ -1887,10 +1884,10 @@ LADDER = {
             ("graph", "W", 293),
             ("traverse", "DPU", 1408),
             ("traverse", "R", 216),
-            ("traverse", "W", 616),
+            ("traverse", "W", 580),
             ("traverse", "C_ADD", 233),
         ],
-        18,
+        19,
         [
             "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
             "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCG",
@@ -1912,10 +1909,10 @@ LADDER = {
             ("graph", "DPU", 518),
             ("traverse", "DPU", 58),
             ("traverse", "R", 23),
-            ("traverse", "W", 97),
+            ("traverse", "W", 93),
             ("traverse", "C_ADD", 36),
         ],
-        16,
+        14,
         [
             "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
             "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCGACGGAATTAGATCAGTTAAAT"
@@ -1961,7 +1958,6 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #     R  ceil(fill / 256) = 13 + 14 + 14 counter stripes * 8 = 328, and
 #        2,624 label-row copies                              =     2,952
 #     W  2,624 copies + 39 stripes of 7-bit words * 7        =     2,897
-#        (3 label sub-arrays of 1,018 data rows, 1 word sub-array)
 #   traverse       one path; its 76 surplus units at multiplicities make
 #                  it retry at unit words. 39 degree stripes, d = 7
 #                  then 2 (degrees up to 76, then 1); every node has one
@@ -1980,15 +1976,18 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #     R  pass 1: 39 * 7 stripe + 39 * 3 * 7 = 1,092; pass 2: 39 * 1 +
 #        39 * 3 * 2 = 273; end check 39 * 1                 =     1,404
 #     W  pass 1: 39 * 7 probe copies + 37 * 2 + 2 * 14 probe adds +
-#        78 waves * 21 = 2,013; retry rewrite 39 * 7 = 273; pass 2:
-#        39 * 4 clear + 39 * 6 + 78 * 6 = 858; the walk's one flush,
+#        78 waves * 21 = 2,013; retry rewrite 39 * 7 = 273; pass 2, on
+#        fresh rows: 39 * 6 + 78 * 6 = 702; the walk's one flush,
 #        before the end check: one 1-bit add of -1 per stripe,
-#        39 * 2                                              =     3,222
+#        39 * 2                                              =     3,066
 #     C_ADD pass 1: 39 * 7 compares + 37 + 2 * 7 probe adds + 78 * 7 =
 #        870; pass 2: 39 * 4 + 78 * 2 = 312; 39 flush adds   =     1,221
-#   sub-arrays     3 + 4 + 2: the 39 degree stripes of 4 * 7 rows stack,
-#                  36 to a 1,018-row data region, and pass 2's 2-bit
-#                  words reuse them                          =         9
+#   sub-arrays     3 + 5: one row bank of 1,018-row data regions takes,
+#                  in turn, the 2,624 label rows (2 sub-arrays and 588
+#                  rows of a 3rd), the 39 multiplicity stripes of 7 rows
+#                  (to row 861), pass 1's 39 stripes of 4 * 7 rows (5
+#                  there, 34 in a 4th) and pass 2's 39 of 4 * 2 rows (8
+#                  there, 31 in a 5th)                       =         8
 # Spending the walk's units per decision, not per unit, took traverse W
 # from 23,540 (9,976 decrements * 2) to 3,666 and C_ADD from 11,380 to
 # 1,443: 19,312,242 -> 19,182,167 modeled ns, and RUR 0.6859 -> 0.6885.
@@ -1998,6 +1997,11 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 # adds * 8 planes = 259,296 planes, now 177,638), and traverse W from 3,666
 # to 3,222; DPU rose by one per plane tested: 19,182,167 -> 18,119,244
 # modeled ns, and RUR 0.6885 -> 0.7117.
+# One row bank per assembler, with the retry's degree pass on fresh rows,
+# took the sub-arrays from 3 + 4 + 2 = 9 (a label bank of 3, a word bank
+# and a degree bank of 2, whose stripes pass 2 cleared and reused) to 8,
+# and traverse W from 3,222 to 3,066: pass 2 no longer clears the out and
+# in words, 39 stripes * 2 * 2 W.
 CANONICAL_TRACE = [
     ("io", "XFER", 250_025),
     ("hashmap", "W", 1_127_271),
@@ -2007,7 +2011,7 @@ CANONICAL_TRACE = [
     ("graph", "W", 2_897),
     ("traverse", "DPU", 30_447),
     ("traverse", "R", 1_404),
-    ("traverse", "W", 3_222),
+    ("traverse", "W", 3_066),
     ("traverse", "C_ADD", 1_221),
 ]
 
@@ -2015,23 +2019,43 @@ CANONICAL_TRACE = [
 def test_the_canonical_trace_is_pinned(canonical_run):
     asm = canonical_run["asm"]
     assert asm.trace.records() == CANONICAL_TRACE
-    assert asm.machine.subarray_count == 9
+    assert asm.machine.subarray_count == 8
 
 
 def test_subarray_budget_holds_in_every_stage():
-    # CGTGTGCA at k=5 takes one hash sub-array, one label and one counter
-    # sub-array in the graph stage, then one degree sub-array
-    reads = [E("CGTGTGCA")]
-    stages = {1: "graph", 2: "graph", 3: "traverse"}
+    # CGTGTGCA read twice at k=5 on 24 x 64 takes one hash sub-array. Its 4
+    # keys sit in 3 key rows, and every k-mer's count is 2. The row bank's
+    # first sub-array (18 data rows) takes the 3 label copies (rows 0-2)
+    # and the 2-bit multiplicity stripe (3-4) in the graph stage. In the
+    # traverse stage the first degree pass's 4 * 2 rows (5-12) still fit
+    # there; CGTG's surplus of 2 sends the path to the unit retry, whose
+    # fresh 4 * 2 rows do not, and open a second bank sub-array.
+    reads = [E("CGTGTGCA")] * 2
+    stages = {0: "hashmap", 1: "graph", 2: "traverse"}
     for budget, stage in stages.items():
-        asm = make_asm(max_subarrays=budget)
+        asm = make_asm(**PACKED, max_subarrays=budget)
         with pytest.raises(CapacityError, match=f"{stage} stage exceeds the {budget} "):
             asm.assemble(reads, 5)
         assert asm.machine.subarray_count == budget
-    result = make_asm(max_subarrays=4).assemble(reads, 5)
+    result = make_asm(**PACKED, max_subarrays=3).assemble(reads, 5)
     assert [c.to_str() for c in result.contigs] == ["CGTGTGCA"]
-    with pytest.raises(CapacityError, match="hashmap stage"):
-        make_asm(max_subarrays=0).assemble(reads, 5)
+
+
+def test_a_degree_stripe_taller_than_a_data_region_raises():
+    # 24-row sub-arrays have 18 data rows. A 14-unit self-loop needs
+    # 15.bit_length() = 4-bit degree words, a stripe of 4 * 4 = 16 rows,
+    # which fits; a 15-unit one needs 16.bit_length() = 5-bit words, and
+    # 4 * 5 = 20 rows fit in no sub-array.
+    def self_loop(mult):
+        g = SparseGraph(k=3)
+        g.add_edge(E("AA"), E("AA"), mult=mult)
+        return g
+
+    g = self_loop(14)
+    assert make_asm(**PACKED).find_start(g) == []
+    assert g.store.degree.w_deg == 4
+    with pytest.raises(CapacityError, match="entry taller than a sub-array data region"):
+        make_asm(**PACKED).find_start(self_loop(15))
 
 
 def test_assemble_is_deterministic():

@@ -37,23 +37,25 @@ def test_mem_insert_immediate_round_trip():
 def test_mem_insert_immediate_costs_writes_only():
     m, sid = make_machine(cols=16)
     before = deltas(m.trace, (R, W))
-    m.mem_insert(MemAddress(sid, 0, 0, 40), 0)  # 3 row chunks: 16+16+8
-    assert m.trace.total(W) - before[W] == 3
+    m.mem_insert(MemAddress(sid, 0, 0, 16), 0)  # a whole row
+    m.mem_insert(MemAddress(sid, 1, 4, 8), 0xA5)  # part of one
+    assert m.trace.total(W) - before[W] == 2
     assert m.trace.total(R) - before[R] == 0
 
 
 def test_mem_insert_memory_source_reads_then_writes():
     m, sid = make_machine(cols=16)
-    value = 0x9F3A2C7B05
-    m.mem_insert(MemAddress(sid, 0, 0, 40), value)
+    value = 0x9F3A
+    m.mem_insert(MemAddress(sid, 0, 0, 16), value)
     before = deltas(m.trace, (R, W))
-    m.mem_insert(MemAddress(sid, 8, 0, 40), MemAddress(sid, 0, 0, 40))
+    m.mem_insert(MemAddress(sid, 8, 0, 16), MemAddress(sid, 0, 0, 16))
     after = deltas(m.trace, (R, W))
-    assert after[R] - before[R] == 3
-    assert after[W] - before[W] == 3
-    sub = m.subarray(sid)
-    got = sub.read_bits(8, 0, 16) | sub.read_bits(9, 0, 16) << 16 | sub.read_bits(10, 0, 8) << 32
-    assert got == value
+    assert after[R] - before[R] == 1
+    assert after[W] - before[W] == 1
+    assert m.subarray(sid).read_bits(8, 0, 16) == value
+    # a region inside the row moves only its own columns
+    m.mem_insert(MemAddress(sid, 9, 5, 6), MemAddress(sid, 0, 3, 6))
+    assert m.subarray(sid).read_row(9) == ((value >> 3) & 0x3F) << 5
 
 
 def test_mem_insert_copies_across_subarrays():
@@ -67,43 +69,65 @@ def test_mem_insert_copies_across_subarrays():
 def test_mem_insert_rejects_bad_shapes():
     m, sid = make_machine(cols=16)
     with pytest.raises(SizeError):
-        m.mem_insert(MemAddress(sid, 0, 1, 40), 0)  # multi-row must start at col 0
-    with pytest.raises(SizeError):
-        m.mem_insert(MemAddress(sid, 0, 0, 4), 16)  # immediate wider than size
+        m.mem_insert(MemAddress(sid, 0, 0, 4), 16)  # immediate wider than the region
     with pytest.raises(SizeError):
         m.mem_insert(MemAddress(sid, 0, 0, 4), -1)
     with pytest.raises(SizeError):
-        m.mem_insert(MemAddress(sid, 0, 0, 4), 0, size=8)
-    src = MemAddress(sid, 1, 0, 4)
+        m.mem_insert(MemAddress(sid, 0, 0, 8), MemAddress(sid, 1, 0, 4))
     with pytest.raises(SizeError):
-        m.mem_insert(MemAddress(sid, 0, 0, 16), src, size=8)
+        m.mem_insert(MemAddress(sid, 0, 0, 4), MemAddress(sid, 1, 0, 8))
+    assert m.trace.total() == 0
+
+
+def test_a_region_past_its_row_raises_size_error():
+    # 16 columns: 12 bits from column 5 would need columns 16 to 20 of the
+    # next row. No op takes such a region, and none is charged for it.
+    m, sid = make_machine(cols=16)
+    past = MemAddress(sid, 0, 5, 12)
+    inside = MemAddress(sid, 1, 4, 12)
+    with pytest.raises(SizeError, match="runs past its 16-column row"):
+        m.mem_insert(past, 0)
+    with pytest.raises(SizeError, match="runs past"):
+        m.mem_insert(MemAddress(sid, 2, 0, 12), past)
+    with pytest.raises(SizeError, match="runs past"):
+        m.cmp(past, MemAddress(sid, 1, 5, 12))
+    with pytest.raises(SizeError, match="runs past"):
+        m.mem_insert(MemAddress(sid, 0, 0, 17), 0)
+    assert m.trace.total() == 0
+    # a region that ends at the row's last column is whole
+    m.mem_insert(inside, 0xFFF)
+    assert m.subarray(sid).read_row(1) == 0xFFF << 4
 
 
 def test_cmp_reports_equality_and_mask():
-    m, sid = make_machine(cols=8)
-    value = 0b10101100111100010101  # 20 bits -> 3 row chunks
-    m.mem_insert(MemAddress(sid, 0, 0, 20), value)
-    m.mem_insert(MemAddress(sid, 4, 0, 20), value)
-    res = m.cmp(MemAddress(sid, 0, 0, 20), MemAddress(sid, 4, 0, 20))
+    m, sid = make_machine(cols=32)
+    value = 0b10101100111100010101  # 20 bits from column 6
+    m.mem_insert(MemAddress(sid, 0, 6, 20), value)
+    m.mem_insert(MemAddress(sid, 4, 6, 20), value)
+    res = m.cmp(MemAddress(sid, 0, 6, 20), MemAddress(sid, 4, 6, 20))
     assert res.equal
     assert res.mask == (1 << 20) - 1
     assert res.width == 20
 
-    # flip bit 10 of the second copy: chunk 1, column 2
-    m.subarray(sid).write_cell(5, 2, ((value >> 10) & 1) ^ 1)
-    res = m.cmp(MemAddress(sid, 0, 0, 20), MemAddress(sid, 4, 0, 20))
+    # flip bit 10 of the second copy: column 16
+    m.subarray(sid).write_cell(4, 16, ((value >> 10) & 1) ^ 1)
+    res = m.cmp(MemAddress(sid, 0, 6, 20), MemAddress(sid, 4, 6, 20))
     assert not res.equal
     assert res.mask == ((1 << 20) - 1) ^ (1 << 10)
+    # the columns outside the region do not count
+    m.subarray(sid).write_cell(4, 2, 1)
+    assert m.cmp(MemAddress(sid, 0, 0, 6), MemAddress(sid, 4, 0, 6)).mask == 0b111011
 
 
 def test_cmp_cost_is_one_cycle_per_chunk_plus_one_dpu():
     m, sid = make_machine(cols=8)
-    m.mem_insert(MemAddress(sid, 0, 0, 20), 0)
-    m.mem_insert(MemAddress(sid, 4, 0, 20), 0)
+    m.mem_insert(MemAddress(sid, 0, 0, 8), 0)
+    m.mem_insert(MemAddress(sid, 4, 0, 8), 0)
     before = deltas(m.trace, (C_ADD, DPU))
-    m.cmp(MemAddress(sid, 0, 0, 20), MemAddress(sid, 4, 0, 20))
-    assert m.trace.total(C_ADD) - before[C_ADD] == 3
-    assert m.trace.total(DPU) - before[DPU] == 1
+    m.cmp(MemAddress(sid, 0, 0, 8), MemAddress(sid, 4, 0, 8))
+    m.cmp(MemAddress(sid, 0, 3, 2), MemAddress(sid, 4, 3, 2))
+    assert m.trace.total(C_ADD) - before[C_ADD] == 2
+    assert m.trace.total(DPU) - before[DPU] == 2
 
 
 def test_cmp_placement_rules():
@@ -114,7 +138,7 @@ def test_cmp_placement_rules():
     with pytest.raises(PlacementError):
         m.cmp(MemAddress(sid, 0, 0, 8), MemAddress(sid, 1, 1, 8))
     with pytest.raises(SizeError):
-        m.cmp(MemAddress(sid, 0, 0, 8), MemAddress(sid, 1, 0, 8), size=9)
+        m.cmp(MemAddress(sid, 0, 0, 8), MemAddress(sid, 1, 0, 9))
 
 
 def put(m, sid, col, lsb, width, value):
