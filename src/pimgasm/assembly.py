@@ -927,24 +927,22 @@ class Assembler:
         once and checks it against the mirror, stages the words into a
         scratch word plane, and adds them into the out/in counter words one
         occupancy rank at a time, so a whole sub-array row of nodes advances
-        per add. The degree words are (largest degree + 1).bit_length()
-        bits wide, just enough for the start probe's in + 1. Each stripe of
+        per add. The degree words are (largest degree + 1).bit_length() bits
+        wide, just enough for the start probe's in + 1. Each stripe of
         `cols` nodes takes 4 * w_deg fresh rows from the assembler's row
         bank (its out, in, probe and staging words), rows never handed out
-        before and so still zero. Every pass is the same full pass: a
-        repeat one (after some words were rewritten, say) takes new stripes
-        after the last pass's and accumulates every node again. The
-        read-back and the start test cover every column: the test
-        compares out against in+1 with one compare cycle per bit plane,
-        and an in + 1
-        that carries out raises ConsistencyError. The edge-unit total needs
-        no word of its own: it is the sum of the out-degree words. Any
-        degree sequence is accepted: the starts list every node once per
-        unit of outgoing surplus, in ascending order, from the host degree
-        lists the fabric planes were just checked against, so an Euler path
-        is the case of one start or none. The pass (its degree stripes and
-        starts) is stored as `g.store.degree`, where the next fleury call
-        walks it.
+        before and so still zero. Every pass is the same full pass: a repeat
+        one (after some words were rewritten, say) takes new stripes after
+        the last pass's and accumulates every node again. The read-back and
+        the start test cover every column: the test compares out against
+        in+1 with one compare cycle per bit plane, and an in + 1 that
+        carries out raises ConsistencyError. The edge-unit total needs no
+        word of its own: it is the sum of the out-degree words. Any degree
+        sequence is accepted: the starts list every node once per unit of
+        outgoing surplus, in ascending order, from the host degree lists the
+        fabric planes were just checked against, so an Euler path is the
+        case of one start or none. The pass (its degree stripes and starts)
+        is stored as `g.store.degree`, where the next fleury call walks it.
         """
         m = self.machine
         with m.stage_scope(tr.STAGE_TRAVERSE):
@@ -1182,11 +1180,10 @@ class Assembler:
         place (the store then narrows to its largest remaining word) and a
         second, plain find_start runs over the whole graph; components that
         pass keep their words. One fleury call then covers every component
-        with trails,
-        one contig each, so every distinct k-mer of the reads lands in some
-        contig; an edge-less component (a chain that simplify merged into
-        one node) is a single-node path. Paths come out grouped by
-        component, in component order, and their node ids index the
+        with trails, one contig each, so every distinct k-mer of the reads
+        lands in some contig; an edge-less component (a chain that simplify
+        merged into one node) is a single-node path. Paths come out grouped
+        by component, in component order, and their node ids index the
         returned graph. Each retried component, then each component that
         splits into several contigs, appends a warning. Before the contigs
         go out, the host checks that their k-mers are exactly the distinct

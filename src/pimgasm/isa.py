@@ -145,8 +145,8 @@ class Machine:
     # ---- cmp -----------------------------------------------------------
 
     def cmp(self, src1: MemAddress, src2: MemAddress) -> CmpResult:
-        """Bulk equality of two equal regions at the same columns of one
-        sub-array.
+        """Bulk equality of two regions of one length at the same columns
+        of one sub-array.
 
         One XNOR triple (operand rows plus the all-ones init row under the
         parity configuration); the controller AND-reduces the match mask
