@@ -50,18 +50,17 @@ length of the largest degree plus one, the largest value the start probe
 forms. Each add's carry-out is checked: a decrement that does not carry
 spent more than the word held, and an in + 1 that does overflowed its word.
 
-Each Assembler keeps one row allocator, `_RowBank`: the label copies,
-the multiplicity stripes and every degree pass take their rows from it,
-in order, and it takes a new sub-array when an entry no longer fits.
+Each Assembler keeps one row allocator, `_RowBank`: the multiplicity
+stripes and every degree pass take their rows from it, in order, and it
+takes a new sub-array when an entry no longer fits.
 Vertical words cross the instruction layer a stripe at a time:
 Machine.write_vwords and read_vwords cost one row per bit plane for any
 number of columns, so the multiplicity words are placed, read and
 rewritten one stripe per call.
 
-build_graph copies each node's label from the key slot where the node
-first appears, and copies each such key row once, so one row copy brings
-every label that first appears in it. With `simplify` on, it then merges
-unbranched chains on the host. A graph holds at most one fabric
+build_graph reads each node's label in place, in the key slot where the
+node first appears, and copies nothing. With `simplify` on, it then
+merges unbranched chains on the host. A graph holds at most one fabric
 placement, `SparseGraph.store`, bound to the machine that wrote it: one
 vertical multiplicity word per edge, one word-high stripe per `cols`
 edges, plus the last find_start pass (its degree stripes and trail starts)
@@ -395,8 +394,8 @@ class _Bucket:
 
 
 class _RowBank:
-    """An assembler's one row allocator, for label copies, multiplicity
-    stripes and degree passes alike.
+    """An assembler's one row allocator, for multiplicity stripes and
+    degree passes alike.
 
     Rows come from the data region of the last sub-array in `sids`, in
     order, and are never handed out twice, so a fresh entry holds zeros;
@@ -571,8 +570,8 @@ class Assembler:
     amount), the amounts decided by the host mirror, which stops a counter
     at its cap.
     max_subarrays caps the sub-arrays on the machine: any stage that would
-    allocate past it (a hash group, or the row bank that holds the label
-    copies, multiplicity stripes and degree passes) raises CapacityError.
+    allocate past it (a hash group, or the row bank that holds the
+    multiplicity stripes and degree passes) raises CapacityError.
     """
 
     def __init__(
@@ -615,9 +614,10 @@ class Assembler:
         A host pre-scan hashes each distinct key once, with the miss path's
         own hash, and mapping.bucket_directory sizes the groups and their
         buckets from those hashes: at 1024 x 256 and k=25, the fewest
-        groups, from ceil(distinct / 3,568) up, at which one of 480, 240,
-        120, 60, 30 and 15 buckets per group fits every group in its
-        sub-array, and the finest that fits. Each k-mer
+        groups, from ceil(distinct / 3,568) up, at which one of 885, 870,
+        ..., 30 and 15 buckets per group (the multiples of the 15 counter
+        stripes) fits every group in its sub-array, and the finest that
+        fits. Each k-mer
         is then probed in read order, a new key taking its sub-array's next
         counter index. At each read's end its new counters are seeded, one
         write per (sub-array, stripe), and then its increments are added.
@@ -802,18 +802,20 @@ class Assembler:
 
         Every counter is read back from fabric once and must equal the host
         count, clamped at the cap; it becomes the edge's multiplicity. Nodes
-        are numbered in first-appearance order, and each node's label source
-        is the key slot where it first appears: the key's low 2(k-1) bits
-        for a prefix, the high ones for a suffix. _copy_labels copies each
-        key row that holds a source once; only then does simplify_graph
-        merge chains, and only the graph the walk reads is placed.
+        are numbered in first-appearance order, and each node's label is
+        read in place, in the key slot where it first appears: the key's
+        low 2(k-1) bits for a prefix, the high ones for a suffix. Those bits
+        must hold the label; nothing is copied. Only then does
+        simplify_graph merge chains, and only the graph the walk reads is
+        placed.
         """
         k = table.k
         width = 2 * (k - 1)
         cap = (1 << table.value_width) - 1
-        with self.machine.stage_scope(tr.STAGE_GRAPH):
+        m = self.machine
+        with m.stage_scope(tr.STAGE_GRAPH):
             g = SparseGraph(k=k)
-            sources: list[MemAddress] = []  # node id -> its label's key bits
+            label_rows: list[tuple[int, int]] = []  # node id -> its label's key row
             fab_freq = table.frequencies()
             for key, (sid, key_i) in zip(table.keys, table.slots):
                 expect = min(table.host_counts[key.bits], cap)
@@ -824,39 +826,18 @@ class Assembler:
                 row, col = table.layout.key_address(key_i)
                 prefix, suffix = key.prefix(k - 1), key.suffix(k - 1)
                 for label, offset in ((prefix, 0), (suffix, 2)):
-                    if g.node_id(label) == len(sources):
-                        sources.append(MemAddress(sid, row, col + offset, width))
+                    if g.node_id(label) < len(label_rows):
+                        continue
+                    stored = m.subarray(sid).cells[row] >> (col + offset)
+                    if stored & ((1 << width) - 1) != label.bits:
+                        raise ConsistencyError(f"label of {label.to_str()} stored corrupted")
+                    label_rows.append((sid, row))
                 g.add_edge(prefix, suffix, expect)
-            label_rows = self._copy_labels(g, sources)
             log.info("graph: %d nodes, %d edges", len(g.nodes), g.edge_count)
             if self.simplify:
                 g = self.simplify_graph(g, label_rows)
             g.store = self._place(g)
         return g
-
-    def _copy_labels(self, g: SparseGraph, sources: list[MemAddress]) -> list[tuple[int, int]]:
-        """Copy each node's label from its key slot, `sources[node id]`;
-        returns each node's (sub-array, row) in the label bank.
-
-        A key row is copied whole into one row of the label bank the first
-        time a node's source lies in it (1 R + 1 W), and that copy serves
-        every node whose source lies in the row. Each node's bits must read
-        back as its label, at its own columns of its row.
-        """
-        m = self.machine
-        copies: dict[tuple[int, int], tuple[int, int]] = {}  # key row -> its copy
-        rows = []
-        for lab, src in zip(g.nodes, sources, strict=True):
-            at = (src.subarray_id, src.row)
-            if at not in copies:
-                copies[at] = self._bank.alloc(1)
-                m.mem_insert(MemAddress(*copies[at], 0, m.cols), MemAddress(*at, 0, m.cols))
-            sid, row = copies[at]
-            stored = m.subarray(sid).cells[row] >> src.col_start
-            if stored & ((1 << lab.bit_length) - 1) != lab.bits:
-                raise ConsistencyError(f"label of {lab.to_str()} stored corrupted")
-            rows.append(copies[at])
-        return rows
 
     def _place(self, g: SparseGraph) -> _GraphStore:
         """Place g on this machine: one multiplicity word per edge, as wide
@@ -886,9 +867,10 @@ class Assembler:
 
         Each chain of unitig_index becomes one node with the overlap-merged
         label, and its links go; a contractible cycle's closing edge
-        survives as the merged node's self-loop. Each distinct label row
-        (`label_rows`, from build_graph) that holds a merged node is read
-        once, and the controller pays one op per node and per edge.
+        survives as the merged node's self-loop. Each distinct key row
+        that holds a merged node's label (`label_rows`, from build_graph)
+        is read once, and the controller pays one op per node and per
+        edge.
         """
         m = self.machine
         with m.stage_scope(tr.STAGE_GRAPH):

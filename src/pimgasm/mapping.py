@@ -184,27 +184,26 @@ def bucket_directory(lay: HashLayout, hashes: list[int]) -> tuple[int, int]:
 
     Every group is one sub-array. A key with hash h sits in bucket
     h % (groups * per_group), which belongs to group bucket // per_group,
-    and a bucket of n keys takes ceil(n / slots) key rows. The rungs run
-    stripes * slots * 2^j down from the largest that is at most the key
-    rows (so at most one bucket per key row), through stripes * slots, then
-    halve the slots down to `stripes`: 480, 240, 120, 60, 30 and 15 at
-    1024 x 256 and k=25. The directory takes the fewest groups, from
-    ceil(keys / capacity) up to four times that, at which a rung fits every
-    group's buckets into its sub-array's key rows, and the finest rung that
-    fits there. A finer directory shortens every bucket scan; counter
-    stripes follow first-seen order, not the bucket, so it does not spread
-    a read's counter increments. At four times the fewest groups a group
-    averages a quarter of a sub-array's keys, so only colliding hashes find
-    no fit (stable_hash is injective on keys of up to 32 bases), and they
-    raise CapacityError.
+    and a bucket of n keys takes ceil(n / slots) key rows. The counts tried
+    are the multiples of `stripes` from the largest that is at most the key
+    rows (so at most one bucket per key row), or stripes * slots if that is
+    larger, down to `stripes`: 885, 870, ..., 30 and 15 at 1024 x 256 and
+    k=25. Stepping by `stripes` keeps them to about 60; a step of one would
+    be finer, but would make the host search some ten times longer. The
+    directory takes the fewest groups, from ceil(keys / capacity) up to
+    four times that, at which a count fits every group's buckets into its
+    sub-array's key rows, and the finest count that fits there. A finer
+    directory shortens every bucket scan; counter stripes follow first-seen
+    order, not the bucket, so it does not spread a read's counter
+    increments. At four times the fewest groups a group averages a quarter
+    of a sub-array's keys, so only colliding hashes find no fit (stable_hash
+    is injective on keys of up to 32 bases), and they raise CapacityError.
     """
     least = math.ceil(len(hashes) / lay.capacity)
-    base = lay.stripes * lay.slots
-    up = (len(lay.kmer_rows) // base).bit_length() - 1
-    rungs = [base << j for j in range(up, 0, -1)]
-    rungs += [lay.stripes * (lay.slots >> s) for s in range(lay.slots.bit_length())]
+    top = max(len(lay.kmer_rows), lay.stripes * lay.slots) // lay.stripes * lay.stripes
+    counts = range(top, 0, -lay.stripes)
     for groups in range(least, 4 * least + 1):
-        for per_group in rungs:
+        for per_group in counts:
             fill = Counter(h % (groups * per_group) for h in hashes)
             rows = [0] * groups
             for bucket, keys in fill.items():

@@ -29,6 +29,7 @@ from pimgasm.encoding import EncodedSeq, extract_kmers
 from pimgasm.errors import CapacityError, ConsistencyError, SizeError
 from pimgasm.isa import MemAddress
 from pimgasm.seqio import distinct_window_genome, random_genome, tile_reads
+from test_mapping import power_of_two_directory
 
 E = EncodedSeq.from_str
 
@@ -116,10 +117,10 @@ def test_kmer_counts_match_a_host_counter(reads, k):
 def test_insert_cost_oracle_single_read():
     # CGTGTGCA, k=5: four distinct k-mers in one sub-array of 5 counter
     # stripes. 10-bit keys at a 16-column pitch give 4 slots per 64-bit
-    # row and 76 key rows, so the ladder starts at 5 * 4 * 2 = 40 buckets
-    # (80 would exceed 76), and 40 fits the one group. CGTGT hashes to
-    # bucket 28, GTGTG to 21, TGTGC to 8 and GTGCA to 30: every key finds
-    # its bucket empty and compares against nothing. Each insert writes the
+    # row and 76 key rows, so the directory tries multiples of the 5
+    # stripes from 75 buckets down, and 75 fits the one group. CGTGT
+    # hashes to bucket 3, GTGTG to 1, TGTGC to 8 and GTGCA to 0: every key
+    # finds its bucket empty and compares against nothing. Each insert writes the
     # key into its slot from the query bits (1 W, no read), and the read
     # ends with one masked write of counter plane 0 that starts all four
     # counters, which share stripe 0, at one. Before, each insert staged
@@ -128,19 +129,21 @@ def test_insert_cost_oracle_single_read():
     #   W = 4 inserts + 1 seed = 5,  R = 0,  C_ADD = DPU = 0.
     asm = make_asm()
     table = asm.build_kmer_table([E("CGTGTGCA")], 5)
-    assert table.buckets == table.buckets_per_group == 40
-    assert [bucket_of(table, key) for key in table.keys] == [28, 21, 8, 30]
+    assert table.buckets == table.buckets_per_group == 75
+    assert [bucket_of(table, key) for key in table.keys] == [3, 1, 8, 0]
     assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 5, tr.C_ADD: 0, tr.DPU: 0}
 
 
 def test_miss_cost_is_one_compare_per_occupied_row():
     # k=5 on 64 columns: 4 slots per row, 304 keys in 76 key rows and 5
     # counter stripes per sub-array, so every prefix below keeps one group
-    # and takes the finest rung, 5 * 4 * 2 = 40 buckets. The miss that
-    # inserts a key compares the query against the ceil(f/4) occupied rows
-    # of its own bucket, f the keys already in it. Of these 41 keys over
-    # 40 buckets only the last finds a second row in its bucket (f = 5).
-    seq = "TTGGTGCATAGAGCCTGGGCGTTAACGCCCTTTATTACTACTTGT"
+    # and takes the finest directory, 75 buckets (the largest multiple of 5
+    # up to 76 key rows). The miss that inserts a key compares the query
+    # against the ceil(f/4) occupied rows of its own bucket, f the keys
+    # already in it. These 90 keys fill 34 buckets with one key, 16 with
+    # two, 6 with three and one with six, whose last key finds a second row
+    # in its bucket (f = 5).
+    seq = distinct_window_genome(94, 5, random.Random(0))
     kmers = [E(seq[i : i + 5]) for i in range(len(seq) - 4)]
     assert len({key.bits for key in kmers}) == len(kmers)
     prev = {tr.C_ADD: 0, tr.DPU: 0}
@@ -149,7 +152,7 @@ def test_miss_cost_is_one_compare_per_occupied_row():
         asm = make_asm()
         table = asm.build_kmer_table([E(seq[: j + 5])], 5)
         assert table.layout.slots == 4 and table.layout.stripes == 5
-        assert table.buckets == 40
+        assert table.buckets == 75
         assert asm.machine.subarray_count == 1
         buckets = [bucket_of(table, key) for key in kmers[: j + 1]]
         f = buckets[:-1].count(buckets[-1])
@@ -319,8 +322,8 @@ def test_packed_rows_probe_modes_agree_with_a_host_counter(reads, poly_a, at, k)
 def test_packed_rows_take_more_groups_than_the_fewest():
     # 151 distinct 6-mers, 16 keys per sub-array (4 key rows of 4 slots,
     # one counter stripe): at the fewest 10 groups some group's buckets
-    # need 5 or more rows at every rung; the directory goes on up to the
-    # first group count where one fits
+    # need 5 or more rows at every count (4, 3, 2 or 1 buckets per group);
+    # the directory goes on up to the first group count where one fits
     rng = random.Random(3)
     genome = "".join(rng.choice("ACGT") for _ in range(160))
     raw = [genome[i : i + 40] for i in range(0, 121, 20)] + ["A" * 9, genome[:30]]
@@ -337,41 +340,47 @@ def test_packed_rows_take_more_groups_than_the_fewest():
 @settings(max_examples=40, deadline=None)
 def test_the_bucket_directory_never_costs_sub_arrays(reads, rows, k):
     # 24 to 48 rows of 64 columns give 4, 8 or 16 slots per key row, 4 to
-    # 20 key rows and 1 to 3 counter stripes. The ladder has 3 to 5 rungs:
-    # stripes * slots and its halvings down to the stripes, and above them
-    # at k >= 5 on 32 or 48 rows one doubled rung (8 or 16 buckets, at most
-    # one per key row). These read sets take one group or several, from
-    # the fewest up; each group is one sub-array, whatever the rung
+    # 20 key rows and 1 to 3 counter stripes. The directory tries every
+    # multiple of the stripes from max(key rows, stripes * slots) down,
+    # which holds every rung of the power-of-two ladder (the oracle), so it
+    # never needs more groups than the ladder did, and at equal groups is
+    # never coarser. These read sets take one group or several, from the
+    # fewest up; each group is one sub-array, whatever the count
     raw = [s for s in reads if len(s) >= k]
     assume(raw)
     asm, table = _count_both_ways(raw, k, rows=rows, cols=64)
     lay = table.layout
     least = -(-table.distinct() // lay.capacity)
-    ladder = {lay.stripes * (lay.slots >> i) for i in range(lay.slots.bit_length())}
-    up = 2 * lay.stripes * lay.slots
-    while up <= len(lay.kmer_rows):
-        ladder.add(up)
-        up *= 2
-    assert table.buckets_per_group in ladder
-    assert least <= len(asm.groups) <= 4 * least
+    groups, per_group = len(asm.groups), table.buckets_per_group
+    assert least <= groups <= 4 * least
+    assert per_group % lay.stripes == 0
+    assert per_group <= max(len(lay.kmer_rows), lay.stripes * lay.slots)
+    hashes = [mapping.stable_hash(key.bits, 2 * k) for key in table.keys]
+    old_groups, old_per_group = power_of_two_directory(lay, hashes)
+    assert groups <= old_groups
+    if groups == old_groups:
+        assert per_group >= old_per_group
 
 
 # 64 x 64 at k=5: 28 key rows of 4 slots and 3 counter stripes, so 112
-# keys per sub-array and a directory of 24, 12, 6 or 3 buckets per group
-# (24 = 3 * 4 * 2, the most that leave at most one bucket per key row).
-# Key rows each group's buckets need, rung by rung (24 / 12 / 6 / 3), and
-# the directory taken, the fewest groups at which a rung fits every group
-# in 28 rows, and the finest such rung:
-#   150: 140 keys, 2 groups  26,28 / 24,20 / 21,18 / 18,19                          -> 2, 24
-#   220: 196 keys, 2 groups  34,33 / 26,30 / 28,25 / 29,22                          -> 2,  6
-#   230: 207 keys, 2 groups  36,33 / 33,30 / 28,28 / 26,28                          -> 2,  6
-#   250: 220 keys, 2 groups  39,36 / 33,29 / 31,28 / 27,29                          -> no fit
-#                  3 groups  26,27,29 / 21,21,25 / 21,21,20 / 18,20,20              -> 3, 12
-#   300: 257 keys, 3 groups  30,36,31 / 28,25,23 / 23,24,23 / 23,19,25              -> 3, 12
-#   420: 354 keys, 4 groups  29,30,34,29 / 28,25,26,26 / 26,23,24,25 / 22,24,25,23  -> 4, 12
-# No rung fits 2 groups at 250, so it takes a third group.
+# keys per sub-array and a directory of 27, 24, 21, ..., 6 or 3 buckets per
+# group (27, the largest multiple of 3 up to 28, leaves at most one bucket
+# per key row). Key rows the fullest group's buckets need, count by count
+# (27 / 24 / 21 / 18 / 15 / 12 / 9 / 6 / 3), and the directory taken, the
+# fewest groups at which a count fits every group in 28 rows, and the
+# finest such count:
+#   150: 140 keys, 2 groups  29 28 27 25 24 24 21 21 19  -> 2, 24
+#   220: 196 keys, 2 groups  37 34 38 32 29 30 30 28 29  -> 2,  6
+#   230: 207 keys, 2 groups  35 36 36 35 31 33 29 28 28  -> 2,  6
+#   250: 220 keys, 2 groups  41 39 40 36 34 33 32 31 29  -> no fit
+#                  3 groups  32 29 29 30 28 25 25 21 20  -> 3, 15
+#   300: 257 keys, 3 groups  35 36 29 32 30 28 26 24 25  -> 3, 12
+#   420: 354 keys, 4 groups  36 34 36 30 32 28 27 26 25  -> 4, 12
+# No count fits 2 groups at 250, so it takes a third group. The
+# power-of-two ladder (24, 12, 6, 3) took the same directories but at 250,
+# where it had no 15 and took (3, 12).
 DIRECTORY_TAKEN = {
-    150: (2, 24), 220: (2, 6), 230: (2, 6), 250: (3, 12), 300: (3, 12), 420: (4, 12)
+    150: (2, 24), 220: (2, 6), 230: (2, 6), 250: (3, 15), 300: (3, 12), 420: (4, 12)
 }
 
 
@@ -401,9 +410,9 @@ def test_colliding_hashes_beyond_a_sub_array_raise():
 def test_counter_indices_are_dense_per_sub_array_in_insert_order():
     # A key's counter index is the number of keys its sub-array held before
     # it, whatever its bucket and key row. At length 250 the three groups
-    # number their keys from 0 each. frequencies then reads exactly each
-    # sub-array's first ceil(n / cols) counter stripes, value_width R each:
-    # 2 + 2 + 2 here.
+    # (15 buckets each) number their keys from 0 each. frequencies then
+    # reads exactly each sub-array's first ceil(n / cols) counter stripes,
+    # value_width R each: 1 + 2 + 2 here, for 64, 86 and 70 keys.
     raw = tiled_reads(250)
     asm = BucketRecorder(rows=64, cols=64)
     table = asm.build_kmer_table([E(s) for s in raw], 5)
@@ -414,10 +423,10 @@ def test_counter_indices_are_dense_per_sub_array_in_insert_order():
         per_sid.setdefault(sid, []).append(ctr_i)
     assert all(ctrs == list(range(len(ctrs))) for ctrs in per_sid.values())
     assert table.fill == {sid: len(ctrs) for sid, ctrs in per_sid.items()}
-    assert list(table.fill.values()) == [80, 72, 68]
+    assert list(table.fill.values()) == [64, 86, 70]
     before = asm.trace.total(tr.R)
     freqs = table.frequencies()
-    assert asm.trace.total(tr.R) - before == (2 + 2 + 2) * lay.value_width
+    assert asm.trace.total(tr.R) - before == (1 + 2 + 2) * lay.value_width
     expected = Counter(s[i : i + 5] for s in raw for i in range(len(s) - 4))
     assert {key.to_str(): n for key, n in freqs.items()} == dict(expected)
 
@@ -528,13 +537,13 @@ def test_a_tiled_read_adds_to_at_most_two_counter_stripes():
     # shares all but its last k-mer with the read before. Its keys took
     # consecutive counter indices when first seen, so the 22 hits of a
     # 30-base read lie in a run of 22 counters, which spans at most two
-    # stripes of 64 columns, each taking one +1 add, wherever the 40
+    # stripes of 64 columns, each taking one +1 add, wherever the 75
     # buckets put their key rows.
     genome = distinct_window_genome(200, 8, random.Random(11))
     asm = AddRecorder(rows=128, cols=64)
     asm.adds_per_read = []
     table = asm.build_kmer_table([E(s) for s in tile_reads(genome, 30, 1)], 8)
-    assert table.distinct() == 193 and table.buckets == 40
+    assert table.distinct() == 193 and table.buckets == 75
     assert asm.machine.subarray_count == 1
     assert len(asm.adds_per_read) == 171
     assert max(asm.adds_per_read) == 2 and min(asm.adds_per_read[1:]) == 1
@@ -615,66 +624,63 @@ def test_multiplicity_words_cost_one_write_per_stripe_plane():
     # 17 distinct 5-mers on 64 x 16: 17 edges take two multiplicity stripes
     # (16 + 1 words). Every k-mer occurs once, so every word holds 1 and is
     # 1.bit_length() = 1 bit wide, where the counters' 8 bits cost 8 planes.
-    # The 17 edges form one path over 18 distinct 4-mer nodes. 16 columns
-    # hold one key slot per row, so the 17 keys sit in 17 key rows, and
-    # each row is copied once (1 R + 1 W): the first key's row brings both
-    # of its nodes, every later row its suffix node, 17 copies where one
-    # per node was 18. Each stripe costs one W per bit plane however many
-    # words it holds: 17 + 2 * 1 graph W, where writing each word on its
-    # own would cost 17 + 17 * 1, and 8-bit stripes 17 + 2 * 8.
+    # The 17 edges form one path over 18 distinct 4-mer nodes, whose labels
+    # are read in place in their key rows. Each stripe costs one W per bit
+    # plane however many words it holds: 2 * 1 graph W, where writing each
+    # word on its own would cost 17 * 1, and 8-bit stripes 2 * 8.
     genome = distinct_window_genome(21, 5, random.Random(5))
     asm, g = build_graph([genome], 5, rows=64, cols=16)
     assert g.edge_count == 17
     assert len(g.nodes) == 18
     assert len(g.store.stripes) == 2
     assert g.store.width == 1
-    assert asm.trace.total(tr.W, stage=tr.STAGE_GRAPH) == 17 + 2 * 1
+    assert asm.trace.total(tr.W, stage=tr.STAGE_GRAPH) == 2 * 1
     assert g.store.read() == g.mult
 
 
-def test_a_key_row_that_introduces_several_nodes_is_copied_once():
+def test_the_graph_stage_writes_only_multiplicity_planes():
     # 24 x 64 at k=5: 4 slots of 16 columns per key row, 4 key rows, one
     # 8-bit counter stripe, and 4 buckets, so the 9 keys of TTGGTGCATAGAG
     # share rows. Key row 0 holds TTGGT, TGGTG, GGTGC and CATAG, where the
     # 5 nodes TTGG, TGGT, GGTG, GTGC and ATAG first appear; row 1 brings
-    # TGCA, GCAT and AGAG, rows 2 and 3 CATA and TAGA. Each row is copied
-    # into the label bank once (1 R + 1 W), 4 copies for 10 nodes, and each
-    # label is checked at its own columns of its row's copy. Graph stage:
-    #   R = 8 (the counter stripe read back) + 4 copies = 12
-    #   W = 4 copies + 1 (the 1-bit multiplicity stripe) = 5
+    # TGCA, GCAT and AGAG, rows 2 and 3 CATA and TAGA. Each of the 10
+    # labels is checked in place, at its own columns of its key row, and no
+    # row is copied. The graph stage reads the counter stripe back and
+    # writes the 1-bit multiplicity stripe, nothing else:
+    #   R = 8 (the counter stripe's planes),  W = 1 (one multiplicity plane)
     asm = make_asm(**PACKED)
     table = asm.build_kmer_table([E("TTGGTGCATAGAG")], 5)
     rows = [key_i // table.layout.slots for _, key_i in table.slots]
     assert rows == [0, 0, 0, 1, 1, 2, 0, 3, 1]
     g = asm.build_graph(table)
     assert len(g.nodes) == 10
+    assert g.store.width == 1
     assert [(kind, n) for stage, kind, n in asm.trace.records() if stage == tr.STAGE_GRAPH] == [
-        (tr.R, 8 + 4),
-        (tr.W, 4 + 1),
+        (tr.R, 8),
+        (tr.W, g.store.width),
     ]
-    # a hash sub-array, and one row bank sub-array whose 18 data rows take
-    # the 4 label copies and then the multiplicity stripe
+    # a hash sub-array, and one row bank sub-array that holds only the
+    # multiplicity stripe
     assert asm.machine.subarray_count == 2
+    assert g.store.stripes == [(1, 0)]
 
 
 def test_simplify_reads_each_label_row_of_a_merged_node_once():
-    # The same 10 nodes in 4 copied label rows, now with simplify on. The
-    # graph is one path, so all 10 nodes merge into one node with no edge:
-    # the merge reads the 4 label rows once each, not one row per node, and
-    # no multiplicity word is placed. Graph stage:
-    #   R   = 8 (counter stripe) + 4 copies + 4 merge reads = 16
-    #   W   = 4 copies
+    # The same 10 nodes, whose labels sit in 4 key rows, now with
+    # simplify on. The graph is one path, so all 10 nodes merge into one
+    # node with no edge: the merge reads the 4 key rows once each, not one
+    # row per node, and no multiplicity word is placed. Graph stage:
+    #   R   = 8 (counter stripe) + 4 merge reads = 12
     #   DPU = 10 nodes + 9 edges of the controller pass
     asm = make_asm(**PACKED, simplify=True)
     g = asm.build_graph(asm.build_kmer_table([E("TTGGTGCATAGAG")], 5))
     assert [n.to_str() for n in g.nodes] == ["TTGGTGCATAGAG"]
     assert g.edge_count == 0 and g.store.stripes == []
     assert [(kind, n) for stage, kind, n in asm.trace.records() if stage == tr.STAGE_GRAPH] == [
-        (tr.R, 8 + 4 + 4),
-        (tr.W, 4),
+        (tr.R, 8 + 4),
         (tr.DPU, 10 + 9),
     ]
-    # a synthetic graph has no label copies to read
+    # a synthetic graph has no label rows to read
     other = make_asm()
     other.simplify_graph(path_graph("AC", "CG", "GT"))
     assert other.trace.total(tr.R) == 0
@@ -847,10 +853,9 @@ def test_a_repeat_find_start_takes_fresh_stripes_after_the_first():
     # 18 nodes on 16 columns: two degree stripes. The largest degree is 2,
     # so the start probe's in + 1 needs 3.bit_length() = 2-bit degree
     # words, and a stripe 4 * 2 rows. The row bank's one sub-array holds
-    # the 17 label copies (rows 0-16) and the two 1-bit multiplicity
-    # stripes (17, 18); the first pass stacks its stripes at rows 19 and
-    # 27, and a repeat pass takes fresh ones after them, at 35 and 43, in
-    # the same sub-array. Fresh rows hold zeros, so nothing is cleared:
+    # the two 1-bit multiplicity stripes (rows 0, 1); the first pass stacks
+    # its stripes at rows 2 and 10, and a repeat pass takes fresh ones
+    # after them, at 18 and 26, in the same sub-array. Fresh rows hold zeros, so nothing is cleared:
     # the repeat re-adds every node at exactly the first pass's cost, and
     # the first pass's words stay where they were.
     asm, g = build_graph(["ACGTTGCATGTCGACCATGGAT"], 5, rows=64, cols=16)
@@ -864,11 +869,11 @@ def test_a_repeat_find_start_takes_fresh_stripes_after_the_first():
         costs.append({kind: after[kind] - before[kind] for kind in after})
         assert degree_words(asm, g) == g.degrees()
     assert asm.machine.subarray_count == count
-    assert g.store.stripes == [(sid, 17), (sid, 18)]
+    assert g.store.stripes == [(sid, 0), (sid, 1)]
     assert g.store.degree.w_deg == 2
-    assert g.store.degree.stripes == [(sid, 35), (sid, 43)]
+    assert g.store.degree.stripes == [(sid, 18), (sid, 26)]
     assert costs[1] == costs[0]
-    kept = asm.machine.read_vwords(sid, 19, 2) + asm.machine.read_vwords(sid, 27, 2)
+    kept = asm.machine.read_vwords(sid, 2, 2) + asm.machine.read_vwords(sid, 10, 2)
     assert kept[: len(g.nodes)] == g.degrees()[0]
     # the walk spends every word the repeat pass counted to zero
     [path] = asm.fleury(g)
@@ -1873,21 +1878,55 @@ _UNIT_RUNG = (
 # each.
 #   traverse W         97 - 1 * 2 * 2                     =    93
 #   sub-arrays        9 + 5                               =    14
+#
+# A directory of any multiple of the stripes, and labels read in place.
+# At 64 x 32 and k=11 the directory tries 36, 34, ..., 4 and 2 buckets per
+# group (one key per row, 36 key rows, 2 counter stripes), where the
+# power-of-two rungs were 32, 16, 8, 4 and 2. None fits 8 groups, as
+# before; 9 groups fit 34 buckets each (36 fit no 9-group split), not 2.
+# The 306 buckets hold the 259 keys in 172, so 172 first misses find an
+# empty bucket and write no temp row (18 did), and a probe compares few
+# rows. The keys' counters moved between sub-arrays: 193 seed writes, not
+# 190, and 395 adds of 938 planes, not 386 of 933. Both ways:
+#   hashmap W      (1,080 - 172) temp + 259 inserts + 193 seeds
+#                  + 2 * 938                              = 3,236
+#   hashmap C_ADD  1,297 compared rows (8,465 before) + 938 = 2,235
+#   hashmap DPU    1,297 + 938                             = 2,235
+# The graph stage checks each label in its key row and copies none, so
+# the 257 row copies (1 R + 1 W each) and the 5 bank sub-arrays they
+# filled go. The counter read-back takes 12 stripes of 8 planes, not 13:
+# 3 hash sub-arrays hold more than 32 keys (two stripes of 32 columns),
+# where 4 did. Traverse rows are unchanged.
+# simplify off:
+#   graph R         361 - 257 - 8                         =    96
+#   graph W         293 - 257                             =    36
+#   sub-arrays      9 + 5: the bank's 9 4-row multiplicity stripes (36
+#                   rows) and 1 of pass 1's 16-row stripes fill the
+#                   first, 3 fill each of the next two, the last 2 and 3
+#                   of pass 2's 8-row stripes a fourth, and the other 6 a
+#                   fifth                                 =    14
+# simplify on: the merge still reads the 257 distinct key rows that hold
+# the 259 labels, and the only graph W is now the 3-bit stripe placed
+# after the merge, so the W row follows the DPU row.
+#   graph R         618 - 257 - 8                         =   353
+#   graph W         260 - 257                             =     3
+#   sub-arrays      9 + 1: the 3-bit stripe and both degree stripes
+#                   (rows 0 to 26)                        =    10
 LADDER = {
     False: (
         [
             ("io", "XFER", 508),
-            ("hashmap", "W", 3377),
-            ("hashmap", "C_ADD", 9398),
-            ("hashmap", "DPU", 9398),
-            ("graph", "R", 361),
-            ("graph", "W", 293),
+            ("hashmap", "W", 3236),
+            ("hashmap", "C_ADD", 2235),
+            ("hashmap", "DPU", 2235),
+            ("graph", "R", 96),
+            ("graph", "W", 36),
             ("traverse", "DPU", 1408),
             ("traverse", "R", 216),
             ("traverse", "W", 580),
             ("traverse", "C_ADD", 233),
         ],
-        19,
+        14,
         [
             "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
             "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCG",
@@ -1901,18 +1940,18 @@ LADDER = {
     True: (
         [
             ("io", "XFER", 512),
-            ("hashmap", "W", 3377),
-            ("hashmap", "C_ADD", 9398),
-            ("hashmap", "DPU", 9398),
-            ("graph", "R", 618),
-            ("graph", "W", 260),
+            ("hashmap", "W", 3236),
+            ("hashmap", "C_ADD", 2235),
+            ("hashmap", "DPU", 2235),
+            ("graph", "R", 353),
             ("graph", "DPU", 518),
+            ("graph", "W", 3),
             ("traverse", "DPU", 58),
             ("traverse", "R", 23),
             ("traverse", "W", 93),
             ("traverse", "C_ADD", 36),
         ],
-        14,
+        10,
         [
             "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
             "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCGACGGAATTAGATCAGTTAAAT"
@@ -1943,21 +1982,22 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #   io XFER        9,901 reads * 25 bytes + one 10,000-base contig's
 #                  2,500 bytes                               =   250,025
 #   hashmap        752,476 queries, 9,976 distinct keys in 3 groups of
-#                  120 buckets (fill 3,273, 3,367, 3,336), 3 sub-arrays.
-#     The 32,412 counter adds are all +1 on 8-bit words (a read holds
+#                  150 buckets (fill 3,367, 3,350, 3,259), 3 sub-arrays.
+#     The 32,428 counter adds are all +1 on 8-bit words (a read holds
 #     each k-mer once) and no counter passes 76, so each stops at the
-#     plane after its batch's longest run of low one bits: 140 adds at
-#     plane 0, 392 at 1, 1,548 at 2, 6,052 at 3, 7,658 at 4, 6,782 at 5
-#     and 9,840 at 6, 177,638 planes of 1 C_ADD + 2 W + 1 DPU each.
-#     W  a temp-row write per query but the 360 first misses into an empty
-#        bucket (752,116), 9,976 inserts, 9,903 counter-seed writes, and
-#        the adds' 2 * 177,638                               = 1,127,271
-#     DPU one per compared row (3,077,349) + 177,638         = 3,254,987
-#     C_ADD the compares (3,077,349) + 177,638               = 3,254,987
+#     plane after its batch's longest run of low one bits: 126 adds at
+#     plane 0, 372 at 1, 1,534 at 2, 6,120 at 3, 7,657 at 4, 6,779 at 5
+#     and 9,840 at 6, 177,791 planes of 1 C_ADD + 2 W + 1 DPU each.
+#     W  a temp-row write per query but the 450 first misses into an empty
+#        bucket (752,026), 9,976 inserts, 9,903 counter-seed writes, and
+#        the adds' 2 * 177,791                               = 1,127,487
+#     DPU one per compared row (2,559,087) + 177,791         = 2,736,878
+#     C_ADD the compares (2,559,087) + 177,791               = 2,736,878
 #   graph          9,977 nodes, 9,976 edges, largest multiplicity 76.
-#     R  ceil(fill / 256) = 13 + 14 + 14 counter stripes * 8 = 328, and
-#        2,624 label-row copies                              =     2,952
-#     W  2,624 copies + 39 stripes of 7-bit words * 7        =     2,897
+#     Each node's label is checked in place in its key row; nothing is
+#     copied.
+#     R  ceil(fill / 256) = 14 + 14 + 13 counter stripes * 8 =       328
+#     W  39 stripes of 7-bit words * 7                       =       273
 #   traverse       one path; its 76 surplus units at multiplicities make
 #                  it retry at unit words. 39 degree stripes, d = 7
 #                  then 2 (degrees up to 76, then 1); every node has one
@@ -1982,12 +2022,11 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #        39 * 2                                              =     3,066
 #     C_ADD pass 1: 39 * 7 compares + 37 + 2 * 7 probe adds + 78 * 7 =
 #        870; pass 2: 39 * 4 + 78 * 2 = 312; 39 flush adds   =     1,221
-#   sub-arrays     3 + 5: one row bank of 1,018-row data regions takes,
-#                  in turn, the 2,624 label rows (2 sub-arrays and 588
-#                  rows of a 3rd), the 39 multiplicity stripes of 7 rows
-#                  (to row 861), pass 1's 39 stripes of 4 * 7 rows (5
-#                  there, 34 in a 4th) and pass 2's 39 of 4 * 2 rows (8
-#                  there, 31 in a 5th)                       =         8
+#   sub-arrays     3 + 2: one row bank of 1,018-row data regions takes,
+#                  in turn, the 39 multiplicity stripes of 7 rows (273
+#                  rows), pass 1's 39 stripes of 4 * 7 rows (26 there, to
+#                  row 1,001, and 13 in a 2nd) and pass 2's 39 of 4 * 2
+#                  rows (all in the 2nd, to row 676)         =         5
 # Spending the walk's units per decision, not per unit, took traverse W
 # from 23,540 (9,976 decrements * 2) to 3,666 and C_ADD from 11,380 to
 # 1,443: 19,312,242 -> 19,182,167 modeled ns, and RUR 0.6859 -> 0.6885.
@@ -2002,13 +2041,20 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 # and a degree bank of 2, whose stripes pass 2 cleared and reused) to 8,
 # and traverse W from 3,222 to 3,066: pass 2 no longer clears the out and
 # in words, 39 stripes * 2 * 2 W.
+# A directory of any multiple of the 15 stripes, not only the power-of-two
+# rungs, took the 3 groups from 120 buckets to 150 (165 and up overfill a
+# group): compares 3,077,349 -> 2,559,087, and the adds' planes 177,638 ->
+# 177,791 as the keys' counters moved between sub-arrays. Reading the
+# labels in place dropped the 2,624 label-row copies (1 R + 1 W each) and
+# the 3 bank sub-arrays they filled. 18,118,528 -> 16,045,503 modeled ns,
+# RUR 0.7118 -> 0.6758, sub-arrays 8 -> 5.
 CANONICAL_TRACE = [
     ("io", "XFER", 250_025),
-    ("hashmap", "W", 1_127_271),
-    ("hashmap", "C_ADD", 3_254_987),
-    ("hashmap", "DPU", 3_254_987),
-    ("graph", "R", 2_952),
-    ("graph", "W", 2_897),
+    ("hashmap", "W", 1_127_487),
+    ("hashmap", "C_ADD", 2_736_878),
+    ("hashmap", "DPU", 2_736_878),
+    ("graph", "R", 328),
+    ("graph", "W", 273),
     ("traverse", "DPU", 30_447),
     ("traverse", "R", 1_404),
     ("traverse", "W", 3_066),
@@ -2019,18 +2065,19 @@ CANONICAL_TRACE = [
 def test_the_canonical_trace_is_pinned(canonical_run):
     asm = canonical_run["asm"]
     assert asm.trace.records() == CANONICAL_TRACE
-    assert asm.machine.subarray_count == 8
+    assert asm.machine.subarray_count == 5
 
 
 def test_subarray_budget_holds_in_every_stage():
-    # CGTGTGCA read twice at k=5 on 24 x 64 takes one hash sub-array. Its 4
-    # keys sit in 3 key rows, and every k-mer's count is 2. The row bank's
-    # first sub-array (18 data rows) takes the 3 label copies (rows 0-2)
-    # and the 2-bit multiplicity stripe (3-4) in the graph stage. In the
-    # traverse stage the first degree pass's 4 * 2 rows (5-12) still fit
-    # there; CGTG's surplus of 2 sends the path to the unit retry, whose
-    # fresh 4 * 2 rows do not, and open a second bank sub-array.
-    reads = [E("CGTGTGCA")] * 2
+    # CGTGTGCA read four times at k=5 on 24 x 64 takes one hash sub-array,
+    # and every k-mer's count is 4. The graph stage checks the labels in
+    # their key rows and opens the row bank's first sub-array (18 data
+    # rows) for the 3-bit multiplicity stripe (rows 0-2). In the traverse
+    # stage the first degree pass's 4 * 3 rows (3-14; the probe's in + 1
+    # reaches 5) still fit there; CGTG's surplus of 4 sends the path to the
+    # unit retry, whose fresh 4 * 2 rows do not, and open a second bank
+    # sub-array.
+    reads = [E("CGTGTGCA")] * 4
     stages = {0: "hashmap", 1: "graph", 2: "traverse"}
     for budget, stage in stages.items():
         asm = make_asm(**PACKED, max_subarrays=budget)

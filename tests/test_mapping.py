@@ -190,58 +190,71 @@ def test_layout_hash_counter_slots_cover_keys(rows, cols, k):
 # ---- bucket directory ----------------------------------------------------
 
 # 64 x 64 at k=5: 28 key rows of 4 slots (112 keys) and 3 counter stripes,
-# so the rungs are 24 (3 * 4 * 2; 48 would exceed 28 rows), 12, 6 and 3
-# buckets per group
+# so the directory tries 27 (the largest multiple of 3 that is at most 28
+# rows), 24, 21, ..., 6 and 3 buckets per group. The power-of-two ladder
+# tried only 24 (3 * 4 * 2), 12, 6 and 3.
 SMALL = layout_hash((64, 64), 5)
 
 
 @pytest.mark.parametrize(
     "hashes, directory",
     [
-        # 48 keys, 2 in each bucket of 24: 24 rows
-        (list(range(48)), (1, 24)),
-        # 96 keys, 16 in each bucket of 6 (4 rows, 24 in all); at 12 each of
-        # those buckets splits 9 + 7 (3 + 2 rows, 30 in all), and at 24 into
-        # 5 + 4 and 4 + 3 (2 + 1 + 1 + 1 rows, 30 in all): both overfill
-        ([b + 12 * i for b in range(6) for i in range(9)]
-         + [b + 6 + 12 * i for b in range(6) for i in range(7)], (1, 6)),
-        # 120 keys, 2 groups: at 24 and 12 every key hashes into group 0's
-        # buckets 0..11 (10 keys, 3 rows each: 36); at 6 buckets 0..5 of 12
-        # are group 0's and 6..11 group 1's, 18 rows each
-        ([48 * i + b for b in range(12) for i in range(10)], (2, 6)),
+        # 48 consecutive hashes: 2 keys in 21 of 27 buckets and 1 in the
+        # other 6, one row each: 27 rows
+        (list(range(48)), (1, 27)),
+        # 91 keys, 0..55 and 75..109. At 27, 2 buckets take 5 keys (2 rows
+        # each) and the other 25 one row: 29 rows; at 24, 5 buckets take 5
+        # keys: 29 rows. At 21, 14 buckets take 4 keys and 7 take 5:
+        # 14 + 7 * 2 = 28 rows, which fits.
+        # The power-of-two ladder skipped 21 and took 12 (24 rows)
+        (list(range(56)) + list(range(75, 110)), (1, 21)),
+        # 120 keys, 2 groups: 48 * i + b for 12 offsets b and 10 values of
+        # i spread over the 54 buckets of 2 groups of 27, 2 or 3 keys in
+        # each of 27 buckets per group, 27 rows each. (At 24 and 12 every
+        # key hashed into group 0, 36 rows.)
+        ([48 * i + b for b in range(12) for i in range(10)], (2, 27)),
         # 112 consecutive hashes, one group: 4 or 5 keys in each bucket of
-        # 24 (40 rows), 9 or 10 in each of 12 (3 rows, 36 in all), 18 or 19
-        # in each of 6 (5 rows, 30 in all), 38, 37, 37 in each of 3 (10 rows,
-        # 30 in all): no rung fits. Two groups of 24 buckets spread them 3
-        # or 2 to a bucket, one row each, 24 rows per group
-        (list(range(112)), (2, 24)),
-        # 96 keys, 8 in each bucket of 12 (2 rows, 24 in all); at 24 each of
-        # those buckets splits 5 + 3 (2 + 1 rows, 36 in all), which overfills
-        ([b + 24 * i for b in range(12) for i in range(5)]
-         + [b + 12 + 24 * i for b in range(12) for i in range(3)], (1, 12)),
+        # 27 (4 buckets of 5: 31 rows), of 24 (16 of 5: 40 rows), 5 or 6 in
+        # each of 21 (42 rows), and so on down to 37 or 38 in each of 3 (30
+        # rows): no count fits. Two groups of 27 buckets spread them 2 or 3
+        # to a bucket, one row each, 27 rows per group
+        (list(range(112)), (2, 27)),
+        # 104 keys, 0..39 and 46..109: 29 rows at 27 (2 buckets of 5), 38
+        # at 24, 40 at 21, 36 at 18, 30 at 15 and at 12. At 9, 5 buckets
+        # of 11 keys, 3 of 12 and 1 of 13 take 3 rows each except the last,
+        # which takes 4: 28 rows, which fits. The power-of-two ladder went
+        # down to 3 (27 rows)
+        (list(range(40)) + list(range(46, 110)), (1, 9)),
     ],
 )
 def test_bucket_directory_takes_the_finest_rung_that_fits(hashes, directory):
     assert bucket_directory(SMALL, hashes) == directory
+    assert power_of_two_directory(SMALL, hashes)[0] == directory[0]
 
 
 def test_bucket_directory_of_one_slot_rows_doubles_the_stripes():
     # a 40-bit key fills its 64-bit pitch, so a row holds one key and the
-    # rungs are 15 * 2^j: 480 (960 would exceed 892 key rows) down to 15.
-    # Ten keys fit the finest. At 2 groups, 893 multiples of 960 all fall in
-    # bucket 0, which overfills group 0's 892 rows at every rung; at 3
-    # groups of 480 they take buckets 0, 480 and 960 in turn, 298, 298 and
-    # 297 rows, one bucket in each group
+    # counts are 15 * j: 885 (the largest multiple of 15 up to 892 key
+    # rows) down to 15. Ten keys fit the finest. 893 multiples of 960 need
+    # 2 groups; over 2 * 885 = 1,770 buckets they fall in the 59 multiples
+    # of gcd(960, 1770) = 30, 15 or 16 keys to a bucket and one row per
+    # key: 454 rows in group 0 and 439 in group 1. The power-of-two
+    # ladder, whose counts are 15 * 2^j (480 down to 15), found no fit at 2
+    # groups: every multiple of 960 fell in bucket 0 of group 0, which then
+    # held all 893. At 3 groups of 480 they took buckets 0, 480 and 960 in
+    # turn
     lay = layout_hash((1024, 64), 20)
     assert lay.slots == 1 and lay.stripes == 15 and len(lay.kmer_rows) == 892
-    assert bucket_directory(lay, list(range(10))) == (1, 480)
-    assert bucket_directory(lay, [960 * i for i in range(893)]) == (3, 480)
+    assert bucket_directory(lay, list(range(10))) == (1, 885)
+    crowded = [960 * i for i in range(893)]
+    assert bucket_directory(lay, crowded) == (2, 885)
+    assert power_of_two_directory(lay, crowded) == (3, 480)
 
 
 def test_bucket_directory_rejects_more_colliding_hashes_than_a_sub_array_holds():
-    # equal hashes share one bucket at every group count and rung: 112 of
+    # equal hashes share one bucket at every group count and count: 112 of
     # them fill the 28 key rows exactly, 113 fit no directory
-    assert bucket_directory(SMALL, [7] * 112) == (1, 24)
+    assert bucket_directory(SMALL, [7] * 112) == (1, 27)
     with pytest.raises(CapacityError, match="113 key hashes fit no bucket directory"):
         bucket_directory(SMALL, [7] * 113)
 
@@ -255,19 +268,29 @@ def _fits(lay, hashes, groups, per_group):
     return max(rows) <= len(lay.kmer_rows)
 
 
-def _stripes_tied_directory(lay, hashes):
-    """The ladder from when a key's counter followed its key slot, the
-    oracle: stripes * slots and its halvings, else the stripes."""
-    groups = math.ceil(len(hashes) / lay.capacity)
-    for shift in range(lay.slots.bit_length() - 1):
-        per_group = lay.stripes * (lay.slots >> shift)
-        if _fits(lay, hashes, groups, per_group):
-            return groups, per_group
-    return groups, lay.stripes
+def power_of_two_directory(lay, hashes):
+    """The power-of-two ladder, the oracle: stripes * slots * 2^j down from
+    the largest that is at most the key rows, then stripes * slots and its
+    halvings down to the stripes; the fewest groups from ceil(keys /
+    capacity) up to four times that at which a rung fits, and the finest
+    rung there. Raises CapacityError where none fits."""
+    least = math.ceil(len(hashes) / lay.capacity)
+    base = lay.stripes * lay.slots
+    up = (len(lay.kmer_rows) // base).bit_length() - 1
+    rungs = [base << j for j in range(up, 0, -1)]
+    rungs += [lay.stripes * (lay.slots >> s) for s in range(lay.slots.bit_length())]
+    for groups in range(least, 4 * least + 1):
+        for per_group in rungs:
+            if _fits(lay, hashes, groups, per_group):
+                return groups, per_group
+    raise CapacityError("no power-of-two directory fits")
+
+
+GEOMETRIES = [(24, 64), (32, 64), (48, 64), (64, 64), (128, 64), (256, 128), (1024, 64)]
 
 
 @given(
-    dims=st.sampled_from([(48, 64), (64, 64), (128, 64), (256, 128), (1024, 64)]),
+    dims=st.sampled_from(GEOMETRIES),
     k=st.integers(min_value=2, max_value=32),
     # spread hashes, and multiples of 960 that pile into few buckets
     hashes=st.lists(
@@ -277,34 +300,37 @@ def _stripes_tied_directory(lay, hashes):
     ),
 )
 @settings(max_examples=60, deadline=None)
-def test_bucket_directory_is_never_coarser_than_the_stripes_tied_one(dims, k, hashes):
-    # at the oracle's group count the directory takes a rung at least as
-    # fine; it adds groups only when even the stripes rung overfills one
+def test_bucket_directory_is_never_coarser_than_the_power_of_two_one(dims, k, hashes):
+    # Every rung of the power-of-two ladder is a multiple of the stripes no
+    # larger than the first count tried, so the directory needs no more
+    # groups than the ladder did, and at the ladder's group count takes a
+    # count at least as fine. Every group's buckets fit its key rows.
     lay = layout_hash(dims, k)
-    old_groups, old_per_group = _stripes_tied_directory(lay, hashes)
+    try:
+        old_groups, old_per_group = power_of_two_directory(lay, hashes)
+    except CapacityError:
+        old_groups = None
     try:
         groups, per_group = bucket_directory(lay, hashes)
     except CapacityError:
         # only hashes that pile up: no group count up to four times the
-        # fewest fits any rung
-        ladder = {lay.stripes * (lay.slots >> i) for i in range(lay.slots.bit_length())}
-        ladder |= {
-            lay.stripes * lay.slots << j
-            for j in range(1, len(lay.kmer_rows).bit_length())
-            if lay.stripes * lay.slots << j <= len(lay.kmer_rows)
-        }
+        # fewest fits any multiple of the stripes, so the ladder found none
+        assert old_groups is None
+        least = math.ceil(len(hashes) / lay.capacity)
+        top = max(len(lay.kmer_rows), lay.stripes * lay.slots)
         assert not any(
-            _fits(lay, hashes, g, p) for g in range(old_groups, 4 * old_groups + 1) for p in ladder
+            _fits(lay, hashes, g, p)
+            for g in range(least, 4 * least + 1)
+            for p in range(lay.stripes, top + 1, lay.stripes)
         )
         return
     assert _fits(lay, hashes, groups, per_group)
-    assert old_groups <= groups <= 4 * old_groups
-    if groups == old_groups:
-        assert per_group >= old_per_group
-    else:
-        assert not _fits(lay, hashes, old_groups, lay.stripes)
-    if per_group > lay.stripes * lay.slots:  # a rung above the old ladder
-        assert per_group <= len(lay.kmer_rows)
+    assert per_group % lay.stripes == 0
+    assert per_group <= max(len(lay.kmer_rows), lay.stripes * lay.slots)
+    if old_groups is not None:
+        assert groups <= old_groups
+        if groups == old_groups:
+            assert per_group >= old_per_group
 
 
 # ---- capacity ------------------------------------------------------------
