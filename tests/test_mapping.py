@@ -229,7 +229,6 @@ SMALL = layout_hash((64, 64), 5)
 )
 def test_bucket_directory_takes_the_finest_rung_that_fits(hashes, directory):
     assert bucket_directory(SMALL, hashes) == directory
-    assert power_of_two_directory(SMALL, hashes)[0] == directory[0]
 
 
 def test_bucket_directory_of_one_slot_rows_doubles_the_stripes():
