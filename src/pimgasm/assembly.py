@@ -5,9 +5,12 @@ several keys each, one per slot at a power-of-two column pitch. The store
 is cut into groups of one sub-array each, and every group into hash
 buckets. A host pre-scan of the distinct keys sizes the bucket directory
 (mapping.bucket_directory): the fewest groups, then the most buckets per
-group, under which every group's buckets fit in its sub-array. A bucket
-takes key rows one at a time from its group's sub-array, so the rows of a
-group's buckets interleave there.
+group, under which every group's buckets fit in its sub-array; the count
+is planned from the number of keys, so equal key counts take equal
+directories, and the buckets are packed into the groups where bucket b
+in group b // count would overfill one. A bucket takes key rows one at a
+time from its group's sub-array, so the rows of a group's buckets
+interleave there.
 Each query is written once into every slot of a temp row and compared
 against the occupied key rows of its own bucket only: one XNOR-compare
 cycle plus one AND-reduce per row checks every key in it, and only occupied
@@ -313,8 +316,8 @@ class KmerTable:
     of counter index `counters[i]`: the number of keys its sub-array held
     before it, so a sub-array's `fill[sid]` keys own counters 0..n-1.
     `buckets` is the size of the bucket directory the keys were hashed
-    into, `buckets_per_group` of each group's share of it: bucket b lies in
-    group b // buckets_per_group.
+    into, `buckets_per_group` of each group's share of it (which buckets
+    a group holds is the directory's `group_of`).
     """
 
     def __init__(self, k: int, layout: mapping.HashLayout, machine: Machine):
@@ -381,14 +384,16 @@ class _Group:
 
 
 class _Bucket:
-    """One directory entry's keys inside its group's sub-array `sid`: `rows`
-    lists its key rows in scan order, `last_fill` the keys in the last one.
+    """One directory entry's keys inside its `group`'s sub-array `sid`:
+    `rows` lists its key rows in scan order, `last_fill` the keys in the
+    last one.
     """
 
-    __slots__ = ("sid", "rows", "last_fill")
+    __slots__ = ("group", "sid", "rows", "last_fill")
 
-    def __init__(self, sid: int):
-        self.sid = sid
+    def __init__(self, group: _Group):
+        self.group = group
+        self.sid = group.sid
         self.rows: list[int] = []
         self.last_fill = 0
 
@@ -617,11 +622,12 @@ class Assembler:
         groups, from ceil(distinct / 3,568) up, at which one of 885, 870,
         ..., 30 and 15 buckets per group (the multiples of the 15 counter
         stripes) fits every group in its sub-array, and the finest that
-        fits. Each k-mer
-        is then probed in read order, a new key taking its sub-array's next
-        counter index. At each read's end its new counters are seeded, one
-        write per (sub-array, stripe), and then its increments are added.
-        The log line reports the counter-seed writes next to the adds.
+        fits among those that the number of keys plans (9,956 keys: 3
+        groups of 150). Each k-mer is then probed in read order, a new key
+        taking its sub-array's next counter index. At each read's end its
+        new counters are seeded, one write per (sub-array, stripe), and
+        then its increments are added. The log line reports the
+        counter-seed writes next to the adds.
         """
         layout = mapping.layout_hash((self.rows, self.cols), k, self.value_width)
         table = KmerTable(k, layout, self.machine)
@@ -629,15 +635,13 @@ class Assembler:
             table.read_kmers = {w.bits for r in reads for w in extract_kmers(r, k)}
             if not table.read_kmers:
                 raise SizeError(f"no k-mers: every read is shorter than k={k}")
-            n_groups, table.buckets_per_group = mapping.bucket_directory(
+            n_groups, table.buckets_per_group, group_of = mapping.bucket_directory(
                 layout,
                 [mapping.stable_hash(bits, 2 * k, self.seed) for bits in table.read_kmers],
             )
             groups = [_Group(self._new_subarray(layout.row_layout)) for _ in range(n_groups)]
-            table.buckets = n_groups * table.buckets_per_group
-            buckets = [
-                _Bucket(groups[b // table.buckets_per_group].sid) for b in range(table.buckets)
-            ]
+            table.buckets = len(group_of)
+            buckets = [_Bucket(groups[g]) for g in group_of]
             index: dict[int, tuple[int, int, int, int]] = {}
             adds = seeds = 0
             for read in reads:
@@ -645,7 +649,7 @@ class Assembler:
                 pending: dict[tuple[int, int, int], int] = {}
                 fresh = table.distinct()
                 for kmer in extract_kmers(read, k):
-                    self._observe(table, groups, buckets, index, pending, kmer)
+                    self._observe(table, buckets, index, pending, kmer)
                 seeds += self._seed_counts(table, fresh)
                 adds += self._add_counts(layout, pending)
         log.info(
@@ -695,7 +699,7 @@ class Assembler:
                 )
         return len(batches)
 
-    def _observe(self, table, groups, buckets, index, pending, kmer: EncodedSeq) -> None:
+    def _observe(self, table, buckets, index, pending, kmer: EncodedSeq) -> None:
         """Probe the table for one k-mer.
 
         A hit adds nothing yet: it records one increment for the key's
@@ -733,9 +737,8 @@ class Assembler:
         bucket = buckets[bucket_i]
         self._probe(bucket, None, image, temp_row, lay)
         if not bucket.rows or bucket.last_fill == lay.slots:
-            group = groups[bucket_i // table.buckets_per_group]
-            bucket.rows.append(group.next_row)
-            group.next_row += 1
+            bucket.rows.append(bucket.group.next_row)
+            bucket.group.next_row += 1
             bucket.last_fill = 0
         target = bucket.sid
         key_i = bucket.rows[-1] * lay.slots + bucket.last_fill

@@ -9,8 +9,8 @@ index: keys take counter indices 0, 1, 2, ... in the order their sub-array
 first sees them, so keys seen together share a stripe wherever their
 buckets put their key rows. Bucket hashes are seedable and multiplicative,
 never Python's randomized hash(), so runs reproduce byte for byte. The
-bucket directory is sized from the keys' hashes, and capacity planning
-sizes a whole-genome table.
+bucket directory is planned from the number of keys and checked against
+their hashes, and capacity planning sizes a whole-genome table.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityError, ConfigError, SizeError
 from .fabric import RowLayout
@@ -179,20 +180,98 @@ def layout_hash(dims: tuple[int, int], k: int, value_width: int = 8) -> HashLayo
     )
 
 
-def bucket_directory(lay: HashLayout, hashes: list[int]) -> tuple[int, int]:
-    """(groups, buckets per group) of a hash store for keys with these hashes.
+class Directory(NamedTuple):
+    """A hash store's bucket directory: `groups` sub-arrays of `per_group`
+    buckets each, bucket b lying in group `group_of[b]`."""
 
-    Every group is one sub-array. A key with hash h sits in bucket
-    h % (groups * per_group), which belongs to group bucket // per_group,
-    and a bucket of n keys takes ceil(n / slots) key rows. The counts tried
-    are the multiples of `stripes` from the largest that is at most the key
-    rows (so at most one bucket per key row), or stripes * slots if that is
-    larger, down to `stripes`: 885, 870, ..., 30 and 15 at 1024 x 256 and
-    k=25. Stepping by `stripes` keeps them to about 60; a step of one would
-    be finer, but would make the host search some ten times longer. The
-    directory takes the fewest groups, from ceil(keys / capacity) up to
-    four times that, at which a count fits every group's buckets into its
-    sub-array's key rows, and the finest count that fits there. A finer
+    groups: int
+    per_group: int
+    group_of: tuple[int, ...]
+
+
+# A planned count leaves room for its key rows' mean plus this many
+# standard deviations
+PLAN_SIGMAS = 2
+
+
+def planned_rows(keys: int, buckets: int, slots: int) -> tuple[float, float]:
+    """Mean and standard deviation of the key rows of `buckets` buckets
+    holding `keys` keys under a uniform hash.
+
+    A bucket of x keys takes ceil(x / slots) rows, x ~ Binomial(keys,
+    1 / buckets). The keys fill keys / slots rows whatever the draw; only
+    each bucket's part-filled last row varies, and the deviation sums that
+    part over the buckets as if they were independent.
+    """
+    if buckets == 1:
+        return math.ceil(keys / slots), 0.0
+    p = 1 / buckets
+    mean = keys * p
+    spread = 12 * math.sqrt(mean) + 1
+    lo, hi = max(0, math.floor(mean - spread)), min(keys, math.ceil(mean + spread))
+    log_n = math.lgamma(keys + 1)
+    part = part2 = 0.0
+    for x in range(lo, hi + 1):
+        pm = math.exp(log_n - math.lgamma(x + 1) - math.lgamma(keys - x + 1)
+                      + x * math.log(p) + (keys - x) * math.log1p(-p))
+        waste = math.ceil(x / slots) - x / slots
+        part += pm * waste
+        part2 += pm * waste * waste
+    return keys / slots + buckets * part, math.sqrt(buckets * max(part2 - part * part, 0.0))
+
+
+def pack_buckets(
+    lay: HashLayout, hashes: list[int], groups: int, per_group: int
+) -> tuple[int, ...] | None:
+    """The group of each of groups * per_group buckets, or None if no packing
+    fits.
+
+    A key with hash h sits in bucket h % (groups * per_group), and a bucket
+    of n keys takes ceil(n / slots) key rows of its group's sub-array. Bucket
+    b goes to group b // per_group where every group's buckets then fit;
+    otherwise the buckets go largest first, each to the least-filled group
+    with a place left, every group taking per_group of them.
+    """
+    n = groups * per_group
+    need = [0] * n
+    for bucket, keys in Counter(h % n for h in hashes).items():
+        need[bucket] = math.ceil(keys / lay.slots)
+    group_of = [b // per_group for b in range(n)]
+    rows = [0] * groups
+    for b, r in enumerate(need):
+        rows[group_of[b]] += r
+    if max(rows) > len(lay.kmer_rows):
+        rows, places = [0] * groups, [per_group] * groups
+        for b in sorted(range(n), key=lambda b: -need[b]):
+            g = min((g for g in range(groups) if places[g]), key=rows.__getitem__)
+            group_of[b] = g
+            rows[g] += need[b]
+            places[g] -= 1
+    return tuple(group_of) if max(rows) <= len(lay.kmer_rows) else None
+
+
+def bucket_directory(lay: HashLayout, hashes: list[int]) -> Directory:
+    """The bucket directory of a hash store for keys with these hashes.
+
+    Every group is one sub-array, and pack_buckets places a count's buckets
+    in the groups. The counts are multiples of `stripes`, from the largest
+    that is at most the key rows (so at most one bucket per key row), or
+    stripes * slots if that is larger, down to `stripes`: 885, 870, ..., 15
+    at 1024 x 256 and k=25. The directory takes the fewest groups, from
+    ceil(keys / capacity) up to four times that, at which a count tried
+    fits, and the finest such count.
+
+    Which counts are tried is planned from the number of keys alone: those
+    up to the finest count whose planned_rows, plus PLAN_SIGMAS standard
+    deviations, fit the groups' key rows (every count, where none does),
+    and above it the power-of-two rungs stripes * slots * 2^j and
+    stripes * slots / 2^j of an earlier ladder. A draw of hashes then
+    decides only whether the planned count fits, so equal key counts take
+    the same directory from one draw to the next, where the finest count
+    each draw fits moves a step or two with the draw, and every bucket scan
+    with it. The rungs are tried at every group count, and a rung whose
+    buckets fit as b // per_group fits pack_buckets, so no directory needs
+    more groups than that ladder, or at equal groups is coarser. A finer
     directory shortens every bucket scan; counter stripes follow first-seen
     order, not the bucket, so it does not spread a read's counter
     increments. At four times the fewest groups a group averages a quarter
@@ -202,14 +281,23 @@ def bucket_directory(lay: HashLayout, hashes: list[int]) -> tuple[int, int]:
     least = math.ceil(len(hashes) / lay.capacity)
     top = max(len(lay.kmer_rows), lay.stripes * lay.slots) // lay.stripes * lay.stripes
     counts = range(top, 0, -lay.stripes)
+    base = lay.stripes * lay.slots
+    rungs = {base << j for j in range((len(lay.kmer_rows) // base).bit_length())}
+    rungs |= {lay.stripes * (lay.slots >> s) for s in range(lay.slots.bit_length())}
     for groups in range(least, 4 * least + 1):
+        room = groups * len(lay.kmer_rows)
+        planned = top
         for per_group in counts:
-            fill = Counter(h % (groups * per_group) for h in hashes)
-            rows = [0] * groups
-            for bucket, keys in fill.items():
-                rows[bucket // per_group] += math.ceil(keys / lay.slots)
-            if max(rows) <= len(lay.kmer_rows):
-                return groups, per_group
+            mean, sd = planned_rows(len(hashes), groups * per_group, lay.slots)
+            if mean + PLAN_SIGMAS * sd <= room:
+                planned = per_group
+                break
+        for per_group in counts:
+            if per_group > planned and per_group not in rungs:
+                continue
+            group_of = pack_buckets(lay, hashes, groups, per_group)
+            if group_of is not None:
+                return Directory(groups, per_group, group_of)
     raise CapacityError(
         f"{len(hashes)} key hashes fit no bucket directory of {least} to {4 * least} groups"
     )

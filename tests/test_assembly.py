@@ -65,9 +65,10 @@ class PhysicalScan(Assembler):
 class BucketRecorder(Assembler):
     """Keeps the hash stage's groups and buckets for inspection."""
 
-    def _observe(self, table, groups, buckets, index, pending, kmer):
-        self.groups, self.buckets = groups, buckets
-        super()._observe(table, groups, buckets, index, pending, kmer)
+    def _observe(self, table, buckets, index, pending, kmer):
+        self.groups = list(dict.fromkeys(bucket.group for bucket in buckets))
+        self.buckets = buckets
+        super()._observe(table, buckets, index, pending, kmer)
 
 
 def make_asm(rows=128, cols=64, oracle=False, **kw):
@@ -261,18 +262,20 @@ def test_probe_modes_agree():
 
 
 def check_one_sub_array_per_group(asm, table):
-    """Every hash group is one sub-array of its own, the hash stage takes
-    nothing else, and every bucket's key rows lie in its group's sub-array,
-    no row in two buckets. Every key sits in a row of the bucket its hash
-    names."""
+    """Every hash group is one sub-array of its own, holding buckets_per_group
+    buckets, the hash stage takes nothing else, and every bucket's key rows
+    lie in its group's sub-array, no row in two buckets. Every key sits in a
+    row of the bucket its hash names."""
     lay = table.layout
     groups, buckets = asm.groups, asm.buckets
     assert len(buckets) == table.buckets == len(groups) * table.buckets_per_group
     sids = [group.sid for group in groups]
     assert sorted(sids) == list(range(asm.machine.subarray_count))
     rows = set()
-    for bi, bucket in enumerate(buckets):
-        assert bucket.sid == sids[bi // table.buckets_per_group]
+    for group in groups:
+        assert sum(bucket.group is group for bucket in buckets) == table.buckets_per_group
+    for bucket in buckets:
+        assert bucket.group in groups and bucket.sid == bucket.group.sid
         for row_i in bucket.rows:
             assert 0 <= row_i < len(lay.kmer_rows)
             assert (bucket.sid, row_i) not in rows
@@ -321,15 +324,17 @@ def test_packed_rows_probe_modes_agree_with_a_host_counter(reads, poly_a, at, k)
 
 def test_packed_rows_take_more_groups_than_the_fewest():
     # 151 distinct 6-mers, 16 keys per sub-array (4 key rows of 4 slots,
-    # one counter stripe): at the fewest 10 groups some group's buckets
-    # need 5 or more rows at every count (4, 3, 2 or 1 buckets per group);
-    # the directory goes on up to the first group count where one fits
+    # one counter stripe): at the fewest 10 groups, and at 11, some group's
+    # buckets need 5 or more rows at every count (4, 3, 2 or 1 buckets per
+    # group), even packed largest first; the directory goes on up to the
+    # first group count where one fits, 12 groups of 2 packed buckets
     rng = random.Random(3)
     genome = "".join(rng.choice("ACGT") for _ in range(160))
     raw = [genome[i : i + 40] for i in range(0, 121, 20)] + ["A" * 9, genome[:30]]
     asm, table = _count_both_ways(raw, 6, **PACKED)
     assert (table.layout.slots, table.layout.capacity, table.distinct()) == (4, 16, 151)
-    assert asm.machine.subarray_count == len(asm.groups) == 15
+    assert asm.machine.subarray_count == len(asm.groups) == 12
+    assert table.buckets_per_group == 2
 
 
 @given(
@@ -341,8 +346,8 @@ def test_packed_rows_take_more_groups_than_the_fewest():
 def test_the_bucket_directory_never_costs_sub_arrays(reads, rows, k):
     # 24 to 48 rows of 64 columns give 4, 8 or 16 slots per key row, 4 to
     # 20 key rows and 1 to 3 counter stripes. The directory tries every
-    # multiple of the stripes from max(key rows, stripes * slots) down,
-    # which holds every rung of the power-of-two ladder (the oracle), so it
+    # rung of the power-of-two ladder (the oracle) at every group count,
+    # and takes a rung that fits with bucket b in group b // count, so it
     # never needs more groups than the ladder did, and at equal groups is
     # never coarser. These read sets take one group or several, from the
     # fewest up; each group is one sub-array, whatever the count
@@ -365,22 +370,33 @@ def test_the_bucket_directory_never_costs_sub_arrays(reads, rows, k):
 # 64 x 64 at k=5: 28 key rows of 4 slots and 3 counter stripes, so 112
 # keys per sub-array and a directory of 27, 24, 21, ..., 6 or 3 buckets per
 # group (27, the largest multiple of 3 up to 28, leaves at most one bucket
-# per key row). Key rows the fullest group's buckets need, count by count
-# (27 / 24 / 21 / 18 / 15 / 12 / 9 / 6 / 3), and the directory taken, the
-# fewest groups at which a count fits every group in 28 rows, and the
-# finest such count:
-#   150: 140 keys, 2 groups  29 28 27 25 24 24 21 21 19  -> 2, 24
-#   220: 196 keys, 2 groups  37 34 38 32 29 30 30 28 29  -> 2,  6
-#   230: 207 keys, 2 groups  35 36 36 35 31 33 29 28 28  -> 2,  6
-#   250: 220 keys, 2 groups  41 39 40 36 34 33 32 31 29  -> no fit
-#                  3 groups  32 29 29 30 28 25 25 21 20  -> 3, 15
-#   300: 257 keys, 3 groups  35 36 29 32 30 28 26 24 25  -> 3, 12
-#   420: 354 keys, 4 groups  36 34 36 30 32 28 27 26 25  -> 4, 12
-# No count fits 2 groups at 250, so it takes a third group. The
-# power-of-two ladder (24, 12, 6, 3) took the same directories but at 250,
-# where it had no 15 and took (3, 12).
+# per key row). The planned count is the finest whose planned rows, plus
+# two standard deviations, fit the groups' key rows; counts up to it are
+# tried, and above it those of the rungs 24, 12, 6 and 3. Key rows of the
+# fullest group, count by count (27 / 24 / 21 / 18 / 15 / 12 / 9 / 6 /
+# 3), with bucket b in group b // count and then with the buckets packed
+# largest first, and the directory taken, the fewest groups at which a
+# count tried fits every group in 28 rows, and the finest such count:
+#   150: 140 keys, 2 groups, plan 21
+#        29/28 28/27 27/26 25/25 24/23 24/22 21/21 21/20 19/19 -> 2, 24
+#   220: 196 keys, 2 groups, plan 6
+#        37/37 34/34 38/33 32/32 29/29 30/28 30/28 28/27 29/26 -> 2, 12
+#   230: 207 keys, 2 groups, plan 3
+#        35/35 36/35 36/34 35/32 31/31 33/32 29/29 28/28 28/27 -> 2,  6
+#   250: 220 keys, 2 groups, no plan (every count tried)
+#        41/38 39/38 40/35 36/34 34/34 33/31 32/31 31/30 29/29 -> no fit
+#                  3 groups, plan 21
+#        32/31 29/28 29/26 30/26 28/25 25/23 25/22 21/21 20/20 -> 3, 24
+#   300: 257 keys, 3 groups, plan 12
+#        35/32 36/33 29/28 32/28 30/28 28/26 26/25 24/24 25/23 -> 3, 12
+#   420: 354 keys, 4 groups, plan 12
+#        36/33 34/31 36/30 30/28 32/30 28/27 27/26 26/25 25/24 -> 4, 12
+# 220 and 250 take their directory only as packed (30 and 29 rows as b //
+# count). No count fits 2 groups at 250, so it takes a third group. The
+# power-of-two ladder (24, 12, 6, 3), as b // count, took (2, 6) at 220
+# and (3, 12) at 250, and the same directories elsewhere.
 DIRECTORY_TAKEN = {
-    150: (2, 24), 220: (2, 6), 230: (2, 6), 250: (3, 15), 300: (3, 12), 420: (4, 12)
+    150: (2, 24), 220: (2, 12), 230: (2, 6), 250: (3, 24), 300: (3, 12), 420: (4, 12)
 }
 
 
@@ -410,9 +426,9 @@ def test_colliding_hashes_beyond_a_sub_array_raise():
 def test_counter_indices_are_dense_per_sub_array_in_insert_order():
     # A key's counter index is the number of keys its sub-array held before
     # it, whatever its bucket and key row. At length 250 the three groups
-    # (15 buckets each) number their keys from 0 each. frequencies then
-    # reads exactly each sub-array's first ceil(n / cols) counter stripes,
-    # value_width R each: 1 + 2 + 2 here, for 64, 86 and 70 keys.
+    # (24 packed buckets each) number their keys from 0 each. frequencies
+    # then reads exactly each sub-array's first ceil(n / cols) counter
+    # stripes, value_width R each: 2 + 2 + 2 here, for 71, 66 and 83 keys.
     raw = tiled_reads(250)
     asm = BucketRecorder(rows=64, cols=64)
     table = asm.build_kmer_table([E(s) for s in raw], 5)
@@ -423,10 +439,10 @@ def test_counter_indices_are_dense_per_sub_array_in_insert_order():
         per_sid.setdefault(sid, []).append(ctr_i)
     assert all(ctrs == list(range(len(ctrs))) for ctrs in per_sid.values())
     assert table.fill == {sid: len(ctrs) for sid, ctrs in per_sid.items()}
-    assert list(table.fill.values()) == [64, 86, 70]
+    assert list(table.fill.values()) == [71, 66, 83]
     before = asm.trace.total(tr.R)
     freqs = table.frequencies()
-    assert asm.trace.total(tr.R) - before == (1 + 2 + 2) * lay.value_width
+    assert asm.trace.total(tr.R) - before == (2 + 2 + 2) * lay.value_width
     expected = Counter(s[i : i + 5] for s in raw for i in range(len(s) - 4))
     assert {key.to_str(): n for key, n in freqs.items()} == dict(expected)
 
@@ -537,13 +553,13 @@ def test_a_tiled_read_adds_to_at_most_two_counter_stripes():
     # shares all but its last k-mer with the read before. Its keys took
     # consecutive counter indices when first seen, so the 22 hits of a
     # 30-base read lie in a run of 22 counters, which spans at most two
-    # stripes of 64 columns, each taking one +1 add, wherever the 75
+    # stripes of 64 columns, each taking one +1 add, wherever the 60
     # buckets put their key rows.
     genome = distinct_window_genome(200, 8, random.Random(11))
     asm = AddRecorder(rows=128, cols=64)
     asm.adds_per_read = []
     table = asm.build_kmer_table([E(s) for s in tile_reads(genome, 30, 1)], 8)
-    assert table.distinct() == 193 and table.buckets == 75
+    assert table.distinct() == 193 and table.buckets == 60
     assert asm.machine.subarray_count == 1
     assert len(asm.adds_per_read) == 171
     assert max(asm.adds_per_read) == 2 and min(asm.adds_per_read[1:]) == 1
@@ -1912,21 +1928,39 @@ _UNIT_RUNG = (
 #   graph W         260 - 257                             =     3
 #   sub-arrays      9 + 1: the 3-bit stripe and both degree stripes
 #                   (rows 0 to 26)                        =    10
+#
+# A planned directory, packed where b // count overfills a group. A key
+# row holds one key, so the 259 keys take 259 rows whatever the draw:
+# every count is planned, and the fewest groups, ceil(259 / 36) = 8, have
+# 288 rows. 36 buckets per group overfill a group as b // 36 (hence the 9
+# groups before), but packed largest first they leave 33, 33, 33 and five
+# times 32 rows, so 8 groups take 36 buckets each. The 288 buckets hold
+# the keys in 161, so 161 first misses write no temp row; the keys'
+# counters moved between sub-arrays again: 189 seed writes and 370 adds
+# of 916 planes. Both ways:
+#   hashmap W      (1,080 - 161) temp + 259 inserts + 189 seeds
+#                  + 2 * 916                              = 3,199
+#   hashmap C_ADD  1,352 compared rows + 916              = 2,268
+#   hashmap DPU    1,352 + 916                            = 2,268
+# The counter read-back takes 11 stripes of 8 planes, not 12: 8 hash
+# sub-arrays, 3 of them holding 33 keys (two stripes of 32 columns).
+#   graph R        off 96 - 8 = 88; on 353 - 8            =   345
+#   sub-arrays     off 8 + 5 = 13; on 8 + 1               =     9
 LADDER = {
     False: (
         [
             ("io", "XFER", 508),
-            ("hashmap", "W", 3236),
-            ("hashmap", "C_ADD", 2235),
-            ("hashmap", "DPU", 2235),
-            ("graph", "R", 96),
+            ("hashmap", "W", 3199),
+            ("hashmap", "C_ADD", 2268),
+            ("hashmap", "DPU", 2268),
+            ("graph", "R", 88),
             ("graph", "W", 36),
             ("traverse", "DPU", 1408),
             ("traverse", "R", 216),
             ("traverse", "W", 580),
             ("traverse", "C_ADD", 233),
         ],
-        14,
+        13,
         [
             "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
             "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCG",
@@ -1940,10 +1974,10 @@ LADDER = {
     True: (
         [
             ("io", "XFER", 512),
-            ("hashmap", "W", 3236),
-            ("hashmap", "C_ADD", 2235),
-            ("hashmap", "DPU", 2235),
-            ("graph", "R", 353),
+            ("hashmap", "W", 3199),
+            ("hashmap", "C_ADD", 2268),
+            ("hashmap", "DPU", 2268),
+            ("graph", "R", 345),
             ("graph", "DPU", 518),
             ("graph", "W", 3),
             ("traverse", "DPU", 58),
@@ -1951,7 +1985,7 @@ LADDER = {
             ("traverse", "W", 93),
             ("traverse", "C_ADD", 36),
         ],
-        10,
+        9,
         [
             "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
             "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCGACGGAATTAGATCAGTTAAAT"
