@@ -2,24 +2,28 @@
 
 Stage 1 counts k-mers in an associative hash store whose key rows hold
 several keys each, one per slot at a power-of-two column pitch. The store
-is cut into groups of one sub-array each, and every group into hash
-buckets. A host pre-scan of the distinct keys sizes the bucket directory
-(mapping.bucket_directory): the fewest groups, then the most buckets per
-group, under which every group's buckets fit in its sub-array; the count
-is planned from the number of keys, so equal key counts take equal
-directories, and the buckets are packed into the groups where bucket b
-in group b // count would overfill one. A bucket takes key rows one at a
-time from its group's sub-array, so the rows of a group's buckets
-interleave there.
-Each query is written once into every slot of a temp row and compared
-against the occupied key rows of its own bucket only: one XNOR-compare
-cycle plus one AND-reduce per row checks every key in it, and only occupied
-slots count, so an all-A key (packed to 0) never matches an empty slot. A
-miss writes the key into the next free slot of its bucket straight from the
-query bits the controller holds (one write, no read), and takes the
-sub-array's next free counter: counters are handed out in first-seen order,
-apart from the key slots, so keys first seen together share a counter
-stripe wherever their buckets put them. A hit records an increment for the
+is cut into groups of one sub-array each, and every group into capacity
+// 2 hash buckets, one per two key slots. A host pre-scan of the distinct
+keys takes the fewest groups whose hashed key counts fit them
+(mapping.bucket_directory). Keys are placed by column (slot position): a
+bucket's first key takes the least-filled column of its group, and its
+later keys the same column, or the least-filled one once that column is
+full. Each column fills its key rows in first-seen order, so keys first
+seen together share a row, and a bucket is the list of rows that hold its
+keys. Queries are probed in batches: each group keeps one open batch per
+read, of queries whose buckets use different columns. A batch writes its
+members into one temp-row image, each query in its bucket's columns, and
+compares the union of the rows its members scan, oldest first, a hit up
+to its key's row and a miss all of its bucket's: one XNOR-compare cycle
+plus one AND-reduce per row settles every member that scans it, and a
+member reads only its own slots, so an all-A key (packed to 0) never
+matches an empty slot. A batch runs before a query whose column it holds
+joins it, and at the read's end. A miss writes its key straight from the
+query bits the controller holds (one write, no read): at once into an
+empty bucket, with no image and no compare, or else once its batch has
+compared. A new key takes the sub-array's next free counter: counters are
+handed out in first-seen order, so keys first seen together share a
+counter stripe. A hit records an increment for the
 key's vertical counter. When the read ends, one masked write of counter
 plane 0 per sub-array counter stripe starts all of the read's new counters
 at one (their words are still zero), and then the read's increments are
@@ -83,7 +87,7 @@ by real add cycles, and the mirrors are cross-checked against fabric
 contents at every stage boundary, raising ConsistencyError on any
 divergence. Scan-cost events that the mirror makes redundant are emitted in
 bulk with identical counts; the test suite checks them against a physical
-scan of every occupied key row.
+compare of every row each batch scans.
 """
 
 from __future__ import annotations
@@ -93,6 +97,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import mapping
 from . import trace as tr
@@ -316,8 +321,8 @@ class KmerTable:
     of counter index `counters[i]`: the number of keys its sub-array held
     before it, so a sub-array's `fill[sid]` keys own counters 0..n-1.
     `buckets` is the size of the bucket directory the keys were hashed
-    into, `buckets_per_group` of each group's share of it (which buckets
-    a group holds is the directory's `group_of`).
+    into; `batches` and `compares` count the probe batches (one temp-row
+    image write each) and the key rows they compared.
     """
 
     def __init__(self, k: int, layout: mapping.HashLayout, machine: Machine):
@@ -333,7 +338,8 @@ class KmerTable:
         self.total_kmers = 0
         self.saturated_keys = 0
         self.buckets = 0
-        self.buckets_per_group = 0
+        self.batches = 0
+        self.compares = 0
 
     @property
     def value_width(self) -> int:
@@ -374,28 +380,62 @@ class KmerTable:
 
 
 class _Group:
-    """One hash group: its sub-array, and the next free key row there."""
+    """One hash group: its sub-array, the keys each column (slot position)
+    holds, which is also the next free key row of that column, and the
+    read's open batch of queries with the column mask their image fills.
+    """
 
-    __slots__ = ("sid", "next_row")
+    __slots__ = ("sid", "fill", "batch", "busy")
 
-    def __init__(self, sid: int):
+    def __init__(self, sid: int, slots: int):
         self.sid = sid
-        self.next_row = 0
+        self.fill = [0] * slots
+        self.batch: list[_Query] = []
+        self.busy = 0
 
 
 class _Bucket:
-    """One directory entry's keys inside its `group`'s sub-array `sid`:
-    `rows` lists its key rows in scan order, `last_fill` the keys in the
-    last one.
+    """One directory entry's keys in its `group`'s sub-array.
+
+    `col` is the column its next key goes to while that column has room,
+    `cols` the mask of every column that holds one of its keys, and `rows`
+    its key rows, oldest first, `own[i]` being the mask of the columns of
+    rows[i] that hold its keys. Rows are shared: the other columns of a
+    row hold other buckets' keys.
     """
 
-    __slots__ = ("group", "sid", "rows", "last_fill")
+    __slots__ = ("group", "col", "cols", "rows", "own")
 
     def __init__(self, group: _Group):
         self.group = group
-        self.sid = group.sid
+        self.col = 0
+        self.cols = 0
         self.rows: list[int] = []
-        self.last_fill = 0
+        self.own: list[int] = []
+
+    def add(self, row: int, col: int) -> None:
+        """Record a new key at (row, col): in a row it already holds keys
+        in, which only a bucket of several columns can share, or in a new
+        last row."""
+        bit = 1 << col
+        if self.cols & ~bit and row in self.rows:
+            self.own[self.rows.index(row)] |= bit
+        else:
+            self.rows.append(row)
+            self.own.append(bit)
+        self.col = col
+        self.cols |= bit
+
+
+class _Query(NamedTuple):
+    """One query in its group's open batch: its bucket, its key bits, and
+    its key index, which a hit must find in its bucket's rows and a miss's
+    key takes once the batch has compared."""
+
+    bucket: _Bucket
+    bits: int
+    key_i: int
+    hit: bool
 
 
 class _RowBank:
@@ -564,11 +604,12 @@ class Assembler:
     """Runs the counting, graph build, and walk stages on its own machine.
 
     The hash store packs `slots` keys into each key row (see
-    mapping.layout_hash), so a bucket scan costs one compare per occupied
-    row, not one per key. Each group is one sub-array, with as many buckets
-    as fit in it (see build_kmer_table), so a probe scans a few rows.
-    Lookups use the host index to emit the scan events in bulk and
-    execute only the decisive row compare physically.
+    mapping.layout_hash), so one compare checks a row of keys. Each group
+    is one sub-array of one bucket per two key slots, whose keys are
+    placed by column, so a probe scans a few rows, and up to `slots`
+    queries share one image write and the rows they scan (see
+    build_kmer_table). Lookups use the host index to emit the scan events
+    in bulk and execute only the decisive row compares physically.
     Counter writes are batched per read: each read ends with one seed
     write per (sub-array, counter stripe) that starts its new counters at
     one, then one column-parallel add per (sub-array, counter stripe,
@@ -617,17 +658,16 @@ class Assembler:
         """Count the reads' k-mers in a fabric hash store.
 
         A host pre-scan hashes each distinct key once, with the miss path's
-        own hash, and mapping.bucket_directory sizes the groups and their
-        buckets from those hashes: at 1024 x 256 and k=25, the fewest
-        groups, from ceil(distinct / 3,568) up, at which one of 885, 870,
-        ..., 30 and 15 buckets per group (the multiples of the 15 counter
-        stripes) fits every group in its sub-array, and the finest that
-        fits among those that the number of keys plans (9,956 keys: 3
-        groups of 150). Each k-mer is then probed in read order, a new key
-        taking its sub-array's next counter index. At each read's end its
-        new counters are seeded, one write per (sub-array, stripe), and
-        then its increments are added. The log line reports the
-        counter-seed writes next to the adds.
+        own hash, and mapping.bucket_directory takes the fewest groups
+        whose hashed key counts fit their sub-arrays, each of
+        capacity // 2 buckets (at 1024 x 256 and k=25, 1,784 buckets per
+        group of 3,568 keys; 9,956 keys take 3 groups). Each k-mer is then
+        observed in read order, a new key taking its sub-array's next
+        counter index, and each group's open batch is probed whenever a
+        query would collide with it and at the read's end. Then the read's
+        new counters are seeded, one write per (sub-array, stripe), and its
+        increments are added. The log line reports the batches, compares
+        per query and the fullest column next to the counter work.
         """
         layout = mapping.layout_hash((self.rows, self.cols), k, self.value_width)
         table = KmerTable(k, layout, self.machine)
@@ -635,14 +675,18 @@ class Assembler:
             table.read_kmers = {w.bits for r in reads for w in extract_kmers(r, k)}
             if not table.read_kmers:
                 raise SizeError(f"no k-mers: every read is shorter than k={k}")
-            n_groups, table.buckets_per_group, group_of = mapping.bucket_directory(
+            n_groups = mapping.bucket_directory(
                 layout,
                 [mapping.stable_hash(bits, 2 * k, self.seed) for bits in table.read_kmers],
             )
-            groups = [_Group(self._new_subarray(layout.row_layout)) for _ in range(n_groups)]
-            table.buckets = len(group_of)
-            buckets = [_Bucket(groups[g]) for g in group_of]
-            index: dict[int, tuple[int, int, int, int]] = {}
+            groups = [
+                _Group(self._new_subarray(layout.row_layout), layout.slots)
+                for _ in range(n_groups)
+            ]
+            per_group = layout.buckets_per_group
+            table.buckets = n_groups * per_group
+            buckets = [_Bucket(groups[b // per_group]) for b in range(table.buckets)]
+            index: dict[int, tuple[int, int, int]] = {}  # key -> bucket, key index, counter
             adds = seeds = 0
             for read in reads:
                 # (sub-array, stripe lsb, column) -> this read's increment
@@ -650,13 +694,18 @@ class Assembler:
                 fresh = table.distinct()
                 for kmer in extract_kmers(read, k):
                     self._observe(table, buckets, index, pending, kmer)
+                for group in groups:
+                    self._flush(table, group)
                 seeds += self._seed_counts(table, fresh)
                 adds += self._add_counts(layout, pending)
         log.info(
             "k-mer table: %d queries, %d hits, %d counter adds, %d counter-seed writes, "
-            "%d distinct, %d groups (one sub-array each), %d buckets (%d per group)",
+            "%d distinct, %d groups (one sub-array each), %d buckets, %d batches "
+            "(one image write each), %.2f compares per query, fullest column %d of %d key rows",
             table.total_kmers, table.total_kmers - table.distinct(), adds, seeds,
-            table.distinct(), len(groups), table.buckets, table.buckets_per_group,
+            table.distinct(), len(groups), table.buckets, table.batches,
+            table.compares / table.total_kmers, max(max(g.fill) for g in groups),
+            len(layout.kmer_rows),
         )
         return table
 
@@ -700,102 +749,140 @@ class Assembler:
         return len(batches)
 
     def _observe(self, table, buckets, index, pending, kmer: EncodedSeq) -> None:
-        """Probe the table for one k-mer.
+        """Observe one k-mer.
 
-        A hit adds nothing yet: it records one increment for the key's
-        counter in `pending` while the key is below the cap. A miss writes
-        the key into its slot from the query bits, which the controller
-        holds, and takes the sub-array's next counter, which _seed_counts
-        starts at one when the read ends.
+        A query whose bucket holds keys joins its group's open batch, after
+        probing the batch first if one of the bucket's columns is taken
+        there. A hit records one increment for the key's counter in
+        `pending` while the key is below the cap. A miss places its key at
+        once: in the bucket's column while that has room, else in the
+        group's least-filled column, at that column's next key row, taking
+        the sub-array's next counter, which _seed_counts starts at one when
+        the read ends. Its key is written from the query bits, which the
+        controller holds: at once into an empty bucket, with no image and
+        no compare, or else once its batch has compared.
         """
-        m = self.machine
         lay = table.layout
         bits = kmer.bits
-        width = 2 * table.k
-        image = lay.replicate(bits)
-        temp_row = lay.row_layout.temp_rows[0]
         cap = (1 << lay.value_width) - 1
         table.total_kmers += 1
 
         hit = index.get(bits)
         if hit is not None:
-            bucket_i, pos, key_i, ctr_i = hit
+            bucket_i, key_i, ctr_i = hit
             bucket = buckets[bucket_i]
-            self._probe(bucket, (pos, key_i), image, temp_row, lay)
+            self._join(table, _Query(bucket, bits, key_i, True))
             count = table.host_counts[bits]
             if count < cap:
                 lsb, col = lay.counter_location(ctr_i)
-                slot = (bucket.sid, lsb, col)
+                slot = (bucket.group.sid, lsb, col)
                 pending[slot] = pending.get(slot, 0) + 1
             elif count == cap:
                 table.saturated_keys += 1
             table.host_counts[bits] = count + 1
             return
 
-        # miss: scan the whole bucket, then append the key
-        bucket_i = mapping.stable_hash(bits, width, self.seed) % len(buckets)
+        bucket_i = mapping.stable_hash(bits, 2 * table.k, self.seed) % len(buckets)
         bucket = buckets[bucket_i]
-        self._probe(bucket, None, image, temp_row, lay)
-        if not bucket.rows or bucket.last_fill == lay.slots:
-            bucket.rows.append(bucket.group.next_row)
-            bucket.group.next_row += 1
-            bucket.last_fill = 0
-        target = bucket.sid
-        key_i = bucket.rows[-1] * lay.slots + bucket.last_fill
-        key_row, col = lay.key_address(key_i)
-        m.mem_insert(MemAddress(target, key_row, col, width), bits)
-        if (m.subarray(target).cells[key_row] >> col) & ((1 << width) - 1) != bits:
-            raise ConsistencyError("inserted key bits corrupted")
+        group = bucket.group
+        if group.busy & bucket.cols:
+            self._flush(table, group)
+        col = bucket.col
+        if not bucket.rows or group.fill[col] == len(lay.kmer_rows):
+            col = group.fill.index(min(group.fill))
+        key_i = group.fill[col] * lay.slots + col
+        group.fill[col] += 1
+        if bucket.rows:
+            self._join(table, _Query(bucket, bits, key_i, False))
+        else:
+            self._insert(table, bucket, bits, key_i)
+        target = group.sid
         ctr_i = table.fill.get(target, 0)
         table.fill[target] = ctr_i + 1
-        index[bits] = (bucket_i, len(bucket.rows) - 1, key_i, ctr_i)
-        bucket.last_fill += 1
+        index[bits] = (bucket_i, key_i, ctr_i)
         table.host_counts[bits] = 1
         table.keys.append(kmer)
         table.slots.append((target, key_i))
         table.counters.append(ctr_i)
 
-    def _probe(
-        self,
-        bucket: _Bucket,
-        hit: tuple[int, int] | None,
-        image: int,
-        temp_row: int,
-        lay: mapping.HashLayout,
-    ) -> None:
-        """Cost the query's scan of its bucket; compare the decisive row in fabric.
+    def _join(self, table: KmerTable, query: _Query) -> None:
+        """Add a query to its group's open batch, probing the batch first if
+        one of its bucket's columns is taken there."""
+        group = query.bucket.group
+        cols = query.bucket.cols
+        if group.busy & cols:
+            self._flush(table, group)
+        group.batch.append(query)
+        group.busy |= cols
 
-        `hit` is the (row position, key index) of a stored key, or None for
-        a new one. A scan writes the query into the temp row and walks the
-        bucket's own rows in order, comparing one occupied key row per
-        cycle; the other buckets of the group are never scanned; an empty
-        bucket costs nothing. Everything before the decisive row (the hit's
-        row, or a miss's last row) is emitted in bulk; that row's compare
-        runs physically and must agree with the index. The temp row only
-        feeds the compares: a miss's insert writes its key from the query
-        bits, not from the temp row.
-        """
-        if hit is None and not bucket.rows:
+    def _flush(self, table: KmerTable, group: _Group) -> None:
+        """Probe a group's open batch, then write its misses' keys."""
+        if not group.batch:
             return
+        table.batches += 1
+        table.compares += self._probe(group, table.layout)
+        for query in group.batch:
+            if not query.hit:
+                self._insert(table, query.bucket, query.bits, query.key_i)
+        group.batch = []
+        group.busy = 0
+
+    def _insert(self, table: KmerTable, bucket: _Bucket, bits: int, key_i: int) -> None:
+        """Write a new key into its slot from the query bits: one write, no
+        read."""
         m = self.machine
-        trace = m.trace
+        lay = table.layout
+        width = 2 * table.k
+        key_row, start = lay.key_address(key_i)
+        sid = bucket.group.sid
+        m.mem_insert(MemAddress(sid, key_row, start, width), bits)
+        if (m.subarray(sid).cells[key_row] >> start) & ((1 << width) - 1) != bits:
+            raise ConsistencyError("inserted key bits corrupted")
+        bucket.add(*divmod(key_i, lay.slots))
+
+    def _probe(self, group: _Group, lay: mapping.HashLayout) -> int:
+        """Cost a batch's scan; compare each member's decisive row in fabric.
+
+        The batch writes one image into the temp row, each member's query
+        in every column of its bucket, and compares the union of the rows
+        its members scan: a member scans its bucket's rows oldest first, a
+        hit up to its key's row and a miss all of them. One compare cycle
+        plus one AND-reduce per row settles every member that scans it, so
+        the batch costs one write and one compare per distinct row. All but
+        the members' decisive rows (a hit's own row, a miss's last) are
+        emitted in bulk; each decisive row's compare runs physically, and
+        the columns a member owns there must match exactly as the host
+        index says: at the hit's key, or nowhere for a miss. Returns the
+        rows compared.
+        """
+        m = self.machine
         span = lay.key_span
-        pos, key_i = hit if hit is not None else (len(bucket.rows) - 1, None)
-        first = bucket.rows[pos] * lay.slots
-        if key_i is None:
-            want, occupied = None, bucket.last_fill
-        else:
-            want = key_i - first
-            occupied = want + 1
-        if pos:
-            trace.emit(tr.C_ADD, pos)
-            trace.emit(tr.DPU, pos)
-        sid = bucket.sid
+        temp_row = lay.row_layout.temp_rows[0]
+        image = 0
+        rows: set[int] = set()
+        decisive: dict[int, list[tuple[_Query, int]]] = {}  # row -> (query, own columns)
+        for query in group.batch:
+            bucket = query.bucket
+            image |= lay.image(query.bits, bucket.cols)
+            scan = bucket.rows
+            if query.hit:
+                scan = scan[: scan.index(query.key_i // lay.slots) + 1]
+            rows.update(scan)
+            decisive.setdefault(scan[-1], []).append((query, bucket.own[len(scan) - 1]))
+        sid = group.sid
         m.subarray(sid).write_bits(temp_row, 0, span, image)
-        row, _ = lay.key_address(first)
-        res = m.cmp(MemAddress(sid, temp_row, 0, span), MemAddress(sid, row, 0, span))
-        if lay.matched_slot(res.mask, occupied) != want:
-            raise ConsistencyError("fabric scan disagrees with the index")
+        bulk = len(rows) - len(decisive)
+        m.trace.emit(tr.C_ADD, bulk)
+        m.trace.emit(tr.DPU, bulk)
+        for row, queries in decisive.items():
+            key_row, _ = lay.key_address(row * lay.slots)
+            res = m.cmp(MemAddress(sid, temp_row, 0, span), MemAddress(sid, key_row, 0, span))
+            for query, own in queries:
+                slot = lay.matched_slot(res.mask, own)
+                found = None if slot is None else row * lay.slots + slot
+                if found != (query.key_i if query.hit else None):
+                    raise ConsistencyError("fabric scan disagrees with the index")
+        return len(rows)
 
     # -- stage 2: graph construction --
 

@@ -6,11 +6,11 @@ counter per key; counters sit in stripes of `value_width` rows, and counter
 index c owns the counter at stripe c // cols, column c % cols, which is
 injective because c = stripe*cols+col. A key's counter index is not its key
 index: keys take counter indices 0, 1, 2, ... in the order their sub-array
-first sees them, so keys seen together share a stripe wherever their
-buckets put their key rows. Bucket hashes are seedable and multiplicative,
-never Python's randomized hash(), so runs reproduce byte for byte. The
-bucket directory is planned from the number of keys and checked against
-their hashes, and capacity planning sizes a whole-genome table.
+first sees them, and the assembler fills each slot position (column) of a
+sub-array's key rows in that order too. Bucket hashes are seedable and
+multiplicative, never Python's randomized hash(), so runs reproduce byte
+for byte. The bucket directory takes the fewest groups that the keys'
+hashes fit, and capacity planning sizes a whole-genome table.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import CapacityError, ConfigError, SizeError
 from .fabric import RowLayout
@@ -51,7 +50,8 @@ class HashLayout:
 
     Key rows hold `slots` keys each; slot s of a row starts at column
     s * pitch. Keys are numbered row-major: key index j sits in key row
-    j // slots, slot j % slots.
+    j // slots, slot j % slots. The slots at one position down the key rows
+    form a column of `len(kmer_rows)` keys.
     """
 
     rows: int
@@ -95,19 +95,26 @@ class HashLayout:
         row, slot = divmod(key_index, self.slots)
         return self.kmer_rows.start + row, slot * self.pitch
 
-    def replicate(self, bits: int) -> int:
-        """Row image holding the key `bits` in every slot."""
-        return sum(bits << (s * self.pitch) for s in range(self.slots))
+    @property
+    def buckets_per_group(self) -> int:
+        """Hash buckets per group: one per two key slots."""
+        return max(1, self.capacity // 2)
 
-    def matched_slot(self, mask: int, occupied: int) -> int | None:
-        """First of a row's `occupied` leading slots whose key bits all matched.
+    def image(self, bits: int, cols: int) -> int:
+        """Row image holding the key `bits` in the slots of column mask `cols`
+        (bit s set for slot s)."""
+        return sum(bits << (s * self.pitch) for s in range(self.slots) if cols >> s & 1)
 
-        `mask` is a compare mask over the row's key span. Empty slots are
-        never reported, so a key that packs to 0 cannot match one.
+    def matched_slot(self, mask: int, cols: int) -> int | None:
+        """First slot of column mask `cols` whose key bits all matched.
+
+        `mask` is a compare mask over the row's key span. Only the listed
+        slots count, so a key that packs to 0 never matches an empty slot
+        that is not listed.
         """
         full = (1 << (2 * self.k)) - 1
-        for s in range(occupied):
-            if (mask >> (s * self.pitch)) & full == full:
+        for s in range(self.slots):
+            if cols >> s & 1 and (mask >> (s * self.pitch)) & full == full:
                 return s
         return None
 
@@ -180,124 +187,25 @@ def layout_hash(dims: tuple[int, int], k: int, value_width: int = 8) -> HashLayo
     )
 
 
-class Directory(NamedTuple):
-    """A hash store's bucket directory: `groups` sub-arrays of `per_group`
-    buckets each, bucket b lying in group `group_of[b]`."""
+def bucket_directory(lay: HashLayout, hashes: list[int]) -> int:
+    """The number of hash groups for keys with these hashes.
 
-    groups: int
-    per_group: int
-    group_of: tuple[int, ...]
-
-
-# A planned count leaves room for its key rows' mean plus this many
-# standard deviations
-PLAN_SIGMAS = 2
-
-
-def planned_rows(keys: int, buckets: int, slots: int) -> tuple[float, float]:
-    """Mean and standard deviation of the key rows of `buckets` buckets
-    holding `keys` keys under a uniform hash.
-
-    A bucket of x keys takes ceil(x / slots) rows, x ~ Binomial(keys,
-    1 / buckets). The keys fill keys / slots rows whatever the draw; only
-    each bucket's part-filled last row varies, and the deviation sums that
-    part over the buckets as if they were independent.
-    """
-    if buckets == 1:
-        return math.ceil(keys / slots), 0.0
-    p = 1 / buckets
-    mean = keys * p
-    spread = 12 * math.sqrt(mean) + 1
-    lo, hi = max(0, math.floor(mean - spread)), min(keys, math.ceil(mean + spread))
-    log_n = math.lgamma(keys + 1)
-    part = part2 = 0.0
-    for x in range(lo, hi + 1):
-        pm = math.exp(log_n - math.lgamma(x + 1) - math.lgamma(keys - x + 1)
-                      + x * math.log(p) + (keys - x) * math.log1p(-p))
-        waste = math.ceil(x / slots) - x / slots
-        part += pm * waste
-        part2 += pm * waste * waste
-    return keys / slots + buckets * part, math.sqrt(buckets * max(part2 - part * part, 0.0))
-
-
-def pack_buckets(
-    lay: HashLayout, hashes: list[int], groups: int, per_group: int
-) -> tuple[int, ...] | None:
-    """The group of each of groups * per_group buckets, or None if no packing
-    fits.
-
-    A key with hash h sits in bucket h % (groups * per_group), and a bucket
-    of n keys takes ceil(n / slots) key rows of its group's sub-array. Bucket
-    b goes to group b // per_group where every group's buckets then fit;
-    otherwise the buckets go largest first, each to the least-filled group
-    with a place left, every group taking per_group of them.
-    """
-    n = groups * per_group
-    need = [0] * n
-    for bucket, keys in Counter(h % n for h in hashes).items():
-        need[bucket] = math.ceil(keys / lay.slots)
-    group_of = [b // per_group for b in range(n)]
-    rows = [0] * groups
-    for b, r in enumerate(need):
-        rows[group_of[b]] += r
-    if max(rows) > len(lay.kmer_rows):
-        rows, places = [0] * groups, [per_group] * groups
-        for b in sorted(range(n), key=lambda b: -need[b]):
-            g = min((g for g in range(groups) if places[g]), key=rows.__getitem__)
-            group_of[b] = g
-            rows[g] += need[b]
-            places[g] -= 1
-    return tuple(group_of) if max(rows) <= len(lay.kmer_rows) else None
-
-
-def bucket_directory(lay: HashLayout, hashes: list[int]) -> Directory:
-    """The bucket directory of a hash store for keys with these hashes.
-
-    Every group is one sub-array, and pack_buckets places a count's buckets
-    in the groups. The counts are multiples of `stripes`, from the largest
-    that is at most the key rows (so at most one bucket per key row), or
-    stripes * slots if that is larger, down to `stripes`: 885, 870, ..., 15
-    at 1024 x 256 and k=25. The directory takes the fewest groups, from
-    ceil(keys / capacity) up to four times that, at which a count tried
-    fits, and the finest such count.
-
-    Which counts are tried is planned from the number of keys alone: those
-    up to the finest count whose planned_rows, plus PLAN_SIGMAS standard
-    deviations, fit the groups' key rows (every count, where none does),
-    and above it the power-of-two rungs stripes * slots * 2^j and
-    stripes * slots / 2^j of an earlier ladder. A draw of hashes then
-    decides only whether the planned count fits, so equal key counts take
-    the same directory from one draw to the next, where the finest count
-    each draw fits moves a step or two with the draw, and every bucket scan
-    with it. The rungs are tried at every group count, and a rung whose
-    buckets fit as b // per_group fits pack_buckets, so no directory needs
-    more groups than that ladder, or at equal groups is coarser. A finer
-    directory shortens every bucket scan; counter stripes follow first-seen
-    order, not the bucket, so it does not spread a read's counter
-    increments. At four times the fewest groups a group averages a quarter
-    of a sub-array's keys, so only colliding hashes find no fit (stable_hash
-    is injective on keys of up to 32 bases), and they raise CapacityError.
+    Every group is one sub-array of lay.buckets_per_group buckets: a key
+    with hash h sits in bucket h % (groups * buckets_per_group), which lies
+    in group bucket // buckets_per_group. Keys are placed by column, so a
+    group holds any keys up to its capacity, however its buckets share them.
+    The directory takes the fewest groups, from ceil(keys / capacity) up to
+    four times that, at which no group is hashed more keys than it holds. At
+    four times the fewest a group averages a quarter of a sub-array's keys,
+    so only colliding hashes find no fit (stable_hash is injective on keys of
+    up to 32 bases), and they raise CapacityError.
     """
     least = math.ceil(len(hashes) / lay.capacity)
-    top = max(len(lay.kmer_rows), lay.stripes * lay.slots) // lay.stripes * lay.stripes
-    counts = range(top, 0, -lay.stripes)
-    base = lay.stripes * lay.slots
-    rungs = {base << j for j in range((len(lay.kmer_rows) // base).bit_length())}
-    rungs |= {lay.stripes * (lay.slots >> s) for s in range(lay.slots.bit_length())}
+    per_group = lay.buckets_per_group
     for groups in range(least, 4 * least + 1):
-        room = groups * len(lay.kmer_rows)
-        planned = top
-        for per_group in counts:
-            mean, sd = planned_rows(len(hashes), groups * per_group, lay.slots)
-            if mean + PLAN_SIGMAS * sd <= room:
-                planned = per_group
-                break
-        for per_group in counts:
-            if per_group > planned and per_group not in rungs:
-                continue
-            group_of = pack_buckets(lay, hashes, groups, per_group)
-            if group_of is not None:
-                return Directory(groups, per_group, group_of)
+        n = groups * per_group
+        if max(Counter(h % n // per_group for h in hashes).values()) <= lay.capacity:
+            return groups
     raise CapacityError(
         f"{len(hashes)} key hashes fit no bucket directory of {least} to {4 * least} groups"
     )

@@ -29,37 +29,43 @@ from pimgasm.encoding import EncodedSeq, extract_kmers
 from pimgasm.errors import CapacityError, ConsistencyError, SizeError
 from pimgasm.isa import MemAddress
 from pimgasm.seqio import distinct_window_genome, random_genome, tile_reads
-from test_mapping import power_of_two_directory
 
 E = EncodedSeq.from_str
 
 
 class PhysicalScan(Assembler):
-    """Oracle of the indexed scan: the query is written into its bucket's
-    sub-array's temp row once, walks the bucket's rows in order and is
-    compared against each occupied key row in fabric, up to the first
-    match, which must be the index's answer."""
+    """Oracle of the batched, indexed scan: each batch writes its image into
+    its group's temp row once, and every member walks its bucket's rows
+    oldest first, compared in fabric against the temp row (each row once
+    per batch), up to the first row where one of the member's own slots
+    matches, which must be the index's answer."""
 
-    def _probe(self, bucket, hit, image, temp_row, lay):
-        if not bucket.rows:
-            assert hit is None
-            return
+    def _probe(self, group, lay):
         m = self.machine
         span = lay.key_span
-        found = None
-        m.subarray(bucket.sid).write_bits(temp_row, 0, span, image)
-        for pos, row_i in enumerate(bucket.rows):
-            first = row_i * lay.slots
-            row, _ = lay.key_address(first)
-            res = m.cmp(
-                MemAddress(bucket.sid, temp_row, 0, span), MemAddress(bucket.sid, row, 0, span)
-            )
-            last = pos == len(bucket.rows) - 1
-            slot = lay.matched_slot(res.mask, bucket.last_fill if last else lay.slots)
-            if slot is not None:
-                found = (pos, first + slot)
-                break
-        assert found == hit
+        temp_row = lay.row_layout.temp_rows[0]
+        image = 0
+        for query in group.batch:
+            image |= lay.image(query.bits, query.bucket.cols)
+        m.subarray(group.sid).write_bits(temp_row, 0, span, image)
+        masks = {}
+        for query in group.batch:
+            bucket = query.bucket
+            assert bucket.rows
+            found = None
+            for row, own in zip(bucket.rows, bucket.own):
+                if row not in masks:
+                    key_row, _ = lay.key_address(row * lay.slots)
+                    masks[row] = m.cmp(
+                        MemAddress(group.sid, temp_row, 0, span),
+                        MemAddress(group.sid, key_row, 0, span),
+                    ).mask
+                slot = lay.matched_slot(masks[row], own)
+                if slot is not None:
+                    found = row * lay.slots + slot
+                    break
+            assert found == (query.key_i if query.hit else None)
+        return len(masks)
 
 
 class BucketRecorder(Assembler):
@@ -118,32 +124,33 @@ def test_kmer_counts_match_a_host_counter(reads, k):
 def test_insert_cost_oracle_single_read():
     # CGTGTGCA, k=5: four distinct k-mers in one sub-array of 5 counter
     # stripes. 10-bit keys at a 16-column pitch give 4 slots per 64-bit
-    # row and 76 key rows, so the directory tries multiples of the 5
-    # stripes from 75 buckets down, and 75 fits the one group. CGTGT
-    # hashes to bucket 3, GTGTG to 1, TGTGC to 8 and GTGCA to 0: every key
-    # finds its bucket empty and compares against nothing. Each insert writes the
-    # key into its slot from the query bits (1 W, no read), and the read
-    # ends with one masked write of counter plane 0 that starts all four
-    # counters, which share stripe 0, at one. Before, each insert staged
-    # the query in the temp row, copied it out (1 R + 1 W) and wrote its
-    # own counter bit: W 4 * 3 = 12, R 4. Now:
+    # row and 76 key rows, 304 keys and so 152 buckets in the one group.
+    # CGTGT hashes to bucket 60, GTGTG to 69, TGTGC to 8 and GTGCA to 118:
+    # every key finds its bucket empty and compares against nothing, and
+    # takes the least-filled column, so the four fill key row 0 in
+    # first-seen order. Each insert writes the key into its slot from the
+    # query bits (1 W, no read), and the read ends with one masked write of
+    # counter plane 0 that starts all four counters, which share stripe 0,
+    # at one:
     #   W = 4 inserts + 1 seed = 5,  R = 0,  C_ADD = DPU = 0.
     asm = make_asm()
     table = asm.build_kmer_table([E("CGTGTGCA")], 5)
-    assert table.buckets == table.buckets_per_group == 75
-    assert [bucket_of(table, key) for key in table.keys] == [3, 1, 8, 0]
+    assert table.buckets == table.layout.buckets_per_group == 152
+    assert [bucket_of(table, key) for key in table.keys] == [60, 69, 8, 118]
+    assert table.slots == [(0, 0), (0, 1), (0, 2), (0, 3)]
+    assert table.batches == table.compares == 0
     assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 5, tr.C_ADD: 0, tr.DPU: 0}
 
 
 def test_miss_cost_is_one_compare_per_occupied_row():
-    # k=5 on 64 columns: 4 slots per row, 304 keys in 76 key rows and 5
-    # counter stripes per sub-array, so every prefix below keeps one group
-    # and takes the finest directory, 75 buckets (the largest multiple of 5
-    # up to 76 key rows). The miss that inserts a key compares the query
-    # against the ceil(f/4) occupied rows of its own bucket, f the keys
-    # already in it. These 90 keys fill 34 buckets with one key, 16 with
-    # two, 6 with three and one with six, whose last key finds a second row
-    # in its bucket (f = 5).
+    # k=5 on 64 columns: 4 slots per row, 304 keys in 76 key rows and 152
+    # buckets per sub-array, so every prefix below keeps one group. Each
+    # k-mer is a read of its own, so each batch holds one query. A bucket's
+    # keys share its column, one key row each (these 90 keys fill no
+    # column), so the miss that inserts a key compares the query against f
+    # rows, f the keys already in its bucket, after one image write; into
+    # an empty bucket it writes no image. These 90 keys fill 45 buckets
+    # with one key, 13 with two, 5 with three and one with four.
     seq = distinct_window_genome(94, 5, random.Random(0))
     kmers = [E(seq[i : i + 5]) for i in range(len(seq) - 4)]
     assert len({key.bits for key in kmers}) == len(kmers)
@@ -151,34 +158,39 @@ def test_miss_cost_is_one_compare_per_occupied_row():
     scanned = []
     for j in range(len(kmers)):
         asm = make_asm()
-        table = asm.build_kmer_table([E(seq[: j + 5])], 5)
-        assert table.layout.slots == 4 and table.layout.stripes == 5
-        assert table.buckets == 75
+        table = asm.build_kmer_table(kmers[: j + 1], 5)
+        assert table.layout.slots == 4 and table.buckets == 152
         assert asm.machine.subarray_count == 1
         buckets = [bucket_of(table, key) for key in kmers[: j + 1]]
         f = buckets[:-1].count(buckets[-1])
         totals = hashmap_totals(asm.trace)
-        rows = -(-f // 4)
-        scanned.append(rows)
-        assert totals[tr.C_ADD] - prev[tr.C_ADD] == rows
-        assert totals[tr.DPU] - prev[tr.DPU] == rows
+        scanned.append(f)
+        assert totals[tr.C_ADD] - prev[tr.C_ADD] == f
+        assert totals[tr.DPU] - prev[tr.DPU] == f
         prev = totals
-    # empty, one-row and two-row buckets all occur
-    assert set(scanned) == {0, 1, 2}
+    assert Counter(Counter(buckets).values()) == {1: 45, 2: 13, 3: 5, 4: 1}
+    assert (table.batches, table.compares) == (26, 34)
+    # empty, one-row, two-row and three-row buckets all occur
+    assert set(scanned) == {0, 1, 2, 3}
 
 
 def test_repeat_cost_oracle():
     # AAA observed three times in one read: one insert from the query bits
-    # (1 W; it was 3 W and 1 R with the temp-row staging, the copy and the
-    # counter bit) plus two hits, each a temp write and one compare (1 W,
-    # 1 C_ADD, 1 DPU). The read ends with one seed write of counter plane 0
-    # (1 W), then one +2 add on the key's 8-bit counter. 1 + 2 carries
-    # nowhere, so the add stops at the constant's top plane, 1, after one
-    # DPU reduce of its carry plane (4 W, 2 C_ADD, 1 DPU; the full ripple
-    # was 16 W and 8 C_ADD):
+    # into its empty bucket (1 W, no image, no compare), then two hits. The
+    # first hit opens a batch; the second needs the same column, so the
+    # batch runs before it joins, and it runs alone at the read's end: each
+    # writes an image and compares the key's one row (1 W, 1 C_ADD, 1 DPU).
+    # A k-mer repeated in one read is inserted once. The read ends with one
+    # seed write of counter plane 0 (1 W), then one +2 add on the key's
+    # 8-bit counter. 1 + 2 carries nowhere, so the add stops at the
+    # constant's top plane, 1, after one DPU reduce of its carry plane (4 W,
+    # 2 C_ADD, 1 DPU; the full ripple was 16 W and 8 C_ADD):
     #   W = 1 + 2 + 1 + 4 = 8,  R = 0,  C_ADD = 2 + 2 = 4,  DPU = 2 + 1 = 3.
     asm = make_asm()
-    asm.build_kmer_table([E("AAAAA")], 3)
+    with patch.object(asm.machine, "mem_insert", wraps=asm.machine.mem_insert) as insert:
+        table = asm.build_kmer_table([E("AAAAA")], 3)
+    assert insert.call_count == table.distinct() == 1
+    assert (table.batches, table.compares) == (2, 2)
     assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 8, tr.C_ADD: 4, tr.DPU: 3}
 
 
@@ -262,38 +274,49 @@ def test_probe_modes_agree():
 
 
 def check_one_sub_array_per_group(asm, table):
-    """Every hash group is one sub-array of its own, holding buckets_per_group
-    buckets, the hash stage takes nothing else, and every bucket's key rows
-    lie in its group's sub-array, no row in two buckets. Every key sits in a
-    row of the bucket its hash names."""
+    """Every hash group is one sub-array of its own, holding
+    buckets_per_group buckets, and the hash stage takes nothing else. Every
+    key sits in its group's sub-array, in a slot of the bucket its hash
+    names, no slot in two buckets; no group holds more than its capacity,
+    and every column fills its key rows from the top, in first-seen order.
+    """
     lay = table.layout
     groups, buckets = asm.groups, asm.buckets
-    assert len(buckets) == table.buckets == len(groups) * table.buckets_per_group
-    sids = [group.sid for group in groups]
-    assert sorted(sids) == list(range(asm.machine.subarray_count))
-    rows = set()
+    assert len(buckets) == table.buckets == len(groups) * lay.buckets_per_group
+    assert sorted(group.sid for group in groups) == list(range(asm.machine.subarray_count))
     for group in groups:
-        assert sum(bucket.group is group for bucket in buckets) == table.buckets_per_group
+        assert sum(bucket.group is group for bucket in buckets) == lay.buckets_per_group
+        assert max(group.fill) <= len(lay.kmer_rows)
+        assert sum(group.fill) == table.fill.get(group.sid, 0) <= lay.capacity
+    slots = {}
     for bucket in buckets:
-        assert bucket.group in groups and bucket.sid == bucket.group.sid
-        for row_i in bucket.rows:
-            assert 0 <= row_i < len(lay.kmer_rows)
-            assert (bucket.sid, row_i) not in rows
-            rows.add((bucket.sid, row_i))
+        assert len(bucket.rows) == len(set(bucket.rows)) == len(bucket.own)
+        for row, own in zip(bucket.rows, bucket.own):
+            for col in range(lay.slots):
+                if own >> col & 1:
+                    assert (bucket.group.sid, row, col) not in slots
+                    slots[bucket.group.sid, row, col] = bucket
+    assert len(slots) == table.distinct()
+    per_column = {}
     for key, (sid, key_i) in zip(table.keys, table.slots):
-        bucket = buckets[bucket_of(table, key)]
-        assert sid == bucket.sid and key_i // lay.slots in bucket.rows
+        row, col = divmod(key_i, lay.slots)
+        assert slots[sid, row, col] is buckets[bucket_of(table, key)]
+        per_column.setdefault((sid, col), []).append(row)
+    assert all(rows == list(range(len(rows))) for rows in per_column.values())
 
 
 def _count_both_ways(raw, k, **kw):
     """Count with the indexed scan and with the physical-scan oracle; check
-    they agree with each other and with a host Counter, and that every
-    group kept to its one sub-array."""
+    they agree with each other and with a host Counter, that each key was
+    written once, and that every group kept to its one sub-array."""
     enc = [E(s) for s in raw]
     expected = Counter(s[i : i + k] for s in raw for i in range(len(s) - k + 1))
     runs = []
     for asm in (BucketRecorder(**kw), PhysicalScan(**kw)):
-        runs.append((asm, asm.build_kmer_table(enc, k)))
+        with patch.object(asm.machine, "mem_insert", wraps=asm.machine.mem_insert) as insert:
+            runs.append((asm, asm.build_kmer_table(enc, k)))
+        # a k-mer repeated in one read, or in several, is inserted once
+        assert insert.call_count == len(expected)
     (indexed, ti), (naive, tn) = runs
     assert indexed.trace.records() == naive.trace.records()
     assert [key.to_str() for key in ti.keys] == [key.to_str() for key in tn.keys]
@@ -324,79 +347,71 @@ def test_packed_rows_probe_modes_agree_with_a_host_counter(reads, poly_a, at, k)
 
 def test_packed_rows_take_more_groups_than_the_fewest():
     # 151 distinct 6-mers, 16 keys per sub-array (4 key rows of 4 slots,
-    # one counter stripe): at the fewest 10 groups, and at 11, some group's
-    # buckets need 5 or more rows at every count (4, 3, 2 or 1 buckets per
-    # group), even packed largest first; the directory goes on up to the
-    # first group count where one fits, 12 groups of 2 packed buckets
+    # one counter stripe) and 8 buckets per group. The fewest groups, 10,
+    # would hold them, but a group's share of so few hashes varies as much
+    # as its capacity: the fullest group is hashed 22 keys at 10 groups, 19
+    # at 11, 20 at 12 and 17 at 13, so the directory goes on up to 14
+    # groups, whose fullest is hashed 16. (The directory that packed padded
+    # buckets into groups took 12.)
     rng = random.Random(3)
     genome = "".join(rng.choice("ACGT") for _ in range(160))
     raw = [genome[i : i + 40] for i in range(0, 121, 20)] + ["A" * 9, genome[:30]]
     asm, table = _count_both_ways(raw, 6, **PACKED)
     assert (table.layout.slots, table.layout.capacity, table.distinct()) == (4, 16, 151)
-    assert asm.machine.subarray_count == len(asm.groups) == 12
-    assert table.buckets_per_group == 2
+    assert asm.machine.subarray_count == len(asm.groups) == 14
+    assert max(sum(group.fill) for group in asm.groups) == 16
 
 
 @given(
     reads=st.lists(st.text(alphabet="ACGT", min_size=1, max_size=60), min_size=1, max_size=12),
-    rows=st.sampled_from([24, 32, 48]),
-    k=st.integers(min_value=2, max_value=8),
+    rows=st.integers(min_value=24, max_value=64),
+    k=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 12, 20]),
 )
 @settings(max_examples=40, deadline=None)
 def test_the_bucket_directory_never_costs_sub_arrays(reads, rows, k):
-    # 24 to 48 rows of 64 columns give 4, 8 or 16 slots per key row, 4 to
-    # 20 key rows and 1 to 3 counter stripes. The directory tries every
-    # rung of the power-of-two ladder (the oracle) at every group count,
-    # and takes a rung that fits with bucket b in group b // count, so it
-    # never needs more groups than the ladder did, and at equal groups is
-    # never coarser. These read sets take one group or several, from the
-    # fewest up; each group is one sub-array, whatever the count
+    # 24 to 64 rows of 64 columns give 1 to 16 slots per key row (16 at
+    # k=2, 1 at k=20), 1 to 44 key rows and 1 to 5 counter stripes (at 16
+    # slots, 25 to 28 rows leave no key row beside two stripes). Keys
+    # are placed by column, so a group holds any keys up to its capacity
+    # however its buckets share them: the store takes the fewest groups at
+    # which no group is hashed more, and each group is one sub-array. These
+    # read sets take one group or several, from the fewest up
     raw = [s for s in reads if len(s) >= k]
-    assume(raw)
+    assume(raw and not (k == 2 and 25 <= rows <= 28))
     asm, table = _count_both_ways(raw, k, rows=rows, cols=64)
     lay = table.layout
-    least = -(-table.distinct() // lay.capacity)
-    groups, per_group = len(asm.groups), table.buckets_per_group
-    assert least <= groups <= 4 * least
-    assert per_group % lay.stripes == 0
-    assert per_group <= max(len(lay.kmer_rows), lay.stripes * lay.slots)
     hashes = [mapping.stable_hash(key.bits, 2 * k) for key in table.keys]
-    old_groups, old_per_group = power_of_two_directory(lay, hashes)
-    assert groups <= old_groups
-    if groups == old_groups:
-        assert per_group >= old_per_group
+    least = -(-table.distinct() // lay.capacity)
+    fits = [
+        groups
+        for groups in range(least, 4 * least + 1)
+        if max(Counter(h % (groups * lay.buckets_per_group) // lay.buckets_per_group
+                       for h in hashes).values()) <= lay.capacity
+    ]
+    assert len(asm.groups) == fits[0]
 
 
-# 64 x 64 at k=5: 28 key rows of 4 slots and 3 counter stripes, so 112
-# keys per sub-array and a directory of 27, 24, 21, ..., 6 or 3 buckets per
-# group (27, the largest multiple of 3 up to 28, leaves at most one bucket
-# per key row). The planned count is the finest whose planned rows, plus
-# two standard deviations, fit the groups' key rows; counts up to it are
-# tried, and above it those of the rungs 24, 12, 6 and 3. Key rows of the
-# fullest group, count by count (27 / 24 / 21 / 18 / 15 / 12 / 9 / 6 /
-# 3), with bucket b in group b // count and then with the buckets packed
-# largest first, and the directory taken, the fewest groups at which a
-# count tried fits every group in 28 rows, and the finest such count:
-#   150: 140 keys, 2 groups, plan 21
-#        29/28 28/27 27/26 25/25 24/23 24/22 21/21 21/20 19/19 -> 2, 24
-#   220: 196 keys, 2 groups, plan 6
-#        37/37 34/34 38/33 32/32 29/29 30/28 30/28 28/27 29/26 -> 2, 12
-#   230: 207 keys, 2 groups, plan 3
-#        35/35 36/35 36/34 35/32 31/31 33/32 29/29 28/28 28/27 -> 2,  6
-#   250: 220 keys, 2 groups, no plan (every count tried)
-#        41/38 39/38 40/35 36/34 34/34 33/31 32/31 31/30 29/29 -> no fit
-#                  3 groups, plan 21
-#        32/31 29/28 29/26 30/26 28/25 25/23 25/22 21/21 20/20 -> 3, 24
-#   300: 257 keys, 3 groups, plan 12
-#        35/32 36/33 29/28 32/28 30/28 28/26 26/25 24/24 25/23 -> 3, 12
-#   420: 354 keys, 4 groups, plan 12
-#        36/33 34/31 36/30 30/28 32/30 28/27 27/26 26/25 25/24 -> 4, 12
-# 220 and 250 take their directory only as packed (30 and 29 rows as b //
-# count). No count fits 2 groups at 250, so it takes a third group. The
-# power-of-two ladder (24, 12, 6, 3), as b // count, took (2, 6) at 220
-# and (3, 12) at 250, and the same directories elsewhere.
+# 64 x 64 at k=5: 28 key rows of 4 slots, so 112 keys and 56 buckets per
+# group, and 3 counter stripes. Each read set takes the fewest groups,
+# ceil(keys / 112), and the keys each group is hashed fit it:
+#   150: 140 keys, 2 groups of 76 and 64
+#   220: 196 keys, 2 groups of 104 and 92
+#   230: 207 keys, 2 groups of 106 and 101
+#   250: 220 keys, 2 groups of 108 and 112 (the second fills all four
+#        columns, so its later buckets spill into other columns)
+#   300: 257 keys, 3 groups of 88, 87 and 82
+#   420: 354 keys, 4 groups of 95, 90, 88 and 81
+# A bucket's first key takes the least-filled column and its later keys
+# stay there while it has room, so each group's columns fill evenly, as
+# pinned here (keys per column, group by group). The directory of padded
+# bucket rows took 3 groups at 250.
 DIRECTORY_TAKEN = {
-    150: (2, 24), 220: (2, 12), 230: (2, 6), 250: (3, 24), 300: (3, 12), 420: (4, 12)
+    150: ((18, 19, 21, 18), (15, 17, 15, 17)),
+    220: ((28, 27, 26, 23), (23, 23, 24, 22)),
+    230: ((28, 25, 28, 25), (27, 25, 27, 22)),
+    250: ((27, 28, 26, 27), (28, 28, 28, 28)),
+    300: ((25, 24, 20, 19), (20, 21, 22, 19), (21, 23, 22, 21)),
+    420: ((22, 23, 23, 20), (21, 20, 20, 20), (24, 23, 21, 22), (24, 22, 24, 25)),
 }
 
 
@@ -409,7 +424,8 @@ def tiled_reads(length):
 @pytest.mark.parametrize("length", list(DIRECTORY_TAKEN))
 def test_buckets_stay_inside_their_group(length):
     asm, table = _count_both_ways(tiled_reads(length), 5, rows=64, cols=64)
-    assert (len(asm.groups), table.buckets_per_group) == DIRECTORY_TAKEN[length]
+    assert tuple(tuple(group.fill) for group in asm.groups) == DIRECTORY_TAKEN[length]
+    assert len(asm.groups) == -(-table.distinct() // table.layout.capacity)
     assert asm.machine.subarray_count == len(asm.groups)
 
 
@@ -425,11 +441,12 @@ def test_colliding_hashes_beyond_a_sub_array_raise():
 
 def test_counter_indices_are_dense_per_sub_array_in_insert_order():
     # A key's counter index is the number of keys its sub-array held before
-    # it, whatever its bucket and key row. At length 250 the three groups
-    # (24 packed buckets each) number their keys from 0 each. frequencies
-    # then reads exactly each sub-array's first ceil(n / cols) counter
-    # stripes, value_width R each: 2 + 2 + 2 here, for 71, 66 and 83 keys.
-    raw = tiled_reads(250)
+    # it, whatever its bucket and key row. At length 300 the three groups
+    # number their keys from 0 each. frequencies then reads exactly each
+    # sub-array's first ceil(n / cols) counter stripes, value_width R each:
+    # 2 + 2 + 2 here, for 88, 82 and 87 keys (the first key to reach a
+    # sub-array falls in the third).
+    raw = tiled_reads(300)
     asm = BucketRecorder(rows=64, cols=64)
     table = asm.build_kmer_table([E(s) for s in raw], 5)
     lay = table.layout
@@ -439,7 +456,7 @@ def test_counter_indices_are_dense_per_sub_array_in_insert_order():
         per_sid.setdefault(sid, []).append(ctr_i)
     assert all(ctrs == list(range(len(ctrs))) for ctrs in per_sid.values())
     assert table.fill == {sid: len(ctrs) for sid, ctrs in per_sid.items()}
-    assert list(table.fill.values()) == [71, 66, 83]
+    assert table.fill == {0: 88, 1: 82, 2: 87} and list(table.fill) == [2, 0, 1]
     before = asm.trace.total(tr.R)
     freqs = table.frequencies()
     assert asm.trace.total(tr.R) - before == (2 + 2 + 2) * lay.value_width
@@ -494,10 +511,13 @@ def test_two_bit_counters_saturate_inside_and_across_reads(reads, at, k):
 
 @pytest.mark.parametrize("width", [4, 8])
 def test_a_read_seen_twice_adds_once_per_stripe_and_amount(width, caplog):
-    # Seen again, every k-mer of the read is a hit. Its probe writes the
-    # query into the temp row once (no bucket chains here) and compares
-    # rows up to the key's, one C_ADD plus one DPU each, so the probes'
-    # C_ADD equals their DPU. The read then ends with one add per
+    # Seen again, every k-mer of the read is a hit. Its probes run in
+    # batches of up to 4 queries whose buckets use different columns: each
+    # batch writes one image into the temp row and compares the union of
+    # its members' rows, up to each key's, one C_ADD plus one DPU per row,
+    # so the probes' C_ADD equals their DPU. The 108 hits take 32 batches
+    # at width 4 and 35 at width 8, whose layout has more key rows and so
+    # more buckets. The read then ends with one add per
     # (sub-array, counter stripe, amount) group; a k-mer the read holds
     # twice adds 2, in its own group. Each add stops at its last carry
     # plane, at either width: +1 on counters at 1 carries out of plane 0
@@ -512,7 +532,7 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_amount(width, caplog):
     genome = random_genome(100, random.Random(5))
     read, k = genome + genome[:12], 5
     occurrences = Counter(read[i : i + k] for i in range(len(read) - k + 1))
-    asms = []
+    asms, tables = [], []
     for copies in (1, 2):
         asm = make_asm(value_width=width)
         caplog.clear()
@@ -521,6 +541,7 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_amount(width, caplog):
         hits, adds = map(int, re.search(r"(\d+) hits, (\d+) counter adds", caplog.text).groups())
         assert hits == table.total_kmers - table.distinct()
         asms.append((asm, adds))
+        tables.append(table)
     (once, adds_once), (twice, adds_twice) = asms
     assert twice.machine.subarray_count == 1
     lay = table.layout
@@ -533,10 +554,13 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_amount(width, caplog):
     assert {amount for _, _, amount in groups} == {1, 2}
     assert adds_twice - adds_once == len(groups)
     a, b = hashmap_totals(once.trace), hashmap_totals(twice.trace)
+    batches = tables[1].batches - tables[0].batches
+    assert sum(occurrences.values()) == 108 and batches == {4: 32, 8: 35}[width]
     probe_dpu = b[tr.DPU] - a[tr.DPU] - 2 * 4
+    assert probe_dpu == tables[1].compares - tables[0].compares
     assert b[tr.R] == a[tr.R]
     assert b[tr.C_ADD] - a[tr.C_ADD] == probe_dpu + 2 * 5
-    assert b[tr.W] - a[tr.W] == sum(occurrences.values()) + 2 * 10
+    assert b[tr.W] - a[tr.W] == batches + 2 * 10
 
 
 class AddRecorder(Assembler):
@@ -553,13 +577,13 @@ def test_a_tiled_read_adds_to_at_most_two_counter_stripes():
     # shares all but its last k-mer with the read before. Its keys took
     # consecutive counter indices when first seen, so the 22 hits of a
     # 30-base read lie in a run of 22 counters, which spans at most two
-    # stripes of 64 columns, each taking one +1 add, wherever the 60
-    # buckets put their key rows.
+    # stripes of 64 columns, each taking one +1 add, wherever the 152
+    # buckets put their keys.
     genome = distinct_window_genome(200, 8, random.Random(11))
     asm = AddRecorder(rows=128, cols=64)
     asm.adds_per_read = []
     table = asm.build_kmer_table([E(s) for s in tile_reads(genome, 30, 1)], 8)
-    assert table.distinct() == 193 and table.buckets == 60
+    assert table.distinct() == 193 and table.buckets == 152
     assert asm.machine.subarray_count == 1
     assert len(asm.adds_per_read) == 171
     assert max(asm.adds_per_read) == 2 and min(asm.adds_per_read[1:]) == 1
@@ -623,9 +647,10 @@ def test_graph_example_eight_base_read():
 def test_a_corrupted_key_fails_the_label_check(bit, label):
     # CGTGTGCA at k=5: the first key, CGTGT, is where the nodes CGTG (its
     # low 8 bits) and GTGT (its high 8 bits) first appear, so both labels
-    # are copied from its slot. Flipping one of its bits after counting
-    # leaves the counters intact and corrupts the label that bit falls in
-    # (bit 5 lies in both; CGTG is copied first).
+    # are checked in place in its slot, and nothing is copied. Flipping one
+    # of its bits after counting leaves the counters intact and fails the
+    # check of the label that bit falls in (bit 5 lies in both; CGTG is
+    # checked first).
     asm = make_asm()
     table = asm.build_kmer_table([E("CGTGTGCA")], 5)
     assert table.keys[0].to_str() == "CGTGT"
@@ -656,18 +681,21 @@ def test_multiplicity_words_cost_one_write_per_stripe_plane():
 
 def test_the_graph_stage_writes_only_multiplicity_planes():
     # 24 x 64 at k=5: 4 slots of 16 columns per key row, 4 key rows, one
-    # 8-bit counter stripe, and 4 buckets, so the 9 keys of TTGGTGCATAGAG
-    # share rows. Key row 0 holds TTGGT, TGGTG, GGTGC and CATAG, where the
-    # 5 nodes TTGG, TGGT, GGTG, GTGC and ATAG first appear; row 1 brings
-    # TGCA, GCAT and AGAG, rows 2 and 3 CATA and TAGA. Each of the 10
-    # labels is checked in place, at its own columns of its key row, and no
-    # row is copied. The graph stage reads the counter stripe back and
-    # writes the 1-bit multiplicity stripe, nothing else:
+    # 8-bit counter stripe, and 8 buckets, so the 9 keys of TTGGTGCATAGAG
+    # share rows. A key takes its bucket's column, or the least-filled one
+    # if its bucket is empty. Key row 0 holds TTGGT, GGTGC, GTGCA and TGCAT,
+    # where the 5 nodes TTGG, TGGT, GTGC, TGCA and GCAT first appear; row 1
+    # holds TGGTG (in its bucket's column 0), GCATA and TAGAG, bringing
+    # GGTG, CATA and AGAG, and row 2 CATAG and ATAGA, bringing ATAG and
+    # TAGA. Each of the 10 labels is checked in place, at its own columns
+    # of its key row, and no row is copied. The graph stage reads the
+    # counter stripe back and writes the 1-bit multiplicity stripe, nothing
+    # else:
     #   R = 8 (the counter stripe's planes),  W = 1 (one multiplicity plane)
     asm = make_asm(**PACKED)
     table = asm.build_kmer_table([E("TTGGTGCATAGAG")], 5)
     rows = [key_i // table.layout.slots for _, key_i in table.slots]
-    assert rows == [0, 0, 0, 1, 1, 2, 0, 3, 1]
+    assert rows == [0, 1, 0, 0, 0, 1, 2, 2, 1]
     g = asm.build_graph(table)
     assert len(g.nodes) == 10
     assert g.store.width == 1
@@ -682,18 +710,18 @@ def test_the_graph_stage_writes_only_multiplicity_planes():
 
 
 def test_simplify_reads_each_label_row_of_a_merged_node_once():
-    # The same 10 nodes, whose labels sit in 4 key rows, now with
+    # The same 10 nodes, whose labels sit in 3 key rows, now with
     # simplify on. The graph is one path, so all 10 nodes merge into one
-    # node with no edge: the merge reads the 4 key rows once each, not one
+    # node with no edge: the merge reads the 3 key rows once each, not one
     # row per node, and no multiplicity word is placed. Graph stage:
-    #   R   = 8 (counter stripe) + 4 merge reads = 12
+    #   R   = 8 (counter stripe) + 3 merge reads = 11
     #   DPU = 10 nodes + 9 edges of the controller pass
     asm = make_asm(**PACKED, simplify=True)
     g = asm.build_graph(asm.build_kmer_table([E("TTGGTGCATAGAG")], 5))
     assert [n.to_str() for n in g.nodes] == ["TTGGTGCATAGAG"]
     assert g.edge_count == 0 and g.store.stripes == []
     assert [(kind, n) for stage, kind, n in asm.trace.records() if stage == tr.STAGE_GRAPH] == [
-        (tr.R, 8 + 4),
+        (tr.R, 8 + 3),
         (tr.DPU, 10 + 9),
     ]
     # a synthetic graph has no label rows to read
@@ -1946,13 +1974,33 @@ _UNIT_RUNG = (
 # sub-arrays, 3 of them holding 33 keys (two stripes of 32 columns).
 #   graph R        off 96 - 8 = 88; on 353 - 8            =   345
 #   sub-arrays     off 8 + 5 = 13; on 8 + 1               =     9
+#
+# Keys placed by column, and probes batched. A group now has one bucket
+# per two key slots, 18 of 36, and the fewest groups whose hashed key
+# counts fit, with no packing: at 8 groups the fullest is hashed 42 keys
+# and at 9 groups 39, so the store takes 10 (fullest 34). A key row holds
+# one key, so a batch holds one query, and every query into a bucket that
+# holds keys writes its own image: the 180 buckets hold the keys in 140,
+# so 940 of the 1,080 queries write one. A bucket's keys take one row
+# each, so a miss compares every key of its bucket and a hit every key up
+# to its own: 1,583 compares, where the 36-bucket groups took 1,352. The
+# keys' counters moved between sub-arrays again: 194 seed writes and 435
+# adds of 1,008 planes. Both ways:
+#   hashmap W      940 images + 259 inserts + 194 seeds
+#                  + 2 * 1,008                            = 3,409
+#   hashmap C_ADD  1,583 compared rows + 1,008             = 2,591
+#   hashmap DPU    1,583 + 1,008                           = 2,591
+# The counter read-back still takes 11 stripes of 8 planes: of the 10
+# hash sub-arrays only one holds more than 32 keys (34). Graph and
+# traverse rows are unchanged.
+#   sub-arrays     off 10 + 5 = 15; on 10 + 1             =    11
 LADDER = {
     False: (
         [
             ("io", "XFER", 508),
-            ("hashmap", "W", 3199),
-            ("hashmap", "C_ADD", 2268),
-            ("hashmap", "DPU", 2268),
+            ("hashmap", "W", 3409),
+            ("hashmap", "C_ADD", 2591),
+            ("hashmap", "DPU", 2591),
             ("graph", "R", 88),
             ("graph", "W", 36),
             ("traverse", "DPU", 1408),
@@ -1960,7 +2008,7 @@ LADDER = {
             ("traverse", "W", 580),
             ("traverse", "C_ADD", 233),
         ],
-        13,
+        15,
         [
             "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
             "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCG",
@@ -1974,9 +2022,9 @@ LADDER = {
     True: (
         [
             ("io", "XFER", 512),
-            ("hashmap", "W", 3199),
-            ("hashmap", "C_ADD", 2268),
-            ("hashmap", "DPU", 2268),
+            ("hashmap", "W", 3409),
+            ("hashmap", "C_ADD", 2591),
+            ("hashmap", "DPU", 2591),
             ("graph", "R", 345),
             ("graph", "DPU", 518),
             ("graph", "W", 3),
@@ -1985,7 +2033,7 @@ LADDER = {
             ("traverse", "W", 93),
             ("traverse", "C_ADD", 36),
         ],
-        9,
+        11,
         [
             "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
             "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCGACGGAATTAGATCAGTTAAAT"
@@ -2016,21 +2064,23 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #   io XFER        9,901 reads * 25 bytes + one 10,000-base contig's
 #                  2,500 bytes                               =   250,025
 #   hashmap        752,476 queries, 9,976 distinct keys in 3 groups of
-#                  150 buckets (fill 3,367, 3,350, 3,259), 3 sub-arrays.
-#     The 32,428 counter adds are all +1 on 8-bit words (a read holds
+#                  1,784 buckets (fill 3,335, 3,302, 3,339), 3 sub-arrays.
+#     The 4,520 first misses into an empty bucket write no image; the
+#     other 747,956 queries run in 288,983 batches of up to 4, one image
+#     write each, and compare 1,224,802 rows in all (1.63 per query).
+#     The 32,321 counter adds are all +1 on 8-bit words (a read holds
 #     each k-mer once) and no counter passes 76, so each stops at the
-#     plane after its batch's longest run of low one bits: 126 adds at
-#     plane 0, 372 at 1, 1,534 at 2, 6,120 at 3, 7,657 at 4, 6,779 at 5
-#     and 9,840 at 6, 177,791 planes of 1 C_ADD + 2 W + 1 DPU each.
-#     W  a temp-row write per query but the 450 first misses into an empty
-#        bucket (752,026), 9,976 inserts, 9,903 counter-seed writes, and
-#        the adds' 2 * 177,791                               = 1,127,487
-#     DPU one per compared row (2,559,087) + 177,791         = 2,736,878
-#     C_ADD the compares (2,559,087) + 177,791               = 2,736,878
+#     plane after its batch's longest run of low one bits: 129 adds at
+#     plane 0, 410 at 1, 1,584 at 2, 5,842 at 3, 7,809 at 4, 6,707 at 5
+#     and 9,840 at 6, 177,236 planes of 1 C_ADD + 2 W + 1 DPU each.
+#     W  an image write per batch (288,983), 9,976 inserts, 9,903
+#        counter-seed writes, and the adds' 2 * 177,236        =   663,334
+#     DPU one per compared row (1,224,802) + 177,236         = 1,402,038
+#     C_ADD the compares (1,224,802) + 177,236               = 1,402,038
 #   graph          9,977 nodes, 9,976 edges, largest multiplicity 76.
 #     Each node's label is checked in place in its key row; nothing is
 #     copied.
-#     R  ceil(fill / 256) = 14 + 14 + 13 counter stripes * 8 =       328
+#     R  ceil(fill / 256) = 14 + 13 + 14 counter stripes * 8 =       328
 #     W  39 stripes of 7-bit words * 7                       =       273
 #   traverse       one path; its 76 surplus units at multiplicities make
 #                  it retry at unit words. 39 degree stripes, d = 7
@@ -2082,11 +2132,16 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 # labels in place dropped the 2,624 label-row copies (1 R + 1 W each) and
 # the 3 bank sub-arrays they filled. 18,118,528 -> 16,045,503 modeled ns,
 # RUR 0.7118 -> 0.6758, sub-arrays 8 -> 5.
+# Placing keys by column in first-seen order, with no padded bucket rows,
+# gives 1,784 buckets per group, and batching the probes lets up to four
+# queries share one image write and the rows they scan: image writes
+# 752,026 -> 288,983 and compares 2,559,087 -> 1,224,802. 16,045,503 ->
+# 8,629,075 modeled ns, RUR 0.6758 -> 0.6441, sub-arrays 5.
 CANONICAL_TRACE = [
     ("io", "XFER", 250_025),
-    ("hashmap", "W", 1_127_487),
-    ("hashmap", "C_ADD", 2_736_878),
-    ("hashmap", "DPU", 2_736_878),
+    ("hashmap", "W", 663_334),
+    ("hashmap", "C_ADD", 1_402_038),
+    ("hashmap", "DPU", 1_402_038),
     ("graph", "R", 328),
     ("graph", "W", 273),
     ("traverse", "DPU", 30_447),
