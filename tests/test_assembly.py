@@ -29,6 +29,7 @@ from pimgasm.encoding import EncodedSeq, extract_kmers
 from pimgasm.errors import CapacityError, ConsistencyError, SizeError
 from pimgasm.isa import MemAddress
 from pimgasm.seqio import distinct_window_genome, random_genome, tile_reads
+from test_mapping import group_keys
 
 E = EncodedSeq.from_str
 
@@ -385,8 +386,7 @@ def test_the_bucket_directory_never_costs_sub_arrays(reads, rows, k):
     fits = [
         groups
         for groups in range(least, 4 * least + 1)
-        if max(Counter(h % (groups * lay.buckets_per_group) // lay.buckets_per_group
-                       for h in hashes).values()) <= lay.capacity
+        if max(group_keys(lay, hashes, groups).values()) <= lay.capacity
     ]
     assert len(asm.groups) == fits[0]
 

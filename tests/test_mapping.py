@@ -197,7 +197,7 @@ def test_layout_hash_counter_slots_cover_keys(rows, cols, k):
 SMALL = layout_hash((64, 64), 5)
 
 
-def _group_keys(lay, hashes, groups):
+def group_keys(lay, hashes, groups):
     """Keys hashed to each of `groups` groups."""
     n = groups * lay.buckets_per_group
     return Counter(h % n // lay.buckets_per_group for h in hashes)
@@ -222,7 +222,7 @@ def _group_keys(lay, hashes, groups):
 def test_bucket_directory_takes_the_fewest_groups_the_hashes_fit(hashes, groups):
     assert SMALL.buckets_per_group == 56
     assert bucket_directory(SMALL, hashes) == groups
-    assert max(_group_keys(SMALL, hashes, groups).values()) <= SMALL.capacity
+    assert max(group_keys(SMALL, hashes, groups).values()) <= SMALL.capacity
 
 
 def test_bucket_directory_rejects_more_colliding_hashes_than_a_sub_array_holds():
@@ -266,7 +266,7 @@ def test_bucket_directory_takes_the_fewest_groups_that_fit(dims, k, hashes):
     fits = [
         g
         for g in range(least, 4 * least + 1)
-        if max(_group_keys(lay, hashes, g).values()) <= lay.capacity
+        if max(group_keys(lay, hashes, g).values()) <= lay.capacity
     ]
     if not fits:
         with pytest.raises(CapacityError):
