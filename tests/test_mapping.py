@@ -225,6 +225,23 @@ def test_bucket_directory_takes_the_fewest_groups_the_hashes_fit(hashes, groups)
     assert max(group_keys(SMALL, hashes, groups).values()) <= SMALL.capacity
 
 
+def test_bucket_directory_of_one_slot_rows_doubles_the_stripes():
+    # a 40-bit key fills its 64-bit pitch, so a row holds one key and a
+    # group of 892 keys has 446 buckets. Ten keys fit one group. 893
+    # multiples of 960 need 2 groups; over 892 buckets they fall in the 223
+    # multiples of gcd(960, 892) = 4, 4 keys to a bucket (5 in bucket 0):
+    # 449 keys in group 0 and 444 in group 1, so the second group doubles
+    # the 15 counter stripes. The power-of-two ladder, whose counts were
+    # 15 * 2^j, put every one of them in bucket 0 at 2 groups and took 3
+    lay = layout_hash((1024, 64), 20)
+    assert lay.slots == 1 and lay.stripes == 15 and len(lay.kmer_rows) == 892
+    assert lay.buckets_per_group == 446
+    assert bucket_directory(lay, list(range(10))) == 1
+    crowded = [960 * i for i in range(893)]
+    assert bucket_directory(lay, crowded) == 2
+    assert group_keys(lay, crowded, 2) == {0: 449, 1: 444}
+
+
 def test_bucket_directory_rejects_more_colliding_hashes_than_a_sub_array_holds():
     # equal hashes share one bucket at every group count: 112 of them fill
     # one group's 112 key slots exactly, 113 fit no directory
