@@ -2,8 +2,9 @@
 
 Stage 1 counts k-mers in an associative hash store whose key rows hold
 several keys each, one per slot at a power-of-two column pitch. The store
-is cut into groups of one sub-array each, and every group into capacity
-// 2 hash buckets, one per two key slots. A host pre-scan of the distinct
+is cut into groups of one sub-array each, and every group into
+mapping.HashLayout.buckets_per_group hash buckets, one per two key slots
+(one per key row at one slot a row). A host pre-scan of the distinct
 keys takes the fewest groups whose hashed key counts fit them
 (mapping.bucket_directory). Keys are placed by column (slot position): a
 bucket's first key takes the least-filled column of its group, and its
@@ -21,10 +22,10 @@ matches an empty slot. A batch runs before a query whose column it holds
 joins it, and at the read's end. A miss writes its key straight from the
 query bits the controller holds (one write, no read): at once into an
 empty bucket, with no image and no compare, or else once its batch has
-compared. A new key takes the sub-array's next free counter: counters are
-handed out in first-seen order, so keys first seen together share a
-counter stripe. A hit records an increment for the
-key's vertical counter. When the read ends, one masked write of counter
+compared. A key's counter index is its key index, so its vertical counter
+sits at mapping.counter_location of its slot; columns fill in first-seen
+order, so keys first seen together share a counter stripe. A hit records
+one increment for its key. When the read ends, one masked write of counter
 plane 0 per sub-array counter stripe starts all of the read's new counters
 at one (their words are still zero), and then the read's increments are
 added in place, one column-parallel add per sub-array counter stripe and
@@ -94,7 +95,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -318,8 +318,7 @@ class KmerTable:
     """Hash-store handle: ordered keys, where they sit, and counter access.
 
     Key i sits at `slots[i]` (sub-array id, key index) and owns the counter
-    of counter index `counters[i]`: the number of keys its sub-array held
-    before it, so a sub-array's `fill[sid]` keys own counters 0..n-1.
+    at `layout.counter_location(key index)` in that sub-array.
     `buckets` is the size of the bucket directory the keys were hashed
     into; `batches` and `compares` count the probe batches (one temp-row
     image write each) and the key rows they compared.
@@ -331,8 +330,6 @@ class KmerTable:
         self.machine = machine
         self.keys: list[EncodedSeq] = []
         self.slots: list[tuple[int, int]] = []  # (sub-array id, key index)
-        self.counters: list[int] = []  # counter index of each key
-        self.fill: dict[int, int] = {}  # sub-array id -> keys stored there
         self.host_counts: dict[int, int] = {}   # packed key -> exact count
         self.read_kmers: set[int] = set()  # the pre-scan's distinct packed keys
         self.total_kmers = 0
@@ -351,18 +348,21 @@ class KmerTable:
     def frequencies(self) -> dict[EncodedSeq, int]:
         """Counter values decoded from fabric bits.
 
-        A sub-array's n keys hold counter indices 0..n-1, so exactly its
-        first ceil(n / cols) counter stripes are read.
+        Each sub-array's counter stripes are read up to the one that holds
+        its highest key index.
         """
         lay = self.layout
+        top: dict[int, int] = {}  # sid -> highest key index
+        for sid, key_i in self.slots:
+            top[sid] = max(top.get(sid, 0), key_i)
         words: dict[tuple[int, int], list[int]] = {}  # (sid, stripe lsb) -> words
-        for sid, n in self.fill.items():
-            stop = lay.value_rows.start + math.ceil(n / lay.cols) * lay.value_width
+        for sid, key_i in top.items():
+            stop = lay.counter_location(key_i)[0] + lay.value_width
             for lsb in range(lay.value_rows.start, stop, lay.value_width):
                 words[sid, lsb] = self.machine.read_vwords(sid, lsb, lay.value_width)
         out: dict[EncodedSeq, int] = {}
-        for key, (sid, _), ctr_i in zip(self.keys, self.slots, self.counters):
-            lsb, col = lay.counter_location(ctr_i)
+        for key, (sid, key_i) in zip(self.keys, self.slots):
+            lsb, col = lay.counter_location(key_i)
             out[key] = words[sid, lsb][col]
         return out
 
@@ -605,7 +605,7 @@ class Assembler:
 
     The hash store packs `slots` keys into each key row (see
     mapping.layout_hash), so one compare checks a row of keys. Each group
-    is one sub-array of one bucket per two key slots, whose keys are
+    is one sub-array of buckets_per_group buckets, whose keys are
     placed by column, so a probe scans a few rows, and up to `slots`
     queries share one image write and the rows they scan (see
     build_kmer_table). Lookups use the host index to emit the scan events
@@ -660,11 +660,11 @@ class Assembler:
         A host pre-scan hashes each distinct key once, with the miss path's
         own hash, and mapping.bucket_directory takes the fewest groups
         whose hashed key counts fit their sub-arrays, each of
-        capacity // 2 buckets (at 1024 x 256 and k=25, 1,784 buckets per
-        group of 3,568 keys; 9,956 keys take 3 groups). Each k-mer is then
-        observed in read order, a new key taking its sub-array's next
-        counter index, and each group's open batch is probed whenever a
-        query would collide with it and at the read's end. Then the read's
+        layout.buckets_per_group buckets (at 1024 x 256 and k=25, 1,784
+        buckets per group of 3,568 keys; 9,956 keys take 3 groups). Each
+        k-mer is then observed in read order, a new key taking its slot's
+        counter, and each group's open batch is probed whenever a query
+        would collide with it and at the read's end. Then the read's
         new counters are seeded, one write per (sub-array, stripe), and its
         increments are added. The log line reports the batches, compares
         per query and the fullest column next to the counter work.
@@ -686,7 +686,7 @@ class Assembler:
             per_group = layout.buckets_per_group
             table.buckets = n_groups * per_group
             buckets = [_Bucket(groups[b // per_group]) for b in range(table.buckets)]
-            index: dict[int, tuple[int, int, int]] = {}  # key -> bucket, key index, counter
+            index: dict[int, tuple[int, int]] = {}  # key -> bucket, key index
             adds = seeds = 0
             for read in reads:
                 # (sub-array, stripe lsb, column) -> this read's increment
@@ -712,16 +712,16 @@ class Assembler:
     def _seed_counts(self, table: KmerTable, first: int) -> int:
         """Start the counters of keys `first`.. at one; returns the writes issued.
 
-        A new key's counter word is still zero, so setting bit plane 0 sets
-        it to one: one masked write per (sub-array, counter stripe) covers
-        every new counter of that stripe. The read's increments are added
-        after this, so a key inserted and hit again in one read ends at its
-        exact count.
+        A new key's counter, at its key index's counter location, is still
+        zero, so setting bit plane 0 sets it to one: one masked write per
+        (sub-array, counter stripe) covers every new counter of that
+        stripe. The read's increments are added after this, so a key
+        inserted and hit again in one read ends at its exact count.
         """
         lay = table.layout
         planes: dict[tuple[int, int], dict[int, int]] = {}  # (sid, stripe lsb) -> {col: 1}
-        for (sid, _), ctr_i in zip(table.slots[first:], table.counters[first:]):
-            lsb, col = lay.counter_location(ctr_i)
+        for sid, key_i in table.slots[first:]:
+            lsb, col = lay.counter_location(key_i)
             planes.setdefault((sid, lsb), {})[col] = 1
         for (sid, lsb), words in planes.items():
             self.machine.write_vwords(sid, lsb, 1, words)
@@ -756,9 +756,8 @@ class Assembler:
         there. A hit records one increment for the key's counter in
         `pending` while the key is below the cap. A miss places its key at
         once: in the bucket's column while that has room, else in the
-        group's least-filled column, at that column's next key row, taking
-        the sub-array's next counter, which _seed_counts starts at one when
-        the read ends. Its key is written from the query bits, which the
+        group's least-filled column, at that column's next key row, whose
+        counter _seed_counts starts at one when the read ends. Its key is written from the query bits, which the
         controller holds: at once into an empty bucket, with no image and
         no compare, or else once its batch has compared.
         """
@@ -769,12 +768,12 @@ class Assembler:
 
         hit = index.get(bits)
         if hit is not None:
-            bucket_i, key_i, ctr_i = hit
+            bucket_i, key_i = hit
             bucket = buckets[bucket_i]
             self._join(table, _Query(bucket, bits, key_i, True))
             count = table.host_counts[bits]
             if count < cap:
-                lsb, col = lay.counter_location(ctr_i)
+                lsb, col = lay.counter_location(key_i)
                 slot = (bucket.group.sid, lsb, col)
                 pending[slot] = pending.get(slot, 0) + 1
             elif count == cap:
@@ -796,14 +795,10 @@ class Assembler:
             self._join(table, _Query(bucket, bits, key_i, False))
         else:
             self._insert(table, bucket, bits, key_i)
-        target = group.sid
-        ctr_i = table.fill.get(target, 0)
-        table.fill[target] = ctr_i + 1
-        index[bits] = (bucket_i, key_i, ctr_i)
+        index[bits] = (bucket_i, key_i)
         table.host_counts[bits] = 1
         table.keys.append(kmer)
-        table.slots.append((target, key_i))
-        table.counters.append(ctr_i)
+        table.slots.append((group.sid, key_i))
 
     def _join(self, table: KmerTable, query: _Query) -> None:
         """Add a query to its group's open batch, probing the batch first if

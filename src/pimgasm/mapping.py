@@ -2,12 +2,11 @@
 
 Everything here is stateless arithmetic. The hash-table layout packs
 `slots` keys per row, one every `pitch` columns, and keeps a vertical
-counter per key; counters sit in stripes of `value_width` rows, and counter
-index c owns the counter at stripe c // cols, column c % cols, which is
-injective because c = stripe*cols+col. A key's counter index is not its key
-index: keys take counter indices 0, 1, 2, ... in the order their sub-array
-first sees them, and the assembler fills each slot position (column) of a
-sub-array's key rows in that order too. Bucket hashes are seedable and
+counter per key; counters sit in stripes of `value_width` rows, and key
+index j owns the counter at stripe j // cols, column j % cols, which is
+injective because j = stripe*cols+col. The assembler fills each slot
+position (column) of a sub-array's key rows in first-seen order, so keys
+first seen together share key rows and counter stripes. Bucket hashes are seedable and
 multiplicative, never Python's randomized hash(), so runs reproduce byte
 for byte. The bucket directory takes the fewest groups that the keys'
 hashes fit, and capacity planning sizes a whole-genome table.
@@ -97,8 +96,9 @@ class HashLayout:
 
     @property
     def buckets_per_group(self) -> int:
-        """Hash buckets per group: one per two key slots."""
-        return max(1, self.capacity // 2)
+        """Hash buckets per group: one per two key slots, and at least one
+        per key row, so rows of one slot give one bucket a row."""
+        return max(len(self.kmer_rows), self.capacity // 2)
 
     def image(self, bits: int, cols: int) -> int:
         """Row image holding the key `bits` in the slots of column mask `cols`
@@ -118,15 +118,16 @@ class HashLayout:
                 return s
         return None
 
-    def counter_location(self, counter_index: int) -> tuple[int, int]:
-        """(lsb value row, column) of a counter index.
+    def counter_location(self, key_index: int) -> tuple[int, int]:
+        """(lsb value row, column) of the counter of a key index.
 
-        A sub-array hands out counter indices densely in first-seen order,
-        so its n keys own the counters of the first ceil(n / cols) stripes.
+        Key index j owns the counter in column j % cols of stripe j // cols,
+        so a sub-array whose highest key index is j uses its first
+        j // cols + 1 stripes.
         """
-        if not 0 <= counter_index < self.capacity:
-            raise SizeError(f"counter index {counter_index} outside [0, {self.capacity})")
-        stripe, col = divmod(counter_index, self.cols)
+        if not 0 <= key_index < self.capacity:
+            raise SizeError(f"key index {key_index} outside [0, {self.capacity})")
+        stripe, col = divmod(key_index, self.cols)
         return self.value_rows.start + stripe * self.value_width, col
 
 

@@ -217,9 +217,11 @@ def _count_seeding(asm, reads, k, caplog):
 def test_a_read_seeds_its_new_counters_once_per_sub_array_stripe(caplog):
     # A new key's counter word is zero, so one masked write of counter
     # plane 0 (a 1-bit write_vwords, 1 W) starts every new counter of a
-    # (sub-array, stripe) at one, whatever their number.
-    # CGTGTGCA at k=5 on 128 x 64: four new keys, counters 0..3 of stripe
-    # 0 of one sub-array, one seed write.
+    # (sub-array, stripe) at one, whatever their number. A key's counter
+    # sits at its key index's counter location, so the write's columns are
+    # its new keys' key indices modulo cols.
+    # CGTGTGCA at k=5 on 128 x 64: four new keys in key row 0, key indices
+    # 0..3, so counters 0..3 of stripe 0 of one sub-array, one seed write.
     asm = make_asm()
     table, calls, seeds = _count_seeding(asm, ["CGTGTGCA"], 5, caplog)
     lsb0 = table.layout.value_rows.start
@@ -236,14 +238,20 @@ def test_a_read_seeds_its_new_counters_once_per_sub_array_stripe(caplog):
     assert seeds == 2
     # 24 x 64 at k=5: 16 keys and one counter stripe per sub-array, so 26
     # distinct keys take two groups, and the read seeds each sub-array's
-    # stripe once, with all of its keys
+    # stripe once, in the columns of its keys' key indices: the first
+    # group's 10 keys leave key indices 6, 10 and 11 free in columns 2 and
+    # 3, the second group's 16 fill it
     genome = distinct_window_genome(30, 5, random.Random(5))
     asm = make_asm(**PACKED)
     table, calls, seeds = _count_seeding(asm, [genome], 5, caplog)
-    assert table.distinct() == 26 and len(table.fill) == asm.machine.subarray_count == 2
+    assert table.distinct() == 26 and asm.machine.subarray_count == 2
     lsb0 = table.layout.value_rows.start
-    assert sorted(calls) == [(sid, lsb0, 1, list(range(n))) for sid, n in sorted(table.fill.items())]
+    assert sorted(calls) == [
+        (0, lsb0, 1, [0, 1, 2, 3, 4, 5, 7, 8, 9, 12]),
+        (1, lsb0, 1, list(range(16))),
+    ]
     assert seeds == 2
+    check_counters_at_key_indices(asm, table)
     # a read with no new key seeds nothing
     table, calls, seeds = _count_seeding(make_asm(**PACKED), [genome, genome], 5, caplog)
     assert len(calls) == seeds == 2
@@ -274,12 +282,39 @@ def test_probe_modes_agree():
     assert indexed.trace.records() == naive.trace.records()
 
 
+def counter_word(asm, table, sid, key_i):
+    """The counter word of key index key_i in sub-array sid, read from the
+    cells at its counter location, so nothing is traced."""
+    lay = table.layout
+    lsb, col = lay.counter_location(key_i)
+    cells = asm.machine.subarray(sid).cells
+    return sum((cells[lsb + p] >> col & 1) << p for p in range(lay.value_width))
+
+
+def check_counters_at_key_indices(asm, table):
+    """A key's counter index is its key index: each key's counter word,
+    read at counter_location(its key index) in its own sub-array, holds
+    its count (capped), and no other counter bit of a hash sub-array is
+    set. Call it before any stage after the hash stage."""
+    lay = table.layout
+    cap = (1 << lay.value_width) - 1
+    ones = Counter()
+    for key, (sid, key_i) in zip(table.keys, table.slots):
+        word = counter_word(asm, table, sid, key_i)
+        assert word == min(table.host_counts[key.bits], cap)
+        ones[sid] += word.bit_count()
+    for sid in range(asm.machine.subarray_count):
+        cells = asm.machine.subarray(sid).cells
+        assert sum(cells[row].bit_count() for row in lay.value_rows) == ones[sid]
+
+
 def check_one_sub_array_per_group(asm, table):
     """Every hash group is one sub-array of its own, holding
     buckets_per_group buckets, and the hash stage takes nothing else. Every
     key sits in its group's sub-array, in a slot of the bucket its hash
     names, no slot in two buckets; no group holds more than its capacity,
     and every column fills its key rows from the top, in first-seen order.
+    Every key counts at its own key index (check_counters_at_key_indices).
     """
     lay = table.layout
     groups, buckets = asm.groups, asm.buckets
@@ -288,7 +323,9 @@ def check_one_sub_array_per_group(asm, table):
     for group in groups:
         assert sum(bucket.group is group for bucket in buckets) == lay.buckets_per_group
         assert max(group.fill) <= len(lay.kmer_rows)
-        assert sum(group.fill) == table.fill.get(group.sid, 0) <= lay.capacity
+        assert sum(group.fill) == [sid for sid, _ in table.slots].count(group.sid)
+        assert sum(group.fill) <= lay.capacity
+    check_counters_at_key_indices(asm, table)
     slots = {}
     for bucket in buckets:
         assert len(bucket.rows) == len(set(bucket.rows)) == len(bucket.own)
@@ -439,24 +476,29 @@ def test_colliding_hashes_beyond_a_sub_array_raise():
     assert asm.machine.subarray_count == 0
 
 
-def test_counter_indices_are_dense_per_sub_array_in_insert_order():
-    # A key's counter index is the number of keys its sub-array held before
-    # it, whatever its bucket and key row. At length 300 the three groups
-    # number their keys from 0 each. frequencies then reads exactly each
-    # sub-array's first ceil(n / cols) counter stripes, value_width R each:
-    # 2 + 2 + 2 here, for 88, 82 and 87 keys (the first key to reach a
-    # sub-array falls in the third).
+def test_each_key_counts_at_its_own_key_index():
+    # A key's counter index is its key index, row * slots + slot, whatever
+    # its bucket. At length 300 the three groups hold 88, 82 and 87 keys in
+    # columns filled unevenly, so their highest key indices are 96, 86 and
+    # 89 (the first key to reach a sub-array falls in the third).
+    # frequencies reads each sub-array's counter stripes up to the one that
+    # holds its highest key index, value_width R each: 96 // 64 + 1 = 2,
+    # 2 and 2 here.
     raw = tiled_reads(300)
     asm = BucketRecorder(rows=64, cols=64)
     table = asm.build_kmer_table([E(s) for s in raw], 5)
     lay = table.layout
     assert len(asm.groups) == 3
+    check_counters_at_key_indices(asm, table)
     per_sid = {}
-    for (sid, _), ctr_i in zip(table.slots, table.counters):
-        per_sid.setdefault(sid, []).append(ctr_i)
-    assert all(ctrs == list(range(len(ctrs))) for ctrs in per_sid.values())
-    assert table.fill == {sid: len(ctrs) for sid, ctrs in per_sid.items()}
-    assert table.fill == {0: 88, 1: 82, 2: 87} and list(table.fill) == [2, 0, 1]
+    for sid, key_i in table.slots:
+        per_sid.setdefault(sid, []).append(key_i)
+    assert {sid: (len(ids), max(ids)) for sid, ids in per_sid.items()} == {
+        0: (88, 96),
+        1: (82, 86),
+        2: (87, 89),
+    }
+    assert list(per_sid) == [2, 0, 1]
     before = asm.trace.total(tr.R)
     freqs = table.frequencies()
     assert asm.trace.total(tr.R) - before == (2 + 2 + 2) * lay.value_width
@@ -524,10 +566,11 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_amount(width, caplog):
     # and stops at plane 1 (2 C_ADD, 4 W, a DPU reduce at planes 0 and 1),
     # +2 on counters at 2 carries out of plane 1 and stops at plane 2
     # (3 C_ADD, 6 W, DPU at planes 1 and 2). Per stripe: 5 C_ADD, 10 W and
-    # 4 DPU, where the full ripple took 2w C_ADD and 4w W. The read's 97 distinct
-    # k-mers take counter indices 0..96 in first-seen order, so stripe 0 of
-    # 64 columns holds indices 0..63 and stripe 1 the rest, and both hold
-    # k-mers seen once and twice (GGATC at index 0, AGGAT at 81): four
+    # 4 DPU, where the full ripple took 2w C_ADD and 4w W. A counter sits at
+    # its key's key index: the read's 97 distinct k-mers take key indices up
+    # to 96 at width 4 and 98 at width 8, so stripe 0 of 64 columns holds
+    # indices 0..63 and stripe 1 the rest, and both hold k-mers seen once
+    # and twice (GGATC at index 0, AGGAT at 81, or 79 at width 8): four
     # groups at either counter width.
     genome = random_genome(100, random.Random(5))
     read, k = genome + genome[:12], 5
@@ -544,11 +587,13 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_amount(width, caplog):
         tables.append(table)
     (once, adds_once), (twice, adds_twice) = asms
     assert twice.machine.subarray_count == 1
+    check_counters_at_key_indices(twice, table)
     lay = table.layout
     groups = {
-        (sid, lay.counter_location(ctr_i)[0], occurrences[key.to_str()])
-        for key, (sid, _), ctr_i in zip(table.keys, table.slots, table.counters)
+        (sid, lay.counter_location(key_i)[0], occurrences[key.to_str()])
+        for key, (sid, key_i) in zip(table.keys, table.slots)
     }
+    assert max(key_i for _, key_i in table.slots) == {4: 96, 8: 98}[width]
     assert len(groups) == 4
     assert len({lsb for _, lsb, _ in groups}) == 2
     assert {amount for _, _, amount in groups} == {1, 2}
@@ -602,6 +647,56 @@ def test_a_counter_add_that_overflows_raises():
     asm = CorruptCounters(rows=128, cols=64)
     with pytest.raises(ConsistencyError, match="counter add overflowed"):
         asm.build_kmer_table([E("CGTAC"), E("CGTAC")], 5)
+
+
+class CorruptKey(Assembler):
+    """Flips bit 0 of the first key in its key row once the first read is
+    counted."""
+
+    def _seed_counts(self, table, first):
+        seeds = super()._seed_counts(table, first)
+        if first == 0:
+            sid, key_i = table.slots[0]
+            row, col = table.layout.key_address(key_i)
+            self.machine.subarray(sid).cells[row] ^= 1 << col
+        return seeds
+
+
+def test_a_corrupted_key_fails_the_fabric_scan():
+    # CGTAC is inserted by the first read, and its stored bits are then
+    # corrupted. The second read holds it again, so the host index calls it
+    # a hit, and its batch's physical compare of the key's row must match
+    # it there: the flipped bit leaves no slot matching.
+    asm = CorruptKey(rows=128, cols=64)
+    with pytest.raises(ConsistencyError, match="fabric scan disagrees with the index"):
+        asm.build_kmer_table([E("CGTAC"), E("CGTAC")], 5)
+
+
+@given(
+    reads=st.lists(st.text(alphabet="ACGT", min_size=1, max_size=60), min_size=1, max_size=12),
+    rows=st.integers(min_value=24, max_value=64),
+    k=st.integers(min_value=2, max_value=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_counter_sits_at_its_key_index(reads, rows, k):
+    # A key's counter index is its key index, so its counter word reads back
+    # from counter_location(key index) in its own sub-array, and no other
+    # counter bit is set. The graph stage's only reads are the counter
+    # read-back, which takes each hash sub-array's stripes up to the one
+    # holding its highest key index: value_width R per stripe, summed over
+    # the sub-arrays that hold keys. (At k=2, 16 slots a row, 25 to 28 rows
+    # leave no key row beside two stripes.)
+    raw = [s for s in reads if len(s) >= k]
+    assume(raw and not (k == 2 and 25 <= rows <= 28))
+    asm = make_asm(rows=rows, cols=64)
+    table = asm.build_kmer_table([E(s) for s in raw], k)
+    check_counters_at_key_indices(asm, table)
+    top = {}
+    for sid, key_i in table.slots:
+        top[sid] = max(top.get(sid, 0), key_i)
+    asm.build_graph(table)
+    stripes = sum(key_i // 64 + 1 for key_i in top.values())
+    assert asm.trace.total(tr.R, stage=tr.STAGE_GRAPH) == table.value_width * stripes
 
 
 def test_kmer_table_dump(tmp_path):
@@ -658,6 +753,20 @@ def test_a_corrupted_key_fails_the_label_check(bit, label):
     row, col = table.layout.key_address(key_i)
     asm.machine.subarray(sid).cells[row] ^= 1 << (col + bit)
     with pytest.raises(ConsistencyError, match=f"label of {label} "):
+        asm.build_graph(table)
+
+
+@pytest.mark.parametrize("plane, reads", [(0, 0), (3, 9), (7, 129)])
+def test_a_corrupted_counter_fails_the_read_back(plane, reads):
+    # CGTGTGCA at k=5: every key counts once. Flipping one bit plane of
+    # CGTGT's counter word, at the counter location of its key index, makes
+    # the graph stage's read-back disagree with the host count.
+    asm = make_asm()
+    table = asm.build_kmer_table([E("CGTGTGCA")], 5)
+    sid, key_i = table.slots[0]
+    lsb, col = table.layout.counter_location(key_i)
+    asm.machine.subarray(sid).cells[lsb + plane] ^= 1 << col
+    with pytest.raises(ConsistencyError, match=f"counter for CGTGT reads {reads}, expected 1$"):
         asm.build_graph(table)
 
 
@@ -1994,14 +2103,32 @@ _UNIT_RUNG = (
 # hash sub-arrays only one holds more than 32 keys (34). Graph and
 # traverse rows are unchanged.
 #   sub-arrays     off 10 + 5 = 15; on 10 + 1             =    11
+#
+# A counter at its key's key index, and one bucket per key row. A key row
+# holds one key, so a group fills its one column in first-seen order and a
+# key's key index was already its counter index: that change alone moves
+# nothing here. A group now has one bucket per key row, 36, not one per two
+# slots, 18; the 10 groups still fit no fewer. The 360 buckets hold the
+# keys in 183, so 183 first misses write no image, and the other 897
+# queries write one each; a bucket's keys take one row each, so the probes
+# compare 1,229 rows, not 1,583. The keys moved between sub-arrays: 192
+# seed writes and 424 adds of 976 planes. Both ways:
+#   hashmap W      897 images + 259 inserts + 192 seeds
+#                  + 2 * 976                              = 3,300
+#   hashmap C_ADD  1,229 compared rows + 976               = 2,205
+#   hashmap DPU    1,229 + 976                             = 2,205
+# The counter read-back takes each group's stripes up to its highest key
+# index: no group holds more than 31 keys now, so 10 stripes of 8 planes,
+# not 11.
+#   graph R        off 88 - 8 = 80; on 345 - 8             =   337
 LADDER = {
     False: (
         [
             ("io", "XFER", 508),
-            ("hashmap", "W", 3409),
-            ("hashmap", "C_ADD", 2591),
-            ("hashmap", "DPU", 2591),
-            ("graph", "R", 88),
+            ("hashmap", "W", 3300),
+            ("hashmap", "C_ADD", 2205),
+            ("hashmap", "DPU", 2205),
+            ("graph", "R", 80),
             ("graph", "W", 36),
             ("traverse", "DPU", 1408),
             ("traverse", "R", 216),
@@ -2022,10 +2149,10 @@ LADDER = {
     True: (
         [
             ("io", "XFER", 512),
-            ("hashmap", "W", 3409),
-            ("hashmap", "C_ADD", 2591),
-            ("hashmap", "DPU", 2591),
-            ("graph", "R", 345),
+            ("hashmap", "W", 3300),
+            ("hashmap", "C_ADD", 2205),
+            ("hashmap", "DPU", 2205),
+            ("graph", "R", 337),
             ("graph", "DPU", 518),
             ("graph", "W", 3),
             ("traverse", "DPU", 58),
@@ -2068,19 +2195,22 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #     The 4,520 first misses into an empty bucket write no image; the
 #     other 747,956 queries run in 288,983 batches of up to 4, one image
 #     write each, and compare 1,224,802 rows in all (1.63 per query).
-#     The 32,321 counter adds are all +1 on 8-bit words (a read holds
-#     each k-mer once) and no counter passes 76, so each stops at the
-#     plane after its batch's longest run of low one bits: 129 adds at
-#     plane 0, 410 at 1, 1,584 at 2, 5,842 at 3, 7,809 at 4, 6,707 at 5
-#     and 9,840 at 6, 177,236 planes of 1 C_ADD + 2 W + 1 DPU each.
+#     Each key's counter sits at its key index. The 33,032 counter adds
+#     are all +1 on 8-bit words (a read holds each k-mer once) and no
+#     counter passes 76, so each stops at the plane after its batch's
+#     longest run of low one bits: 338 adds at plane 0, 518 at 1, 1,817
+#     at 2, 5,933 at 3, 7,864 at 4, 6,722 at 5 and 9,840 at 6, 179,089
+#     planes of 1 C_ADD + 2 W + 1 DPU each.
 #     W  an image write per batch (288,983), 9,976 inserts, 9,903
-#        counter-seed writes, and the adds' 2 * 177,236        =   663,334
-#     DPU one per compared row (1,224,802) + 177,236         = 1,402,038
-#     C_ADD the compares (1,224,802) + 177,236               = 1,402,038
+#        counter-seed writes, and the adds' 2 * 179,089        =   667,040
+#     DPU one per compared row (1,224,802) + 179,089         = 1,403,891
+#     C_ADD the compares (1,224,802) + 179,089               = 1,403,891
 #   graph          9,977 nodes, 9,976 edges, largest multiplicity 76.
 #     Each node's label is checked in place in its key row; nothing is
 #     copied.
-#     R  ceil(fill / 256) = 14 + 13 + 14 counter stripes * 8 =       328
+#     R  each group's stripes up to its highest key index (3,341,
+#        3,358 and 3,341): 3 * (3,341 // 256 + 1) = 3 * 14
+#        counter stripes * 8                                 =       336
 #     W  39 stripes of 7-bit words * 7                       =       273
 #   traverse       one path; its 76 surplus units at multiplicities make
 #                  it retry at unit words. 39 degree stripes, d = 7
@@ -2137,12 +2267,18 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 # queries share one image write and the rows they scan: image writes
 # 752,026 -> 288,983 and compares 2,559,087 -> 1,224,802. 16,045,503 ->
 # 8,629,075 modeled ns, RUR 0.6758 -> 0.6441, sub-arrays 5.
+# A key's counter at its key index, not at its sub-array's count of keys
+# before it: the columns fill unevenly, so a read's counters spread a
+# little wider (adds 32,321 -> 33,032, planes 177,236 -> 179,089), and
+# the read-back reads up to the highest key index, not the key count
+# (41 -> 42 stripes). 8,629,075 -> 8,653,454 modeled ns, RUR 0.6441 ->
+# 0.6432, sub-arrays 5.
 CANONICAL_TRACE = [
     ("io", "XFER", 250_025),
-    ("hashmap", "W", 663_334),
-    ("hashmap", "C_ADD", 1_402_038),
-    ("hashmap", "DPU", 1_402_038),
-    ("graph", "R", 328),
+    ("hashmap", "W", 667_040),
+    ("hashmap", "C_ADD", 1_403_891),
+    ("hashmap", "DPU", 1_403_891),
+    ("graph", "R", 336),
     ("graph", "W", 273),
     ("traverse", "DPU", 30_447),
     ("traverse", "R", 1_404),

@@ -227,15 +227,17 @@ def test_bucket_directory_takes_the_fewest_groups_the_hashes_fit(hashes, groups)
 
 def test_bucket_directory_of_one_slot_rows_doubles_the_stripes():
     # a 40-bit key fills its 64-bit pitch, so a row holds one key and a
-    # group of 892 keys has 446 buckets. Ten keys fit one group. 893
-    # multiples of 960 need 2 groups; over 892 buckets they fall in the 223
-    # multiples of gcd(960, 892) = 4, 4 keys to a bucket (5 in bucket 0):
-    # 449 keys in group 0 and 444 in group 1, so the second group doubles
-    # the 15 counter stripes. The power-of-two ladder, whose counts were
-    # 15 * 2^j, put every one of them in bucket 0 at 2 groups and took 3
+    # group of 892 keys has 892 buckets, one per key row (one per two key
+    # slots would leave each bucket about two rows to scan). Ten keys fit
+    # one group. 893 multiples of 960 need 2 groups; over 1,784 buckets
+    # they fall in the 223 multiples of gcd(960, 1784) = 8, 4 keys to a
+    # bucket (5 in bucket 0): 449 keys in group 0 and 444 in group 1, so
+    # the second group doubles the 15 counter stripes. The power-of-two
+    # ladder, whose counts were 15 * 2^j, put every one of them in bucket 0
+    # at 2 groups and took 3
     lay = layout_hash((1024, 64), 20)
     assert lay.slots == 1 and lay.stripes == 15 and len(lay.kmer_rows) == 892
-    assert lay.buckets_per_group == 446
+    assert lay.buckets_per_group == 892
     assert bucket_directory(lay, list(range(10))) == 1
     crowded = [960 * i for i in range(893)]
     assert bucket_directory(lay, crowded) == 2
