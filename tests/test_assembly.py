@@ -282,25 +282,19 @@ def test_probe_modes_agree():
     assert indexed.trace.records() == naive.trace.records()
 
 
-def counter_word(asm, table, sid, key_i):
-    """The counter word of key index key_i in sub-array sid, read from the
-    cells at its counter location, so nothing is traced."""
-    lay = table.layout
-    lsb, col = lay.counter_location(key_i)
-    cells = asm.machine.subarray(sid).cells
-    return sum((cells[lsb + p] >> col & 1) << p for p in range(lay.value_width))
-
-
 def check_counters_at_key_indices(asm, table):
     """A key's counter index is its key index: each key's counter word,
-    read at counter_location(its key index) in its own sub-array, holds
-    its count (capped), and no other counter bit of a hash sub-array is
-    set. Call it before any stage after the hash stage."""
+    read from the cells (untraced) at counter_location(its key index) in
+    its own sub-array, holds its count (capped), and no other counter bit
+    of a hash sub-array is set. Call it before any stage after the hash
+    stage."""
     lay = table.layout
     cap = (1 << lay.value_width) - 1
     ones = Counter()
     for key, (sid, key_i) in zip(table.keys, table.slots):
-        word = counter_word(asm, table, sid, key_i)
+        lsb, col = lay.counter_location(key_i)
+        cells = asm.machine.subarray(sid).cells
+        word = sum((cells[lsb + p] >> col & 1) << p for p in range(lay.value_width))
         assert word == min(table.host_counts[key.bits], cap)
         ones[sid] += word.bit_count()
     for sid in range(asm.machine.subarray_count):
@@ -695,7 +689,7 @@ def test_every_counter_sits_at_its_key_index(reads, rows, k):
     for sid, key_i in table.slots:
         top[sid] = max(top.get(sid, 0), key_i)
     asm.build_graph(table)
-    stripes = sum(key_i // 64 + 1 for key_i in top.values())
+    stripes = sum(key_i // table.layout.cols + 1 for key_i in top.values())
     assert asm.trace.total(tr.R, stage=tr.STAGE_GRAPH) == table.value_width * stripes
 
 
@@ -758,8 +752,8 @@ def test_a_corrupted_key_fails_the_label_check(bit, label):
 
 @pytest.mark.parametrize("plane, reads", [(0, 0), (3, 9), (7, 129)])
 def test_a_corrupted_counter_fails_the_read_back(plane, reads):
-    # CGTGTGCA at k=5: every key counts once. Flipping one bit plane of
-    # CGTGT's counter word, at the counter location of its key index, makes
+    # CGTGTGCA at k=5: every key counts once. Flipping one bit of CGTGT's
+    # counter word, at the counter location of its key index, makes
     # the graph stage's read-back disagree with the host count.
     asm = make_asm()
     table = asm.build_kmer_table([E("CGTGTGCA")], 5)
