@@ -25,12 +25,14 @@ empty bucket, with no image and no compare, or else once its batch has
 compared. A key's counter index is its key index, so its vertical counter
 sits at mapping.counter_location of its slot; columns fill in first-seen
 order, so keys first seen together share a counter stripe. A hit records
-one increment for its key. When the read ends, one masked write of counter
-plane 0 per sub-array counter stripe starts all of the read's new counters
-at one (their words are still zero), and then the read's increments are
-added in place, one column-parallel add per sub-array counter stripe and
-amount: a write or an add costs the same for one column or all of them, so
-a read pays per stripe it touches, not per key. Stage 2 walks the table and
+one increment for its key. When a read ends, one masked write of counter
+plane 0 per sub-array counter stripe starts all of its new counters at one
+(their words are still zero). The increments wait for the end of their
+window of COUNT_WINDOW reads, and are then added in place one bit plane at
+a time: one column-parallel +1 at plane i per sub-array counter stripe and
+set bit i of an amount, which adds 2**i. A write or an add costs the same
+for one column or all of them, so a window pays per stripe and bit it
+touches, not per key or per hit. Stage 2 walks the table and
 emits one edge per distinct k-mer (prefix node, suffix node, multiplicity =
 frequency) into an edge store. Stage 3 accumulates vertical degree counters
 column-parallel, probes the start vertex with a bit-plane compare of out
@@ -107,6 +109,17 @@ from .fabric import RowLayout
 from .isa import Machine, MemAddress
 
 log = logging.getLogger(__name__)
+
+# Reads whose counter increments the hash stage holds before adding them
+# one bit plane at a time. Modeled ns of tiled-deep / sampled-repeats / the
+# canonical run (its RUR), calibrated config, seed 1, simplify off, against
+# each read adding its own increments one add per amount: per read 407,556
+# / 222,909 / 8,653,454 (0.643); windows of 8 reads 333,460 / 206,681 /
+# 6,840,936 (0.734), of 16 327,797 / 203,948 / 6,679,643 (0.744), of 64
+# 316,851 / 201,740 / 6,438,510 (0.761), and the whole stage 312,252 /
+# 201,017 / 6,304,114 (0.771). 16 takes 84% of the whole stage's gain on
+# tiled-deep while the pending map holds at most the keys of 16 reads.
+COUNT_WINDOW = 16
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +623,12 @@ class Assembler:
     queries share one image write and the rows they scan (see
     build_kmer_table). Lookups use the host index to emit the scan events
     in bulk and execute only the decisive row compares physically.
-    Counter writes are batched per read: each read ends with one seed
-    write per (sub-array, counter stripe) that starts its new counters at
-    one, then one column-parallel add per (sub-array, counter stripe,
-    amount), the amounts decided by the host mirror, which stops a counter
-    at its cap.
+    Counter writes are batched: each read ends with one seed write per
+    (sub-array, counter stripe) that starts its new counters at one, and
+    every COUNT_WINDOW reads, and after the last, the window's increments
+    go in as one column-parallel +1 per (sub-array, counter stripe, set bit
+    of an amount), the amounts decided by the host mirror, which stops a
+    counter at its cap.
     max_subarrays caps the sub-arrays on the machine: any stage that would
     allocate past it (a hash group, or the row bank that holds the
     multiplicity stripes and degree passes) raises CapacityError.
@@ -665,9 +679,14 @@ class Assembler:
         k-mer is then observed in read order, a new key taking its slot's
         counter, and each group's open batch is probed whenever a query
         would collide with it and at the read's end. Then the read's
-        new counters are seeded, one write per (sub-array, stripe), and its
-        increments are added. The log line reports the batches, compares
-        per query and the fullest column next to the counter work.
+        new counters are seeded, one write per (sub-array, stripe). Hits'
+        increments collect in `pending` over a window of COUNT_WINDOW reads,
+        and are added after the seed write of the window's last read, and of
+        the stage's last read, so every counter is seeded before it is
+        added to and holds its count before build_graph reads it. The log
+        line reports the batches, compares per query and the fullest column
+        next to the counter work, where a counter add is one +1 at one bit
+        plane.
         """
         layout = mapping.layout_hash((self.rows, self.cols), k, self.value_width)
         table = KmerTable(k, layout, self.machine)
@@ -687,22 +706,25 @@ class Assembler:
             table.buckets = n_groups * per_group
             buckets = [_Bucket(groups[b // per_group]) for b in range(table.buckets)]
             index: dict[int, tuple[int, int]] = {}  # key -> bucket, key index
+            # (sub-array, stripe lsb, column) -> the window's increment
+            pending: dict[tuple[int, int, int], int] = {}
             adds = seeds = 0
-            for read in reads:
-                # (sub-array, stripe lsb, column) -> this read's increment
-                pending: dict[tuple[int, int, int], int] = {}
+            for n, read in enumerate(reads, 1):
                 fresh = table.distinct()
                 for kmer in extract_kmers(read, k):
                     self._observe(table, buckets, index, pending, kmer)
                 for group in groups:
                     self._flush(table, group)
                 seeds += self._seed_counts(table, fresh)
-                adds += self._add_counts(layout, pending)
+                if n % COUNT_WINDOW == 0 or n == len(reads):
+                    adds += self._add_counts(layout, pending)
+                    pending = {}
         log.info(
-            "k-mer table: %d queries, %d hits, %d counter adds, %d counter-seed writes, "
+            "k-mer table: %d queries, %d hits, %d counter adds (one +1 at a bit plane each, "
+            "every %d reads), %d counter-seed writes, "
             "%d distinct, %d groups (one sub-array each), %d buckets, %d batches "
             "(one image write each), %.2f compares per query, fullest column %d of %d key rows",
-            table.total_kmers, table.total_kmers - table.distinct(), adds, seeds,
+            table.total_kmers, table.total_kmers - table.distinct(), adds, COUNT_WINDOW, seeds,
             table.distinct(), len(groups), table.buckets, table.batches,
             table.compares / table.total_kmers, max(max(g.fill) for g in groups),
             len(layout.kmer_rows),
@@ -715,8 +737,9 @@ class Assembler:
         A new key's counter, at its key index's counter location, is still
         zero, so setting bit plane 0 sets it to one: one masked write per
         (sub-array, counter stripe) covers every new counter of that
-        stripe. The read's increments are added after this, so a key
-        inserted and hit again in one read ends at its exact count.
+        stripe. The increments pending for it are added after this, at the
+        end of the window, so a key inserted and hit again in one read
+        ends at its exact count.
         """
         lay = table.layout
         planes: dict[tuple[int, int], dict[int, int]] = {}  # (sid, stripe lsb) -> {col: 1}
@@ -730,23 +753,33 @@ class Assembler:
     def _add_counts(
         self, lay: mapping.HashLayout, pending: dict[tuple[int, int, int], int]
     ) -> int:
-        """Add one read's counter increments; returns the adds issued.
+        """Add a window's counter increments one bit plane at a time;
+        returns the adds issued.
 
-        Counters of one sub-array's stripe that take the same amount share
-        one column-parallel add, which costs the same as a single-column
-        one. The mirror never lets a counter pass its cap, so any overflow
-        bit means fabric and mirror diverged.
+        Adding 1 to a word's planes i and up adds 2**i, so the counters of
+        one sub-array's stripe whose amount has bit i set share one
+        column-parallel +1 at plane i, which costs what a single-column add
+        does and stops at its last carry plane. The adds run in ascending
+        (sub-array, stripe, plane) order. The mirror never lets a counter
+        pass its cap, so any overflow bit means fabric and mirror diverged;
+        the check runs once every add has, so the cells hold the full sums.
         """
-        batches: dict[tuple[int, int, int], list[int]] = {}
+        planes: dict[tuple[int, int, int], list[int]] = {}
         for (sid, lsb, col), amount in pending.items():
-            batches.setdefault((sid, lsb, amount), []).append(col)
-        for (sid, lsb, amount), cols in batches.items():
-            overflow = self.machine.add_const_cols(sid, lsb, lay.value_width, cols, amount)
-            if any(overflow.values()):
-                raise ConsistencyError(
-                    f"counter add overflowed in sub-array {sid}, stripe row {lsb}"
-                )
-        return len(batches)
+            for i in range(amount.bit_length()):
+                if amount >> i & 1:
+                    planes.setdefault((sid, lsb, i), []).append(col)
+        overflowed = []
+        for sid, lsb, i in sorted(planes):
+            carry = self.machine.add_const_cols(
+                sid, lsb + i, lay.value_width - i, planes[sid, lsb, i], 1
+            )
+            if any(carry.values()):
+                overflowed.append((sid, lsb))
+        if overflowed:
+            sid, lsb = overflowed[0]
+            raise ConsistencyError(f"counter add overflowed in sub-array {sid}, stripe row {lsb}")
+        return len(planes)
 
     def _observe(self, table, buckets, index, pending, kmer: EncodedSeq) -> None:
         """Observe one k-mer.
@@ -757,9 +790,10 @@ class Assembler:
         `pending` while the key is below the cap. A miss places its key at
         once: in the bucket's column while that has room, else in the
         group's least-filled column, at that column's next key row, whose
-        counter _seed_counts starts at one when the read ends. Its key is written from the query bits, which the
-        controller holds: at once into an empty bucket, with no image and
-        no compare, or else once its batch has compared.
+        counter _seed_counts starts at one when the read ends. Its key is
+        written from the query bits, which the controller holds: at once
+        into an empty bucket, with no image and no compare, or else once
+        its batch has compared.
         """
         lay = table.layout
         bits = kmer.bits

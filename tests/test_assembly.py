@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pimgasm import mapping
+from pimgasm import assembly, mapping
 from pimgasm import trace as tr
 from pimgasm.assembly import (
     Assembler,
@@ -182,17 +182,20 @@ def test_repeat_cost_oracle():
     # batch runs before it joins, and it runs alone at the read's end: each
     # writes an image and compares the key's one row (1 W, 1 C_ADD, 1 DPU).
     # A k-mer repeated in one read is inserted once. The read ends with one
-    # seed write of counter plane 0 (1 W), then one +2 add on the key's
-    # 8-bit counter. 1 + 2 carries nowhere, so the add stops at the
-    # constant's top plane, 1, after one DPU reduce of its carry plane (4 W,
-    # 2 C_ADD, 1 DPU; the full ripple was 16 W and 8 C_ADD):
-    #   W = 1 + 2 + 1 + 4 = 8,  R = 0,  C_ADD = 2 + 2 = 4,  DPU = 2 + 1 = 3.
+    # seed write of counter plane 0 (1 W), and, as the stage's last read,
+    # flushes the pending +2. 2 has one set bit, so it is one +1 at plane 1
+    # of the key's 8-bit counter: plane 1 of 1 holds 0, so the add carries
+    # nowhere and stops there after one DPU reduce of its carry plane (2 W,
+    # 1 C_ADD, 1 DPU; the whole +2 took 4 W and 2 C_ADD, the full ripple 16
+    # W and 8 C_ADD):
+    #   W = 1 + 2 + 1 + 2 = 6,  R = 0,  C_ADD = 2 + 1 = 3,  DPU = 2 + 1 = 3.
     asm = make_asm()
     with patch.object(asm.machine, "mem_insert", wraps=asm.machine.mem_insert) as insert:
         table = asm.build_kmer_table([E("AAAAA")], 3)
     assert insert.call_count == table.distinct() == 1
     assert (table.batches, table.compares) == (2, 2)
-    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 8, tr.C_ADD: 4, tr.DPU: 3}
+    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 6, tr.C_ADD: 3, tr.DPU: 3}
+    assert table.frequencies()[E("AAA")] == 3
 
 
 def _count_seeding(asm, reads, k, caplog):
@@ -546,29 +549,34 @@ def test_two_bit_counters_saturate_inside_and_across_reads(reads, at, k):
 
 
 @pytest.mark.parametrize("width", [4, 8])
-def test_a_read_seen_twice_adds_once_per_stripe_and_amount(width, caplog):
+def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
     # Seen again, every k-mer of the read is a hit. Its probes run in
     # batches of up to 4 queries whose buckets use different columns: each
     # batch writes one image into the temp row and compares the union of
     # its members' rows, up to each key's, one C_ADD plus one DPU per row,
     # so the probes' C_ADD equals their DPU. The 108 hits take 32 batches
     # at width 4 and 35 at width 8, whose layout has more key rows and so
-    # more buckets. The read then ends with one add per
-    # (sub-array, counter stripe, amount) group; a k-mer the read holds
-    # twice adds 2, in its own group. Each add stops at its last carry
-    # plane, at either width: +1 on counters at 1 carries out of plane 0
-    # and stops at plane 1 (2 C_ADD, 4 W, a DPU reduce at planes 0 and 1),
-    # +2 on counters at 2 carries out of plane 1 and stops at plane 2
-    # (3 C_ADD, 6 W, DPU at planes 1 and 2). Per stripe: 5 C_ADD, 10 W and
-    # 4 DPU, where the full ripple took 2w C_ADD and 4w W. A counter sits at
-    # its key's key index: the read's 97 distinct k-mers take key indices up
-    # to 96 at width 4 and 98 at width 8, so stripe 0 of 64 columns holds
-    # indices 0..63 and stripe 1 the rest, and both hold k-mers seen once
-    # and twice (GGATC at index 0, AGGAT at 81, or 79 at width 8): four
-    # groups at either counter width.
+    # more buckets. Both reads fall in one window, whose increments are
+    # added after the last read's seed write. A k-mer that occurs n times
+    # in the read is seeded at 1 and has 2n - 1 pending after two copies
+    # (n - 1 after one), and each set bit i of that amount is one +1 at
+    # plane i, shared by every counter of its (sub-array, counter stripe)
+    # with bit i set. The read holds 86 k-mers once and 11 twice: amounts
+    # 1 and 3 after two copies, and 0 and 1 after one. A counter sits at
+    # its key's key index: the read's 97 distinct k-mers take key indices
+    # up to 96 at width 4 and 98 at width 8, so stripe 0 of 64 columns
+    # holds indices 0..63 and stripe 1 the rest, and both hold k-mers seen
+    # once and twice (GGATC at index 0, AGGAT at 81, or 79 at width 8).
+    # So two copies add at planes 0 and 1 of both stripes, four adds, and
+    # one copy at plane 0 of both, two adds. Each stops at its last carry
+    # plane, at either width: plane 0 of counters at 1 carries into plane
+    # 1, which holds 0, and plane 1 of counters at 2 carries into plane 2,
+    # which holds 0, so every add takes 2 C_ADD, 4 W and a DPU reduce at
+    # both planes. The full ripple of the old whole +1 took 2w C_ADD.
     genome = random_genome(100, random.Random(5))
     read, k = genome + genome[:12], 5
     occurrences = Counter(read[i : i + k] for i in range(len(read) - k + 1))
+    assert Counter(occurrences.values()) == {1: 86, 2: 11}
     asms, tables = [], []
     for copies in (1, 2):
         asm = make_asm(value_width=width)
@@ -583,49 +591,61 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_amount(width, caplog):
     assert twice.machine.subarray_count == 1
     check_counters_at_key_indices(twice, table)
     lay = table.layout
-    groups = {
-        (sid, lay.counter_location(key_i)[0], occurrences[key.to_str()])
-        for key, (sid, key_i) in zip(table.keys, table.slots)
-    }
     assert max(key_i for _, key_i in table.slots) == {4: 96, 8: 98}[width]
-    assert len(groups) == 4
-    assert len({lsb for _, lsb, _ in groups}) == 2
-    assert {amount for _, _, amount in groups} == {1, 2}
-    assert adds_twice - adds_once == len(groups)
+
+    def planes(copies):
+        """(sub-array, stripe lsb, plane) of every set bit of the pending
+        amounts after this many copies of the read."""
+        out = set()
+        for key, (sid, key_i) in zip(table.keys, table.slots):
+            amount = copies * occurrences[key.to_str()] - 1
+            lsb = lay.counter_location(key_i)[0]
+            out |= {(sid, lsb, i) for i in range(amount.bit_length()) if amount >> i & 1}
+        return out
+
+    assert len({lsb for _, lsb, _ in planes(2)}) == 2
+    assert {i for _, _, i in planes(2)} == {0, 1} and {i for _, _, i in planes(1)} == {0}
+    assert (adds_once, adds_twice) == (len(planes(1)), len(planes(2))) == (2, 4)
     a, b = hashmap_totals(once.trace), hashmap_totals(twice.trace)
     batches = tables[1].batches - tables[0].batches
     assert sum(occurrences.values()) == 108 and batches == {4: 32, 8: 35}[width]
-    probe_dpu = b[tr.DPU] - a[tr.DPU] - 2 * 4
+    probe_dpu = b[tr.DPU] - a[tr.DPU] - 2 * 2
     assert probe_dpu == tables[1].compares - tables[0].compares
     assert b[tr.R] == a[tr.R]
-    assert b[tr.C_ADD] - a[tr.C_ADD] == probe_dpu + 2 * 5
-    assert b[tr.W] - a[tr.W] == batches + 2 * 10
+    assert b[tr.C_ADD] - a[tr.C_ADD] == probe_dpu + 2 * 2
+    assert b[tr.W] - a[tr.W] == batches + 2 * 4
 
 
 class AddRecorder(Assembler):
-    """Keeps the counter adds each read issued."""
+    """Keeps, per window, the counter adds issued and the (sub-array,
+    counter stripe) pairs they touched."""
 
     def _add_counts(self, lay, pending):
         adds = super()._add_counts(lay, pending)
-        self.adds_per_read.append(adds)
+        self.windows.append((adds, {(sid, lsb) for sid, lsb, _ in pending}))
         return adds
 
 
 def test_a_tiled_read_adds_to_at_most_two_counter_stripes():
     # A 200-base genome with distinct 8-mers, read at stride 1: every read
     # shares all but its last k-mer with the read before. Its keys took
-    # consecutive counter indices when first seen, so the 22 hits of a
-    # 30-base read lie in a run of 22 counters, which spans at most two
-    # stripes of 64 columns, each taking one +1 add, wherever the 152
-    # buckets put their keys.
+    # consecutive key indices when first seen, so the hits of a window of
+    # 16 reads (30 bases, 23 k-mers each) lie in a run of at most 16 + 22 -
+    # 1 = 37 counters, which spans at most two stripes of 64 columns,
+    # wherever the 152 buckets put their keys. A key is hit at most once
+    # per read, so at most 16 times in a window: amounts below 32 have at
+    # most five set bits, so a window issues at most 2 * 5 adds. The 171
+    # reads make 10 windows of 16 and a last one of 11, each adding once.
     genome = distinct_window_genome(200, 8, random.Random(11))
     asm = AddRecorder(rows=128, cols=64)
-    asm.adds_per_read = []
+    asm.windows = []
     table = asm.build_kmer_table([E(s) for s in tile_reads(genome, 30, 1)], 8)
     assert table.distinct() == 193 and table.buckets == 152
     assert asm.machine.subarray_count == 1
-    assert len(asm.adds_per_read) == 171
-    assert max(asm.adds_per_read) == 2 and min(asm.adds_per_read[1:]) == 1
+    assert len(asm.windows) == 11
+    assert max(len(stripes) for _, stripes in asm.windows) == 2
+    assert [adds for adds, _ in asm.windows] == [4, 5, 8, 10, 5, 5, 9, 10, 8, 5, 7]
+    assert all(adds <= 5 * len(stripes) for adds, stripes in asm.windows)
 
 
 class CorruptCounters(Assembler):
@@ -641,6 +661,143 @@ def test_a_counter_add_that_overflows_raises():
     asm = CorruptCounters(rows=128, cols=64)
     with pytest.raises(ConsistencyError, match="counter add overflowed"):
         asm.build_kmer_table([E("CGTAC"), E("CGTAC")], 5)
+
+
+@given(data=st.data(), width=st.integers(min_value=1, max_value=8))
+@settings(max_examples=60, deadline=None)
+def test_bit_sliced_counter_adds_equal_whole_amount_adds(data, width):
+    # A window's counter adds are one +1 at plane i per (sub-array, stripe,
+    # set bit i of an amount), and +1 at plane i of a width-bit word adds
+    # 2**i mod 2**width. So on twin machines, with any start words in two
+    # counter stripes and any amounts on any columns, they leave the cells
+    # that one add of the whole amount per column leaves. A start word plus
+    # an amount is below 2**(width + 1), so a column wraps at most once: it
+    # carries out of its top plane in one of its bit-sliced adds exactly when
+    # the whole add carries out, and the counter check raises then, once
+    # every add has run.
+    lay = mapping.layout_hash((64, 16), 2, width)
+    top = (1 << width) - 1
+    lsbs = [lay.counter_location(0)[0], lay.counter_location(lay.cols)[0]]
+    asm = Assembler(rows=64, cols=16, value_width=width)
+    twin = Assembler(rows=64, cols=16, value_width=width).machine
+    for m in (asm.machine, twin):
+        sid = m.new_subarray(lay.row_layout)
+    words = st.dictionaries(st.integers(0, lay.cols - 1), st.integers(0, top), min_size=1)
+    pending = {}
+    for lsb in lsbs:
+        start = data.draw(st.lists(st.integers(0, top), min_size=lay.cols, max_size=lay.cols))
+        for m in (asm.machine, twin):
+            m.write_vwords(sid, lsb, width, dict(enumerate(start)))
+        amounts = data.draw(words.map(lambda d: {col: a for col, a in d.items() if a}))
+        pending |= {(sid, lsb, col): amount for col, amount in amounts.items()}
+    assume(pending)
+
+    sliced_carry = Counter()
+    add = asm.machine.add_const_cols
+
+    def record(sid, lsb, w, cols, constant):
+        stripe = lsb + w - width  # each add runs to its stripe's top plane
+        assert constant == 1 and stripe in lsbs
+        carry = add(sid, lsb, w, cols, constant)
+        sliced_carry.update({(sid, stripe, col): cy for col, cy in carry.items()})
+        return carry
+
+    whole_carry = Counter()
+    for (sid, lsb, col), amount in pending.items():
+        whole_carry[sid, lsb, col] += twin.add_const_cols(sid, lsb, width, [col], amount)[col]
+    with patch.object(asm.machine, "add_const_cols", record):
+        if any(whole_carry.values()):
+            with pytest.raises(ConsistencyError, match="counter add overflowed"):
+                asm._add_counts(lay, pending)
+        else:
+            adds = asm._add_counts(lay, pending)
+            assert adds == len(
+                {(lsb, i) for (_, lsb, _), a in pending.items() for i in range(width) if a >> i & 1}
+            )
+    assert +sliced_carry == +whole_carry
+    assert asm.machine.subarray(sid).cells == twin.subarray(sid).cells
+
+
+def _counter_events(asm, reads, k):
+    """Build the table, logging each counter write in order as (reads ended,
+    "seed" or "add", (sub-array, stripe lsb, column)): one entry per counter
+    a seed write starts or a counter add touches."""
+    width = asm.value_width
+    events = []
+    ended = []
+    seed_counts = asm._seed_counts
+    write, add = asm.machine.write_vwords, asm.machine.add_const_cols
+
+    def on_seed(table, first):
+        writes = seed_counts(table, first)
+        ended.append(first)
+        return writes
+
+    def on_write(sid, lsb, w, words):
+        assert w == 1
+        events.extend((len(ended), "seed", (sid, lsb, col)) for col in words)
+        write(sid, lsb, w, words)
+
+    def on_add(sid, lsb, w, cols, constant):
+        # an add at plane i runs from lsb = stripe + i to the stripe's top
+        events.extend((len(ended), "add", (sid, lsb + w - width, col)) for col in cols)
+        return add(sid, lsb, w, cols, constant)
+
+    with patch.object(asm, "_seed_counts", on_seed), patch.object(
+        asm.machine, "write_vwords", on_write
+    ), patch.object(asm.machine, "add_const_cols", on_add):
+        table = asm.build_kmer_table([E(s) for s in reads], k)
+    return table, events
+
+
+@pytest.mark.parametrize("width", [2, 8])
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
+def test_counter_adds_wait_for_the_end_of_their_window(n, width):
+    # Reads of 12 bases every 3 bases of a random genome, with two reads
+    # put in at positions 16 and 17: GATTGATTGA, new in the first window's
+    # last read, holds GATTG and ATTGA twice, and CGATTGATT, the next
+    # window's first read, holds them again. Every counter add comes after
+    # the seed write that started its counter, the adds run only after
+    # every 16th read and after the last one, and the counters read back
+    # the host's counts, clamped at 3 for 2-bit words.
+    genome = random_genome(120, random.Random(0))
+    base = tile_reads(genome, 12, 3)
+    raw = (base[:15] + ["GATTGATTGA", "CGATTGATT"] + base[15:])[:n]
+    k = 5
+    assert not {"GATTG", "ATTGA"} & {s[i : i + k] for s in raw[:15] for i in range(8)}
+    expected = Counter(s[i : i + k] for s in raw for i in range(len(s) - k + 1))
+    asm = make_asm(value_width=width, **PACKED)
+    table, events = _counter_events(asm, raw, k)
+    cap = (1 << width) - 1
+    assert {key.to_str(): c for key, c in table.frequencies().items()} == {
+        key: min(c, cap) for key, c in expected.items()
+    }
+    seeded = set()
+    for ended, kind, counter in events:
+        if kind == "seed":
+            seeded.add(counter)
+        else:
+            assert counter in seeded
+            assert ended % 16 == 0 or ended == n
+    flushed = sorted({ended for ended, kind, _ in events if kind == "add"})
+    assert flushed == {1: [], 15: [15], 16: [16], 17: [16, 17], 33: [16, 32, 33]}[n]
+
+
+def test_a_stage_with_no_hits_adds_nothing():
+    # 33 reads that share no k-mer, and hold none twice: nothing is ever
+    # pending, so the stage issues no counter add and its trace is the one
+    # a window of one read gives.
+    genome = distinct_window_genome(396, 7, random.Random(2))
+    raw = [genome[i : i + 12] for i in range(0, 396, 12)]
+    traces = []
+    for window in (assembly.COUNT_WINDOW, 1):
+        asm = make_asm(**PACKED)
+        with patch.object(assembly, "COUNT_WINDOW", window):
+            table, events = _counter_events(asm, raw, 7)
+        assert table.total_kmers == table.distinct() == 33 * 6
+        assert {kind for _, kind, _ in events} == {"seed"}
+        traces.append(asm.trace.records())
+    assert traces[0] == traces[1]
 
 
 class CorruptKey(Assembler):
@@ -2115,13 +2272,26 @@ _UNIT_RUNG = (
 # index: no group holds more than 31 keys now, so 10 stripes of 8 planes,
 # not 11.
 #   graph R        off 88 - 8 = 80; on 345 - 8             =   337
+#
+# Counter increments held over windows of 16 reads and added one bit plane
+# at a time. The 54 reads make windows of 16, 16, 16 and 6. Each window
+# adds one +1 per (sub-array, counter stripe, set bit of a pending amount)
+# at that bit's plane: 39 adds at plane 0, 40 at plane 1 and 21 at plane 2.
+# Each stops at its last carry plane, 26 of them at plane 1, 49 at 2 and 25
+# at 3: 100 adds of 217 planes, where each read's adds per amount took 424
+# of 976. Probes, inserts and seeds are unchanged. Both ways:
+#   hashmap W      897 images + 259 inserts + 192 seeds
+#                  + 2 * 217                              = 1,782
+#   hashmap C_ADD  1,229 compared rows + 217               = 1,446
+#   hashmap DPU    1,229 + 217                             = 1,446
+# The graph and traverse rows are unchanged.
 LADDER = {
     False: (
         [
             ("io", "XFER", 508),
-            ("hashmap", "W", 3300),
-            ("hashmap", "C_ADD", 2205),
-            ("hashmap", "DPU", 2205),
+            ("hashmap", "W", 1782),
+            ("hashmap", "C_ADD", 1446),
+            ("hashmap", "DPU", 1446),
             ("graph", "R", 80),
             ("graph", "W", 36),
             ("traverse", "DPU", 1408),
@@ -2143,9 +2313,9 @@ LADDER = {
     True: (
         [
             ("io", "XFER", 512),
-            ("hashmap", "W", 3300),
-            ("hashmap", "C_ADD", 2205),
-            ("hashmap", "DPU", 2205),
+            ("hashmap", "W", 1782),
+            ("hashmap", "C_ADD", 1446),
+            ("hashmap", "DPU", 1446),
             ("graph", "R", 337),
             ("graph", "DPU", 518),
             ("graph", "W", 3),
@@ -2189,16 +2359,18 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #     The 4,520 first misses into an empty bucket write no image; the
 #     other 747,956 queries run in 288,983 batches of up to 4, one image
 #     write each, and compare 1,224,802 rows in all (1.63 per query).
-#     Each key's counter sits at its key index. The 33,032 counter adds
-#     are all +1 on 8-bit words (a read holds each k-mer once) and no
-#     counter passes 76, so each stops at the plane after its batch's
-#     longest run of low one bits: 338 adds at plane 0, 518 at 1, 1,817
-#     at 2, 5,933 at 3, 7,864 at 4, 6,722 at 5 and 9,840 at 6, 179,089
-#     planes of 1 C_ADD + 2 W + 1 DPU each.
+#     Each key's counter sits at its key index. The 9,901 reads make 619
+#     windows of 16 reads (the last of 13). A read holds each k-mer once,
+#     so a window's pending amounts are at most 16, five bits, and its
+#     adds are one +1 per (sub-array, counter stripe, set bit): 2,047 at
+#     plane 0, 2,065 at 1, 2,052 at 2, 2,045 at 3 and 2,022 at 4, 10,231
+#     adds. No counter passes 76, so each add stops at its last carry
+#     plane: 1 at plane 0, 611 at 1, 1,963 at 2, 3,340 at 3, 660 at 4, 97
+#     at 5 and 3,559 at 6, 28,875 planes of 1 C_ADD + 2 W + 1 DPU each.
 #     W  an image write per batch (288,983), 9,976 inserts, 9,903
-#        counter-seed writes, and the adds' 2 * 179,089        =   667,040
-#     DPU one per compared row (1,224,802) + 179,089         = 1,403,891
-#     C_ADD the compares (1,224,802) + 179,089               = 1,403,891
+#        counter-seed writes, and the adds' 2 * 28,875         =   366,612
+#     DPU one per compared row (1,224,802) + 28,875          = 1,253,677
+#     C_ADD the compares (1,224,802) + 28,875                = 1,253,677
 #   graph          9,977 nodes, 9,976 edges, largest multiplicity 76.
 #     Each node's label is checked in place in its key row; nothing is
 #     copied.
@@ -2267,11 +2439,15 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 # the read-back reads up to the highest key index, not the key count
 # (41 -> 42 stripes). 8,629,075 -> 8,653,454 modeled ns, RUR 0.6441 ->
 # 0.6432, sub-arrays 5.
+# Holding the increments over windows of 16 reads and adding them one bit
+# plane at a time, not each read's per amount: adds 33,032 -> 10,231,
+# planes 179,089 -> 28,875. 8,653,454 -> 6,679,643 modeled ns, RUR 0.6432
+# -> 0.7442, sub-arrays 5.
 CANONICAL_TRACE = [
     ("io", "XFER", 250_025),
-    ("hashmap", "W", 667_040),
-    ("hashmap", "C_ADD", 1_403_891),
-    ("hashmap", "DPU", 1_403_891),
+    ("hashmap", "W", 366_612),
+    ("hashmap", "C_ADD", 1_253_677),
+    ("hashmap", "DPU", 1_253_677),
     ("graph", "R", 336),
     ("graph", "W", 273),
     ("traverse", "DPU", 30_447),
