@@ -27,7 +27,7 @@ from pimgasm.assembly import (
 )
 from pimgasm.encoding import EncodedSeq, extract_kmers
 from pimgasm.errors import CapacityError, ConsistencyError, SizeError
-from pimgasm.isa import MemAddress
+from pimgasm.isa import Machine, MemAddress
 from pimgasm.seqio import distinct_window_genome, random_genome, tile_reads
 from test_mapping import group_keys
 
@@ -572,7 +572,7 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
     # plane, at either width: plane 0 of counters at 1 carries into plane
     # 1, which holds 0, and plane 1 of counters at 2 carries into plane 2,
     # which holds 0, so every add takes 2 C_ADD, 4 W and a DPU reduce at
-    # both planes. The full ripple of the old whole +1 took 2w C_ADD.
+    # both planes.
     genome = random_genome(100, random.Random(5))
     read, k = genome + genome[:12], 5
     occurrences = Counter(read[i : i + k] for i in range(len(read) - k + 1))
@@ -679,9 +679,9 @@ def test_bit_sliced_counter_adds_equal_whole_amount_adds(data, width):
     top = (1 << width) - 1
     lsbs = [lay.counter_location(0)[0], lay.counter_location(lay.cols)[0]]
     asm = Assembler(rows=64, cols=16, value_width=width)
-    twin = Assembler(rows=64, cols=16, value_width=width).machine
-    for m in (asm.machine, twin):
-        sid = m.new_subarray(lay.row_layout)
+    twin = Machine(rows=64, cols=16)
+    sid = asm.machine.new_subarray(lay.row_layout)
+    assert twin.new_subarray(lay.row_layout) == sid
     words = st.dictionaries(st.integers(0, lay.cols - 1), st.integers(0, top), min_size=1)
     pending = {}
     for lsb in lsbs:
@@ -724,7 +724,7 @@ def _counter_events(asm, reads, k):
     a seed write starts or a counter add touches."""
     width = asm.value_width
     events = []
-    ended = []
+    ended = []  # one entry per read whose seed write has run
     seed_counts = asm._seed_counts
     write, add = asm.machine.write_vwords, asm.machine.add_const_cols
 
