@@ -11,30 +11,32 @@ bucket's first key takes the least-filled column of its group, and its
 later keys the same column, or the least-filled one once that column is
 full. Each column fills its key rows in first-seen order, so keys first
 seen together share a row, and a bucket is the list of rows that hold its
-keys. Queries are probed in batches: each group keeps one open batch per
-read, of queries whose buckets use different columns. A batch writes its
-members into one temp-row image, each query in its bucket's columns, and
-compares the union of the rows its members scan, oldest first, a hit up
-to its key's row and a miss all of its bucket's: one XNOR-compare cycle
-plus one AND-reduce per row settles every member that scans it, and a
-member reads only its own slots, so an all-A key (packed to 0) never
-matches an empty slot. A batch runs before a query whose column it holds
-joins it, and at the read's end. A miss writes its key straight from the
-query bits the controller holds (one write, no read): at once into an
-empty bucket, with no image and no compare, or else once its batch has
-compared. A key's counter index is its key index, so its vertical counter
-sits at mapping.counter_location of its slot; columns fill in first-seen
-order, so keys first seen together share a counter stripe. A hit records
-one increment for its key. When a read ends, one masked write of counter
-plane 0 per sub-array counter stripe starts all of its new counters at one
-(their words are still zero). The increments wait for the end of their
-window of COUNT_WINDOW reads, and are then added in place one bit plane at
-a time: one column-parallel +1 at plane i per sub-array counter stripe and
-set bit i of an amount, which adds 2**i. A write or an add costs the same
-for one column or all of them, so a window pays per stripe and bit it
-touches, not per key or per hit. Stage 2 walks the table and
-emits one edge per distinct k-mer (prefix node, suffix node, multiplicity =
-frequency) into an edge store. Stage 3 accumulates vertical degree counters
+keys. Every query hashes to its bucket, and the host's exact count of the
+key decides hit or miss. Queries are probed in batches: each group keeps
+one open batch per read, of queries whose buckets use different columns.
+A batch writes its members into one temp-row image, each query in its
+bucket's columns, and each member compares its bucket's rows oldest
+first, up to the first row where one of its own slots matches: a hit
+finds its key there, and a miss finds none. Each row is compared once
+per batch, one XNOR-compare cycle plus one AND-reduce, and a member reads
+only its own slots, so an all-A key (packed to 0) never matches an empty
+slot. A batch runs before a query whose column it holds joins it, and at
+the read's end. A miss writes its key from the query bits the controller
+holds (one write, no read): at once into an empty bucket, with no image
+and no compare, or else once its batch has compared. A key's counter
+index is its key index, so its vertical counter sits at
+mapping.counter_location of its slot, and keys first seen together share
+a counter stripe. A hit records one increment for the key it found. When
+a read ends, one masked write of counter plane 0 per sub-array counter
+stripe starts all of its new counters at one (their words are still
+zero). The increments wait for the end of their window of COUNT_WINDOW
+reads, and are then added in place one bit plane at a time: one
+column-parallel +1 at plane i per sub-array counter stripe and set bit i
+of an amount, which adds 2**i. A write or an add costs the same for one
+column or all of them, so a window pays per stripe and bit it touches,
+not per key or per hit. Stage 2 walks the table and emits one edge per
+distinct k-mer (prefix node, suffix node, multiplicity = frequency) into
+an edge store. Stage 3 accumulates vertical degree counters
 column-parallel, probes the start vertex with a bit-plane compare of out
 against in+1, and covers each weak component with the fewest trails its
 degrees allow, max(1, sum of outgoing surpluses): one trail per surplus
@@ -82,15 +84,13 @@ component whose multiplicities admit no Euler path has its words
 rewritten to one in place, and a second degree pass, the same full pass
 on fresh rows, re-accumulates every node.
 
-The host keeps mirror bookkeeping (a dict index into the hash store, the
-edge lists, remaining-multiplicity maps, the unitig index) so the
-simulation runs in sensible time, but every datum also lives in fabric
-bits: keys and counters are physically written, counters are incremented
-by real add cycles, and the mirrors are cross-checked against fabric
-contents at every stage boundary, raising ConsistencyError on any
-divergence. Scan-cost events that the mirror makes redundant are emitted in
-bulk with identical counts; the test suite checks them against a physical
-compare of every row each batch scans.
+The host keeps mirror bookkeeping (exact k-mer counts, the edge lists,
+remaining-multiplicity maps, the unitig index) so the simulation runs in
+sensible time, but every datum also lives in fabric bits: keys and
+counters are physically written, every key row a probe prices is
+compared in fabric, counters are incremented by real add cycles, and the
+mirrors are cross-checked against fabric contents at every stage
+boundary, raising ConsistencyError on any divergence.
 """
 
 from __future__ import annotations
@@ -396,15 +396,20 @@ class _Group:
     """One hash group: its sub-array, the keys each column (slot position)
     holds, which is also the next free key row of that column, and the
     read's open batch of queries with the column mask their image fills.
+    `temp` and `key_rows` address its temp row and each key row over the
+    key span, the regions a probe compares.
     """
 
-    __slots__ = ("sid", "fill", "batch", "busy")
+    __slots__ = ("sid", "fill", "batch", "busy", "temp", "key_rows")
 
-    def __init__(self, sid: int, slots: int):
+    def __init__(self, sid: int, lay: mapping.HashLayout):
         self.sid = sid
-        self.fill = [0] * slots
+        self.fill = [0] * lay.slots
         self.batch: list[_Query] = []
         self.busy = 0
+        span = lay.key_span
+        self.temp = MemAddress(sid, lay.row_layout.temp_rows[0], 0, span)
+        self.key_rows = [MemAddress(sid, row, 0, span) for row in lay.kmer_rows]
 
 
 class _Bucket:
@@ -441,14 +446,15 @@ class _Bucket:
 
 
 class _Query(NamedTuple):
-    """One query in its group's open batch: its bucket, its key bits, and
-    its key index, which a hit must find in its bucket's rows and a miss's
-    key takes once the batch has compared."""
+    """One query in its group's open batch: its bucket and its key bits. A
+    miss carries the key index its key takes once the batch has compared;
+    a hit carries None and finds its key index in its bucket's rows.
+    `counts` marks a hit below the counter's cap."""
 
     bucket: _Bucket
     bits: int
-    key_i: int
-    hit: bool
+    key_i: int | None
+    counts: bool
 
 
 class _RowBank:
@@ -621,14 +627,12 @@ class Assembler:
     is one sub-array of buckets_per_group buckets, whose keys are
     placed by column, so a probe scans a few rows, and up to `slots`
     queries share one image write and the rows they scan (see
-    build_kmer_table). Lookups use the host index to emit the scan events
-    in bulk and execute only the decisive row compares physically.
-    Counter writes are batched: each read ends with one seed write per
-    (sub-array, counter stripe) that starts its new counters at one, and
-    every COUNT_WINDOW reads, and after the last, the window's increments
-    go in as one column-parallel +1 per (sub-array, counter stripe, set bit
-    of an amount), the amounts decided by the host mirror, which stops a
-    counter at its cap.
+    build_kmer_table). Counter writes are batched: each read ends with one
+    seed write per (sub-array, counter stripe) that starts its new counters
+    at one, and every COUNT_WINDOW reads, and after the last, the window's
+    increments go in as one column-parallel +1 per (sub-array, counter
+    stripe, set bit of an amount), the amounts decided by the host mirror,
+    which stops a counter at its cap.
     max_subarrays caps the sub-arrays on the machine: any stage that would
     allocate past it (a hash group, or the row bank that holds the
     multiplicity stripes and degree passes) raises CapacityError.
@@ -671,8 +675,8 @@ class Assembler:
     def build_kmer_table(self, reads: list[EncodedSeq], k: int) -> KmerTable:
         """Count the reads' k-mers in a fabric hash store.
 
-        A host pre-scan hashes each distinct key once, with the miss path's
-        own hash, and mapping.bucket_directory takes the fewest groups
+        A host pre-scan hashes each distinct key once, with the probes'
+        hash, and mapping.bucket_directory takes the fewest groups
         whose hashed key counts fit their sub-arrays, each of
         layout.buckets_per_group buckets (at 1024 x 256 and k=25, 1,784
         buckets per group of 3,568 keys; 9,956 keys take 3 groups). Each
@@ -699,22 +703,20 @@ class Assembler:
                 [mapping.stable_hash(bits, 2 * k, self.seed) for bits in table.read_kmers],
             )
             groups = [
-                _Group(self._new_subarray(layout.row_layout), layout.slots)
-                for _ in range(n_groups)
+                _Group(self._new_subarray(layout.row_layout), layout) for _ in range(n_groups)
             ]
             per_group = layout.buckets_per_group
             table.buckets = n_groups * per_group
             buckets = [_Bucket(groups[b // per_group]) for b in range(table.buckets)]
-            index: dict[int, tuple[int, int]] = {}  # key -> bucket, key index
             # (sub-array, stripe lsb, column) -> the window's increment
             pending: dict[tuple[int, int, int], int] = {}
             adds = seeds = 0
             for n, read in enumerate(reads, 1):
                 fresh = table.distinct()
                 for kmer in extract_kmers(read, k):
-                    self._observe(table, buckets, index, pending, kmer)
+                    self._observe(table, buckets, pending, kmer)
                 for group in groups:
-                    self._flush(table, group)
+                    self._flush(table, group, pending)
                 seeds += self._seed_counts(table, fresh)
                 if n % COUNT_WINDOW == 0 or n == len(reads):
                     adds += self._add_counts(layout, pending)
@@ -781,78 +783,74 @@ class Assembler:
             raise ConsistencyError(f"counter add overflowed in sub-array {sid}, stripe row {lsb}")
         return len(planes)
 
-    def _observe(self, table, buckets, index, pending, kmer: EncodedSeq) -> None:
+    def _observe(self, table, buckets, pending, kmer: EncodedSeq) -> None:
         """Observe one k-mer.
 
-        A query whose bucket holds keys joins its group's open batch, after
-        probing the batch first if one of the bucket's columns is taken
-        there. A hit records one increment for the key's counter in
-        `pending` while the key is below the cap. A miss places its key at
+        Every query hashes to its bucket, and its group's open batch is
+        probed first if one of the bucket's columns is taken there. The
+        query's exact count in `host_counts` then decides hit or miss. A
+        hit joins the batch, which finds its key in fabric (see _probe); a
+        hit below the cap adds one increment for that key's counter to
+        `pending` once the batch has compared. A miss places its key at
         once: in the bucket's column while that has room, else in the
         group's least-filled column, at that column's next key row, whose
         counter _seed_counts starts at one when the read ends. Its key is
         written from the query bits, which the controller holds: at once
         into an empty bucket, with no image and no compare, or else once
-        its batch has compared.
+        it has joined the batch and the batch has compared.
         """
         lay = table.layout
         bits = kmer.bits
         cap = (1 << lay.value_width) - 1
         table.total_kmers += 1
-
-        hit = index.get(bits)
-        if hit is not None:
-            bucket_i, key_i = hit
-            bucket = buckets[bucket_i]
-            self._join(table, _Query(bucket, bits, key_i, True))
-            count = table.host_counts[bits]
-            if count < cap:
-                lsb, col = lay.counter_location(key_i)
-                slot = (bucket.group.sid, lsb, col)
-                pending[slot] = pending.get(slot, 0) + 1
-            elif count == cap:
-                table.saturated_keys += 1
-            table.host_counts[bits] = count + 1
-            return
-
-        bucket_i = mapping.stable_hash(bits, 2 * table.k, self.seed) % len(buckets)
-        bucket = buckets[bucket_i]
+        bucket = buckets[mapping.stable_hash(bits, 2 * table.k, self.seed) % len(buckets)]
         group = bucket.group
         if group.busy & bucket.cols:
-            self._flush(table, group)
-        col = bucket.col
-        if not bucket.rows or group.fill[col] == len(lay.kmer_rows):
-            col = group.fill.index(min(group.fill))
-        key_i = group.fill[col] * lay.slots + col
-        group.fill[col] += 1
-        if bucket.rows:
-            self._join(table, _Query(bucket, bits, key_i, False))
+            self._flush(table, group, pending)
+
+        count = table.host_counts.get(bits)
+        if count is not None:
+            if count == cap:
+                table.saturated_keys += 1
+            table.host_counts[bits] = count + 1
+            query = _Query(bucket, bits, None, count < cap)
         else:
-            self._insert(table, bucket, bits, key_i)
-        index[bits] = (bucket_i, key_i)
-        table.host_counts[bits] = 1
-        table.keys.append(kmer)
-        table.slots.append((group.sid, key_i))
-
-    def _join(self, table: KmerTable, query: _Query) -> None:
-        """Add a query to its group's open batch, probing the batch first if
-        one of its bucket's columns is taken there."""
-        group = query.bucket.group
-        cols = query.bucket.cols
-        if group.busy & cols:
-            self._flush(table, group)
+            col = bucket.col
+            if not bucket.rows or group.fill[col] == len(lay.kmer_rows):
+                col = group.fill.index(min(group.fill))
+            key_i = group.fill[col] * lay.slots + col
+            group.fill[col] += 1
+            table.host_counts[bits] = 1
+            table.keys.append(kmer)
+            table.slots.append((group.sid, key_i))
+            if not bucket.rows:
+                self._insert(table, bucket, bits, key_i)
+                return
+            query = _Query(bucket, bits, key_i, False)
         group.batch.append(query)
-        group.busy |= cols
+        group.busy |= bucket.cols
 
-    def _flush(self, table: KmerTable, group: _Group) -> None:
-        """Probe a group's open batch, then write its misses' keys."""
+    def _flush(self, table: KmerTable, group: _Group, pending) -> None:
+        """Probe a group's open batch, then record each counting hit's
+        increment in `pending`, at the counter of the key it found, and
+        write the misses' keys. A hit that finds no key, or a miss that
+        finds one, means fabric and host counts diverged."""
         if not group.batch:
             return
+        lay, sid = table.layout, group.sid
         table.batches += 1
-        table.compares += self._probe(group, table.layout)
-        for query in group.batch:
-            if not query.hit:
+        found, compared = self._probe(group, lay)
+        table.compares += compared
+        for query, key_i in zip(group.batch, found):
+            if query.key_i is not None:  # a miss
+                if key_i is not None:
+                    raise ConsistencyError(f"fabric scan finds key index {key_i} for a miss")
                 self._insert(table, query.bucket, query.bits, query.key_i)
+            elif key_i is None:
+                raise ConsistencyError(f"fabric scan finds no key for a hit in sub-array {sid}")
+            elif query.counts:
+                slot = (sid, *lay.counter_location(key_i))
+                pending[slot] = pending.get(slot, 0) + 1
         group.batch = []
         group.busy = 0
 
@@ -869,49 +867,38 @@ class Assembler:
             raise ConsistencyError("inserted key bits corrupted")
         bucket.add(*divmod(key_i, lay.slots))
 
-    def _probe(self, group: _Group, lay: mapping.HashLayout) -> int:
-        """Cost a batch's scan; compare each member's decisive row in fabric.
+    def _probe(self, group: _Group, lay: mapping.HashLayout) -> tuple[list[int | None], int]:
+        """Compare a batch against its members' bucket rows in fabric.
 
         The batch writes one image into the temp row, each member's query
-        in every column of its bucket, and compares the union of the rows
-        its members scan: a member scans its bucket's rows oldest first, a
-        hit up to its key's row and a miss all of them. One compare cycle
-        plus one AND-reduce per row settles every member that scans it, so
-        the batch costs one write and one compare per distinct row. All but
-        the members' decisive rows (a hit's own row, a miss's last) are
-        emitted in bulk; each decisive row's compare runs physically, and
-        the columns a member owns there must match exactly as the host
-        index says: at the hit's key, or nowhere for a miss. Returns the
-        rows compared.
+        in every column of its bucket. Each member then compares its
+        bucket's rows against it oldest first, up to the first row where
+        one of the member's own columns matches; a row another member
+        already compared is not compared again. So the batch costs one
+        write and one compare cycle plus one AND-reduce per distinct row.
+        Returns the key index each member found (None when none matched)
+        and the rows compared.
         """
         m = self.machine
-        span = lay.key_span
-        temp_row = lay.row_layout.temp_rows[0]
+        temp = group.temp
         image = 0
-        rows: set[int] = set()
-        decisive: dict[int, list[tuple[_Query, int]]] = {}  # row -> (query, own columns)
         for query in group.batch:
-            bucket = query.bucket
-            image |= lay.image(query.bits, bucket.cols)
-            scan = bucket.rows
-            if query.hit:
-                scan = scan[: scan.index(query.key_i // lay.slots) + 1]
-            rows.update(scan)
-            decisive.setdefault(scan[-1], []).append((query, bucket.own[len(scan) - 1]))
-        sid = group.sid
-        m.subarray(sid).write_bits(temp_row, 0, span, image)
-        bulk = len(rows) - len(decisive)
-        m.trace.emit(tr.C_ADD, bulk)
-        m.trace.emit(tr.DPU, bulk)
-        for row, queries in decisive.items():
-            key_row, _ = lay.key_address(row * lay.slots)
-            res = m.cmp(MemAddress(sid, temp_row, 0, span), MemAddress(sid, key_row, 0, span))
-            for query, own in queries:
-                slot = lay.matched_slot(res.mask, own)
-                found = None if slot is None else row * lay.slots + slot
-                if found != (query.key_i if query.hit else None):
-                    raise ConsistencyError("fabric scan disagrees with the index")
-        return len(rows)
+            image |= lay.image(query.bits, query.bucket.cols)
+        m.subarray(group.sid).write_bits(temp.row, 0, temp.bit_len, image)
+        masks: dict[int, int] = {}  # row -> its compare mask
+        found: list[int | None] = []
+        for query in group.batch:
+            key_i = None
+            for row, own in zip(query.bucket.rows, query.bucket.own):
+                mask = masks.get(row)
+                if mask is None:
+                    mask = masks[row] = m.cmp(temp, group.key_rows[row]).mask
+                slot = lay.matched_slot(mask, own)
+                if slot is not None:
+                    key_i = row * lay.slots + slot
+                    break
+            found.append(key_i)
+        return found, len(masks)
 
     # -- stage 2: graph construction --
 

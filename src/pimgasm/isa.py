@@ -37,7 +37,7 @@ Cost contract (pinned by tests):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import trace as tr
 from .errors import (
@@ -69,8 +69,7 @@ class MemAddress:
             raise AddressError("negative address")
 
 
-@dataclass(frozen=True)
-class CmpResult:
+class CmpResult(NamedTuple):
     equal: bool
     mask: int    # bit i set iff operand bits i matched
     width: int
@@ -150,7 +149,8 @@ class Machine:
 
         One XNOR triple (operand rows plus the all-ones init row under the
         parity configuration); the controller AND-reduces the match mask
-        in one DPU step.
+        in one DPU step. Only the parity tap is sensed, straight from the
+        three rows, so no other tap is formed.
         """
         if src1.subarray_id != src2.subarray_id:
             raise PlacementError("cmp operands must share a sub-array")
@@ -160,10 +160,13 @@ class Machine:
             raise SizeError("cmp operands differ in length")
         self._check_in_row(src1)
         sub = self.subarray(src1.subarray_id)
-        out = sub.activate((src1.row, src2.row, sub.layout.init1_row), XOR3_CFG)
-        # xor3 with the constant-1 row is XNOR2: bit set iff cells match
+        a, b, init1 = sub._triple((src1.row, src2.row, sub.layout.init1_row))
+        self.trace.emit(XOR3_CFG.cost_class, 1)
+        # xor3 with the constant-1 row is XNOR2: bit set iff cells match.
+        # Parity does not use the majority amp, so a threshold fault leaves
+        # it unchanged.
         width = src1.bit_len
-        mask = (out.xor3 >> src1.col_start) & ones(width)
+        mask = ((a ^ b ^ init1) >> src1.col_start) & ones(width)
         return CmpResult(self.dpu_and_reduce(mask, width), mask, width)
 
     # ---- add -----------------------------------------------------------

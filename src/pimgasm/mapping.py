@@ -103,7 +103,13 @@ class HashLayout:
     def image(self, bits: int, cols: int) -> int:
         """Row image holding the key `bits` in the slots of column mask `cols`
         (bit s set for slot s)."""
-        return sum(bits << (s * self.pitch) for s in range(self.slots) if cols >> s & 1)
+        out = shift = 0
+        while cols:
+            if cols & 1:
+                out |= bits << shift
+            cols >>= 1
+            shift += self.pitch
+        return out
 
     def matched_slot(self, mask: int, cols: int) -> int | None:
         """First slot of column mask `cols` whose key bits all matched.
@@ -113,9 +119,12 @@ class HashLayout:
         that is not listed.
         """
         full = (1 << (2 * self.k)) - 1
-        for s in range(self.slots):
-            if cols >> s & 1 and (mask >> (s * self.pitch)) & full == full:
+        s = 0
+        while cols:
+            if cols & 1 and (mask >> (s * self.pitch)) & full == full:
                 return s
+            cols >>= 1
+            s += 1
         return None
 
     def counter_location(self, key_index: int) -> tuple[int, int]:

@@ -27,59 +27,24 @@ from pimgasm.assembly import (
 )
 from pimgasm.encoding import EncodedSeq, extract_kmers
 from pimgasm.errors import CapacityError, ConsistencyError, SizeError
-from pimgasm.isa import Machine, MemAddress
+from pimgasm.isa import Machine
 from pimgasm.seqio import distinct_window_genome, random_genome, tile_reads
 from test_mapping import group_keys
 
 E = EncodedSeq.from_str
 
 
-class PhysicalScan(Assembler):
-    """Oracle of the batched, indexed scan: each batch writes its image into
-    its group's temp row once, and every member walks its bucket's rows
-    oldest first, compared in fabric against the temp row (each row once
-    per batch), up to the first row where one of the member's own slots
-    matches, which must be the index's answer."""
-
-    def _probe(self, group, lay):
-        m = self.machine
-        span = lay.key_span
-        temp_row = lay.row_layout.temp_rows[0]
-        image = 0
-        for query in group.batch:
-            image |= lay.image(query.bits, query.bucket.cols)
-        m.subarray(group.sid).write_bits(temp_row, 0, span, image)
-        masks = {}
-        for query in group.batch:
-            bucket = query.bucket
-            assert bucket.rows
-            found = None
-            for row, own in zip(bucket.rows, bucket.own):
-                if row not in masks:
-                    key_row, _ = lay.key_address(row * lay.slots)
-                    masks[row] = m.cmp(
-                        MemAddress(group.sid, temp_row, 0, span),
-                        MemAddress(group.sid, key_row, 0, span),
-                    ).mask
-                slot = lay.matched_slot(masks[row], own)
-                if slot is not None:
-                    found = row * lay.slots + slot
-                    break
-            assert found == (query.key_i if query.hit else None)
-        return len(masks)
-
-
 class BucketRecorder(Assembler):
     """Keeps the hash stage's groups and buckets for inspection."""
 
-    def _observe(self, table, buckets, index, pending, kmer):
+    def _observe(self, table, buckets, pending, kmer):
         self.groups = list(dict.fromkeys(bucket.group for bucket in buckets))
         self.buckets = buckets
-        super()._observe(table, buckets, index, pending, kmer)
+        super()._observe(table, buckets, pending, kmer)
 
 
-def make_asm(rows=128, cols=64, oracle=False, **kw):
-    return (PhysicalScan if oracle else Assembler)(rows=rows, cols=cols, **kw)
+def make_asm(rows=128, cols=64, **kw):
+    return Assembler(rows=rows, cols=cols, **kw)
 
 
 def bucket_of(table, key):
@@ -273,16 +238,14 @@ def test_a_key_inserted_and_hit_in_one_read_reads_back_its_exact_count(raw):
     assert {key.to_str(): n for key, n in table.frequencies().items()} == dict(expected)
 
 
-def test_probe_modes_agree():
-    # the indexed scan against the physical all-rows scan
-    reads = [E("CGTGTGCAACGT"), E("TTACGTGTGC"), E("CGTGTGCA")]
-    indexed = make_asm()
-    naive = make_asm(oracle=True)
-    ti = indexed.build_kmer_table(reads, 4)
-    tn = naive.build_kmer_table(reads, 4)
-    assert [k.to_str() for k in ti.keys] == [k.to_str() for k in tn.keys]
-    assert dict(ti.items()) == dict(tn.items())
-    assert indexed.trace.records() == naive.trace.records()
+def test_overlapping_reads_count_like_a_host_counter():
+    # shared k-mers within and across reads are hits, found by the fabric
+    # compare of their buckets' rows; keys stay in first-seen order
+    raw = ["CGTGTGCAACGT", "TTACGTGTGC", "CGTGTGCA"]
+    table = make_asm().build_kmer_table([E(s) for s in raw], 4)
+    kmers = [s[i : i + 4] for s in raw for i in range(len(s) - 3)]
+    assert [key.to_str() for key in table.keys] == list(dict.fromkeys(kmers))
+    assert {key.to_str(): n for key, n in table.items()} == dict(Counter(kmers))
 
 
 def check_counters_at_key_indices(asm, table):
@@ -340,25 +303,20 @@ def check_one_sub_array_per_group(asm, table):
     assert all(rows == list(range(len(rows))) for rows in per_column.values())
 
 
-def _count_both_ways(raw, k, **kw):
-    """Count with the indexed scan and with the physical-scan oracle; check
-    they agree with each other and with a host Counter, that each key was
-    written once, and that every group kept to its one sub-array."""
+def _count(raw, k, **kw):
+    """Count the reads' k-mers; check the counts against a host Counter,
+    that each key was written once, and that every group kept to its one
+    sub-array."""
     enc = [E(s) for s in raw]
     expected = Counter(s[i : i + k] for s in raw for i in range(len(s) - k + 1))
-    runs = []
-    for asm in (BucketRecorder(**kw), PhysicalScan(**kw)):
-        with patch.object(asm.machine, "mem_insert", wraps=asm.machine.mem_insert) as insert:
-            runs.append((asm, asm.build_kmer_table(enc, k)))
-        # a k-mer repeated in one read, or in several, is inserted once
-        assert insert.call_count == len(expected)
-    (indexed, ti), (naive, tn) = runs
-    assert indexed.trace.records() == naive.trace.records()
-    assert [key.to_str() for key in ti.keys] == [key.to_str() for key in tn.keys]
-    assert {key.to_str(): n for key, n in ti.items()} == dict(expected)
-    assert {key.to_str(): n for key, n in tn.items()} == dict(expected)
-    check_one_sub_array_per_group(indexed, ti)
-    return indexed, ti
+    asm = BucketRecorder(**kw)
+    with patch.object(asm.machine, "mem_insert", wraps=asm.machine.mem_insert) as insert:
+        table = asm.build_kmer_table(enc, k)
+    # a k-mer repeated in one read, or in several, is inserted once
+    assert insert.call_count == len(expected)
+    assert {key.to_str(): n for key, n in table.items()} == dict(expected)
+    check_one_sub_array_per_group(asm, table)
+    return asm, table
 
 
 # 24 x 64 sub-arrays hold 4 key rows of 4 to 16 slots for k = 2..8, so
@@ -373,11 +331,11 @@ PACKED = dict(rows=24, cols=64)
     k=st.integers(min_value=2, max_value=8),
 )
 @settings(max_examples=40, deadline=None)
-def test_packed_rows_probe_modes_agree_with_a_host_counter(reads, poly_a, at, k):
+def test_packed_rows_count_like_a_host_counter(reads, poly_a, at, k):
     # the all-A key packs to 0, like an empty slot
     raw = list(reads)
     raw.insert(min(at, len(raw)), "A" * (k + poly_a))
-    _count_both_ways(raw, k, **PACKED)
+    _count(raw, k, **PACKED)
 
 
 def test_packed_rows_take_more_groups_than_the_fewest():
@@ -391,7 +349,7 @@ def test_packed_rows_take_more_groups_than_the_fewest():
     rng = random.Random(3)
     genome = "".join(rng.choice("ACGT") for _ in range(160))
     raw = [genome[i : i + 40] for i in range(0, 121, 20)] + ["A" * 9, genome[:30]]
-    asm, table = _count_both_ways(raw, 6, **PACKED)
+    asm, table = _count(raw, 6, **PACKED)
     assert (table.layout.slots, table.layout.capacity, table.distinct()) == (4, 16, 151)
     assert asm.machine.subarray_count == len(asm.groups) == 14
     assert max(sum(group.fill) for group in asm.groups) == 16
@@ -413,7 +371,7 @@ def test_the_bucket_directory_never_costs_sub_arrays(reads, rows, k):
     # read sets take one group or several, from the fewest up
     raw = [s for s in reads if len(s) >= k]
     assume(raw and not (k == 2 and 25 <= rows <= 28))
-    asm, table = _count_both_ways(raw, k, rows=rows, cols=64)
+    asm, table = _count(raw, k, rows=rows, cols=64)
     lay = table.layout
     hashes = [mapping.stable_hash(key.bits, 2 * k) for key in table.keys]
     least = -(-table.distinct() // lay.capacity)
@@ -457,7 +415,7 @@ def tiled_reads(length):
 
 @pytest.mark.parametrize("length", list(DIRECTORY_TAKEN))
 def test_buckets_stay_inside_their_group(length):
-    asm, table = _count_both_ways(tiled_reads(length), 5, rows=64, cols=64)
+    asm, table = _count(tiled_reads(length), 5, rows=64, cols=64)
     assert tuple(tuple(group.fill) for group in asm.groups) == DIRECTORY_TAKEN[length]
     assert len(asm.groups) == -(-table.distinct() // table.layout.capacity)
     assert asm.machine.subarray_count == len(asm.groups)
@@ -532,20 +490,13 @@ def test_two_bit_counters_saturate_inside_and_across_reads(reads, at, k):
     cap = 3
     expected = Counter(s[i : i + k] for s in raw for i in range(len(s) - k + 1))
     assert expected["A" * k] >= 5 and expected["C" * k] >= 4
-    runs = []
-    for oracle in (False, True):
-        asm = make_asm(oracle=oracle, value_width=2, **PACKED)
-        runs.append((asm, asm.build_kmer_table([E(s) for s in raw], k)))
-    (indexed, table), (naive, oracle_table) = runs
-    assert indexed.trace.records() == naive.trace.records()
+    table = make_asm(value_width=2, **PACKED).build_kmer_table([E(s) for s in raw], k)
     host = {key.to_str(): table.host_counts[key.bits] for key in table.keys}
     assert host == dict(expected)
     assert {key.to_str(): n for key, n in table.items()} == {
         key: min(n, cap) for key, n in expected.items()
     }
     assert table.saturated_keys == sum(n > cap for n in expected.values())
-    assert dict(oracle_table.items()) == dict(table.items())
-    assert oracle_table.saturated_keys == table.saturated_keys
 
 
 @pytest.mark.parametrize("width", [4, 8])
@@ -801,26 +752,43 @@ def test_a_stage_with_no_hits_adds_nothing():
 
 
 class CorruptKey(Assembler):
-    """Flips bit 0 of the first key in its key row once the first read is
-    counted."""
+    """XORs `flip` into the first key in its key row once the first read is
+    counted (bit 0 unless a test sets it)."""
+
+    flip = 1
 
     def _seed_counts(self, table, first):
         seeds = super()._seed_counts(table, first)
         if first == 0:
             sid, key_i = table.slots[0]
             row, col = table.layout.key_address(key_i)
-            self.machine.subarray(sid).cells[row] ^= 1 << col
+            self.machine.subarray(sid).cells[row] ^= self.flip << col
         return seeds
 
 
 def test_a_corrupted_key_fails_the_fabric_scan():
     # CGTAC is inserted by the first read, and its stored bits are then
-    # corrupted. The second read holds it again, so the host index calls it
-    # a hit, and its batch's physical compare of the key's row must match
-    # it there: the flipped bit leaves no slot matching.
+    # corrupted. The second read holds it again, so its host count makes it
+    # a hit, and its batch's physical compare of its bucket's rows must
+    # find it: the flipped bit leaves no slot matching.
     asm = CorruptKey(rows=128, cols=64)
-    with pytest.raises(ConsistencyError, match="fabric scan disagrees with the index"):
+    with pytest.raises(ConsistencyError, match="fabric scan finds no key for a hit"):
         asm.build_kmer_table([E("CGTAC"), E("CGTAC")], 5)
+
+
+def test_a_key_corrupted_into_a_new_k_mer_fails_the_fabric_scan():
+    # AAAAT and AAACA hash to one bucket (124 of the group's 152). AAAAT is
+    # inserted by the first read at key index 0, and its stored bits are
+    # then turned into AAACA's. The second read's AAACA is new to the host
+    # counts, so it is a miss; its bucket holds a row, so it joins a batch
+    # whose compare of that row must find nothing, yet slot 0 matches.
+    old, new = E("AAAAT"), E("AAACA")
+    table = make_asm().build_kmer_table([old, new], 5)
+    assert bucket_of(table, old) == bucket_of(table, new) == 124
+    asm = CorruptKey(rows=128, cols=64)
+    asm.flip = old.bits ^ new.bits
+    with pytest.raises(ConsistencyError, match="fabric scan finds key index 0 for a miss"):
+        asm.build_kmer_table([old, new], 5)
 
 
 @given(

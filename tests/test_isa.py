@@ -130,6 +130,31 @@ def test_cmp_cost_is_one_cycle_per_chunk_plus_one_dpu():
     assert m.trace.total(DPU) - before[DPU] == 2
 
 
+@given(data=st.data(), cols=st.integers(min_value=1, max_value=80), fault=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_cmp_equals_a_sensed_xnor2_masked_to_its_span(data, cols, fault):
+    # cmp senses only the parity tap; the full activation of an XNOR2
+    # through logic2, then one AND-reduce, is its oracle. A threshold fault
+    # moves the majority tap, never parity, so it changes neither.
+    m, sid = make_machine(rows=16, cols=cols)
+    sub = m.subarray(sid)
+    sub.threshold_fault = fault
+    row_a, row_b = data.draw(st.lists(st.integers(0, 9), min_size=2, max_size=2, unique=True))
+    for row in (row_a, row_b):
+        sub.cells[row] = data.draw(st.integers(0, (1 << cols) - 1))
+    start = data.draw(st.integers(0, cols - 1))
+    width = data.draw(st.integers(1, cols - start))
+    before = deltas(m.trace, (C_ADD, DPU))
+    res = m.cmp(MemAddress(sid, row_a, start, width), MemAddress(sid, row_b, start, width))
+    mid = deltas(m.trace, (C_ADD, DPU))
+    mask = (sub.logic2(row_a, row_b, "xnor2") >> start) & ((1 << width) - 1)
+    equal = m.dpu_and_reduce(mask, width)
+    after = deltas(m.trace, (C_ADD, DPU))
+    assert (res.mask, res.equal, res.width) == (mask, equal, width)
+    assert {k: mid[k] - before[k] for k in mid} == {k: after[k] - mid[k] for k in mid}
+    assert mid[C_ADD] - before[C_ADD] == mid[DPU] - before[DPU] == 1
+
+
 def test_cmp_placement_rules():
     m, sid = make_machine()
     other = m.new_subarray()
