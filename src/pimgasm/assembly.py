@@ -12,25 +12,28 @@ later keys the same column, or the least-filled one once that column is
 full. Each column fills its key rows in first-seen order, so keys first
 seen together share a row, and a bucket is the list of rows that hold its
 keys. Every query hashes to its bucket, and the host's exact count of the
-key decides hit or miss. Queries are probed in batches: each group keeps
-one open batch per read, of queries whose buckets use different columns.
-A batch writes its members into one temp-row image, each query in its
-bucket's columns, and each member compares its bucket's rows oldest
-first, up to the first row where one of its own slots matches: a hit
-finds its key there, and a miss finds none. Each row is compared once
-per batch, one XNOR-compare cycle plus one AND-reduce, and a member reads
-only its own slots, so an all-A key (packed to 0) never matches an empty
-slot. A batch runs before a query whose column it holds joins it, and at
-the read's end. A miss writes its key from the query bits the controller
-holds (one write, no read): at once into an empty bucket, with no image
-and no compare, or else once its batch has compared. A key's counter
-index is its key index, so its vertical counter sits at
-mapping.counter_location of its slot, and keys first seen together share
-a counter stripe. A hit records one increment for the key it found. When
-a read ends, one masked write of counter plane 0 per sub-array counter
-stripe starts all of its new counters at one (their words are still
-zero). The increments wait for the end of their window of COUNT_WINDOW
-reads, and are then added in place one bit plane at a time: one
+key decides hit or miss. Queries are probed in batches packed first-fit:
+each group keeps a list of open batches for the read, and a query joins
+the first whose image fills none of its bucket's columns, or opens a new
+one. A batch writes its members into one temp-row image, each query in
+its bucket's columns, and each member compares its bucket's rows newest
+first, down to the first row where one of its own slots matches: a hit
+finds its key there, and a miss compares every row and finds none. Each
+row is compared once per batch, one XNOR-compare cycle plus one
+AND-reduce, and a member reads only its own slots, so an all-A key
+(packed to 0) never matches an empty slot. The read's batches run in the
+order they opened when the read ends. A miss reserves its column for its
+bucket when it is seen, and writes its key from the query bits the
+controller holds (one write, no read): at once into an empty bucket, with
+no image and no compare, or else once its batch has compared, before any
+later batch of the read runs. A key's counter index is its key index, so
+its vertical counter sits at mapping.counter_location of its slot, and
+keys first seen together share a counter stripe. A hit records one
+increment for the key it found. Counters are written once per window of
+COUNT_WINDOW reads, and after the last read: one masked write of counter
+plane 0 per sub-array counter stripe starts all of the window's new
+counters at one (their words are still zero), and then the window's
+increments are added in place one bit plane at a time: one
 column-parallel +1 at plane i per sub-array counter stripe and set bit i
 of an amount, which adds 2**i. A write or an add costs the same for one
 column or all of them, so a window pays per stripe and bit it touches,
@@ -110,16 +113,19 @@ from .isa import Machine, MemAddress
 
 log = logging.getLogger(__name__)
 
-# Reads whose counter increments the hash stage holds before adding them
-# one bit plane at a time. Modeled ns of tiled-deep / sampled-repeats / the
-# canonical run (its RUR), calibrated config, seed 1, simplify off, against
-# each read adding its own increments one add per amount: per read 407,556
-# / 222,909 / 8,653,454 (0.643); windows of 8 reads 333,460 / 206,681 /
-# 6,840,936 (0.734), of 16 327,797 / 203,948 / 6,679,643 (0.744), of 64
-# 316,851 / 201,740 / 6,438,510 (0.761), and the whole stage 312,252 /
-# 201,017 / 6,304,114 (0.771). 16 takes 84% of the whole stage's gain on
-# tiled-deep while the pending map holds at most the keys of 16 reads.
-COUNT_WINDOW = 16
+# Reads whose counter writes the hash stage holds: at the end of each
+# window it seeds the window's new counters, then adds its increments one
+# bit plane at a time. Modeled ns of tiled-deep / sampled-repeats / the
+# canonical run (its RUR), calibrated config, seed 1, simplify off, with
+# each read's probes packed first-fit and hits scanned newest first:
+# windows of 8 reads 248,862 / 142,142 / 3,685,211 (0.588), of 16 242,941
+# / 139,257 / 3,515,935 (0.6025), of 64 231,803 / 136,921 / 3,268,326
+# (0.626), and the whole stage 227,140 / 136,161 / 3,131,778 (0.640). 64
+# takes 79% of the whole stage's gain over 8 on tiled-deep, and keeps the
+# canonical RUR at 0.6235 or more over hash seeds 0-19, where criterion 10
+# asks 0.60, while the pending map and the window's new keys hold at most
+# the keys of 64 reads.
+COUNT_WINDOW = 64
 
 
 # ---------------------------------------------------------------------------
@@ -395,18 +401,18 @@ class KmerTable:
 class _Group:
     """One hash group: its sub-array, the keys each column (slot position)
     holds, which is also the next free key row of that column, and the
-    read's open batch of queries with the column mask their image fills.
-    `temp` and `key_rows` address its temp row and each key row over the
-    key span, the regions a probe compares.
+    read's open batches of queries, each with the column mask its image
+    fills. `temp` and `key_rows` address its temp row and each key row over
+    the key span, the regions a probe compares.
     """
 
-    __slots__ = ("sid", "fill", "batch", "busy", "temp", "key_rows")
+    __slots__ = ("sid", "fill", "batches", "busy", "temp", "key_rows")
 
     def __init__(self, sid: int, lay: mapping.HashLayout):
         self.sid = sid
         self.fill = [0] * lay.slots
-        self.batch: list[_Query] = []
-        self.busy = 0
+        self.batches: list[list[_Query]] = []
+        self.busy: list[int] = []  # per open batch: the columns its image fills
         span = lay.key_span
         self.temp = MemAddress(sid, lay.row_layout.temp_rows[0], 0, span)
         self.key_rows = [MemAddress(sid, row, 0, span) for row in lay.kmer_rows]
@@ -416,10 +422,12 @@ class _Bucket:
     """One directory entry's keys in its `group`'s sub-array.
 
     `col` is the column its next key goes to while that column has room,
-    `cols` the mask of every column that holds one of its keys, and `rows`
+    `cols` the mask of every column a key of it is placed in, and `rows`
     its key rows, oldest first, `own[i]` being the mask of the columns of
-    rows[i] that hold its keys. Rows are shared: the other columns of a
-    row hold other buckets' keys.
+    rows[i] that hold its keys. A key's column joins `cols` when the key is
+    first seen, and its row joins `rows` once the key is written (`add`),
+    so `cols` may name a column whose key is not written yet. Rows are
+    shared: the other columns of a row hold other buckets' keys.
     """
 
     __slots__ = ("group", "col", "cols", "rows", "own")
@@ -432,27 +440,26 @@ class _Bucket:
         self.own: list[int] = []
 
     def add(self, row: int, col: int) -> None:
-        """Record a new key at (row, col): in a row it already holds keys
+        """Record a written key at (row, col): in a row it already holds keys
         in, which only a bucket of several columns can share, or in a new
         last row."""
-        bit = 1 << col
-        if self.cols & ~bit and row in self.rows:
-            self.own[self.rows.index(row)] |= bit
+        if row in self.rows:
+            self.own[self.rows.index(row)] |= 1 << col
         else:
             self.rows.append(row)
-            self.own.append(bit)
-        self.col = col
-        self.cols |= bit
+            self.own.append(1 << col)
 
 
 class _Query(NamedTuple):
-    """One query in its group's open batch: its bucket and its key bits. A
+    """One query in an open batch: its bucket, its key bits and `cols`, the
+    columns of its bucket's keys placed before it, which its image fills. A
     miss carries the key index its key takes once the batch has compared;
     a hit carries None and finds its key index in its bucket's rows.
     `counts` marks a hit below the counter's cap."""
 
     bucket: _Bucket
     bits: int
+    cols: int
     key_i: int | None
     counts: bool
 
@@ -627,9 +634,9 @@ class Assembler:
     is one sub-array of buckets_per_group buckets, whose keys are
     placed by column, so a probe scans a few rows, and up to `slots`
     queries share one image write and the rows they scan (see
-    build_kmer_table). Counter writes are batched: each read ends with one
-    seed write per (sub-array, counter stripe) that starts its new counters
-    at one, and every COUNT_WINDOW reads, and after the last, the window's
+    build_kmer_table). Counter writes are batched: every COUNT_WINDOW
+    reads, and after the last, one seed write per (sub-array, counter
+    stripe) starts the window's new counters at one, and then the window's
     increments go in as one column-parallel +1 per (sub-array, counter
     stripe, set bit of an amount), the amounts decided by the host mirror,
     which stops a counter at its cap.
@@ -681,14 +688,15 @@ class Assembler:
         layout.buckets_per_group buckets (at 1024 x 256 and k=25, 1,784
         buckets per group of 3,568 keys; 9,956 keys take 3 groups). Each
         k-mer is then observed in read order, a new key taking its slot's
-        counter, and each group's open batch is probed whenever a query
-        would collide with it and at the read's end. Then the read's
-        new counters are seeded, one write per (sub-array, stripe). Hits'
-        increments collect in `pending` over a window of COUNT_WINDOW reads,
-        and are added after the seed write of the window's last read, and of
-        the stage's last read, so every counter is seeded before it is
-        added to and holds its count before build_graph reads it. The log
-        line reports the batches, compares per query and the fullest column
+        counter, and each query joins the first of its group's open batches
+        it fits (see _observe); at the read's end each group probes its
+        batches in order. Hits' increments collect in `pending` over a
+        window of COUNT_WINDOW reads. At the end of the window, and of the
+        stage's last read, the window's new counters are seeded, one write
+        per (sub-array, stripe), and then the increments are added, so
+        every counter is seeded before it is added to and holds its count
+        before build_graph reads it. The log line reports the batches,
+        queries per image write, compares per query and the fullest column
         next to the counter work, where a counter add is one +1 at one bit
         plane.
         """
@@ -710,25 +718,28 @@ class Assembler:
             buckets = [_Bucket(groups[b // per_group]) for b in range(table.buckets)]
             # (sub-array, stripe lsb, column) -> the window's increment
             pending: dict[tuple[int, int, int], int] = {}
-            adds = seeds = 0
+            adds = seeds = fresh = 0
             for n, read in enumerate(reads, 1):
-                fresh = table.distinct()
                 for kmer in extract_kmers(read, k):
-                    self._observe(table, buckets, pending, kmer)
+                    self._observe(table, buckets, kmer)
                 for group in groups:
                     self._flush(table, group, pending)
-                seeds += self._seed_counts(table, fresh)
                 if n % COUNT_WINDOW == 0 or n == len(reads):
+                    seeds += self._seed_counts(table, fresh)
+                    fresh = table.distinct()
                     adds += self._add_counts(layout, pending)
                     pending = {}
         log.info(
             "k-mer table: %d queries, %d hits, %d counter adds (one +1 at a bit plane each, "
             "every %d reads), %d counter-seed writes, "
             "%d distinct, %d groups (one sub-array each), %d buckets, %d batches "
-            "(one image write each), %.2f compares per query, fullest column %d of %d key rows",
+            "(one image write each), %.2f queries per image write, %.2f compares per query, "
+            "fullest column %d of %d key rows",
             table.total_kmers, table.total_kmers - table.distinct(), adds, COUNT_WINDOW, seeds,
             table.distinct(), len(groups), table.buckets, table.batches,
-            table.compares / table.total_kmers, max(max(g.fill) for g in groups),
+            table.total_kmers / table.batches if table.batches else float("inf"),
+            table.compares / table.total_kmers,
+            max(max(g.fill) for g in groups),
             len(layout.kmer_rows),
         )
         return table
@@ -739,9 +750,9 @@ class Assembler:
         A new key's counter, at its key index's counter location, is still
         zero, so setting bit plane 0 sets it to one: one masked write per
         (sub-array, counter stripe) covers every new counter of that
-        stripe. The increments pending for it are added after this, at the
-        end of the window, so a key inserted and hit again in one read
-        ends at its exact count.
+        stripe. It runs at the end of a window, for the window's new keys,
+        and the window's increments are added after it, so a key inserted
+        and hit again in one window ends at its exact count.
         """
         lay = table.layout
         planes: dict[tuple[int, int], dict[int, int]] = {}  # (sid, stripe lsb) -> {col: 1}
@@ -783,21 +794,22 @@ class Assembler:
             raise ConsistencyError(f"counter add overflowed in sub-array {sid}, stripe row {lsb}")
         return len(planes)
 
-    def _observe(self, table, buckets, pending, kmer: EncodedSeq) -> None:
+    def _observe(self, table, buckets, kmer: EncodedSeq) -> None:
         """Observe one k-mer.
 
-        Every query hashes to its bucket, and its group's open batch is
-        probed first if one of the bucket's columns is taken there. The
-        query's exact count in `host_counts` then decides hit or miss. A
-        hit joins the batch, which finds its key in fabric (see _probe); a
-        hit below the cap adds one increment for that key's counter to
-        `pending` once the batch has compared. A miss places its key at
-        once: in the bucket's column while that has room, else in the
-        group's least-filled column, at that column's next key row, whose
-        counter _seed_counts starts at one when the read ends. Its key is
-        written from the query bits, which the controller holds: at once
-        into an empty bucket, with no image and no compare, or else once
-        it has joined the batch and the batch has compared.
+        Every query hashes to its bucket, and the query's exact count in
+        `host_counts` decides hit or miss. A miss places its key at once:
+        in the bucket's column while that has room, else in the group's
+        least-filled column, at that column's next key row, whose counter
+        _seed_counts starts at one at the window's end. Its key is written
+        from the query bits, which the controller holds: at once into an
+        empty bucket, with no image and no compare, or else once its batch
+        has compared. Any other query joins the first of its group's open
+        batches whose image fills none of the columns of its bucket's keys
+        placed so far, or opens a new one; a hit below the cap adds one
+        increment for the key its batch finds to `pending`. Two queries of
+        one bucket thus join batches in the order they arrive, so a hit on
+        a key placed earlier in the read is probed after the key is written.
         """
         lay = table.layout
         bits = kmer.bits
@@ -805,54 +817,60 @@ class Assembler:
         table.total_kmers += 1
         bucket = buckets[mapping.stable_hash(bits, 2 * table.k, self.seed) % len(buckets)]
         group = bucket.group
-        if group.busy & bucket.cols:
-            self._flush(table, group, pending)
-
+        cols = bucket.cols
         count = table.host_counts.get(bits)
         if count is not None:
             if count == cap:
                 table.saturated_keys += 1
             table.host_counts[bits] = count + 1
-            query = _Query(bucket, bits, None, count < cap)
+            query = _Query(bucket, bits, cols, None, count < cap)
         else:
             col = bucket.col
-            if not bucket.rows or group.fill[col] == len(lay.kmer_rows):
+            if not cols or group.fill[col] == len(lay.kmer_rows):
                 col = group.fill.index(min(group.fill))
             key_i = group.fill[col] * lay.slots + col
             group.fill[col] += 1
             table.host_counts[bits] = 1
             table.keys.append(kmer)
             table.slots.append((group.sid, key_i))
-            if not bucket.rows:
+            # reserved now, so the bucket's later queries image the column
+            bucket.col = col
+            bucket.cols |= 1 << col
+            if not cols:
                 self._insert(table, bucket, bits, key_i)
                 return
-            query = _Query(bucket, bits, key_i, False)
-        group.batch.append(query)
-        group.busy |= bucket.cols
+            query = _Query(bucket, bits, cols, key_i, False)
+        for i, busy in enumerate(group.busy):
+            if not busy & cols:
+                group.batches[i].append(query)
+                group.busy[i] |= cols
+                return
+        group.batches.append([query])
+        group.busy.append(cols)
 
     def _flush(self, table: KmerTable, group: _Group, pending) -> None:
-        """Probe a group's open batch, then record each counting hit's
-        increment in `pending`, at the counter of the key it found, and
-        write the misses' keys. A hit that finds no key, or a miss that
-        finds one, means fabric and host counts diverged."""
-        if not group.batch:
-            return
+        """Probe a group's open batches in the order they opened. After each
+        probe, record each counting hit's increment in `pending`, at the
+        counter of the key it found, and write the misses' keys, so a later
+        batch finds them. A hit that finds no key, or a miss that finds one,
+        means fabric and host counts diverged."""
         lay, sid = table.layout, group.sid
-        table.batches += 1
-        found, compared = self._probe(group, lay)
-        table.compares += compared
-        for query, key_i in zip(group.batch, found):
-            if query.key_i is not None:  # a miss
-                if key_i is not None:
-                    raise ConsistencyError(f"fabric scan finds key index {key_i} for a miss")
-                self._insert(table, query.bucket, query.bits, query.key_i)
-            elif key_i is None:
-                raise ConsistencyError(f"fabric scan finds no key for a hit in sub-array {sid}")
-            elif query.counts:
-                slot = (sid, *lay.counter_location(key_i))
-                pending[slot] = pending.get(slot, 0) + 1
-        group.batch = []
-        group.busy = 0
+        for batch in group.batches:
+            table.batches += 1
+            found, compared = self._probe(group, batch, lay)
+            table.compares += compared
+            for query, key_i in zip(batch, found):
+                if query.key_i is not None:  # a miss
+                    if key_i is not None:
+                        raise ConsistencyError(f"fabric scan finds key index {key_i} for a miss")
+                    self._insert(table, query.bucket, query.bits, query.key_i)
+                elif key_i is None:
+                    raise ConsistencyError(f"fabric scan finds no key for a hit in sub-array {sid}")
+                elif query.counts:
+                    slot = (sid, *lay.counter_location(key_i))
+                    pending[slot] = pending.get(slot, 0) + 1
+        group.batches = []
+        group.busy = []
 
     def _insert(self, table: KmerTable, bucket: _Bucket, bits: int, key_i: int) -> None:
         """Write a new key into its slot from the query bits: one write, no
@@ -867,29 +885,38 @@ class Assembler:
             raise ConsistencyError("inserted key bits corrupted")
         bucket.add(*divmod(key_i, lay.slots))
 
-    def _probe(self, group: _Group, lay: mapping.HashLayout) -> tuple[list[int | None], int]:
+    def _probe(
+        self, group: _Group, batch: list[_Query], lay: mapping.HashLayout
+    ) -> tuple[list[int | None], int]:
         """Compare a batch against its members' bucket rows in fabric.
 
         The batch writes one image into the temp row, each member's query
-        in every column of its bucket. Each member then compares its
-        bucket's rows against it oldest first, up to the first row where
-        one of the member's own columns matches; a row another member
-        already compared is not compared again. So the batch costs one
-        write and one compare cycle plus one AND-reduce per distinct row.
-        Returns the key index each member found (None when none matched)
-        and the rows compared.
+        in its `cols`; two members that share a column would overwrite each
+        other there, which raises. Each member then compares its bucket's
+        rows against it newest first, down to the first row where one of
+        the member's own columns matches: a hit stops at its key's row, and
+        a miss compares every row. A row another member already compared is
+        not compared again. So the batch costs one write and one compare
+        cycle plus one AND-reduce per distinct row. Returns the key index
+        each member found (None when none matched) and the rows compared.
         """
         m = self.machine
         temp = group.temp
-        image = 0
-        for query in group.batch:
-            image |= lay.image(query.bits, query.bucket.cols)
+        image = filled = 0
+        for query in batch:
+            if filled & query.cols:
+                raise ConsistencyError(
+                    f"two members of a batch share an image column in sub-array {group.sid}"
+                )
+            filled |= query.cols
+            image |= lay.image(query.bits, query.cols)
         m.subarray(group.sid).write_bits(temp.row, 0, temp.bit_len, image)
         masks: dict[int, int] = {}  # row -> its compare mask
         found: list[int | None] = []
-        for query in group.batch:
+        for query in batch:
             key_i = None
-            for row, own in zip(query.bucket.rows, query.bucket.own):
+            bucket = query.bucket
+            for row, own in zip(reversed(bucket.rows), reversed(bucket.own)):
                 mask = masks.get(row)
                 if mask is None:
                     mask = masks[row] = m.cmp(temp, group.key_rows[row]).mask

@@ -35,12 +35,30 @@ E = EncodedSeq.from_str
 
 
 class BucketRecorder(Assembler):
-    """Keeps the hash stage's groups and buckets for inspection."""
+    """Keeps the hash stage's groups and buckets for inspection, and each
+    probed batch's members as (key bits, image columns, miss key index or
+    None). Before each probe it checks that the members' image columns are
+    disjoint and that each member's image covers every column its bucket's
+    written keys sit in, so the probe's own column check never fires and
+    every slot a member reads holds its query."""
 
-    def _observe(self, table, buckets, pending, kmer):
+    def build_kmer_table(self, reads, k):
+        self.probed = []
+        return super().build_kmer_table(reads, k)
+
+    def _observe(self, table, buckets, kmer):
         self.groups = list(dict.fromkeys(bucket.group for bucket in buckets))
         self.buckets = buckets
-        super()._observe(table, buckets, pending, kmer)
+        super()._observe(table, buckets, kmer)
+
+    def _probe(self, group, batch, lay):
+        filled = 0
+        for query in batch:
+            assert not filled & query.cols
+            filled |= query.cols
+            assert not any(own & ~query.cols for own in query.bucket.own)
+        self.probed.append([(query.bits, query.cols, query.key_i) for query in batch])
+        return super()._probe(group, batch, lay)
 
 
 def make_asm(rows=128, cols=64, **kw):
@@ -95,9 +113,9 @@ def test_insert_cost_oracle_single_read():
     # every key finds its bucket empty and compares against nothing, and
     # takes the least-filled column, so the four fill key row 0 in
     # first-seen order. Each insert writes the key into its slot from the
-    # query bits (1 W, no read), and the read ends with one masked write of
-    # counter plane 0 that starts all four counters, which share stripe 0,
-    # at one:
+    # query bits (1 W, no read), and the stage's one window ends with one
+    # masked write of counter plane 0 that starts all four counters, which
+    # share stripe 0, at one:
     #   W = 4 inserts + 1 seed = 5,  R = 0,  C_ADD = DPU = 0.
     asm = make_asm()
     table = asm.build_kmer_table([E("CGTGTGCA")], 5)
@@ -140,15 +158,34 @@ def test_miss_cost_is_one_compare_per_occupied_row():
     assert set(scanned) == {0, 1, 2, 3}
 
 
+def test_a_hit_compares_its_bucket_rows_newest_first():
+    # The 90 keys above, one read each, on 128 x 64 at k=5: one bucket holds
+    # four keys, one key row each, in first-seen order. One more read of
+    # one of the four is a hit alone in its batch, one image write, and it
+    # compares the bucket's rows from the newest down to its key's: one row
+    # for the newest key, all four for the oldest.
+    seq = distinct_window_genome(94, 5, random.Random(0))
+    kmers = [E(seq[i : i + 5]) for i in range(len(seq) - 4)]
+    asm = BucketRecorder(rows=128, cols=64)
+    base = asm.build_kmer_table(kmers, 5)
+    buckets = [bucket_of(base, key) for key in kmers]
+    four = [key for key, b in zip(kmers, buckets) if buckets.count(b) == 4]
+    assert len(four) == len(asm.buckets[bucket_of(base, four[0])].rows) == 4
+    for key, rows in zip(four, (4, 3, 2, 1)):
+        table = make_asm().build_kmer_table(kmers + [key], 5)
+        assert table.batches - base.batches == 1
+        assert table.compares - base.compares == rows
+
+
 def test_repeat_cost_oracle():
     # AAA observed three times in one read: one insert from the query bits
     # into its empty bucket (1 W, no image, no compare), then two hits. The
-    # first hit opens a batch; the second needs the same column, so the
-    # batch runs before it joins, and it runs alone at the read's end: each
+    # first hit opens a batch; the second needs the same column, so it opens
+    # a second batch, and the two run in order at the read's end: each
     # writes an image and compares the key's one row (1 W, 1 C_ADD, 1 DPU).
-    # A k-mer repeated in one read is inserted once. The read ends with one
-    # seed write of counter plane 0 (1 W), and, as the stage's last read,
-    # flushes the pending +2. 2 has one set bit, so it is one +1 at plane 1
+    # A k-mer repeated in one read is inserted once. The stage's one window
+    # ends with one seed write of counter plane 0 (1 W), then adds the
+    # pending +2. 2 has one set bit, so it is one +1 at plane 1
     # of the key's 8-bit counter: plane 1 of 1 holds 0, so the add carries
     # nowhere and stops there after one DPU reduce of its carry plane (2 W,
     # 1 C_ADD, 1 DPU; the whole +2 took 4 W and 2 C_ADD, the full ripple 16
@@ -185,7 +222,9 @@ def _count_seeding(asm, reads, k, caplog):
 def test_a_read_seeds_its_new_counters_once_per_sub_array_stripe(caplog):
     # A new key's counter word is zero, so one masked write of counter
     # plane 0 (a 1-bit write_vwords, 1 W) starts every new counter of a
-    # (sub-array, stripe) at one, whatever their number. A key's counter
+    # (sub-array, stripe) at one, whatever their number. The write runs
+    # once per window of COUNT_WINDOW reads, for the window's new keys, and
+    # each read here is in the stage's one window. A key's counter
     # sits at its key index's counter location, so the write's columns are
     # its new keys' key indices modulo cols.
     # CGTGTGCA at k=5 on 128 x 64: four new keys in key row 0, key indices
@@ -220,9 +259,13 @@ def test_a_read_seeds_its_new_counters_once_per_sub_array_stripe(caplog):
     ]
     assert seeds == 2
     check_counters_at_key_indices(asm, table)
-    # a read with no new key seeds nothing
+    # a second read with no new key adds nothing to the window's seeds, and
+    # a second read with new keys in the same stripes shares their writes
     table, calls, seeds = _count_seeding(make_asm(**PACKED), [genome, genome], 5, caplog)
     assert len(calls) == seeds == 2
+    halves = [genome[:15], genome[11:]]
+    table, calls, seeds = _count_seeding(make_asm(**PACKED), halves, 5, caplog)
+    assert table.distinct() == 26 and len(calls) == seeds == 2
 
 
 @pytest.mark.parametrize("raw", [["ACGTACGTTT"], ["AAAAAAA", "CACACAC"], ["GATTGATTGATTGA"]])
@@ -336,6 +379,58 @@ def test_packed_rows_count_like_a_host_counter(reads, poly_a, at, k):
     raw = list(reads)
     raw.insert(min(at, len(raw)), "A" * (k + poly_a))
     _count(raw, k, **PACKED)
+
+
+def test_a_key_placed_in_a_new_column_mid_read_is_found_by_its_next_hit():
+    # 24 x 64 at k=5: 4 slots and 4 key rows, so 16 keys and 8 buckets in
+    # the one group, and a column holds 4 keys. Bucket 1's first key ACCCG
+    # takes column 0, the least filled, at row 2, and CCCGC fills column 0
+    # at row 3. So CCGCA, new to bucket 1 later in the same read, takes the
+    # least-filled column 2, at row 2 (key index 10), and bucket 1 reserves
+    # column 2 from then on; CAACC, its next new key, finds column 2 full
+    # too and takes column 1. The read then holds CCGCA again: that hit
+    # joins a batch after the miss's, imaged in columns 0, 1 and 2, and
+    # finds the key the miss wrote in column 2. Were a column reserved only
+    # when its key is written, the hit's image would leave out column 2,
+    # and its compare would find no key.
+    asm, table = _count(["CACGGGCCCACCCGCAACCCGCAA"], 5, **PACKED)
+    lay = table.layout
+    assert (lay.slots, len(lay.kmer_rows), table.buckets) == (4, 4, 8)
+    keys = ("ACCCG", "CCCGC", "CCGCA")
+    assert [bucket_of(table, E(key)) for key in keys] == [1, 1, 1]
+    where = {key.to_str(): divmod(key_i, lay.slots) for key, (_, key_i) in zip(table.keys, table.slots)}
+    assert [where[key] for key in keys] == [(2, 0), (3, 0), (2, 2)]
+    ccgca = E("CCGCA").bits
+    probes = [(cols, key_i) for batch in asm.probed for bits, cols, key_i in batch if bits == ccgca]
+    assert probes == [(0b0001, 10), (0b0111, None)]
+
+
+# reads that repeat a stretch of themselves, so that keys new in a read are
+# often hit again in that read
+self_repeating_reads = st.lists(
+    st.tuples(st.text(alphabet="ACGT", min_size=1, max_size=30), st.integers(0, 30), st.integers(0, 12)),
+    min_size=1,
+    max_size=6,
+).map(lambda reads: [s + s[i : i + n] for s, i, n in reads])
+
+
+@given(
+    reads=self_repeating_reads,
+    rows=st.integers(min_value=21, max_value=40),
+    cols=st.sampled_from([16, 32, 64]),
+    k=st.integers(min_value=2, max_value=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_packed_newest_first_probes_count_like_a_host_counter(reads, rows, cols, k):
+    # 21 to 40 rows of 16 to 64 columns: 1 to 16 slots per key row and 1 to
+    # 20 key rows, so columns fill inside a read and keys move to new ones.
+    # Each read's probes pack first-fit into its batches and a hit scans
+    # newest first; the counts match a host Counter, every key is written
+    # once, and no batch images two members into one column or leaves a
+    # column a member reads out of its image (BucketRecorder._probe).
+    raw = [s for s in reads if len(s) >= k]
+    assume(raw and not (k == 2 and 25 <= rows <= 28))
+    _count(raw, k, rows=rows, cols=cols)
 
 
 def test_packed_rows_take_more_groups_than_the_fewest():
@@ -502,13 +597,13 @@ def test_two_bit_counters_saturate_inside_and_across_reads(reads, at, k):
 @pytest.mark.parametrize("width", [4, 8])
 def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
     # Seen again, every k-mer of the read is a hit. Its probes run in
-    # batches of up to 4 queries whose buckets use different columns: each
-    # batch writes one image into the temp row and compares the union of
-    # its members' rows, up to each key's, one C_ADD plus one DPU per row,
-    # so the probes' C_ADD equals their DPU. The 108 hits take 32 batches
-    # at width 4 and 35 at width 8, whose layout has more key rows and so
-    # more buckets. Both reads fall in one window, whose increments are
-    # added after the last read's seed write. A k-mer that occurs n times
+    # batches of up to 4 queries whose buckets use different columns, each
+    # query joining the first of the read's batches it fits: each batch
+    # writes one image into the temp row and compares the union of its
+    # members' rows, newest first down to each key's, one C_ADD plus one
+    # DPU per row, so the probes' C_ADD equals their DPU. The 108 hits take
+    # 28 batches at either width, one more than 108 / 4. Both reads fall in
+    # one window, whose increments are added after its seed write. A k-mer that occurs n times
     # in the read is seeded at 1 and has 2n - 1 pending after two copies
     # (n - 1 after one), and each set bit i of that amount is one +1 at
     # plane i, shared by every counter of its (sub-array, counter stripe)
@@ -559,7 +654,7 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
     assert (adds_once, adds_twice) == (len(planes(1)), len(planes(2))) == (2, 4)
     a, b = hashmap_totals(once.trace), hashmap_totals(twice.trace)
     batches = tables[1].batches - tables[0].batches
-    assert sum(occurrences.values()) == 108 and batches == {4: 32, 8: 35}[width]
+    assert sum(occurrences.values()) == 108 and batches == 28
     probe_dpu = b[tr.DPU] - a[tr.DPU] - 2 * 2
     assert probe_dpu == tables[1].compares - tables[0].compares
     assert b[tr.R] == a[tr.R]
@@ -577,25 +672,26 @@ class AddRecorder(Assembler):
         return adds
 
 
-def test_a_tiled_read_adds_to_at_most_two_counter_stripes():
+def test_a_tiled_read_adds_to_at_most_three_counter_stripes():
     # A 200-base genome with distinct 8-mers, read at stride 1: every read
     # shares all but its last k-mer with the read before. Its keys took
     # consecutive key indices when first seen, so the hits of a window of
-    # 16 reads (30 bases, 23 k-mers each) lie in a run of at most 16 + 22 -
-    # 1 = 37 counters, which spans at most two stripes of 64 columns,
-    # wherever the 152 buckets put their keys. A key is hit at most once
-    # per read, so at most 16 times in a window: amounts below 32 have at
-    # most five set bits, so a window issues at most 2 * 5 adds. The 171
-    # reads make 10 windows of 16 and a last one of 11, each adding once.
+    # 64 reads (30 bases, 23 k-mers each) lie in a run of at most 64 + 22 -
+    # 1 = 85 counters, which spans at most three stripes of 64 columns,
+    # wherever the 152 buckets put their keys. A key is in at most 23
+    # reads and is new in the first, so it is hit at most 22 times: amounts
+    # below 32 have at most five set bits, so a window issues at most 3 * 5
+    # adds. The 171 reads make 2 windows of 64 and a last one of 43, each
+    # adding once.
     genome = distinct_window_genome(200, 8, random.Random(11))
     asm = AddRecorder(rows=128, cols=64)
     asm.windows = []
     table = asm.build_kmer_table([E(s) for s in tile_reads(genome, 30, 1)], 8)
     assert table.distinct() == 193 and table.buckets == 152
     assert asm.machine.subarray_count == 1
-    assert len(asm.windows) == 11
-    assert max(len(stripes) for _, stripes in asm.windows) == 2
-    assert [adds for adds, _ in asm.windows] == [4, 5, 8, 10, 5, 5, 9, 10, 8, 5, 7]
+    assert len(asm.windows) == 3
+    assert [len(stripes) for _, stripes in asm.windows] == [2, 2, 3]
+    assert [adds for adds, _ in asm.windows] == [10, 10, 11]
     assert all(adds <= 5 * len(stripes) for adds, stripes in asm.windows)
 
 
@@ -672,45 +768,68 @@ def test_bit_sliced_counter_adds_equal_whole_amount_adds(data, width):
 def _counter_events(asm, reads, k):
     """Build the table, logging each counter write in order as (reads ended,
     "seed" or "add", (sub-array, stripe lsb, column)): one entry per counter
-    a seed write starts or a counter add touches."""
+    a seed write starts or a counter add touches. A read ends with one
+    _flush per hash group, and the hash stage's sub-arrays are its groups."""
     width = asm.value_width
     events = []
-    ended = []  # one entry per read whose seed write has run
-    seed_counts = asm._seed_counts
+    flushes = []  # one entry per group flush
+    flush = asm._flush
     write, add = asm.machine.write_vwords, asm.machine.add_const_cols
 
-    def on_seed(table, first):
-        writes = seed_counts(table, first)
-        ended.append(first)
-        return writes
+    def on_flush(table, group, pending):
+        flushes.append(group.sid)
+        flush(table, group, pending)
 
     def on_write(sid, lsb, w, words):
         assert w == 1
-        events.extend((len(ended), "seed", (sid, lsb, col)) for col in words)
+        events.extend((len(flushes), "seed", (sid, lsb, col)) for col in words)
         write(sid, lsb, w, words)
 
     def on_add(sid, lsb, w, cols, constant):
         # an add at plane i runs from lsb = stripe + i to the stripe's top
-        events.extend((len(ended), "add", (sid, lsb + w - width, col)) for col in cols)
+        events.extend((len(flushes), "add", (sid, lsb + w - width, col)) for col in cols)
         return add(sid, lsb, w, cols, constant)
 
-    with patch.object(asm, "_seed_counts", on_seed), patch.object(
+    with patch.object(asm, "_flush", on_flush), patch.object(
         asm.machine, "write_vwords", on_write
     ), patch.object(asm.machine, "add_const_cols", on_add):
         table = asm.build_kmer_table([E(s) for s in reads], k)
-    return table, events
+    groups = asm.machine.subarray_count
+    assert len(flushes) == groups * len(reads)
+    return table, [(n // groups, kind, counter) for n, kind, counter in events]
+
+
+def check_window_order(events, window, n):
+    """Counter writes run only at the end of a window of `window` reads and
+    of the last read; at each such end every seed write comes before the
+    first add, and every counter an add touches was seeded at this end or
+    an earlier one. Returns the read counts at which adds ran."""
+    seeded = set()
+    last = None
+    for ended, kind, counter in events:
+        assert ended % window == 0 or ended == n
+        if kind == "seed":
+            assert last != (ended, "add")
+            seeded.add(counter)
+        else:
+            assert counter in seeded
+        last = (ended, kind)
+    return sorted({ended for ended, kind, _ in events if kind == "add"})
 
 
 @pytest.mark.parametrize("width", [2, 8])
 @pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
 def test_counter_adds_wait_for_the_end_of_their_window(n, width):
-    # Reads of 12 bases every 3 bases of a random genome, with two reads
-    # put in at positions 16 and 17: GATTGATTGA, new in the first window's
-    # last read, holds GATTG and ATTGA twice, and CGATTGATT, the next
-    # window's first read, holds them again. Every counter add comes after
-    # the seed write that started its counter, the adds run only after
-    # every 16th read and after the last one, and the counters read back
-    # the host's counts, clamped at 3 for 2-bit words.
+    # The windowing at a window of 16 reads (COUNT_WINDOW is patched here;
+    # test_every_counter_is_seeded_before_its_windows_first_add runs the
+    # stage's own window). Reads of 12 bases every 3 bases of a random
+    # genome, with two reads put in at positions 16 and 17: GATTGATTGA, new
+    # in the first window's last read, holds GATTG and ATTGA twice, and
+    # CGATTGATT, the next window's first read, holds them again. The seed
+    # writes and the adds run only after every 16th read and after the
+    # last one, the seeds first, so every counter add comes after the seed
+    # write that started its counter, and the counters read back the
+    # host's counts, clamped at 3 for 2-bit words.
     genome = random_genome(120, random.Random(0))
     base = tile_reads(genome, 12, 3)
     raw = (base[:15] + ["GATTGATTGA", "CGATTGATT"] + base[15:])[:n]
@@ -718,52 +837,87 @@ def test_counter_adds_wait_for_the_end_of_their_window(n, width):
     assert not {"GATTG", "ATTGA"} & {s[i : i + k] for s in raw[:15] for i in range(8)}
     expected = Counter(s[i : i + k] for s in raw for i in range(len(s) - k + 1))
     asm = make_asm(value_width=width, **PACKED)
-    table, events = _counter_events(asm, raw, k)
+    with patch.object(assembly, "COUNT_WINDOW", 16):
+        table, events = _counter_events(asm, raw, k)
     cap = (1 << width) - 1
     assert {key.to_str(): c for key, c in table.frequencies().items()} == {
         key: min(c, cap) for key, c in expected.items()
     }
-    seeded = set()
-    for ended, kind, counter in events:
-        if kind == "seed":
-            seeded.add(counter)
-        else:
-            assert counter in seeded
-            assert ended % 16 == 0 or ended == n
-    flushed = sorted({ended for ended, kind, _ in events if kind == "add"})
+    flushed = check_window_order(events, 16, n)
     assert flushed == {1: [], 15: [15], 16: [16], 17: [16, 17], 33: [16, 32, 33]}[n]
+
+
+def test_every_counter_is_seeded_before_its_windows_first_add():
+    # The stage's own window, COUNT_WINDOW = 64 reads. 130 reads: 128 of 12
+    # bases every 3 bases of a 393-base genome on 128 x 64 (304 keys per
+    # group), with GATTGATTGA put in as read 64 and CGATTGATT as read 65:
+    # GATTG and ATTGA are new in the first window's last read and hit once
+    # more there, then hit again in the second window's first read. The seed
+    # writes of a window's new keys run at its end, before its first add,
+    # and windows end after reads 64, 128 and 130.
+    window = assembly.COUNT_WINDOW
+    assert window == 64
+    genome = random_genome(393, random.Random(0))
+    base = tile_reads(genome, 12, 3)
+    raw = base[:63] + ["GATTGATTGA", "CGATTGATT"] + base[63:]
+    k = 5
+    assert len(raw) == 130
+    assert not {"GATTG", "ATTGA"} & {s[i : i + k] for s in raw[:63] for i in range(8)}
+    expected = Counter(s[i : i + k] for s in raw for i in range(len(s) - k + 1))
+    asm = make_asm()
+    table, events = _counter_events(asm, raw, k)
+    assert {key.to_str(): c for key, c in table.frequencies().items()} == dict(expected)
+    assert check_window_order(events, window, len(raw)) == [64, 128, 130]
+    # one seed write per window and stripe: GATTG and ATTGA are seeded at
+    # the end of the first window
+    seeds = [(ended, counter) for ended, kind, counter in events if kind == "seed"]
+    gattg = table.slots[[key.to_str() for key in table.keys].index("GATTG")]
+    assert (64, (gattg[0], *table.layout.counter_location(gattg[1]))) in seeds
 
 
 def test_a_stage_with_no_hits_adds_nothing():
     # 33 reads that share no k-mer, and hold none twice: nothing is ever
-    # pending, so the stage issues no counter add and its trace is the one
-    # a window of one read gives.
+    # pending, so the stage issues no counter add, whatever the window. The
+    # window decides only how many seed writes start the 198 counters: a
+    # window of one read writes one per read and (sub-array, stripe) its
+    # new keys touch, 168 in all, and the stage's one window of 33 reads
+    # one per sub-array, 18 (16 keys and one counter stripe each at 24 x
+    # 64). Every other trace row is the same.
     genome = distinct_window_genome(396, 7, random.Random(2))
     raw = [genome[i : i + 12] for i in range(0, 396, 12)]
-    traces = []
+    traces, seeds = [], []
     for window in (assembly.COUNT_WINDOW, 1):
         asm = make_asm(**PACKED)
         with patch.object(assembly, "COUNT_WINDOW", window):
             table, events = _counter_events(asm, raw, 7)
         assert table.total_kmers == table.distinct() == 33 * 6
         assert {kind for _, kind, _ in events} == {"seed"}
-        traces.append(asm.trace.records())
-    assert traces[0] == traces[1]
+        assert len({counter for _, _, counter in events}) == len(events) == 198
+        traces.append(dict(((stage, kind), n) for stage, kind, n in asm.trace.records()))
+        seeds.append(len({(ended, sid, lsb) for ended, _, (sid, lsb, _) in events}))
+    assert seeds == [18, 168] and asm.machine.subarray_count == 18
+    w = ("hashmap", "W")
+    assert traces[1][w] - traces[0][w] == seeds[1] - seeds[0]
+    assert {key: n for key, n in traces[0].items() if key != w} == {
+        key: n for key, n in traces[1].items() if key != w
+    }
 
 
 class CorruptKey(Assembler):
-    """XORs `flip` into the first key in its key row once the first read is
-    counted (bit 0 unless a test sets it)."""
+    """XORs `flip` into the first key in its key row once the first read's
+    batches have run (bit 0 unless a test sets it). The tests that use it
+    take one group, so the first _flush ends the first read."""
 
     flip = 1
+    corrupted = False
 
-    def _seed_counts(self, table, first):
-        seeds = super()._seed_counts(table, first)
-        if first == 0:
+    def _flush(self, table, group, pending):
+        super()._flush(table, group, pending)
+        if not self.corrupted:
+            self.corrupted = True
             sid, key_i = table.slots[0]
             row, col = table.layout.key_address(key_i)
             self.machine.subarray(sid).cells[row] ^= self.flip << col
-        return seeds
 
 
 def test_a_corrupted_key_fails_the_fabric_scan():
@@ -2253,13 +2407,26 @@ _UNIT_RUNG = (
 #   hashmap C_ADD  1,229 compared rows + 217               = 1,446
 #   hashmap DPU    1,229 + 217                             = 1,446
 # The graph and traverse rows are unchanged.
+#
+# Probes packed per read and scanned newest first, with the seeds moved to
+# the end of a window of 64 reads. A key row holds one key, so every bucket
+# uses column 0 and a batch still holds one query: 897 image writes. A hit
+# compares its bucket's rows newest first, down to its key's: 944 compares,
+# not 1,229. The 54 reads make one window, so one seed write per hash
+# sub-array's one stripe, 10, not 192, and 30 adds, a +1 at planes 0, 1
+# and 2 of each sub-array's stripe, each stopping one plane up: 60 planes.
+# Both ways:
+#   hashmap W      897 images + 259 inserts + 10 seeds
+#                  + 2 * 60                               = 1,286
+#   hashmap C_ADD  944 compared rows + 60                  = 1,004
+#   hashmap DPU    944 + 60                                = 1,004
 LADDER = {
     False: (
         [
             ("io", "XFER", 508),
-            ("hashmap", "W", 1782),
-            ("hashmap", "C_ADD", 1446),
-            ("hashmap", "DPU", 1446),
+            ("hashmap", "W", 1286),
+            ("hashmap", "C_ADD", 1004),
+            ("hashmap", "DPU", 1004),
             ("graph", "R", 80),
             ("graph", "W", 36),
             ("traverse", "DPU", 1408),
@@ -2281,9 +2448,9 @@ LADDER = {
     True: (
         [
             ("io", "XFER", 512),
-            ("hashmap", "W", 1782),
-            ("hashmap", "C_ADD", 1446),
-            ("hashmap", "DPU", 1446),
+            ("hashmap", "W", 1286),
+            ("hashmap", "C_ADD", 1004),
+            ("hashmap", "DPU", 1004),
             ("graph", "R", 337),
             ("graph", "DPU", 518),
             ("graph", "W", 3),
@@ -2325,20 +2492,24 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #   hashmap        752,476 queries, 9,976 distinct keys in 3 groups of
 #                  1,784 buckets (fill 3,335, 3,302, 3,339), 3 sub-arrays.
 #     The 4,520 first misses into an empty bucket write no image; the
-#     other 747,956 queries run in 288,983 batches of up to 4, one image
-#     write each, and compare 1,224,802 rows in all (1.63 per query).
-#     Each key's counter sits at its key index. The 9,901 reads make 619
-#     windows of 16 reads (the last of 13). A read holds each k-mer once,
-#     so a window's pending amounts are at most 16, five bits, and its
-#     adds are one +1 per (sub-array, counter stripe, set bit): 2,047 at
-#     plane 0, 2,065 at 1, 2,052 at 2, 2,045 at 3 and 2,022 at 4, 10,231
-#     adds. No counter passes 76, so each add stops at its last carry
-#     plane: 1 at plane 0, 611 at 1, 1,963 at 2, 3,340 at 3, 660 at 4, 97
-#     at 5 and 3,559 at 6, 28,875 planes of 1 C_ADD + 2 W + 1 DPU each.
-#     W  an image write per batch (288,983), 9,976 inserts, 9,903
-#        counter-seed writes, and the adds' 2 * 28,875         =   366,612
-#     DPU one per compared row (1,224,802) + 28,875          = 1,253,677
-#     C_ADD the compares (1,224,802) + 28,875                = 1,253,677
+#     other 747,956 queries run in 229,141 batches of up to 4 (3.26 per
+#     batch), one image write each, each query joining the first of its
+#     read's batches it fits. A hit compares its bucket's rows newest
+#     first, down to its key's, and a miss all of them: 504,499 rows in
+#     all (0.67 per query). Each key's counter sits at its key index. The
+#     9,901 reads make 155 windows of 64 reads (the last of 45), and each
+#     ends with one seed write per (sub-array, counter stripe) its new
+#     keys touch, 511 in all. A read holds each k-mer once, so a window's
+#     pending amounts are at most 64, seven bits, and its adds are one +1
+#     per (sub-array, counter stripe, set bit): 551 at plane 0, 550 at 1,
+#     545 at 2, 538 at 3, 535 at 4, 522 at 5 and 465 at 6, 3,706 adds. No
+#     counter passes 76, so each add stops at its last carry plane: 60 at
+#     plane 1, 162 at 2, 714 at 3, 620 at 4, 294 at 5 and 1,856 at 6,
+#     10,524 planes of 1 C_ADD + 2 W + 1 DPU each.
+#     W  an image write per batch (229,141), 9,976 inserts, 511
+#        counter-seed writes, and the adds' 2 * 10,524        =   260,676
+#     DPU one per compared row (504,499) + 10,524            =   515,023
+#     C_ADD the compares (504,499) + 10,524                  =   515,023
 #   graph          9,977 nodes, 9,976 edges, largest multiplicity 76.
 #     Each node's label is checked in place in its key row; nothing is
 #     copied.
@@ -2411,11 +2582,16 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 # plane at a time, not each read's per amount: adds 33,032 -> 10,231,
 # planes 179,089 -> 28,875. 8,653,454 -> 6,679,643 modeled ns, RUR 0.6432
 # -> 0.7442, sub-arrays 5.
+# Packing each read's probes first-fit into its open batches, scanning a
+# hit's rows newest first, and seeding and adding once per window of 64
+# reads: image writes 288,983 -> 229,141, compares 1,224,802 -> 504,499,
+# seed writes 9,903 -> 511, adds 10,231 -> 3,706 of 10,524 planes.
+# 6,679,643 -> 3,268,326 modeled ns, RUR 0.7442 -> 0.6259, sub-arrays 5.
 CANONICAL_TRACE = [
     ("io", "XFER", 250_025),
-    ("hashmap", "W", 366_612),
-    ("hashmap", "C_ADD", 1_253_677),
-    ("hashmap", "DPU", 1_253_677),
+    ("hashmap", "W", 260_676),
+    ("hashmap", "C_ADD", 515_023),
+    ("hashmap", "DPU", 515_023),
     ("graph", "R", 336),
     ("graph", "W", 273),
     ("traverse", "DPU", 30_447),
