@@ -2,9 +2,9 @@
 
 Stage 1 counts k-mers in an associative hash store whose key rows hold
 several keys each, one per slot at a power-of-two column pitch. The store
-is cut into groups of one sub-array each, and every group into
-mapping.HashLayout.buckets_per_group hash buckets, one per two key slots
-(one per key row at one slot a row). A host pre-scan of the distinct
+is cut into groups of one sub-array each, and every group into one hash
+bucket per key slot (mapping.HashLayout.capacity buckets), so a full
+group holds about one key per bucket. A host pre-scan of the distinct
 keys takes the fewest groups whose hashed key counts fit them
 (mapping.bucket_directory). Keys are placed by column (slot position): a
 bucket's first key takes the least-filled column of its group, and its
@@ -117,15 +117,17 @@ log = logging.getLogger(__name__)
 # window it seeds the window's new counters, then adds its increments one
 # bit plane at a time. Modeled ns of tiled-deep / sampled-repeats / the
 # canonical run (its RUR), calibrated config, seed 1, simplify off, with
-# each read's probes packed first-fit and hits scanned newest first:
-# windows of 8 reads 248,862 / 142,142 / 3,685,211 (0.588), of 16 242,941
-# / 139,257 / 3,515,935 (0.6025), of 64 231,803 / 136,921 / 3,268,326
-# (0.626), and the whole stage 227,140 / 136,161 / 3,131,778 (0.640). 64
-# takes 79% of the whole stage's gain over 8 on tiled-deep, and keeps the
-# canonical RUR at 0.6235 or more over hash seeds 0-19, where criterion 10
-# asks 0.60, while the pending map and the window's new keys hold at most
-# the keys of 64 reads.
-COUNT_WINDOW = 64
+# one hash bucket per key slot, each read's probes packed first-fit and
+# hits scanned newest first: windows of 8 reads 238,361 / 122,432 /
+# 3,287,725 (0.560), of 16 232,441 / 119,608 / 3,117,162 (0.575), of 64
+# 221,303 / 117,180 / 2,871,134 (0.5993), of 128 218,866 / 116,833 /
+# 2,805,254 (0.606), of 256 217,783 / 116,640 / 2,770,540 (0.610), and the
+# whole stage 216,626 / 116,473 / 2,736,212 (0.614). Criterion 10 asks a
+# canonical RUR of 0.60, which 64 misses; 256 takes 95% of the whole
+# stage's gain over 8 on tiled-deep and keeps the RUR at 0.6092 or more
+# over hash seeds 0-19, while the pending map and the window's new keys
+# hold at most the keys of 256 reads.
+COUNT_WINDOW = 256
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +633,7 @@ class Assembler:
 
     The hash store packs `slots` keys into each key row (see
     mapping.layout_hash), so one compare checks a row of keys. Each group
-    is one sub-array of buckets_per_group buckets, whose keys are
+    is one sub-array of one bucket per key slot, whose keys are
     placed by column, so a probe scans a few rows, and up to `slots`
     queries share one image write and the rows they scan (see
     build_kmer_table). Counter writes are batched: every COUNT_WINDOW
@@ -684,9 +686,9 @@ class Assembler:
 
         A host pre-scan hashes each distinct key once, with the probes'
         hash, and mapping.bucket_directory takes the fewest groups
-        whose hashed key counts fit their sub-arrays, each of
-        layout.buckets_per_group buckets (at 1024 x 256 and k=25, 1,784
-        buckets per group of 3,568 keys; 9,956 keys take 3 groups). Each
+        whose hashed key counts fit their sub-arrays, each of one bucket
+        per key slot (at 1024 x 256 and k=25, 3,568 buckets per group of
+        3,568 keys; 9,956 keys take 3 groups). Each
         k-mer is then observed in read order, a new key taking its slot's
         counter, and each query joins the first of its group's open batches
         it fits (see _observe); at the read's end each group probes its
@@ -695,10 +697,10 @@ class Assembler:
         stage's last read, the window's new counters are seeded, one write
         per (sub-array, stripe), and then the increments are added, so
         every counter is seeded before it is added to and holds its count
-        before build_graph reads it. The log line reports the batches,
-        queries per image write, compares per query and the fullest column
-        next to the counter work, where a counter add is one +1 at one bit
-        plane.
+        before build_graph reads it. The log line reports the directory's
+        load (distinct keys per bucket), the batches, queries per image
+        write, compares per query and the fullest column next to the
+        counter work, where a counter add is one +1 at one bit plane.
         """
         layout = mapping.layout_hash((self.rows, self.cols), k, self.value_width)
         table = KmerTable(k, layout, self.machine)
@@ -713,9 +715,8 @@ class Assembler:
             groups = [
                 _Group(self._new_subarray(layout.row_layout), layout) for _ in range(n_groups)
             ]
-            per_group = layout.buckets_per_group
-            table.buckets = n_groups * per_group
-            buckets = [_Bucket(groups[b // per_group]) for b in range(table.buckets)]
+            table.buckets = n_groups * layout.capacity
+            buckets = [_Bucket(groups[b // layout.capacity]) for b in range(table.buckets)]
             # (sub-array, stripe lsb, column) -> the window's increment
             pending: dict[tuple[int, int, int], int] = {}
             adds = seeds = fresh = 0
@@ -732,11 +733,12 @@ class Assembler:
         log.info(
             "k-mer table: %d queries, %d hits, %d counter adds (one +1 at a bit plane each, "
             "every %d reads), %d counter-seed writes, "
-            "%d distinct, %d groups (one sub-array each), %d buckets, %d batches "
-            "(one image write each), %.2f queries per image write, %.2f compares per query, "
-            "fullest column %d of %d key rows",
+            "%d distinct, %d groups (one sub-array each), %d buckets (%.2f keys each), "
+            "%d batches (one image write each), %.2f queries per image write, "
+            "%.2f compares per query, fullest column %d of %d key rows",
             table.total_kmers, table.total_kmers - table.distinct(), adds, COUNT_WINDOW, seeds,
-            table.distinct(), len(groups), table.buckets, table.batches,
+            table.distinct(), len(groups), table.buckets, table.distinct() / table.buckets,
+            table.batches,
             table.total_kmers / table.batches if table.batches else float("inf"),
             table.compares / table.total_kmers,
             max(max(g.fill) for g in groups),

@@ -94,12 +94,6 @@ class HashLayout:
         row, slot = divmod(key_index, self.slots)
         return self.kmer_rows.start + row, slot * self.pitch
 
-    @property
-    def buckets_per_group(self) -> int:
-        """Hash buckets per group: one per two key slots, and at least one
-        per key row, so rows of one slot give one bucket a row."""
-        return max(len(self.kmer_rows), self.capacity // 2)
-
     def image(self, bits: int, cols: int) -> int:
         """Row image holding the key `bits` in the slots of column mask `cols`
         (bit s set for slot s)."""
@@ -200,25 +194,44 @@ def layout_hash(dims: tuple[int, int], k: int, value_width: int = 8) -> HashLayo
 def bucket_directory(lay: HashLayout, hashes: list[int]) -> int:
     """The number of hash groups for keys with these hashes.
 
-    Every group is one sub-array of lay.buckets_per_group buckets: a key
-    with hash h sits in bucket h % (groups * buckets_per_group), which lies
-    in group bucket // buckets_per_group. Keys are placed by column, so a
-    group holds any keys up to its capacity, however its buckets share them.
-    The directory takes the fewest groups, from ceil(keys / capacity) up to
-    four times that, at which no group is hashed more keys than it holds. At
-    four times the fewest a group averages a quarter of a sub-array's keys,
-    so only colliding hashes find no fit (stable_hash is injective on keys of
-    up to 32 bases), and they raise CapacityError.
+    Every group is one sub-array of lay.capacity buckets, one per key slot:
+    a key with hash h sits in bucket h % (groups * capacity), which lies in
+    group bucket // capacity. Keys are placed by column, so a group holds
+    any keys up to its capacity, however its buckets share them. The
+    directory takes the fewest groups, counting up from
+    ceil(keys / capacity), at which no group is hashed more keys than it
+    holds. Distinct hashes always fit: at a prime group count that divides
+    no difference of two of them, each has a bucket of its own, so a
+    group's capacity buckets hold at most capacity keys. A difference below
+    2**b has fewer than b prime factors, so such a prime lies among the
+    first b * pairs + 1 primes the search passes, and the search ends there.
+    More keys on one hash than a sub-array holds fit no directory, and
+    they, or equal hashes that no group count tried separates, raise
+    CapacityError. stable_hash is injective on keys of up to 32 bases.
     """
-    least = math.ceil(len(hashes) / lay.capacity)
-    per_group = lay.buckets_per_group
-    for groups in range(least, 4 * least + 1):
-        n = groups * per_group
-        if max(Counter(h % n // per_group for h in hashes).values()) <= lay.capacity:
+    cap = lay.capacity
+    least = math.ceil(len(hashes) / cap)
+    shared = Counter(hashes).most_common(1)[0][1]
+    if shared > cap:
+        raise CapacityError(
+            f"{len(hashes)} key hashes fit no bucket directory: {shared} share one "
+            f"hash, and a sub-array holds {cap} keys"
+        )
+    primes_left = max(hashes).bit_length() * math.comb(len(set(hashes)), 2) + 1
+    groups = least
+    while primes_left:
+        n = groups * cap
+        if max(Counter(h % n // cap for h in hashes).values()) <= cap:
             return groups
+        primes_left -= _is_prime(groups)
+        groups += 1
     raise CapacityError(
-        f"{len(hashes)} key hashes fit no bucket directory of {least} to {4 * least} groups"
+        f"{len(hashes)} key hashes fit no bucket directory of {least} to {groups - 1} groups"
     )
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def subarrays_needed(n_items: int, f: int) -> int:

@@ -108,8 +108,9 @@ def test_kmer_counts_match_a_host_counter(reads, k):
 def test_insert_cost_oracle_single_read():
     # CGTGTGCA, k=5: four distinct k-mers in one sub-array of 5 counter
     # stripes. 10-bit keys at a 16-column pitch give 4 slots per 64-bit
-    # row and 76 key rows, 304 keys and so 152 buckets in the one group.
-    # CGTGT hashes to bucket 60, GTGTG to 69, TGTGC to 8 and GTGCA to 118:
+    # row and 76 key rows, 304 keys and so 304 buckets, one per key slot,
+    # in the one group. CGTGT hashes to bucket 212, GTGTG to 221, TGTGC to
+    # 8 and GTGCA to 270:
     # every key finds its bucket empty and compares against nothing, and
     # takes the least-filled column, so the four fill key row 0 in
     # first-seen order. Each insert writes the key into its slot from the
@@ -119,22 +120,24 @@ def test_insert_cost_oracle_single_read():
     #   W = 4 inserts + 1 seed = 5,  R = 0,  C_ADD = DPU = 0.
     asm = make_asm()
     table = asm.build_kmer_table([E("CGTGTGCA")], 5)
-    assert table.buckets == table.layout.buckets_per_group == 152
-    assert [bucket_of(table, key) for key in table.keys] == [60, 69, 8, 118]
+    assert table.buckets == table.layout.capacity == 304
+    assert [bucket_of(table, key) for key in table.keys] == [212, 221, 8, 270]
     assert table.slots == [(0, 0), (0, 1), (0, 2), (0, 3)]
     assert table.batches == table.compares == 0
     assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 5, tr.C_ADD: 0, tr.DPU: 0}
 
 
 def test_miss_cost_is_one_compare_per_occupied_row():
-    # k=5 on 64 columns: 4 slots per row, 304 keys in 76 key rows and 152
+    # k=5 on 64 columns: 4 slots per row, 304 keys in 76 key rows and 304
     # buckets per sub-array, so every prefix below keeps one group. Each
     # k-mer is a read of its own, so each batch holds one query. A bucket's
     # keys share its column, one key row each (these 90 keys fill no
     # column), so the miss that inserts a key compares the query against f
     # rows, f the keys already in its bucket, after one image write; into
-    # an empty bucket it writes no image. These 90 keys fill 45 buckets
-    # with one key, 13 with two, 5 with three and one with four.
+    # an empty bucket it writes no image. These 90 keys fill 66 buckets
+    # with one key, 9 with two and 2 with three, so 9 * 1 + 2 * 2 = 13
+    # misses find a non-empty bucket, one batch each, and they compare
+    # 9 * 1 + 2 * (1 + 2) = 15 rows.
     seq = distinct_window_genome(94, 5, random.Random(0))
     kmers = [E(seq[i : i + 5]) for i in range(len(seq) - 4)]
     assert len({key.bits for key in kmers}) == len(kmers)
@@ -143,7 +146,7 @@ def test_miss_cost_is_one_compare_per_occupied_row():
     for j in range(len(kmers)):
         asm = make_asm()
         table = asm.build_kmer_table(kmers[: j + 1], 5)
-        assert table.layout.slots == 4 and table.buckets == 152
+        assert table.layout.slots == 4 and table.buckets == 304
         assert asm.machine.subarray_count == 1
         buckets = [bucket_of(table, key) for key in kmers[: j + 1]]
         f = buckets[:-1].count(buckets[-1])
@@ -152,26 +155,58 @@ def test_miss_cost_is_one_compare_per_occupied_row():
         assert totals[tr.C_ADD] - prev[tr.C_ADD] == f
         assert totals[tr.DPU] - prev[tr.DPU] == f
         prev = totals
-    assert Counter(Counter(buckets).values()) == {1: 45, 2: 13, 3: 5, 4: 1}
-    assert (table.batches, table.compares) == (26, 34)
-    # empty, one-row, two-row and three-row buckets all occur
-    assert set(scanned) == {0, 1, 2, 3}
+    assert Counter(Counter(buckets).values()) == {1: 66, 2: 9, 3: 2}
+    assert (table.batches, table.compares) == (13, 15)
+    # empty, one-row and two-row buckets all occur
+    assert set(scanned) == {0, 1, 2}
+
+
+def test_an_all_miss_stage_costs_follow_its_bucket_loads():
+    # Every k-mer read once, as on hub-euler: 6 reads of 20 bases at stride
+    # 16 over a 100-base genome with distinct 5-mers, so the 96 k-mers are
+    # 96 distinct keys and every query is a miss. On 128 x 64 at k=5 the
+    # one group has 304 buckets, one per key slot, and the keys load 65 of
+    # them with one key, 14 with two and 1 with three. A bucket's first key
+    # finds it empty and is inserted with no image and no compare. Each
+    # later key joins a batch of its read and compares the rows of its
+    # bucket's earlier keys, one C_ADD and one DPU each (no two members of
+    # a batch share a row here): 14 * 1 + 1 * (1 + 2) = 17 rows. Those
+    # 14 + 2 = 16 misses pack first-fit into 11 batches, one image write
+    # each. The keys take key indices 0..95, two counter stripes of 64, so
+    # the stage's one window ends with two seed writes, and with no hit
+    # adds nothing:
+    #   W = 96 inserts + 11 images + 2 seeds = 109,  C_ADD = DPU = 17,  R = 0.
+    # At one bucket per two key slots (152) the loads were 47, 20 and 3, so
+    # 26 misses compared 20 * 1 + 3 * 3 = 29 rows in 13 batches: W = 111.
+    genome = distinct_window_genome(100, 5, random.Random(0))
+    raw = [genome[i : i + 20] for i in range(0, 96, 16)]
+    asm = BucketRecorder(rows=128, cols=64)
+    table = asm.build_kmer_table([E(s) for s in raw], 5)
+    assert table.total_kmers == table.distinct() == 96 and table.buckets == 304
+    loads = Counter(Counter(bucket_of(table, key) for key in table.keys).values())
+    assert loads == {1: 65, 2: 14, 3: 1}
+    assert table.compares == sum(n * (n - 1) // 2 * m for n, m in loads.items()) == 17
+    assert sum(len(batch) for batch in asm.probed) == 16 and table.batches == 11
+    assert max(key_i for _, key_i in table.slots) == 95
+    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 109, tr.C_ADD: 17, tr.DPU: 17}
 
 
 def test_a_hit_compares_its_bucket_rows_newest_first():
-    # The 90 keys above, one read each, on 128 x 64 at k=5: one bucket holds
-    # four keys, one key row each, in first-seen order. One more read of
-    # one of the four is a hit alone in its batch, one image write, and it
-    # compares the bucket's rows from the newest down to its key's: one row
-    # for the newest key, all four for the oldest.
+    # The 90 keys above, one read each, on 128 x 64 at k=5: two buckets hold
+    # three keys, one key row each, in first-seen order; the first of them
+    # is bucket 69, with TATCA, TGGAG and CGGAT in rows 4, 12 and 16. One
+    # more read of one of the three is a hit alone in its batch, one image
+    # write, and it compares the bucket's rows from the newest down to its
+    # key's: one row for the newest key, all three for the oldest.
     seq = distinct_window_genome(94, 5, random.Random(0))
     kmers = [E(seq[i : i + 5]) for i in range(len(seq) - 4)]
     asm = BucketRecorder(rows=128, cols=64)
     base = asm.build_kmer_table(kmers, 5)
     buckets = [bucket_of(base, key) for key in kmers]
-    four = [key for key, b in zip(kmers, buckets) if buckets.count(b) == 4]
-    assert len(four) == len(asm.buckets[bucket_of(base, four[0])].rows) == 4
-    for key, rows in zip(four, (4, 3, 2, 1)):
+    three = [key for key, b in zip(kmers, buckets) if b == 69]
+    assert [key.to_str() for key in three] == ["TATCA", "TGGAG", "CGGAT"]
+    assert asm.buckets[69].rows == [4, 12, 16]
+    for key, rows in zip(three, (3, 2, 1)):
         table = make_asm().build_kmer_table(kmers + [key], 5)
         assert table.batches - base.batches == 1
         assert table.compares - base.compares == rows
@@ -246,16 +281,16 @@ def test_a_read_seeds_its_new_counters_once_per_sub_array_stripe(caplog):
     # 24 x 64 at k=5: 16 keys and one counter stripe per sub-array, so 26
     # distinct keys take two groups, and the read seeds each sub-array's
     # stripe once, in the columns of its keys' key indices: the first
-    # group's 10 keys leave key indices 6, 10 and 11 free in columns 2 and
-    # 3, the second group's 16 fill it
+    # group's 13 keys fill key rows 0 to 2 and column 2 of row 3 (key
+    # index 14), the second group's 13 rows 0 to 2 and column 0 of row 3
     genome = distinct_window_genome(30, 5, random.Random(5))
     asm = make_asm(**PACKED)
     table, calls, seeds = _count_seeding(asm, [genome], 5, caplog)
     assert table.distinct() == 26 and asm.machine.subarray_count == 2
     lsb0 = table.layout.value_rows.start
     assert sorted(calls) == [
-        (0, lsb0, 1, [0, 1, 2, 3, 4, 5, 7, 8, 9, 12]),
-        (1, lsb0, 1, list(range(16))),
+        (0, lsb0, 1, [*range(12), 14]),
+        (1, lsb0, 1, list(range(13))),
     ]
     assert seeds == 2
     check_counters_at_key_indices(asm, table)
@@ -313,7 +348,7 @@ def check_counters_at_key_indices(asm, table):
 
 def check_one_sub_array_per_group(asm, table):
     """Every hash group is one sub-array of its own, holding
-    buckets_per_group buckets, and the hash stage takes nothing else. Every
+    one bucket per key slot, and the hash stage takes nothing else. Every
     key sits in its group's sub-array, in a slot of the bucket its hash
     names, no slot in two buckets; no group holds more than its capacity,
     and every column fills its key rows from the top, in first-seen order.
@@ -321,10 +356,10 @@ def check_one_sub_array_per_group(asm, table):
     """
     lay = table.layout
     groups, buckets = asm.groups, asm.buckets
-    assert len(buckets) == table.buckets == len(groups) * lay.buckets_per_group
+    assert len(buckets) == table.buckets == len(groups) * lay.capacity
     assert sorted(group.sid for group in groups) == list(range(asm.machine.subarray_count))
     for group in groups:
-        assert sum(bucket.group is group for bucket in buckets) == lay.buckets_per_group
+        assert sum(bucket.group is group for bucket in buckets) == lay.capacity
         assert max(group.fill) <= len(lay.kmer_rows)
         assert sum(group.fill) == [sid for sid, _ in table.slots].count(group.sid)
         assert sum(group.fill) <= lay.capacity
@@ -382,11 +417,11 @@ def test_packed_rows_count_like_a_host_counter(reads, poly_a, at, k):
 
 
 def test_a_key_placed_in_a_new_column_mid_read_is_found_by_its_next_hit():
-    # 24 x 64 at k=5: 4 slots and 4 key rows, so 16 keys and 8 buckets in
-    # the one group, and a column holds 4 keys. Bucket 1's first key ACCCG
+    # 24 x 64 at k=5: 4 slots and 4 key rows, so 16 keys and 16 buckets in
+    # the one group, and a column holds 4 keys. Bucket 9's first key ACCCG
     # takes column 0, the least filled, at row 2, and CCCGC fills column 0
-    # at row 3. So CCGCA, new to bucket 1 later in the same read, takes the
-    # least-filled column 2, at row 2 (key index 10), and bucket 1 reserves
+    # at row 3. So CCGCA, new to bucket 9 later in the same read, takes the
+    # least-filled column 2, at row 2 (key index 10), and bucket 9 reserves
     # column 2 from then on; CAACC, its next new key, finds column 2 full
     # too and takes column 1. The read then holds CCGCA again: that hit
     # joins a batch after the miss's, imaged in columns 0, 1 and 2, and
@@ -395,9 +430,9 @@ def test_a_key_placed_in_a_new_column_mid_read_is_found_by_its_next_hit():
     # and its compare would find no key.
     asm, table = _count(["CACGGGCCCACCCGCAACCCGCAA"], 5, **PACKED)
     lay = table.layout
-    assert (lay.slots, len(lay.kmer_rows), table.buckets) == (4, 4, 8)
+    assert (lay.slots, len(lay.kmer_rows), table.buckets) == (4, 4, 16)
     keys = ("ACCCG", "CCCGC", "CCGCA")
-    assert [bucket_of(table, E(key)) for key in keys] == [1, 1, 1]
+    assert [bucket_of(table, E(key)) for key in keys] == [9, 9, 9]
     where = {key.to_str(): divmod(key_i, lay.slots) for key, (_, key_i) in zip(table.keys, table.slots)}
     assert [where[key] for key in keys] == [(2, 0), (3, 0), (2, 2)]
     ccgca = E("CCGCA").bits
@@ -433,21 +468,34 @@ def test_packed_newest_first_probes_count_like_a_host_counter(reads, rows, cols,
     _count(raw, k, rows=rows, cols=cols)
 
 
+def test_one_key_sub_arrays_take_groups_past_four_times_the_fewest():
+    # A draw of the test above: 21 x 16 at k=6 holds one key per
+    # sub-array (a 12-bit key per 16-column row, one key row beside one
+    # counter stripe), so a group is one bucket, and the reads' 10 distinct
+    # 6-mers need 10 hashes in distinct groups. They first are at 53
+    # groups, past four times the fewest, where the directory's search once
+    # stopped and raised CapacityError.
+    asm, table = _count(["ACCCCCTCCCCC", "GCCATCCC"], 6, rows=21, cols=16)
+    assert (table.layout.capacity, table.distinct()) == (1, 10)
+    assert asm.machine.subarray_count == len(asm.groups) == table.buckets == 53
+
+
 def test_packed_rows_take_more_groups_than_the_fewest():
     # 151 distinct 6-mers, 16 keys per sub-array (4 key rows of 4 slots,
-    # one counter stripe) and 8 buckets per group. The fewest groups, 10,
+    # one counter stripe) and 16 buckets per group. The fewest groups, 10,
     # would hold them, but a group's share of so few hashes varies as much
-    # as its capacity: the fullest group is hashed 22 keys at 10 groups, 19
-    # at 11, 20 at 12 and 17 at 13, so the directory goes on up to 14
-    # groups, whose fullest is hashed 16. (The directory that packed padded
-    # buckets into groups took 12.)
+    # as its capacity: the fullest group is hashed 20 keys at 10 groups, 21
+    # at 11, 17 at 12, 19 at 13, 17 at 14 and 18 at 15, so the directory
+    # goes on up to 16 groups, whose fullest is hashed 14. (At 8 buckets
+    # per group it took 14, and the directory that packed padded buckets
+    # into groups took 12.)
     rng = random.Random(3)
     genome = "".join(rng.choice("ACGT") for _ in range(160))
     raw = [genome[i : i + 40] for i in range(0, 121, 20)] + ["A" * 9, genome[:30]]
     asm, table = _count(raw, 6, **PACKED)
     assert (table.layout.slots, table.layout.capacity, table.distinct()) == (4, 16, 151)
-    assert asm.machine.subarray_count == len(asm.groups) == 14
-    assert max(sum(group.fill) for group in asm.groups) == 16
+    assert asm.machine.subarray_count == len(asm.groups) == 16
+    assert max(sum(group.fill) for group in asm.groups) == 14
 
 
 @given(
@@ -472,33 +520,35 @@ def test_the_bucket_directory_never_costs_sub_arrays(reads, rows, k):
     least = -(-table.distinct() // lay.capacity)
     fits = [
         groups
-        for groups in range(least, 4 * least + 1)
+        for groups in range(least, len(asm.groups) + 1)
         if max(group_keys(lay, hashes, groups).values()) <= lay.capacity
     ]
-    assert len(asm.groups) == fits[0]
+    assert fits[0] == len(asm.groups)
 
 
-# 64 x 64 at k=5: 28 key rows of 4 slots, so 112 keys and 56 buckets per
-# group, and 3 counter stripes. Each read set takes the fewest groups,
-# ceil(keys / 112), and the keys each group is hashed fit it:
-#   150: 140 keys, 2 groups of 76 and 64
-#   220: 196 keys, 2 groups of 104 and 92
-#   230: 207 keys, 2 groups of 106 and 101
-#   250: 220 keys, 2 groups of 108 and 112 (the second fills all four
-#        columns, so its later buckets spill into other columns)
-#   300: 257 keys, 3 groups of 88, 87 and 82
-#   420: 354 keys, 4 groups of 95, 90, 88 and 81
+# 64 x 64 at k=5: 28 key rows of 4 slots, so 112 keys and 112 buckets per
+# group, and 3 counter stripes. Each read set but one takes the fewest
+# groups, ceil(keys / 112), and the keys each group is hashed fit it:
+#   150: 140 keys, 2 groups of 73 and 67
+#   220: 196 keys, 2 groups of 99 and 97
+#   230: 207 keys, 2 groups of 100 and 107 (the second fills column 0,
+#        so its later buckets spill into other columns)
+#   250: 220 keys; 2 groups would be hashed 120 and 100, more than 112,
+#        so it takes 3, of 63, 75 and 82
+#   300: 257 keys, 3 groups of 85, 88 and 84
+#   420: 354 keys, 4 groups of 84, 88, 85 and 97
 # A bucket's first key takes the least-filled column and its later keys
 # stay there while it has room, so each group's columns fill evenly, as
-# pinned here (keys per column, group by group). The directory of padded
-# bucket rows took 3 groups at 250.
+# pinned here (keys per column, group by group). At 56 buckets per group
+# 250 took the fewest, 2 groups of 108 and 112; the directory of padded
+# bucket rows took 3.
 DIRECTORY_TAKEN = {
-    150: ((18, 19, 21, 18), (15, 17, 15, 17)),
-    220: ((28, 27, 26, 23), (23, 23, 24, 22)),
-    230: ((28, 25, 28, 25), (27, 25, 27, 22)),
-    250: ((27, 28, 26, 27), (28, 28, 28, 28)),
-    300: ((25, 24, 20, 19), (20, 21, 22, 19), (21, 23, 22, 21)),
-    420: ((22, 23, 23, 20), (21, 20, 20, 20), (24, 23, 21, 22), (24, 22, 24, 25)),
+    150: ((19, 18, 18, 18), (17, 17, 17, 16)),
+    220: ((25, 26, 24, 24), (25, 24, 24, 24)),
+    230: ((24, 24, 24, 28), (28, 27, 26, 26)),
+    250: ((16, 16, 15, 16), (19, 19, 19, 18), (21, 21, 20, 20)),
+    300: ((22, 21, 21, 21), (22, 22, 22, 22), (23, 20, 20, 21)),
+    420: ((22, 21, 20, 21), (22, 23, 22, 21), (22, 21, 21, 21), (24, 24, 25, 24)),
 }
 
 
@@ -512,7 +562,8 @@ def tiled_reads(length):
 def test_buckets_stay_inside_their_group(length):
     asm, table = _count(tiled_reads(length), 5, rows=64, cols=64)
     assert tuple(tuple(group.fill) for group in asm.groups) == DIRECTORY_TAKEN[length]
-    assert len(asm.groups) == -(-table.distinct() // table.layout.capacity)
+    fewest = -(-table.distinct() // table.layout.capacity)
+    assert len(asm.groups) == fewest + (length == 250)
     assert asm.machine.subarray_count == len(asm.groups)
 
 
@@ -528,12 +579,12 @@ def test_colliding_hashes_beyond_a_sub_array_raise():
 
 def test_each_key_counts_at_its_own_key_index():
     # A key's counter index is its key index, row * slots + slot, whatever
-    # its bucket. At length 300 the three groups hold 88, 82 and 87 keys in
-    # columns filled unevenly, so their highest key indices are 96, 86 and
-    # 89 (the first key to reach a sub-array falls in the third).
-    # frequencies reads each sub-array's counter stripes up to the one that
-    # holds its highest key index, value_width R each: 96 // 64 + 1 = 2,
-    # 2 and 2 here.
+    # its bucket. At length 300 the three groups hold 85, 88 and 84 keys in
+    # columns filled unevenly (22, 21, 21, 21 keys; 22 each; 23, 20, 20,
+    # 21), so their highest key indices are 84, 87 and 88 (keys reach the
+    # third sub-array first, then the second). frequencies reads each
+    # sub-array's counter stripes up to the one that holds its highest key
+    # index, value_width R each: 88 // 64 + 1 = 2, 2 and 2 here.
     raw = tiled_reads(300)
     asm = BucketRecorder(rows=64, cols=64)
     table = asm.build_kmer_table([E(s) for s in raw], 5)
@@ -544,11 +595,11 @@ def test_each_key_counts_at_its_own_key_index():
     for sid, key_i in table.slots:
         per_sid.setdefault(sid, []).append(key_i)
     assert {sid: (len(ids), max(ids)) for sid, ids in per_sid.items()} == {
-        0: (88, 96),
-        1: (82, 86),
-        2: (87, 89),
+        0: (85, 84),
+        1: (88, 87),
+        2: (84, 88),
     }
-    assert list(per_sid) == [2, 0, 1]
+    assert list(per_sid) == [2, 1, 0]
     before = asm.trace.total(tr.R)
     freqs = table.frequencies()
     assert asm.trace.total(tr.R) - before == (2 + 2 + 2) * lay.value_width
@@ -673,25 +724,26 @@ class AddRecorder(Assembler):
 
 
 def test_a_tiled_read_adds_to_at_most_three_counter_stripes():
-    # A 200-base genome with distinct 8-mers, read at stride 1: every read
-    # shares all but its last k-mer with the read before. Its keys took
-    # consecutive key indices when first seen, so the hits of a window of
-    # 64 reads (30 bases, 23 k-mers each) lie in a run of at most 64 + 22 -
-    # 1 = 85 counters, which spans at most three stripes of 64 columns,
-    # wherever the 152 buckets put their keys. A key is in at most 23
-    # reads and is new in the first, so it is hit at most 22 times: amounts
-    # below 32 have at most five set bits, so a window issues at most 3 * 5
-    # adds. The 171 reads make 2 windows of 64 and a last one of 43, each
-    # adding once.
-    genome = distinct_window_genome(200, 8, random.Random(11))
-    asm = AddRecorder(rows=128, cols=64)
+    # A 600-base genome with distinct 8-mers, read at stride 1: every read
+    # shares all but its last k-mer with the read before. A new key takes
+    # the least-filled column's next row, so key indices follow first-seen
+    # order to within a few rows (at most 53 back here), and the hits of a
+    # window of 256 reads (30 bases, 23 k-mers each) lie in a run of about
+    # 256 + 22 - 1 = 277 counters, which spans at most three stripes of 256
+    # columns, wherever the 1,216 buckets put their keys. A key is in at
+    # most 23 reads and is new in the first, so it is hit at most 22 times:
+    # amounts below 32 have at most five set bits, so a window issues at
+    # most 3 * 5 adds. The 571 reads make 2 windows of 256 and a last one
+    # of 59, each adding once.
+    genome = distinct_window_genome(600, 8, random.Random(11))
+    asm = AddRecorder(rows=128, cols=256)
     asm.windows = []
     table = asm.build_kmer_table([E(s) for s in tile_reads(genome, 30, 1)], 8)
-    assert table.distinct() == 193 and table.buckets == 152
+    assert table.distinct() == 593 and table.buckets == 1216
     assert asm.machine.subarray_count == 1
     assert len(asm.windows) == 3
-    assert [len(stripes) for _, stripes in asm.windows] == [2, 2, 3]
-    assert [adds for adds, _ in asm.windows] == [10, 10, 11]
+    assert [len(stripes) for _, stripes in asm.windows] == [2, 3, 2]
+    assert [adds for adds, _ in asm.windows] == [10, 11, 8]
     assert all(adds <= 5 * len(stripes) for adds, stripes in asm.windows)
 
 
@@ -848,31 +900,31 @@ def test_counter_adds_wait_for_the_end_of_their_window(n, width):
 
 
 def test_every_counter_is_seeded_before_its_windows_first_add():
-    # The stage's own window, COUNT_WINDOW = 64 reads. 130 reads: 128 of 12
-    # bases every 3 bases of a 393-base genome on 128 x 64 (304 keys per
-    # group), with GATTGATTGA put in as read 64 and CGATTGATT as read 65:
+    # The stage's own window, COUNT_WINDOW = 256 reads. 514 reads: 512 of
+    # 12 bases at every base of a 523-base genome on 128 x 64 (304 keys per
+    # group), with GATTGATTGA put in as read 256 and CGATTGATT as read 257:
     # GATTG and ATTGA are new in the first window's last read and hit once
     # more there, then hit again in the second window's first read. The seed
     # writes of a window's new keys run at its end, before its first add,
-    # and windows end after reads 64, 128 and 130.
+    # and windows end after reads 256, 512 and 514.
     window = assembly.COUNT_WINDOW
-    assert window == 64
-    genome = random_genome(393, random.Random(0))
-    base = tile_reads(genome, 12, 3)
-    raw = base[:63] + ["GATTGATTGA", "CGATTGATT"] + base[63:]
+    assert window == 256
+    genome = random_genome(523, random.Random(1))
+    base = tile_reads(genome, 12, 1)
+    raw = base[:255] + ["GATTGATTGA", "CGATTGATT"] + base[255:]
     k = 5
-    assert len(raw) == 130
-    assert not {"GATTG", "ATTGA"} & {s[i : i + k] for s in raw[:63] for i in range(8)}
+    assert len(raw) == 514
+    assert not {"GATTG", "ATTGA"} & {s[i : i + k] for s in raw[:255] for i in range(8)}
     expected = Counter(s[i : i + k] for s in raw for i in range(len(s) - k + 1))
     asm = make_asm()
     table, events = _counter_events(asm, raw, k)
     assert {key.to_str(): c for key, c in table.frequencies().items()} == dict(expected)
-    assert check_window_order(events, window, len(raw)) == [64, 128, 130]
+    assert check_window_order(events, window, len(raw)) == [256, 512, 514]
     # one seed write per window and stripe: GATTG and ATTGA are seeded at
     # the end of the first window
     seeds = [(ended, counter) for ended, kind, counter in events if kind == "seed"]
     gattg = table.slots[[key.to_str() for key in table.keys].index("GATTG")]
-    assert (64, (gattg[0], *table.layout.counter_location(gattg[1]))) in seeds
+    assert (256, (gattg[0], *table.layout.counter_location(gattg[1]))) in seeds
 
 
 def test_a_stage_with_no_hits_adds_nothing():
@@ -880,7 +932,7 @@ def test_a_stage_with_no_hits_adds_nothing():
     # pending, so the stage issues no counter add, whatever the window. The
     # window decides only how many seed writes start the 198 counters: a
     # window of one read writes one per read and (sub-array, stripe) its
-    # new keys touch, 168 in all, and the stage's one window of 33 reads
+    # new keys touch, 175 in all, and the stage's one window of 33 reads
     # one per sub-array, 18 (16 keys and one counter stripe each at 24 x
     # 64). Every other trace row is the same.
     genome = distinct_window_genome(396, 7, random.Random(2))
@@ -895,7 +947,7 @@ def test_a_stage_with_no_hits_adds_nothing():
         assert len({counter for _, _, counter in events}) == len(events) == 198
         traces.append(dict(((stage, kind), n) for stage, kind, n in asm.trace.records()))
         seeds.append(len({(ended, sid, lsb) for ended, _, (sid, lsb, _) in events}))
-    assert seeds == [18, 168] and asm.machine.subarray_count == 18
+    assert seeds == [18, 175] and asm.machine.subarray_count == 18
     w = ("hashmap", "W")
     assert traces[1][w] - traces[0][w] == seeds[1] - seeds[0]
     assert {key: n for key, n in traces[0].items() if key != w} == {
@@ -931,12 +983,12 @@ def test_a_corrupted_key_fails_the_fabric_scan():
 
 
 def test_a_key_corrupted_into_a_new_k_mer_fails_the_fabric_scan():
-    # AAAAT and AAACA hash to one bucket (124 of the group's 152). AAAAT is
+    # AAAAT and AGCTT hash to one bucket (124 of the group's 304). AAAAT is
     # inserted by the first read at key index 0, and its stored bits are
-    # then turned into AAACA's. The second read's AAACA is new to the host
+    # then turned into AGCTT's. The second read's AGCTT is new to the host
     # counts, so it is a miss; its bucket holds a row, so it joins a batch
     # whose compare of that row must find nothing, yet slot 0 matches.
-    old, new = E("AAAAT"), E("AAACA")
+    old, new = E("AAAAT"), E("AGCTT")
     table = make_asm().build_kmer_table([old, new], 5)
     assert bucket_of(table, old) == bucket_of(table, new) == 124
     asm = CorruptKey(rows=128, cols=64)
@@ -1063,21 +1115,22 @@ def test_multiplicity_words_cost_one_write_per_stripe_plane():
 
 def test_the_graph_stage_writes_only_multiplicity_planes():
     # 24 x 64 at k=5: 4 slots of 16 columns per key row, 4 key rows, one
-    # 8-bit counter stripe, and 8 buckets, so the 9 keys of TTGGTGCATAGAG
+    # 8-bit counter stripe, and 16 buckets, so the 9 keys of TTGGTGCATAGAG
     # share rows. A key takes its bucket's column, or the least-filled one
-    # if its bucket is empty. Key row 0 holds TTGGT, GGTGC, GTGCA and TGCAT,
-    # where the 5 nodes TTGG, TGGT, GTGC, TGCA and GCAT first appear; row 1
-    # holds TGGTG (in its bucket's column 0), GCATA and TAGAG, bringing
-    # GGTG, CATA and AGAG, and row 2 CATAG and ATAGA, bringing ATAG and
-    # TAGA. Each of the 10 labels is checked in place, at its own columns
-    # of its key row, and no row is copied. The graph stage reads the
-    # counter stripe back and writes the 1-bit multiplicity stripe, nothing
-    # else:
+    # if its bucket is empty. Key row 0 holds TTGGT, TGGTG, GGTGC and GTGCA,
+    # where the 5 nodes TTGG, TGGT, GGTG, GTGC and TGCA first appear; row 1
+    # holds TGCAT, GCATA and ATAGA, bringing GCAT, CATA and TAGA; row 2
+    # holds CATAG (in its bucket's column 0, under TTGGT), bringing ATAG,
+    # and row 3 TAGAG (in column 0, under TGCAT, its bucket's first key),
+    # bringing AGAG. Each of the 10 labels is checked in place, at its own
+    # columns of its key row, and no row is copied. The graph stage reads
+    # the counter stripe back and writes the 1-bit multiplicity stripe,
+    # nothing else:
     #   R = 8 (the counter stripe's planes),  W = 1 (one multiplicity plane)
     asm = make_asm(**PACKED)
     table = asm.build_kmer_table([E("TTGGTGCATAGAG")], 5)
     rows = [key_i // table.layout.slots for _, key_i in table.slots]
-    assert rows == [0, 1, 0, 0, 0, 1, 2, 2, 1]
+    assert rows == [0, 0, 0, 0, 1, 1, 2, 1, 3]
     g = asm.build_graph(table)
     assert len(g.nodes) == 10
     assert g.store.width == 1
@@ -1092,18 +1145,18 @@ def test_the_graph_stage_writes_only_multiplicity_planes():
 
 
 def test_simplify_reads_each_label_row_of_a_merged_node_once():
-    # The same 10 nodes, whose labels sit in 3 key rows, now with
+    # The same 10 nodes, whose labels sit in 4 key rows, now with
     # simplify on. The graph is one path, so all 10 nodes merge into one
-    # node with no edge: the merge reads the 3 key rows once each, not one
+    # node with no edge: the merge reads the 4 key rows once each, not one
     # row per node, and no multiplicity word is placed. Graph stage:
-    #   R   = 8 (counter stripe) + 3 merge reads = 11
+    #   R   = 8 (counter stripe) + 4 merge reads = 12
     #   DPU = 10 nodes + 9 edges of the controller pass
     asm = make_asm(**PACKED, simplify=True)
     g = asm.build_graph(asm.build_kmer_table([E("TTGGTGCATAGAG")], 5))
     assert [n.to_str() for n in g.nodes] == ["TTGGTGCATAGAG"]
     assert g.edge_count == 0 and g.store.stripes == []
     assert [(kind, n) for stage, kind, n in asm.trace.records() if stage == tr.STAGE_GRAPH] == [
-        (tr.R, 8 + 3),
+        (tr.R, 8 + 4),
         (tr.DPU, 10 + 9),
     ]
     # a synthetic graph has no label rows to read
@@ -2490,32 +2543,33 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #   io XFER        9,901 reads * 25 bytes + one 10,000-base contig's
 #                  2,500 bytes                               =   250,025
 #   hashmap        752,476 queries, 9,976 distinct keys in 3 groups of
-#                  1,784 buckets (fill 3,335, 3,302, 3,339), 3 sub-arrays.
-#     The 4,520 first misses into an empty bucket write no image; the
-#     other 747,956 queries run in 229,141 batches of up to 4 (3.26 per
+#                  3,568 buckets, one per key slot (fill 3,250, 3,379,
+#                  3,347; 0.93 keys per bucket), 3 sub-arrays.
+#     The 6,503 first misses into an empty bucket write no image; the
+#     other 745,973 queries run in 213,742 batches of up to 4 (3.49 per
 #     batch), one image write each, each query joining the first of its
 #     read's batches it fits. A hit compares its bucket's rows newest
-#     first, down to its key's, and a miss all of them: 504,499 rows in
-#     all (0.67 per query). Each key's counter sits at its key index. The
-#     9,901 reads make 155 windows of 64 reads (the last of 45), and each
+#     first, down to its key's, and a miss all of them: 422,513 rows in
+#     all (0.56 per query). Each key's counter sits at its key index. The
+#     9,901 reads make 39 windows of 256 reads (the last of 173), and each
 #     ends with one seed write per (sub-array, counter stripe) its new
-#     keys touch, 511 in all. A read holds each k-mer once, so a window's
-#     pending amounts are at most 64, seven bits, and its adds are one +1
-#     per (sub-array, counter stripe, set bit): 551 at plane 0, 550 at 1,
-#     545 at 2, 538 at 3, 535 at 4, 522 at 5 and 465 at 6, 3,706 adds. No
-#     counter passes 76, so each add stops at its last carry plane: 60 at
-#     plane 1, 162 at 2, 714 at 3, 620 at 4, 294 at 5 and 1,856 at 6,
-#     10,524 planes of 1 C_ADD + 2 W + 1 DPU each.
-#     W  an image write per batch (229,141), 9,976 inserts, 511
-#        counter-seed writes, and the adds' 2 * 10,524        =   260,676
-#     DPU one per compared row (504,499) + 10,524            =   515,023
-#     C_ADD the compares (504,499) + 10,524                  =   515,023
+#     keys touch, 154 in all. No k-mer is read more than 76 times, so a
+#     window's pending amounts are at most 75, seven bits, and its adds
+#     are one +1 per (sub-array, counter stripe, set bit): 163 at plane 0,
+#     163 at 1, 162 at 2, 163 at 3, 160 at 4, 155 at 5 and 148 at 6, 1,114
+#     adds. No counter passes 76, so each add stops at its last carry
+#     plane: 45 at plane 1, 98 at 2, 205 at 3, 160 at 4, 112 at 5 and 494
+#     at 6, 2,855 planes of 1 C_ADD + 2 W + 1 DPU each.
+#     W  an image write per batch (213,742), 9,976 inserts, 154
+#        counter-seed writes, and the adds' 2 * 2,855         =   229,582
+#     DPU one per compared row (422,513) + 2,855             =   425,368
+#     C_ADD the compares (422,513) + 2,855                   =   425,368
 #   graph          9,977 nodes, 9,976 edges, largest multiplicity 76.
 #     Each node's label is checked in place in its key row; nothing is
 #     copied.
-#     R  each group's stripes up to its highest key index (3,341,
-#        3,358 and 3,341): 3 * (3,341 // 256 + 1) = 3 * 14
-#        counter stripes * 8                                 =       336
+#     R  each group's stripes up to its highest key index (3,251,
+#        3,382 and 3,348): 3,251 // 256 + 1 = 13, then 14 and 14:
+#        41 counter stripes * 8                              =       328
 #     W  39 stripes of 7-bit words * 7                       =       273
 #   traverse       one path; its 76 surplus units at multiplicities make
 #                  it retry at unit words. 39 degree stripes, d = 7
@@ -2587,12 +2641,17 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 # reads: image writes 288,983 -> 229,141, compares 1,224,802 -> 504,499,
 # seed writes 9,903 -> 511, adds 10,231 -> 3,706 of 10,524 planes.
 # 6,679,643 -> 3,268,326 modeled ns, RUR 0.7442 -> 0.6259, sub-arrays 5.
+# One bucket per key slot, not per two, and windows of 256 reads, not 64:
+# first misses into an empty bucket 4,520 -> 6,503, image writes 229,141 ->
+# 213,742, compares 504,499 -> 422,513, seed writes 511 -> 154, adds 3,706
+# -> 1,114 of 2,855 planes, read-back stripes 42 -> 41. 3,268,326 ->
+# 2,770,540 modeled ns, RUR 0.6259 -> 0.6103, sub-arrays 5.
 CANONICAL_TRACE = [
     ("io", "XFER", 250_025),
-    ("hashmap", "W", 260_676),
-    ("hashmap", "C_ADD", 515_023),
-    ("hashmap", "DPU", 515_023),
-    ("graph", "R", 336),
+    ("hashmap", "W", 229_582),
+    ("hashmap", "C_ADD", 425_368),
+    ("hashmap", "DPU", 425_368),
+    ("graph", "R", 328),
     ("graph", "W", 273),
     ("traverse", "DPU", 30_447),
     ("traverse", "R", 1_404),

@@ -192,15 +192,15 @@ def test_layout_hash_counter_slots_cover_keys(rows, cols, k):
 
 # ---- bucket directory ----------------------------------------------------
 
-# 64 x 64 at k=5: 28 key rows of 4 slots, so 112 keys and 56 buckets per
-# group; bucket b lies in group b // 56.
+# 64 x 64 at k=5: 28 key rows of 4 slots, so 112 keys and 112 buckets per
+# group, one per key slot; bucket b lies in group b // 112.
 SMALL = layout_hash((64, 64), 5)
 
 
 def group_keys(lay, hashes, groups):
     """Keys hashed to each of `groups` groups."""
-    n = groups * lay.buckets_per_group
-    return Counter(h % n // lay.buckets_per_group for h in hashes)
+    n = groups * lay.capacity
+    return Counter(h % n // lay.capacity for h in hashes)
 
 
 @pytest.mark.parametrize(
@@ -210,25 +210,25 @@ def group_keys(lay, hashes, groups):
         (list(range(48)), 1),
         # 112 consecutive hashes fill one group exactly
         (list(range(112)), 1),
-        # 113 need two groups (of 112 buckets): hashes 0..55 and 112 fall
-        # in group 0, 56..111 in group 1
+        # 113 need two groups (of 224 buckets): hashes 0..111 fall in
+        # group 0, and 112 in group 1
         (list(range(113)), 2),
-        # 150 keys need 2 groups at least, but there the multiples of 112
-        # all fall in bucket 0 of group 0. At 3 groups (168 buckets) they
-        # fall in buckets 0, 112, 56, 0, ...: 50 keys in each group
-        ([112 * i for i in range(150)], 3),
+        # 150 keys need 2 groups at least, but there the multiples of 224
+        # all fall in bucket 0 of group 0. At 3 groups (336 buckets) they
+        # fall in buckets 0, 224, 112, 0, ...: 50 keys in each group
+        ([224 * i for i in range(150)], 3),
     ],
 )
 def test_bucket_directory_takes_the_fewest_groups_the_hashes_fit(hashes, groups):
-    assert SMALL.buckets_per_group == 56
+    assert SMALL.capacity == 112
     assert bucket_directory(SMALL, hashes) == groups
     assert max(group_keys(SMALL, hashes, groups).values()) <= SMALL.capacity
 
 
 def test_bucket_directory_of_one_slot_rows_doubles_the_stripes():
     # a 40-bit key fills its 64-bit pitch, so a row holds one key and a
-    # group of 892 keys has 892 buckets, one per key row (one per two key
-    # slots would leave each bucket about two rows to scan). Ten keys fit
+    # group of 892 keys has 892 buckets, one per key slot and so one per
+    # key row. Ten keys fit
     # one group. 893 multiples of 960 need 2 groups; over 1,784 buckets
     # they fall in the 223 multiples of gcd(960, 1784) = 8, 4 keys to a
     # bucket (5 in bucket 0): 449 keys in group 0 and 444 in group 1, so
@@ -237,7 +237,7 @@ def test_bucket_directory_of_one_slot_rows_doubles_the_stripes():
     # at 2 groups and took 3
     lay = layout_hash((1024, 64), 20)
     assert lay.slots == 1 and lay.stripes == 15 and len(lay.kmer_rows) == 892
-    assert lay.buckets_per_group == 892
+    assert lay.capacity == 892
     assert bucket_directory(lay, list(range(10))) == 1
     crowded = [960 * i for i in range(893)]
     assert bucket_directory(lay, crowded) == 2
@@ -252,12 +252,25 @@ def test_bucket_directory_rejects_more_colliding_hashes_than_a_sub_array_holds()
         bucket_directory(SMALL, [7] * 113)
 
 
+def test_distinct_hashes_find_a_directory_past_four_times_the_fewest():
+    # 21 x 16 at k=6: a 12-bit key per 16-column row and one key row beside
+    # one counter stripe, so a sub-array holds one key and a group is one
+    # bucket. Ten multiples of lcm(1..40) agree modulo every group count up
+    # to 40, four times the fewest, so there they all share one bucket; 41
+    # is prime and divides no difference of two of them, so at 41 groups
+    # each has a bucket of its own
+    lay = layout_hash((21, 16), 6)
+    assert lay.capacity == 1
+    step = math.lcm(*range(1, 41))
+    assert bucket_directory(lay, [i * step for i in range(1, 11)]) == 41
+
+
 def test_equal_key_counts_take_one_directory():
     # 9,956 uniform hashes (hub-euler's key count) at 1024 x 256 and k=25:
     # 3 groups of 3,568 keys hold them with 748 slots to spare, and every
     # draw fits them, 3,319 keys to a group on average
     lay = layout_hash((1024, 256), 25)
-    assert lay.buckets_per_group == 1784
+    assert lay.capacity == 3568
     draws = [[rng.getrandbits(64) for _ in range(9956)] for rng in map(random.Random, range(6))]
     assert {bucket_directory(lay, hashes) for hashes in draws} == {3}
 
@@ -277,21 +290,25 @@ GEOMETRIES = [(24, 64), (32, 64), (48, 64), (64, 64), (128, 64), (256, 128), (10
 )
 @settings(max_examples=60, deadline=None)
 def test_bucket_directory_takes_the_fewest_groups_that_fit(dims, k, hashes):
-    # The directory takes the first group count, from the fewest that
-    # could hold the keys up to four times that, at which no group is
-    # hashed more keys than a sub-array holds; where none fits, it raises
+    # The directory takes the first group count, counting up from the
+    # fewest that could hold the keys, at which no group is hashed more
+    # keys than a sub-array holds. More equal hashes than a sub-array
+    # holds share a bucket at every count and raise; these hashes repeat
+    # only multiples of 960, which some count separates, so every other
+    # draw finds a directory
     lay = layout_hash(dims, k)
+    if max(Counter(hashes).values()) > lay.capacity:
+        with pytest.raises(CapacityError, match="share one hash"):
+            bucket_directory(lay, hashes)
+        return
+    groups = bucket_directory(lay, hashes)
     least = math.ceil(len(hashes) / lay.capacity)
     fits = [
         g
-        for g in range(least, 4 * least + 1)
+        for g in range(least, groups + 1)
         if max(group_keys(lay, hashes, g).values()) <= lay.capacity
     ]
-    if not fits:
-        with pytest.raises(CapacityError):
-            bucket_directory(lay, hashes)
-        return
-    assert bucket_directory(lay, hashes) == fits[0]
+    assert fits[0] == groups
 
 
 # ---- capacity ------------------------------------------------------------
