@@ -211,13 +211,14 @@ def bucket_directory(lay: HashLayout, hashes: list[int]) -> int:
     """
     cap = lay.capacity
     least = math.ceil(len(hashes) / cap)
-    shared = Counter(hashes).most_common(1)[0][1]
+    counts = Counter(hashes)
+    shared = max(counts.values())
     if shared > cap:
         raise CapacityError(
             f"{len(hashes)} key hashes fit no bucket directory: {shared} share one "
             f"hash, and a sub-array holds {cap} keys"
         )
-    primes_left = max(hashes).bit_length() * math.comb(len(set(hashes)), 2) + 1
+    primes_left = max(counts).bit_length() * math.comb(len(counts), 2) + 1
     groups = least
     while primes_left:
         n = groups * cap
