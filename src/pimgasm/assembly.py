@@ -29,14 +29,13 @@ no image and no compare, or else once its batch has compared, before any
 later batch of the read runs. A key's counter index is its key index, so
 its vertical counter sits at mapping.counter_location of its slot, and
 keys first seen together share a counter stripe. A hit records one
-increment for the key it found. Counters are written once per window of
-COUNT_WINDOW reads, and after the last read: one masked write of counter
-plane 0 per sub-array counter stripe starts all of the window's new
-counters at one (their words are still zero), and then the window's
-increments are added in place one bit plane at a time: one
+increment for the key it found. Counters are written once, after the last
+read: one masked write of counter plane 0 per sub-array counter stripe
+starts every counter at one (their words are still zero), and then the
+stage's increments are added in place one bit plane at a time: one
 column-parallel +1 at plane i per sub-array counter stripe and set bit i
 of an amount, which adds 2**i. A write or an add costs the same for one
-column or all of them, so a window pays per stripe and bit it touches,
+column or all of them, so the stage pays per stripe and bit it touches,
 not per key or per hit. Stage 2 walks the table and emits one edge per
 distinct k-mer (prefix node, suffix node, multiplicity = frequency) into
 an edge store. Stage 3 accumulates vertical degree counters
@@ -112,22 +111,6 @@ from .fabric import RowLayout
 from .isa import Machine, MemAddress
 
 log = logging.getLogger(__name__)
-
-# Reads whose counter writes the hash stage holds: at the end of each
-# window it seeds the window's new counters, then adds its increments one
-# bit plane at a time. Modeled ns of tiled-deep / sampled-repeats / the
-# canonical run (its RUR), calibrated config, seed 1, simplify off, with
-# one hash bucket per key slot, each read's probes packed first-fit and
-# hits scanned newest first: windows of 8 reads 238,361 / 122,432 /
-# 3,287,725 (0.560), of 16 232,441 / 119,608 / 3,117,162 (0.575), of 64
-# 221,303 / 117,180 / 2,871,134 (0.5993), of 128 218,866 / 116,833 /
-# 2,805,254 (0.606), of 256 217,783 / 116,640 / 2,770,540 (0.610), and the
-# whole stage 216,626 / 116,473 / 2,736,212 (0.614). Criterion 10 asks a
-# canonical RUR of 0.60, which 64 misses; 256 takes 95% of the whole
-# stage's gain over 8 on tiled-deep and keeps the RUR at 0.6092 or more
-# over hash seeds 0-19, while the pending map and the window's new keys
-# hold at most the keys of 256 reads.
-COUNT_WINDOW = 256
 
 
 # ---------------------------------------------------------------------------
@@ -636,12 +619,11 @@ class Assembler:
     is one sub-array of one bucket per key slot, whose keys are
     placed by column, so a probe scans a few rows, and up to `slots`
     queries share one image write and the rows they scan (see
-    build_kmer_table). Counter writes are batched: every COUNT_WINDOW
-    reads, and after the last, one seed write per (sub-array, counter
-    stripe) starts the window's new counters at one, and then the window's
-    increments go in as one column-parallel +1 per (sub-array, counter
-    stripe, set bit of an amount), the amounts decided by the host mirror,
-    which stops a counter at its cap.
+    build_kmer_table). Counter writes wait for the last read: then one
+    seed write per (sub-array, counter stripe) starts every counter at
+    one, and the stage's increments go in as one column-parallel +1 per
+    (sub-array, counter stripe, set bit of an amount), the amounts decided
+    by the host mirror, which stops a counter at its cap.
     max_subarrays caps the sub-arrays on the machine: any stage that would
     allocate past it (a hash group, or the row bank that holds the
     multiplicity stripes and degree passes) raises CapacityError.
@@ -692,14 +674,14 @@ class Assembler:
         k-mer is then observed in read order, a new key taking its slot's
         counter, and each query joins the first of its group's open batches
         it fits (see _observe); at the read's end each group probes its
-        batches in order. Hits' increments collect in `pending` over a
-        window of COUNT_WINDOW reads. At the end of the window, and of the
-        stage's last read, the window's new counters are seeded, one write
-        per (sub-array, stripe), and then the increments are added, so
+        batches in order. Hits' increments collect in `pending` until the
+        last read's batches have run. Then every counter is seeded, one
+        write per (sub-array, stripe), and the increments are added, so
         every counter is seeded before it is added to and holds its count
         before build_graph reads it. The log line reports the directory's
-        load (distinct keys per bucket), the batches, queries per image
-        write, compares per query and the fullest column next to the
+        load (distinct keys per bucket), the batches, the batched queries
+        per image write (a first miss into an empty bucket joins no
+        batch), compares per query and the fullest column next to the
         counter work, where a counter add is one +1 at one bit plane.
         """
         layout = mapping.layout_hash((self.rows, self.cols), k, self.value_width)
@@ -717,48 +699,45 @@ class Assembler:
             ]
             table.buckets = n_groups * layout.capacity
             buckets = [_Bucket(groups[b // layout.capacity]) for b in range(table.buckets)]
-            # (sub-array, stripe lsb, column) -> the window's increment
+            # (sub-array, stripe lsb, column) -> the stage's increment
             pending: dict[tuple[int, int, int], int] = {}
-            adds = seeds = fresh = 0
-            for n, read in enumerate(reads, 1):
+            for read in reads:
                 for kmer in extract_kmers(read, k):
                     self._observe(table, buckets, kmer)
                 for group in groups:
                     self._flush(table, group, pending)
-                if n % COUNT_WINDOW == 0 or n == len(reads):
-                    seeds += self._seed_counts(table, fresh)
-                    fresh = table.distinct()
-                    adds += self._add_counts(layout, pending)
-                    pending = {}
+            seeds = self._seed_counts(table)
+            adds = self._add_counts(layout, pending)
+        # every bucket's first key went in with no image
+        batched = table.total_kmers - sum(1 for bucket in buckets if bucket.cols)
         log.info(
-            "k-mer table: %d queries, %d hits, %d counter adds (one +1 at a bit plane each, "
-            "every %d reads), %d counter-seed writes, "
-            "%d distinct, %d groups (one sub-array each), %d buckets (%.2f keys each), "
+            "k-mer table: %d queries, %d hits, %d counter adds (one +1 at a bit plane each), "
+            "%d counter-seed writes, %d distinct, %d groups (one sub-array each), "
+            "%d buckets (%.2f keys each), "
             "%d batches (one image write each), %.2f queries per image write, "
             "%.2f compares per query, fullest column %d of %d key rows",
-            table.total_kmers, table.total_kmers - table.distinct(), adds, COUNT_WINDOW, seeds,
+            table.total_kmers, table.total_kmers - table.distinct(), adds, seeds,
             table.distinct(), len(groups), table.buckets, table.distinct() / table.buckets,
             table.batches,
-            table.total_kmers / table.batches if table.batches else float("inf"),
+            batched / max(table.batches, 1),
             table.compares / table.total_kmers,
             max(max(g.fill) for g in groups),
             len(layout.kmer_rows),
         )
         return table
 
-    def _seed_counts(self, table: KmerTable, first: int) -> int:
-        """Start the counters of keys `first`.. at one; returns the writes issued.
+    def _seed_counts(self, table: KmerTable) -> int:
+        """Start every key's counter at one; returns the writes issued.
 
-        A new key's counter, at its key index's counter location, is still
-        zero, so setting bit plane 0 sets it to one: one masked write per
-        (sub-array, counter stripe) covers every new counter of that
-        stripe. It runs at the end of a window, for the window's new keys,
-        and the window's increments are added after it, so a key inserted
-        and hit again in one window ends at its exact count.
+        A counter, at its key index's counter location, is still zero when
+        the last read's batches have run, so setting bit plane 0 sets it to
+        one: one masked write per (sub-array, counter stripe) covers every
+        counter of that stripe. The stage's increments are added after it,
+        so a key inserted and hit again ends at its exact count.
         """
         lay = table.layout
         planes: dict[tuple[int, int], dict[int, int]] = {}  # (sid, stripe lsb) -> {col: 1}
-        for sid, key_i in table.slots[first:]:
+        for sid, key_i in table.slots:
             lsb, col = lay.counter_location(key_i)
             planes.setdefault((sid, lsb), {})[col] = 1
         for (sid, lsb), words in planes.items():
@@ -768,7 +747,7 @@ class Assembler:
     def _add_counts(
         self, lay: mapping.HashLayout, pending: dict[tuple[int, int, int], int]
     ) -> int:
-        """Add a window's counter increments one bit plane at a time;
+        """Add the stage's counter increments one bit plane at a time;
         returns the adds issued.
 
         Adding 1 to a word's planes i and up adds 2**i, so the counters of
@@ -803,7 +782,7 @@ class Assembler:
         `host_counts` decides hit or miss. A miss places its key at once:
         in the bucket's column while that has room, else in the group's
         least-filled column, at that column's next key row, whose counter
-        _seed_counts starts at one at the window's end. Its key is written
+        _seed_counts starts at one at the stage's end. Its key is written
         from the query bits, which the controller holds: at once into an
         empty bucket, with no image and no compare, or else once its batch
         has compared. Any other query joins the first of its group's open
@@ -1360,7 +1339,7 @@ class Assembler:
                 warnings.append(f"component splits into {trails[ci]} contigs")
         # fleury walks every start's trail before any circuit: regroup
         paths.sort(key=lambda p: comp_of[p.node_ids[0]])
-        contigs = [contig_from_path(p.vertices, work.k or 2) for p in paths]
+        contigs = [contig_from_path(p.vertices, work.k) for p in paths]
         _check_coverage(contigs, table)
         with m.stage_scope(tr.STAGE_IO):
             m.xfer(sum((c.bit_length + 7) // 8 for c in contigs))

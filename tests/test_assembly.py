@@ -44,11 +44,13 @@ class BucketRecorder(Assembler):
 
     def build_kmer_table(self, reads, k):
         self.probed = []
+        self.buckets = None
         return super().build_kmer_table(reads, k)
 
     def _observe(self, table, buckets, kmer):
-        self.groups = list(dict.fromkeys(bucket.group for bucket in buckets))
-        self.buckets = buckets
+        if buckets is not self.buckets:  # the stage's first query
+            self.buckets = buckets
+            self.groups = list(dict.fromkeys(bucket.group for bucket in buckets))
         super()._observe(table, buckets, kmer)
 
     def _probe(self, group, batch, lay):
@@ -114,9 +116,9 @@ def test_insert_cost_oracle_single_read():
     # every key finds its bucket empty and compares against nothing, and
     # takes the least-filled column, so the four fill key row 0 in
     # first-seen order. Each insert writes the key into its slot from the
-    # query bits (1 W, no read), and the stage's one window ends with one
-    # masked write of counter plane 0 that starts all four counters, which
-    # share stripe 0, at one:
+    # query bits (1 W, no read), and the stage ends with one masked write
+    # of counter plane 0 that starts all four counters, which share stripe
+    # 0, at one:
     #   W = 4 inserts + 1 seed = 5,  R = 0,  C_ADD = DPU = 0.
     asm = make_asm()
     table = asm.build_kmer_table([E("CGTGTGCA")], 5)
@@ -173,8 +175,7 @@ def test_an_all_miss_stage_costs_follow_its_bucket_loads():
     # a batch share a row here): 14 * 1 + 1 * (1 + 2) = 17 rows. Those
     # 14 + 2 = 16 misses pack first-fit into 11 batches, one image write
     # each. The keys take key indices 0..95, two counter stripes of 64, so
-    # the stage's one window ends with two seed writes, and with no hit
-    # adds nothing:
+    # the stage ends with two seed writes, and with no hit adds nothing:
     #   W = 96 inserts + 11 images + 2 seeds = 109,  C_ADD = DPU = 17,  R = 0.
     # At one bucket per two key slots (152) the loads were 47, 20 and 3, so
     # 26 misses compared 20 * 1 + 3 * 3 = 29 rows in 13 batches: W = 111.
@@ -189,6 +190,26 @@ def test_an_all_miss_stage_costs_follow_its_bucket_loads():
     assert sum(len(batch) for batch in asm.probed) == 16 and table.batches == 11
     assert max(key_i for _, key_i in table.slots) == 95
     assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 109, tr.C_ADD: 17, tr.DPU: 17}
+
+
+@pytest.mark.parametrize("length, k, read_len, stride", [(100, 5, 20, 16), (400, 8, 30, 24)])
+def test_an_all_miss_stage_logs_at_most_slots_queries_per_image_write(
+    length, k, read_len, stride, caplog
+):
+    # Every k-mer read once, so every query is a miss. A batch's members
+    # fill disjoint columns of its image, so a batch holds at most `slots`
+    # queries; a first miss into an empty bucket joins no batch and writes
+    # no image. The log line divides only the queries that joined a batch
+    # by the image writes: on the 96 keys above, 16 over 11 batches, 1.45,
+    # where all 96 over 11 would read 8.73 with 4 slots.
+    genome = distinct_window_genome(length, k, random.Random(0))
+    raw = [genome[i : i + read_len] for i in range(0, length - read_len + 1, stride)]
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="pimgasm.assembly"):
+        table = make_asm().build_kmer_table([E(s) for s in raw], k)
+    assert table.total_kmers == table.distinct() > table.layout.slots * table.batches
+    logged = float(re.search(r"([\d.]+) queries per image write", caplog.text).group(1))
+    assert 1 <= logged <= table.layout.slots
 
 
 def test_a_hit_compares_its_bucket_rows_newest_first():
@@ -218,10 +239,10 @@ def test_repeat_cost_oracle():
     # first hit opens a batch; the second needs the same column, so it opens
     # a second batch, and the two run in order at the read's end: each
     # writes an image and compares the key's one row (1 W, 1 C_ADD, 1 DPU).
-    # A k-mer repeated in one read is inserted once. The stage's one window
-    # ends with one seed write of counter plane 0 (1 W), then adds the
-    # pending +2. 2 has one set bit, so it is one +1 at plane 1
-    # of the key's 8-bit counter: plane 1 of 1 holds 0, so the add carries
+    # A k-mer repeated in one read is inserted once. The stage ends with
+    # one seed write of counter plane 0 (1 W), then adds the pending +2.
+    # 2 has one set bit, so it is one +1 at plane 1 of the key's 8-bit
+    # counter: plane 1 of 1 holds 0, so the add carries
     # nowhere and stops there after one DPU reduce of its carry plane (2 W,
     # 1 C_ADD, 1 DPU; the whole +2 took 4 W and 2 C_ADD, the full ripple 16
     # W and 8 C_ADD):
@@ -257,11 +278,10 @@ def _count_seeding(asm, reads, k, caplog):
 def test_a_read_seeds_its_new_counters_once_per_sub_array_stripe(caplog):
     # A new key's counter word is zero, so one masked write of counter
     # plane 0 (a 1-bit write_vwords, 1 W) starts every new counter of a
-    # (sub-array, stripe) at one, whatever their number. The write runs
-    # once per window of COUNT_WINDOW reads, for the window's new keys, and
-    # each read here is in the stage's one window. A key's counter
-    # sits at its key index's counter location, so the write's columns are
-    # its new keys' key indices modulo cols.
+    # (sub-array, stripe) at one, whatever their number. The writes run
+    # once, after the last read, for every key. A key's counter sits at
+    # its key index's counter location, so the write's columns are its
+    # keys' key indices modulo cols.
     # CGTGTGCA at k=5 on 128 x 64: four new keys in key row 0, key indices
     # 0..3, so counters 0..3 of stripe 0 of one sub-array, one seed write.
     asm = make_asm()
@@ -294,7 +314,7 @@ def test_a_read_seeds_its_new_counters_once_per_sub_array_stripe(caplog):
     ]
     assert seeds == 2
     check_counters_at_key_indices(asm, table)
-    # a second read with no new key adds nothing to the window's seeds, and
+    # a second read with no new key adds nothing to the stage's seeds, and
     # a second read with new keys in the same stripes shares their writes
     table, calls, seeds = _count_seeding(make_asm(**PACKED), [genome, genome], 5, caplog)
     assert len(calls) == seeds == 2
@@ -307,7 +327,7 @@ def test_a_read_seeds_its_new_counters_once_per_sub_array_stripe(caplog):
 def test_a_key_inserted_and_hit_in_one_read_reads_back_its_exact_count(raw):
     # Each read here holds k-mers that are new and then repeat 2 to 4 times
     # within it. The seed write sets only plane 0, so it must land before
-    # the read's adds: after them, a +1 on a zero word would read back 1,
+    # the stage's adds: after them, a +1 on a zero word would read back 1,
     # not 2, and a +3 would read 3, not 4.
     k = 4
     expected = Counter(s[i : i + k] for s in raw for i in range(len(s) - k + 1))
@@ -653,8 +673,8 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
     # writes one image into the temp row and compares the union of its
     # members' rows, newest first down to each key's, one C_ADD plus one
     # DPU per row, so the probes' C_ADD equals their DPU. The 108 hits take
-    # 28 batches at either width, one more than 108 / 4. Both reads fall in
-    # one window, whose increments are added after its seed write. A k-mer that occurs n times
+    # 28 batches at either width, one more than 108 / 4. The stage's
+    # increments are added after its seed write. A k-mer that occurs n times
     # in the read is seeded at 1 and has 2n - 1 pending after two copies
     # (n - 1 after one), and each set bit i of that amount is one +1 at
     # plane i, shared by every counter of its (sub-array, counter stripe)
@@ -714,37 +734,37 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
 
 
 class AddRecorder(Assembler):
-    """Keeps, per window, the counter adds issued and the (sub-array,
-    counter stripe) pairs they touched."""
+    """Keeps the counter adds the stage issued and the (sub-array, counter
+    stripe) pairs they touched."""
 
     def _add_counts(self, lay, pending):
         adds = super()._add_counts(lay, pending)
-        self.windows.append((adds, {(sid, lsb) for sid, lsb, _ in pending}))
+        self.added = (adds, {(sid, lsb) for sid, lsb, _ in pending})
         return adds
 
 
 def test_a_tiled_read_adds_to_at_most_three_counter_stripes():
-    # A 600-base genome with distinct 8-mers, read at stride 1: every read
-    # shares all but its last k-mer with the read before. A new key takes
-    # the least-filled column's next row, so key indices follow first-seen
-    # order to within a few rows (at most 53 back here), and the hits of a
-    # window of 256 reads (30 bases, 23 k-mers each) lie in a run of about
-    # 256 + 22 - 1 = 277 counters, which spans at most three stripes of 256
-    # columns, wherever the 1,216 buckets put their keys. A key is in at
-    # most 23 reads and is new in the first, so it is hit at most 22 times:
-    # amounts below 32 have at most five set bits, so a window issues at
-    # most 3 * 5 adds. The 571 reads make 2 windows of 256 and a last one
-    # of 59, each adding once.
+    # A 600-base genome with distinct 8-mers, read at stride 1: 571 reads of
+    # 30 bases, 23 k-mers each, 593 distinct keys. A new key takes the
+    # least-filled column's next row, so key indices follow first-seen
+    # order to within a few rows, and the highest is 598: the counters span
+    # three stripes of 256 columns, wherever the 1,216 buckets put their
+    # keys. The stage adds once, after its last read, one +1 per (stripe,
+    # set bit of an amount). A key is in at most 23 reads and is new in the
+    # first, so its amount is at most 22, below 32, five bits. The 549 keys
+    # read 23 times have amount 22 = 0b10110, bits 1, 2 and 4; the 44 keys
+    # within 22 bases of a genome end are read 1 to 22 times, amounts 0 to
+    # 21, and they are first and last seen, in stripes 0 and 2. So stripe 1
+    # takes 3 adds, stripes 0 and 2 take 5 each: 13, at most 3 * 5.
     genome = distinct_window_genome(600, 8, random.Random(11))
     asm = AddRecorder(rows=128, cols=256)
-    asm.windows = []
     table = asm.build_kmer_table([E(s) for s in tile_reads(genome, 30, 1)], 8)
     assert table.distinct() == 593 and table.buckets == 1216
     assert asm.machine.subarray_count == 1
-    assert len(asm.windows) == 3
-    assert [len(stripes) for _, stripes in asm.windows] == [2, 3, 2]
-    assert [adds for adds, _ in asm.windows] == [10, 11, 8]
-    assert all(adds <= 5 * len(stripes) for adds, stripes in asm.windows)
+    assert max(key_i for _, key_i in table.slots) == 598
+    assert Counter(table.host_counts.values())[23] == 549
+    adds, stripes = asm.added
+    assert len(stripes) == 3 and adds == 13 <= 5 * len(stripes)
 
 
 class CorruptCounters(Assembler):
@@ -765,7 +785,7 @@ def test_a_counter_add_that_overflows_raises():
 @given(data=st.data(), width=st.integers(min_value=1, max_value=8))
 @settings(max_examples=60, deadline=None)
 def test_bit_sliced_counter_adds_equal_whole_amount_adds(data, width):
-    # A window's counter adds are one +1 at plane i per (sub-array, stripe,
+    # The stage's counter adds are one +1 at plane i per (sub-array, stripe,
     # set bit i of an amount), and +1 at plane i of a width-bit word adds
     # 2**i mod 2**width. So on twin machines, with any start words in two
     # counter stripes and any amounts on any columns, they leave the cells
@@ -851,37 +871,41 @@ def _counter_events(asm, reads, k):
     return table, [(n // groups, kind, counter) for n, kind, counter in events]
 
 
-def check_window_order(events, window, n):
-    """Counter writes run only at the end of a window of `window` reads and
-    of the last read; at each such end every seed write comes before the
-    first add, and every counter an add touches was seeded at this end or
-    an earlier one. Returns the read counts at which adds ran."""
+def check_counter_order(table, events, n):
+    """Counter writes run only after the last of the n reads' flushes; every
+    seed write comes before the first add, and seeds every key's counter
+    once; every counter an add touches was seeded, and is touched once per
+    set bit of its key's count, clamped at the cap, less the seeded one."""
     seeded = set()
-    last = None
+    added = Counter()
     for ended, kind, counter in events:
-        assert ended % window == 0 or ended == n
+        assert ended == n
         if kind == "seed":
-            assert last != (ended, "add")
+            assert not added and counter not in seeded
             seeded.add(counter)
         else:
             assert counter in seeded
-        last = (ended, kind)
-    return sorted({ended for ended, kind, _ in events if kind == "add"})
+            added[counter] += 1
+    lay = table.layout
+    cap = (1 << lay.value_width) - 1
+    counters = {
+        (sid, *lay.counter_location(key_i)): min(table.host_counts[key.bits], cap) - 1
+        for key, (sid, key_i) in zip(table.keys, table.slots)
+    }
+    assert seeded == set(counters)
+    assert +added == +Counter({c: amount.bit_count() for c, amount in counters.items()})
 
 
 @pytest.mark.parametrize("width", [2, 8])
 @pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
-def test_counter_adds_wait_for_the_end_of_their_window(n, width):
-    # The windowing at a window of 16 reads (COUNT_WINDOW is patched here;
-    # test_every_counter_is_seeded_before_its_windows_first_add runs the
-    # stage's own window). Reads of 12 bases every 3 bases of a random
-    # genome, with two reads put in at positions 16 and 17: GATTGATTGA, new
-    # in the first window's last read, holds GATTG and ATTGA twice, and
-    # CGATTGATT, the next window's first read, holds them again. The seed
-    # writes and the adds run only after every 16th read and after the
-    # last one, the seeds first, so every counter add comes after the seed
-    # write that started its counter, and the counters read back the
-    # host's counts, clamped at 3 for 2-bit words.
+def test_counters_are_written_once_after_the_last_read(n, width):
+    # Reads of 12 bases every 3 bases of a random genome, with two reads put
+    # in at positions 16 and 17: GATTGATTGA holds GATTG and ATTGA twice, and
+    # CGATTGATT holds them again. Whatever the number of reads, the seed
+    # writes and the adds run only after the last read's flushes, every
+    # seed first, so each counter is seeded before any add touches it, and
+    # the counters read back the host's counts, clamped at 3 for 2-bit
+    # words and at 255 for 8-bit ones.
     genome = random_genome(120, random.Random(0))
     base = tile_reads(genome, 12, 3)
     raw = (base[:15] + ["GATTGATTGA", "CGATTGATT"] + base[15:])[:n]
@@ -889,26 +913,24 @@ def test_counter_adds_wait_for_the_end_of_their_window(n, width):
     assert not {"GATTG", "ATTGA"} & {s[i : i + k] for s in raw[:15] for i in range(8)}
     expected = Counter(s[i : i + k] for s in raw for i in range(len(s) - k + 1))
     asm = make_asm(value_width=width, **PACKED)
-    with patch.object(assembly, "COUNT_WINDOW", 16):
-        table, events = _counter_events(asm, raw, k)
+    table, events = _counter_events(asm, raw, k)
     cap = (1 << width) - 1
     assert {key.to_str(): c for key, c in table.frequencies().items()} == {
         key: min(c, cap) for key, c in expected.items()
     }
-    flushed = check_window_order(events, 16, n)
-    assert flushed == {1: [], 15: [15], 16: [16], 17: [16, 17], 33: [16, 32, 33]}[n]
+    check_counter_order(table, events, n)
+    assert any(kind == "add" for _, kind, _ in events) == (n > 1)
 
 
 def test_every_counter_is_seeded_before_its_windows_first_add():
-    # The stage's own window, COUNT_WINDOW = 256 reads. 514 reads: 512 of
-    # 12 bases at every base of a 523-base genome on 128 x 64 (304 keys per
-    # group), with GATTGATTGA put in as read 256 and CGATTGATT as read 257:
-    # GATTG and ATTGA are new in the first window's last read and hit once
-    # more there, then hit again in the second window's first read. The seed
-    # writes of a window's new keys run at its end, before its first add,
-    # and windows end after reads 256, 512 and 514.
-    window = assembly.COUNT_WINDOW
-    assert window == 256
+    # 514 reads: 512 of 12 bases at every base of a 523-base genome on 128 x
+    # 64 (304 keys per group), with GATTGATTGA put in as read 256 and
+    # CGATTGATT as read 257: GATTG and ATTGA are new in read 256 and hit
+    # once more there, then hit again in read 257. Their counters are
+    # seeded with every other one after read 514, the last, before the
+    # stage's first add. ATTGA is read 3 times, so its +2 is one add, at
+    # plane 1; GATTG is read 11 times (8 more in the tiled reads of genome
+    # base 354), so its +10 is two, at planes 1 and 3.
     genome = random_genome(523, random.Random(1))
     base = tile_reads(genome, 12, 1)
     raw = base[:255] + ["GATTGATTGA", "CGATTGATT"] + base[255:]
@@ -916,43 +938,33 @@ def test_every_counter_is_seeded_before_its_windows_first_add():
     assert len(raw) == 514
     assert not {"GATTG", "ATTGA"} & {s[i : i + k] for s in raw[:255] for i in range(8)}
     expected = Counter(s[i : i + k] for s in raw for i in range(len(s) - k + 1))
+    assert (expected["ATTGA"], expected["GATTG"]) == (3, 11)
     asm = make_asm()
     table, events = _counter_events(asm, raw, k)
     assert {key.to_str(): c for key, c in table.frequencies().items()} == dict(expected)
-    assert check_window_order(events, window, len(raw)) == [256, 512, 514]
-    # one seed write per window and stripe: GATTG and ATTGA are seeded at
-    # the end of the first window
-    seeds = [(ended, counter) for ended, kind, counter in events if kind == "seed"]
-    gattg = table.slots[[key.to_str() for key in table.keys].index("GATTG")]
-    assert (256, (gattg[0], *table.layout.counter_location(gattg[1]))) in seeds
+    check_counter_order(table, events, len(raw))
+    names = [key.to_str() for key in table.keys]
+    for name, adds in (("ATTGA", 1), ("GATTG", 2)):
+        sid, key_i = table.slots[names.index(name)]
+        counter = (sid, *table.layout.counter_location(key_i))
+        assert [kind for _, kind, c in events if c == counter] == ["seed"] + ["add"] * adds
 
 
 def test_a_stage_with_no_hits_adds_nothing():
     # 33 reads that share no k-mer, and hold none twice: nothing is ever
-    # pending, so the stage issues no counter add, whatever the window. The
-    # window decides only how many seed writes start the 198 counters: a
-    # window of one read writes one per read and (sub-array, stripe) its
-    # new keys touch, 175 in all, and the stage's one window of 33 reads
-    # one per sub-array, 18 (16 keys and one counter stripe each at 24 x
-    # 64). Every other trace row is the same.
+    # pending, so the stage issues no counter add. Its 198 keys fill 18
+    # sub-arrays at 24 x 64 (16 keys and one counter stripe each), so the
+    # seed writes after the last read start the 198 counters with one
+    # write per sub-array, 18.
     genome = distinct_window_genome(396, 7, random.Random(2))
     raw = [genome[i : i + 12] for i in range(0, 396, 12)]
-    traces, seeds = [], []
-    for window in (assembly.COUNT_WINDOW, 1):
-        asm = make_asm(**PACKED)
-        with patch.object(assembly, "COUNT_WINDOW", window):
-            table, events = _counter_events(asm, raw, 7)
-        assert table.total_kmers == table.distinct() == 33 * 6
-        assert {kind for _, kind, _ in events} == {"seed"}
-        assert len({counter for _, _, counter in events}) == len(events) == 198
-        traces.append(dict(((stage, kind), n) for stage, kind, n in asm.trace.records()))
-        seeds.append(len({(ended, sid, lsb) for ended, _, (sid, lsb, _) in events}))
-    assert seeds == [18, 175] and asm.machine.subarray_count == 18
-    w = ("hashmap", "W")
-    assert traces[1][w] - traces[0][w] == seeds[1] - seeds[0]
-    assert {key: n for key, n in traces[0].items() if key != w} == {
-        key: n for key, n in traces[1].items() if key != w
-    }
+    asm = make_asm(**PACKED)
+    table, events = _counter_events(asm, raw, 7)
+    assert table.total_kmers == table.distinct() == 33 * 6
+    assert {kind for _, kind, _ in events} == {"seed"}
+    check_counter_order(table, events, len(raw))
+    assert len(events) == 198 and asm.machine.subarray_count == 18
+    assert len({(sid, lsb) for _, _, (sid, lsb, _) in events}) == 18
 
 
 class CorruptKey(Assembler):
@@ -2550,20 +2562,25 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #     batch), one image write each, each query joining the first of its
 #     read's batches it fits. A hit compares its bucket's rows newest
 #     first, down to its key's, and a miss all of them: 422,513 rows in
-#     all (0.56 per query). Each key's counter sits at its key index. The
-#     9,901 reads make 39 windows of 256 reads (the last of 173), and each
-#     ends with one seed write per (sub-array, counter stripe) its new
-#     keys touch, 154 in all. No k-mer is read more than 76 times, so a
-#     window's pending amounts are at most 75, seven bits, and its adds
-#     are one +1 per (sub-array, counter stripe, set bit): 163 at plane 0,
-#     163 at 1, 162 at 2, 163 at 3, 160 at 4, 155 at 5 and 148 at 6, 1,114
+#     all (0.56 per query). Each key's counter sits at its key index, and
+#     the groups' highest key indices are 3,251, 3,382 and 3,348, so the
+#     counters fill 13 + 14 + 14 = 41 stripes of 256. After the last read
+#     one seed write per (sub-array, counter stripe) starts them all, 41
+#     in all. No k-mer is read more than 76 times, so a pending amount is
+#     at most 75 = 0b1001011, seven bits, and the adds are one +1 per
+#     (sub-array, counter stripe, set bit). Bits 2, 4 and 5 are set only
+#     by the keys within 75 bases of a genome end, read fewer times, which
+#     sit in 7 stripes: 7 adds at each of those planes. 40 stripes hold a
+#     key read 76 times; the third group's last stripe holds only 19 end
+#     keys, read at most 59 times, which set bits 0, 1 and 3 but not 6. So
+#     41 adds run at each of planes 0, 1 and 3, and 40 at plane 6: 184
 #     adds. No counter passes 76, so each add stops at its last carry
-#     plane: 45 at plane 1, 98 at 2, 205 at 3, 160 at 4, 112 at 5 and 494
-#     at 6, 2,855 planes of 1 C_ADD + 2 W + 1 DPU each.
-#     W  an image write per batch (213,742), 9,976 inserts, 154
-#        counter-seed writes, and the adds' 2 * 2,855         =   229,582
-#     DPU one per compared row (422,513) + 2,855             =   425,368
-#     C_ADD the compares (422,513) + 2,855                   =   425,368
+#     plane: 41 at plane 1, 42 at 2, 42 at 3, 9 at 4, 8 at 5 and 42 at 6,
+#     282 planes of 1 C_ADD + 2 W + 1 DPU each.
+#     W  an image write per batch (213,742), 9,976 inserts, 41
+#        counter-seed writes, and the adds' 2 * 282          =   224,323
+#     DPU one per compared row (422,513) + 282               =   422,795
+#     C_ADD the compares (422,513) + 282                     =   422,795
 #   graph          9,977 nodes, 9,976 edges, largest multiplicity 76.
 #     Each node's label is checked in place in its key row; nothing is
 #     copied.
@@ -2646,11 +2663,14 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 # 213,742, compares 504,499 -> 422,513, seed writes 511 -> 154, adds 3,706
 # -> 1,114 of 2,855 planes, read-back stripes 42 -> 41. 3,268,326 ->
 # 2,770,540 modeled ns, RUR 0.6259 -> 0.6103, sub-arrays 5.
+# Seeding and adding once, after the last read, not once per window of 256
+# reads: seed writes 154 -> 41, adds 1,114 -> 184 of 282 planes (2,855).
+# 2,770,540 -> 2,736,212 modeled ns, RUR 0.6103 -> 0.6142, sub-arrays 5.
 CANONICAL_TRACE = [
     ("io", "XFER", 250_025),
-    ("hashmap", "W", 229_582),
-    ("hashmap", "C_ADD", 425_368),
-    ("hashmap", "DPU", 425_368),
+    ("hashmap", "W", 224_323),
+    ("hashmap", "C_ADD", 422_795),
+    ("hashmap", "DPU", 422_795),
     ("graph", "R", 328),
     ("graph", "W", 273),
     ("traverse", "DPU", 30_447),
