@@ -55,7 +55,6 @@ from .perf import (
     SweepResult,
     account,
     calibrated_config,
-    fit_pd_calibration,
     sweep_pd,
 )
 from .trace import OpTrace
@@ -105,7 +104,6 @@ __all__ = [
     "clean_segments",
     "contig_from_path",
     "extract_kmers",
-    "fit_pd_calibration",
     "layout_hash",
     "stable_hash",
     "subarrays_needed",

@@ -39,8 +39,9 @@ column or all of them, so the stage pays per stripe and bit it touches,
 not per key or per hit. Stage 2 walks the table and emits one edge per
 distinct k-mer (prefix node, suffix node, multiplicity = frequency) into
 an edge store. Stage 3 accumulates vertical degree counters
-column-parallel, probes the start vertex with a bit-plane compare of out
-against in+1, and covers each weak component with the fewest trails its
+column-parallel through staging words, probes the start vertex with a
+bit-plane compare of out against in+1, formed in the staging words once
+counting ends, and covers each weak component with the fewest trails its
 degrees allow, max(1, sum of outgoing surpluses): one trail per surplus
 unit, or one Euler circuit when there is none, walked bridge-aware. The
 walked units come off their multiplicity words in memory, and only those
@@ -120,7 +121,6 @@ log = logging.getLogger(__name__)
 @dataclass
 class EulerPath:
     node_ids: list[int]
-    vertices: list[EncodedSeq]
 
 
 @dataclass
@@ -303,14 +303,15 @@ def contig_from_path(vertices: list[EncodedSeq], k: int) -> EncodedSeq:
 
 
 def _check_coverage(contigs: list[EncodedSeq], table: "KmerTable") -> None:
-    """Require the contigs' k-mers to be exactly the reads' distinct ones, as
-    the hash stage's pre-scan found them: host work, no fabric op."""
+    """Require the contigs' k-mers to be exactly the reads' distinct ones,
+    the keys of the hash stage's exact host counts: host work, no fabric
+    op."""
     held = {w.bits for c in contigs for w in extract_kmers(c, table.k)}
-    if held != table.read_kmers:
+    read = table.host_counts.keys()
+    if held != read:
         raise ConsistencyError(
-            f"contigs miss {len(table.read_kmers - held)} of the reads' "
-            f"{len(table.read_kmers)} distinct k-mers and hold "
-            f"{len(held - table.read_kmers)} that no read does"
+            f"contigs miss {len(read - held)} of the reads' {len(read)} distinct "
+            f"k-mers and hold {len(held - read)} that no read does"
         )
 
 
@@ -335,7 +336,6 @@ class KmerTable:
         self.keys: list[EncodedSeq] = []
         self.slots: list[tuple[int, int]] = []  # (sub-array id, key index)
         self.host_counts: dict[int, int] = {}   # packed key -> exact count
-        self.read_kmers: set[int] = set()  # the pre-scan's distinct packed keys
         self.total_kmers = 0
         self.saturated_keys = 0
         self.buckets = 0
@@ -461,7 +461,7 @@ class _RowBank:
     def __init__(self, asm: "Assembler"):
         self.asm = asm
         self.sids: list[int] = []
-        self._layout = RowLayout.default(asm.rows)
+        self._layout = RowLayout.default(asm.machine.rows)
         self._region = self._layout.data_region
         self._next = 0
 
@@ -640,8 +640,6 @@ class Assembler:
         max_subarrays: int = 200_000,
     ):
         self.machine = Machine(rows=rows, cols=cols)
-        self.rows = rows
-        self.cols = cols
         self.value_width = value_width
         self.simplify = simplify
         self.seed = seed
@@ -670,9 +668,10 @@ class Assembler:
         hash, and mapping.bucket_directory takes the fewest groups
         whose hashed key counts fit their sub-arrays, each of one bucket
         per key slot (at 1024 x 256 and k=25, 3,568 buckets per group of
-        3,568 keys; 9,956 keys take 3 groups). Each
-        k-mer is then observed in read order, a new key taking its slot's
-        counter, and each query joins the first of its group's open batches
+        3,568 keys; 9,956 keys take 3 groups). The pre-scan's key set lives
+        only while the directory is sized; `host_counts` gathers the same
+        keys. Each k-mer is then observed in read order, a new key taking
+        its slot's counter, and each query joins the first of its group's open batches
         it fits (see _observe); at the read's end each group probes its
         batches in order. Hits' increments collect in `pending` until the
         last read's batches have run. Then every counter is seeded, one
@@ -684,16 +683,17 @@ class Assembler:
         batch), compares per query and the fullest column next to the
         counter work, where a counter add is one +1 at one bit plane.
         """
-        layout = mapping.layout_hash((self.rows, self.cols), k, self.value_width)
-        table = KmerTable(k, layout, self.machine)
-        with self.machine.stage_scope(tr.STAGE_HASHMAP):
-            table.read_kmers = {w.bits for r in reads for w in extract_kmers(r, k)}
-            if not table.read_kmers:
+        m = self.machine
+        layout = mapping.layout_hash((m.rows, m.cols), k, self.value_width)
+        table = KmerTable(k, layout, m)
+        with m.stage_scope(tr.STAGE_HASHMAP):
+            distinct = {w.bits for r in reads for w in extract_kmers(r, k)}
+            if not distinct:
                 raise SizeError(f"no k-mers: every read is shorter than k={k}")
             n_groups = mapping.bucket_directory(
-                layout,
-                [mapping.stable_hash(bits, 2 * k, self.seed) for bits in table.read_kmers],
+                layout, [mapping.stable_hash(bits, 2 * k, self.seed) for bits in distinct]
             )
+            del distinct
             groups = [
                 _Group(self._new_subarray(layout.row_layout), layout) for _ in range(n_groups)
             ]
@@ -1020,25 +1020,29 @@ class Assembler:
         """Accumulate degrees column-parallel and return the trail starts.
 
         Each node owns one column. The pass reads every multiplicity stripe
-        once and checks it against the mirror, stages the words into a
-        scratch word plane, and adds them into the out/in counter words one
-        occupancy rank at a time, so a whole sub-array row of nodes advances
-        per add. The degree words are (largest degree + 1).bit_length() bits
-        wide, just enough for the start probe's in + 1. Each stripe of
-        `cols` nodes takes 4 * w_deg fresh rows from the assembler's row
-        bank (its out, in, probe and staging words), rows never handed out
-        before and so still zero. Every pass is the same full pass: a repeat
-        one (after some words were rewritten, say) takes new stripes after
-        the last pass's and accumulates every node again. The read-back and
-        the start test cover every column: the test compares out against
-        in+1 with one compare cycle per bit plane, and an in + 1 that
-        carries out raises ConsistencyError. The edge-unit total needs no
-        word of its own: it is the sum of the out-degree words. Any degree
-        sequence is accepted: the starts list every node once per unit of
-        outgoing surplus, in ascending order, from the host degree lists the
-        fabric planes were just checked against, so an Euler path is the
-        case of one start or none. The pass (its degree stripes and starts)
-        is stored as `g.store.degree`, where the next fleury call walks it.
+        once and checks it against the mirror. One pass over each end list
+        groups the edges into waves by (stripe, rank), the rank being how
+        many edges of the same node came before; each wave's words are
+        staged into the stripe's staging words and added into the out/in
+        counter words, so a whole sub-array row of nodes advances per add.
+        The degree words are (largest degree + 1).bit_length() bits wide,
+        just enough for the start probe's in + 1. Each stripe of `cols`
+        nodes takes 3 * w_deg fresh rows from the assembler's row bank (its
+        out, in and staging words), rows never handed out before and so
+        still zero; the start probe forms in + 1 in the staging words, which
+        the accumulation no longer needs. Every pass is the same full pass:
+        a repeat one (after some words were rewritten, say) takes new
+        stripes after the last pass's and accumulates every node again. The
+        read-back and the start test cover every column: the test compares
+        out against in+1 with one compare cycle per bit plane, and an in + 1
+        that carries out raises ConsistencyError. The edge-unit total needs
+        no word of its own: it is the sum of the out-degree words. Any
+        degree sequence is accepted: the starts list every node once per
+        unit of outgoing surplus, in ascending order, from the host degree
+        lists the fabric planes were just checked against, so an Euler path
+        is the case of one start or none. The pass (its degree stripes and
+        starts) is stored as `g.store.degree`, where the next fleury call
+        walks it.
         """
         m = self.machine
         with m.stage_scope(tr.STAGE_TRAVERSE):
@@ -1054,32 +1058,24 @@ class Assembler:
             maxdeg = max(max(host_out, default=0), max(host_in, default=0))
             w_deg = (maxdeg + 1).bit_length()  # the probe's in + 1 fits
             store.degree = None  # void from here on, even on failure
-            stripes = [self._bank.alloc(4 * w_deg) for _ in range(0, n, m.cols)]
+            stripes = [self._bank.alloc(3 * w_deg) for _ in range(0, n, m.cols)]
 
-            # per stripe: out words at base, then in, probe and staging words
+            # per stripe: out words at base, then in and staging words
             for ends, offset in ((g.edge_src, 0), (g.edge_dst, w_deg)):
-                per: dict[int, dict[int, list[int]]] = {}
+                rank = [0] * n  # per node: the edges of it seen so far
+                # (stripe, rank) -> {col: the edge's multiplicity word}
+                waves: dict[tuple[int, int], dict[int, int]] = {}
                 for e, nid in enumerate(ends):
                     stripe, col = divmod(nid, m.cols)
-                    per.setdefault(stripe, {}).setdefault(col, []).append(e)
-                for stripe in sorted(per):
-                    colmap = per[stripe]
+                    waves.setdefault((stripe, rank[nid]), {})[col] = words[e]
+                    rank[nid] += 1
+                for (stripe, _), wave in sorted(waves.items()):
                     sid, base = stripes[stripe]
-                    stg_base = base + 3 * w_deg
-                    rank = 0
-                    while True:
-                        wave = {c: ids[rank] for c, ids in colmap.items() if len(ids) > rank}
-                        if not wave:
-                            break
-                        m.write_vwords(
-                            sid, stg_base, w_deg, {col: words[e] for col, e in wave.items()}
-                        )
-                        over = m.add_cols(
-                            sid, stg_base, base + offset, base + offset, w_deg, wave
-                        )
-                        if any(over.values()):
-                            raise ConsistencyError("degree counter overflow")
-                        rank += 1
+                    stg_base = base + 2 * w_deg
+                    m.write_vwords(sid, stg_base, w_deg, wave)
+                    over = m.add_cols(sid, stg_base, base + offset, base + offset, w_deg, wave)
+                    if any(over.values()):
+                        raise ConsistencyError("degree counter overflow")
 
             # read the counter planes back; the mirror must agree exactly
             fab_out: list[int] = []
@@ -1088,23 +1084,24 @@ class Assembler:
             for stripe, (sid, base) in enumerate(stripes):
                 lo = stripe * m.cols
                 hi = min(n, lo + m.cols)
-                in_base, tmp_base = base + w_deg, base + 2 * w_deg
+                in_base, stg_base = base + w_deg, base + 2 * w_deg
                 fab_out += m.read_vwords(sid, base, w_deg)[: hi - lo]
                 fab_in += m.read_vwords(sid, in_base, w_deg)[: hi - lo]
-                # start probe: tmp = in + 1, then plane-compare against out
+                # start probe: the staging words, dead now, take in + 1, and
+                # out is plane-compared against them
                 node_cols = list(range(hi - lo))
                 for i in range(w_deg):
                     m.mem_insert(
-                        MemAddress(sid, tmp_base + i, 0, m.cols),
+                        MemAddress(sid, stg_base + i, 0, m.cols),
                         MemAddress(sid, in_base + i, 0, m.cols),
                     )
-                if any(m.add_const_cols(sid, tmp_base, w_deg, node_cols, 1).values()):
+                if any(m.add_const_cols(sid, stg_base, w_deg, node_cols, 1).values()):
                     raise ConsistencyError("start probe's in + 1 overflowed its degree word")
                 agree = ~0
                 for i in range(w_deg):
                     res = m.cmp(
                         MemAddress(sid, base + i, 0, m.cols),
-                        MemAddress(sid, tmp_base + i, 0, m.cols),
+                        MemAddress(sid, stg_base + i, 0, m.cols),
                     )
                     agree &= res.mask
                 m.dpu_charge(1)
@@ -1254,7 +1251,7 @@ class Assembler:
                     total -= 1
                     u = v
                     path.append(v)
-                paths.append(EulerPath(path, [g.nodes[i] for i in path]))
+                paths.append(EulerPath(path))
             store.spend(walked)
             # one read per multiplicity plane: the walk spends every word
             left = store.read()
@@ -1280,11 +1277,13 @@ class Assembler:
         lands in some contig; an edge-less component (a chain that simplify
         merged into one node) is a single-node path. Paths come out grouped
         by component, in component order, and their node ids index the
-        returned graph. Each retried component, then each component that
-        splits into several contigs, appends a warning. Before the contigs
-        go out, the host checks that their k-mers are exactly the distinct
-        ones of the hash stage's pre-scan (`KmerTable.read_kmers`), and
-        raises ConsistencyError otherwise; the check costs no fabric op.
+        returned graph, whose `nodes` give their labels. Each retried
+        component, then each component that splits into several contigs,
+        appends a warning; the warnings are returned, not logged, so the
+        caller reports each once. Before the contigs go out, the host checks
+        that their k-mers are exactly the reads' distinct ones, the keys of
+        the hash stage's exact counts (`KmerTable.host_counts`), and raises
+        ConsistencyError otherwise; the check costs no fabric op.
         """
         m = self.machine
         warnings: list[str] = []
@@ -1294,7 +1293,7 @@ class Assembler:
                 f"skipped {len(reads) - len(usable)} reads shorter than k={k}"
             )
         if not usable:
-            layout = mapping.layout_hash((self.rows, self.cols), k, self.value_width)
+            layout = mapping.layout_hash((m.rows, m.cols), k, self.value_width)
             empty = KmerTable(k, layout, m)
             return AssemblyResult([], empty, SparseGraph(k=k), [], warnings)
         with m.stage_scope(tr.STAGE_IO):
@@ -1329,7 +1328,7 @@ class Assembler:
         trails = Counter(comp_of[p.node_ids[0]] for p in paths)
         for ci, comp in enumerate(comps):
             if not trails[ci]:
-                paths.append(EulerPath([comp[0]], [work.nodes[comp[0]]]))
+                paths.append(EulerPath([comp[0]]))
             if surplus[ci] > 1:
                 warnings.append(
                     f"component is not Eulerian under multiplicities (outgoing surplus "
@@ -1339,10 +1338,8 @@ class Assembler:
                 warnings.append(f"component splits into {trails[ci]} contigs")
         # fleury walks every start's trail before any circuit: regroup
         paths.sort(key=lambda p: comp_of[p.node_ids[0]])
-        contigs = [contig_from_path(p.vertices, work.k) for p in paths]
+        contigs = [contig_from_path([work.nodes[i] for i in p.node_ids], work.k) for p in paths]
         _check_coverage(contigs, table)
         with m.stage_scope(tr.STAGE_IO):
             m.xfer(sum((c.bit_length + 7) // 8 for c in contigs))
-        for w in warnings:
-            log.warning(w)
         return AssemblyResult(contigs, table, work, paths, warnings)

@@ -170,7 +170,8 @@ def cmd_sweep(args) -> int:
         asm = Assembler(
             rows=args.rows, cols=args.cols, seed=args.seed, simplify=args.simplify
         )
-        asm.assemble(reads, k)
+        for w in asm.assemble(reads, k).warnings:
+            print(f"warning: {w}", file=sys.stderr)
         res = perf.sweep_pd(asm.trace, cfg, pd_list)
         for p in res.points:
             lines.append(f"{k},{p.pd},{p.runtime_ns!r},{p.avg_power_w!r},{p.energy_nj!r}")

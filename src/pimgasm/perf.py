@@ -12,7 +12,7 @@ traces and configs produce bit-identical reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import trace as tr
 from .errors import ConfigError
@@ -34,7 +34,7 @@ class ClassCost:
             raise ConfigError("event costs must be non-negative")
 
 
-# flat JSON key -> (event class, field) for the per-class costs
+# flat key stem -> event class, as `<stem>_latency_ns` and `<stem>_energy_nj`
 _CLASS_KEYS = {
     "r": tr.R,
     "w": tr.W,
@@ -100,39 +100,19 @@ class CostConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CostConfig":
-        base = cls()
-        classes = dict(base.classes)
-        scalars = {
-            "leakage_base_mw": base.leakage_base_mw,
-            "leakage_per_group_mw": base.leakage_per_group_mw,
-            "parallel_fraction": base.parallel_fraction,
-        }
-        staged: dict[str, dict[str, float]] = {k: {} for k in _CLASS_KEYS}
+        """A config from to_dict's flat keys; a key left out keeps its default."""
+        flat = cls().to_dict()
         for key, val in d.items():
+            if key not in flat:
+                raise ConfigError(f"unknown cost-config key {key!r}")
             if not isinstance(val, (int, float)) or isinstance(val, bool):
                 raise ConfigError(f"{key} must be a number")
-            if key in scalars:
-                scalars[key] = float(val)
-            elif key.endswith("_latency_ns") and key[:-11] in _CLASS_KEYS:
-                staged[key[:-11]]["latency_ns"] = float(val)
-            elif key.endswith("_energy_nj") and key[:-10] in _CLASS_KEYS:
-                staged[key[:-10]]["energy_nj"] = float(val)
-            else:
-                raise ConfigError(f"unknown cost-config key {key!r}")
-        for stem, parts in staged.items():
-            if parts:
-                kind = _CLASS_KEYS[stem]
-                old = classes[kind]
-                classes[kind] = ClassCost(
-                    parts.get("latency_ns", old.latency_ns),
-                    parts.get("energy_nj", old.energy_nj),
-                )
-        return cls(classes=classes, **scalars)
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            flat[key] = float(val)
+        classes = {
+            kind: ClassCost(flat.pop(f"{key}_latency_ns"), flat.pop(f"{key}_energy_nj"))
+            for key, kind in _CLASS_KEYS.items()
+        }
+        return cls(classes=classes, **flat)
 
     @classmethod
     def from_json(cls, path) -> "CostConfig":
@@ -292,43 +272,17 @@ def sweep_pd(trace: tr.OpTrace, cfg: CostConfig, pd_list: list[int]) -> SweepRes
     return SweepResult(points)
 
 
-def fit_pd_calibration(
-    trace: tr.OpTrace,
-    cfg: CostConfig,
-    *,
-    pd_hi: int = 8,
-    time_ratio: float = 3.0,
-    power_ratio: float = 7.0,
-) -> CostConfig:
-    """Fit the two free parallelism knobs to target sweep ratios.
-
-    Solves parallel_fraction so runtime(1)/runtime(pd_hi) = time_ratio,
-    then leakage_per_group so power(pd_hi)/power(1) = power_ratio on the
-    given workload. Infeasible targets raise ConfigError.
-    """
-    if pd_hi < 2:
-        raise ConfigError("pd_hi must be at least 2")
-    if not 1.0 < time_ratio <= pd_hi:
-        raise ConfigError("time ratio must lie in (1, pd_hi]")
-    frac = (1.0 - 1.0 / time_ratio) / (1.0 - 1.0 / pd_hi)
-    base = account(trace, cfg)
-    if base.total_latency_ns == 0:
-        raise ConfigError("cannot calibrate on an empty workload")
-    x = base.dynamic_energy_nj / base.total_latency_ns  # dynamic power, W
-    l0 = cfg.leakage_base_mw / 1000.0
-    denom = pd_hi - power_ratio
-    if denom <= 0:
-        raise ConfigError("power ratio must be below pd_hi")
-    lg = ((power_ratio - time_ratio) * x + (power_ratio - 1.0) * l0) / denom
-    if lg < 0:
-        raise ConfigError("targets imply negative per-group leakage")
-    return replace(
-        cfg, parallel_fraction=frac, leakage_per_group_mw=lg * 1000.0
-    )
-
-
 def calibrated_config() -> CostConfig:
-    """Stock config with the committed parallelism calibration applied."""
+    """Stock config with the committed parallelism calibration applied.
+
+    The two knobs in data/pd_calibration.json were solved for target sweep
+    ratios at pd 8. parallel_fraction = 16/21 = (1 - 1/3) / (1 - 1/8)
+    gives runtime(1) / runtime(8) = 3.0 on any trace. leakage_per_group_mw
+    was fitted to power(8) / power(1) = 7 on one workload's trace; the
+    power ratio depends on the trace's dynamic power, so it moves as the
+    trace does. Acceptance criterion 9 checks both ratios on the canonical
+    run.
+    """
     from importlib.resources import files
 
     d = json.loads(files("pimgasm.data").joinpath("pd_calibration.json").read_text())

@@ -103,11 +103,6 @@ class OpTrace:
             for line in self.export_lines():
                 fh.write(line + "\n")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OpTrace):
-            return NotImplemented
-        return self.records() == other.records()
-
     def __repr__(self) -> str:
         totals = {kd: self.total(kd) for kd in KINDS if self.total(kd)}
         return f"OpTrace({totals})"

@@ -1343,12 +1343,14 @@ def test_find_start_degrees_weight_multiplicity():
 def test_a_repeat_find_start_takes_fresh_stripes_after_the_first():
     # 18 nodes on 16 columns: two degree stripes. The largest degree is 2,
     # so the start probe's in + 1 needs 3.bit_length() = 2-bit degree
-    # words, and a stripe 4 * 2 rows. The row bank's one sub-array holds
-    # the two 1-bit multiplicity stripes (rows 0, 1); the first pass stacks
-    # its stripes at rows 2 and 10, and a repeat pass takes fresh ones
-    # after them, at 18 and 26, in the same sub-array. Fresh rows hold zeros, so nothing is cleared:
-    # the repeat re-adds every node at exactly the first pass's cost, and
-    # the first pass's words stay where they were.
+    # words, and a stripe 3 * 2 rows (out, in and staging words; the probe
+    # forms in + 1 in the staging words). The row bank's one sub-array
+    # holds the two 1-bit multiplicity stripes (rows 0, 1); the first pass
+    # stacks its stripes at rows 2 and 2 + 6 = 8, and a repeat pass takes
+    # fresh ones after them, at 14 and 20, in the same sub-array. Fresh
+    # rows hold zeros, so nothing is cleared: the repeat re-adds every node
+    # at exactly the first pass's cost, and the first pass's out words stay
+    # where they were.
     asm, g = build_graph(["ACGTTGCATGTCGACCATGGAT"], 5, rows=64, cols=16)
     count = asm.machine.subarray_count
     sid = g.store.stripes[0][0]
@@ -1362,9 +1364,9 @@ def test_a_repeat_find_start_takes_fresh_stripes_after_the_first():
     assert asm.machine.subarray_count == count
     assert g.store.stripes == [(sid, 0), (sid, 1)]
     assert g.store.degree.w_deg == 2
-    assert g.store.degree.stripes == [(sid, 18), (sid, 26)]
+    assert g.store.degree.stripes == [(sid, 14), (sid, 20)]
     assert costs[1] == costs[0]
-    kept = asm.machine.read_vwords(sid, 2, 2) + asm.machine.read_vwords(sid, 10, 2)
+    kept = asm.machine.read_vwords(sid, 2, 2) + asm.machine.read_vwords(sid, 8, 2)
     assert kept[: len(g.nodes)] == g.degrees()[0]
     # the walk spends every word the repeat pass counted to zero
     [path] = asm.fleury(g)
@@ -1898,11 +1900,13 @@ def test_assemble_two_components():
     asm = make_asm()
     result = asm.assemble([E("ACGTT"), E("GAAAG")], 3)
     assert [c.to_str() for c in result.contigs] == ["ACGTT", "GAAAG"]
-    # path node ids index the returned graph
+    # path node ids index the returned graph, whose nodes give the labels
     g = result.graph
     assert [p.node_ids for p in result.paths] == [[0, 1, 2, 3], [4, 5, 5, 6]]
-    for p in result.paths:
-        assert [g.nodes[i].to_str() for i in p.node_ids] == [v.to_str() for v in p.vertices]
+    assert [[g.nodes[i].to_str() for i in p.node_ids] for p in result.paths] == [
+        ["AC", "CG", "GT", "TT"],
+        ["GA", "AA", "AA", "AG"],
+    ]
 
 
 @pytest.mark.parametrize("lost", [0, 1])
@@ -2086,7 +2090,7 @@ def test_contigs_hold_exactly_the_read_kmers(workload):
     g = result.graph
     comps = weakly_connected_components(g)
     comp_of = {g.nodes[nid]: ci for ci, comp in enumerate(comps) for nid in comp}
-    walked = Counter(comp_of[p.vertices[0]] for p in result.paths)
+    walked = Counter(comp_of[g.nodes[p.node_ids[0]]] for p in result.paths)
     assert walked == {ci: component_trails(g, comp) for ci, comp in enumerate(comps)}
     if unique:
         assert contigs == [genome]
@@ -2485,6 +2489,15 @@ _UNIT_RUNG = (
 #                  + 2 * 60                               = 1,286
 #   hashmap C_ADD  944 compared rows + 60                  = 1,004
 #   hashmap DPU    944 + 60                                = 1,004
+#
+# The start probe forms in + 1 in the staging words, so a degree stripe
+# takes 3 * d rows, not 4 * d. Every op is the same, so only the sub-array
+# count moves. simplify off: the bank's first sub-array holds the 9
+# multiplicity stripes of 4 rows (36) and one of pass 1's 9 stripes of
+# 3 * 4 = 12 rows; the other 8 take two more sub-arrays, 4 each (48 rows).
+# Pass 2's stripes of 3 * 2 = 6 rows put one in the third sub-array's last
+# 10 rows and the other 8 in a fourth: 10 + 4 = 14 sub-arrays, not 10 + 5
+# = 15. simplify on: one 12-row stripe, then one 6-row one, as before: 11.
 LADDER = {
     False: (
         [
@@ -2499,7 +2512,7 @@ LADDER = {
             ("traverse", "W", 580),
             ("traverse", "C_ADD", 233),
         ],
-        15,
+        14,
         [
             "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
             "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCG",
@@ -2614,9 +2627,10 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #        870; pass 2: 39 * 4 + 78 * 2 = 312; 39 flush adds   =     1,221
 #   sub-arrays     3 + 2: one row bank of 1,018-row data regions takes,
 #                  in turn, the 39 multiplicity stripes of 7 rows (273
-#                  rows), pass 1's 39 stripes of 4 * 7 rows (26 there, to
-#                  row 1,001, and 13 in a 2nd) and pass 2's 39 of 4 * 2
-#                  rows (all in the 2nd, to row 676)         =         5
+#                  rows), pass 1's 39 stripes of 3 * 7 rows (out, in and
+#                  staging words: 35 there, to row 1,008, and 4 in a 2nd)
+#                  and pass 2's 39 of 3 * 2 rows (all in the 2nd, to row
+#                  318)                                      =         5
 # Spending the walk's units per decision, not per unit, took traverse W
 # from 23,540 (9,976 decrements * 2) to 3,666 and C_ADD from 11,380 to
 # 1,443: 19,312,242 -> 19,182,167 modeled ns, and RUR 0.6859 -> 0.6885.
@@ -2666,6 +2680,11 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 # Seeding and adding once, after the last read, not once per window of 256
 # reads: seed writes 154 -> 41, adds 1,114 -> 184 of 282 planes (2,855).
 # 2,770,540 -> 2,736,212 modeled ns, RUR 0.6103 -> 0.6142, sub-arrays 5.
+# Forming the probe's in + 1 in the staging words, not in probe words of
+# its own: stripes of 3 * d rows, not 4 * d. No op changes, and the bank
+# still takes 2 sub-arrays (pass 1 ran to row 1,001 of the first and put
+# 13 stripes in a second; now 1,008 and 4), so the trace and the 5
+# sub-arrays stay.
 CANONICAL_TRACE = [
     ("io", "XFER", 250_025),
     ("hashmap", "W", 224_323),
@@ -2687,15 +2706,16 @@ def test_the_canonical_trace_is_pinned(canonical_run):
 
 
 def test_subarray_budget_holds_in_every_stage():
-    # CGTGTGCA read four times at k=5 on 24 x 64 takes one hash sub-array,
-    # and every k-mer's count is 4. The graph stage checks the labels in
+    # CGTGTGCA read eight times at k=5 on 24 x 64 takes one hash sub-array,
+    # and every k-mer's count is 8. The graph stage checks the labels in
     # their key rows and opens the row bank's first sub-array (18 data
-    # rows) for the 3-bit multiplicity stripe (rows 0-2). In the traverse
-    # stage the first degree pass's 4 * 3 rows (3-14; the probe's in + 1
-    # reaches 5) still fit there; CGTG's surplus of 4 sends the path to the
-    # unit retry, whose fresh 4 * 2 rows do not, and open a second bank
-    # sub-array.
-    reads = [E("CGTGTGCA")] * 4
+    # rows) for the 4-bit multiplicity stripe (rows 0-3). In the traverse
+    # stage the first degree pass's 3 * 4 rows (4-15; the probe's in + 1
+    # reaches 9) still fit there; CGTG's surplus of 8 sends the path to the
+    # unit retry, whose fresh 3 * 2 rows do not, and open a second bank
+    # sub-array. (Read four times, the 3-bit words' stripes of 3 * 3 and
+    # 3 * 2 rows would both fit the first.)
+    reads = [E("CGTGTGCA")] * 8
     stages = {0: "hashmap", 1: "graph", 2: "traverse"}
     for budget, stage in stages.items():
         asm = make_asm(**PACKED, max_subarrays=budget)
@@ -2707,20 +2727,20 @@ def test_subarray_budget_holds_in_every_stage():
 
 
 def test_a_degree_stripe_taller_than_a_data_region_raises():
-    # 24-row sub-arrays have 18 data rows. A 14-unit self-loop needs
-    # 15.bit_length() = 4-bit degree words, a stripe of 4 * 4 = 16 rows,
-    # which fits; a 15-unit one needs 16.bit_length() = 5-bit words, and
-    # 4 * 5 = 20 rows fit in no sub-array.
+    # 24-row sub-arrays have 18 data rows. A 62-unit self-loop needs
+    # 63.bit_length() = 6-bit degree words, a stripe of 3 * 6 = 18 rows,
+    # which fits; a 63-unit one needs 64.bit_length() = 7-bit words, and
+    # 3 * 7 = 21 rows fit in no sub-array.
     def self_loop(mult):
         g = SparseGraph(k=3)
         g.add_edge(E("AA"), E("AA"), mult=mult)
         return g
 
-    g = self_loop(14)
+    g = self_loop(62)
     assert make_asm(**PACKED).find_start(g) == []
-    assert g.store.degree.w_deg == 4
+    assert g.store.degree.w_deg == 6
     with pytest.raises(CapacityError, match="entry taller than a sub-array data region"):
-        make_asm(**PACKED).find_start(self_loop(15))
+        make_asm(**PACKED).find_start(self_loop(63))
 
 
 def test_assemble_is_deterministic():

@@ -1,6 +1,7 @@
 """End-to-end command-line runs: files in, files out, exit codes."""
 
 import json
+import logging
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from pimgasm.assembly import Assembler
 from pimgasm.cli import main
-from pimgasm.seqio import read_sequences
+from pimgasm.seqio import encode_records, read_sequences
 
 SMALL = ["--rows", "128", "--cols", "64"]
 
@@ -103,7 +104,7 @@ def test_assemble_empty_input(tmp_path, capsys):
     assert read_sequences(f"{out}.contigs.fasta") == []
 
 
-def test_assemble_fastq_with_degrade_warning(tmp_path, capsys):
+def test_assemble_fastq_with_degrade_warning(tmp_path, capsys, caplog):
     genome = "TTAGGCATCGCCGGAATCCGATAGGCTT"
     rows = []
     for i in range(len(genome) - 9):
@@ -116,6 +117,15 @@ def test_assemble_fastq_with_degrade_warning(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "warning:" in err and "unit multiplicities" in err
     assert read_sequences(f"{out}.contigs.fasta") == [("contig_0", genome)]
+    # one stderr line per warning, from the command; the assembler returns
+    # its warnings and logs none, so none is reported twice
+    records, _ = encode_records(read_sequences(reads))
+    warnings = Assembler(rows=128, cols=64).assemble(records, 6).warnings
+    assert warnings
+    assert err.splitlines() == [f"warning: {w}" for w in warnings]
+    assert run(["sweep", reads, "--k-list", 6, *SMALL, "--out", out]) == 0
+    assert capsys.readouterr().err.splitlines() == [f"warning: {w}" for w in warnings]
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 
 def test_assemble_exit_codes(tmp_path):
@@ -223,7 +233,8 @@ def test_assemble_custom_cost_config(tmp_path):
     reads = tmp_path / "reads.fasta"
     reads.write_text(">r\nCGTGTGCA\n")
     cfg = tmp_path / "cost.json"
-    CostConfig().to_json(cfg)
+    with open(cfg, "w") as fh:
+        json.dump(CostConfig().to_dict(), fh)
     out = tmp_path / "asm"
     assert run(["assemble", reads, "--k", 5, *SMALL, "--cost-config", cfg,
                 "--out", out]) == 0
