@@ -12,16 +12,26 @@ later keys the same column, or the least-filled one once that column is
 full. Each column fills its key rows in first-seen order, so keys first
 seen together share a row, and a bucket is the list of rows that hold its
 keys. Every query hashes to its bucket, and the host's exact count of the
-key decides hit or miss. Queries are probed in batches packed first-fit:
-each group keeps a list of open batches for the read, and a query joins
-the first whose image fills none of its bucket's columns, or opens a new
-one. A batch writes its members into one temp-row image, each query in
-its bucket's columns, and each member compares its bucket's rows newest
+key decides hit or miss. Queries are probed in batches: each group keeps
+a list of open batches for the read. A hit whose bucket's keys are all
+written joins the read's batch for the bucket's newest key row, a row
+the controller holds in the bucket directory, or opens a new batch for
+that row when the batch fills one of its bucket's columns; any other
+query joins the first open batch whose image fills none of its bucket's
+columns, or opens a new one. A query joins only a batch after its
+bucket's last one in the read, so a bucket's queries are probed in the
+order they arrive. A batch's image holds each member's query in its
+bucket's columns, and each member compares its bucket's rows newest
 first, down to the first row where one of its own slots matches: a hit
 finds its key there, and a miss compares every row and finds none. Each
 row is compared once per batch, one XNOR-compare cycle plus one
 AND-reduce, and a member reads only its own slots, so an all-A key
-(packed to 0) never matches an empty slot. The read's batches run in the
+(packed to 0) never matches an empty slot. Keys first seen together share
+a row, so a batch compares about one. Each group keeps its last 8 images
+in its sub-array's 8 temp rows, least recently used first, and the
+controller keeps a copy of each: a batch whose image a temp row holds
+compares against that row and writes nothing, and any other batch writes
+its image over the least recently used one. The read's batches run in the
 order they opened when the read ends. A miss reserves its column for its
 bucket when it is seen, and writes its key from the query bits the
 controller holds (one write, no read): at once into an empty bucket, with
@@ -325,8 +335,9 @@ class KmerTable:
     Key i sits at `slots[i]` (sub-array id, key index) and owns the counter
     at `layout.counter_location(key index)` in that sub-array.
     `buckets` is the size of the bucket directory the keys were hashed
-    into; `batches` and `compares` count the probe batches (one temp-row
-    image write each) and the key rows they compared.
+    into; `batches`, `image_writes` and `compares` count the probe batches,
+    the images they wrote into a temp row (a batch whose image a temp row
+    already holds writes none) and the key rows they compared.
     """
 
     def __init__(self, k: int, layout: mapping.HashLayout, machine: Machine):
@@ -340,6 +351,7 @@ class KmerTable:
         self.saturated_keys = 0
         self.buckets = 0
         self.batches = 0
+        self.image_writes = 0
         self.compares = 0
 
     @property
@@ -387,19 +399,30 @@ class _Group:
     """One hash group: its sub-array, the keys each column (slot position)
     holds, which is also the next free key row of that column, and the
     read's open batches of queries, each with the column mask its image
-    fills. `temp` and `key_rows` address its temp row and each key row over
-    the key span, the regions a probe compares.
+    fills. `by_row` maps a key row to the read's batch of hits keyed by it,
+    `last` a bucket to its last batch in the read, and `waiting` holds the
+    buckets with a key placed in the read but not yet written. `image_rows`
+    and `key_rows` address its temp rows and each key row over the key
+    span, the regions a probe compares; `held` is the controller's copy of
+    the images the temp rows hold, image -> row, least recently used first.
     """
 
-    __slots__ = ("sid", "fill", "batches", "busy", "temp", "key_rows")
+    __slots__ = (
+        "sid", "fill", "batches", "busy", "by_row", "last", "waiting",
+        "image_rows", "held", "key_rows",
+    )
 
     def __init__(self, sid: int, lay: mapping.HashLayout):
         self.sid = sid
         self.fill = [0] * lay.slots
         self.batches: list[list[_Query]] = []
         self.busy: list[int] = []  # per open batch: the columns its image fills
+        self.by_row: dict[int, int] = {}
+        self.last: dict[_Bucket, int] = {}
+        self.waiting: set[_Bucket] = set()
         span = lay.key_span
-        self.temp = MemAddress(sid, lay.row_layout.temp_rows[0], 0, span)
+        self.image_rows = [MemAddress(sid, row, 0, span) for row in lay.row_layout.temp_rows]
+        self.held: dict[int, MemAddress] = {}
         self.key_rows = [MemAddress(sid, row, 0, span) for row in lay.kmer_rows]
 
 
@@ -618,7 +641,8 @@ class Assembler:
     mapping.layout_hash), so one compare checks a row of keys. Each group
     is one sub-array of one bucket per key slot, whose keys are
     placed by column, so a probe scans a few rows, and up to `slots`
-    queries share one image write and the rows they scan (see
+    queries share one image and the rows they scan; a group's 8 temp rows
+    keep its last 8 images, so a repeated image is not written again (see
     build_kmer_table). Counter writes wait for the last read: then one
     seed write per (sub-array, counter stripe) starts every counter at
     one, and the stage's increments go in as one column-parallel +1 per
@@ -671,17 +695,19 @@ class Assembler:
         3,568 keys; 9,956 keys take 3 groups). The pre-scan's key set lives
         only while the directory is sized; `host_counts` gathers the same
         keys. Each k-mer is then observed in read order, a new key taking
-        its slot's counter, and each query joins the first of its group's open batches
-        it fits (see _observe); at the read's end each group probes its
-        batches in order. Hits' increments collect in `pending` until the
+        its slot's counter, and each query joins one of its group's open
+        batches (see _observe); at the read's end each group probes its
+        batches in order, each writing its image unless a temp row holds it
+        (see _probe). Hits' increments collect in `pending` until the
         last read's batches have run. Then every counter is seeded, one
         write per (sub-array, stripe), and the increments are added, so
         every counter is seeded before it is added to and holds its count
         before build_graph reads it. The log line reports the directory's
-        load (distinct keys per bucket), the batches, the batched queries
-        per image write (a first miss into an empty bucket joins no
-        batch), compares per query and the fullest column next to the
-        counter work, where a counter add is one +1 at one bit plane.
+        load (distinct keys per bucket), the batches, the image writes and
+        the images reused, the batched queries per image write (a first
+        miss into an empty bucket joins no batch), compares per query and
+        the fullest column next to the counter work, where a counter add is
+        one +1 at one bit plane.
         """
         m = self.machine
         layout = mapping.layout_hash((m.rows, m.cols), k, self.value_width)
@@ -714,12 +740,12 @@ class Assembler:
             "k-mer table: %d queries, %d hits, %d counter adds (one +1 at a bit plane each), "
             "%d counter-seed writes, %d distinct, %d groups (one sub-array each), "
             "%d buckets (%.2f keys each), "
-            "%d batches (one image write each), %.2f queries per image write, "
+            "%d batches, %d image writes, %d images reused, %.2f queries per image write, "
             "%.2f compares per query, fullest column %d of %d key rows",
             table.total_kmers, table.total_kmers - table.distinct(), adds, seeds,
             table.distinct(), len(groups), table.buckets, table.distinct() / table.buckets,
-            table.batches,
-            batched / max(table.batches, 1),
+            table.batches, table.image_writes, table.batches - table.image_writes,
+            batched / max(table.image_writes, 1),
             table.compares / table.total_kmers,
             max(max(g.fill) for g in groups),
             len(layout.kmer_rows),
@@ -785,12 +811,17 @@ class Assembler:
         _seed_counts starts at one at the stage's end. Its key is written
         from the query bits, which the controller holds: at once into an
         empty bucket, with no image and no compare, or else once its batch
-        has compared. Any other query joins the first of its group's open
-        batches whose image fills none of the columns of its bucket's keys
-        placed so far, or opens a new one; a hit below the cap adds one
-        increment for the key its batch finds to `pending`. Two queries of
-        one bucket thus join batches in the order they arrive, so a hit on
-        a key placed earlier in the read is probed after the key is written.
+        has compared. Its image fills the columns of its bucket's keys
+        placed so far. A hit whose bucket holds no key placed in the read
+        and not yet written joins the read's batch for the bucket's newest
+        key row, or opens a new batch for that row when that batch fills
+        one of the query's columns; any other query joins the first open
+        batch whose image fills none of them, or opens a new one. Either
+        way it joins only a batch after its bucket's last one in the read,
+        so two queries of one bucket are probed in the order they arrive: a
+        hit on a key placed earlier in the read is probed after the key is
+        written, and imaged in its column. A hit below the cap adds one
+        increment for the key its batch finds to `pending`.
         """
         lay = table.layout
         bits = kmer.bits
@@ -821,13 +852,23 @@ class Assembler:
                 self._insert(table, bucket, bits, key_i)
                 return
             query = _Query(bucket, bits, cols, key_i, False)
-        for i, busy in enumerate(group.busy):
-            if not busy & cols:
-                group.batches[i].append(query)
-                group.busy[i] |= cols
-                return
-        group.batches.append([query])
-        group.busy.append(cols)
+            group.waiting.add(bucket)
+        floor = group.last.get(bucket, -1)  # the bucket's last batch in the read
+        if bucket not in group.waiting:  # a hit, every key of its bucket written
+            row = bucket.rows[-1]
+            i = group.by_row.get(row, -1)
+            if i <= floor or group.busy[i] & cols:
+                i = group.by_row[row] = len(group.batches)
+        else:
+            i = floor + 1
+            while i < len(group.busy) and group.busy[i] & cols:
+                i += 1
+        if i == len(group.batches):
+            group.batches.append([])
+            group.busy.append(0)
+        group.batches[i].append(query)
+        group.busy[i] |= cols
+        group.last[bucket] = i
 
     def _flush(self, table: KmerTable, group: _Group, pending) -> None:
         """Probe a group's open batches in the order they opened. After each
@@ -838,8 +879,9 @@ class Assembler:
         lay, sid = table.layout, group.sid
         for batch in group.batches:
             table.batches += 1
-            found, compared = self._probe(group, batch, lay)
+            found, compared, written = self._probe(group, batch, lay)
             table.compares += compared
+            table.image_writes += written
             for query, key_i in zip(batch, found):
                 if query.key_i is not None:  # a miss
                     if key_i is not None:
@@ -852,6 +894,9 @@ class Assembler:
                     pending[slot] = pending.get(slot, 0) + 1
         group.batches = []
         group.busy = []
+        group.by_row.clear()
+        group.last.clear()
+        group.waiting.clear()
 
     def _insert(self, table: KmerTable, bucket: _Bucket, bits: int, key_i: int) -> None:
         """Write a new key into its slot from the query bits: one write, no
@@ -868,21 +913,23 @@ class Assembler:
 
     def _probe(
         self, group: _Group, batch: list[_Query], lay: mapping.HashLayout
-    ) -> tuple[list[int | None], int]:
+    ) -> tuple[list[int | None], int, bool]:
         """Compare a batch against its members' bucket rows in fabric.
 
-        The batch writes one image into the temp row, each member's query
-        in its `cols`; two members that share a column would overwrite each
-        other there, which raises. Each member then compares its bucket's
-        rows against it newest first, down to the first row where one of
-        the member's own columns matches: a hit stops at its key's row, and
-        a miss compares every row. A row another member already compared is
-        not compared again. So the batch costs one write and one compare
-        cycle plus one AND-reduce per distinct row. Returns the key index
-        each member found (None when none matched) and the rows compared.
+        The batch's image holds each member's query in its `cols`; two
+        members that share a column would overwrite each other there, which
+        raises. A temp row that holds the image already serves as it, with
+        no write; otherwise the image is written into the temp row used
+        least recently (an empty one first). Each member then compares its
+        bucket's rows against it newest first, down to the first row where
+        one of the member's own columns matches: a hit stops at its key's
+        row, and a miss compares every row. A row another member already
+        compared is not compared again. So the batch costs at most one
+        write, and one compare cycle plus one AND-reduce per distinct row.
+        Returns the key index each member found (None when none matched),
+        the rows compared and whether the image was written.
         """
         m = self.machine
-        temp = group.temp
         image = filled = 0
         for query in batch:
             if filled & query.cols:
@@ -891,7 +938,16 @@ class Assembler:
                 )
             filled |= query.cols
             image |= lay.image(query.bits, query.cols)
-        m.subarray(group.sid).write_bits(temp.row, 0, temp.bit_len, image)
+        held = group.held
+        temp = held.pop(image, None)
+        written = temp is None
+        if written:
+            if len(held) < len(group.image_rows):
+                temp = group.image_rows[len(held)]
+            else:
+                temp = held.pop(next(iter(held)))
+            m.subarray(group.sid).write_bits(temp.row, 0, temp.bit_len, image)
+        held[image] = temp
         masks: dict[int, int] = {}  # row -> its compare mask
         found: list[int | None] = []
         for query in batch:
@@ -906,7 +962,7 @@ class Assembler:
                     key_i = row * lay.slots + slot
                     break
             found.append(key_i)
-        return found, len(masks)
+        return found, len(masks), written
 
     # -- stage 2: graph construction --
 

@@ -21,6 +21,7 @@ import traceback
 
 from . import perf, seqio
 from .assembly import Assembler
+from .encoding import EncodedSeq
 from .errors import (
     CapacityError,
     ConfigError,
@@ -31,8 +32,6 @@ from .errors import (
 )
 from .fabric import AND3_CFG, MAJ_CFG, OR3_CFG, XOR3_CFG, RowLayout, SubArray
 from .trace import OpTrace
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_SELFCHECK = 1
@@ -96,13 +95,21 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     _add_seed_out(p)
 
 
+def _read_reads(path: str) -> list[EncodedSeq]:
+    """The encoded reads of a read file. Reads are split at each non-ACGT
+    symbol; the symbols dropped are reported once, as a `warning:` line."""
+    reads, dropped = seqio.encode_records(seqio.read_sequences(path))
+    if dropped:
+        print(
+            f"warning: dropped {dropped} non-ACGT symbols (reads split at each)", file=sys.stderr
+        )
+    return reads
+
+
 def cmd_assemble(args) -> int:
     _check_run(args, [args.k])
     cfg = _load_cost_config(args)
-    records = seqio.read_sequences(args.input)
-    reads, dropped = seqio.encode_records(records)
-    if dropped:
-        log.warning("dropped %d non-ACGT symbols (reads split at each)", dropped)
+    reads = _read_reads(args.input)
     _check_outputs(args.out, args.dump_kmers, args.dump_graph)
     asm = Assembler(
         rows=args.rows, cols=args.cols, seed=args.seed, simplify=args.simplify
@@ -162,8 +169,7 @@ def cmd_sweep(args) -> int:
     _check_run(args, k_list)
     cfg = _load_cost_config(args)
     pd_list = _int_list(args.pd_list)
-    records = seqio.read_sequences(args.input)
-    reads, _ = seqio.encode_records(records)
+    reads = _read_reads(args.input)
     _check_outputs(args.out)
     lines = ["k,pd,runtime_ns,avg_power_w,energy_nj"]
     for k in k_list:

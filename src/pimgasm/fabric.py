@@ -130,7 +130,6 @@ class RowLayout:
     carry_rows: tuple[int, ...]
     temp_rows: tuple[int, ...]
     data_region: range
-    resv_rows: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         special = self.special_rows()
@@ -143,12 +142,7 @@ class RowLayout:
                 raise ConfigError("data region overlaps a special row")
 
     def special_rows(self) -> tuple[int, ...]:
-        return (
-            (self.init0_row, self.init1_row)
-            + self.carry_rows
-            + self.temp_rows
-            + self.resv_rows
-        )
+        return (self.init0_row, self.init1_row) + self.carry_rows + self.temp_rows
 
     @classmethod
     def default(cls, rows: int) -> "RowLayout":

@@ -142,12 +142,12 @@ def layout_hash(dims: tuple[int, int], k: int, value_width: int = 8) -> HashLayo
     them all. The power-of-two pitch gives every k between two powers the
     same slot count (4 for k = 17..32 on 256 columns), so fewer, longer
     k-mers never cost more to scan; the densest packing, cols // 2k, would
-    give 5 slots at k=25 but 4 at k=27. Twelve rows are reserved (2 temp, 2 init,
-    2 carry, 6 spare); the fewest counter stripes that give every key a
-    slot are taken, and the rest of the rows hold keys. For the default
-    1024 x 256 geometry at k=25 that is 892 key rows of 4 slots (3,568
-    keys) and 15 stripes of 8 value rows. Keys wider than one row are
-    rejected.
+    give 5 slots at k=25 but 4 at k=27. Twelve rows are reserved (8 temp, 2
+    init, 2 carry): the temp rows hold the group's last probe images; the
+    fewest counter stripes that give every key a slot are taken, and the
+    rest of the rows hold keys. For the default 1024 x 256 geometry at
+    k=25 that is 892 key rows of 4 slots (3,568 keys) and 15 stripes of 8
+    value rows. Keys wider than one row are rejected.
     """
     rows, cols = dims
     if k < 2:
@@ -170,11 +170,10 @@ def layout_hash(dims: tuple[int, int], k: int, value_width: int = 8) -> HashLayo
     value_rows = range(n_keys, n_keys + stripes * value_width)
     base = value_rows.stop
     row_layout = RowLayout(
-        init0_row=base + 2,
-        init1_row=base + 3,
-        carry_rows=(base + 4, base + 5),
-        temp_rows=(base, base + 1),
-        resv_rows=tuple(range(base + 6, base + 12)),
+        init0_row=base + 8,
+        init1_row=base + 9,
+        carry_rows=(base + 10, base + 11),
+        temp_rows=tuple(range(base, base + 8)),
         data_region=range(0, base),
     )
     return HashLayout(

@@ -13,7 +13,7 @@ from collections import Counter
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pimgasm import assembly, mapping
@@ -236,9 +236,13 @@ def test_a_hit_compares_its_bucket_rows_newest_first():
 def test_repeat_cost_oracle():
     # AAA observed three times in one read: one insert from the query bits
     # into its empty bucket (1 W, no image, no compare), then two hits. The
-    # first hit opens a batch; the second needs the same column, so it opens
-    # a second batch, and the two run in order at the read's end: each
-    # writes an image and compares the key's one row (1 W, 1 C_ADD, 1 DPU).
+    # first hit opens a batch for its key's row; the second needs the same
+    # column and must come after its bucket's last batch anyway, so it opens
+    # a second batch for that row, and the two run in order at the read's
+    # end, each comparing the key's one row (1 C_ADD, 1 DPU). The first
+    # writes its image into a temp row (1 W); the second's image is the
+    # same, AAA in the same column, so it compares against that row and
+    # writes none (first-fit batches with one temp row wrote both: W 6).
     # A k-mer repeated in one read is inserted once. The stage ends with
     # one seed write of counter plane 0 (1 W), then adds the pending +2.
     # 2 has one set bit, so it is one +1 at plane 1 of the key's 8-bit
@@ -246,14 +250,98 @@ def test_repeat_cost_oracle():
     # nowhere and stops there after one DPU reduce of its carry plane (2 W,
     # 1 C_ADD, 1 DPU; the whole +2 took 4 W and 2 C_ADD, the full ripple 16
     # W and 8 C_ADD):
-    #   W = 1 + 2 + 1 + 2 = 6,  R = 0,  C_ADD = 2 + 1 = 3,  DPU = 2 + 1 = 3.
+    #   W = 1 + 1 + 1 + 2 = 5,  R = 0,  C_ADD = 2 + 1 = 3,  DPU = 2 + 1 = 3.
     asm = make_asm()
     with patch.object(asm.machine, "mem_insert", wraps=asm.machine.mem_insert) as insert:
         table = asm.build_kmer_table([E("AAAAA")], 3)
     assert insert.call_count == table.distinct() == 1
-    assert (table.batches, table.compares) == (2, 2)
-    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 6, tr.C_ADD: 3, tr.DPU: 3}
+    assert (table.batches, table.image_writes, table.compares) == (2, 1, 2)
+    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 5, tr.C_ADD: 3, tr.DPU: 3}
     assert table.frequencies()[E("AAA")] == 3
+
+
+def probed_rows(reads, k, **kw):
+    """Build the table, returning it with the temp rows and the row each
+    compare took its image from, in order."""
+    asm = make_asm(**kw)
+    with patch.object(asm.machine, "cmp", wraps=asm.machine.cmp) as cmp:
+        table = asm.build_kmer_table(reads, k)
+    temp = table.layout.row_layout.temp_rows
+    return table, temp, [call.args[0].row for call in cmp.call_args_list]
+
+
+def test_a_repeated_image_skips_its_write_and_compares_against_its_row():
+    # AAAAA at k=3, as in the oracle above: the two hits on AAA image the
+    # same key in the same column. The first batch writes the image into the
+    # first temp row; the second finds it there, writes nothing, and
+    # compares the key's row against that temp row.
+    table, temp, rows = probed_rows([E("AAAAA")], 3)
+    assert len(temp) == 8
+    assert (table.batches, table.image_writes) == (2, 1)
+    assert rows == [temp[0], temp[0]]
+
+
+def test_a_ninth_distinct_image_evicts_the_least_recently_used_row():
+    # Nine keys in nine buckets of the one group at 128 x 64, k=5, each read
+    # on its own, so each goes in with no image. Read again one by one, each
+    # is a hit alone in its batch, imaging its own key: the first eight
+    # fill the eight temp rows in order, and the ninth evicts the least
+    # recently used row, the first key's. A hit on the second key then
+    # reuses its row, which makes the third key's the least recently used,
+    # so the first key, hit again, is written there.
+    seq = distinct_window_genome(94, 5, random.Random(0))
+    kmers = [E(seq[i : i + 5]) for i in range(len(seq) - 4)]
+    base = make_asm().build_kmer_table(kmers, 5)
+    first: dict[int, EncodedSeq] = {}  # bucket -> its first key
+    for key in kmers:
+        first.setdefault(bucket_of(base, key), key)
+    nine = list(first.values())[:9]
+    table, temp, rows = probed_rows(nine + nine + nine[1:2] + nine[:1], 5)
+    assert (table.buckets, table.batches, table.image_writes) == (304, 11, 10)
+    assert rows == [*temp, temp[0], temp[1], temp[2]]
+
+
+def test_two_hits_in_one_key_row_share_one_batch_and_one_compare():
+    # CGTGTGCA at k=5 puts its four keys, in four buckets, in key row 0,
+    # columns 0 to 3 (see the insert oracle above). Read again, its four
+    # hits join the batch for row 0, whose image holds each in its own
+    # column: one batch, one image write and one compare of row 0.
+    table, temp, rows = probed_rows([E("CGTGTGCA")] * 2, 5)
+    assert table.slots == [(0, 0), (0, 1), (0, 2), (0, 3)]
+    assert (table.batches, table.image_writes, table.compares) == (1, 1, 1)
+    assert rows == [temp[0]]
+    assert {key.to_str(): n for key, n in table.items()} == dict.fromkeys(
+        ["CGTGT", "GTGTG", "TGTGC", "GTGCA"], 2
+    )
+
+
+class NoImageReuse(Assembler):
+    """Forgets the images its temp rows hold before every probe, so every
+    batch writes its image."""
+
+    def _probe(self, group, batch, lay):
+        group.held.clear()
+        return super()._probe(group, batch, lay)
+
+
+def test_image_reuse_cuts_hashmap_w_by_exactly_the_images_reused():
+    # 46 reads of 20 bases at stride 4 over a 200-base genome, at 128 x 64
+    # and k=5: a batch that finds its image in a temp row writes nothing
+    # and compares the same rows, so the hashmap W row falls by exactly the
+    # batches that reused an image, 62 of 239, and nothing else moves.
+    reads = [E(r) for r in tile_reads(random_genome(200, random.Random(1)), 20, 4)]
+    runs = []
+    for cls in (Assembler, NoImageReuse):
+        asm = cls(rows=128, cols=64)
+        table = asm.build_kmer_table(reads, 5)
+        runs.append((asm, table, hashmap_totals(asm.trace)))
+    (_, reused, a), (_, written, b) = runs
+    assert (reused.batches, reused.image_writes) == (239, 177)
+    assert (written.batches, written.image_writes) == (239, 239)
+    assert b[tr.W] - a[tr.W] == reused.batches - reused.image_writes == 62
+    assert (a[tr.R], a[tr.C_ADD], a[tr.DPU]) == (b[tr.R], b[tr.C_ADD], b[tr.DPU])
+    assert reused.compares == written.compares
+    assert dict(reused.items()) == dict(written.items())
 
 
 def _count_seeding(asm, reads, k, caplog):
@@ -476,13 +564,19 @@ self_repeating_reads = st.lists(
     k=st.integers(min_value=2, max_value=8),
 )
 @settings(max_examples=60, deadline=None)
+@example(reads=["AAAACGACA"], rows=21, cols=16, k=2)
 def test_packed_newest_first_probes_count_like_a_host_counter(reads, rows, cols, k):
     # 21 to 40 rows of 16 to 64 columns: 1 to 16 slots per key row and 1 to
     # 20 key rows, so columns fill inside a read and keys move to new ones.
-    # Each read's probes pack first-fit into its batches and a hit scans
+    # Each read's hits on written keys join the batch for their bucket's
+    # newest key row, its other queries pack first-fit, and a hit scans
     # newest first; the counts match a host Counter, every key is written
     # once, and no batch images two members into one column or leaves a
-    # column a member reads out of its image (BucketRecorder._probe).
+    # column a member reads out of its image (BucketRecorder._probe). The
+    # example is a read in which a miss would first-fit into a batch before
+    # its bucket's row-keyed hit, had a query not to join a batch after its
+    # bucket's last one: the hit's image would then leave out the new key's
+    # column.
     raw = [s for s in reads if len(s) >= k]
     assume(raw and not (k == 2 and 25 <= rows <= 28))
     _count(raw, k, rows=rows, cols=cols)
@@ -667,13 +761,21 @@ def test_two_bit_counters_saturate_inside_and_across_reads(reads, at, k):
 
 @pytest.mark.parametrize("width", [4, 8])
 def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
-    # Seen again, every k-mer of the read is a hit. Its probes run in
-    # batches of up to 4 queries whose buckets use different columns, each
-    # query joining the first of the read's batches it fits: each batch
-    # writes one image into the temp row and compares the union of its
-    # members' rows, newest first down to each key's, one C_ADD plus one
-    # DPU per row, so the probes' C_ADD equals their DPU. The 108 hits take
-    # 28 batches at either width, one more than 108 / 4. The stage's
+    # Seen again, every k-mer of the read is a hit on a written key. Its
+    # probes run in batches of up to 4 queries whose buckets use different
+    # columns, each hit joining the read's batch for its bucket's newest
+    # key row if its columns are free there, or else opening a new batch
+    # for that row: each batch writes its image into a temp row unless one
+    # holds it already, and compares the union of its members' rows,
+    # newest first down to each key's, one C_ADD plus one DPU per row, so
+    # the probes' C_ADD equals their DPU. The 108 hits take 43 batches at
+    # width 4 and 40 at width 8, 41 and 38 of them writing an image, and
+    # compare 60 and 53 rows. First-fit batches, whose members' keys sat
+    # in different rows, took 28 at either width, one more than 108 / 4,
+    # and compared 56 and 52 rows: at this small geometry a key row's hits
+    # often need a column its batch already fills, so row-keyed batches
+    # cost more here (modeled 1,033 -> 1,105 ns at width 4 and 1,014 ->
+    # 1,061 at width 8 for the two copies) and less on large runs. The stage's
     # increments are added after its seed write. A k-mer that occurs n times
     # in the read is seeded at 1 and has 2n - 1 pending after two copies
     # (n - 1 after one), and each set bit i of that amount is one +1 at
@@ -725,12 +827,14 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
     assert (adds_once, adds_twice) == (len(planes(1)), len(planes(2))) == (2, 4)
     a, b = hashmap_totals(once.trace), hashmap_totals(twice.trace)
     batches = tables[1].batches - tables[0].batches
-    assert sum(occurrences.values()) == 108 and batches == 28
+    images = tables[1].image_writes - tables[0].image_writes
+    assert sum(occurrences.values()) == 108
+    assert (batches, images) == {4: (43, 41), 8: (40, 38)}[width]
     probe_dpu = b[tr.DPU] - a[tr.DPU] - 2 * 2
-    assert probe_dpu == tables[1].compares - tables[0].compares
+    assert probe_dpu == tables[1].compares - tables[0].compares == {4: 60, 8: 53}[width]
     assert b[tr.R] == a[tr.R]
     assert b[tr.C_ADD] - a[tr.C_ADD] == probe_dpu + 2 * 2
-    assert b[tr.W] - a[tr.W] == batches + 2 * 4
+    assert b[tr.W] - a[tr.W] == images + 2 * 4
 
 
 class AddRecorder(Assembler):
@@ -2498,11 +2602,23 @@ _UNIT_RUNG = (
 # Pass 2's stripes of 3 * 2 = 6 rows put one in the third sub-array's last
 # 10 rows and the other 8 in a fourth: 10 + 4 = 14 sub-arrays, not 10 + 5
 # = 15. simplify on: one 12-row stripe, then one 6-row one, as before: 11.
+#
+# Hits batched by their bucket's newest key row, and each group's last 8
+# images kept in its 8 temp rows. A key row holds one key, so a batch
+# still holds one query and the row keying changes nothing: 897 batches
+# and 944 compares. A k-mer recurs in the 4 reads that overlap it, and its
+# group's 8 temp rows hold its image from one read to the next, so 648
+# batches find their image already in a temp row and only 249 write one.
+# Both ways:
+#   hashmap W      249 images + 259 inserts + 10 seeds
+#                  + 2 * 60                               =   638
+# The C_ADD and DPU rows, graph and traverse are unchanged. Modeled ns
+# 14,853 -> 11,878 with simplify off, 11,904 -> 8,930 with it on.
 LADDER = {
     False: (
         [
             ("io", "XFER", 508),
-            ("hashmap", "W", 1286),
+            ("hashmap", "W", 638),
             ("hashmap", "C_ADD", 1004),
             ("hashmap", "DPU", 1004),
             ("graph", "R", 80),
@@ -2526,7 +2642,7 @@ LADDER = {
     True: (
         [
             ("io", "XFER", 512),
-            ("hashmap", "W", 1286),
+            ("hashmap", "W", 638),
             ("hashmap", "C_ADD", 1004),
             ("hashmap", "DPU", 1004),
             ("graph", "R", 337),
@@ -2571,11 +2687,14 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #                  3,568 buckets, one per key slot (fill 3,250, 3,379,
 #                  3,347; 0.93 keys per bucket), 3 sub-arrays.
 #     The 6,503 first misses into an empty bucket write no image; the
-#     other 745,973 queries run in 213,742 batches of up to 4 (3.49 per
-#     batch), one image write each, each query joining the first of its
+#     other 745,973 queries run in 229,632 batches of up to 4 (3.25 per
+#     batch): a hit on a written key joins its read's batch for its
+#     bucket's newest key row, and any other query the first of its
 #     read's batches it fits. A hit compares its bucket's rows newest
-#     first, down to its key's, and a miss all of them: 422,513 rows in
-#     all (0.56 per query). Each key's counter sits at its key index, and
+#     first, down to its key's, and a miss all of them: 236,585 rows in
+#     all (1.03 per batch, 0.31 per query). Each group's 8 temp rows keep
+#     its last 8 images, so 147,373 batches find their image there and
+#     only 82,259 write one. Each key's counter sits at its key index, and
 #     the groups' highest key indices are 3,251, 3,382 and 3,348, so the
 #     counters fill 13 + 14 + 14 = 41 stripes of 256. After the last read
 #     one seed write per (sub-array, counter stripe) starts them all, 41
@@ -2590,10 +2709,10 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #     adds. No counter passes 76, so each add stops at its last carry
 #     plane: 41 at plane 1, 42 at 2, 42 at 3, 9 at 4, 8 at 5 and 42 at 6,
 #     282 planes of 1 C_ADD + 2 W + 1 DPU each.
-#     W  an image write per batch (213,742), 9,976 inserts, 41
-#        counter-seed writes, and the adds' 2 * 282          =   224,323
-#     DPU one per compared row (422,513) + 282               =   422,795
-#     C_ADD the compares (422,513) + 282                     =   422,795
+#     W  82,259 image writes, 9,976 inserts, 41 counter-seed
+#        writes, and the adds' 2 * 282                       =    92,840
+#     DPU one per compared row (236,585) + 282               =   236,867
+#     C_ADD the compares (236,585) + 282                     =   236,867
 #   graph          9,977 nodes, 9,976 edges, largest multiplicity 76.
 #     Each node's label is checked in place in its key row; nothing is
 #     copied.
@@ -2685,11 +2804,15 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 # still takes 2 sub-arrays (pass 1 ran to row 1,001 of the first and put
 # 13 stripes in a second; now 1,008 and 4), so the trace and the 5
 # sub-arrays stay.
+# Batching hits by their bucket's newest key row, and keeping each group's
+# last 8 images in its 8 temp rows: batches 213,742 -> 229,632, image
+# writes 213,742 -> 82,259, compares 422,513 -> 236,585. 2,736,212 ->
+# 1,396,430 modeled ns, RUR 0.6142 -> 0.6762, sub-arrays 5.
 CANONICAL_TRACE = [
     ("io", "XFER", 250_025),
-    ("hashmap", "W", 224_323),
-    ("hashmap", "C_ADD", 422_795),
-    ("hashmap", "DPU", 422_795),
+    ("hashmap", "W", 92_840),
+    ("hashmap", "C_ADD", 236_867),
+    ("hashmap", "DPU", 236_867),
     ("graph", "R", 328),
     ("graph", "W", 273),
     ("traverse", "DPU", 30_447),

@@ -128,6 +128,23 @@ def test_assemble_fastq_with_degrade_warning(tmp_path, capsys, caplog):
     assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 
+@pytest.mark.parametrize("command", [["assemble", "--k", 5], ["sweep", "--k-list", 5]])
+def test_dropped_symbols_are_reported_once(command, tmp_path, capsys, caplog):
+    # the N splits the read in two and is dropped; both commands say so in
+    # one `warning:` line before the assembly's own warnings, and log nothing
+    reads = tmp_path / "reads.fasta"
+    reads.write_text(">a\nTTAGGCATCGCCNGGAATCCGAT\n")
+    records, dropped = encode_records(read_sequences(reads))
+    assert dropped == 1
+    warnings = Assembler(rows=128, cols=64).assemble(records, 5).warnings
+    assert run([command[0], reads, *command[1:], *SMALL, "--out", tmp_path / "x"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: dropped 1 non-ACGT symbols (reads split at each)",
+        *(f"warning: {w}" for w in warnings),
+    ]
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+
+
 def test_assemble_exit_codes(tmp_path):
     bad = tmp_path / "bad.fasta"
     bad.write_text("XYZZY\n")
