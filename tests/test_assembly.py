@@ -333,9 +333,8 @@ def test_image_reuse_cuts_hashmap_w_by_exactly_the_images_reused():
     runs = []
     for cls in (Assembler, NoImageReuse):
         asm = cls(rows=128, cols=64)
-        table = asm.build_kmer_table(reads, 5)
-        runs.append((asm, table, hashmap_totals(asm.trace)))
-    (_, reused, a), (_, written, b) = runs
+        runs.append((asm.build_kmer_table(reads, 5), hashmap_totals(asm.trace)))
+    (reused, a), (written, b) = runs
     assert (reused.batches, reused.image_writes) == (239, 177)
     assert (written.batches, written.image_writes) == (239, 239)
     assert b[tr.W] - a[tr.W] == reused.batches - reused.image_writes == 62
@@ -774,8 +773,9 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
     # in different rows, took 28 at either width, one more than 108 / 4,
     # and compared 56 and 52 rows: at this small geometry a key row's hits
     # often need a column its batch already fills, so row-keyed batches
-    # cost more here (modeled 1,033 -> 1,105 ns at width 4 and 1,014 ->
-    # 1,061 at width 8 for the two copies) and less on large runs. The stage's
+    # cost more here (the two copies' hash stage is modeled at 1,105 ns,
+    # not 1,033, at width 4 and 1,061, not 1,014, at width 8) and less on
+    # large runs. The stage's
     # increments are added after its seed write. A k-mer that occurs n times
     # in the read is seeded at 1 and has 2n - 1 pending after two copies
     # (n - 1 after one), and each set bit i of that amount is one +1 at
