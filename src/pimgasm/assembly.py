@@ -33,38 +33,41 @@ controller keeps a copy of each: a batch whose image a temp row holds
 compares against that row and writes nothing, and any other batch writes
 its image over the least recently used one. The read's batches run in the
 order they opened when the read ends. A miss reserves its column for its
-bucket when it is seen, and writes its key from the query bits the
-controller holds (one write, no read): at once into an empty bucket, with
-no image and no compare, or else once its batch has compared, before any
-later batch of the read runs. A key's counter index is its key index, so
-its vertical counter sits at mapping.counter_location of its slot, and
-keys first seen together share a counter stripe. A hit records one
-increment for the key it found. Counters are written once, after the last
-read: one masked write of counter plane 0 per sub-array counter stripe
-starts every counter at one (their words are still zero), and then the
-stage's increments are added in place one bit plane at a time: one
-column-parallel +1 at plane i per sub-array counter stripe and set bit i
-of an amount, which adds 2**i. A write or an add costs the same for one
-column or all of them, so the stage pays per stripe and bit it touches,
-not per key or per hit. Stage 2 walks the table and emits one edge per
-distinct k-mer (prefix node, suffix node, multiplicity = frequency) into
-an edge store. Stage 3 accumulates vertical degree counters
-column-parallel through staging words, probes the start vertex with a
-bit-plane compare of out against in+1, formed in the staging words once
-counting ends, and covers each weak component with the fewest trails its
-degrees allow, max(1, sum of outgoing surpluses): one trail per surplus
-unit, or one Euler circuit when there is none, walked bridge-aware. The
-walked units come off their multiplicity words in memory, and only those
-words: the multiplicity words hold the edge units left, and per node they
-sum to its out-degree. The walk spends them per decision, not per unit:
-they wait until it stands at a node with two or more candidates, and are
-then taken off with one column-parallel add per (stripe, units). So the
-walk must leave every word at zero, and at the end the contigs' k-mers
-must be exactly the reads' distinct ones. A candidate step is a bridge
-only if its edge holds its last unit and leads to another node, and then
-exactly when a search from the walk's node, stopping at the edge's head,
-no longer finds it. The search crosses an unbranched chain whose edges all
-hold units as one super-node, so it moves from hub to hub.
+bucket when it is seen, and its key is written from the query bits the
+controller holds, with no read, in one masked write per key row for the
+new keys that go in together. A key into an empty bucket, which needs no
+image and no compare, is staged until the read ends and goes in with the
+group's other staged keys of its row before the group's first batch
+probes; any other new key goes in with its batch's misses of its row once
+that batch has compared, before any later batch of the read runs. A key's
+counter index is its key index, so its vertical counter sits at
+mapping.counter_location of its slot, and keys first seen together share a
+counter stripe. A hit records one increment for the key it found. Counters
+are written once, after the last read: one masked write of counter plane 0
+per sub-array counter stripe starts every counter at one (their words are
+still zero), and then the stage's increments are added in place one bit
+plane at a time: one column-parallel +1 at plane i per sub-array counter
+stripe and set bit i of an amount, which adds 2**i. A write or an add
+costs the same for one column or all of them, so the stage pays per stripe
+and bit it touches, not per key or per hit. Stage 2 walks the table and
+emits one edge per distinct k-mer (prefix node, suffix node, multiplicity
+= frequency) into an edge store. Stage 3 accumulates vertical degree
+counters column-parallel through staging words, probes the start vertex
+with a bit-plane compare of out against in+1, formed in the staging words
+once counting ends, and covers each weak component with the fewest trails
+its degrees allow, max(1, sum of outgoing surpluses): one trail per
+surplus unit, or one Euler circuit when there is none, walked
+bridge-aware. The walked units come off their multiplicity words in
+memory, and only those words: the multiplicity words hold the edge units
+left, and per node they sum to its out-degree. The walk spends them per
+decision, not per unit: they wait until it stands at a node with two or
+more candidates, and are then taken off with one column-parallel add per
+(stripe, units). So the walk must leave every word at zero, and at the end
+the contigs' k-mers must be exactly the reads' distinct ones. A candidate
+step is a bridge only if its edge holds its last unit and leads to another
+node, and then exactly when a search from the walk's node, stopping at the
+edge's head, no longer finds it. The search crosses an unbranched chain
+whose edges all hold units as one super-node, so it moves from hub to hub.
 
 A bit-serial add costs one cycle and two writes per bit plane it passes
 (an increment stops at its last carry plane; see isa), so every
@@ -338,6 +341,10 @@ class KmerTable:
     into; `batches`, `image_writes` and `compares` count the probe batches,
     the images they wrote into a temp row (a batch whose image a temp row
     already holds writes none) and the key rows they compared.
+    `insert_writes` counts the masked row writes that put the keys in, one
+    per key row of a read's staged keys or of a batch's misses, and
+    `staged_hits` the hits packed first-fit because their bucket's first
+    key was staged, not yet written.
     """
 
     def __init__(self, k: int, layout: mapping.HashLayout, machine: Machine):
@@ -353,6 +360,8 @@ class KmerTable:
         self.batches = 0
         self.image_writes = 0
         self.compares = 0
+        self.insert_writes = 0
+        self.staged_hits = 0
 
     @property
     def value_width(self) -> int:
@@ -400,15 +409,17 @@ class _Group:
     holds, which is also the next free key row of that column, and the
     read's open batches of queries, each with the column mask its image
     fills. `by_row` maps a key row to the read's batch of hits keyed by it,
-    `last` a bucket to its last batch in the read, and `waiting` holds the
-    buckets with a key placed in the read but not yet written. `image_rows`
+    `last` a bucket to its last batch in the read, `waiting` holds the
+    buckets with a key placed in the read but not yet written, and
+    `staged` maps a key row to the read's new keys of empty buckets placed
+    in it, which wait for the read's end. `image_rows`
     and `key_rows` address its temp rows and each key row over the key
     span, the regions a probe compares; `held` is the controller's copy of
     the images the temp rows hold, image -> row, least recently used first.
     """
 
     __slots__ = (
-        "sid", "fill", "batches", "busy", "by_row", "last", "waiting",
+        "sid", "fill", "batches", "busy", "by_row", "last", "waiting", "staged",
         "image_rows", "held", "key_rows",
     )
 
@@ -420,6 +431,7 @@ class _Group:
         self.by_row: dict[int, int] = {}
         self.last: dict[_Bucket, int] = {}
         self.waiting: set[_Bucket] = set()
+        self.staged: dict[int, list[_Query]] = {}
         span = lay.key_span
         self.image_rows = [MemAddress(sid, row, 0, span) for row in lay.row_layout.temp_rows]
         self.held: dict[int, MemAddress] = {}
@@ -642,12 +654,14 @@ class Assembler:
     is one sub-array of one bucket per key slot, whose keys are
     placed by column, so a probe scans a few rows, and up to `slots`
     queries share one image and the rows they scan; a group's 8 temp rows
-    keep its last 8 images, so a repeated image is not written again (see
-    build_kmer_table). Counter writes wait for the last read: then one
-    seed write per (sub-array, counter stripe) starts every counter at
-    one, and the stage's increments go in as one column-parallel +1 per
-    (sub-array, counter stripe, set bit of an amount), the amounts decided
-    by the host mirror, which stops a counter at its cap.
+    keep its last 8 images, so a repeated image is not written again, and
+    the new keys that go in together, a read's staged keys or a batch's
+    misses, take one masked write per key row (see build_kmer_table).
+    Counter writes wait for the last read: then one seed write per
+    (sub-array, counter stripe) starts every counter at one, and the
+    stage's increments go in as one column-parallel +1 per (sub-array,
+    counter stripe, set bit of an amount), the amounts decided by the host
+    mirror, which stops a counter at its cap.
     max_subarrays caps the sub-arrays on the machine: any stage that would
     allocate past it (a hash group, or the row bank that holds the
     multiplicity stripes and degree passes) raises CapacityError.
@@ -696,18 +710,22 @@ class Assembler:
         only while the directory is sized; `host_counts` gathers the same
         keys. Each k-mer is then observed in read order, a new key taking
         its slot's counter, and each query joins one of its group's open
-        batches (see _observe); at the read's end each group probes its
-        batches in order, each writing its image unless a temp row holds it
-        (see _probe). Hits' increments collect in `pending` until the
+        batches, or, a new key into an empty bucket, the group's staged
+        keys (see _observe). At the read's end each group writes its staged
+        keys, one masked write per key row, and probes its batches in
+        order, each writing its image unless a temp row holds it (see
+        _probe) and then its misses' keys, one masked write per key row
+        (see _flush). Hits' increments collect in `pending` until the
         last read's batches have run. Then every counter is seeded, one
         write per (sub-array, stripe), and the increments are added, so
         every counter is seeded before it is added to and holds its count
         before build_graph reads it. The log line reports the directory's
         load (distinct keys per bucket), the batches, the image writes and
-        the images reused, the batched queries per image write (a first
-        miss into an empty bucket joins no batch), compares per query and
-        the fullest column next to the counter work, where a counter add is
-        one +1 at one bit plane.
+        the images reused, the keys inserted and their row writes, the hits
+        packed first-fit because their bucket's first key was staged, the
+        batched queries per image write (a first miss into an empty bucket
+        joins no batch), compares per query and the fullest column next to
+        the counter work, where a counter add is one +1 at one bit plane.
         """
         m = self.machine
         layout = mapping.layout_hash((m.rows, m.cols), k, self.value_width)
@@ -740,11 +758,14 @@ class Assembler:
             "k-mer table: %d queries, %d hits, %d counter adds (one +1 at a bit plane each), "
             "%d counter-seed writes, %d distinct, %d groups (one sub-array each), "
             "%d buckets (%.2f keys each), "
-            "%d batches, %d image writes, %d images reused, %.2f queries per image write, "
+            "%d batches, %d image writes, %d images reused, "
+            "%d keys inserted in %d row writes, %d hits first-fit on a staged bucket, "
+            "%.2f queries per image write, "
             "%.2f compares per query, fullest column %d of %d key rows",
             table.total_kmers, table.total_kmers - table.distinct(), adds, seeds,
             table.distinct(), len(groups), table.buckets, table.distinct() / table.buckets,
             table.batches, table.image_writes, table.batches - table.image_writes,
+            table.distinct(), table.insert_writes, table.staged_hits,
             batched / max(table.image_writes, 1),
             table.compares / table.total_kmers,
             max(max(g.fill) for g in groups),
@@ -809,19 +830,23 @@ class Assembler:
         in the bucket's column while that has room, else in the group's
         least-filled column, at that column's next key row, whose counter
         _seed_counts starts at one at the stage's end. Its key is written
-        from the query bits, which the controller holds: at once into an
-        empty bucket, with no image and no compare, or else once its batch
-        has compared. Its image fills the columns of its bucket's keys
-        placed so far. A hit whose bucket holds no key placed in the read
-        and not yet written joins the read's batch for the bucket's newest
-        key row, or opens a new batch for that row when that batch fills
-        one of the query's columns; any other query joins the first open
-        batch whose image fills none of them, or opens a new one. Either
-        way it joins only a batch after its bucket's last one in the read,
-        so two queries of one bucket are probed in the order they arrive: a
-        hit on a key placed earlier in the read is probed after the key is
-        written, and imaged in its column. A hit below the cap adds one
-        increment for the key its batch finds to `pending`.
+        from the query bits, which the controller holds, by _flush: a key
+        into an empty bucket needs no image and no compare, so it joins no
+        batch and is staged under its key row in `group.staged` until the
+        read ends; any other miss joins a batch, and its key is written
+        once that batch has compared. Its image fills the columns of its
+        bucket's keys placed so far. A hit whose bucket holds no key placed
+        in the read and not yet written joins the read's batch for the
+        bucket's newest key row, or opens a new batch for that row when that
+        batch fills one of the query's columns; any other query joins the first
+        open batch whose image fills none of them, or opens a new one. So a hit
+        on a key staged earlier in the read, whose bucket has no written row
+        yet, packs first-fit (`table.staged_hits` counts those). Either way it
+        joins only a batch after its bucket's last one in the read, so two
+        queries of one bucket are probed in the order they arrive: a hit on a
+        key placed earlier in the read is probed after the key is written, and
+        imaged in its column. A hit below the cap adds one increment for the
+        key its batch finds to `pending`.
         """
         lay = table.layout
         bits = kmer.bits
@@ -848,11 +873,11 @@ class Assembler:
             # reserved now, so the bucket's later queries image the column
             bucket.col = col
             bucket.cols |= 1 << col
-            if not cols:
-                self._insert(table, bucket, bits, key_i)
-                return
             query = _Query(bucket, bits, cols, key_i, False)
             group.waiting.add(bucket)
+            if not cols:  # an empty bucket: nothing to compare, so no batch
+                group.staged.setdefault(key_i // lay.slots, []).append(query)
+                return
         floor = group.last.get(bucket, -1)  # the bucket's last batch in the read
         if bucket not in group.waiting:  # a hit, every key of its bucket written
             row = bucket.rows[-1]
@@ -860,6 +885,8 @@ class Assembler:
             if i <= floor or group.busy[i] & cols:
                 i = group.by_row[row] = len(group.batches)
         else:
+            if query.key_i is None and not bucket.rows:  # its bucket's first key is staged
+                table.staged_hits += 1
             i = floor + 1
             while i < len(group.busy) and group.busy[i] & cols:
                 i += 1
@@ -871,45 +898,58 @@ class Assembler:
         group.last[bucket] = i
 
     def _flush(self, table: KmerTable, group: _Group, pending) -> None:
-        """Probe a group's open batches in the order they opened. After each
-        probe, record each counting hit's increment in `pending`, at the
-        counter of the key it found, and write the misses' keys, so a later
-        batch finds them. A hit that finds no key, or a miss that finds one,
-        means fabric and host counts diverged."""
+        """Write a group's staged keys, one masked write per key row, then
+        probe its open batches in the order they opened. After each probe,
+        record each counting hit's increment in `pending`, at the counter
+        of the key it found, and write the misses' keys, one masked write
+        per key row, so a later batch finds them. A hit that finds no key,
+        or a miss that finds one, means fabric and host counts diverged."""
         lay, sid = table.layout, group.sid
+        for row, keys in group.staged.items():
+            self._write_keys(table, group, row, keys)
         for batch in group.batches:
             table.batches += 1
             found, compared, written = self._probe(group, batch, lay)
             table.compares += compared
             table.image_writes += written
+            misses: dict[int, list[_Query]] = {}  # key row -> its new keys
             for query, key_i in zip(batch, found):
                 if query.key_i is not None:  # a miss
                     if key_i is not None:
                         raise ConsistencyError(f"fabric scan finds key index {key_i} for a miss")
-                    self._insert(table, query.bucket, query.bits, query.key_i)
+                    misses.setdefault(query.key_i // lay.slots, []).append(query)
                 elif key_i is None:
                     raise ConsistencyError(f"fabric scan finds no key for a hit in sub-array {sid}")
                 elif query.counts:
                     slot = (sid, *lay.counter_location(key_i))
                     pending[slot] = pending.get(slot, 0) + 1
+            for row, keys in misses.items():
+                self._write_keys(table, group, row, keys)
+        group.staged.clear()
         group.batches = []
         group.busy = []
         group.by_row.clear()
         group.last.clear()
         group.waiting.clear()
 
-    def _insert(self, table: KmerTable, bucket: _Bucket, bits: int, key_i: int) -> None:
-        """Write a new key into its slot from the query bits: one write, no
-        read."""
-        m = self.machine
+    def _write_keys(self, table: KmerTable, group: _Group, row: int, keys: list[_Query]) -> None:
+        """Write new keys of one key row into their slots from their query
+        bits: one masked write, no read. Then check every key's bits."""
         lay = table.layout
-        width = 2 * table.k
-        key_row, start = lay.key_address(key_i)
-        sid = bucket.group.sid
-        m.mem_insert(MemAddress(sid, key_row, start, width), bits)
-        if (m.subarray(sid).cells[key_row] >> start) & ((1 << width) - 1) != bits:
-            raise ConsistencyError("inserted key bits corrupted")
-        bucket.add(*divmod(key_i, lay.slots))
+        full = (1 << 2 * table.k) - 1
+        starts = [query.key_i % lay.slots * lay.pitch for query in keys]
+        value = mask = 0
+        for query, start in zip(keys, starts):
+            value |= query.bits << start
+            mask |= full << start
+        key_row = group.key_rows[row].row
+        sub = self.machine.subarray(group.sid)
+        sub.write_masked(key_row, value, mask)
+        table.insert_writes += 1
+        for query, start in zip(keys, starts):
+            if sub.cells[key_row] >> start & full != query.bits:
+                raise ConsistencyError("inserted key bits corrupted")
+            query.bucket.add(row, start // lay.pitch)
 
     def _probe(
         self, group: _Group, batch: list[_Query], lay: mapping.HashLayout

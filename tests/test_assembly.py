@@ -27,6 +27,7 @@ from pimgasm.assembly import (
 )
 from pimgasm.encoding import EncodedSeq, extract_kmers
 from pimgasm.errors import CapacityError, ConsistencyError, SizeError
+from pimgasm.fabric import SubArray
 from pimgasm.isa import Machine
 from pimgasm.seqio import distinct_window_genome, random_genome, tile_reads
 from test_mapping import group_keys
@@ -35,17 +36,23 @@ E = EncodedSeq.from_str
 
 
 class BucketRecorder(Assembler):
-    """Keeps the hash stage's groups and buckets for inspection, and each
+    """Keeps the hash stage's groups and buckets for inspection, each
     probed batch's members as (key bits, image columns, miss key index or
-    None). Before each probe it checks that the members' image columns are
-    disjoint and that each member's image covers every column its bucket's
-    written keys sit in, so the probe's own column check never fires and
-    every slot a member reads holds its query."""
+    None), and each row write of new keys as (sub-array, key row, the key
+    indices it writes). Before each probe it checks that the members' image
+    columns are disjoint and that each member's image covers every column
+    its bucket's written keys sit in, so the probe's own column check never
+    fires and every slot a member reads holds its query."""
 
     def build_kmer_table(self, reads, k):
         self.probed = []
+        self.written = []
         self.buckets = None
         return super().build_kmer_table(reads, k)
+
+    def _write_keys(self, table, group, row, keys):
+        self.written.append((group.sid, row, [query.key_i for query in keys]))
+        super()._write_keys(table, group, row, keys)
 
     def _observe(self, table, buckets, kmer):
         if buckets is not self.buckets:  # the stage's first query
@@ -115,18 +122,20 @@ def test_insert_cost_oracle_single_read():
     # 8 and GTGCA to 270:
     # every key finds its bucket empty and compares against nothing, and
     # takes the least-filled column, so the four fill key row 0 in
-    # first-seen order. Each insert writes the key into its slot from the
-    # query bits (1 W, no read), and the stage ends with one masked write
-    # of counter plane 0 that starts all four counters, which share stripe
-    # 0, at one:
-    #   W = 4 inserts + 1 seed = 5,  R = 0,  C_ADD = DPU = 0.
-    asm = make_asm()
+    # first-seen order. Each is staged under key row 0 until the read
+    # ends, and then the four go in together from their query bits, one
+    # masked write of row 0 (1 W, no read; one write per key took 4 W).
+    # The stage ends with one masked write of counter plane 0 that starts
+    # all four counters, which share stripe 0, at one:
+    #   W = 1 row write + 1 seed = 2,  R = 0,  C_ADD = DPU = 0.
+    asm = BucketRecorder(rows=128, cols=64)
     table = asm.build_kmer_table([E("CGTGTGCA")], 5)
     assert table.buckets == table.layout.capacity == 304
     assert [bucket_of(table, key) for key in table.keys] == [212, 221, 8, 270]
     assert table.slots == [(0, 0), (0, 1), (0, 2), (0, 3)]
     assert table.batches == table.compares == 0
-    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 5, tr.C_ADD: 0, tr.DPU: 0}
+    assert asm.written == [(0, 0, [0, 1, 2, 3])] and table.insert_writes == 1
+    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 2, tr.C_ADD: 0, tr.DPU: 0}
 
 
 def test_miss_cost_is_one_compare_per_occupied_row():
@@ -169,16 +178,24 @@ def test_an_all_miss_stage_costs_follow_its_bucket_loads():
     # 96 distinct keys and every query is a miss. On 128 x 64 at k=5 the
     # one group has 304 buckets, one per key slot, and the keys load 65 of
     # them with one key, 14 with two and 1 with three. A bucket's first key
-    # finds it empty and is inserted with no image and no compare. Each
-    # later key joins a batch of its read and compares the rows of its
-    # bucket's earlier keys, one C_ADD and one DPU each (no two members of
-    # a batch share a row here): 14 * 1 + 1 * (1 + 2) = 17 rows. Those
-    # 14 + 2 = 16 misses pack first-fit into 11 batches, one image write
-    # each. The keys take key indices 0..95, two counter stripes of 64, so
-    # the stage ends with two seed writes, and with no hit adds nothing:
-    #   W = 96 inserts + 11 images + 2 seeds = 109,  C_ADD = DPU = 17,  R = 0.
-    # At one bucket per two key slots (152) the loads were 47, 20 and 3, so
-    # 26 misses compared 20 * 1 + 3 * 3 = 29 rows in 13 batches: W = 111.
+    # finds it empty, needs no image and no compare, and is staged until
+    # its read ends. Each later key joins a batch of its read and compares
+    # the rows of its bucket's earlier keys, one C_ADD and one DPU each (no
+    # two members of a batch share a row here): 14 * 1 + 1 * (1 + 2) = 17
+    # rows. Those 14 + 2 = 16 misses pack first-fit into 11 batches, one
+    # image write each. A read's 16 new keys fill 4 key rows of 4 slots in
+    # first-seen order, and its staged keys go in at its end, one masked
+    # write per key row: the 80 first keys take 4 writes in each of the 6
+    # reads, 24. A batch's misses go in once it has compared, one masked
+    # write per key row: one batch puts three in one row and another two,
+    # so the 16 take 14. The keys take key indices 0..95, two counter
+    # stripes of 64, so the stage ends with two seed writes, and with no
+    # hit adds nothing:
+    #   W = 24 + 14 row writes + 11 images + 2 seeds = 51,
+    #   C_ADD = DPU = 17,  R = 0.
+    # One write per key took W = 96 + 11 + 2 = 109. At one bucket per two
+    # key slots (152) the loads were 47, 20 and 3, so 26 misses compared
+    # 20 * 1 + 3 * 3 = 29 rows in 13 batches: W = 111.
     genome = distinct_window_genome(100, 5, random.Random(0))
     raw = [genome[i : i + 20] for i in range(0, 96, 16)]
     asm = BucketRecorder(rows=128, cols=64)
@@ -189,7 +206,8 @@ def test_an_all_miss_stage_costs_follow_its_bucket_loads():
     assert table.compares == sum(n * (n - 1) // 2 * m for n, m in loads.items()) == 17
     assert sum(len(batch) for batch in asm.probed) == 16 and table.batches == 11
     assert max(key_i for _, key_i in table.slots) == 95
-    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 109, tr.C_ADD: 17, tr.DPU: 17}
+    assert table.insert_writes == len(asm.written) == 24 + 14
+    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 51, tr.C_ADD: 17, tr.DPU: 17}
 
 
 @pytest.mark.parametrize("length, k, read_len, stride", [(100, 5, 20, 16), (400, 8, 30, 24)])
@@ -234,15 +252,18 @@ def test_a_hit_compares_its_bucket_rows_newest_first():
 
 
 def test_repeat_cost_oracle():
-    # AAA observed three times in one read: one insert from the query bits
-    # into its empty bucket (1 W, no image, no compare), then two hits. The
-    # first hit opens a batch for its key's row; the second needs the same
-    # column and must come after its bucket's last batch anyway, so it opens
-    # a second batch for that row, and the two run in order at the read's
-    # end, each comparing the key's one row (1 C_ADD, 1 DPU). The first
-    # writes its image into a temp row (1 W); the second's image is the
-    # same, AAA in the same column, so it compares against that row and
-    # writes none (first-fit batches with one temp row wrote both: W 6).
+    # AAA observed three times in one read: its key goes into its empty
+    # bucket with no image and no compare, staged until the read ends and
+    # then written from the query bits (1 W) before any batch probes. Two
+    # hits follow. Their bucket has no written row yet, so each packs
+    # first-fit; the second needs the first's column and must come after
+    # its bucket's last batch anyway, so the two take two batches, which
+    # run in order after the key's write, each comparing the key's one row
+    # (1 C_ADD, 1 DPU). (Keyed by the key's row, as when the key went in at
+    # once, they took the same two batches.) The first writes its image
+    # into a temp row (1 W); the second's image is the same, AAA in the
+    # same column, so it compares against that row and writes none
+    # (first-fit batches with one temp row wrote both: W 6).
     # A k-mer repeated in one read is inserted once. The stage ends with
     # one seed write of counter plane 0 (1 W), then adds the pending +2.
     # 2 has one set bit, so it is one +1 at plane 1 of the key's 8-bit
@@ -251,13 +272,46 @@ def test_repeat_cost_oracle():
     # 1 C_ADD, 1 DPU; the whole +2 took 4 W and 2 C_ADD, the full ripple 16
     # W and 8 C_ADD):
     #   W = 1 + 1 + 1 + 2 = 5,  R = 0,  C_ADD = 2 + 1 = 3,  DPU = 2 + 1 = 3.
-    asm = make_asm()
-    with patch.object(asm.machine, "mem_insert", wraps=asm.machine.mem_insert) as insert:
-        table = asm.build_kmer_table([E("AAAAA")], 3)
-    assert insert.call_count == table.distinct() == 1
+    asm = BucketRecorder(rows=128, cols=64)
+    table = asm.build_kmer_table([E("AAAAA")], 3)
+    assert asm.written == [(0, 0, [0])] and table.distinct() == 1
     assert (table.batches, table.image_writes, table.compares) == (2, 1, 2)
+    assert table.staged_hits == 2
     assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 5, tr.C_ADD: 3, tr.DPU: 3}
     assert table.frequencies()[E("AAA")] == 3
+
+
+def test_a_hit_on_a_staged_key_is_probed_after_its_row_write():
+    # ACGTACGT at k=4: every bucket starts empty, so the first four k-mers
+    # are staged, and ACGT comes back as the read's last k-mer. Its bucket
+    # has no written row yet, so the hit packs first-fit, alone in the
+    # read's one batch, which probes after the staged keys' row write: it
+    # finds the key, and ACGT counts 2. Had it probed before the write,
+    # its compare would find no key and raise.
+    asm = BucketRecorder(rows=128, cols=64)
+    table = asm.build_kmer_table([E("ACGTACGT")], 4)
+    assert [key.to_str() for key in table.keys] == ["ACGT", "CGTA", "GTAC", "TACG"]
+    assert asm.written == [(0, 0, [0, 1, 2, 3])]
+    assert asm.probed == [[(E("ACGT").bits, 0b0001, None)]]
+    assert table.staged_hits == 1 and table.compares == 1
+    assert table.frequencies()[E("ACGT")] == 2
+
+
+def test_a_corrupted_key_in_a_row_write_raises():
+    # CGTGTGCA at k=5 writes its four keys with one masked write of key
+    # row 0, slots of 16 columns. A write that flips one bit of the third
+    # key in that row, and only there, must fail the insert check.
+    write = SubArray.write_masked
+
+    def flip_third_key(self, row, value, mask):
+        if mask.bit_count() > 2 * 5:  # a row write of several keys
+            value ^= 1 << (2 * 16)
+        write(self, row, value, mask)
+
+    asm = make_asm()
+    with patch.object(SubArray, "write_masked", flip_third_key):
+        with pytest.raises(ConsistencyError, match="inserted key bits corrupted"):
+            asm.build_kmer_table([E("CGTGTGCA")], 5)
 
 
 def probed_rows(reads, k, **kw):
@@ -488,17 +542,29 @@ def check_one_sub_array_per_group(asm, table):
     assert all(rows == list(range(len(rows))) for rows in per_column.values())
 
 
+def check_each_key_written_once(asm, table):
+    """Every key went into the fabric in exactly one row write, the one of
+    its own sub-array and key row, and each row write carries its keys
+    once (BucketRecorder.written)."""
+    written = Counter(
+        (sid, row, key_i) for sid, row, ids in asm.written for key_i in ids
+    )
+    slots = table.layout.slots
+    assert written == Counter((sid, key_i // slots, key_i) for sid, key_i in table.slots)
+    assert len(asm.written) == table.insert_writes
+
+
 def _count(raw, k, **kw):
     """Count the reads' k-mers; check the counts against a host Counter,
-    that each key was written once, and that every group kept to its one
-    sub-array."""
+    that each key was written once, in its own key row, and that every
+    group kept to its one sub-array."""
     enc = [E(s) for s in raw]
     expected = Counter(s[i : i + k] for s in raw for i in range(len(s) - k + 1))
     asm = BucketRecorder(**kw)
-    with patch.object(asm.machine, "mem_insert", wraps=asm.machine.mem_insert) as insert:
-        table = asm.build_kmer_table(enc, k)
+    table = asm.build_kmer_table(enc, k)
     # a k-mer repeated in one read, or in several, is inserted once
-    assert insert.call_count == len(expected)
+    assert table.distinct() == len(expected)
+    check_each_key_written_once(asm, table)
     assert {key.to_str(): n for key, n in table.items()} == dict(expected)
     check_one_sub_array_per_group(asm, table)
     return asm, table
@@ -564,6 +630,7 @@ self_repeating_reads = st.lists(
 )
 @settings(max_examples=60, deadline=None)
 @example(reads=["AAAACGACA"], rows=21, cols=16, k=2)
+@example(reads=["ACGTACGT"], rows=21, cols=16, k=4)
 def test_packed_newest_first_probes_count_like_a_host_counter(reads, rows, cols, k):
     # 21 to 40 rows of 16 to 64 columns: 1 to 16 slots per key row and 1 to
     # 20 key rows, so columns fill inside a read and keys move to new ones.
@@ -572,10 +639,12 @@ def test_packed_newest_first_probes_count_like_a_host_counter(reads, rows, cols,
     # newest first; the counts match a host Counter, every key is written
     # once, and no batch images two members into one column or leaves a
     # column a member reads out of its image (BucketRecorder._probe). The
-    # example is a read in which a miss would first-fit into a batch before
-    # its bucket's row-keyed hit, had a query not to join a batch after its
-    # bucket's last one: the hit's image would then leave out the new key's
-    # column.
+    # first example is a read in which a miss would first-fit into a batch
+    # before its bucket's row-keyed hit, had a query not to join a batch
+    # after its bucket's last one: the hit's image would then leave out the
+    # new key's column. The second holds ACGT twice, its first copy staged
+    # into an empty bucket, so its second copy is a hit probed after the
+    # staged key's row write.
     raw = [s for s in reads if len(s) >= k]
     assume(raw and not (k == 2 and 25 <= rows <= 28))
     _count(raw, k, rows=rows, cols=cols)
@@ -768,8 +837,14 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
     # holds it already, and compares the union of its members' rows,
     # newest first down to each key's, one C_ADD plus one DPU per row, so
     # the probes' C_ADD equals their DPU. The 108 hits take 43 batches at
-    # width 4 and 40 at width 8, 41 and 38 of them writing an image, and
-    # compare 60 and 53 rows. First-fit batches, whose members' keys sat
+    # width 4 and 40 at width 8, 43 and 39 of them writing an image, and
+    # compare 60 and 53 rows. In the first copy the 11 hits on keys staged
+    # earlier in the read pack first-fit, since their buckets have no
+    # written row yet, so its batches leave other images in the 8 temp
+    # rows, and the second copy finds 0 and 1 of its images there, not 2
+    # and 2 as when those keys went in at once. Every key goes in during
+    # the first copy, so the copies' W differ by the image writes and the
+    # adds alone. First-fit batches, whose members' keys sat
     # in different rows, took 28 at either width, one more than 108 / 4,
     # and compared 56 and 52 rows: at this small geometry a key row's hits
     # often need a column its batch already fills, so row-keyed batches
@@ -829,7 +904,8 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
     batches = tables[1].batches - tables[0].batches
     images = tables[1].image_writes - tables[0].image_writes
     assert sum(occurrences.values()) == 108
-    assert (batches, images) == {4: (43, 41), 8: (40, 38)}[width]
+    assert (batches, images) == {4: (43, 43), 8: (40, 39)}[width]
+    assert tables[0].staged_hits == tables[1].staged_hits == 11
     probe_dpu = b[tr.DPU] - a[tr.DPU] - 2 * 2
     assert probe_dpu == tables[1].compares - tables[0].compares == {4: 60, 8: 53}[width]
     assert b[tr.R] == a[tr.R]
@@ -2686,16 +2762,21 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #   hashmap        752,476 queries, 9,976 distinct keys in 3 groups of
 #                  3,568 buckets, one per key slot (fill 3,250, 3,379,
 #                  3,347; 0.93 keys per bucket), 3 sub-arrays.
-#     The 6,503 first misses into an empty bucket write no image; the
-#     other 745,973 queries run in 229,632 batches of up to 4 (3.25 per
-#     batch): a hit on a written key joins its read's batch for its
-#     bucket's newest key row, and any other query the first of its
-#     read's batches it fits. A hit compares its bucket's rows newest
-#     first, down to its key's, and a miss all of them: 236,585 rows in
-#     all (1.03 per batch, 0.31 per query). Each group's 8 temp rows keep
-#     its last 8 images, so 147,373 batches find their image there and
-#     only 82,259 write one. Each key's counter sits at its key index, and
-#     the groups' highest key indices are 3,251, 3,382 and 3,348, so the
+#     The 6,503 first misses into an empty bucket write no image and join
+#     no batch; each read stages them and writes them at its end, one
+#     masked write per (group, key row): 6,446 row writes. The other
+#     745,973 queries run in 229,632 batches of up to 4 (3.25 per batch):
+#     a hit on a written key joins its read's batch for its bucket's
+#     newest key row, and any other query the first of its read's batches
+#     it fits. A hit compares its bucket's rows newest first, down to its
+#     key's, and a miss all of them: 236,585 rows in all (1.03 per batch,
+#     0.31 per query). A batch's misses go in once it has compared, one
+#     masked write per key row: no batch holds two misses of one key row,
+#     so the 3,473 take 3,473 writes. No read holds a k-mer twice, so no
+#     hit finds its key still staged. Each group's 8 temp rows keep its
+#     last 8 images, so 147,373 batches find their image there and only
+#     82,259 write one. Each key's counter sits at its key index, and the
+#     groups' highest key indices are 3,251, 3,382 and 3,348, so the
 #     counters fill 13 + 14 + 14 = 41 stripes of 256. After the last read
 #     one seed write per (sub-array, counter stripe) starts them all, 41
 #     in all. No k-mer is read more than 76 times, so a pending amount is
@@ -2709,8 +2790,9 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #     adds. No counter passes 76, so each add stops at its last carry
 #     plane: 41 at plane 1, 42 at 2, 42 at 3, 9 at 4, 8 at 5 and 42 at 6,
 #     282 planes of 1 C_ADD + 2 W + 1 DPU each.
-#     W  82,259 image writes, 9,976 inserts, 41 counter-seed
-#        writes, and the adds' 2 * 282                       =    92,840
+#     W  82,259 image writes, 6,446 + 3,473 = 9,919 key row
+#        writes, 41 counter-seed writes, and the adds' 2 * 282
+#                                                            =    92,783
 #     DPU one per compared row (236,585) + 282               =   236,867
 #     C_ADD the compares (236,585) + 282                     =   236,867
 #   graph          9,977 nodes, 9,976 edges, largest multiplicity 76.
@@ -2808,9 +2890,14 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 # last 8 images in its 8 temp rows: batches 213,742 -> 229,632, image
 # writes 213,742 -> 82,259, compares 422,513 -> 236,585. 2,736,212 ->
 # 1,396,430 modeled ns, RUR 0.6142 -> 0.6762, sub-arrays 5.
+# Writing a read's new keys one masked write per key row, not one per key:
+# the keys staged into empty buckets share a row write with the read's
+# other staged keys of their row, and a batch's misses with its other
+# misses of their row. Key writes 9,976 -> 9,919; nothing else moves.
+# 1,396,430 -> 1,396,169 modeled ns, RUR 0.6762 -> 0.6763, sub-arrays 5.
 CANONICAL_TRACE = [
     ("io", "XFER", 250_025),
-    ("hashmap", "W", 92_840),
+    ("hashmap", "W", 92_783),
     ("hashmap", "C_ADD", 236_867),
     ("hashmap", "DPU", 236_867),
     ("graph", "R", 328),
