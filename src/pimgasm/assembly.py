@@ -471,11 +471,11 @@ class _Bucket:
 
 
 class _Query(NamedTuple):
-    """One query in an open batch: its bucket, its key bits and `cols`, the
-    columns of its bucket's keys placed before it, which its image fills. A
-    miss carries the key index its key takes once the batch has compared;
-    a hit carries None and finds its key index in its bucket's rows.
-    `counts` marks a hit below the counter's cap."""
+    """One query in an open batch, or a staged key: its bucket, its key bits
+    and `cols`, the columns of its bucket's keys placed before it, which its
+    image fills. A miss carries the key index its key is written at; a hit
+    carries None and finds its key index in its bucket's rows. `counts`
+    marks a hit below the counter's cap."""
 
     bucket: _Bucket
     bits: int

@@ -259,11 +259,10 @@ def test_repeat_cost_oracle():
     # first-fit; the second needs the first's column and must come after
     # its bucket's last batch anyway, so the two take two batches, which
     # run in order after the key's write, each comparing the key's one row
-    # (1 C_ADD, 1 DPU). (Keyed by the key's row, as when the key went in at
-    # once, they took the same two batches.) The first writes its image
-    # into a temp row (1 W); the second's image is the same, AAA in the
-    # same column, so it compares against that row and writes none
-    # (first-fit batches with one temp row wrote both: W 6).
+    # (1 C_ADD, 1 DPU). The first writes its image into a temp row (1 W);
+    # the second's image is the same, AAA in the same column, so it
+    # compares against that row and writes none (first-fit batches with
+    # one temp row wrote both: W 6).
     # A k-mer repeated in one read is inserted once. The stage ends with
     # one seed write of counter plane 0 (1 W), then adds the pending +2.
     # 2 has one set bit, so it is one +1 at plane 1 of the key's 8-bit
