@@ -27,11 +27,14 @@ finds its key there, and a miss compares every row and finds none. Each
 row is compared once per batch, one XNOR-compare cycle plus one
 AND-reduce, and a member reads only its own slots, so an all-A key
 (packed to 0) never matches an empty slot. Keys first seen together share
-a row, so a batch compares about one. Each group keeps its last 8 images
-in its sub-array's 8 temp rows, least recently used first, and the
-controller keeps a copy of each: a batch whose image a temp row holds
+a row, so a batch compares about one. Each group keeps its recent images
+in its sub-array's 8 temp rows and in the key rows above its fullest
+column, which hold no key yet, least recently used first, and the
+controller keeps a copy of each: a batch whose image such a row holds
 compares against that row and writes nothing, and any other batch writes
-its image over the least recently used one. The read's batches run in the
+its image into the next free row, or over the least recently used image
+once every such row holds one. A key row's image is dropped when the
+first key is placed in that row. The read's batches run in the
 order they opened when the read ends. A miss reserves its column for its
 bucket when it is seen, and its key is written from the query bits the
 controller holds, with no read, in one masked write per key row for the
@@ -339,8 +342,9 @@ class KmerTable:
     at `layout.counter_location(key index)` in that sub-array.
     `buckets` is the size of the bucket directory the keys were hashed
     into; `batches`, `image_writes` and `compares` count the probe batches,
-    the images they wrote into a temp row (a batch whose image a temp row
-    already holds writes none) and the key rows they compared.
+    the images they wrote (a batch whose image a temp row or a free key
+    row already holds writes none) and the key rows they compared, and
+    `image_rows_held` is the most rows one group held images in at once.
     `insert_writes` counts the masked row writes that put the keys in, one
     per key row of a read's staged keys or of a batch's misses, and
     `staged_hits` the hits packed first-fit because their bucket's first
@@ -362,6 +366,7 @@ class KmerTable:
         self.compares = 0
         self.insert_writes = 0
         self.staged_hits = 0
+        self.image_rows_held = 0
 
     @property
     def value_width(self) -> int:
@@ -412,10 +417,15 @@ class _Group:
     `last` a bucket to its last batch in the read, `waiting` holds the
     buckets with a key placed in the read but not yet written, and
     `staged` maps a key row to the read's new keys of empty buckets placed
-    in it, which wait for the read's end. `image_rows`
-    and `key_rows` address its temp rows and each key row over the key
-    span, the regions a probe compares; `held` is the controller's copy of
-    the images the temp rows hold, image -> row, least recently used first.
+    in it, which wait for the read's end. `key_rows` addresses each key
+    row over the key span, and `image_rows` the rows an image may take, in
+    the order it takes them: the temp rows, then the key rows from the top
+    down, of which only those above the fullest column, which hold no key,
+    are free. `held` is the controller's copy of the images those rows
+    hold, image -> row, least recently used first. The rows it holds are
+    always the first len(held) of `image_rows`: a new image takes the next
+    one while a free row is left, and a row leaves the free ones from the
+    bottom, when a key first goes in it.
     """
 
     __slots__ = (
@@ -433,9 +443,10 @@ class _Group:
         self.waiting: set[_Bucket] = set()
         self.staged: dict[int, list[_Query]] = {}
         span = lay.key_span
-        self.image_rows = [MemAddress(sid, row, 0, span) for row in lay.row_layout.temp_rows]
-        self.held: dict[int, MemAddress] = {}
         self.key_rows = [MemAddress(sid, row, 0, span) for row in lay.kmer_rows]
+        temp_rows = [MemAddress(sid, row, 0, span) for row in lay.row_layout.temp_rows]
+        self.image_rows = temp_rows + self.key_rows[::-1]
+        self.held: dict[int, MemAddress] = {}
 
 
 class _Bucket:
@@ -654,7 +665,8 @@ class Assembler:
     is one sub-array of one bucket per key slot, whose keys are
     placed by column, so a probe scans a few rows, and up to `slots`
     queries share one image and the rows they scan; a group's 8 temp rows
-    keep its last 8 images, so a repeated image is not written again, and
+    and the key rows above its fullest column keep its recent images, so a
+    repeated image is not written again while a row still holds it, and
     the new keys that go in together, a read's staged keys or a batch's
     misses, take one masked write per key row (see build_kmer_table).
     Counter writes wait for the last read: then one seed write per
@@ -713,17 +725,18 @@ class Assembler:
         batches, or, a new key into an empty bucket, the group's staged
         keys (see _observe). At the read's end each group writes its staged
         keys, one masked write per key row, and probes its batches in
-        order, each writing its image unless a temp row holds it (see
+        order, each writing its image unless a row holds it (see
         _probe) and then its misses' keys, one masked write per key row
         (see _flush). Hits' increments collect in `pending` until the
         last read's batches have run. Then every counter is seeded, one
         write per (sub-array, stripe), and the increments are added, so
         every counter is seeded before it is added to and holds its count
         before build_graph reads it. The log line reports the directory's
-        load (distinct keys per bucket), the batches, the image writes and
-        the images reused, the keys inserted and their row writes, the hits
-        packed first-fit because their bucket's first key was staged, the
-        batched queries per image write (a first miss into an empty bucket
+        load (distinct keys per bucket), the batches, the image writes, the
+        images reused and the most rows a group held images in at once, the
+        keys inserted and their row writes, the hits packed first-fit
+        because their bucket's first key was staged, the batched queries
+        per image write (a first miss into an empty bucket
         joins no batch), compares per query and the fullest column next to
         the counter work, where a counter add is one +1 at one bit plane.
         """
@@ -759,12 +772,14 @@ class Assembler:
             "%d counter-seed writes, %d distinct, %d groups (one sub-array each), "
             "%d buckets (%.2f keys each), "
             "%d batches, %d image writes, %d images reused, "
+            "at most %d image rows held in a group, "
             "%d keys inserted in %d row writes, %d hits first-fit on a staged bucket, "
             "%.2f queries per image write, "
             "%.2f compares per query, fullest column %d of %d key rows",
             table.total_kmers, table.total_kmers - table.distinct(), adds, seeds,
             table.distinct(), len(groups), table.buckets, table.distinct() / table.buckets,
             table.batches, table.image_writes, table.batches - table.image_writes,
+            table.image_rows_held,
             table.distinct(), table.insert_writes, table.staged_hits,
             batched / max(table.image_writes, 1),
             table.compares / table.total_kmers,
@@ -829,7 +844,10 @@ class Assembler:
         `host_counts` decides hit or miss. A miss places its key at once:
         in the bucket's column while that has room, else in the group's
         least-filled column, at that column's next key row, whose counter
-        _seed_counts starts at one at the stage's end. Its key is written
+        _seed_counts starts at one at the stage's end. A key row that holds
+        an image holds no key yet, so its first key drops the image from
+        `group.held`: the key's write covers its slot, and no later batch
+        may take the row for an image. Its key is written
         from the query bits, which the controller holds, by _flush: a key
         into an empty bucket needs no image and no compare, so it joins no
         batch and is staged under its key row in `group.staged` until the
@@ -865,7 +883,11 @@ class Assembler:
             col = bucket.col
             if not cols or group.fill[col] == len(lay.kmer_rows):
                 col = group.fill.index(min(group.fill))
-            key_i = group.fill[col] * lay.slots + col
+            row = group.fill[col]
+            if len(group.image_rows) - row <= len(group.held):  # the row holds an image
+                at = group.key_rows[row]
+                del group.held[next(image for image, addr in group.held.items() if addr is at)]
+            key_i = row * lay.slots + col
             group.fill[col] += 1
             table.host_counts[bits] = 1
             table.keys.append(kmer)
@@ -912,6 +934,7 @@ class Assembler:
             found, compared, written = self._probe(group, batch, lay)
             table.compares += compared
             table.image_writes += written
+            table.image_rows_held = max(table.image_rows_held, len(group.held))
             misses: dict[int, list[_Query]] = {}  # key row -> its new keys
             for query, key_i in zip(batch, found):
                 if query.key_i is not None:  # a miss
@@ -958,9 +981,15 @@ class Assembler:
 
         The batch's image holds each member's query in its `cols`; two
         members that share a column would overwrite each other there, which
-        raises. A temp row that holds the image already serves as it, with
-        no write; otherwise the image is written into the temp row used
-        least recently (an empty one first). Each member then compares its
+        raises. A row that holds the image already serves as it, with no
+        write; otherwise the image is written into the group's next free
+        row, a temp row first and then the key rows above its fullest column
+        from the top down, or, when every such row holds an image, over the
+        one used least recently. A key row keeps its image's bits in every
+        slot but the ones a key is later written to, and those stale bits
+        are never read: a member reads only its own bucket's slots of a
+        compare (lay.matched_slot), and a label or counter read touches
+        only key bits or counter rows. Each member then compares its
         bucket's rows against it newest first, down to the first row where
         one of the member's own columns matches: a hit stops at its key's
         row, and a miss compares every row. A row another member already
@@ -982,7 +1011,7 @@ class Assembler:
         temp = held.pop(image, None)
         written = temp is None
         if written:
-            if len(held) < len(group.image_rows):
+            if len(held) < len(group.image_rows) - max(group.fill):
                 temp = group.image_rows[len(held)]
             else:
                 temp = held.pop(next(iter(held)))

@@ -143,9 +143,9 @@ def layout_hash(dims: tuple[int, int], k: int, value_width: int = 8) -> HashLayo
     same slot count (4 for k = 17..32 on 256 columns), so fewer, longer
     k-mers never cost more to scan; the densest packing, cols // 2k, would
     give 5 slots at k=25 but 4 at k=27. Twelve rows are reserved (8 temp, 2
-    init, 2 carry): the temp rows hold the group's last probe images; the
-    fewest counter stripes that give every key a slot are taken, and the
-    rest of the rows hold keys. For the default 1024 x 256 geometry at
+    init, 2 carry): the temp rows, and the key rows no key has reached yet,
+    hold the group's recent probe images; the fewest counter stripes that
+    give every key a slot are taken, and the rest of the rows hold keys. For the default 1024 x 256 geometry at
     k=25 that is 892 key rows of 4 slots (3,568 keys) and 15 stripes of 8
     value rows. Keys wider than one row are rejected.
     """

@@ -42,7 +42,10 @@ class BucketRecorder(Assembler):
     indices it writes). Before each probe it checks that the members' image
     columns are disjoint and that each member's image covers every column
     its bucket's written keys sit in, so the probe's own column check never
-    fires and every slot a member reads holds its query."""
+    fires and every slot a member reads holds its query. After it, it
+    checks the row that holds the batch's image: a key row there must lie
+    at or above every column's fill, so no image is written over a key,
+    and no compare takes a row that holds a key as its image."""
 
     def build_kmer_table(self, reads, k):
         self.probed = []
@@ -67,7 +70,11 @@ class BucketRecorder(Assembler):
             filled |= query.cols
             assert not any(own & ~query.cols for own in query.bucket.own)
         self.probed.append([(query.bits, query.cols, query.key_i) for query in batch])
-        return super()._probe(group, batch, lay)
+        out = super()._probe(group, batch, lay)
+        image_row = next(reversed(group.held.values())).row  # this batch's image
+        if image_row in lay.kmer_rows:
+            assert image_row - lay.kmer_rows.start >= max(group.fill)
+        return out
 
 
 def make_asm(rows=128, cols=64, **kw):
@@ -313,10 +320,10 @@ def test_a_corrupted_key_in_a_row_write_raises():
             asm.build_kmer_table([E("CGTGTGCA")], 5)
 
 
-def probed_rows(reads, k, **kw):
+def probed_rows(reads, k, cls=Assembler, **kw):
     """Build the table, returning it with the temp rows and the row each
     compare took its image from, in order."""
-    asm = make_asm(**kw)
+    asm = cls(**{**dict(rows=128, cols=64), **kw})
     with patch.object(asm.machine, "cmp", wraps=asm.machine.cmp) as cmp:
         table = asm.build_kmer_table(reads, k)
     temp = table.layout.row_layout.temp_rows
@@ -334,24 +341,79 @@ def test_a_repeated_image_skips_its_write_and_compares_against_its_row():
     assert rows == [temp[0], temp[0]]
 
 
-def test_a_ninth_distinct_image_evicts_the_least_recently_used_row():
-    # Nine keys in nine buckets of the one group at 128 x 64, k=5, each read
-    # on its own, so each goes in with no image. Read again one by one, each
-    # is a hit alone in its batch, imaging its own key: the first eight
-    # fill the eight temp rows in order, and the ninth evicts the least
-    # recently used row, the first key's. A hit on the second key then
-    # reuses its row, which makes the third key's the least recently used,
-    # so the first key, hit again, is written there.
+def bucket_firsts(buckets):
+    """The 5-mers of the 90 distinct keys above that come first in their
+    bucket, out of `buckets`, in read order."""
     seq = distinct_window_genome(94, 5, random.Random(0))
-    kmers = [E(seq[i : i + 5]) for i in range(len(seq) - 4)]
-    base = make_asm().build_kmer_table(kmers, 5)
     first: dict[int, EncodedSeq] = {}  # bucket -> its first key
-    for key in kmers:
-        first.setdefault(bucket_of(base, key), key)
-    nine = list(first.values())[:9]
+    for key in (E(seq[i : i + 5]) for i in range(len(seq) - 4)):
+        first.setdefault(mapping.stable_hash(key.bits, 10) % buckets, key)
+    return list(first.values())
+
+
+def test_a_ninth_distinct_image_takes_the_top_free_key_row():
+    # Nine keys in nine buckets of the one group at 128 x 64, k=5, each read
+    # on its own, so each goes in with no image, into the least-filled
+    # column: the columns hold 3, 2, 2 and 2 keys. Read again one by one,
+    # each is a hit alone in its batch, imaging its own key. The first
+    # eight fill the eight temp rows in order, and the ninth takes the top
+    # key row, 75, which no column reaches. A hit on the second key then
+    # reuses its temp row, and one on the first key its own: nothing is
+    # evicted, so 9 image writes, where the 8 temp rows alone took 10.
+    nine = bucket_firsts(304)[:9]
     table, temp, rows = probed_rows(nine + nine + nine[1:2] + nine[:1], 5)
-    assert (table.buckets, table.batches, table.image_writes) == (304, 11, 10)
-    assert rows == [*temp, temp[0], temp[1], temp[2]]
+    assert (table.buckets, table.batches, table.image_writes) == (304, 11, 9)
+    assert table.layout.kmer_rows[-1] == 75
+    assert rows == [*temp, 75, temp[1], temp[0]]
+    assert table.image_rows_held == 9
+
+
+def test_images_fill_every_free_row_before_the_least_recently_used_is_evicted():
+    # The 77 keys that come first in their bucket of the 304 at 128 x 64,
+    # k=5, each read on its own: they go in with no image, and the columns
+    # hold 20, 19, 19 and 19 keys, so the 76 key rows above row 19 hold no
+    # key. Read again one by one, each key is a hit alone in its batch
+    # with an image of its own. The group's 8 temp rows and its 56 free key
+    # rows, 75 down to 20, take the first 64 images in that order; from
+    # then on every row holds an image, and each of the last 13 evicts the
+    # least recently used, which is the oldest: temp rows 0 to 7, then key
+    # rows 75 to 71.
+    keys = bucket_firsts(304)
+    table, temp, rows = probed_rows(keys + keys, 5, cls=BucketRecorder)
+    assert len(keys) == table.distinct() == 77
+    per_column = Counter(key_i % table.layout.slots for _, key_i in table.slots)
+    assert [per_column[col] for col in range(4)] == [20, 19, 19, 19]
+    pool = [*temp, *range(75, 19, -1)]
+    assert len(pool) == 64
+    assert (table.batches, table.image_writes) == (77, 77)
+    assert rows == pool + pool[:13]
+    assert table.image_rows_held == 64
+
+
+def test_a_key_placed_in_a_row_that_holds_an_image_drops_the_image():
+    # 24 x 64 at k=5: 4 slots and 4 key rows, 16 buckets in the one group.
+    # Thirteen keys, each first in its bucket, read on their own: the first
+    # nine go in with no image, column by column, so the columns hold 3, 2,
+    # 2 and 2 keys (the ninth at row 2 of column 0), and key row 3 holds
+    # none. Read again one by one, the nine hits image their own keys: the
+    # first eight into the 8 temp rows, the ninth into key row 3. The next
+    # three keys fill row 2 of columns 1 to 3, and the thirteenth goes into
+    # column 0 at row 3: the row's image is dropped, and the key's masked
+    # write puts it there. Its hit finds it in row 3, whose image row is
+    # now a temp row: no key row is free, so the image evicts the least
+    # recently used, temp row 0. The ninth key's image went with row 3, so
+    # its next hit writes it again, over temp row 1. Every count is exact.
+    keys = bucket_firsts(16)[:13]
+    reads = keys[:9] + keys[:9] + keys[9:] + keys[12:] + keys[8:9]
+    table, temp, rows = probed_rows(reads, 5, cls=BucketRecorder, rows=24)
+    lay = table.layout
+    assert (lay.slots, len(lay.kmer_rows), table.buckets) == (4, 4, 16)
+    assert table.slots[8] == (0, 8) and table.slots[12] == (0, 12)  # rows 2 and 3
+    assert rows == [*temp, 3, temp[0], temp[1]]
+    assert (table.batches, table.image_writes) == (11, 11)
+    assert table.machine.subarray(0).cells[3] & (1 << 10) - 1 == keys[12].bits
+    expected = Counter(key.to_str() for key in reads)
+    assert {key.to_str(): n for key, n in table.items()} == dict(expected)
 
 
 def test_two_hits_in_one_key_row_share_one_batch_and_one_compare():
@@ -369,8 +431,8 @@ def test_two_hits_in_one_key_row_share_one_batch_and_one_compare():
 
 
 class NoImageReuse(Assembler):
-    """Forgets the images its temp rows hold before every probe, so every
-    batch writes its image."""
+    """Forgets the images its temp rows and free key rows hold before every
+    probe, so every batch writes its image."""
 
     def _probe(self, group, batch, lay):
         group.held.clear()
@@ -379,18 +441,19 @@ class NoImageReuse(Assembler):
 
 def test_image_reuse_cuts_hashmap_w_by_exactly_the_images_reused():
     # 46 reads of 20 bases at stride 4 over a 200-base genome, at 128 x 64
-    # and k=5: a batch that finds its image in a temp row writes nothing
-    # and compares the same rows, so the hashmap W row falls by exactly the
-    # batches that reused an image, 62 of 239, and nothing else moves.
+    # and k=5: a batch that finds its image in a temp row or a free key row
+    # writes nothing and compares the same rows, so the hashmap W row falls
+    # by exactly the batches that reused an image, 67 of 239 (62 when only
+    # the 8 temp rows held images), and nothing else moves.
     reads = [E(r) for r in tile_reads(random_genome(200, random.Random(1)), 20, 4)]
     runs = []
     for cls in (Assembler, NoImageReuse):
         asm = cls(rows=128, cols=64)
         runs.append((asm.build_kmer_table(reads, 5), hashmap_totals(asm.trace)))
     (reused, a), (written, b) = runs
-    assert (reused.batches, reused.image_writes) == (239, 177)
+    assert (reused.batches, reused.image_writes) == (239, 172)
     assert (written.batches, written.image_writes) == (239, 239)
-    assert b[tr.W] - a[tr.W] == reused.batches - reused.image_writes == 62
+    assert b[tr.W] - a[tr.W] == reused.batches - reused.image_writes == 67
     assert (a[tr.R], a[tr.C_ADD], a[tr.DPU]) == (b[tr.R], b[tr.C_ADD], b[tr.DPU])
     assert reused.compares == written.compares
     assert dict(reused.items()) == dict(written.items())
@@ -630,20 +693,26 @@ self_repeating_reads = st.lists(
 @settings(max_examples=60, deadline=None)
 @example(reads=["AAAACGACA"], rows=21, cols=16, k=2)
 @example(reads=["ACGTACGT"], rows=21, cols=16, k=4)
+@example(reads=["GTCATAGCCAT", "AAGGGTCAAGGTAGGTCAAG", "TT"], rows=34, cols=16, k=2)
 def test_packed_newest_first_probes_count_like_a_host_counter(reads, rows, cols, k):
     # 21 to 40 rows of 16 to 64 columns: 1 to 16 slots per key row and 1 to
     # 20 key rows, so columns fill inside a read and keys move to new ones.
     # Each read's hits on written keys join the batch for their bucket's
     # newest key row, its other queries pack first-fit, and a hit scans
     # newest first; the counts match a host Counter, every key is written
-    # once, and no batch images two members into one column or leaves a
-    # column a member reads out of its image (BucketRecorder._probe). The
+    # once, and no batch images two members into one column, leaves a
+    # column a member reads out of its image or holds its image in a key
+    # row that holds a key (BucketRecorder._probe). The
     # first example is a read in which a miss would first-fit into a batch
     # before its bucket's row-keyed hit, had a query not to join a batch
     # after its bucket's last one: the hit's image would then leave out the
     # new key's column. The second holds ACGT twice, its first copy staged
     # into an empty bucket, so its second copy is a hit probed after the
-    # staged key's row write.
+    # staged key's row write. In the third, at 34 x 16 and k=2 (4 slots, 6
+    # key rows), the first two reads fill no column past key row 2 and
+    # leave images in the 8 temp rows and in key rows 5 to 3; TT, new to a
+    # bucket of column 0, then goes into row 3, which drops that row's
+    # image, and BucketRecorder checks that no later image takes it.
     raw = [s for s in reads if len(s) >= k]
     assume(raw and not (k == 2 and 25 <= rows <= 28))
     _count(raw, k, rows=rows, cols=cols)
@@ -832,24 +901,22 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
     # probes run in batches of up to 4 queries whose buckets use different
     # columns, each hit joining the read's batch for its bucket's newest
     # key row if its columns are free there, or else opening a new batch
-    # for that row: each batch writes its image into a temp row unless one
-    # holds it already, and compares the union of its members' rows,
-    # newest first down to each key's, one C_ADD plus one DPU per row, so
-    # the probes' C_ADD equals their DPU. The 108 hits take 43 batches at
-    # width 4 and 40 at width 8, 43 and 39 of them writing an image, and
-    # compare 60 and 53 rows. In the first copy the 11 hits on keys staged
-    # earlier in the read pack first-fit, since their buckets have no
-    # written row yet, so its batches leave other images in the 8 temp
-    # rows, and the second copy finds 0 and 1 of its images there, not 2
-    # and 2 as when those keys went in at once. Every key goes in during
+    # for that row: each batch writes its image unless a temp row or a
+    # free key row holds it already, and compares the union of its
+    # members' rows, newest first down to each key's, one C_ADD plus one
+    # DPU per row, so the probes' C_ADD equals their DPU. The 108 hits take
+    # 43 batches at width 4 and 40 at width 8, 41 and 36 of them writing an
+    # image, and compare 60 and 53 rows. The read's 97 keys reach key row
+    # 24, so the group's 8 temp rows and its 51 free key rows (75 down to
+    # 25) hold every image the two copies write (48 and 44 at most), and
+    # none is evicted: the second copy finds 2 and 4 of its images held,
+    # where the 8 temp rows alone kept 0 and 1. Every key goes in during
     # the first copy, so the copies' W differ by the image writes and the
     # adds alone. First-fit batches, whose members' keys sat
     # in different rows, took 28 at either width, one more than 108 / 4,
     # and compared 56 and 52 rows: at this small geometry a key row's hits
     # often need a column its batch already fills, so row-keyed batches
-    # cost more here (the two copies' hash stage is modeled at 1,105 ns,
-    # not 1,033, at width 4 and 1,061, not 1,014, at width 8) and less on
-    # large runs. The stage's
+    # compare more rows here and fewer on large runs. The stage's
     # increments are added after its seed write. A k-mer that occurs n times
     # in the read is seeded at 1 and has 2n - 1 pending after two copies
     # (n - 1 after one), and each set bit i of that amount is one +1 at
@@ -903,7 +970,8 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
     batches = tables[1].batches - tables[0].batches
     images = tables[1].image_writes - tables[0].image_writes
     assert sum(occurrences.values()) == 108
-    assert (batches, images) == {4: (43, 43), 8: (40, 39)}[width]
+    assert (batches, images) == {4: (43, 41), 8: (40, 36)}[width]
+    assert tables[1].image_rows_held == {4: 48, 8: 44}[width]
     assert tables[0].staged_hits == tables[1].staged_hits == 11
     probe_dpu = b[tr.DPU] - a[tr.DPU] - 2 * 2
     assert probe_dpu == tables[1].compares - tables[0].compares == {4: 60, 8: 53}[width]
@@ -2689,11 +2757,24 @@ _UNIT_RUNG = (
 #                  + 2 * 60                               =   638
 # The C_ADD and DPU rows, graph and traverse are unchanged. Modeled ns
 # 14,853 -> 11,878 with simplify off, 11,904 -> 8,930 with it on.
+#
+# Images also kept in the key rows above a group's fullest column. A group
+# has 36 key rows of one slot, so its one column grows into the free key
+# rows the images take, from the bottom up, while the images take them
+# from the top down: the rows taken last, which tend to hold the newest
+# images, are the first the column reaches. Each time it reaches one that
+# holds an image, the image is dropped, 41 times in all, and the run
+# writes 4 more images than the 8 temp rows alone did: 253, not 249, with
+# at most 22 rows held in a group. Both ways:
+#   hashmap W      253 images + 259 inserts + 10 seeds
+#                  + 2 * 60                               =   642
+# Modeled ns 11,878 -> 11,897 with simplify off, 8,930 -> 8,948 with it
+# on.
 LADDER = {
     False: (
         [
             ("io", "XFER", 508),
-            ("hashmap", "W", 638),
+            ("hashmap", "W", 642),
             ("hashmap", "C_ADD", 1004),
             ("hashmap", "DPU", 1004),
             ("graph", "R", 80),
@@ -2717,7 +2798,7 @@ LADDER = {
     True: (
         [
             ("io", "XFER", 512),
-            ("hashmap", "W", 638),
+            ("hashmap", "W", 642),
             ("hashmap", "C_ADD", 1004),
             ("hashmap", "DPU", 1004),
             ("graph", "R", 337),
@@ -2772,9 +2853,10 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #     0.31 per query). A batch's misses go in once it has compared, one
 #     masked write per key row: no batch holds two misses of one key row,
 #     so the 3,473 take 3,473 writes. No read holds a k-mer twice, so no
-#     hit finds its key still staged. Each group's 8 temp rows keep its
-#     last 8 images, so 147,373 batches find their image there and only
-#     82,259 write one. Each key's counter sits at its key index, and the
+#     hit finds its key still staged. Each group keeps its images in its 8
+#     temp rows and in the key rows above its fullest column, up to 784 in
+#     one group at once, so 210,600 batches find their image held and only
+#     19,032 write one. Each key's counter sits at its key index, and the
 #     groups' highest key indices are 3,251, 3,382 and 3,348, so the
 #     counters fill 13 + 14 + 14 = 41 stripes of 256. After the last read
 #     one seed write per (sub-array, counter stripe) starts them all, 41
@@ -2789,9 +2871,9 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #     adds. No counter passes 76, so each add stops at its last carry
 #     plane: 41 at plane 1, 42 at 2, 42 at 3, 9 at 4, 8 at 5 and 42 at 6,
 #     282 planes of 1 C_ADD + 2 W + 1 DPU each.
-#     W  82,259 image writes, 6,446 + 3,473 = 9,919 key row
+#     W  19,032 image writes, 6,446 + 3,473 = 9,919 key row
 #        writes, 41 counter-seed writes, and the adds' 2 * 282
-#                                                            =    92,783
+#                                                            =    29,556
 #     DPU one per compared row (236,585) + 282               =   236,867
 #     C_ADD the compares (236,585) + 282                     =   236,867
 #   graph          9,977 nodes, 9,976 edges, largest multiplicity 76.
@@ -2894,9 +2976,13 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 # other staged keys of their row, and a batch's misses with its other
 # misses of their row. Key writes 9,976 -> 9,919; nothing else moves.
 # 1,396,430 -> 1,396,169 modeled ns, RUR 0.6762 -> 0.6763, sub-arrays 5.
+# Keeping each group's images in the key rows above its fullest column as
+# well as in its 8 temp rows, least recently used first: image writes
+# 82,259 -> 19,032; every compare still runs. 1,396,169 -> 1,105,957
+# modeled ns, RUR 0.6763 -> 0.8538, sub-arrays 5.
 CANONICAL_TRACE = [
     ("io", "XFER", 250_025),
-    ("hashmap", "W", 92_783),
+    ("hashmap", "W", 29_556),
     ("hashmap", "C_ADD", 236_867),
     ("hashmap", "DPU", 236_867),
     ("graph", "R", 328),
