@@ -320,10 +320,10 @@ def test_a_corrupted_key_in_a_row_write_raises():
             asm.build_kmer_table([E("CGTGTGCA")], 5)
 
 
-def probed_rows(reads, k, cls=Assembler, **kw):
+def probed_rows(reads, k, cls=Assembler, rows=128, cols=64):
     """Build the table, returning it with the temp rows and the row each
     compare took its image from, in order."""
-    asm = cls(**{**dict(rows=128, cols=64), **kw})
+    asm = cls(rows=rows, cols=cols)
     with patch.object(asm.machine, "cmp", wraps=asm.machine.cmp) as cmp:
         table = asm.build_kmer_table(reads, k)
     temp = table.layout.row_layout.temp_rows
@@ -342,8 +342,8 @@ def test_a_repeated_image_skips_its_write_and_compares_against_its_row():
 
 
 def bucket_firsts(buckets):
-    """The 5-mers of the 90 distinct keys above that come first in their
-    bucket, out of `buckets`, in read order."""
+    """Those of the 90 distinct 5-mers of the 94-base genome above that
+    come first in their bucket, out of `buckets`, in read order."""
     seq = distinct_window_genome(94, 5, random.Random(0))
     first: dict[int, EncodedSeq] = {}  # bucket -> its first key
     for key in (E(seq[i : i + 5]) for i in range(len(seq) - 4)):
@@ -371,8 +371,8 @@ def test_a_ninth_distinct_image_takes_the_top_free_key_row():
 def test_images_fill_every_free_row_before_the_least_recently_used_is_evicted():
     # The 77 keys that come first in their bucket of the 304 at 128 x 64,
     # k=5, each read on its own: they go in with no image, and the columns
-    # hold 20, 19, 19 and 19 keys, so the 76 key rows above row 19 hold no
-    # key. Read again one by one, each key is a hit alone in its batch
+    # hold 20, 19, 19 and 19 keys, so key rows 20 to 75 hold no key. Read
+    # again one by one, each key is a hit alone in its batch
     # with an image of its own. The group's 8 temp rows and its 56 free key
     # rows, 75 down to 20, take the first 64 images in that order; from
     # then on every row holds an image, and each of the last 13 evicts the
@@ -399,10 +399,10 @@ def test_a_key_placed_in_a_row_that_holds_an_image_drops_the_image():
     # first eight into the 8 temp rows, the ninth into key row 3. The next
     # three keys fill row 2 of columns 1 to 3, and the thirteenth goes into
     # column 0 at row 3: the row's image is dropped, and the key's masked
-    # write puts it there. Its hit finds it in row 3, whose image row is
-    # now a temp row: no key row is free, so the image evicts the least
-    # recently used, temp row 0. The ninth key's image went with row 3, so
-    # its next hit writes it again, over temp row 1. Every count is exact.
+    # write puts it there. Its hit finds it in row 3; no key row is free
+    # now, so the hit's image evicts the least recently used, in temp row
+    # 0. The ninth key's image went with row 3, so its next hit writes it
+    # again, over temp row 1. Every count is exact.
     keys = bucket_firsts(16)[:13]
     reads = keys[:9] + keys[:9] + keys[9:] + keys[12:] + keys[8:9]
     table, temp, rows = probed_rows(reads, 5, cls=BucketRecorder, rows=24)
