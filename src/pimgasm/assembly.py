@@ -6,27 +6,19 @@ is cut into groups of one sub-array each, and every group into one hash
 bucket per key slot (mapping.HashLayout.capacity buckets), so a full
 group holds about one key per bucket. A host pre-scan of the distinct
 keys takes the fewest groups whose hashed key counts fit them
-(mapping.bucket_directory). Keys are placed by column (slot position): a
-bucket's first key takes the least-filled column of its group, and its
-later keys the same column, or the least-filled one once that column is
-full. Each column fills its key rows in first-seen order, so keys first
+(mapping.bucket_directory). Keys are placed by column (slot position),
+and each column fills its key rows in first-seen order, so keys first
 seen together share a row, and a bucket is the list of rows that hold its
-keys. Every query hashes to its bucket, and the host's exact count of the
-key decides hit or miss. Queries are probed in batches: each group keeps
-a list of open batches for the read. A hit whose bucket's keys are all
-written joins the read's batch for the bucket's newest key row, a row
-the controller holds in the bucket directory, or opens a new batch for
-that row when the batch fills one of its bucket's columns; any other
-query joins the first open batch whose image fills none of its bucket's
-columns, or opens a new one. A query joins only a batch after its
-bucket's last one in the read, so a bucket's queries are probed in the
-order they arrive. A batch's image holds each member's query in its
-bucket's columns, and each member compares its bucket's rows newest
-first, down to the first row where one of its own slots matches: a hit
-finds its key there, and a miss compares every row and finds none. Each
-row is compared once per batch, one XNOR-compare cycle plus one
-AND-reduce, and a member reads only its own slots, so an all-A key
-(packed to 0) never matches an empty slot. Keys first seen together share
+keys. Every query hashes to its bucket and joins one of its group's open
+batches for the read, which run in the order they opened when the read
+ends; Assembler._observe states where a key is placed, which batch a
+query joins and when a new key goes in. A batch's image holds each
+member's query in its bucket's columns, and each member compares its
+bucket's rows newest first, down to the first row where one of its own
+slots matches: a hit finds its key there, and a miss compares every row
+and finds none. Each row is compared once per batch, one XNOR-compare
+cycle plus one AND-reduce, and a member reads only its own slots, so an
+all-A key (packed to 0) never matches an empty slot. Keys first seen together share
 a row, so a batch compares about one. Each group keeps its recent images
 in its sub-array's 8 temp rows and in the key rows above its fullest
 column, which hold no key yet, least recently used first, and the
@@ -34,18 +26,9 @@ controller keeps a copy of each: a batch whose image such a row holds
 compares against that row and writes nothing, and any other batch writes
 its image into the next free row, or over the least recently used image
 once every such row holds one. A key row's image is dropped when the
-first key is placed in that row. The read's batches run in the
-order they opened when the read ends. A miss reserves its column for its
-bucket when it is seen, and its key is written from the query bits the
-controller holds, with no read, in one masked write per key row for the
-new keys that go in together. A key into an empty bucket, which needs no
-image and no compare, is staged until the read ends and goes in with the
-group's other staged keys of its row before the group's first batch
-probes; any other new key goes in with its batch's misses of its row once
-that batch has compared, before any later batch of the read runs. A key's
-counter index is its key index, so its vertical counter sits at
-mapping.counter_location of its slot, and keys first seen together share a
-counter stripe. A hit records one increment for the key it found. Counters
+first key is placed in that row. A key's counter index is its key index,
+so its vertical counter sits at mapping.counter_location of its slot, and
+keys first seen together share a counter stripe. A hit records one increment for the key it found. Counters
 are written once, after the last read: one masked write of counter plane 0
 per sub-array counter stripe starts every counter at one (their words are
 still zero), and then the stage's increments are added in place one bit
@@ -346,9 +329,7 @@ class KmerTable:
     row already holds writes none) and the key rows they compared, and
     `image_rows_held` is the most rows one group held images in at once.
     `insert_writes` counts the masked row writes that put the keys in, one
-    per key row of a read's staged keys or of a batch's misses, and
-    `staged_hits` the hits packed first-fit because their bucket's first
-    key was staged, not yet written.
+    per key row of a batch's new keys.
     """
 
     def __init__(self, k: int, layout: mapping.HashLayout, machine: Machine):
@@ -365,7 +346,6 @@ class KmerTable:
         self.image_writes = 0
         self.compares = 0
         self.insert_writes = 0
-        self.staged_hits = 0
         self.image_rows_held = 0
 
     @property
@@ -414,23 +394,19 @@ class _Group:
     holds, which is also the next free key row of that column, and the
     read's open batches of queries, each with the column mask its image
     fills. `by_row` maps a key row to the read's batch of hits keyed by it,
-    `last` a bucket to its last batch in the read, `waiting` holds the
-    buckets with a key placed in the read but not yet written, and
-    `staged` maps a key row to the read's new keys of empty buckets placed
-    in it, which wait for the read's end. `key_rows` addresses each key
-    row over the key span, and `image_rows` the rows an image may take, in
-    the order it takes them: the temp rows, then the key rows from the top
-    down, of which only those above the fullest column, which hold no key,
-    are free. `held` is the controller's copy of the images those rows
-    hold, image -> row, least recently used first. The rows it holds are
-    always the first len(held) of `image_rows`: a new image takes the next
-    one while a free row is left, and a row leaves the free ones from the
-    bottom, when a key first goes in it.
+    and `last` a bucket to its last batch in the read. `key_rows` addresses
+    each key row over the key span, and `image_rows` the rows an image may
+    take, in the order it takes them: the temp rows, then the key rows
+    from the top down, of which only those above the fullest column, which
+    hold no key, are free. `held` is the controller's copy of the images
+    those rows hold, image -> row, least recently used first. The rows it
+    holds are always the first len(held) of `image_rows`: a new image takes
+    the next one while a free row is left, and a row leaves the free ones
+    from the bottom, when a key first goes in it.
     """
 
     __slots__ = (
-        "sid", "fill", "batches", "busy", "by_row", "last", "waiting", "staged",
-        "image_rows", "held", "key_rows",
+        "sid", "fill", "batches", "busy", "by_row", "last", "image_rows", "held", "key_rows",
     )
 
     def __init__(self, sid: int, lay: mapping.HashLayout):
@@ -440,8 +416,6 @@ class _Group:
         self.busy: list[int] = []  # per open batch: the columns its image fills
         self.by_row: dict[int, int] = {}
         self.last: dict[_Bucket, int] = {}
-        self.waiting: set[_Bucket] = set()
-        self.staged: dict[int, list[_Query]] = {}
         span = lay.key_span
         self.key_rows = [MemAddress(sid, row, 0, span) for row in lay.kmer_rows]
         temp_rows = [MemAddress(sid, row, 0, span) for row in lay.row_layout.temp_rows]
@@ -453,19 +427,21 @@ class _Bucket:
     """One directory entry's keys in its `group`'s sub-array.
 
     `col` is the column its next key goes to while that column has room,
-    `cols` the mask of every column a key of it is placed in, and `rows`
-    its key rows, oldest first, `own[i]` being the mask of the columns of
-    rows[i] that hold its keys. A key's column joins `cols` when the key is
+    `row` the key row of its newest placed key, `cols` the mask of every
+    column a key of it is placed in, and `rows` its key rows, oldest first,
+    `own[i]` being the mask of the columns of rows[i] that hold its keys. A
+    key's column joins `cols` and its row becomes `row` when the key is
     first seen, and its row joins `rows` once the key is written (`add`),
     so `cols` may name a column whose key is not written yet. Rows are
     shared: the other columns of a row hold other buckets' keys.
     """
 
-    __slots__ = ("group", "col", "cols", "rows", "own")
+    __slots__ = ("group", "col", "row", "cols", "rows", "own")
 
     def __init__(self, group: _Group):
         self.group = group
         self.col = 0
+        self.row = -1
         self.cols = 0
         self.rows: list[int] = []
         self.own: list[int] = []
@@ -482,9 +458,9 @@ class _Bucket:
 
 
 class _Query(NamedTuple):
-    """One query in an open batch, or a staged key: its bucket, its key bits
-    and `cols`, the columns of its bucket's keys placed before it, which its
-    image fills. A miss carries the key index its key is written at; a hit
+    """One query in an open batch: its bucket, its key bits and `cols`,
+    the columns of its bucket's keys placed before it, which its image
+    fills. A miss carries the key index its key is written at; a hit
     carries None and finds its key index in its bucket's rows. `counts`
     marks a hit below the counter's cap."""
 
@@ -667,8 +643,7 @@ class Assembler:
     queries share one image and the rows they scan; a group's 8 temp rows
     and the key rows above its fullest column keep its recent images, so a
     repeated image is not written again while a row still holds it, and
-    the new keys that go in together, a read's staged keys or a batch's
-    misses, take one masked write per key row (see build_kmer_table).
+    a batch's new keys take one masked write per key row (see _observe).
     Counter writes wait for the last read: then one seed write per
     (sub-array, counter stripe) starts every counter at one, and the
     stage's increments go in as one column-parallel +1 per (sub-array,
@@ -722,23 +697,19 @@ class Assembler:
         only while the directory is sized; `host_counts` gathers the same
         keys. Each k-mer is then observed in read order, a new key taking
         its slot's counter, and each query joins one of its group's open
-        batches, or, a new key into an empty bucket, the group's staged
-        keys (see _observe). At the read's end each group writes its staged
-        keys, one masked write per key row, and probes its batches in
-        order, each writing its image unless a row holds it (see
-        _probe) and then its misses' keys, one masked write per key row
-        (see _flush). Hits' increments collect in `pending` until the
-        last read's batches have run. Then every counter is seeded, one
-        write per (sub-array, stripe), and the increments are added, so
+        batches (see _observe). At the read's end each group probes its
+        batches in order and writes their new keys (see _flush). Hits'
+        increments collect in `pending` until the last read's batches have
+        run. Then every counter is seeded, one write per (sub-array,
+        stripe), and the increments are added, so
         every counter is seeded before it is added to and holds its count
         before build_graph reads it. The log line reports the directory's
         load (distinct keys per bucket), the batches, the image writes, the
         images reused and the most rows a group held images in at once, the
-        keys inserted and their row writes, the hits packed first-fit
-        because their bucket's first key was staged, the batched queries
-        per image write (a first miss into an empty bucket
-        joins no batch), compares per query and the fullest column next to
-        the counter work, where a counter add is one +1 at one bit plane.
+        keys inserted and their row writes, the imaged queries per image
+        write (a bucket's first key fills no column of an image), compares
+        per query and the fullest column next to the counter work, where a
+        counter add is one +1 at one bit plane.
         """
         m = self.machine
         layout = mapping.layout_hash((m.rows, m.cols), k, self.value_width)
@@ -765,7 +736,7 @@ class Assembler:
                     self._flush(table, group, pending)
             seeds = self._seed_counts(table)
             adds = self._add_counts(layout, pending)
-        # every bucket's first key went in with no image
+        # every bucket's first key filled no column of an image
         batched = table.total_kmers - sum(1 for bucket in buckets if bucket.cols)
         log.info(
             "k-mer table: %d queries, %d hits, %d counter adds (one +1 at a bit plane each), "
@@ -773,14 +744,14 @@ class Assembler:
             "%d buckets (%.2f keys each), "
             "%d batches, %d image writes, %d images reused, "
             "at most %d image rows held in a group, "
-            "%d keys inserted in %d row writes, %d hits first-fit on a staged bucket, "
+            "%d keys inserted in %d row writes, "
             "%.2f queries per image write, "
             "%.2f compares per query, fullest column %d of %d key rows",
             table.total_kmers, table.total_kmers - table.distinct(), adds, seeds,
             table.distinct(), len(groups), table.buckets, table.distinct() / table.buckets,
             table.batches, table.image_writes, table.batches - table.image_writes,
             table.image_rows_held,
-            table.distinct(), table.insert_writes, table.staged_hits,
+            table.distinct(), table.insert_writes,
             batched / max(table.image_writes, 1),
             table.compares / table.total_kmers,
             max(max(g.fill) for g in groups),
@@ -838,33 +809,35 @@ class Assembler:
         return len(planes)
 
     def _observe(self, table, buckets, kmer: EncodedSeq) -> None:
-        """Observe one k-mer.
+        """Observe one k-mer: the hash stage's one rule for inserting keys
+        and batching queries.
 
         Every query hashes to its bucket, and the query's exact count in
         `host_counts` decides hit or miss. A miss places its key at once:
         in the bucket's column while that has room, else in the group's
         least-filled column, at that column's next key row, whose counter
-        _seed_counts starts at one at the stage's end. A key row that holds
-        an image holds no key yet, so its first key drops the image from
-        `group.held`: the key's write covers its slot, and no later batch
-        may take the row for an image. Its key is written
-        from the query bits, which the controller holds, by _flush: a key
-        into an empty bucket needs no image and no compare, so it joins no
-        batch and is staged under its key row in `group.staged` until the
-        read ends; any other miss joins a batch, and its key is written
-        once that batch has compared. Its image fills the columns of its
-        bucket's keys placed so far. A hit whose bucket holds no key placed
-        in the read and not yet written joins the read's batch for the
-        bucket's newest key row, or opens a new batch for that row when that
-        batch fills one of the query's columns; any other query joins the first
-        open batch whose image fills none of them, or opens a new one. So a hit
-        on a key staged earlier in the read, whose bucket has no written row
-        yet, packs first-fit (`table.staged_hits` counts those). Either way it
-        joins only a batch after its bucket's last one in the read, so two
-        queries of one bucket are probed in the order they arrive: a hit on a
-        key placed earlier in the read is probed after the key is written, and
-        imaged in its column. A hit below the cap adds one increment for the
-        key its batch finds to `pending`.
+        _seed_counts starts at one at the stage's end. The column joins
+        the bucket's at once, so the bucket's later queries image it, and
+        the row becomes the bucket's newest placed row. A key row that
+        holds an image holds no key yet, so its first key drops the image
+        from `group.held`: the key's write covers its slot, and no later
+        batch may take the row for an image.
+
+        Every query then joins one of the group's open batches for the
+        read, after its bucket's last one, so two queries of one bucket are
+        probed in the order they arrive. Its image fills the columns of its
+        bucket's keys placed before it. A hit joins the read's batch for
+        its bucket's newest placed key row, or opens a new batch for that
+        row when that batch fills one of the query's columns or is not
+        after the bucket's last one. A miss joins the first batch after
+        that one whose image fills none of its columns, or opens a new one:
+        a key into an empty bucket fills no column, so it joins the read's
+        first batch. A batch's new keys go in once it has compared (see
+        _flush), one masked write per key row from the query bits the
+        controller holds, so a hit on a key placed earlier in the read is
+        probed after the key is written, and imaged in its column. A hit
+        below the cap adds one increment for the key its batch finds to
+        `pending`.
         """
         lay = table.layout
         bits = kmer.bits
@@ -873,12 +846,16 @@ class Assembler:
         bucket = buckets[mapping.stable_hash(bits, 2 * table.k, self.seed) % len(buckets)]
         group = bucket.group
         cols = bucket.cols
+        floor = group.last.get(bucket, -1)  # the bucket's last batch in the read
         count = table.host_counts.get(bits)
         if count is not None:
             if count == cap:
                 table.saturated_keys += 1
             table.host_counts[bits] = count + 1
             query = _Query(bucket, bits, cols, None, count < cap)
+            i = group.by_row.get(bucket.row, -1)
+            if i <= floor or group.busy[i] & cols:
+                i = group.by_row[bucket.row] = len(group.batches)
         else:
             col = bucket.col
             if not cols or group.fill[col] == len(lay.kmer_rows):
@@ -892,23 +869,9 @@ class Assembler:
             table.host_counts[bits] = 1
             table.keys.append(kmer)
             table.slots.append((group.sid, key_i))
-            # reserved now, so the bucket's later queries image the column
-            bucket.col = col
+            bucket.col, bucket.row = col, row
             bucket.cols |= 1 << col
             query = _Query(bucket, bits, cols, key_i, False)
-            group.waiting.add(bucket)
-            if not cols:  # an empty bucket: nothing to compare, so no batch
-                group.staged.setdefault(key_i // lay.slots, []).append(query)
-                return
-        floor = group.last.get(bucket, -1)  # the bucket's last batch in the read
-        if bucket not in group.waiting:  # a hit, every key of its bucket written
-            row = bucket.rows[-1]
-            i = group.by_row.get(row, -1)
-            if i <= floor or group.busy[i] & cols:
-                i = group.by_row[row] = len(group.batches)
-        else:
-            if query.key_i is None and not bucket.rows:  # its bucket's first key is staged
-                table.staged_hits += 1
             i = floor + 1
             while i < len(group.busy) and group.busy[i] & cols:
                 i += 1
@@ -920,21 +883,23 @@ class Assembler:
         group.last[bucket] = i
 
     def _flush(self, table: KmerTable, group: _Group, pending) -> None:
-        """Write a group's staged keys, one masked write per key row, then
-        probe its open batches in the order they opened. After each probe,
-        record each counting hit's increment in `pending`, at the counter
-        of the key it found, and write the misses' keys, one masked write
-        per key row, so a later batch finds them. A hit that finds no key,
-        or a miss that finds one, means fabric and host counts diverged."""
+        """Probe a group's open batches in the order they opened. After
+        each probe, record each counting hit's increment in `pending`, at
+        the counter of the key it found, and write the misses' keys, one
+        masked write per key row, so a later batch finds them. A batch
+        whose image fills no column holds only keys into empty buckets, so
+        it is not probed: it writes no image and compares nothing. A hit
+        that finds no key, or a miss that finds one, means fabric and host
+        counts diverged."""
         lay, sid = table.layout, group.sid
-        for row, keys in group.staged.items():
-            self._write_keys(table, group, row, keys)
-        for batch in group.batches:
-            table.batches += 1
-            found, compared, written = self._probe(group, batch, lay)
-            table.compares += compared
-            table.image_writes += written
-            table.image_rows_held = max(table.image_rows_held, len(group.held))
+        for batch, busy in zip(group.batches, group.busy):
+            found: list[int | None] = [None] * len(batch)
+            if busy:
+                table.batches += 1
+                found, compared, written = self._probe(group, batch, lay)
+                table.compares += compared
+                table.image_writes += written
+                table.image_rows_held = max(table.image_rows_held, len(group.held))
             misses: dict[int, list[_Query]] = {}  # key row -> its new keys
             for query, key_i in zip(batch, found):
                 if query.key_i is not None:  # a miss
@@ -948,12 +913,10 @@ class Assembler:
                     pending[slot] = pending.get(slot, 0) + 1
             for row, keys in misses.items():
                 self._write_keys(table, group, row, keys)
-        group.staged.clear()
         group.batches = []
         group.busy = []
         group.by_row.clear()
         group.last.clear()
-        group.waiting.clear()
 
     def _write_keys(self, table: KmerTable, group: _Group, row: int, keys: list[_Query]) -> None:
         """Write new keys of one key row into their slots from their query

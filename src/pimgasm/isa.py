@@ -4,7 +4,7 @@ A Machine owns a set of sub-arrays (created on demand, shared trace) plus
 the scalar digital unit of the controller. The memory-side instruction set
 is deliberately tiny:
 
-  mem_insert  read-then-write copy of a bit region (or an immediate)
+  mem_insert  read-then-write copy of a bit region
   cmp         bulk equality: one XNOR triple plus an AND reduction
   add         bit-serial addition of vertical words, LSB at the lowest row
 
@@ -19,7 +19,7 @@ Every bit region lies within one row, so a copy or a compare is one row
 operation; a region that runs past its row raises SizeError.
 
 Cost contract (pinned by tests):
-  mem_insert:   1 R (memory source only) + 1 W
+  mem_insert:   1 R + 1 W
   cmp:          1 C_ADD + 1 DPU
   add:          w C_ADD + 2w W (w sum writes, w-1 carry writes, 1 zero
                 write that restores the carry row)
@@ -118,27 +118,19 @@ class Machine:
                 f"runs past its {self.cols}-column row"
             )
 
-    def mem_insert(self, dst: MemAddress, src: MemAddress | int) -> None:
-        """Copy dst.bit_len bits into dst from memory or from an immediate.
+    def mem_insert(self, dst: MemAddress, src: MemAddress) -> None:
+        """Copy the region src into dst, a region of the same length.
 
-        A memory source, a region of the same length, is read (R) and
-        written back through the write drivers (W); an immediate skips the
-        read. Copying a region onto itself is a legal no-op on the data but
+        The source is read (R) and written back through the write drivers
+        (W). Copying a region onto itself is a legal no-op on the data but
         still costs the cycles.
         """
         self._check_in_row(dst)
+        self._check_in_row(src)
         dsub = self.subarray(dst.subarray_id)
-        if isinstance(src, MemAddress):
-            self._check_in_row(src)
-            if src.bit_len != dst.bit_len:
-                raise SizeError("source and destination regions differ in length")
-            value = self.subarray(src.subarray_id).read_bits(
-                src.row, src.col_start, src.bit_len
-            )
-        else:
-            if src < 0 or src >> dst.bit_len:
-                raise SizeError("immediate does not fit the destination region")
-            value = src
+        if src.bit_len != dst.bit_len:
+            raise SizeError("source and destination regions differ in length")
+        value = self.subarray(src.subarray_id).read_bits(src.row, src.col_start, src.bit_len)
         dsub.write_bits(dst.row, dst.col_start, dst.bit_len, value)
 
     # ---- cmp -----------------------------------------------------------

@@ -127,22 +127,42 @@ def test_insert_cost_oracle_single_read():
     # row and 76 key rows, 304 keys and so 304 buckets, one per key slot,
     # in the one group. CGTGT hashes to bucket 212, GTGTG to 221, TGTGC to
     # 8 and GTGCA to 270:
-    # every key finds its bucket empty and compares against nothing, and
-    # takes the least-filled column, so the four fill key row 0 in
-    # first-seen order. Each is staged under key row 0 until the read
-    # ends, and then the four go in together from their query bits, one
-    # masked write of row 0 (1 W, no read; one write per key took 4 W).
-    # The stage ends with one masked write of counter plane 0 that starts
-    # all four counters, which share stripe 0, at one:
+    # every key finds its bucket empty and takes the least-filled column,
+    # so the four fill key row 0 in first-seen order. A key into an empty
+    # bucket fills no column of an image, so all four join the read's
+    # first batch, whose image then fills no column: it is not probed,
+    # writes no image and compares nothing. Its four new keys go in
+    # together from their query bits, one masked write of row 0 (1 W, no
+    # read; one write per key took 4 W). The stage ends with one masked
+    # write of counter plane 0 that starts all four counters, which share
+    # stripe 0, at one:
     #   W = 1 row write + 1 seed = 2,  R = 0,  C_ADD = DPU = 0.
     asm = BucketRecorder(rows=128, cols=64)
     table = asm.build_kmer_table([E("CGTGTGCA")], 5)
     assert table.buckets == table.layout.capacity == 304
     assert [bucket_of(table, key) for key in table.keys] == [212, 221, 8, 270]
     assert table.slots == [(0, 0), (0, 1), (0, 2), (0, 3)]
-    assert table.batches == table.compares == 0
+    assert table.batches == table.compares == 0 and asm.probed == []
     assert asm.written == [(0, 0, [0, 1, 2, 3])] and table.insert_writes == 1
     assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 2, tr.C_ADD: 0, tr.DPU: 0}
+    # A second read, ACGTCA, after it: ACGTC is a miss into GTGTG's bucket
+    # 221, of column 1, so it first-fits into the read's first batch,
+    # imaged in column 1, and takes that column's next row: key row 1,
+    # key index 5. CGTCA hashes to bucket 14, empty, so it fills no column
+    # and joins the same batch; it takes the least-filled column, 0 (fills
+    # 1, 2, 1, 1), at key row 1 too: key index 4. The batch writes its
+    # image (1 W) and compares ACGTC against bucket 221's one row (1 C_ADD,
+    # 1 DPU), which does not match; then both new keys of row 1 go in with
+    # one masked write (1 W), where a key staged into an empty bucket
+    # before the batch, and the miss after it, took two:
+    #   W = 2 row writes + 1 image + 1 seed = 4,  R = 0,  C_ADD = DPU = 1.
+    asm = BucketRecorder(rows=128, cols=64)
+    table = asm.build_kmer_table([E("CGTGTGCA"), E("ACGTCA")], 5)
+    assert [bucket_of(table, key) for key in table.keys[4:]] == [221, 14]
+    assert table.slots[4:] == [(0, 5), (0, 4)]
+    assert asm.probed == [[(E("ACGTC").bits, 0b0010, 5), (E("CGTCA").bits, 0, 4)]]
+    assert asm.written == [(0, 0, [0, 1, 2, 3]), (0, 1, [5, 4])] and table.insert_writes == 2
+    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 4, tr.C_ADD: 1, tr.DPU: 1}
 
 
 def test_miss_cost_is_one_compare_per_occupied_row():
@@ -185,21 +205,27 @@ def test_an_all_miss_stage_costs_follow_its_bucket_loads():
     # 96 distinct keys and every query is a miss. On 128 x 64 at k=5 the
     # one group has 304 buckets, one per key slot, and the keys load 65 of
     # them with one key, 14 with two and 1 with three. A bucket's first key
-    # finds it empty, needs no image and no compare, and is staged until
-    # its read ends. Each later key joins a batch of its read and compares
-    # the rows of its bucket's earlier keys, one C_ADD and one DPU each (no
-    # two members of a batch share a row here): 14 * 1 + 1 * (1 + 2) = 17
-    # rows. Those 14 + 2 = 16 misses pack first-fit into 11 batches, one
-    # image write each. A read's 16 new keys fill 4 key rows of 4 slots in
-    # first-seen order, and its staged keys go in at its end, one masked
-    # write per key row: the 80 first keys take 4 writes in each of the 6
-    # reads, 24. A batch's misses go in once it has compared, one masked
-    # write per key row: one batch puts three in one row and another two,
-    # so the 16 take 14. The keys take key indices 0..95, two counter
-    # stripes of 64, so the stage ends with two seed writes, and with no
-    # hit adds nothing:
-    #   W = 24 + 14 row writes + 11 images + 2 seeds = 51,
+    # finds it empty and fills no column of an image, so it joins its
+    # read's first batch. Each later key fills its bucket's columns and
+    # compares the rows of its bucket's earlier keys, one C_ADD and one
+    # DPU each (no two members of a batch share a row here): 14 * 1 + 1 *
+    # (1 + 2) = 17 rows. Those 14 + 2 = 16 misses pack first-fit into 11
+    # batches, one image write each. The first two reads' first batches
+    # hold only first keys, so they fill no column and are not probed; the
+    # other four reads' first batches are among the 11, so the probed
+    # batches also hold 12 + 13 + 8 + 15 = 48 first keys. A batch's new
+    # keys go in once it has compared, or when it would have, one masked
+    # write per key row. The six first batches put their 80 first keys and
+    # 7 of the misses in 4 rows each, but 5 in the fourth read, whose keys
+    # reach rows 11 to 15: 25 writes. The 9 misses of later batches take
+    # 8, since one batch puts two in one row. The keys take key indices
+    # 0..95, two counter stripes of 64, so the stage ends with two seed
+    # writes, and with no hit adds nothing:
+    #   W = 25 + 8 row writes + 11 images + 2 seeds = 46,
     #   C_ADD = DPU = 17,  R = 0.
+    # Staging each first key until its read's end took 24 + 14 row writes,
+    # W = 51: the first keys' rows and a batch's misses' rows were
+    # written apart.
     # One write per key took W = 96 + 11 + 2 = 109. At one bucket per two
     # key slots (152) the loads were 47, 20 and 3, so 26 misses compared
     # 20 * 1 + 3 * 3 = 29 rows in 13 batches: W = 111.
@@ -211,10 +237,11 @@ def test_an_all_miss_stage_costs_follow_its_bucket_loads():
     loads = Counter(Counter(bucket_of(table, key) for key in table.keys).values())
     assert loads == {1: 65, 2: 14, 3: 1}
     assert table.compares == sum(n * (n - 1) // 2 * m for n, m in loads.items()) == 17
-    assert sum(len(batch) for batch in asm.probed) == 16 and table.batches == 11
+    assert sum(1 for batch in asm.probed for _, cols, _ in batch if cols) == 16
+    assert sum(len(batch) for batch in asm.probed) == 16 + 48 and table.batches == 11
     assert max(key_i for _, key_i in table.slots) == 95
-    assert table.insert_writes == len(asm.written) == 24 + 14
-    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 51, tr.C_ADD: 17, tr.DPU: 17}
+    assert table.insert_writes == len(asm.written) == 25 + 8
+    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 46, tr.C_ADD: 17, tr.DPU: 17}
 
 
 @pytest.mark.parametrize("length, k, read_len, stride", [(100, 5, 20, 16), (400, 8, 30, 24)])
@@ -222,11 +249,11 @@ def test_an_all_miss_stage_logs_at_most_slots_queries_per_image_write(
     length, k, read_len, stride, caplog
 ):
     # Every k-mer read once, so every query is a miss. A batch's members
-    # fill disjoint columns of its image, so a batch holds at most `slots`
-    # queries; a first miss into an empty bucket joins no batch and writes
-    # no image. The log line divides only the queries that joined a batch
-    # by the image writes: on the 96 keys above, 16 over 11 batches, 1.45,
-    # where all 96 over 11 would read 8.73 with 4 slots.
+    # fill disjoint columns of its image, so a batch images at most `slots`
+    # queries; a first miss into an empty bucket fills no column. The log
+    # line divides only the queries that fill a column by the image writes:
+    # on the 96 keys above, 16 over 11 batches, 1.45, where all 96 over 11
+    # would read 8.73 with 4 slots.
     genome = distinct_window_genome(length, k, random.Random(0))
     raw = [genome[i : i + read_len] for i in range(0, length - read_len + 1, stride)]
     caplog.clear()
@@ -260,16 +287,17 @@ def test_a_hit_compares_its_bucket_rows_newest_first():
 
 def test_repeat_cost_oracle():
     # AAA observed three times in one read: its key goes into its empty
-    # bucket with no image and no compare, staged until the read ends and
-    # then written from the query bits (1 W) before any batch probes. Two
-    # hits follow. Their bucket has no written row yet, so each packs
-    # first-fit; the second needs the first's column and must come after
-    # its bucket's last batch anyway, so the two take two batches, which
-    # run in order after the key's write, each comparing the key's one row
-    # (1 C_ADD, 1 DPU). The first writes its image into a temp row (1 W);
-    # the second's image is the same, AAA in the same column, so it
-    # compares against that row and writes none (first-fit batches with
-    # one temp row wrote both: W 6).
+    # bucket at key row 0 and fills no column, so it joins the read's first
+    # batch, which is not probed: no image, no compare. The key is written
+    # from the query bits (1 W) when that batch would have compared. Two
+    # hits follow, each keyed by its bucket's newest placed key row, 0.
+    # Each must come after its bucket's last batch, so the first opens a
+    # second batch for row 0 and the second a third, which run in order
+    # after the key's write, each comparing the key's one row (1 C_ADD, 1
+    # DPU). The first writes its image into a temp row (1 W); the second's
+    # image is the same, AAA in the same column, so it compares against
+    # that row and writes none (first-fit batches with one temp row wrote
+    # both: W 6).
     # A k-mer repeated in one read is inserted once. The stage ends with
     # one seed write of counter plane 0 (1 W), then adds the pending +2.
     # 2 has one set bit, so it is one +1 at plane 1 of the key's 8-bit
@@ -282,16 +310,17 @@ def test_repeat_cost_oracle():
     table = asm.build_kmer_table([E("AAAAA")], 3)
     assert asm.written == [(0, 0, [0])] and table.distinct() == 1
     assert (table.batches, table.image_writes, table.compares) == (2, 1, 2)
-    assert table.staged_hits == 2
     assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 5, tr.C_ADD: 3, tr.DPU: 3}
     assert table.frequencies()[E("AAA")] == 3
 
 
-def test_a_hit_on_a_staged_key_is_probed_after_its_row_write():
+def test_a_hit_on_a_key_placed_in_its_read_follows_the_batch_that_placed_it():
     # ACGTACGT at k=4: every bucket starts empty, so the first four k-mers
-    # are staged, and ACGT comes back as the read's last k-mer. Its bucket
-    # has no written row yet, so the hit packs first-fit, alone in the
-    # read's one batch, which probes after the staged keys' row write: it
+    # are new keys that fill no column, and all join the read's first
+    # batch, which is not probed; ACGT comes back as the read's last k-mer.
+    # The hit is keyed by its bucket's newest placed key row, 0, and must
+    # come after its bucket's last batch, the first, so it opens a second
+    # batch, alone. That batch probes after the first batch's row write: it
     # finds the key, and ACGT counts 2. Had it probed before the write,
     # its compare would find no key and raise.
     asm = BucketRecorder(rows=128, cols=64)
@@ -299,7 +328,7 @@ def test_a_hit_on_a_staged_key_is_probed_after_its_row_write():
     assert [key.to_str() for key in table.keys] == ["ACGT", "CGTA", "GTAC", "TACG"]
     assert asm.written == [(0, 0, [0, 1, 2, 3])]
     assert asm.probed == [[(E("ACGT").bits, 0b0001, None)]]
-    assert table.staged_hits == 1 and table.compares == 1
+    assert table.batches == table.compares == 1
     assert table.frequencies()[E("ACGT")] == 2
 
 
@@ -697,8 +726,8 @@ self_repeating_reads = st.lists(
 def test_packed_newest_first_probes_count_like_a_host_counter(reads, rows, cols, k):
     # 21 to 40 rows of 16 to 64 columns: 1 to 16 slots per key row and 1 to
     # 20 key rows, so columns fill inside a read and keys move to new ones.
-    # Each read's hits on written keys join the batch for their bucket's
-    # newest key row, its other queries pack first-fit, and a hit scans
+    # Each read's hits join the batch for their bucket's newest placed key
+    # row, its misses pack first-fit, and a hit scans
     # newest first; the counts match a host Counter, every key is written
     # once, and no batch images two members into one column, leaves a
     # column a member reads out of its image or holds its image in a key
@@ -706,9 +735,9 @@ def test_packed_newest_first_probes_count_like_a_host_counter(reads, rows, cols,
     # first example is a read in which a miss would first-fit into a batch
     # before its bucket's row-keyed hit, had a query not to join a batch
     # after its bucket's last one: the hit's image would then leave out the
-    # new key's column. The second holds ACGT twice, its first copy staged
-    # into an empty bucket, so its second copy is a hit probed after the
-    # staged key's row write. In the third, at 34 x 16 and k=2 (4 slots, 6
+    # new key's column. The second holds ACGT twice, its first copy a new
+    # key into an empty bucket, so its second copy is a hit probed after
+    # the batch that writes that key. In the third, at 34 x 16 and k=2 (4 slots, 6
     # key rows), the first two reads fill no column past key row 2 and
     # leave images in the 8 temp rows and in key rows 5 to 3; TT, new to a
     # bucket of column 0, then goes into row 3, which drops that row's
@@ -905,12 +934,15 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
     # free key row holds it already, and compares the union of its
     # members' rows, newest first down to each key's, one C_ADD plus one
     # DPU per row, so the probes' C_ADD equals their DPU. The 108 hits take
-    # 43 batches at width 4 and 40 at width 8, 41 and 36 of them writing an
+    # 43 batches at width 4 and 40 at width 8, 36 and 32 of them writing an
     # image, and compare 60 and 53 rows. The read's 97 keys reach key row
     # 24, so the group's 8 temp rows and its 51 free key rows (75 down to
-    # 25) hold every image the two copies write (48 and 44 at most), and
-    # none is evicted: the second copy finds 2 and 4 of its images held,
-    # where the 8 temp rows alone kept 0 and 1. Every key goes in during
+    # 25) hold every image the two copies write (45 and 43 at most), and
+    # none is evicted: the second copy finds 7 and 8 of its images held
+    # among the first copy's 9 and 11. (While the first copy's hits on its
+    # own keys into empty buckets packed first-fit, it wrote 7 and 8
+    # images, and the second copy found 2 and 4 of its images held; the 8
+    # temp rows alone kept 0 and 1.) Every key goes in during
     # the first copy, so the copies' W differ by the image writes and the
     # adds alone. First-fit batches, whose members' keys sat
     # in different rows, took 28 at either width, one more than 108 / 4,
@@ -970,9 +1002,9 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
     batches = tables[1].batches - tables[0].batches
     images = tables[1].image_writes - tables[0].image_writes
     assert sum(occurrences.values()) == 108
-    assert (batches, images) == {4: (43, 41), 8: (40, 36)}[width]
-    assert tables[1].image_rows_held == {4: 48, 8: 44}[width]
-    assert tables[0].staged_hits == tables[1].staged_hits == 11
+    assert (batches, images) == {4: (43, 36), 8: (40, 32)}[width]
+    assert tables[0].image_writes == tables[0].batches == {4: 9, 8: 11}[width]
+    assert tables[1].image_rows_held == {4: 45, 8: 43}[width]
     probe_dpu = b[tr.DPU] - a[tr.DPU] - 2 * 2
     assert probe_dpu == tables[1].compares - tables[0].compares == {4: 60, 8: 53}[width]
     assert b[tr.R] == a[tr.R]
@@ -2842,21 +2874,22 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #   hashmap        752,476 queries, 9,976 distinct keys in 3 groups of
 #                  3,568 buckets, one per key slot (fill 3,250, 3,379,
 #                  3,347; 0.93 keys per bucket), 3 sub-arrays.
-#     The 6,503 first misses into an empty bucket write no image and join
-#     no batch; each read stages them and writes them at its end, one
-#     masked write per (group, key row): 6,446 row writes. The other
-#     745,973 queries run in 229,632 batches of up to 4 (3.25 per batch):
-#     a hit on a written key joins its read's batch for its bucket's
-#     newest key row, and any other query the first of its read's batches
-#     it fits. A hit compares its bucket's rows newest first, down to its
-#     key's, and a miss all of them: 236,585 rows in all (1.03 per batch,
-#     0.31 per query). A batch's misses go in once it has compared, one
-#     masked write per key row: no batch holds two misses of one key row,
-#     so the 3,473 take 3,473 writes. No read holds a k-mer twice, so no
-#     hit finds its key still staged. Each group keeps its images in its 8
-#     temp rows and in the key rows above its fullest column, up to 784 in
-#     one group at once, so 210,600 batches find their image held and only
-#     19,032 write one. Each key's counter sits at its key index, and the
+#     The 6,503 first misses into an empty bucket fill no image column, so
+#     each joins its read's first batch in its group. In each group the
+#     first read's first batch holds only such keys, so those 3 batches
+#     are not probed, and their 76 keys go in with 19 row writes. The
+#     other 745,973 queries fill image columns, up to 4 per batch (3.25
+#     per batch), in 229,632 batches, which also hold the other 6,427
+#     first keys: a hit joins its read's batch for its bucket's newest
+#     placed key row, and a miss the first of its read's batches it fits.
+#     A hit compares its bucket's rows newest first, down to its key's,
+#     and a miss all of them: 236,585 rows in all (1.03 per batch, 0.31
+#     per query). A batch's new keys go in once it has compared, one
+#     masked write per key row: no probed batch holds two new keys of one
+#     key row, so the 6,427 + 3,473 take 9,900 writes. Each group keeps
+#     its images in its 8 temp rows and in the key rows above its fullest
+#     column, up to 784 in one group at once, so 210,600 batches find
+#     their image held and only 19,032 write one. Each key's counter sits at its key index, and the
 #     groups' highest key indices are 3,251, 3,382 and 3,348, so the
 #     counters fill 13 + 14 + 14 = 41 stripes of 256. After the last read
 #     one seed write per (sub-array, counter stripe) starts them all, 41
@@ -2871,7 +2904,7 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #     adds. No counter passes 76, so each add stops at its last carry
 #     plane: 41 at plane 1, 42 at 2, 42 at 3, 9 at 4, 8 at 5 and 42 at 6,
 #     282 planes of 1 C_ADD + 2 W + 1 DPU each.
-#     W  19,032 image writes, 6,446 + 3,473 = 9,919 key row
+#     W  19,032 image writes, 19 + 9,900 = 9,919 key row
 #        writes, 41 counter-seed writes, and the adds' 2 * 282
 #                                                            =    29,556
 #     DPU one per compared row (236,585) + 282               =   236,867
@@ -2980,6 +3013,10 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 # well as in its 8 temp rows, least recently used first: image writes
 # 82,259 -> 19,032; every compare still runs. 1,396,169 -> 1,105,957
 # modeled ns, RUR 0.6763 -> 0.8538, sub-arrays 5.
+# Writing each key into an empty bucket with its read's first batch's new
+# keys, not staged before the read's batches: each read sees about one new
+# key, so every row write keeps its keys and nothing moves. 1,105,957
+# modeled ns, RUR 0.8538, sub-arrays 5.
 CANONICAL_TRACE = [
     ("io", "XFER", 250_025),
     ("hashmap", "W", 29_556),

@@ -27,26 +27,10 @@ def deltas(trace, kinds):
     return {k: trace.total(k) for k in kinds}
 
 
-def test_mem_insert_immediate_round_trip():
-    m, sid = make_machine()
-    dst = MemAddress(sid, row=3, col_start=2, bit_len=10)
-    m.mem_insert(dst, 0b1011001101)
-    assert m.subarray(sid).read_bits(3, 2, 10) == 0b1011001101
-
-
-def test_mem_insert_immediate_costs_writes_only():
-    m, sid = make_machine(cols=16)
-    before = deltas(m.trace, (R, W))
-    m.mem_insert(MemAddress(sid, 0, 0, 16), 0)  # a whole row
-    m.mem_insert(MemAddress(sid, 1, 4, 8), 0xA5)  # part of one
-    assert m.trace.total(W) - before[W] == 2
-    assert m.trace.total(R) - before[R] == 0
-
-
 def test_mem_insert_memory_source_reads_then_writes():
     m, sid = make_machine(cols=16)
     value = 0x9F3A
-    m.mem_insert(MemAddress(sid, 0, 0, 16), value)
+    m.subarray(sid).write_bits(0, 0, 16, value)
     before = deltas(m.trace, (R, W))
     m.mem_insert(MemAddress(sid, 8, 0, 16), MemAddress(sid, 0, 0, 16))
     after = deltas(m.trace, (R, W))
@@ -61,17 +45,13 @@ def test_mem_insert_memory_source_reads_then_writes():
 def test_mem_insert_copies_across_subarrays():
     m, sid = make_machine()
     other = m.new_subarray()
-    m.mem_insert(MemAddress(sid, 1, 0, 12), 0xABC)
+    m.subarray(sid).write_bits(1, 0, 12, 0xABC)
     m.mem_insert(MemAddress(other, 5, 0, 12), MemAddress(sid, 1, 0, 12))
     assert m.subarray(other).read_bits(5, 0, 12) == 0xABC
 
 
 def test_mem_insert_rejects_bad_shapes():
     m, sid = make_machine(cols=16)
-    with pytest.raises(SizeError):
-        m.mem_insert(MemAddress(sid, 0, 0, 4), 16)  # immediate wider than the region
-    with pytest.raises(SizeError):
-        m.mem_insert(MemAddress(sid, 0, 0, 4), -1)
     with pytest.raises(SizeError):
         m.mem_insert(MemAddress(sid, 0, 0, 8), MemAddress(sid, 1, 0, 4))
     with pytest.raises(SizeError):
@@ -86,24 +66,25 @@ def test_a_region_past_its_row_raises_size_error():
     past = MemAddress(sid, 0, 5, 12)
     inside = MemAddress(sid, 1, 4, 12)
     with pytest.raises(SizeError, match="runs past its 16-column row"):
-        m.mem_insert(past, 0)
+        m.mem_insert(past, MemAddress(sid, 1, 0, 12))
     with pytest.raises(SizeError, match="runs past"):
         m.mem_insert(MemAddress(sid, 2, 0, 12), past)
     with pytest.raises(SizeError, match="runs past"):
         m.cmp(past, MemAddress(sid, 1, 5, 12))
     with pytest.raises(SizeError, match="runs past"):
-        m.mem_insert(MemAddress(sid, 0, 0, 17), 0)
+        m.mem_insert(MemAddress(sid, 0, 0, 17), MemAddress(sid, 1, 0, 17))
     assert m.trace.total() == 0
     # a region that ends at the row's last column is whole
-    m.mem_insert(inside, 0xFFF)
+    m.subarray(sid).write_bits(2, 0, 12, 0xFFF)
+    m.mem_insert(inside, MemAddress(sid, 2, 0, 12))
     assert m.subarray(sid).read_row(1) == 0xFFF << 4
 
 
 def test_cmp_reports_equality_and_mask():
     m, sid = make_machine(cols=32)
     value = 0b10101100111100010101  # 20 bits from column 6
-    m.mem_insert(MemAddress(sid, 0, 6, 20), value)
-    m.mem_insert(MemAddress(sid, 4, 6, 20), value)
+    m.subarray(sid).write_bits(0, 6, 20, value)
+    m.subarray(sid).write_bits(4, 6, 20, value)
     res = m.cmp(MemAddress(sid, 0, 6, 20), MemAddress(sid, 4, 6, 20))
     assert res.equal
     assert res.mask == (1 << 20) - 1
@@ -121,8 +102,6 @@ def test_cmp_reports_equality_and_mask():
 
 def test_cmp_cost_is_one_cycle_per_chunk_plus_one_dpu():
     m, sid = make_machine(cols=8)
-    m.mem_insert(MemAddress(sid, 0, 0, 8), 0)
-    m.mem_insert(MemAddress(sid, 4, 0, 8), 0)
     before = deltas(m.trace, (C_ADD, DPU))
     m.cmp(MemAddress(sid, 0, 0, 8), MemAddress(sid, 4, 0, 8))
     m.cmp(MemAddress(sid, 0, 3, 2), MemAddress(sid, 4, 3, 2))
