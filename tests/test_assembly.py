@@ -5,11 +5,13 @@ things at once: the returned values, the mirror/fabric consistency hooks
 (which raise instead of silently diverging), and the pinned cost events.
 """
 
+import importlib.util
 import itertools
 import logging
 import random
 import re
 from collections import Counter
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -3035,6 +3037,84 @@ def test_the_canonical_trace_is_pinned(canonical_run):
     asm = canonical_run["asm"]
     assert asm.trace.records() == CANONICAL_TRACE
     assert asm.machine.subarray_count == 5
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, loaded from its file and left unregistered."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The benchmark's three workloads at seed 1, simplify off, on the default
+# 1024 x 256 geometry: (trace records, sub-arrays, contigs). hub-euler's
+# 9,956 keys take 3 hash groups and its walk runs bridge tests between
+# hubs; sampled-repeats' 8 components retry at unit words and split into
+# 16 contigs. These records are what the benchmark's trace digest hashes.
+WORKLOAD_TRACES = {
+    "tiled-deep": (
+        [
+            ("io", "XFER", 22_775),
+            ("hashmap", "W", 2_652),
+            ("hashmap", "C_ADD", 19_365),
+            ("hashmap", "DPU", 19_365),
+            ("graph", "R", 32),
+            ("graph", "W", 28),
+            ("traverse", "DPU", 2_992),
+            ("traverse", "R", 144),
+            ("traverse", "W", 336),
+            ("traverse", "C_ADD", 136),
+        ],
+        2,
+        1,
+    ),
+    "hub-euler": (
+        [
+            ("io", "XFER", 5_770),
+            ("hashmap", "W", 6_211),
+            ("hashmap", "C_ADD", 4_629),
+            ("hashmap", "DPU", 4_629),
+            ("graph", "R", 320),
+            ("graph", "W", 39),
+            ("traverse", "DPU", 108_719),
+            ("traverse", "R", 420),
+            ("traverse", "W", 2_800),
+            ("traverse", "C_ADD", 1_127),
+        ],
+        4,
+        1,
+    ),
+    "sampled-repeats": (
+        [
+            ("io", "XFER", 9_150),
+            ("hashmap", "W", 6_831),
+            ("hashmap", "C_ADD", 8_191),
+            ("hashmap", "DPU", 8_191),
+            ("graph", "R", 192),
+            ("graph", "W", 92),
+            ("traverse", "DPU", 29_317),
+            ("traverse", "R", 552),
+            ("traverse", "W", 1_670),
+            ("traverse", "C_ADD", 672),
+        ],
+        3,
+        16,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(WORKLOAD_TRACES))
+def test_the_benchmark_workload_traces_are_pinned(name):
+    records, subarrays, contigs = WORKLOAD_TRACES[name]
+    workloads = _benchmark_workloads()
+    _, raw = workloads.WORKLOADS[name](random.Random(1))
+    asm = Assembler()
+    result = asm.assemble([E(r) for r in raw], workloads.K)
+    assert asm.trace.records() == records
+    assert asm.machine.subarray_count == subarrays
+    assert len(result.contigs) == contigs
 
 
 def test_subarray_budget_holds_in_every_stage():
