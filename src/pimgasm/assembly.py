@@ -78,13 +78,13 @@ merges unbranched chains on the host. A graph holds at most one fabric
 placement, `SparseGraph.store`, bound to the machine that wrote it: one
 vertical multiplicity word per edge, one word-high stripe per `cols`
 edges, plus the last find_start pass (its degree stripes and trail starts)
-until a walk consumes it. `Assembler._place` writes it once, for the graph
-the walk reads: build_graph's, or in the traverse stage one with no
-placement on the walking machine (a synthetic graph, or one another
-Assembler built). The traverse stage runs once over the whole graph: a
-component whose multiplicities admit no Euler path has its words
-rewritten to one in place, and a second degree pass, the same full pass
-on fresh rows, re-accumulates every node.
+until a walk consumes it. It is written once, for the graph the walk
+reads: by build_graph, or by find_start for a graph with no placement on
+the walking machine (a synthetic graph, or one another Assembler built).
+The traverse stage runs once over the whole graph: a component whose
+multiplicities admit no Euler path has its words rewritten to one in
+place, and a second degree pass, the same full pass on fresh rows,
+re-accumulates every node.
 
 The host keeps mirror bookkeeping (exact k-mer counts, the edge lists,
 remaining-multiplicity maps, the unitig index) so the simulation runs in
@@ -195,28 +195,22 @@ class SparseGraph:
 
 
 def weakly_connected_components(g: SparseGraph) -> list[list[int]]:
-    """Node id lists of the weak components, ordered by smallest member."""
-    und: dict[int, list[int]] = {i: [] for i in range(len(g.nodes))}
+    """Node id lists of the weak components, each ascending, ordered by
+    smallest member: a union-find over the edges."""
+    parent = list(range(len(g.nodes)))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
+
     for u, v in zip(g.edge_src, g.edge_dst):
-        und[u].append(v)
-        und[v].append(u)
-    seen: set[int] = set()
-    comps = []
-    for start in range(len(g.nodes)):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in und[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
+        parent[root(u)] = root(v)
+    comps: dict[int, list[int]] = {}
+    for x in range(len(parent)):
+        comps.setdefault(root(x), []).append(x)
+    return list(comps.values())
 
 
 @dataclass
@@ -245,11 +239,7 @@ def unitig_index(g: SparseGraph) -> Unitigs:
     each cut before the edge back to its lowest node.
     """
     n = len(g.nodes)
-    out_slots = [0] * n
-    in_slots = [0] * n
-    for u, v in zip(g.edge_src, g.edge_dst):
-        out_slots[u] += 1
-        in_slots[v] += 1
+    out_slots, in_slots = Counter(g.edge_src), Counter(g.edge_dst)
     succ = [-1] * n  # node -> its contractible out-edge
     has_prev = [False] * n
     for e, (u, v) in enumerate(zip(g.edge_src, g.edge_dst)):
@@ -356,37 +346,29 @@ class KmerTable:
         return len(self.keys)
 
     def frequencies(self) -> dict[EncodedSeq, int]:
-        """Counter values decoded from fabric bits.
+        """Counter values decoded from fabric bits, in key order.
 
-        Each sub-array's counter stripes are read up to the one that holds
-        its highest key index.
+        Each counter stripe is read once, the first time one of its keys
+        needs it.
         """
         lay = self.layout
-        top: dict[int, int] = {}  # sid -> highest key index
-        for sid, key_i in self.slots:
-            top[sid] = max(top.get(sid, 0), key_i)
         words: dict[tuple[int, int], list[int]] = {}  # (sid, stripe lsb) -> words
-        for sid, key_i in top.items():
-            stop = lay.counter_location(key_i)[0] + lay.value_width
-            for lsb in range(lay.value_rows.start, stop, lay.value_width):
-                words[sid, lsb] = self.machine.read_vwords(sid, lsb, lay.value_width)
         out: dict[EncodedSeq, int] = {}
         for key, (sid, key_i) in zip(self.keys, self.slots):
             lsb, col = lay.counter_location(key_i)
+            if (sid, lsb) not in words:
+                words[sid, lsb] = self.machine.read_vwords(sid, lsb, lay.value_width)
             out[key] = words[sid, lsb][col]
         return out
 
     def items(self):
-        freqs = self.frequencies()
-        for key in self.keys:
-            yield key, freqs[key]
+        return self.frequencies().items()
 
     def dump_tsv(self, path) -> None:
-        freqs = self.frequencies()
         with open(path, "w") as fh:
             fh.write("kmer\tfrequency\n")
-            for key in self.keys:
-                fh.write(f"{key.to_str()}\t{freqs[key]}\n")
+            for key, freq in self.frequencies().items():
+                fh.write(f"{key.to_str()}\t{freq}\n")
 
 
 class _Group:
@@ -428,33 +410,23 @@ class _Bucket:
 
     `col` is the column its next key goes to while that column has room,
     `row` the key row of its newest placed key, `cols` the mask of every
-    column a key of it is placed in, and `rows` its key rows, oldest first,
-    `own[i]` being the mask of the columns of rows[i] that hold its keys. A
-    key's column joins `cols` and its row becomes `row` when the key is
-    first seen, and its row joins `rows` once the key is written (`add`),
-    so `cols` may name a column whose key is not written yet. Rows are
-    shared: the other columns of a row hold other buckets' keys.
+    column a key of it is placed in, and `rows` maps each key row that
+    holds its written keys, oldest first, to the mask of that row's
+    columns that hold them. A key's column joins `cols` and its row becomes
+    `row` when the key is first seen, and its column joins `rows` once the
+    key is written, so `cols` may name a column whose key is not written
+    yet. Rows are shared: the other columns of a row hold other buckets'
+    keys, and a bucket of several columns can write two keys to one row.
     """
 
-    __slots__ = ("group", "col", "row", "cols", "rows", "own")
+    __slots__ = ("group", "col", "row", "cols", "rows")
 
     def __init__(self, group: _Group):
         self.group = group
         self.col = 0
         self.row = -1
         self.cols = 0
-        self.rows: list[int] = []
-        self.own: list[int] = []
-
-    def add(self, row: int, col: int) -> None:
-        """Record a written key at (row, col): in a row it already holds keys
-        in, which only a bucket of several columns can share, or in a new
-        last row."""
-        if row in self.rows:
-            self.own[self.rows.index(row)] |= 1 << col
-        else:
-            self.rows.append(row)
-            self.own.append(1 << col)
+        self.rows: dict[int, int] = {}  # key row -> its columns holding our keys
 
 
 class _Query(NamedTuple):
@@ -512,24 +484,25 @@ class _DegreePass:
 
 
 class _GraphStore:
-    """Fabric placement of one graph on one machine.
+    """Fabric placement of one graph on one machine, written when made.
 
     One width-bit multiplicity word per edge: edge e sits in column
     e % cols of stripe e // cols, where `stripes` lists each stripe's
-    (sub-array id, LSB row). `width` is the bit length of the largest value
-    in `mult`, which mirrors the values the words hold until a walk spends
-    them; every read, write and decrement moves that many planes. The store
-    also keeps the last find_start pass until a walk consumes it.
+    (sub-array id, LSB row), taken from the row bank when the store is
+    made and written with one write_vwords each. `width` is the bit length of the largest value in `mult`, which mirrors
+    the values the words hold until a walk spends them; every read, write
+    and decrement moves that many planes. The store also keeps the last
+    find_start pass until a walk consumes it.
     """
 
-    def __init__(
-        self, machine: Machine, stripes: list[tuple[int, int]], width: int, mult: list[int]
-    ):
-        self.machine = machine
-        self.stripes = stripes
-        self.width = width
-        self.mult = mult
+    def __init__(self, bank: _RowBank, mult: list[int]):
+        self.machine = bank.asm.machine
+        self.width = max(mult, default=1).bit_length()
+        cols = self.machine.cols
+        self.stripes = [bank.alloc(self.width) for _ in range(0, len(mult), cols)]
+        self.mult = list(mult)
         self.degree: _DegreePass | None = None
+        self.write(dict(enumerate(mult)))
 
     def read(self) -> list[int]:
         """Every edge's word from fabric: one read_vwords per stripe."""
@@ -935,7 +908,8 @@ class Assembler:
         for query, start in zip(keys, starts):
             if sub.cells[key_row] >> start & full != query.bits:
                 raise ConsistencyError("inserted key bits corrupted")
-            query.bucket.add(row, start // lay.pitch)
+            rows = query.bucket.rows
+            rows[row] = rows.get(row, 0) | 1 << start // lay.pitch
 
     def _probe(
         self, group: _Group, batch: list[_Query], lay: mapping.HashLayout
@@ -985,7 +959,7 @@ class Assembler:
         for query in batch:
             key_i = None
             bucket = query.bucket
-            for row, own in zip(reversed(bucket.rows), reversed(bucket.own)):
+            for row, own in reversed(bucket.rows.items()):
                 mask = masks.get(row)
                 if mask is None:
                     mask = masks[row] = m.cmp(temp, group.key_rows[row]).mask
@@ -1038,27 +1012,8 @@ class Assembler:
             log.info("graph: %d nodes, %d edges", len(g.nodes), g.edge_count)
             if self.simplify:
                 g = self.simplify_graph(g, label_rows)
-            g.store = self._place(g)
+            g.store = _GraphStore(self._bank, g.mult)
         return g
-
-    def _place(self, g: SparseGraph) -> _GraphStore:
-        """Place g on this machine: one multiplicity word per edge, as wide
-        as the largest multiplicity's bit length, one word-high stripe per
-        `cols` edges, each edge's word in its own column: one write_vwords
-        (width W) per stripe.
-        """
-        m = self.machine
-        width = max(g.mult, default=1).bit_length()
-        stripes = [self._bank.alloc(width) for _ in range(0, g.edge_count, m.cols)]
-        store = _GraphStore(m, stripes, width, list(g.mult))
-        store.write(dict(enumerate(g.mult)))
-        return store
-
-    def _ensure_store(self, g: SparseGraph) -> _GraphStore:
-        """g's placement on this machine, placing g first if it has none."""
-        if g.store is None or g.store.machine is not self.machine:
-            g.store = self._place(g)
-        return g.store
 
     # -- optional stage 2.5: chain merging --
 
@@ -1107,34 +1062,37 @@ class Assembler:
     def find_start(self, g: SparseGraph) -> list[int]:
         """Accumulate degrees column-parallel and return the trail starts.
 
-        Each node owns one column. The pass reads every multiplicity stripe
-        once and checks it against the mirror. One pass over each end list
-        groups the edges into waves by (stripe, rank), the rank being how
-        many edges of the same node came before; each wave's words are
-        staged into the stripe's staging words and added into the out/in
-        counter words, so a whole sub-array row of nodes advances per add.
-        The degree words are (largest degree + 1).bit_length() bits wide,
-        just enough for the start probe's in + 1. Each stripe of `cols`
-        nodes takes 3 * w_deg fresh rows from the assembler's row bank (its
-        out, in and staging words), rows never handed out before and so
-        still zero; the start probe forms in + 1 in the staging words, which
-        the accumulation no longer needs. Every pass is the same full pass:
-        a repeat one (after some words were rewritten, say) takes new
-        stripes after the last pass's and accumulates every node again. The
-        read-back and the start test cover every column: the test compares
-        out against in+1 with one compare cycle per bit plane, and an in + 1
-        that carries out raises ConsistencyError. The edge-unit total needs
-        no word of its own: it is the sum of the out-degree words. Any
-        degree sequence is accepted: the starts list every node once per
-        unit of outgoing surplus, in ascending order, from the host degree
-        lists the fabric planes were just checked against, so an Euler path
-        is the case of one start or none. The pass (its degree stripes and
-        starts) is stored as `g.store.degree`, where the next fleury call
-        walks it.
+        A graph with no placement on this machine is placed first: this is
+        the one place the walk places a graph. Each node owns one column.
+        The pass reads every multiplicity stripe once and checks it against
+        the mirror. One pass over each end list groups the edges into waves
+        by (stripe, rank), the rank being how many edges of the same node
+        came before; each wave's words are staged into the stripe's staging
+        words and added into the out/in counter words, so a whole sub-array
+        row of nodes advances per add. The degree words are
+        (largest degree + 1).bit_length() bits wide, just enough for the
+        start probe's in + 1. Each stripe of `cols` nodes takes 3 * w_deg
+        fresh rows from the assembler's row bank (its out, in and staging words), rows never
+        handed out before and so still zero; the start probe forms in + 1 in
+        the staging words, which the accumulation no longer needs. Every
+        pass is the same full pass: a repeat one (after some words were
+        rewritten, say) takes new stripes after the last pass's and
+        accumulates every node again. The read-back and the start test cover
+        every column: the test compares out against in+1 with one compare
+        cycle per bit plane, and an in + 1 that carries out raises
+        ConsistencyError. The edge-unit total needs no word of its own: it
+        is the sum of the out-degree words. Any degree sequence is accepted:
+        the starts list every node once per unit of outgoing surplus, in
+        ascending order, from the host degree lists the fabric planes were
+        just checked against, so an Euler path is the case of one start or
+        none. The pass (its degree stripes and starts) is stored as
+        `g.store.degree`, where the next fleury call walks it.
         """
         m = self.machine
         with m.stage_scope(tr.STAGE_TRAVERSE):
-            store = self._ensure_store(g)
+            if g.store is None or g.store.machine is not m:
+                g.store = _GraphStore(self._bank, g.mult)
+            store = g.store
             words = store.read()
             for e, (val, want) in enumerate(zip(words, store.mult)):
                 if val != want:
@@ -1212,8 +1170,8 @@ class Assembler:
         """Cover every edge unit with trails, preferring non-bridge edges.
 
         The walk takes the degree pass stored on g's placement on this
-        machine, and runs find_start first when there is none. One trail
-        starts at each of the pass's starts, then one at the lowest node
+        machine, and runs find_start first whenever g has no pass there. One
+        trail starts at each of the pass's starts, then one at the lowest node
         still holding units, until every unit is spent; a trail ends at a
         node with no units left. The units are the values of the
         multiplicity words, so one call walks every component of g.
@@ -1245,10 +1203,10 @@ class Assembler:
         degree pass, so walking g again re-runs find_start, which raises
         ConsistencyError on the spent words.
         """
-        with self.machine.stage_scope(tr.STAGE_TRAVERSE):
-            store = self._ensure_store(g)
-        if store.degree is None:
+        store = g.store
+        if store is None or store.machine is not self.machine or store.degree is None:
             self.find_start(g)
+            store = g.store
         starts, store.degree = iter(store.degree.starts), None
         m = self.machine
         with m.stage_scope(tr.STAGE_TRAVERSE):

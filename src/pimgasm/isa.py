@@ -155,8 +155,6 @@ class Machine:
         a, b, init1 = sub._triple((src1.row, src2.row, sub.layout.init1_row))
         self.trace.emit(XOR3_CFG.cost_class, 1)
         # xor3 with the constant-1 row is XNOR2: bit set iff cells match.
-        # Parity does not use the majority amp, so a threshold fault leaves
-        # it unchanged.
         width = src1.bit_len
         mask = ((a ^ b ^ init1) >> src1.col_start) & ones(width)
         return CmpResult(self.dpu_and_reduce(mask, width), mask, width)
@@ -210,6 +208,18 @@ class Machine:
                     return 0
         return 0
 
+    def _batch(self, sid: int, cols: list[int]) -> tuple[SubArray, int]:
+        """sid's sub-array and the mask of a column batch, which must be a
+        non-empty set of distinct columns of its rows."""
+        if not cols or len(set(cols)) != len(cols):
+            raise ShapeError("batch needs a non-empty set of distinct columns")
+        sub = self.subarray(sid)
+        colmask = 0
+        for c in cols:
+            sub._check_col(c)
+            colmask |= 1 << c
+        return sub, colmask
+
     @staticmethod
     def _check_word_overlap(out: range, a: range, b: range) -> None:
         """out must alias an operand exactly or stay clear of both."""
@@ -233,11 +243,7 @@ class Machine:
         All words share the row structure; returns {col: overflow bit}.
         """
         cols = list(cols)
-        if not cols or len(set(cols)) != len(cols):
-            raise ShapeError("batch needs a non-empty set of distinct columns")
-        sub = self.subarray(sid)
-        for c in cols:
-            sub._check_col(c)
+        sub, colmask = self._batch(sid, cols)
         if a_lsb == b_lsb:
             raise AddressError("operands occupy the same rows")
         self._check_word_overlap(
@@ -245,9 +251,6 @@ class Machine:
             range(a_lsb, a_lsb + width),
             range(b_lsb, b_lsb + width),
         )
-        colmask = 0
-        for c in cols:
-            colmask |= 1 << c
         a_rows = range(a_lsb, a_lsb + width)
         b_rows = range(b_lsb, b_lsb + width)
         cy = self._add_planes(sub, a_rows, b_rows, out_lsb, width, colmask, width)
@@ -273,19 +276,13 @@ class Machine:
         needs the carry-out of every column.
         """
         cols = list(cols)
-        if not cols or len(set(cols)) != len(cols):
-            raise ShapeError("batch needs a non-empty set of distinct columns")
-        sub = self.subarray(sid)
+        sub, colmask = self._batch(sid, cols)
         const = constant & ones(width)
         layout = sub.layout
         b_rows = [
             layout.init1_row if (const >> i) & 1 else layout.init0_row
             for i in range(width)
         ]
-        colmask = 0
-        for c in cols:
-            sub._check_col(c)
-            colmask |= 1 << c
         a_rows = range(lsb, lsb + width)
         top = constant.bit_length() - 1 if constant > 0 else width
         cy = self._add_planes(sub, a_rows, b_rows, lsb, width, colmask, top)
@@ -300,16 +297,11 @@ class Machine:
         the cost is width W however many columns are listed; unlisted
         columns keep their cells.
         """
-        if not words:
-            raise ShapeError("write needs at least one column")
-        sub = self.subarray(sid)
-        colmask = 0
+        sub, colmask = self._batch(sid, list(words))
         planes = [0] * width
         for col, value in words.items():
-            sub._check_col(col)
             if value < 0 or value >> width:
                 raise SizeError("value does not fit word width")
-            colmask |= 1 << col
             for i in range(value.bit_length()):
                 if (value >> i) & 1:
                     planes[i] |= 1 << col
