@@ -196,10 +196,7 @@ def cmd_truthtable(args) -> int:
     parity), and any disagreement fails the command.
     """
     layout = RowLayout.default(16)
-    sub = SubArray(
-        rows=16, cols=8, layout=layout, op_trace=OpTrace(), subarray_id=0,
-        threshold_fault=args.inject_fault,
-    )
+    sub = SubArray(rows=16, cols=8, layout=layout, op_trace=OpTrace(), subarray_id=0)
     configs = [
         ("AND3", AND3_CFG),
         ("MAJ", MAJ_CFG),
@@ -276,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("truthtable", help="dump and self-check the sense logic")
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_truthtable)
     return ap
 

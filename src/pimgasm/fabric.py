@@ -173,7 +173,6 @@ class SubArray:
         layout: RowLayout | None = None,
         op_trace: tr.OpTrace | None = None,
         subarray_id: int = 0,
-        threshold_fault: bool = False,
     ) -> None:
         if rows < 8:
             raise ConfigError("sub-array needs at least 8 rows")
@@ -190,9 +189,6 @@ class SubArray:
         self.col_mask = ones(cols)
         self.cells = [0] * rows
         self.cells[self.layout.init1_row] = self.col_mask
-        # Test hook: a drifted threshold makes the majority amp trip at
-        # s >= 1, which the truth-table self check must catch.
-        self.threshold_fault = threshold_fault
 
     # ---- addressing checks -------------------------------------------
 
@@ -285,8 +281,6 @@ class SubArray:
         or3 = a | b | c
         and3 = a & b & c
         maj = (a & b) | (a & c) | (b & c)
-        if self.threshold_fault:
-            maj = or3
         xor3 = a ^ b ^ c
         self.trace.emit(cfg.cost_class, 1)
         return SenseOutput(
@@ -304,8 +298,6 @@ class SubArray:
         """One-cycle full add over three rows: returns (sum, carry) planes."""
         a, b, c = self._triple(rows)
         maj = (a & b) | (a & c) | (b & c)
-        if self.threshold_fault:
-            maj = a | b | c
         self.trace.emit(tr.C_ADD, 1)
         return a ^ b ^ c, maj
 

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: files in, files out, exit codes."""
 
+import dataclasses
 import json
 import logging
 import tempfile
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from pimgasm.assembly import Assembler
 from pimgasm.cli import main
+from pimgasm.fabric import SubArray
 from pimgasm.seqio import encode_records, read_sequences
 
 SMALL = ["--rows", "128", "--cols", "64"]
@@ -345,8 +347,16 @@ def test_truthtable_self_check(capsys):
     assert "MISMATCH" not in out
 
 
-def test_truthtable_detects_injected_fault(capsys):
-    assert main(["truthtable", "--inject-fault"]) == 1
+def test_truthtable_detects_injected_fault(capsys, monkeypatch):
+    # a drifted threshold makes the majority amp trip at one 1-cell, not two
+    sense = SubArray.activate
+
+    def drifted(sub, rows, cfg):
+        out = sense(sub, rows, cfg)
+        return dataclasses.replace(out, maj=out.or3, min3=out.nor3)
+
+    monkeypatch.setattr(SubArray, "activate", drifted)
+    assert main(["truthtable"]) == 1
     captured = capsys.readouterr()
     assert "FAILED" in captured.err
     assert "MISMATCH" in captured.out

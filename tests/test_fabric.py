@@ -21,11 +21,8 @@ from pimgasm.fabric import (
 from pimgasm.trace import C_ADD, C_AND3, R, W, OpTrace
 
 
-def make_sub(rows=16, cols=8, fault=False):
-    return SubArray(
-        rows=rows, cols=cols, layout=RowLayout.default(rows),
-        op_trace=OpTrace(), subarray_id=0, threshold_fault=fault,
-    )
+def make_sub(rows=16, cols=8):
+    return SubArray(rows=rows, cols=cols, layout=RowLayout.default(rows), op_trace=OpTrace())
 
 
 def set_triple(sub, a, b, c, col=0):
@@ -155,27 +152,6 @@ def test_two_input_ops_via_init_rows(op):
             sub.write_cell(1, 0, b)
             got = sub.logic2(0, 1, op)
             assert got & 1 == oracle(a, b), op
-
-
-# threshold fault hook
-
-
-def test_threshold_fault_breaks_majority_only():
-    good = make_sub()
-    bad = make_sub(fault=True)
-    for pattern in range(8):
-        a, b, c = (pattern >> 2) & 1, (pattern >> 1) & 1, pattern & 1
-        set_triple(good, a, b, c)
-        set_triple(bad, a, b, c)
-        g = good.activate((0, 1, 2), XOR3_CFG)
-        f = bad.activate((0, 1, 2), XOR3_CFG)
-        assert f.bit("or3", 0) == g.bit("or3", 0)
-        assert f.bit("and3", 0) == g.bit("and3", 0)
-        assert f.bit("maj", 0) == g.bit("or3", 0)  # degraded threshold
-    patterns_differ = any(
-        (p.bit_count() >= 1) != (p.bit_count() >= 2) for p in range(8)
-    )
-    assert patterns_differ
 
 
 # row layout and write protection

@@ -109,15 +109,13 @@ def test_cmp_cost_is_one_cycle_per_chunk_plus_one_dpu():
     assert m.trace.total(DPU) - before[DPU] == 2
 
 
-@given(data=st.data(), cols=st.integers(min_value=1, max_value=80), fault=st.booleans())
+@given(data=st.data(), cols=st.integers(min_value=1, max_value=80))
 @settings(max_examples=80, deadline=None)
-def test_cmp_equals_a_sensed_xnor2_masked_to_its_span(data, cols, fault):
+def test_cmp_equals_a_sensed_xnor2_masked_to_its_span(data, cols):
     # cmp senses only the parity tap; the full activation of an XNOR2
-    # through logic2, then one AND-reduce, is its oracle. A threshold fault
-    # moves the majority tap, never parity, so it changes neither.
+    # through logic2, then one AND-reduce, is its oracle.
     m, sid = make_machine(rows=16, cols=cols)
     sub = m.subarray(sid)
-    sub.threshold_fault = fault
     row_a, row_b = data.draw(st.lists(st.integers(0, 9), min_size=2, max_size=2, unique=True))
     for row in (row_a, row_b):
         sub.cells[row] = data.draw(st.integers(0, (1 << cols) - 1))
