@@ -2165,6 +2165,52 @@ def test_weak_components():
     assert weakly_connected_components(SparseGraph()) == []
 
 
+def dfs_components(g):
+    """The weak components by depth-first search over an undirected
+    adjacency list, each sorted, in order of their smallest member."""
+    und = {i: [] for i in range(len(g.nodes))}
+    for u, v in zip(g.edge_src, g.edge_dst):
+        und[u].append(v)
+        und[v].append(u)
+    seen = set()
+    comps = []
+    for start in range(len(g.nodes)):
+        if start in seen:
+            continue
+        comp, stack = [start], [start]
+        seen.add(start)
+        while stack:
+            for v in und[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    comp.append(v)
+                    stack.append(v)
+        comps.append(sorted(comp))
+    return comps
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to 30 nodes, some touched by no edge, and up to 40 edges between
+    them, self-loops and parallel edges included."""
+    n = draw(st.integers(min_value=0, max_value=30))
+    node = st.integers(min_value=0, max_value=max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=40 if n else 0))
+    labels = [E("".join("ACGT"[i >> 2 * j & 3] for j in range(3))) for i in range(n)]
+    g = SparseGraph()
+    for label in labels:
+        g.node_id(label)
+    for u, v in pairs:
+        g.add_edge(labels[u], labels[v])
+    return g
+
+
+@given(g=multigraphs())
+@settings(max_examples=200, deadline=None)
+def test_union_find_components_equal_a_depth_first_search(g):
+    assert weakly_connected_components(g) == dfs_components(g)
+
+
 # ---- whole pipeline --------------------------------------------------------
 
 
