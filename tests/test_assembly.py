@@ -863,8 +863,9 @@ def test_each_key_counts_at_its_own_key_index():
     # columns filled unevenly (22, 21, 21, 21 keys; 22 each; 23, 20, 20,
     # 21), so their highest key indices are 84, 87 and 88 (keys reach the
     # third sub-array first, then the second). frequencies reads each
-    # sub-array's counter stripes up to the one that holds its highest key
-    # index, value_width R each: 88 // 64 + 1 = 2, 2 and 2 here.
+    # counter stripe that holds a key once, value_width R each. Every key
+    # row up to a group's fullest column's holds a key, so those are its
+    # stripes up to its highest key index: 88 // 64 + 1 = 2, 2 and 2 here.
     raw = tiled_reads(300)
     asm = BucketRecorder(rows=64, cols=64)
     table = asm.build_kmer_table([E(s) for s in raw], 5)
@@ -2440,415 +2441,81 @@ _UNIT_RUNG = (
     "to {}); retrying with unit multiplicities"
 )
 
-# Captured from the assembler as it was before a graph carried a single
-# fabric store; the store rewrite moved none of these values. Dropping the
-# global edge-unit counter moved only the traverse R, W and C_ADD rows (its
-# per-edge accumulation, read-back and per-unit decrements are gone).
-# Unit degrees leave an outgoing surplus of 2 per component, so each is
-# covered by two trails, one contig each; a single walk per component had
-# stopped at its first stranded node, after 89 and 90 of the 129 and 130
-# units, and the second trails walk the other 40 + 40 (+2,560 W, +1,280
-# C_ADD, +82 DPU, +80 R for the end checks, +26 XFER for the contigs).
-#
-# The traverse stage now runs once over the whole graph: one find_start,
-# the retried components' words rewritten to one in place (the same 8 W per
-# edge as the fresh unit words they replace), a second find_start on the
-# same degree region, one walk. Only the traverse rows and the sub-array
-# count move. Costs per degree sub-array and find_start pass: 9 DPU (8
-# plane compares, one controller op), 24 R (16 plane read-backs, 8 reads
-# copying in to tmp), 24 W and 16 C_ADD (the copy, the +1, the compares);
-# per occupancy-rank wave: 24 W and 8 C_ADD (8 staging writes, one 8-bit
-# add); clearing a reused region: 16 W per sub-array; a walk's end check:
-# 8 R per sub-array.
-# simplify off: the 129- and 130-node components each ran two passes over
-# their own 5 sub-arrays and placed a fresh 8-bit unit-word bank, 22
-# traverse sub-arrays; now both passes share one 9-sub-array region over
-# all 259 nodes. Component A's fifth sub-array held one node; now it is
-# shared with component B, so each pass runs 22 waves, not 11 + 12.
-#   sub-arrays  43 - 22 + 9                      =     30
-#   DPU      1,386 - 2 * 9                        =  1,368  (18 sub-array passes, not 20)
-#   R        8,848 - 2 * 24 - 8                   =  8,792  (one end check over 9, not two over 5)
-#   W       11,944 - 2 * 24 + 9 * 16 - 2 * 24    = 11,992
-#   C_ADD    4,832 - 2 * 16 - 2 * 8               =  4,784
-# simplify on: each of the two 4-node components of the merged graph was
-# host-placed (a label bank and a word bank), ran two one-sub-array passes
-# and placed a unit-word bank, 10 traverse sub-arrays; now one placement
-# and one region take 3. The two components share the region's one
-# sub-array, so each pass runs 4 waves, not 4 per component.
-#   sub-arrays  31 - 10 + 3                      =     24
-#   DPU         74 - 2 * 9                        =     56
-#   R          368 - 2 * 24 - 8                   =    312
-#   W          889 - 2 * 24 + 16 - 8 * 24        =    665
-#   C_ADD      320 - 2 * 16 - 8 * 8               =    224
-# Contigs and warnings are unchanged.
-#
-# One hash bucket per counter stripe: at 64 x 32 and k=11 a key row holds
-# one key and a sub-array 36 keys in 2 stripes, so the 259 distinct keys
-# take 8 groups of 2 buckets, not 8 one-group buckets. The hash stage keeps
-# its 10 sub-arrays (two groups chain, as two buckets did), and only the
-# hashmap W, C_ADD and DPU rows and graph R move, the same way with and
-# without simplify. With one key per row a miss compares every key already
-# in its bucket and a hit every key up to its own; halving the buckets
-# roughly halves both sums:
-#   misses (259)   4,227 -> 2,134 compares
-#   hits   (821)  13,820 -> 7,338 compares
-#   DPU   18,047 - 8,575 = 9,472;  C_ADD 24,615 - 8,575 = 16,040
-# A scan that reaches a bucket's second chain member stages the query
-# there once; such writes go 38 -> 65. A bucket that chains stages its
-# inserted key in the new sub-array: 2 buckets -> 4 (both buckets of both
-# chained groups).
-#   W     14,774 + 27 + 2 = 14,803
-# Graph R reads each hash sub-array's counters up to its highest key's
-# stripe (8 rows each): 4 sub-arrays held a key index of 32 or more, now 3.
-#   graph R  630 - 8 = 622 (simplify on: 889 - 8 = 881)
-#
-# One counter add per read and stripe: the 821 hits each cost an 8-bit
-# single-column add (16 W, 8 C_ADD); now each read ends with one add per
-# (sub-array, stripe, amount). No k-mer repeats inside a 30-base read, so
-# every amount is 1, and the 52 reads with hits (15 to 20 each) touch 6 to
-# 9 sub-array stripes: 382 adds in all. Only the hashmap W and C_ADD rows
-# move, the same way with and without simplify:
-#   W      14,803 - 16 * (821 - 382) = 7,779
-#   C_ADD  16,040 -  8 * (821 - 382) = 12,528
-#
-# Multiplicity words move a stripe at a time, and the walk spends each unit
-# once. A stripe holds 32 edges on 32 columns; each write_vwords or
-# read_vwords of it costs 8 W or 8 R, where each edge's word cost 8 on its
-# own. Only the graph W and traverse R, W and C_ADD rows move.
-# simplify off: 259 edges in 9 stripes, 259 nodes in 9 degree sub-arrays;
-# both components are retried, so the repeat pass redoes every node.
-#   graph W     2,590 - 259 * 8 + 9 * 8            =    590  (placement)
-#   R           8,792 - 2 * (2 * 259 * 8 - 9 * 8)  =    648  (each pass reads
-#                 every stripe once, not every word once per direction; the
-#                 end check reads 9 stripes, not 9 out-degree planes, 72 R both)
-#   W          11,992 - (259 * 8 - 9 * 8) - 259 * 16 = 5,848  (retry rewrite per
-#                 stripe; each of the 259 walked units no longer decrements
-#                 an out-degree word)
-#   C_ADD       4,784 - 259 * 8                    =  2,712
-# simplify on: the traverse stage host-places the 8-edge merged graph in one
-# stripe, rewrites it once and walks 8 units; the end check reads 1 stripe,
-# not 1 out-degree plane, 8 R both.
-#   W             665 - (64 - 8) - (64 - 8) - 8 * 16 =  425
-#   R             312 - 2 * (2 * 8 * 8 - 8)          =   72
-#   C_ADD         224 - 8 * 8                        =  160
-#
-# One label row per node: build_graph copied two label rows per edge (the
-# key's prefix and suffix, 1 R + 1 W each) and now copies each node's label
-# once, from the key where the node first appears. The 259 edges span 259
-# nodes, and a 64-row sub-array has 58 data rows. Only the graph R and W
-# rows and the sub-array count move, the same way with and without
-# simplify (which reads one label row per merged member, as before).
-#   graph R     622 - 2 * 259 + 259 =  363  (104 counter-stripe reads stay;
-#                 simplify on: 881 - 259 = 622)
-#   graph W     590 - 2 * 259 + 259 =  331  (the 9 stripes' 72 W stay)
-#   sub-arrays  label rows 518 -> 259: ceil(518 / 58) = 9 -> ceil(259 / 58)
-#                 = 5, so 30 -> 26 (simplify on: 24 -> 20)
-#
-# Words sized to their values, and one early-exit search per bridge test.
-# The largest count is 8, so the 9 multiplicity stripes are 4 bits wide,
-# not the counters' 8. The retry rewrites every word to one, and the store
-# narrows to 1 bit. Degree words are (largest degree + 1).bit_length() bits:
-# 4 in the first pass (largest degree 8), 2 in the second (largest 2), not
-# 8 both times. The width changes, so the second pass still redoes every
-# node, 22 waves each as before. Per degree sub-array and pass of d-bit
-# words: 3d R, 3d W, 2d C_ADD, d + 1 DPU for the read-back and the probe;
-# per wave 3d W and d C_ADD; clearing 2d W. simplify off:
-#   graph W      259 labels + 9 stripes * 4 rows          =   295
-#   sub-arrays   the word stripes take 36 rows, not 72: one sub-array of 58
-#                  data rows, not two, so 26 -> 25 (simplify on: 20 -> 19)
-#   R     pass 1: 9 * 4 stripe + 9 * 12 = 144; pass 2: 9 * 1 + 9 * 6 = 63;
-#         end check 9 * 1 = 9                              =   216
-#   W     pass 1: 9 * 12 + 22 * 12 = 372; retry rewrite at 4 bits 9 * 4 =
-#         36; pass 2: 9 * 4 clear + 9 * 6 + 22 * 6 = 222; 259 units * 2 W
-#         = 518                                            = 1,148
-#   C_ADD pass 1: 9 * 8 + 22 * 4 = 160; pass 2: 9 * 4 + 22 * 2 = 80;
-#         259 units * 1                                    =   499
-#   DPU   the probe compares 9 * (8 - 4) + 9 * (8 - 2) = 90 fewer. The walk
-#         tests four candidates, each of them a bridge, so the search never
-#         meets the edge's head and visits exactly the 41, 30, 41 and 31
-#         nodes the old second reach pass did; the first pass's 70, 70, 71
-#         and 71 are gone: 1,368 - 90 - 282               =   996
-# simplify on: the traverse stage host-places the 8 merged edges of
-# multiplicity 4 in one 3-bit stripe (3 W, not 8), rewrites it at 3 bits
-# and narrows it to 1; one degree sub-array, 4 waves per pass.
-#   W     25 labels + 3 + (12 + 4 * 12) + 3 + (4 + 6 + 4 * 6) + 8 * 2 = 141
-#   R     (3 + 12) + (1 + 6) + 1                           =    23
-#   C_ADD (8 + 4 * 4) + (4 + 4 * 2) + 8                    =    44
-#   DPU   56 - (8 - 4) - (8 - 2) - 6: two tests, each a bridge, search the
-#         3 nodes left, where 4 reach passes visited 3 each =   40
-#
-# The bucket directory sized from the pre-scan: its rungs are stripes *
-# slots, stripes * slots / 2, ... down to stripes. At 64 x 32 and k=11 the
-# 22-bit key takes a 32-column pitch, one slot per row, so the only rung is
-# stripes itself: 8 groups of 2 buckets as before, and no row moves.
-#
-# Inserts write the key from the query bits, a read seeds its new counters
-# with one write per (sub-array, counter stripe), and placement copies each
-# key row once. Each of the 259 inserts used to cost a copy out of the temp
-# row (1 R + 1 W) and a one-cell counter write (1 W), plus a staging write
-# of the temp row when the scan had not left the query in the target
-# sub-array: the 16 buckets' first keys and the 4 inserts that chained.
-# Now an insert is 1 W, and the 46 reads that insert keys end with 184
-# seed writes, since one key per row spreads a read's new keys over 4
-# (sub-array, stripe) pairs on average. The hashmap R row goes away:
-#   hashmap W   7,779 - 259 * (1 + 1) - 20 + 259 + 184 = 7,684
-#   hashmap R   259 -> 0
-# With one key per row, a copy brings two new nodes only for each
-# component's first key, so the 259 nodes need 257 copies. The label bank
-# takes 257 rows, ceil(257 / 58) = 5 sub-arrays as before:
-#   graph R     363 - 2 = 361  (simplify on: 622 - 2 = 620)
-#   graph W     295 - 2 = 293  (both ways)
-#
-# Every hash group is one sub-array. The rungs are 32, 16, 8, 4 and 2
-# buckets per group (one key per row, 36 key rows, 2 counter stripes). At
-# 8 groups none fits: the fullest group needs 37 rows at 32 and 50 at 2,
-# where 2 of the 8 groups chained. 9 groups of 2 buckets fit (36 rows in
-# the fullest), so the hash stage takes 9 sub-arrays, not 10. Both ways:
-#   hashmap W     7,684 - 65 (no scan reaches a second sub-array) - 2 (two
-#                 more empty buckets, whose first miss writes no temp row)
-#                 + 6 (seed writes 184 -> 190) + 16 * 4 (adds 382 -> 386)
-#                 = 7,687
-#   compare rows  9,472 -> 8,465 over 18 buckets, not 16:
-#   hashmap DPU   8,465;  C_ADD 8,465 + 8 * 386 = 11,553
-#   sub-arrays    25 -> 24 (simplify on: 19 -> 18)
-#
-# The walked graph is placed once. With simplify on, build_graph copies
-# the 259 labels (257 row copies, as with simplify off), merges chains on
-# the host, and writes multiplicity words for the 8 merged edges only, one
-# 3-bit stripe. The unmerged graph's 9 stripes of 4 bits go, and so does
-# the traverse stage's host placement (25 label W, 3 stripe W, a label and
-# a word sub-array). Merging reads each distinct label row of a merged
-# node once, not one row per node: the 259 nodes all sit in merged chains,
-# in 257 rows. The traverse stage now starts with find_start's stripe
-# read, so its R row comes before its W row.
-#   graph R       620 - 259 + 257 =  618
-#   graph W       293 - 9 * 4 + 3 =  260
-#   traverse W    141 - 25 - 3    =  113
-#   sub-arrays    18 - 2          =   16
-#
-# The walk spends its units per decision, and its bridge search crosses
-# intact chains in one step. Walked units wait until the walk stands at a
-# node with two or more candidates, or at the end check; a flush then
-# takes one add per (stripe, units), here one 1-bit add of -1 per stripe
-# it touches, not one per unit. The first search builds the unitig index,
-# one DPU per node and per edge. Only the traverse rows move.
-# simplify off: the 259 units go in 3 flushes, of 60, 129 and 70 units
-# over 2, 5 and 4 stripes: 11 adds, not 259. The 4 searches cross the 8
-# chains (21 to 40 nodes each) as super-nodes and reach 2, 3, 2 and 3
-# nodes or chains, where they reached 41, 30, 41 and 31 nodes; the index
-# costs more than that saves on a graph this small.
-#   W       1,148 - 259 * 2 + 11 * 2                      =   652
-#   C_ADD     499 - 259 + 11                              =   251
-#   DPU       996 - 143 + (259 + 259) + 10                = 1,381
-# simplify on: 8 units in 3 flushes of one stripe each: 3 adds, not 8. The
-# merged graph's 8 nodes and 8 edges form no chain, so its two searches
-# reach the same 3 nodes each, and the index adds 8 + 8.
-#   W         113 - 8 * 2 + 3 * 2                         =   103
-#   C_ADD      44 - 8 + 3                                 =    39
-#   DPU        40 + 16                                    =    56
-#
-# The degree stripes stack: find_start takes each stripe's 4 * d rows from
-# a row bank, not a sub-array per stripe. Every op is row-granular, so only
-# the sub-array count moves. simplify off: 9 stripes of 4 * 4 = 16 rows, 3
-# to a 58-row data region, take 3 sub-arrays, not 9, and the second pass's
-# 2-bit words reuse them: 24 -> 18. simplify on: one stripe, as before: 16.
-#
-# An increment stops at its last carry plane: from the constant's top
-# plane, every plane below the last charges one DPU reduce of its carry
-# plane, and the add stops at the first that is zero in every batched
-# column (1 C_ADD + 2 W a plane, as before). Only hashmap and traverse rows
-# move. The 386 counter adds are all +1, and no counter reaches 127, so
-# every add stops early: 67 at plane 0, 125 at 1, 160 at 2 and 34 at 3,
-# 933 planes where the full ripple ran 386 * 8 = 3,088 (both ways):
-#   hashmap W       7,687 - 2 * (3,088 - 933)             = 3,377
-#   hashmap C_ADD  11,553 - (3,088 - 933)                 = 9,398
-#   hashmap DPU     8,465 + 933                           = 9,398
-# simplify off: the first pass's 4-bit probe adds stop at plane 2 on the 4
-# stripes whose in-degrees include 3, at plane 0 on the 4 whose in-degrees
-# are all even, and at plane 1 on the stripe of in-degree 1: 18 planes,
-# not 36, and 18 DPU. The second pass's 2-bit adds test plane 0 and run to
-# plane 1, the last: 9 DPU.
-#   traverse W        652 - 2 * 18                        =   616
-#   traverse C_ADD    251 - 18                            =   233
-#   traverse DPU    1,381 + 18 + 9                        = 1,408
-# simplify on: in-degrees 0, 4 and 8 stop the first pass's add at plane 0
-# (1 plane, not 4, 1 DPU); the second's tests plane 0 (1 DPU).
-#   traverse W        103 - 2 * 3                         =    97
-#   traverse C_ADD     39 - 3                             =    36
-#   traverse DPU       56 + 2                             =    58
-#
-# One row bank per assembler, and every degree pass on fresh rows: the
-# label copies, the multiplicity stripes and both degree passes take rows
-# in turn from one bank of 58-row data regions, and the retry's pass,
-# which re-added every node on the first pass's rows after clearing their
-# out and in words (2 * d masked W a stripe), now takes new stripes, which
-# hold zeros. Only traverse W and the sub-array count move.
-# simplify off: 257 label rows fill 4 bank sub-arrays and 25 rows of a
-# 5th, which takes 8 of the 9 4-bit multiplicity stripes (57 rows); the
-# 9th opens a 6th, whose 54 rows left take 3 of pass 1's 16-row stripes,
-# 3 more fill a 7th and the last 3 start an 8th (48 rows); pass 2's 8-row
-# stripes put 1 there, 7 in a 9th and 1 in a 10th. 9 hash sub-arrays +
-# 10 = 19, where separate label, word and degree banks took 5 + 1 + 3
-# and the retry reused pass 1's stripes (18): at 58 data rows the fresh
-# stripes cost one more sub-array than they share.
-#   traverse W        616 - 9 * 2 * 2                     =   580
-#   sub-arrays        9 + 10                              =    19
-# simplify on: the 5th label sub-array's 25 rows are followed by the
-# 3-bit multiplicity stripe, pass 1's 16-row stripe and pass 2's 8-row
-# one (rows 25 to 51), where the word and degree banks took a sub-array
-# each.
-#   traverse W         97 - 1 * 2 * 2                     =    93
-#   sub-arrays        9 + 5                               =    14
-#
-# A directory of any multiple of the stripes, and labels read in place.
-# At 64 x 32 and k=11 the directory tries 36, 34, ..., 4 and 2 buckets per
-# group (one key per row, 36 key rows, 2 counter stripes), where the
-# power-of-two rungs were 32, 16, 8, 4 and 2. None fits 8 groups, as
-# before; 9 groups fit 34 buckets each (36 fit no 9-group split), not 2.
-# The 306 buckets hold the 259 keys in 172, so 172 first misses find an
-# empty bucket and write no temp row (18 did), and a probe compares few
-# rows. The keys' counters moved between sub-arrays: 193 seed writes, not
-# 190, and 395 adds of 938 planes, not 386 of 933. Both ways:
-#   hashmap W      (1,080 - 172) temp + 259 inserts + 193 seeds
-#                  + 2 * 938                              = 3,236
-#   hashmap C_ADD  1,297 compared rows (8,465 before) + 938 = 2,235
-#   hashmap DPU    1,297 + 938                             = 2,235
-# The graph stage checks each label in its key row and copies none, so
-# the 257 row copies (1 R + 1 W each) and the 5 bank sub-arrays they
-# filled go. The counter read-back takes 12 stripes of 8 planes, not 13:
-# 3 hash sub-arrays hold more than 32 keys (two stripes of 32 columns),
-# where 4 did. Traverse rows are unchanged.
-# simplify off:
-#   graph R         361 - 257 - 8                         =    96
-#   graph W         293 - 257                             =    36
-#   sub-arrays      9 + 5: the bank's 9 4-row multiplicity stripes (36
-#                   rows) and 1 of pass 1's 16-row stripes fill the
-#                   first, 3 fill each of the next two, the last 2 and 3
-#                   of pass 2's 8-row stripes a fourth, and the other 6 a
-#                   fifth                                 =    14
-# simplify on: the merge still reads the 257 distinct key rows that hold
-# the 259 labels, and the only graph W is now the 3-bit stripe placed
-# after the merge, so the W row follows the DPU row.
-#   graph R         618 - 257 - 8                         =   353
-#   graph W         260 - 257                             =     3
-#   sub-arrays      9 + 1: the 3-bit stripe and both degree stripes
-#                   (rows 0 to 26)                        =    10
-#
-# A planned directory, packed where b // count overfills a group. A key
-# row holds one key, so the 259 keys take 259 rows whatever the draw:
-# every count is planned, and the fewest groups, ceil(259 / 36) = 8, have
-# 288 rows. 36 buckets per group overfill a group as b // 36 (hence the 9
-# groups before), but packed largest first they leave 33, 33, 33 and five
-# times 32 rows, so 8 groups take 36 buckets each. The 288 buckets hold
-# the keys in 161, so 161 first misses write no temp row; the keys'
-# counters moved between sub-arrays again: 189 seed writes and 370 adds
-# of 916 planes. Both ways:
-#   hashmap W      (1,080 - 161) temp + 259 inserts + 189 seeds
-#                  + 2 * 916                              = 3,199
-#   hashmap C_ADD  1,352 compared rows + 916              = 2,268
-#   hashmap DPU    1,352 + 916                            = 2,268
-# The counter read-back takes 11 stripes of 8 planes, not 12: 8 hash
-# sub-arrays, 3 of them holding 33 keys (two stripes of 32 columns).
-#   graph R        off 96 - 8 = 88; on 353 - 8            =   345
-#   sub-arrays     off 8 + 5 = 13; on 8 + 1               =     9
-#
-# Keys placed by column, and probes batched. A group now has one bucket
-# per two key slots, 18 of 36, and the fewest groups whose hashed key
-# counts fit, with no packing: at 8 groups the fullest is hashed 42 keys
-# and at 9 groups 39, so the store takes 10 (fullest 34). A key row holds
-# one key, so a batch holds one query, and every query into a bucket that
-# holds keys writes its own image: the 180 buckets hold the keys in 140,
-# so 940 of the 1,080 queries write one. A bucket's keys take one row
-# each, so a miss compares every key of its bucket and a hit every key up
-# to its own: 1,583 compares, where the 36-bucket groups took 1,352. The
-# keys' counters moved between sub-arrays again: 194 seed writes and 435
-# adds of 1,008 planes. Both ways:
-#   hashmap W      940 images + 259 inserts + 194 seeds
-#                  + 2 * 1,008                            = 3,409
-#   hashmap C_ADD  1,583 compared rows + 1,008             = 2,591
-#   hashmap DPU    1,583 + 1,008                           = 2,591
-# The counter read-back still takes 11 stripes of 8 planes: of the 10
-# hash sub-arrays only one holds more than 32 keys (34). Graph and
-# traverse rows are unchanged.
-#   sub-arrays     off 10 + 5 = 15; on 10 + 1             =    11
-#
-# A counter at its key's key index, and one bucket per key row. A key row
-# holds one key, so a group fills its one column in first-seen order and a
-# key's key index was already its counter index: that change alone moves
-# nothing here. A group now has one bucket per key row, 36, not one per two
-# slots, 18; the 10 groups still fit no fewer. The 360 buckets hold the
-# keys in 183, so 183 first misses write no image, and the other 897
-# queries write one each; a bucket's keys take one row each, so the probes
-# compare 1,229 rows, not 1,583. The keys moved between sub-arrays: 192
-# seed writes and 424 adds of 976 planes. Both ways:
-#   hashmap W      897 images + 259 inserts + 192 seeds
-#                  + 2 * 976                              = 3,300
-#   hashmap C_ADD  1,229 compared rows + 976               = 2,205
-#   hashmap DPU    1,229 + 976                             = 2,205
-# The counter read-back takes each group's stripes up to its highest key
-# index: no group holds more than 31 keys now, so 10 stripes of 8 planes,
-# not 11.
-#   graph R        off 88 - 8 = 80; on 345 - 8             =   337
-#
-# Counter increments held over windows of 16 reads and added one bit plane
-# at a time. The 54 reads make windows of 16, 16, 16 and 6. Each window
-# adds one +1 per (sub-array, counter stripe, set bit of a pending amount)
-# at that bit's plane: 39 adds at plane 0, 40 at plane 1 and 21 at plane 2.
-# Each stops at its last carry plane, 26 of them at plane 1, 49 at 2 and 25
-# at 3: 100 adds of 217 planes, where each read's adds per amount took 424
-# of 976. Probes, inserts and seeds are unchanged. Both ways:
-#   hashmap W      897 images + 259 inserts + 192 seeds
-#                  + 2 * 217                              = 1,782
-#   hashmap C_ADD  1,229 compared rows + 217               = 1,446
-#   hashmap DPU    1,229 + 217                             = 1,446
-# The graph and traverse rows are unchanged.
-#
-# Probes packed per read and scanned newest first, with the seeds moved to
-# the end of a window of 64 reads. A key row holds one key, so every bucket
-# uses column 0 and a batch still holds one query: 897 image writes. A hit
-# compares its bucket's rows newest first, down to its key's: 944 compares,
-# not 1,229. The 54 reads make one window, so one seed write per hash
-# sub-array's one stripe, 10, not 192, and 30 adds, a +1 at planes 0, 1
-# and 2 of each sub-array's stripe, each stopping one plane up: 60 planes.
-# Both ways:
-#   hashmap W      897 images + 259 inserts + 10 seeds
-#                  + 2 * 60                               = 1,286
-#   hashmap C_ADD  944 compared rows + 60                  = 1,004
-#   hashmap DPU    944 + 60                                = 1,004
-#
-# The start probe forms in + 1 in the staging words, so a degree stripe
-# takes 3 * d rows, not 4 * d. Every op is the same, so only the sub-array
-# count moves. simplify off: the bank's first sub-array holds the 9
-# multiplicity stripes of 4 rows (36) and one of pass 1's 9 stripes of
-# 3 * 4 = 12 rows; the other 8 take two more sub-arrays, 4 each (48 rows).
-# Pass 2's stripes of 3 * 2 = 6 rows put one in the third sub-array's last
-# 10 rows and the other 8 in a fourth: 10 + 4 = 14 sub-arrays, not 10 + 5
-# = 15. simplify on: one 12-row stripe, then one 6-row one, as before: 11.
-#
-# Hits batched by their bucket's newest key row, and each group's last 8
-# images kept in its 8 temp rows. A key row holds one key, so a batch
-# still holds one query and the row keying changes nothing: 897 batches
-# and 944 compares. A k-mer recurs in the 4 reads that overlap it, and its
-# group's 8 temp rows hold its image from one read to the next, so 648
-# batches find their image already in a temp row and only 249 write one.
-# Both ways:
-#   hashmap W      249 images + 259 inserts + 10 seeds
-#                  + 2 * 60                               =   638
-# The C_ADD and DPU rows, graph and traverse are unchanged. Modeled ns
-# 14,853 -> 11,878 with simplify off, 11,904 -> 8,930 with it on.
-#
-# Images also kept in the key rows above a group's fullest column. A group
-# has 36 key rows of one slot, so its one column grows into the free key
-# rows the images take, from the bottom up, while the images take them
-# from the top down: the rows taken last, which tend to hold the newest
-# images, are the first the column reaches. Each time it reaches one that
-# holds an image, the image is dropped, 41 times in all, and the run
-# writes 4 more images than the 8 temp rows alone did: 253, not 249, with
-# at most 22 rows held in a group. Both ways:
-#   hashmap W      253 images + 259 inserts + 10 seeds
-#                  + 2 * 60                               =   642
-# Modeled ns 11,878 -> 11,897 with simplify off, 8,930 -> 8,948 with it
-# on.
+# The fallback ladder: ladder_reads at k=11 on 64 x 32, simplify off and
+# on. 54 reads of 30 bases make 1,080 queries of 259 distinct keys.
+#   io XFER      54 reads * 8 bytes, plus the contigs: off 99, 50, 100 and
+#                50 bases (25 + 13 + 25 + 13 bytes), on 160 and 160 (40 + 40)
+#                                                       off 508, on 512
+#   hashmap      the same both ways. A 22-bit key takes a 32-column pitch,
+#                so a key row holds one key: 36 key rows and 36 buckets per
+#                sub-array, and the fewest groups whose hashed key counts
+#                fit are 10. The 360 buckets hold the keys in 183; those
+#                first keys fill no image column, so they are not probed.
+#                Each of the other 897 queries fills column 0, so it probes
+#                alone in its batch. A group's 8 temp rows and the free key
+#                rows above its fullest column (31 of 36 at the end) hold
+#                its recent images: 644 batches find theirs held, 253
+#                write one. A hit compares its bucket's rows newest first,
+#                down to its key's, and a miss all of them: 944 compares.
+#                Each key takes one row write. No group holds more than 31
+#                keys, so each keeps its counters in one stripe: 10 seed
+#                writes, and 30 adds, a +1 at planes 0, 1 and 2 of each
+#                stripe, each stopping one plane up: 60 planes.
+#     W      253 images + 259 key rows + 10 seeds + 2 * 60  =   642
+#     C_ADD  944 compares + 60                               = 1,004
+#     DPU    944 + 60                                        = 1,004
+#   graph        259 nodes and 259 edges, largest multiplicity 8; each
+#                label is checked in its key row, and none is copied.
+#     R      10 counter stripes * 8 planes                   =    80
+#            simplify on: + the 257 key rows that hold the 259 labels,
+#            which the merge reads once each                 =   337
+#     W      off: 259 edges in 9 stripes of 4-bit words * 4  =    36
+#            on: the merged graph's 8 edges of multiplicity 4 in one
+#            3-bit stripe, written after the merge           =     3
+#     DPU    on: the merge's 259 nodes + 259 edges           =   518
+#   traverse, simplify off: two components of 129 and 130 nodes, each with
+#     an outgoing surplus of 4 at multiplicities, so both retry at unit
+#     words and split into two trails (89 + 40 and 90 + 40 units). 9
+#     degree stripes of 32 nodes; pass 1 has 4-bit words (largest degree
+#     8), pass 2 on fresh rows 2-bit ones (largest 2), and each pass runs
+#     22 waves of (stripe, rank). Each pass reads the 9 multiplicity
+#     stripes once, at 4 bits and then, after the rewrite, at 1. Per
+#     degree stripe and pass of d-bit words: the read-back 2d R, the
+#     probe's copy d R + d W, d plane compares (C_ADD + DPU) and one
+#     controller op; per wave 3d W and d C_ADD. The probe's + 1 runs 18 planes in pass 1 (plane 0, 1 or 2 is
+#     its last) and 2 per stripe in pass 2, one DPU per plane tested (18,
+#     then 9). The walk spends its 259 units in 11 one-bit adds of -1.
+#     DPU    components 259 + 259; per stripe and pass 9 * 5 + 9 * 3; the
+#            probe's 18 + 9; 259 walk steps + 4 trail ends; the unitig
+#            index 259 + 259; 4 bridge searches reaching 2, 3, 2 and 3
+#            nodes or intact chains                          = 1,408
+#     R      pass 1: 9 * 4 stripe + 9 * 3 * 4 = 144; pass 2: 9 * 1 +
+#            9 * 3 * 2 = 63; end check 9 * 1                 =   216
+#     W      pass 1: 9 * 4 copies + 2 * 18 + 22 * 12 = 336; retry
+#            rewrite at 4 bits 9 * 4 = 36; pass 2: 9 * 2 copies + 2 * 18
+#            + 22 * 6 = 186; the walk's adds 11 * 2           =   580
+#     C_ADD  pass 1: 9 * 4 + 18 + 22 * 4 = 142; pass 2: 9 * 2 + 18 +
+#            22 * 2 = 80; the walk's 11 adds                 =   233
+#   traverse, simplify on: two 4-node components of 4 edges of
+#     multiplicity 4, each retried at unit words and walked in one trail.
+#     One degree stripe, d = 4 then 2, 4 waves a pass; the probe's + 1
+#     runs 1 plane in pass 1 and 2 in pass 2, one DPU each pass; the walk
+#     spends its 8 units in 3 adds.
+#     DPU    components 8 + 8; the stripe 5 + 3; the probe's 1 + 1; 8 walk
+#            steps + 2 trail ends; the index 8 + 8; 2 bridge searches
+#            reaching 3 nodes each                           =    58
+#     R      pass 1: 3 + 3 * 4 = 15; pass 2: 1 + 3 * 2 = 7; end check 1
+#                                                            =    23
+#     W      pass 1: 4 + 2 + 4 * 12 = 54; rewrite at 3 bits 3; pass 2:
+#            2 + 4 + 4 * 6 = 30; the walk's adds 3 * 2      =    93
+#     C_ADD  pass 1: 4 + 1 + 4 * 4 = 21; pass 2: 2 + 2 + 4 * 2 = 12; the
+#            walk's 3 adds                                   =    36
+#   sub-arrays   10 hash groups, then the row bank's 58-row data regions.
+#                Off: the 9 4-row multiplicity stripes and 1 of pass 1's
+#                12-row stripes fill the first, 4 each the next two, and
+#                pass 2's 6-row stripes put 1 in the third and 8 in a
+#                fourth: 14. On: the 3-bit stripe and both degree stripes
+#                (21 rows) fit one: 11.
 LADDER = {
     False: (
         [
@@ -2936,9 +2603,10 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #     key row, so the 6,427 + 3,473 take 9,900 writes. Each group keeps
 #     its images in its 8 temp rows and in the key rows above its fullest
 #     column, up to 784 in one group at once, so 210,600 batches find
-#     their image held and only 19,032 write one. Each key's counter sits at its key index, and the
-#     groups' highest key indices are 3,251, 3,382 and 3,348, so the
-#     counters fill 13 + 14 + 14 = 41 stripes of 256. After the last read
+#     their image held and only 19,032 write one. Each key's counter sits
+#     at its key index, and the groups' highest key indices are 3,251,
+#     3,382 and 3,348, so the counters fill 13 + 14 + 14 = 41 stripes of
+#     256. After the last read
 #     one seed write per (sub-array, counter stripe) starts them all, 41
 #     in all. No k-mer is read more than 76 times, so a pending amount is
 #     at most 75 = 0b1001011, seven bits, and the adds are one +1 per
@@ -2959,9 +2627,8 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #   graph          9,977 nodes, 9,976 edges, largest multiplicity 76.
 #     Each node's label is checked in place in its key row; nothing is
 #     copied.
-#     R  each group's stripes up to its highest key index (3,251,
-#        3,382 and 3,348): 3,251 // 256 + 1 = 13, then 14 and 14:
-#        41 counter stripes * 8                              =       328
+#     R  each counter stripe that holds a key, once: 13 + 14 + 14
+#        = 41 stripes * 8                                    =       328
 #     W  39 stripes of 7-bit words * 7                       =       273
 #   traverse       one path; its 76 surplus units at multiplicities make
 #                  it retry at unit words. 39 degree stripes, d = 7
@@ -2993,77 +2660,6 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #                  staging words: 35 there, to row 1,008, and 4 in a 2nd)
 #                  and pass 2's 39 of 3 * 2 rows (all in the 2nd, to row
 #                  318)                                      =         5
-# Spending the walk's units per decision, not per unit, took traverse W
-# from 23,540 (9,976 decrements * 2) to 3,666 and C_ADD from 11,380 to
-# 1,443: 19,312,242 -> 19,182,167 modeled ns, and RUR 0.6859 -> 0.6885.
-# Stacking the degree stripes took the sub-arrays from 3 + 4 + 39 = 46 to 9.
-# Stopping each increment at its last carry plane took hashmap W from
-# 1,290,587 to 1,127,271 and C_ADD from 3,336,645 to 3,254,987 (32,412
-# adds * 8 planes = 259,296 planes, now 177,638), and traverse W from 3,666
-# to 3,222; DPU rose by one per plane tested: 19,182,167 -> 18,119,244
-# modeled ns, and RUR 0.6885 -> 0.7117.
-# One row bank per assembler, with the retry's degree pass on fresh rows,
-# took the sub-arrays from 3 + 4 + 2 = 9 (a label bank of 3, a word bank
-# and a degree bank of 2, whose stripes pass 2 cleared and reused) to 8,
-# and traverse W from 3,222 to 3,066: pass 2 no longer clears the out and
-# in words, 39 stripes * 2 * 2 W.
-# A directory of any multiple of the 15 stripes, not only the power-of-two
-# rungs, took the 3 groups from 120 buckets to 150 (165 and up overfill a
-# group): compares 3,077,349 -> 2,559,087, and the adds' planes 177,638 ->
-# 177,791 as the keys' counters moved between sub-arrays. Reading the
-# labels in place dropped the 2,624 label-row copies (1 R + 1 W each) and
-# the 3 bank sub-arrays they filled. 18,118,528 -> 16,045,503 modeled ns,
-# RUR 0.7118 -> 0.6758, sub-arrays 8 -> 5.
-# Placing keys by column in first-seen order, with no padded bucket rows,
-# gives 1,784 buckets per group, and batching the probes lets up to four
-# queries share one image write and the rows they scan: image writes
-# 752,026 -> 288,983 and compares 2,559,087 -> 1,224,802. 16,045,503 ->
-# 8,629,075 modeled ns, RUR 0.6758 -> 0.6441, sub-arrays 5.
-# A key's counter at its key index, not at its sub-array's count of keys
-# before it: the columns fill unevenly, so a read's counters spread a
-# little wider (adds 32,321 -> 33,032, planes 177,236 -> 179,089), and
-# the read-back reads up to the highest key index, not the key count
-# (41 -> 42 stripes). 8,629,075 -> 8,653,454 modeled ns, RUR 0.6441 ->
-# 0.6432, sub-arrays 5.
-# Holding the increments over windows of 16 reads and adding them one bit
-# plane at a time, not each read's per amount: adds 33,032 -> 10,231,
-# planes 179,089 -> 28,875. 8,653,454 -> 6,679,643 modeled ns, RUR 0.6432
-# -> 0.7442, sub-arrays 5.
-# Packing each read's probes first-fit into its open batches, scanning a
-# hit's rows newest first, and seeding and adding once per window of 64
-# reads: image writes 288,983 -> 229,141, compares 1,224,802 -> 504,499,
-# seed writes 9,903 -> 511, adds 10,231 -> 3,706 of 10,524 planes.
-# 6,679,643 -> 3,268,326 modeled ns, RUR 0.7442 -> 0.6259, sub-arrays 5.
-# One bucket per key slot, not per two, and windows of 256 reads, not 64:
-# first misses into an empty bucket 4,520 -> 6,503, image writes 229,141 ->
-# 213,742, compares 504,499 -> 422,513, seed writes 511 -> 154, adds 3,706
-# -> 1,114 of 2,855 planes, read-back stripes 42 -> 41. 3,268,326 ->
-# 2,770,540 modeled ns, RUR 0.6259 -> 0.6103, sub-arrays 5.
-# Seeding and adding once, after the last read, not once per window of 256
-# reads: seed writes 154 -> 41, adds 1,114 -> 184 of 282 planes (2,855).
-# 2,770,540 -> 2,736,212 modeled ns, RUR 0.6103 -> 0.6142, sub-arrays 5.
-# Forming the probe's in + 1 in the staging words, not in probe words of
-# its own: stripes of 3 * d rows, not 4 * d. No op changes, and the bank
-# still takes 2 sub-arrays (pass 1 ran to row 1,001 of the first and put
-# 13 stripes in a second; now 1,008 and 4), so the trace and the 5
-# sub-arrays stay.
-# Batching hits by their bucket's newest key row, and keeping each group's
-# last 8 images in its 8 temp rows: batches 213,742 -> 229,632, image
-# writes 213,742 -> 82,259, compares 422,513 -> 236,585. 2,736,212 ->
-# 1,396,430 modeled ns, RUR 0.6142 -> 0.6762, sub-arrays 5.
-# Writing a read's new keys one masked write per key row, not one per key:
-# the keys staged into empty buckets share a row write with the read's
-# other staged keys of their row, and a batch's misses with its other
-# misses of their row. Key writes 9,976 -> 9,919; nothing else moves.
-# 1,396,430 -> 1,396,169 modeled ns, RUR 0.6762 -> 0.6763, sub-arrays 5.
-# Keeping each group's images in the key rows above its fullest column as
-# well as in its 8 temp rows, least recently used first: image writes
-# 82,259 -> 19,032; every compare still runs. 1,396,169 -> 1,105,957
-# modeled ns, RUR 0.6763 -> 0.8538, sub-arrays 5.
-# Writing each key into an empty bucket with its read's first batch's new
-# keys, not staged before the read's batches: each read sees about one new
-# key, so every row write keeps its keys and nothing moves. 1,105,957
-# modeled ns, RUR 0.8538, sub-arrays 5.
 CANONICAL_TRACE = [
     ("io", "XFER", 250_025),
     ("hashmap", "W", 29_556),
