@@ -239,7 +239,11 @@ def unitig_index(g: SparseGraph) -> Unitigs:
     each cut before the edge back to its lowest node.
     """
     n = len(g.nodes)
-    out_slots, in_slots = Counter(g.edge_src), Counter(g.edge_dst)
+    out_slots = [0] * n
+    in_slots = [0] * n
+    for u, v in zip(g.edge_src, g.edge_dst):
+        out_slots[u] += 1
+        in_slots[v] += 1
     succ = [-1] * n  # node -> its contractible out-edge
     has_prev = [False] * n
     for e, (u, v) in enumerate(zip(g.edge_src, g.edge_dst)):
@@ -1354,10 +1358,14 @@ class Assembler:
         with m.stage_scope(tr.STAGE_TRAVERSE):
             m.dpu_charge(len(work.nodes) + work.edge_count)
             comps = weakly_connected_components(work)
+        heads = [comp[0] for comp in comps]  # each component's lowest node
         comp_of = [0] * len(work.nodes)
         for ci, comp in enumerate(comps):
             for nid in comp:
                 comp_of[nid] = ci
+        # drop the member lists (an int object per node) before the walk,
+        # which needs only comp_of and heads
+        del comps, comp
         surplus: Counter[int] = Counter()
         paths: list[EulerPath] = []
         if work.edge_count:  # an edge-less graph has nothing to place or walk
@@ -1372,9 +1380,9 @@ class Assembler:
                 self.find_start(work)
             paths = self.fleury(work)
         trails = Counter(comp_of[p.node_ids[0]] for p in paths)
-        for ci, comp in enumerate(comps):
+        for ci, head in enumerate(heads):
             if not trails[ci]:
-                paths.append(EulerPath([comp[0]]))
+                paths.append(EulerPath([head]))
             if surplus[ci] > 1:
                 warnings.append(
                     f"component is not Eulerian under multiplicities (outgoing surplus "
