@@ -38,12 +38,13 @@ costs the same for one column or all of them, so the stage pays per stripe
 and bit it touches, not per key or per hit. Stage 2 walks the table and
 emits one edge per distinct k-mer (prefix node, suffix node, multiplicity
 = frequency) into an edge store. Stage 3 accumulates vertical degree
-counters column-parallel through staging words, probes the start vertex
-with a bit-plane compare of out against in+1, formed in the staging words
-once counting ends, and covers each weak component with the fewest trails
-its degrees allow, max(1, sum of outgoing surpluses): one trail per
-surplus unit, or one Euler circuit when there is none, walked
-bridge-aware. The walked units come off their multiplicity words in
+counters column-parallel: each stripe's first wave of edge words is
+written into its zeroed counters, and later waves are added through
+staging words. It probes the start vertex with a bit-plane compare of
+out against in+1, formed in the staging words once counting ends, and
+covers each weak component with the fewest trails its degrees allow,
+max(1, sum of outgoing surpluses): one trail per surplus unit, or one
+Euler circuit when there is none, walked bridge-aware. The walked units come off their multiplicity words in
 memory, and only those words: the multiplicity words hold the edge units
 left, and per node they sum to its out-degree. The walk spends them per
 decision, not per unit: they wait until it stands at a node with two or
@@ -271,6 +272,23 @@ def unitig_index(g: SparseGraph) -> Unitigs:
     return index
 
 
+def _edges_by_node(n: int, ends: list[int]) -> tuple[list[int], list[int]]:
+    """Edge ids grouped by the end node `ends` gives them, ascending within
+    a node: node x's are ids[at[x] : at[x + 1]]. Two flat lists, with no
+    list object per node."""
+    at = [0] * (n + 1)
+    for x in ends:
+        at[x + 1] += 1
+    for x in range(n):
+        at[x + 1] += at[x]
+    ids = [0] * len(ends)
+    nxt = at[:n]
+    for e, x in enumerate(ends):
+        ids[nxt[x]] = e
+        nxt[x] += 1
+    return at, ids
+
+
 def contig_from_path(vertices: list[EncodedSeq], k: int) -> EncodedSeq:
     """Merge consecutive path labels that overlap by k-2 bases.
 
@@ -322,8 +340,9 @@ class KmerTable:
     the images they wrote (a batch whose image a temp row or a free key
     row already holds writes none) and the key rows they compared, and
     `image_rows_held` is the most rows one group held images in at once.
-    `insert_writes` counts the masked row writes that put the keys in, one
-    per key row of a batch's new keys.
+    `insert_writes` counts the masked row writes that put the keys in: a
+    key row is written when a batch needs one of the read's keys waiting
+    in it, or at the read's end, with every key waiting in it then.
     """
 
     def __init__(self, k: int, layout: mapping.HashLayout, machine: Machine):
@@ -493,10 +512,11 @@ class _GraphStore:
     One width-bit multiplicity word per edge: edge e sits in column
     e % cols of stripe e // cols, where `stripes` lists each stripe's
     (sub-array id, LSB row), taken from the row bank when the store is
-    made and written with one write_vwords each. `width` is the bit length of the largest value in `mult`, which mirrors
-    the values the words hold until a walk spends them; every read, write
-    and decrement moves that many planes. The store also keeps the last
-    find_start pass until a walk consumes it.
+    made and written with one write_vwords each. `width` is the bit length
+    of the largest value in `mult`, which mirrors the values the words hold
+    until a walk spends them; every read, write and decrement moves that
+    many planes. The store also keeps the last find_start pass until a walk
+    consumes it.
     """
 
     def __init__(self, bank: _RowBank, mult: list[int]):
@@ -620,7 +640,9 @@ class Assembler:
     queries share one image and the rows they scan; a group's 8 temp rows
     and the key rows above its fullest column keep its recent images, so a
     repeated image is not written again while a row still holds it, and
-    a batch's new keys take one masked write per key row (see _observe).
+    a read's new keys wait until a later batch of the read needs their
+    row, or the read ends, and then take one masked write per key row (see
+    _flush).
     Counter writes wait for the last read: then one seed write per
     (sub-array, counter stripe) starts every counter at one, and the
     stage's increments go in as one column-parallel +1 per (sub-array,
@@ -809,12 +831,14 @@ class Assembler:
         after the bucket's last one. A miss joins the first batch after
         that one whose image fills none of its columns, or opens a new one:
         a key into an empty bucket fills no column, so it joins the read's
-        first batch. A batch's new keys go in once it has compared (see
-        _flush), one masked write per key row from the query bits the
-        controller holds, so a hit on a key placed earlier in the read is
-        probed after the key is written, and imaged in its column. A hit
-        below the cap adds one increment for the key its batch finds to
-        `pending`.
+        first batch. A new key goes in after its batch has compared, from
+        the query bits the controller holds, one masked write per key row:
+        before the first later batch that probes its bucket, or at the
+        read's end (see _flush). So a hit on a key placed earlier in the
+        read is probed after the key is written, and imaged in its column,
+        and a key row takes every key of the read that is ready by the time
+        a batch needs one of them. A hit below the cap adds one increment
+        for the key its batch finds to `pending`.
         """
         lay = table.layout
         bits = kmer.bits
@@ -860,36 +884,55 @@ class Assembler:
         group.last[bucket] = i
 
     def _flush(self, table: KmerTable, group: _Group, pending) -> None:
-        """Probe a group's open batches in the order they opened. After
-        each probe, record each counting hit's increment in `pending`, at
-        the counter of the key it found, and write the misses' keys, one
-        masked write per key row, so a later batch finds them. A batch
-        whose image fills no column holds only keys into empty buckets, so
-        it is not probed: it writes no image and compares nothing. A hit
-        that finds no key, or a miss that finds one, means fabric and host
-        counts diverged."""
+        """Probe a group's open batches in the order they opened, and write
+        the read's new keys, each key row once its keys are needed.
+
+        After each probe, each counting hit's increment goes to `pending`,
+        at the counter of the key it found, and each miss's key waits, in a
+        map from key row to its unwritten keys. Before a batch probes, each
+        row that holds an unwritten key of a member's bucket is written,
+        with every key waiting in it, one masked write per row, so the
+        batch finds those keys. A key joins the map only once its own batch
+        has compared, so a row write never takes a key of the batch about to
+        probe, whose miss check would find it. The rows still waiting at
+        the read's end are written then. The map is keyed by row, and a
+        bucket index names the row of each bucket's unwritten key. A bucket
+        has at most one: its next query is in a later batch, which writes
+        that row before it probes. A batch whose image fills no column
+        holds only keys into empty buckets, so it is not probed: it writes
+        no image and compares nothing. A hit that finds no key, or a miss
+        that finds one, means fabric and host counts diverged."""
         lay, sid = table.layout, group.sid
+        waiting: dict[int, list[_Query]] = {}  # key row -> its keys not written yet
+        row_of: dict[_Bucket, int] = {}  # bucket -> the row of its key not written yet
         for batch, busy in zip(group.batches, group.busy):
             found: list[int | None] = [None] * len(batch)
             if busy:
+                for query in batch:
+                    row = row_of.get(query.bucket)
+                    if row is not None:
+                        keys = waiting.pop(row)
+                        for key in keys:
+                            del row_of[key.bucket]
+                        self._write_keys(table, group, row, keys)
                 table.batches += 1
                 found, compared, written = self._probe(group, batch, lay)
                 table.compares += compared
                 table.image_writes += written
                 table.image_rows_held = max(table.image_rows_held, len(group.held))
-            misses: dict[int, list[_Query]] = {}  # key row -> its new keys
             for query, key_i in zip(batch, found):
                 if query.key_i is not None:  # a miss
                     if key_i is not None:
                         raise ConsistencyError(f"fabric scan finds key index {key_i} for a miss")
-                    misses.setdefault(query.key_i // lay.slots, []).append(query)
+                    row = row_of[query.bucket] = query.key_i // lay.slots
+                    waiting.setdefault(row, []).append(query)
                 elif key_i is None:
                     raise ConsistencyError(f"fabric scan finds no key for a hit in sub-array {sid}")
                 elif query.counts:
                     slot = (sid, *lay.counter_location(key_i))
                     pending[slot] = pending.get(slot, 0) + 1
-            for row, keys in misses.items():
-                self._write_keys(table, group, row, keys)
+        for row, keys in waiting.items():
+            self._write_keys(table, group, row, keys)
         group.batches = []
         group.busy = []
         group.by_row.clear()
@@ -1071,17 +1114,20 @@ class Assembler:
         The pass reads every multiplicity stripe once and checks it against
         the mirror. One pass over each end list groups the edges into waves
         by (stripe, rank), the rank being how many edges of the same node
-        came before; each wave's words are staged into the stripe's staging
-        words and added into the out/in counter words, so a whole sub-array
-        row of nodes advances per add. The degree words are
+        came before. Each stripe of `cols` nodes takes 3 * w_deg fresh rows
+        from the assembler's row bank (its out, in and staging words), rows
+        never handed out before and so still zero. So a stripe's rank-0 wave
+        is written straight into the out or in words (w_deg W), which
+        leaves the cells an add into zeros would; every later wave's words
+        are staged into the stripe's staging words and added into the out
+        or in words, so a whole sub-array row of nodes advances per add, and
+        the add's carry-out is checked. The degree words are
         (largest degree + 1).bit_length() bits wide, just enough for the
-        start probe's in + 1. Each stripe of `cols` nodes takes 3 * w_deg
-        fresh rows from the assembler's row bank (its out, in and staging words), rows never
-        handed out before and so still zero; the start probe forms in + 1 in
-        the staging words, which the accumulation no longer needs. Every
-        pass is the same full pass: a repeat one (after some words were
-        rewritten, say) takes new stripes after the last pass's and
-        accumulates every node again. The read-back and the start test cover
+        start probe's in + 1, formed in the staging words once the
+        accumulation no longer needs them. Every pass is the same full
+        pass: a repeat one (after some words were rewritten, say) takes new
+        stripes after the last pass's and accumulates every node again. The
+        read-back and the start test cover
         every column: the test compares out against in+1 with one compare
         cycle per bit plane, and an in + 1 that carries out raises
         ConsistencyError. The edge-unit total needs no word of its own: it
@@ -1119,8 +1165,11 @@ class Assembler:
                     stripe, col = divmod(nid, m.cols)
                     waves.setdefault((stripe, rank[nid]), {})[col] = words[e]
                     rank[nid] += 1
-                for (stripe, _), wave in sorted(waves.items()):
+                for (stripe, r), wave in sorted(waves.items()):
                     sid, base = stripes[stripe]
+                    if not r:  # the words hold zeros, so adding would copy
+                        m.write_vwords(sid, base + offset, w_deg, wave)
+                        continue
                     stg_base = base + 2 * w_deg
                     m.write_vwords(sid, stg_base, w_deg, wave)
                     over = m.add_cols(sid, stg_base, base + offset, base + offset, w_deg, wave)
@@ -1181,11 +1230,12 @@ class Assembler:
         multiplicity words, so one call walks every component of g.
 
         The controller keeps `rem`, the units left per edge, which makes
-        every choice; the per-node lists of out- and in-edge ids; the units
-        walked but not yet spent in fabric; and, from the first bridge
-        test on, g's unitig index. Neighbours are tried in ascending node
-        id; a candidate is taken if removing one unit of its first edge
-        holding units keeps the rest connected, and the lowest neighbour is
+        every choice; each node's out- and in-edge ids, as one offsets list
+        and one edge-id list per direction; the units walked but not yet
+        spent in fabric; and, from the first bridge test on, g's unitig
+        index. Neighbours are tried in ascending node id; a candidate is
+        taken if removing one unit of its first edge holding units keeps
+        the rest connected, and the lowest neighbour is
         the fallback when every choice burns a bridge. An edge that keeps a
         unit, or a self-loop, never disconnects anything; otherwise the
         unit is removed and an undirected search from the walk's node looks
@@ -1216,21 +1266,18 @@ class Assembler:
         with m.stage_scope(tr.STAGE_TRAVERSE):
             n = len(g.nodes)
             src, dst = g.edge_src, g.edge_dst
-            out_e: list[list[int]] = [[] for _ in range(n)]
-            in_e: list[list[int]] = [[] for _ in range(n)]
-            for e, (u, v) in enumerate(zip(src, dst)):
-                out_e[u].append(e)
-                in_e[v].append(e)
+            out_at, out_e = _edges_by_node(n, src)
+            in_at, in_e = _edges_by_node(n, dst)
             rem = list(store.mult)
             chains: _ChainView | None = None
 
             def neighbours(x: int):
                 """x's neighbours over edges holding units, either way; an end
                 link of an intact chain leads across it (see _ChainView)."""
-                for e in out_e[x]:
+                for e in out_e[out_at[x] : out_at[x + 1]]:
                     if rem[e]:
                         yield chains.across(e, dst[e])
-                for e in in_e[x]:
+                for e in in_e[in_at[x] : in_at[x + 1]]:
                     if rem[e]:
                         yield chains.across(e, src[e])
 
@@ -1275,14 +1322,14 @@ class Assembler:
             while total:
                 u = next(starts, None)
                 if u is None:
-                    while not any(rem[e] for e in out_e[lowest]):
+                    while not any(rem[e] for e in out_e[out_at[lowest] : out_at[lowest + 1]]):
                         lowest += 1
                     u = lowest
                 path = [u]
                 while True:
                     m.dpu_charge(1)
                     first: dict[int, int] = {}  # neighbour -> first edge holding units
-                    for e in out_e[u]:
+                    for e in out_e[out_at[u] : out_at[u + 1]]:
                         if rem[e]:
                             first.setdefault(dst[e], e)
                     if not first:

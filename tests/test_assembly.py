@@ -215,19 +215,20 @@ def test_an_all_miss_stage_costs_follow_its_bucket_loads():
     # batches, one image write each. The first two reads' first batches
     # hold only first keys, so they fill no column and are not probed; the
     # other four reads' first batches are among the 11, so the probed
-    # batches also hold 12 + 13 + 8 + 15 = 48 first keys. A batch's new
-    # keys go in once it has compared, or when it would have, one masked
-    # write per key row. The six first batches put their 80 first keys and
-    # 7 of the misses in 4 rows each, but 5 in the fourth read, whose keys
-    # reach rows 11 to 15: 25 writes. The 9 misses of later batches take
-    # 8, since one batch puts two in one row. The keys take key indices
-    # 0..95, two counter stripes of 64, so the stage ends with two seed
-    # writes, and with no hit adds nothing:
-    #   W = 25 + 8 row writes + 11 images + 2 seeds = 46,
+    # batches also hold 12 + 13 + 8 + 15 = 48 first keys. A new key waits,
+    # once its batch has compared, until a later batch of its read probes
+    # its bucket, or the read ends; then its key row is written with every
+    # key waiting in it, one masked write per row. A read's 16 new keys
+    # reach 4 key rows, but 5 in the third and fourth reads, whose keys
+    # reach rows 8 to 12 and 11 to 15: 4 * 4 + 2 * 5 = 26 (read, key row)
+    # pairs. In the fifth read a batch needs row 17 while two more of its
+    # keys wait for a later batch, so that row is written twice: 27
+    # writes. Writing each batch's new keys right after it compared took
+    # 25 + 8, since one read's keys of one row came from several batches.
+    # The keys take key indices 0..95, two counter stripes of 64, so the
+    # stage ends with two seed writes, and with no hit adds nothing:
+    #   W = 27 row writes + 11 images + 2 seeds = 40,
     #   C_ADD = DPU = 17,  R = 0.
-    # Staging each first key until its read's end took 24 + 14 row writes,
-    # W = 51: the first keys' rows and a batch's misses' rows were
-    # written apart.
     # One write per key took W = 96 + 11 + 2 = 109. At one bucket per two
     # key slots (152) the loads were 47, 20 and 3, so 26 misses compared
     # 20 * 1 + 3 * 3 = 29 rows in 13 batches: W = 111.
@@ -242,8 +243,8 @@ def test_an_all_miss_stage_costs_follow_its_bucket_loads():
     assert sum(1 for batch in asm.probed for _, cols, _ in batch if cols) == 16
     assert sum(len(batch) for batch in asm.probed) == 16 + 48 and table.batches == 11
     assert max(key_i for _, key_i in table.slots) == 95
-    assert table.insert_writes == len(asm.written) == 25 + 8
-    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 46, tr.C_ADD: 17, tr.DPU: 17}
+    assert table.insert_writes == len(asm.written) == 4 * 4 + 2 * 5 + 1
+    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 40, tr.C_ADD: 17, tr.DPU: 17}
 
 
 @pytest.mark.parametrize("length, k, read_len, stride", [(100, 5, 20, 16), (400, 8, 30, 24)])
@@ -332,6 +333,33 @@ def test_a_hit_on_a_key_placed_in_its_read_follows_the_batch_that_placed_it():
     assert asm.probed == [[(E("ACGT").bits, 0b0001, None)]]
     assert table.batches == table.compares == 1
     assert table.frequencies()[E("ACGT")] == 2
+
+
+def test_a_key_row_takes_the_keys_of_two_batches_in_one_write():
+    # CCGCGTAAGTAAG at k=5 on 128 x 64, 4 slots per key row. Its 8 distinct
+    # k-mers all hash to empty buckets but GTAAG, which shares bucket 214
+    # with CGCGT, and GTAAG comes back as the read's last k-mer. The seven
+    # first keys fill no image column, so they join the read's first
+    # batch, which is not probed: rows 0 (keys 0-3) and 1 (keys 4, 6, 7).
+    # GTAAG is a miss imaged in CGCGT's column 1, so it opens batch 1 and
+    # takes key index 5, in row 1. Its hit must follow batch 1, so it opens
+    # batch 2, keyed by its bucket's newest row, 1. Before batch 1 probes,
+    # CGCGT's row 0 is written, since the batch needs it; row 1 waits, and
+    # the miss's own key joins it only once batch 1 has compared. Before
+    # batch 2 probes, the hit needs row 1: one write takes the keys of
+    # batches 0 and 1 together, where writing each batch's keys after it
+    # compared took rows 0, 1 and then 1 again. The hit then finds
+    # GTAAG in row 1, as it did when its key was written right after its
+    # batch, and the batches probe in the order they opened.
+    asm = BucketRecorder(rows=128, cols=64)
+    table = asm.build_kmer_table([E("CCGCGTAAGTAAG")], 5)
+    assert [bucket_of(table, E(key)) for key in ("CGCGT", "GTAAG")] == [214, 214]
+    assert table.slots[4] == (0, 5)  # GTAAG, the fifth key first seen
+    assert asm.probed == [[(E("GTAAG").bits, 0b0010, 5)], [(E("GTAAG").bits, 0b0010, None)]]
+    assert asm.written == [(0, 0, [0, 1, 2, 3]), (0, 1, [4, 6, 7, 5])]
+    assert table.insert_writes == 2 and table.compares == 2
+    check_each_key_written_once(asm, table)
+    assert table.frequencies()[E("GTAAG")] == 2
 
 
 def test_a_corrupted_key_in_a_row_write_raises():
@@ -1674,6 +1702,46 @@ def test_a_repeat_pass_on_a_new_word_width_redoes_every_node():
     assert degree_words(asm, g) == g.degrees(g.store.mult) == ([1, 2], [1, 2])
 
 
+def test_a_pass_of_first_waves_only_issues_no_degree_add():
+    # A 40-node path with multiplicities 1 to 7 and a 6-node cycle of
+    # multiplicity 5, on 64 x 16: 46 nodes in 3 degree stripes, and
+    # (7 + 1).bit_length() = 4-bit degree words. No node has two out-edges
+    # or two in-edges, so every wave is a stripe's rank-0 wave, written
+    # straight into the zeroed out or in words: the pass issues no
+    # add_cols, and all its C_ADD comes from the start probe (the in + 1
+    # adds and the plane compares). The degree words still read back as the
+    # host degrees.
+    labels = ["".join(p) for p in itertools.product("ACGT", repeat=3)]
+    g = SparseGraph()
+    for i in range(39):
+        g.add_edge(E(labels[i]), E(labels[i + 1]), mult=i % 7 + 1)
+    ring = labels[40:46]
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        g.add_edge(E(a), E(b), mult=5)
+    asm = make_asm(rows=64, cols=16)
+    m = asm.machine
+    probe_c_add = 0
+
+    def counted(op):
+        def call(*args):
+            nonlocal probe_c_add
+            before = m.trace.total(tr.C_ADD)
+            out = op(*args)
+            probe_c_add += m.trace.total(tr.C_ADD) - before
+            return out
+
+        return call
+
+    with patch.object(m, "add_cols", wraps=m.add_cols) as adds, patch.object(
+        m, "add_const_cols", counted(m.add_const_cols)
+    ), patch.object(m, "cmp", counted(m.cmp)):
+        asm.find_start(g)
+    assert (len(g.nodes), len(g.store.degree.stripes), g.store.degree.w_deg) == (46, 3, 4)
+    assert adds.call_count == 0
+    assert traverse_totals(asm.trace)[tr.C_ADD] == probe_c_add > 0
+    assert degree_words(asm, g) == g.degrees()
+
+
 # ---- Euler walks -----------------------------------------------------------
 
 
@@ -1771,13 +1839,14 @@ def test_walk_cost_oracle_on_a_path():
     # placement of the multiplicity words only (a synthetic graph has no
     # labels in fabric): one 2-word stripe, w = 1 W   -> 1 W
     # one read of that stripe, 1 R, checked against the mirror
-    # out and in passes, one rank each: d = 2 staging W, one add
-    #   (2 C_ADD + 4 W)                               -> 12 W, 4 C_ADD
+    # out and in passes, rank 0 only: each wave is written straight into
+    #   the zeroed out or in words, d = 2 W, and added nowhere (staging it
+    #   and adding it took 2 W + 2 C_ADD + 4 W)      -> 4 W
     # read-back of the out and in planes             -> 4 R
     # start probe: copy in -> tmp (2 R + 2 W), +1 (2 C_ADD + 4 W, and one
     #   DPU reduce of plane 0's carry, which CG's and GT's in = 1 set),
     #   2 plane compares (2 C_ADD + 2 DPU), 1 DPU     -> 2 R, 6 W, 4 C_ADD, 4 DPU
-    assert traverse_totals(asm.trace) == {tr.R: 7, tr.W: 19, tr.C_ADD: 8, tr.DPU: 4}
+    assert traverse_totals(asm.trace) == {tr.R: 7, tr.W: 11, tr.C_ADD: 4, tr.DPU: 4}
     [path] = asm.fleury(g)
     assert path.node_ids == [0, 1, 2]
     # 2 units on 2 edges of one stripe, spent at the one flush before the end
@@ -1785,7 +1854,7 @@ def test_walk_cost_oracle_on_a_path():
     #   columns (1 C_ADD + 2 W, where a decrement per unit took 2 C_ADD +
     #   4 W), 3 loop DPU, no bridge test, and the end-of-walk read of the 1
     #   plane of the stripe
-    assert traverse_totals(asm.trace) == {tr.R: 8, tr.W: 21, tr.C_ADD: 9, tr.DPU: 7}
+    assert traverse_totals(asm.trace) == {tr.R: 8, tr.W: 13, tr.C_ADD: 5, tr.DPU: 7}
 
 
 @pytest.mark.parametrize("edge, word", [(0, 2), (1, 3), (16, 3), (18, 3)])
@@ -2287,19 +2356,21 @@ def test_only_the_retried_component_walks_unit_words():
     # needs 4.bit_length() = 3-bit degree words (d = 3) both times.
     # Every pass reads the stripe (2 R) and the out and in planes (6 R),
     # and runs the start probe on all columns (3 R, 3 + 6 W, 6 C_ADD, 4 DPU).
-    # A wave stages and adds one word per column: 3 + 6 W, 3 C_ADD. AA has
-    # two out- and two in-edges, so a pass runs 2 + 2 waves:
-    #   W 4 * 9 + 9 = 45, C_ADD 4 * 3 + 6 = 18
-    # The second pass is the same full pass on fresh, zero rows: it clears
-    # nothing, where redoing only CG and GT on the first pass's rows cost 6
-    # masked W and 1 + 1 waves (W 33, C_ADD 12), and it re-adds the passing
-    # component's edges too: 2 more waves, +18 W and +6 C_ADD.
+    # AA has two out- and two in-edges, so each end runs a rank-0 and a
+    # rank-1 wave. A rank-0 wave is written straight into the zeroed out
+    # or in words, 3 W; a rank-1 wave stages and adds one word per column,
+    # 3 + 6 W and 3 C_ADD:
+    #   W 2 * 3 + 2 * 9 + 9 = 33, C_ADD 2 * 3 + 6 = 12
+    # (adding the rank-0 waves too took W 45, C_ADD 18). The second pass is
+    # the same full pass on fresh rows, which hold zeros, so it clears
+    # nothing and writes its rank-0 waves as well, and it counts the
+    # passing component's edges again.
     # The probe's + 1 reduces the carry of every plane below the last: AA's
     # in = 3 carries out of planes 0 and 1 in both passes, so it tests 2
     # planes and stops none early: 4 + 2 = 6 DPU per pass.
     assert pass_costs == [
-        {tr.R: 11, tr.W: 45, tr.C_ADD: 18, tr.DPU: 6},
-        {tr.R: 11, tr.W: 45, tr.C_ADD: 18, tr.DPU: 6},
+        {tr.R: 11, tr.W: 33, tr.C_ADD: 12, tr.DPU: 6},
+        {tr.R: 11, tr.W: 33, tr.C_ADD: 12, tr.DPU: 6},
     ]
     assert result.graph.store.mult == [1, 2, 1, 1]
     assert result.graph.mult == [1, 2, 1, 3]  # the graph keeps its counts
@@ -2478,27 +2549,32 @@ _UNIT_RUNG = (
 #     words and split into two trails (89 + 40 and 90 + 40 units). 9
 #     degree stripes of 32 nodes; pass 1 has 4-bit words (largest degree
 #     8), pass 2 on fresh rows 2-bit ones (largest 2), and each pass runs
-#     22 waves of (stripe, rank). Each pass reads the 9 multiplicity
-#     stripes once, at 4 bits and then, after the rewrite, at 1. Per
-#     degree stripe and pass of d-bit words: the read-back 2d R, the
-#     probe's copy d R + d W, d plane compares (C_ADD + DPU) and one
-#     controller op; per wave 3d W and d C_ADD. The probe's + 1 runs 18 planes in pass 1 (plane 0, 1 or 2 is
-#     its last) and 2 per stripe in pass 2, one DPU per plane tested (18,
-#     then 9). The walk spends its 259 units in 11 one-bit adds of -1.
+#     22 waves of (stripe, rank): 18 of rank 0, one per stripe and end,
+#     and 4 later ones. Each pass reads the 9 multiplicity stripes once,
+#     at 4 bits and then, after the rewrite, at 1. Per degree stripe and
+#     pass of d-bit words: the read-back 2d R, the probe's copy d R + d W,
+#     d plane compares (C_ADD + DPU) and one controller op. A rank-0 wave
+#     is written straight into the zeroed out or in words, d W; a later
+#     wave is staged and added, 3d W and d C_ADD. The probe's + 1 runs 18
+#     planes in pass 1 (plane 0, 1 or 2 is its last) and 2 per stripe in
+#     pass 2, one DPU per plane tested (18, then 9). The walk spends its
+#     259 units in 11 one-bit adds of -1.
 #     DPU    components 259 + 259; per stripe and pass 9 * 5 + 9 * 3; the
 #            probe's 18 + 9; 259 walk steps + 4 trail ends; the unitig
 #            index 259 + 259; 4 bridge searches reaching 2, 3, 2 and 3
 #            nodes or intact chains                          = 1,408
 #     R      pass 1: 9 * 4 stripe + 9 * 3 * 4 = 144; pass 2: 9 * 1 +
 #            9 * 3 * 2 = 63; end check 9 * 1                 =   216
-#     W      pass 1: 9 * 4 copies + 2 * 18 + 22 * 12 = 336; retry
-#            rewrite at 4 bits 9 * 4 = 36; pass 2: 9 * 2 copies + 2 * 18
-#            + 22 * 6 = 186; the walk's adds 11 * 2           =   580
-#     C_ADD  pass 1: 9 * 4 + 18 + 22 * 4 = 142; pass 2: 9 * 2 + 18 +
-#            22 * 2 = 80; the walk's 11 adds                 =   233
+#     W      pass 1: 9 * 4 copies + 2 * 18 + 18 * 4 + 4 * 12 = 192;
+#            retry rewrite at 4 bits 9 * 4 = 36; pass 2: 9 * 2 copies +
+#            2 * 18 + 18 * 2 + 4 * 6 = 114; the walk's adds 11 * 2
+#                                                            =   364
+#     C_ADD  pass 1: 9 * 4 + 18 + 4 * 4 = 70; pass 2: 9 * 2 + 18 + 4 * 2
+#            = 44; the walk's 11 adds                        =   125
 #   traverse, simplify on: two 4-node components of 4 edges of
 #     multiplicity 4, each retried at unit words and walked in one trail.
-#     One degree stripe, d = 4 then 2, 4 waves a pass; the probe's + 1
+#     One degree stripe, d = 4 then 2, 4 waves a pass, 2 of them rank 0
+#     and written, not added; the probe's + 1
 #     runs 1 plane in pass 1 and 2 in pass 2, one DPU each pass; the walk
 #     spends its 8 units in 3 adds.
 #     DPU    components 8 + 8; the stripe 5 + 3; the probe's 1 + 1; 8 walk
@@ -2506,10 +2582,11 @@ _UNIT_RUNG = (
 #            reaching 3 nodes each                           =    58
 #     R      pass 1: 3 + 3 * 4 = 15; pass 2: 1 + 3 * 2 = 7; end check 1
 #                                                            =    23
-#     W      pass 1: 4 + 2 + 4 * 12 = 54; rewrite at 3 bits 3; pass 2:
-#            2 + 4 + 4 * 6 = 30; the walk's adds 3 * 2      =    93
-#     C_ADD  pass 1: 4 + 1 + 4 * 4 = 21; pass 2: 2 + 2 + 4 * 2 = 12; the
-#            walk's 3 adds                                   =    36
+#     W      pass 1: 4 + 2 + 2 * 4 + 2 * 12 = 38; rewrite at 3 bits 3;
+#            pass 2: 2 + 4 + 2 * 2 + 2 * 6 = 22; the walk's adds 3 * 2
+#                                                            =    69
+#     C_ADD  pass 1: 4 + 1 + 2 * 4 = 13; pass 2: 2 + 2 + 2 * 2 = 8; the
+#            walk's 3 adds                                   =    24
 #   sub-arrays   10 hash groups, then the row bank's 58-row data regions.
 #                Off: the 9 4-row multiplicity stripes and 1 of pass 1's
 #                12-row stripes fill the first, 4 each the next two, and
@@ -2527,8 +2604,8 @@ LADDER = {
             ("graph", "W", 36),
             ("traverse", "DPU", 1408),
             ("traverse", "R", 216),
-            ("traverse", "W", 580),
-            ("traverse", "C_ADD", 233),
+            ("traverse", "W", 364),
+            ("traverse", "C_ADD", 125),
         ],
         14,
         [
@@ -2552,8 +2629,8 @@ LADDER = {
             ("graph", "W", 3),
             ("traverse", "DPU", 58),
             ("traverse", "R", 23),
-            ("traverse", "W", 93),
-            ("traverse", "C_ADD", 36),
+            ("traverse", "W", 69),
+            ("traverse", "C_ADD", 24),
         ],
         11,
         [
@@ -2598,9 +2675,12 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #     placed key row, and a miss the first of its read's batches it fits.
 #     A hit compares its bucket's rows newest first, down to its key's,
 #     and a miss all of them: 236,585 rows in all (1.03 per batch, 0.31
-#     per query). A batch's new keys go in once it has compared, one
-#     masked write per key row: no probed batch holds two new keys of one
-#     key row, so the 6,427 + 3,473 take 9,900 writes. Each group keeps
+#     per query). A new key waits, once its batch has compared, until a
+#     later batch probes its bucket or the read ends, and then its key row
+#     is written with every key waiting in it. After each group's first
+#     read, every read brings one new key, its last k-mer (9,976 - 76 =
+#     9,900 keys in the 9,900 later reads), so the 6,427 + 3,473 take one
+#     row write each: 9,900 writes. Each group keeps
 #     its images in its 8 temp rows and in the key rows above its fullest
 #     column, up to 784 in one group at once, so 210,600 batches find
 #     their image held and only 19,032 write one. Each key's counter sits
@@ -2634,7 +2714,9 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #                  it retry at unit words. 39 degree stripes, d = 7
 #                  then 2 (degrees up to 76, then 1); every node has one
 #                  out- and one in-edge, so one wave each way per
-#                  stripe and pass.
+#                  stripe and pass, each of rank 0: it is written
+#                  straight into the fresh rows' zeroed out or in words,
+#                  d W, and no wave is added.
 #     The probe's + 1: in pass 1 the 37 middle stripes hold in-degree 76
 #     only, which is even, so their adds stop at plane 0 (1 C_ADD, 2 W,
 #     1 DPU); the first and last stripes hold the ramp 0..76, whose 63
@@ -2648,12 +2730,12 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #     R  pass 1: 39 * 7 stripe + 39 * 3 * 7 = 1,092; pass 2: 39 * 1 +
 #        39 * 3 * 2 = 273; end check 39 * 1                 =     1,404
 #     W  pass 1: 39 * 7 probe copies + 37 * 2 + 2 * 14 probe adds +
-#        78 waves * 21 = 2,013; retry rewrite 39 * 7 = 273; pass 2, on
-#        fresh rows: 39 * 6 + 78 * 6 = 702; the walk's one flush,
+#        78 waves * 7 = 921; retry rewrite 39 * 7 = 273; pass 2, on
+#        fresh rows: 39 * 6 + 78 * 2 = 390; the walk's one flush,
 #        before the end check: one 1-bit add of -1 per stripe,
-#        39 * 2                                              =     3,066
-#     C_ADD pass 1: 39 * 7 compares + 37 + 2 * 7 probe adds + 78 * 7 =
-#        870; pass 2: 39 * 4 + 78 * 2 = 312; 39 flush adds   =     1,221
+#        39 * 2                                              =     1,662
+#     C_ADD pass 1: 39 * 7 compares + 37 + 2 * 7 probe adds = 324;
+#        pass 2: 39 * 4 = 156; 39 flush adds                 =       519
 #   sub-arrays     3 + 2: one row bank of 1,018-row data regions takes,
 #                  in turn, the 39 multiplicity stripes of 7 rows (273
 #                  rows), pass 1's 39 stripes of 3 * 7 rows (out, in and
@@ -2669,8 +2751,8 @@ CANONICAL_TRACE = [
     ("graph", "W", 273),
     ("traverse", "DPU", 30_447),
     ("traverse", "R", 1_404),
-    ("traverse", "W", 3_066),
-    ("traverse", "C_ADD", 1_221),
+    ("traverse", "W", 1_662),
+    ("traverse", "C_ADD", 519),
 ]
 
 
@@ -2694,19 +2776,41 @@ def _benchmark_workloads():
 # 9,956 keys take 3 hash groups and its walk runs bridge tests between
 # hubs; sampled-repeats' 8 components retry at unit words and split into
 # 16 contigs. These records are what the benchmark's trace digest hashes.
+#   hashmap W      the key row writes plus the image writes and counter
+#                  seeds (1,732, 1,533 and 3,760). A read's new key waits
+#                  until a later batch of the read probes its bucket, or
+#                  the read ends, and its key row then takes every key
+#                  waiting in it. So the writes are one per (read, group,
+#                  key row) of new keys, 919, 3,069 and 1,988, plus one
+#                  per row that a batch needed while another of its keys'
+#                  batches was still to compare, 0, 3 and 1: 919, 3,072
+#                  and 1,989 writes (9,956 keys on hub-euler, where a row
+#                  holds 4).
+#   traverse W, C_ADD
+#                  degree passes on 4 stripes at d = 7 then 2
+#                  (tiled-deep, retried), 38 at d = 3 (hub-euler) and 23
+#                  at d = 4 then 2 (sampled-repeats, retried), every
+#                  stripe with edges at both ends. Each stripe's rank-0
+#                  wave per end is written straight into the zeroed out or
+#                  in words, d W, where staging and adding it cost d W + d
+#                  C_ADD + 2d W; later waves are still added. So each
+#                  pass saves 2 * stripes * d C_ADD and twice that in W:
+#                  72 and 144 (tiled-deep), 228 and 456 (hub-euler), 276
+#                  and 552 (sampled-repeats), from C_ADD 136, 1,127 and
+#                  672 and W 336, 2,800 and 1,670.
 WORKLOAD_TRACES = {
     "tiled-deep": (
         [
             ("io", "XFER", 22_775),
-            ("hashmap", "W", 2_652),
+            ("hashmap", "W", 2_651),
             ("hashmap", "C_ADD", 19_365),
             ("hashmap", "DPU", 19_365),
             ("graph", "R", 32),
             ("graph", "W", 28),
             ("traverse", "DPU", 2_992),
             ("traverse", "R", 144),
-            ("traverse", "W", 336),
-            ("traverse", "C_ADD", 136),
+            ("traverse", "W", 192),
+            ("traverse", "C_ADD", 64),
         ],
         2,
         1,
@@ -2714,15 +2818,15 @@ WORKLOAD_TRACES = {
     "hub-euler": (
         [
             ("io", "XFER", 5_770),
-            ("hashmap", "W", 6_211),
+            ("hashmap", "W", 4_605),
             ("hashmap", "C_ADD", 4_629),
             ("hashmap", "DPU", 4_629),
             ("graph", "R", 320),
             ("graph", "W", 39),
             ("traverse", "DPU", 108_719),
             ("traverse", "R", 420),
-            ("traverse", "W", 2_800),
-            ("traverse", "C_ADD", 1_127),
+            ("traverse", "W", 2_344),
+            ("traverse", "C_ADD", 899),
         ],
         4,
         1,
@@ -2730,15 +2834,15 @@ WORKLOAD_TRACES = {
     "sampled-repeats": (
         [
             ("io", "XFER", 9_150),
-            ("hashmap", "W", 6_831),
+            ("hashmap", "W", 5_749),
             ("hashmap", "C_ADD", 8_191),
             ("hashmap", "DPU", 8_191),
             ("graph", "R", 192),
             ("graph", "W", 92),
             ("traverse", "DPU", 29_317),
             ("traverse", "R", 552),
-            ("traverse", "W", 1_670),
-            ("traverse", "C_ADD", 672),
+            ("traverse", "W", 1_118),
+            ("traverse", "C_ADD", 396),
         ],
         3,
         16,
