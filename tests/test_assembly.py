@@ -221,9 +221,9 @@ def test_an_all_miss_stage_costs_follow_its_bucket_loads():
     # key waiting in it, one masked write per row. A read's 16 new keys
     # reach 4 key rows, but 5 in the third and fourth reads, whose keys
     # reach rows 8 to 12 and 11 to 15: 4 * 4 + 2 * 5 = 26 (read, key row)
-    # pairs. In the fifth read a batch needs row 17 while two more of its
-    # keys wait for a later batch, so that row is written twice: 27
-    # writes. Writing each batch's new keys right after it compared took
+    # pairs. In the fifth read a batch needs row 17 while two more keys of
+    # that row sit in a batch still to compare, so the row is written
+    # twice: 27 writes. Writing each batch's new keys right after it compared took
     # 25 + 8, since one read's keys of one row came from several batches.
     # The keys take key indices 0..95, two counter stripes of 64, so the
     # stage ends with two seed writes, and with no hit adds nothing:
@@ -1702,12 +1702,12 @@ def test_a_repeat_pass_on_a_new_word_width_redoes_every_node():
     assert degree_words(asm, g) == g.degrees(g.store.mult) == ([1, 2], [1, 2])
 
 
-def test_a_pass_of_first_waves_only_issues_no_degree_add():
+def test_a_pass_of_first_waves_only_runs_no_degree_add():
     # A 40-node path with multiplicities 1 to 7 and a 6-node cycle of
     # multiplicity 5, on 64 x 16: 46 nodes in 3 degree stripes, and
     # (7 + 1).bit_length() = 4-bit degree words. No node has two out-edges
     # or two in-edges, so every wave is a stripe's rank-0 wave, written
-    # straight into the zeroed out or in words: the pass issues no
+    # straight into the zeroed out or in words: the pass runs no
     # add_cols, and all its C_ADD comes from the start probe (the in + 1
     # adds and the plane compares). The degree words still read back as the
     # host degrees.
