@@ -41,7 +41,7 @@ emits one edge per distinct k-mer (prefix node, suffix node, multiplicity
 counters column-parallel: each stripe's first wave of edge words is
 written into its zeroed counters, and later waves are added through
 staging words. It probes the start vertex with a bit-plane compare of
-out against in+1, formed in the staging words once counting ends, and
+out against in+1, formed in the in words once they are read back, and
 covers each weak component with the fewest trails its degrees allow,
 max(1, sum of outgoing surpluses): one trail per surplus unit, or one
 Euler circuit when there is none, walked bridge-aware. The walked units come off their multiplicity words in
@@ -58,12 +58,15 @@ whose edges all hold units as one super-node, so it moves from hub to hub.
 
 A bit-serial add costs one cycle and two writes per bit plane it passes
 (an increment stops at its last carry plane; see isa), so every
-vertical word is as wide as the values it holds, and no wider. A
-multiplicity word takes the bit length of the largest multiplicity, and
-the store narrows when a rewrite lowers it; a degree word takes the bit
-length of the largest degree plus one, the largest value the start probe
-forms. Each add's carry-out is checked: a decrement that does not carry
-spent more than the word held, and an in + 1 that does overflowed its word.
+vertical word is as wide as the values it holds, and no wider. A counter
+takes the bit length of the pre-scan's largest count, but at least 8 bits
+(mapping.counter_width), so every count fits. A multiplicity word takes
+the bit length of the largest multiplicity, and the store narrows when a
+rewrite lowers it; a degree word takes the bit length of the largest
+degree plus one, the largest value the start probe forms. Each add's
+carry-out is checked: a counter add or an in + 1 that carries overflowed
+its word, and a decrement that does not carry spent more than the word
+held.
 
 Each Assembler keeps one row allocator, `_RowBank`: the multiplicity
 stripes and every degree pass take their rows from it, in order, and it
@@ -195,9 +198,9 @@ class SparseGraph:
                 fh.write(f"{self.nodes[u].to_str()}\t{self.nodes[v].to_str()}\t{m}\n")
 
 
-def weakly_connected_components(g: SparseGraph) -> list[list[int]]:
-    """Node id lists of the weak components, each ascending, ordered by
-    smallest member: a union-find over the edges."""
+def weakly_connected_components(g: SparseGraph) -> list[int]:
+    """Each node's weak component index, the components numbered in order
+    of their lowest node: a union-find over the edges."""
     parent = list(range(len(g.nodes)))
 
     def root(x: int) -> int:
@@ -208,10 +211,8 @@ def weakly_connected_components(g: SparseGraph) -> list[list[int]]:
 
     for u, v in zip(g.edge_src, g.edge_dst):
         parent[root(u)] = root(v)
-    comps: dict[int, list[int]] = {}
-    for x in range(len(parent)):
-        comps.setdefault(root(x), []).append(x)
-    return list(comps.values())
+    index: dict[int, int] = {}  # root -> its component's index
+    return [index.setdefault(root(x), len(index)) for x in range(len(parent))]
 
 
 @dataclass
@@ -353,17 +354,12 @@ class KmerTable:
         self.slots: list[tuple[int, int]] = []  # (sub-array id, key index)
         self.host_counts: dict[int, int] = {}   # packed key -> exact count
         self.total_kmers = 0
-        self.saturated_keys = 0
         self.buckets = 0
         self.batches = 0
         self.image_writes = 0
         self.compares = 0
         self.insert_writes = 0
         self.image_rows_held = 0
-
-    @property
-    def value_width(self) -> int:
-        return self.layout.value_width
 
     def distinct(self) -> int:
         return len(self.keys)
@@ -456,14 +452,12 @@ class _Query(NamedTuple):
     """One query in an open batch: its bucket, its key bits and `cols`,
     the columns of its bucket's keys placed before it, which its image
     fills. A miss carries the key index its key is written at; a hit
-    carries None and finds its key index in its bucket's rows. `counts`
-    marks a hit below the counter's cap."""
+    carries None and finds its key index in its bucket's rows."""
 
     bucket: _Bucket
     bits: int
     cols: int
     key_i: int | None
-    counts: bool
 
 
 class _RowBank:
@@ -647,7 +641,8 @@ class Assembler:
     (sub-array, counter stripe) starts every counter at one, and the
     stage's increments go in as one column-parallel +1 per (sub-array,
     counter stripe, set bit of an amount), the amounts decided by the host
-    mirror, which stops a counter at its cap.
+    mirror. Counters are as wide as the largest count needs, and at least 8
+    bits (mapping.counter_width).
     max_subarrays caps the sub-arrays on the machine: any stage that would
     allocate past it (a hash group, or the row bank that holds the
     multiplicity stripes and degree passes) raises CapacityError.
@@ -658,13 +653,11 @@ class Assembler:
         *,
         rows: int = 1024,
         cols: int = 256,
-        value_width: int = 8,
         simplify: bool = False,
         seed: int = 0,
         max_subarrays: int = 200_000,
     ):
         self.machine = Machine(rows=rows, cols=cols)
-        self.value_width = value_width
         self.simplify = simplify
         self.seed = seed
         self.max_subarrays = max_subarrays
@@ -688,39 +681,43 @@ class Assembler:
     def build_kmer_table(self, reads: list[EncodedSeq], k: int) -> KmerTable:
         """Count the reads' k-mers in a fabric hash store.
 
-        A host pre-scan hashes each distinct key once, with the probes'
-        hash, and mapping.bucket_directory takes the fewest groups
-        whose hashed key counts fit their sub-arrays, each of one bucket
-        per key slot (at 1024 x 256 and k=25, 3,568 buckets per group of
-        3,568 keys; 9,956 keys take 3 groups). The pre-scan's key set lives
-        only while the directory is sized; `host_counts` gathers the same
-        keys. Each k-mer is then observed in read order, a new key taking
-        its slot's counter, and each query joins one of its group's open
-        batches (see _observe). At the read's end each group probes its
-        batches in order and writes their new keys (see _flush). Hits'
-        increments collect in `pending` until the last read's batches have
-        run. Then every counter is seeded, one write per (sub-array,
-        stripe), and the increments are added, so
-        every counter is seeded before it is added to and holds its count
-        before build_graph reads it. The log line reports the directory's
-        load (distinct keys per bucket), the batches, the image writes, the
-        images reused and the most rows a group held images in at once, the
-        keys inserted and their row writes, the imaged queries per image
-        write (a bucket's first key fills no column of an image), compares
-        per query and the fullest column next to the counter work, where a
-        counter add is one +1 at one bit plane.
+        A host pre-scan counts each distinct key, and its largest count sets
+        the counters' width (mapping.counter_width), so no counter
+        overflows; a count too wide for the geometry raises CapacityError.
+        It hashes each distinct key once, with the probes' hash, and
+        mapping.bucket_directory takes the fewest groups whose hashed key
+        counts fit their sub-arrays, each of one bucket per key slot (at
+        1024 x 256 and k=25, 3,568 buckets per group of 3,568 keys; 9,956
+        keys take 3 groups). The pre-scan's counts live only while the
+        layout and the directory are planned; `host_counts` gathers the same
+        counts as the stage runs. Each k-mer is then observed in read order,
+        a new key taking its slot's counter, and each query joins one of its
+        group's open batches (see _observe). At the read's end each group
+        probes its batches in order and writes their new keys (see _flush).
+        Hits' increments collect in `pending` until the last read's batches
+        have run. Then every counter is seeded, one write per (sub-array,
+        stripe), and the increments are added, so every counter is seeded
+        before it is added to and holds its count before build_graph reads
+        it. The log line reports the directory's load (distinct keys per
+        bucket), the batches, the image writes, the images reused and the
+        most rows a group held images in at once, the keys inserted and
+        their row writes, the imaged queries per image write (a bucket's
+        first key fills no column of an image), compares per query and the
+        fullest column next to the counter work, where a counter add is one
+        +1 at one bit plane.
         """
         m = self.machine
-        layout = mapping.layout_hash((m.rows, m.cols), k, self.value_width)
-        table = KmerTable(k, layout, m)
         with m.stage_scope(tr.STAGE_HASHMAP):
-            distinct = {w.bits for r in reads for w in extract_kmers(r, k)}
-            if not distinct:
+            counts = Counter(w.bits for r in reads for w in extract_kmers(r, k))
+            if not counts:
                 raise SizeError(f"no k-mers: every read is shorter than k={k}")
+            width = mapping.counter_width(max(counts.values()))
+            layout = mapping.layout_hash((m.rows, m.cols), k, width)
+            table = KmerTable(k, layout, m)
             n_groups = mapping.bucket_directory(
-                layout, [mapping.stable_hash(bits, 2 * k, self.seed) for bits in distinct]
+                layout, [mapping.stable_hash(bits, 2 * k, self.seed) for bits in counts]
             )
-            del distinct
+            del counts
             groups = [
                 _Group(self._new_subarray(layout.row_layout), layout) for _ in range(n_groups)
             ]
@@ -786,9 +783,10 @@ class Assembler:
         one sub-array's stripe whose amount has bit i set share one
         column-parallel +1 at plane i, which costs what a single-column add
         does and stops at its last carry plane. The adds run in ascending
-        (sub-array, stripe, plane) order. The mirror never lets a counter
-        pass its cap, so any overflow bit means fabric and mirror diverged;
-        the check runs once every add has, so the cells hold the full sums.
+        (sub-array, stripe, plane) order. Every counter is wide enough for
+        its key's count, so any overflow bit means fabric and mirror
+        diverged; the check runs once every add has, so the cells hold the
+        full sums.
         """
         planes: dict[tuple[int, int, int], list[int]] = {}
         for (sid, lsb, col), amount in pending.items():
@@ -837,12 +835,11 @@ class Assembler:
         read's end (see _flush). So a hit on a key placed earlier in the
         read is probed after the key is written, and imaged in its column,
         and a key row takes every key of the read that is ready by the time
-        a batch needs one of them. A hit below the cap adds one increment
-        for the key its batch finds to `pending`.
+        a batch needs one of them. A hit adds one increment for the key its
+        batch finds to `pending`.
         """
         lay = table.layout
         bits = kmer.bits
-        cap = (1 << lay.value_width) - 1
         table.total_kmers += 1
         bucket = buckets[mapping.stable_hash(bits, 2 * table.k, self.seed) % len(buckets)]
         group = bucket.group
@@ -850,10 +847,8 @@ class Assembler:
         floor = group.last.get(bucket, -1)  # the bucket's last batch in the read
         count = table.host_counts.get(bits)
         if count is not None:
-            if count == cap:
-                table.saturated_keys += 1
             table.host_counts[bits] = count + 1
-            query = _Query(bucket, bits, cols, None, count < cap)
+            query = _Query(bucket, bits, cols, None)
             i = group.by_row.get(bucket.row, -1)
             if i <= floor or group.busy[i] & cols:
                 i = group.by_row[bucket.row] = len(group.batches)
@@ -872,7 +867,7 @@ class Assembler:
             table.slots.append((group.sid, key_i))
             bucket.col, bucket.row = col, row
             bucket.cols |= 1 << col
-            query = _Query(bucket, bits, cols, key_i, False)
+            query = _Query(bucket, bits, cols, key_i)
             i = floor + 1
             while i < len(group.busy) and group.busy[i] & cols:
                 i += 1
@@ -887,7 +882,7 @@ class Assembler:
         """Probe a group's open batches in the order they opened, and write
         the read's new keys, each key row once its keys are needed.
 
-        After each probe, each counting hit's increment goes to `pending`,
+        After each probe, each hit's increment goes to `pending`,
         at the counter of the key it found, and each miss's key waits, in a
         map from key row to its unwritten keys. Before a batch probes, each
         row that holds an unwritten key of a member's bucket is written,
@@ -928,7 +923,7 @@ class Assembler:
                     waiting.setdefault(row, []).append(query)
                 elif key_i is None:
                     raise ConsistencyError(f"fabric scan finds no key for a hit in sub-array {sid}")
-                elif query.counts:
+                else:
                     slot = (sid, *lay.counter_location(key_i))
                     pending[slot] = pending.get(slot, 0) + 1
         for row, keys in waiting.items():
@@ -1024,24 +1019,23 @@ class Assembler:
         merged when `simplify` is on, placed on this machine.
 
         Every counter is read back from fabric once and must equal the host
-        count, clamped at the cap; it becomes the edge's multiplicity. Nodes
-        are numbered in first-appearance order, and each node's label is
-        read in place, in the key slot where it first appears: the key's
-        low 2(k-1) bits for a prefix, the high ones for a suffix. Those bits
+        count; it becomes the edge's multiplicity. Nodes are numbered in
+        first-appearance order, and each node's label is read in place, in
+        the key slot where it first appears: the key's low 2(k-1) bits for
+        a prefix, the high ones for a suffix. Those bits
         must hold the label; nothing is copied. Only then does
         simplify_graph merge chains, and only the graph the walk reads is
         placed.
         """
         k = table.k
         width = 2 * (k - 1)
-        cap = (1 << table.value_width) - 1
         m = self.machine
         with m.stage_scope(tr.STAGE_GRAPH):
             g = SparseGraph(k=k)
             label_rows: list[tuple[int, int]] = []  # node id -> its label's key row
             fab_freq = table.frequencies()
             for key, (sid, key_i) in zip(table.keys, table.slots):
-                expect = min(table.host_counts[key.bits], cap)
+                expect = table.host_counts[key.bits]
                 if fab_freq[key] != expect:
                     raise ConsistencyError(
                         f"counter for {key.to_str()} reads {fab_freq[key]}, expected {expect}"
@@ -1117,19 +1111,18 @@ class Assembler:
         came before. Each stripe of `cols` nodes takes 3 * w_deg fresh rows
         from the assembler's row bank (its out, in and staging words), rows
         never handed out before and so still zero. So a stripe's rank-0 wave
-        is written straight into the out or in words (w_deg W), which
-        leaves the cells an add into zeros would; every later wave's words
-        are staged into the stripe's staging words and added into the out
-        or in words, so a whole sub-array row of nodes advances per add, and
-        the add's carry-out is checked. The degree words are
+        is written straight into the out or in words (w_deg W), which leaves
+        the cells an add into zeros would; every later wave's words are
+        staged into the stripe's staging words and added into the out or in
+        words, so a whole sub-array row of nodes advances per add, and the
+        add's carry-out is checked. The degree words are
         (largest degree + 1).bit_length() bits wide, just enough for the
-        start probe's in + 1, formed in the staging words once the
-        accumulation no longer needs them. Every pass is the same full
-        pass: a repeat one (after some words were rewritten, say) takes new
-        stripes after the last pass's and accumulates every node again. The
-        read-back and the start test cover
-        every column: the test compares out against in+1 with one compare
-        cycle per bit plane, and an in + 1 that carries out raises
+        start probe's in + 1, formed in the in words themselves once they
+        are read back. Every pass is the same full pass: a repeat one (after
+        some words were rewritten, say) takes new stripes after the last
+        pass's and accumulates every node again. The read-back and the start
+        test cover every column: the test compares out against in+1 with one
+        compare cycle per bit plane, and an in + 1 that carries out raises
         ConsistencyError. The edge-unit total needs no word of its own: it
         is the sum of the out-degree words. Any degree sequence is accepted:
         the starts list every node once per unit of outgoing surplus, in
@@ -1183,24 +1176,19 @@ class Assembler:
             for stripe, (sid, base) in enumerate(stripes):
                 lo = stripe * m.cols
                 hi = min(n, lo + m.cols)
-                in_base, stg_base = base + w_deg, base + 2 * w_deg
+                in_base = base + w_deg
                 fab_out += m.read_vwords(sid, base, w_deg)[: hi - lo]
                 fab_in += m.read_vwords(sid, in_base, w_deg)[: hi - lo]
-                # start probe: the staging words, dead now, take in + 1, and
+                # start probe: the in words, dead once read, take in + 1, and
                 # out is plane-compared against them
                 node_cols = list(range(hi - lo))
-                for i in range(w_deg):
-                    m.mem_insert(
-                        MemAddress(sid, stg_base + i, 0, m.cols),
-                        MemAddress(sid, in_base + i, 0, m.cols),
-                    )
-                if any(m.add_const_cols(sid, stg_base, w_deg, node_cols, 1).values()):
+                if any(m.add_const_cols(sid, in_base, w_deg, node_cols, 1).values()):
                     raise ConsistencyError("start probe's in + 1 overflowed its degree word")
                 agree = ~0
                 for i in range(w_deg):
                     res = m.cmp(
                         MemAddress(sid, base + i, 0, m.cols),
-                        MemAddress(sid, stg_base + i, 0, m.cols),
+                        MemAddress(sid, in_base + i, 0, m.cols),
                     )
                     agree &= res.mask
                 m.dpu_charge(1)
@@ -1390,29 +1378,20 @@ class Assembler:
                 f"skipped {len(reads) - len(usable)} reads shorter than k={k}"
             )
         if not usable:
-            layout = mapping.layout_hash((m.rows, m.cols), k, self.value_width)
+            layout = mapping.layout_hash((m.rows, m.cols), k)
             empty = KmerTable(k, layout, m)
             return AssemblyResult([], empty, SparseGraph(k=k), [], warnings)
         with m.stage_scope(tr.STAGE_IO):
             m.xfer(sum((r.bit_length + 7) // 8 for r in usable))
         table = self.build_kmer_table(usable, k)
-        if table.saturated_keys:
-            warnings.append(
-                f"{table.saturated_keys} k-mer counters saturated at "
-                f"{(1 << table.value_width) - 1}"
-            )
         work = self.build_graph(table)
         with m.stage_scope(tr.STAGE_TRAVERSE):
             m.dpu_charge(len(work.nodes) + work.edge_count)
-            comps = weakly_connected_components(work)
-        heads = [comp[0] for comp in comps]  # each component's lowest node
-        comp_of = [0] * len(work.nodes)
-        for ci, comp in enumerate(comps):
-            for nid in comp:
-                comp_of[nid] = ci
-        # drop the member lists (an int object per node) before the walk,
-        # which needs only comp_of and heads
-        del comps, comp
+            comp_of = weakly_connected_components(work)
+        heads: list[int] = []  # each component's lowest node
+        for nid, ci in enumerate(comp_of):
+            if ci == len(heads):
+                heads.append(nid)
         surplus: Counter[int] = Counter()
         paths: list[EulerPath] = []
         if work.edge_count:  # an edge-less graph has nothing to place or walk

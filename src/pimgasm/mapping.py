@@ -2,11 +2,12 @@
 
 Everything here is stateless arithmetic. The hash-table layout packs
 `slots` keys per row, one every `pitch` columns, and keeps a vertical
-counter per key; counters sit in stripes of `value_width` rows, and key
-index j owns the counter at stripe j // cols, column j % cols, which is
-injective because j = stripe*cols+col. The assembler fills each slot
-position (column) of a sub-array's key rows in first-seen order, so keys
-first seen together share key rows and counter stripes. Bucket hashes are seedable and
+counter per key; counters sit in stripes of `value_width` rows, at least
+8 and as many as the largest count needs (counter_width), and key index j
+owns the counter at stripe j // cols, column j % cols, which is injective
+because j = stripe*cols+col. The assembler fills each slot position
+(column) of a sub-array's key rows in first-seen order, so keys first
+seen together share key rows and counter stripes. Bucket hashes are seedable and
 multiplicative, never Python's randomized hash(), so runs reproduce byte
 for byte. The bucket directory takes the fewest groups that the keys'
 hashes fit, and capacity planning sizes a whole-genome table.
@@ -134,7 +135,19 @@ class HashLayout:
         return self.value_rows.start + stripe * self.value_width, col
 
 
-def layout_hash(dims: tuple[int, int], k: int, value_width: int = 8) -> HashLayout:
+def counter_width(largest_count: int) -> int:
+    """Bits per hash counter when no key is counted more than
+    `largest_count` times: the count's bit length, and never fewer than 8.
+
+    Counters so sized never overflow. The 8-bit floor keeps every count up
+    to 255 on the one layout, so only a deeper count widens the stripes.
+    """
+    return max(8, largest_count.bit_length())
+
+
+def layout_hash(
+    dims: tuple[int, int], k: int, value_width: int = counter_width(0)
+) -> HashLayout:
     """Plan a hash-table sub-array for length-k keys at 2 bits per base.
 
     Keys sit at a pitch of the smallest power of two >= 2k columns, so a
@@ -145,9 +158,12 @@ def layout_hash(dims: tuple[int, int], k: int, value_width: int = 8) -> HashLayo
     give 5 slots at k=25 but 4 at k=27. Twelve rows are reserved (8 temp, 2
     init, 2 carry): the temp rows, and the key rows no key has reached yet,
     hold the group's recent probe images; the fewest counter stripes that
-    give every key a slot are taken, and the rest of the rows hold keys. For the default 1024 x 256 geometry at
-    k=25 that is 892 key rows of 4 slots (3,568 keys) and 15 stripes of 8
-    value rows. Keys wider than one row are rejected.
+    give every key a slot are taken, and the rest of the rows hold keys.
+    Counters take `value_width` rows each, 8 unless counter_width says
+    more. For the default 1024 x 256 geometry at k=25 that is 892 key rows
+    of 4 slots (3,568 keys) and 15 stripes of 8 value rows. Keys wider than
+    one row, and a geometry with no key row left beside its counters, are
+    rejected.
     """
     rows, cols = dims
     if k < 2:
@@ -165,7 +181,9 @@ def layout_hash(dims: tuple[int, int], k: int, value_width: int = 8) -> HashLayo
     stripes = math.ceil(free * slots / (cols + value_width * slots))
     n_keys = free - stripes * value_width
     if stripes < 1 or n_keys < 1:
-        raise CapacityError(f"geometry {dims} too small for a hash sub-array")
+        raise CapacityError(
+            f"geometry {dims} too small for a hash sub-array of {value_width}-bit counters"
+        )
     kmer_rows = range(0, n_keys)
     value_rows = range(n_keys, n_keys + stripes * value_width)
     base = value_rows.stop

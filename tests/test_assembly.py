@@ -120,7 +120,6 @@ def test_kmer_counts_match_a_host_counter(reads, k):
     assert got == dict(expected)
     assert table.total_kmers == sum(expected.values())
     assert table.distinct() == len(expected)
-    assert table.saturated_keys == 0
 
 
 def test_insert_cost_oracle_single_read():
@@ -611,17 +610,15 @@ def test_overlapping_reads_count_like_a_host_counter():
 def check_counters_at_key_indices(asm, table):
     """A key's counter index is its key index: each key's counter word,
     read from the cells (untraced) at counter_location(its key index) in
-    its own sub-array, holds its count (capped), and no other counter bit
-    of a hash sub-array is set. Call it before any stage after the hash
-    stage."""
+    its own sub-array, holds its count, and no other counter bit of a hash
+    sub-array is set. Call it before any stage after the hash stage."""
     lay = table.layout
-    cap = (1 << lay.value_width) - 1
     ones = Counter()
     for key, (sid, key_i) in zip(table.keys, table.slots):
         lsb, col = lay.counter_location(key_i)
         cells = asm.machine.subarray(sid).cells
         word = sum((cells[lsb + p] >> col & 1) << p for p in range(lay.value_width))
-        assert word == min(table.host_counts[key.bits], cap)
+        assert word == table.host_counts[key.bits]
         ones[sid] += word.bit_count()
     for sid in range(asm.machine.subarray_count):
         cells = asm.machine.subarray(sid).cells
@@ -916,46 +913,53 @@ def test_each_key_counts_at_its_own_key_index():
     assert {key.to_str(): n for key, n in freqs.items()} == dict(expected)
 
 
-def test_counter_saturation_clamps_fabric_not_host():
-    asm = make_asm(value_width=2)  # counters top out at 3
-    table = asm.build_kmer_table([E("AAAAAAA")], 3)  # AAA appears 5 times
-    assert table.frequencies()[E("AAA")] == 3
-    assert table.host_counts[E("AAA").bits] == 5
-    assert table.saturated_keys == 1
-    assert table.total_kmers == 5
+def test_a_count_past_255_widens_the_counters():
+    # A 302-base poly-A read at k = 3 holds AAA 300 times. The pre-scan's
+    # largest count is 300, 9 bits, so the counters take 9 bits, and AAA
+    # reads back in full: the graph is one 300-unit self-loop on AA, walked
+    # into one contig as long as the read.
+    result = make_asm().assemble([E("A" * 302)], 3)
+    assert result.table.layout.value_width == 9
+    assert result.table.frequencies() == {E("AAA"): 300}
+    assert [c.to_str() for c in result.contigs] == ["A" * 302]
+    assert result.warnings == []
 
 
-# reads built from 1 to 6 homopolymer runs of 1 to 9 bases each
-homopolymer_reads = st.lists(
-    st.lists(st.tuples(st.sampled_from("ACGT"), st.integers(1, 9)), min_size=1, max_size=6),
-    min_size=1,
-    max_size=5,
-).map(lambda reads: ["".join(base * n for base, n in runs) for runs in reads])
+def test_deep_tiling_counts_every_k_mer_exactly():
+    # 300-base reads at stride 1 over a 600-base genome of distinct
+    # 24-mers: a 25-mer in the middle is read 276 times, so the counters
+    # take 9 bits, and every counter reads back the exact host count. The
+    # multiplicities ramp up to 276 and down again, an outgoing surplus of
+    # 276, so the walk retries with unit multiplicities, which spell the
+    # genome.
+    genome = distinct_window_genome(600, 24, random.Random(3))
+    reads = [E(s) for s in tile_reads(genome, 300, 1)]
+    result = Assembler().assemble(reads, 25)
+    table = result.table
+    assert max(table.host_counts.values()) == 276
+    assert table.layout.value_width == 9
+    assert {key.bits: n for key, n in table.frequencies().items()} == table.host_counts
+    assert [c.to_str() for c in result.contigs] == [genome]
+    assert result.warnings == [_UNIT_RUNG.format(276)]
 
 
-@given(reads=homopolymer_reads, at=st.integers(0, 5), k=st.integers(2, 4))
-@settings(max_examples=40, deadline=None)
-def test_two_bit_counters_saturate_inside_and_across_reads(reads, at, k):
-    # The all-A key occurs 5 times in one read, so it passes the cap of 3
-    # inside that read; the all-C key occurs twice in each of two reads, so
-    # it reaches the cap in the second read.
-    raw = list(reads)
-    raw[min(at, len(raw)) : min(at, len(raw))] = ["A" * (k + 4), "C" * (k + 1)]
-    raw.append("C" * (k + 1))
-    cap = 3
-    expected = Counter(s[i : i + k] for s in raw for i in range(len(s) - k + 1))
-    assert expected["A" * k] >= 5 and expected["C" * k] >= 4
-    table = make_asm(value_width=2, **PACKED).build_kmer_table([E(s) for s in raw], k)
-    host = {key.to_str(): table.host_counts[key.bits] for key in table.keys}
-    assert host == dict(expected)
-    assert {key.to_str(): n for key, n in table.items()} == {
-        key: min(n, cap) for key, n in expected.items()
-    }
-    assert table.saturated_keys == sum(n > cap for n in expected.values())
+def test_a_count_too_wide_for_the_geometry_raises():
+    # 64 x 16 at k = 2: 4 key slots a row, and 52 rows beside the 12
+    # reserved. 4,096 A's hold AA 4,095 times, 12 bits: 4 stripes of 12
+    # rows leave 4 key rows. 4,097 A's hold it 4,096 times, 13 bits: 4
+    # stripes of 13 rows take all 52, so no key row is left, and the stage
+    # raises before it takes a sub-array.
+    asm = make_asm(rows=64, cols=16)
+    table = asm.build_kmer_table([E("A" * 4096)], 2)
+    assert table.layout.value_width == 12
+    assert table.frequencies() == {E("AA"): 4095}
+    asm = make_asm(rows=64, cols=16)
+    with pytest.raises(CapacityError, match=r"too small for a hash sub-array of 13-bit counters"):
+        asm.build_kmer_table([E("A" * 4097)], 2)
+    assert asm.machine.subarray_count == 0
 
 
-@pytest.mark.parametrize("width", [4, 8])
-def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
+def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(caplog):
     # Seen again, every k-mer of the read is a hit on a written key. Its
     # probes run in batches of up to 4 queries whose buckets use different
     # columns, each hit joining the read's batch for its bucket's newest
@@ -964,21 +968,19 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
     # free key row holds it already, and compares the union of its
     # members' rows, newest first down to each key's, one C_ADD plus one
     # DPU per row, so the probes' C_ADD equals their DPU. The 108 hits take
-    # 43 batches at width 4 and 40 at width 8, 36 and 32 of them writing an
-    # image, and compare 60 and 53 rows. The read's 97 keys reach key row
-    # 24, so the group's 8 temp rows and its 51 free key rows (75 down to
-    # 25) hold every image the two copies write (45 and 43 at most), and
-    # none is evicted: the second copy finds 7 and 8 of its images held
-    # among the first copy's 9 and 11. (While the first copy's hits on its
-    # own keys into empty buckets packed first-fit, it wrote 7 and 8
-    # images, and the second copy found 2 and 4 of its images held; the 8
-    # temp rows alone kept 0 and 1.) Every key goes in during
-    # the first copy, so the copies' W differ by the image writes and the
-    # adds alone. First-fit batches, whose members' keys sat
-    # in different rows, took 28 at either width, one more than 108 / 4,
-    # and compared 56 and 52 rows: at this small geometry a key row's hits
-    # often need a column its batch already fills, so row-keyed batches
-    # compare more rows here and fewer on large runs. The stage's
+    # 40 batches, 32 of them writing an image, and compare 53 rows. The
+    # read's 97 keys reach key row 24, so the group's 8 temp rows and its
+    # 51 free key rows (75 down to 25) hold every image the two copies
+    # write (43 at most), and none is evicted: the second copy finds 8 of
+    # its images held among the first copy's 11. (While the first copy's
+    # hits on its own keys into empty buckets packed first-fit, it wrote 8
+    # images, and the second copy found 4 of its images held; the 8 temp
+    # rows alone kept 1.) Every key goes in during the first copy, so the
+    # copies' W differ by the image writes and the adds alone. First-fit
+    # batches, whose members' keys sat in different rows, took 28, one
+    # more than 108 / 4, and compared 52 rows: at this small geometry a key
+    # row's hits often need a column its batch already fills, so row-keyed
+    # batches compare more rows here and fewer on large runs. The stage's
     # increments are added after its seed write. A k-mer that occurs n times
     # in the read is seeded at 1 and has 2n - 1 pending after two copies
     # (n - 1 after one), and each set bit i of that amount is one +1 at
@@ -986,13 +988,12 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
     # with bit i set. The read holds 86 k-mers once and 11 twice: amounts
     # 1 and 3 after two copies, and 0 and 1 after one. A counter sits at
     # its key's key index: the read's 97 distinct k-mers take key indices
-    # up to 96 at width 4 and 98 at width 8, so stripe 0 of 64 columns
-    # holds indices 0..63 and stripe 1 the rest, and both hold k-mers seen
-    # once and twice (GGATC at index 0, AGGAT at 81, or 79 at width 8).
-    # So two copies add at planes 0 and 1 of both stripes, four adds, and
-    # one copy at plane 0 of both, two adds. Each stops at its last carry
-    # plane, at either width: plane 0 of counters at 1 carries into plane
-    # 1, which holds 0, and plane 1 of counters at 2 carries into plane 2,
+    # up to 98, so stripe 0 of 64 columns holds indices 0..63 and stripe 1
+    # the rest, and both hold k-mers seen once and twice (GGATC at index 0,
+    # AGGAT at 79). So two copies add at planes 0 and 1 of both stripes,
+    # four adds, and one copy at plane 0 of both, two adds. Each stops at
+    # its last carry plane: plane 0 of counters at 1 carries into plane 1,
+    # which holds 0, and plane 1 of counters at 2 carries into plane 2,
     # which holds 0, so every add takes 2 C_ADD, 4 W and a DPU reduce at
     # both planes.
     genome = random_genome(100, random.Random(5))
@@ -1001,7 +1002,7 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
     assert Counter(occurrences.values()) == {1: 86, 2: 11}
     asms, tables = [], []
     for copies in (1, 2):
-        asm = make_asm(value_width=width)
+        asm = make_asm()
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="pimgasm.assembly"):
             table = asm.build_kmer_table([E(read)] * copies, k)
@@ -1013,7 +1014,7 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
     assert twice.machine.subarray_count == 1
     check_counters_at_key_indices(twice, table)
     lay = table.layout
-    assert max(key_i for _, key_i in table.slots) == {4: 96, 8: 98}[width]
+    assert max(key_i for _, key_i in table.slots) == 98
 
     def planes(copies):
         """(sub-array, stripe lsb, plane) of every set bit of the pending
@@ -1032,11 +1033,11 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(width, caplog):
     batches = tables[1].batches - tables[0].batches
     images = tables[1].image_writes - tables[0].image_writes
     assert sum(occurrences.values()) == 108
-    assert (batches, images) == {4: (43, 36), 8: (40, 32)}[width]
-    assert tables[0].image_writes == tables[0].batches == {4: 9, 8: 11}[width]
-    assert tables[1].image_rows_held == {4: 45, 8: 43}[width]
+    assert (batches, images) == (40, 32)
+    assert tables[0].image_writes == tables[0].batches == 11
+    assert tables[1].image_rows_held == 43
     probe_dpu = b[tr.DPU] - a[tr.DPU] - 2 * 2
-    assert probe_dpu == tables[1].compares - tables[0].compares == {4: 60, 8: 53}[width]
+    assert probe_dpu == tables[1].compares - tables[0].compares == 53
     assert b[tr.R] == a[tr.R]
     assert b[tr.C_ADD] - a[tr.C_ADD] == probe_dpu + 2 * 2
     assert b[tr.W] - a[tr.W] == images + 2 * 4
@@ -1106,7 +1107,7 @@ def test_bit_sliced_counter_adds_equal_whole_amount_adds(data, width):
     lay = mapping.layout_hash((64, 16), 2, width)
     top = (1 << width) - 1
     lsbs = [lay.counter_location(0)[0], lay.counter_location(lay.cols)[0]]
-    asm = Assembler(rows=64, cols=16, value_width=width)
+    asm = Assembler(rows=64, cols=16)
     twin = Machine(rows=64, cols=16)
     sid = asm.machine.new_subarray(lay.row_layout)
     assert twin.new_subarray(lay.row_layout) == sid
@@ -1151,7 +1152,6 @@ def _counter_events(asm, reads, k):
     "seed" or "add", (sub-array, stripe lsb, column)): one entry per counter
     a seed write starts or a counter add touches. A read ends with one
     _flush per hash group, and the hash stage's sub-arrays are its groups."""
-    width = asm.value_width
     events = []
     flushes = []  # one entry per group flush
     flush = asm._flush
@@ -1168,7 +1168,7 @@ def _counter_events(asm, reads, k):
 
     def on_add(sid, lsb, w, cols, constant):
         # an add at plane i runs from lsb = stripe + i to the stripe's top
-        events.extend((len(flushes), "add", (sid, lsb + w - width, col)) for col in cols)
+        events.extend((len(flushes), "add", (sid, lsb + w, col)) for col in cols)
         return add(sid, lsb, w, cols, constant)
 
     with patch.object(asm, "_flush", on_flush), patch.object(
@@ -1177,6 +1177,10 @@ def _counter_events(asm, reads, k):
         table = asm.build_kmer_table([E(s) for s in reads], k)
     groups = asm.machine.subarray_count
     assert len(flushes) == groups * len(reads)
+    width = table.layout.value_width
+    for i, (n, kind, (sid, lsb, col)) in enumerate(events):
+        if kind == "add":  # the stripe's top, less its width
+            events[i] = (n, kind, (sid, lsb - width, col))
     return table, [(n // groups, kind, counter) for n, kind, counter in events]
 
 
@@ -1184,7 +1188,7 @@ def check_counter_order(table, events, n):
     """Counter writes run only after the last of the n reads' flushes; every
     seed write comes before the first add, and seeds every key's counter
     once; every counter an add touches was seeded, and is touched once per
-    set bit of its key's count, clamped at the cap, less the seeded one."""
+    set bit of its key's count less the seeded one."""
     seeded = set()
     added = Counter()
     for ended, kind, counter in events:
@@ -1196,39 +1200,38 @@ def check_counter_order(table, events, n):
             assert counter in seeded
             added[counter] += 1
     lay = table.layout
-    cap = (1 << lay.value_width) - 1
     counters = {
-        (sid, *lay.counter_location(key_i)): min(table.host_counts[key.bits], cap) - 1
+        (sid, *lay.counter_location(key_i)): table.host_counts[key.bits] - 1
         for key, (sid, key_i) in zip(table.keys, table.slots)
     }
     assert seeded == set(counters)
     assert +added == +Counter({c: amount.bit_count() for c, amount in counters.items()})
 
 
-@pytest.mark.parametrize("width", [2, 8])
+@pytest.mark.parametrize("width", [8, 9])
 @pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
 def test_counters_are_written_once_after_the_last_read(n, width):
     # Reads of 12 bases every 3 bases of a random genome, with two reads put
     # in at positions 16 and 17: GATTGATTGA holds GATTG and ATTGA twice, and
-    # CGATTGATT holds them again. Whatever the number of reads, the seed
-    # writes and the adds run only after the last read's flushes, every
-    # seed first, so each counter is seeded before any add touches it, and
-    # the counters read back the host's counts, clamped at 3 for 2-bit
-    # words and at 255 for 8-bit ones.
+    # CGATTGATT holds them again. For 9-bit counters the first read starts
+    # with 260 A's, which hold AAAAA 256 times. Whatever the number of
+    # reads, the seed writes and the adds run only after the last read's
+    # flushes, every seed first, so each counter is seeded before any add
+    # touches it, and the counters read back the host's counts.
     genome = random_genome(120, random.Random(0))
     base = tile_reads(genome, 12, 3)
     raw = (base[:15] + ["GATTGATTGA", "CGATTGATT"] + base[15:])[:n]
+    if width == 9:
+        raw[0] = "A" * 260 + raw[0]
     k = 5
     assert not {"GATTG", "ATTGA"} & {s[i : i + k] for s in raw[:15] for i in range(8)}
     expected = Counter(s[i : i + k] for s in raw for i in range(len(s) - k + 1))
-    asm = make_asm(value_width=width, **PACKED)
+    asm = make_asm(**PACKED)
     table, events = _counter_events(asm, raw, k)
-    cap = (1 << width) - 1
-    assert {key.to_str(): c for key, c in table.frequencies().items()} == {
-        key: min(c, cap) for key, c in expected.items()
-    }
+    assert table.layout.value_width == width
+    assert {key.to_str(): c for key, c in table.frequencies().items()} == dict(expected)
     check_counter_order(table, events, n)
-    assert any(kind == "add" for _, kind, _ in events) == (n > 1)
+    assert any(kind == "add" for _, kind, _ in events) == (max(expected.values()) > 1)
 
 
 def test_every_counter_is_seeded_before_its_windows_first_add():
@@ -1330,11 +1333,19 @@ def test_every_counter_sits_at_its_key_index(reads, rows, k):
     # counter bit is set. The graph stage's only reads are the counter
     # read-back, which takes each hash sub-array's stripes up to the one
     # holding its highest key index: value_width R per stripe, summed over
-    # the sub-arrays that hold keys. (At k=2, 16 slots a row, 25 to 28 rows
-    # leave no key row beside two stripes.)
+    # the sub-arrays that hold keys. A geometry that leaves no key row
+    # beside the stripes the largest count needs raises instead (at k=2, 16
+    # slots a row, 25 to 28 rows do for 8-bit stripes).
     raw = [s for s in reads if len(s) >= k]
-    assume(raw and not (k == 2 and 25 <= rows <= 28))
+    assume(raw)
     asm = make_asm(rows=rows, cols=64)
+    largest = max(Counter(s[i : i + k] for s in raw for i in range(len(s) - k + 1)).values())
+    try:
+        mapping.layout_hash((rows, 64), k, mapping.counter_width(largest))
+    except CapacityError:
+        with pytest.raises(CapacityError, match="-bit counters"):
+            asm.build_kmer_table([E(s) for s in raw], k)
+        return
     table = asm.build_kmer_table([E(s) for s in raw], k)
     check_counters_at_key_indices(asm, table)
     top = {}
@@ -1342,7 +1353,7 @@ def test_every_counter_sits_at_its_key_index(reads, rows, k):
         top[sid] = max(top.get(sid, 0), key_i)
     asm.build_graph(table)
     stripes = sum(key_i // table.layout.cols + 1 for key_i in top.values())
-    assert asm.trace.total(tr.R, stage=tr.STAGE_GRAPH) == table.value_width * stripes
+    assert asm.trace.total(tr.R, stage=tr.STAGE_GRAPH) == table.layout.value_width * stripes
 
 
 def test_kmer_table_dump(tmp_path):
@@ -1593,13 +1604,14 @@ def path_graph(*labels):
 
 
 def degree_words(asm, g):
-    """The stored pass's out- and in-degree words, read back from fabric."""
+    """The stored pass's out- and in-degrees, read back from fabric. The
+    start probe leaves in + 1 in each node's in words."""
     d = g.store.degree
     out, inn = [], []
     for sid, base in d.stripes:
         out += asm.machine.read_vwords(sid, base, d.w_deg)
         inn += asm.machine.read_vwords(sid, base + d.w_deg, d.w_deg)
-    return out[: len(g.nodes)], inn[: len(g.nodes)]
+    return out[: len(g.nodes)], [word - 1 for word in inn[: len(g.nodes)]]
 
 
 def test_find_start_on_a_path():
@@ -1653,7 +1665,7 @@ def test_a_repeat_find_start_takes_fresh_stripes_after_the_first():
     # 18 nodes on 16 columns: two degree stripes. The largest degree is 2,
     # so the start probe's in + 1 needs 3.bit_length() = 2-bit degree
     # words, and a stripe 3 * 2 rows (out, in and staging words; the probe
-    # forms in + 1 in the staging words). The row bank's one sub-array
+    # forms in + 1 in the in words). The row bank's one sub-array
     # holds the two 1-bit multiplicity stripes (rows 0, 1); the first pass
     # stacks its stripes at rows 2 and 2 + 6 = 8, and a repeat pass takes
     # fresh ones after them, at 14 and 20, in the same sub-array. Fresh
@@ -1843,10 +1855,11 @@ def test_walk_cost_oracle_on_a_path():
     #   the zeroed out or in words, d = 2 W, and added nowhere (staging it
     #   and adding it took 2 W + 2 C_ADD + 4 W)      -> 4 W
     # read-back of the out and in planes             -> 4 R
-    # start probe: copy in -> tmp (2 R + 2 W), +1 (2 C_ADD + 4 W, and one
-    #   DPU reduce of plane 0's carry, which CG's and GT's in = 1 set),
-    #   2 plane compares (2 C_ADD + 2 DPU), 1 DPU     -> 2 R, 6 W, 4 C_ADD, 4 DPU
-    assert traverse_totals(asm.trace) == {tr.R: 7, tr.W: 11, tr.C_ADD: 4, tr.DPU: 4}
+    # start probe: +1 on the in words, dead once read back (2 C_ADD + 4 W,
+    #   and one DPU reduce of plane 0's carry, which CG's and GT's in = 1
+    #   set), 2 plane compares of out against them (2 C_ADD + 2 DPU), 1 DPU
+    #                                                 -> 4 W, 4 C_ADD, 4 DPU
+    assert traverse_totals(asm.trace) == {tr.R: 5, tr.W: 9, tr.C_ADD: 4, tr.DPU: 4}
     [path] = asm.fleury(g)
     assert path.node_ids == [0, 1, 2]
     # 2 units on 2 edges of one stripe, spent at the one flush before the end
@@ -1854,7 +1867,7 @@ def test_walk_cost_oracle_on_a_path():
     #   columns (1 C_ADD + 2 W, where a decrement per unit took 2 C_ADD +
     #   4 W), 3 loop DPU, no bridge test, and the end-of-walk read of the 1
     #   plane of the stripe
-    assert traverse_totals(asm.trace) == {tr.R: 8, tr.W: 13, tr.C_ADD: 5, tr.DPU: 7}
+    assert traverse_totals(asm.trace) == {tr.R: 6, tr.W: 11, tr.C_ADD: 5, tr.DPU: 7}
 
 
 @pytest.mark.parametrize("edge, word", [(0, 2), (1, 3), (16, 3), (18, 3)])
@@ -1913,18 +1926,20 @@ def test_spending_a_zero_word_raises_at_the_flush(edge):
 
 
 def test_a_start_probe_that_overflows_raises(monkeypatch):
-    # every in-degree plane reads all-ones as the probe copies it, so in + 1
-    # carries out of the exact-width degree words. Unchecked, the wrapped
-    # sums would only show up as a start list that disagrees with the mirror.
+    # every in-degree plane is set all-ones after its read-back, as the
+    # probe adds 1 to it, so in + 1 carries out of the exact-width degree
+    # words. Unchecked, the wrapped sums would only show up as a start list
+    # that disagrees with the mirror.
     asm, g = build_graph(["CGTGTGCA"], 5, rows=64, cols=16)
     m = asm.machine
-    copy = m.mem_insert
+    add = m.add_const_cols
 
-    def saturate_then_copy(dst, src):
-        m.subarray(src.subarray_id).cells[src.row] = (1 << m.cols) - 1
-        copy(dst, src)
+    def saturate_then_add(sid, lsb, width, cols, constant):
+        for row in range(lsb, lsb + width):
+            m.subarray(sid).cells[row] = (1 << m.cols) - 1
+        return add(sid, lsb, width, cols, constant)
 
-    monkeypatch.setattr(m, "mem_insert", saturate_then_copy)
+    monkeypatch.setattr(m, "add_const_cols", saturate_then_add)
     with pytest.raises(ConsistencyError, match="in \\+ 1 overflowed"):
         asm.find_start(g)
 
@@ -2231,8 +2246,18 @@ def test_weak_components():
     g.add_edge(E("A"), E("C"))
     g.add_edge(E("G"), E("T"))
     g.add_edge(E("C"), E("A"))
-    assert weakly_connected_components(g) == [[0, 1], [2, 3]]
+    assert weakly_connected_components(g) == [0, 0, 1, 1]
     assert weakly_connected_components(SparseGraph()) == []
+
+
+def members(comp_of):
+    """Component index per node -> each component's node ids, ascending,
+    in component order."""
+    comps = {}
+    for nid, ci in enumerate(comp_of):
+        comps.setdefault(ci, []).append(nid)
+    assert list(comps) == list(range(len(comps)))
+    return list(comps.values())
 
 
 def dfs_components(g):
@@ -2278,7 +2303,7 @@ def multigraphs(draw):
 @given(g=multigraphs())
 @settings(max_examples=200, deadline=None)
 def test_union_find_components_equal_a_depth_first_search(g):
-    assert weakly_connected_components(g) == dfs_components(g)
+    assert members(weakly_connected_components(g)) == dfs_components(g)
 
 
 # ---- whole pipeline --------------------------------------------------------
@@ -2355,22 +2380,22 @@ def test_only_the_retried_component_walks_unit_words():
     # AA's in- and out-degree is 3 in both passes, so the probe's in + 1
     # needs 4.bit_length() = 3-bit degree words (d = 3) both times.
     # Every pass reads the stripe (2 R) and the out and in planes (6 R),
-    # and runs the start probe on all columns (3 R, 3 + 6 W, 6 C_ADD, 4 DPU).
+    # and runs the start probe on all columns: + 1 on the in words, then
+    # dead, and 3 plane compares (6 W, 6 C_ADD, 4 DPU).
     # AA has two out- and two in-edges, so each end runs a rank-0 and a
     # rank-1 wave. A rank-0 wave is written straight into the zeroed out
     # or in words, 3 W; a rank-1 wave stages and adds one word per column,
     # 3 + 6 W and 3 C_ADD:
-    #   W 2 * 3 + 2 * 9 + 9 = 33, C_ADD 2 * 3 + 6 = 12
-    # (adding the rank-0 waves too took W 45, C_ADD 18). The second pass is
-    # the same full pass on fresh rows, which hold zeros, so it clears
-    # nothing and writes its rank-0 waves as well, and it counts the
-    # passing component's edges again.
+    #   W 2 * 3 + 2 * 9 + 6 = 30, C_ADD 2 * 3 + 6 = 12
+    # The second pass is the same full pass on fresh rows, which hold
+    # zeros, so it clears nothing and writes its rank-0 waves as well, and
+    # it counts the passing component's edges again.
     # The probe's + 1 reduces the carry of every plane below the last: AA's
     # in = 3 carries out of planes 0 and 1 in both passes, so it tests 2
     # planes and stops none early: 4 + 2 = 6 DPU per pass.
     assert pass_costs == [
-        {tr.R: 11, tr.W: 33, tr.C_ADD: 12, tr.DPU: 6},
-        {tr.R: 11, tr.W: 33, tr.C_ADD: 12, tr.DPU: 6},
+        {tr.R: 8, tr.W: 30, tr.C_ADD: 12, tr.DPU: 6},
+        {tr.R: 8, tr.W: 30, tr.C_ADD: 12, tr.DPU: 6},
     ]
     assert result.graph.store.mult == [1, 2, 1, 1]
     assert result.graph.mult == [1, 2, 1, 3]  # the graph keeps its counts
@@ -2411,13 +2436,6 @@ def test_assemble_skips_short_reads_with_a_warning():
     only_short = make_asm().assemble([E("ACG")], 5)
     assert only_short.contigs == []
     assert len(only_short.warnings) == 1
-
-
-def test_assemble_warns_on_saturation():
-    asm = make_asm(value_width=2)
-    result = asm.assemble([E("AAAAAAA")], 3)
-    assert any("saturated" in w for w in result.warnings)
-    assert result.contigs[0].to_str() == "AAAAA"  # clamp at 3 loses two units
 
 
 def test_assemble_degrades_on_uneven_coverage():
@@ -2486,9 +2504,9 @@ def test_contigs_hold_exactly_the_read_kmers(workload):
     contigs = [c.to_str() for c in result.contigs]
     assert kmer_set(contigs, k) == kmer_set(reads, k)
     g = result.graph
-    comps = weakly_connected_components(g)
-    comp_of = {g.nodes[nid]: ci for ci, comp in enumerate(comps) for nid in comp}
-    walked = Counter(comp_of[g.nodes[p.node_ids[0]]] for p in result.paths)
+    comp_of = weakly_connected_components(g)
+    walked = Counter(comp_of[p.node_ids[0]] for p in result.paths)
+    comps = members(comp_of)
     assert walked == {ci: component_trails(g, comp) for ci, comp in enumerate(comps)}
     if unique:
         assert contigs == [genome]
@@ -2552,23 +2570,22 @@ _UNIT_RUNG = (
 #     22 waves of (stripe, rank): 18 of rank 0, one per stripe and end,
 #     and 4 later ones. Each pass reads the 9 multiplicity stripes once,
 #     at 4 bits and then, after the rewrite, at 1. Per degree stripe and
-#     pass of d-bit words: the read-back 2d R, the probe's copy d R + d W,
-#     d plane compares (C_ADD + DPU) and one controller op. A rank-0 wave
-#     is written straight into the zeroed out or in words, d W; a later
-#     wave is staged and added, 3d W and d C_ADD. The probe's + 1 runs 18
-#     planes in pass 1 (plane 0, 1 or 2 is its last) and 2 per stripe in
-#     pass 2, one DPU per plane tested (18, then 9). The walk spends its
-#     259 units in 11 one-bit adds of -1.
+#     pass of d-bit words: the read-back 2d R, the probe's + 1 on the in
+#     words, d plane compares (C_ADD + DPU) and one controller op. A
+#     rank-0 wave is written straight into the zeroed out or in words, d
+#     W; a later wave is staged and added, 3d W and d C_ADD. The probe's
+#     + 1 runs 18 planes in pass 1 (plane 0, 1 or 2 is its last) and 2 per
+#     stripe in pass 2, one DPU per plane tested (18, then 9). The walk
+#     spends its 259 units in 11 one-bit adds of -1.
 #     DPU    components 259 + 259; per stripe and pass 9 * 5 + 9 * 3; the
 #            probe's 18 + 9; 259 walk steps + 4 trail ends; the unitig
 #            index 259 + 259; 4 bridge searches reaching 2, 3, 2 and 3
 #            nodes or intact chains                          = 1,408
-#     R      pass 1: 9 * 4 stripe + 9 * 3 * 4 = 144; pass 2: 9 * 1 +
-#            9 * 3 * 2 = 63; end check 9 * 1                 =   216
-#     W      pass 1: 9 * 4 copies + 2 * 18 + 18 * 4 + 4 * 12 = 192;
-#            retry rewrite at 4 bits 9 * 4 = 36; pass 2: 9 * 2 copies +
-#            2 * 18 + 18 * 2 + 4 * 6 = 114; the walk's adds 11 * 2
-#                                                            =   364
+#     R      pass 1: 9 * 4 stripe + 9 * 2 * 4 = 108; pass 2: 9 * 1 +
+#            9 * 2 * 2 = 45; end check 9 * 1                 =   162
+#     W      pass 1: the probe's 2 * 18 + 18 * 4 + 4 * 12 = 156; retry
+#            rewrite at 4 bits 9 * 4 = 36; pass 2: 2 * 18 + 18 * 2 +
+#            4 * 6 = 96; the walk's adds 11 * 2              =   310
 #     C_ADD  pass 1: 9 * 4 + 18 + 4 * 4 = 70; pass 2: 9 * 2 + 18 + 4 * 2
 #            = 44; the walk's 11 adds                        =   125
 #   traverse, simplify on: two 4-node components of 4 edges of
@@ -2580,11 +2597,11 @@ _UNIT_RUNG = (
 #     DPU    components 8 + 8; the stripe 5 + 3; the probe's 1 + 1; 8 walk
 #            steps + 2 trail ends; the index 8 + 8; 2 bridge searches
 #            reaching 3 nodes each                           =    58
-#     R      pass 1: 3 + 3 * 4 = 15; pass 2: 1 + 3 * 2 = 7; end check 1
-#                                                            =    23
-#     W      pass 1: 4 + 2 + 2 * 4 + 2 * 12 = 38; rewrite at 3 bits 3;
-#            pass 2: 2 + 4 + 2 * 2 + 2 * 6 = 22; the walk's adds 3 * 2
-#                                                            =    69
+#     R      pass 1: 3 + 2 * 4 = 11; pass 2: 1 + 2 * 2 = 5; end check 1
+#                                                            =    17
+#     W      pass 1: 2 + 2 * 4 + 2 * 12 = 34; rewrite at 3 bits 3;
+#            pass 2: 4 + 2 * 2 + 2 * 6 = 20; the walk's adds 3 * 2
+#                                                            =    63
 #     C_ADD  pass 1: 4 + 1 + 2 * 4 = 13; pass 2: 2 + 2 + 2 * 2 = 8; the
 #            walk's 3 adds                                   =    24
 #   sub-arrays   10 hash groups, then the row bank's 58-row data regions.
@@ -2603,8 +2620,8 @@ LADDER = {
             ("graph", "R", 80),
             ("graph", "W", 36),
             ("traverse", "DPU", 1408),
-            ("traverse", "R", 216),
-            ("traverse", "W", 364),
+            ("traverse", "R", 162),
+            ("traverse", "W", 310),
             ("traverse", "C_ADD", 125),
         ],
         14,
@@ -2628,8 +2645,8 @@ LADDER = {
             ("graph", "DPU", 518),
             ("graph", "W", 3),
             ("traverse", "DPU", 58),
-            ("traverse", "R", 23),
-            ("traverse", "W", 69),
+            ("traverse", "R", 17),
+            ("traverse", "W", 63),
             ("traverse", "C_ADD", 24),
         ],
         11,
@@ -2727,13 +2744,14 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #        39 * 8 + 39 * 3; the probe adds' reduces 37 + 2 * 6 + 39;
 #        one per walk step, 9,976 + 1 (no node has two
 #        candidates: no bridge test, no unitig index)        =    30,447
-#     R  pass 1: 39 * 7 stripe + 39 * 3 * 7 = 1,092; pass 2: 39 * 1 +
-#        39 * 3 * 2 = 273; end check 39 * 1                 =     1,404
-#     W  pass 1: 39 * 7 probe copies + 37 * 2 + 2 * 14 probe adds +
-#        78 waves * 7 = 921; retry rewrite 39 * 7 = 273; pass 2, on
-#        fresh rows: 39 * 6 + 78 * 2 = 390; the walk's one flush,
-#        before the end check: one 1-bit add of -1 per stripe,
-#        39 * 2                                              =     1,662
+#     The probe adds its 1 to the in words themselves, once they are read
+#     back, and compares out against them, so it copies no plane.
+#     R  pass 1: 39 * 7 stripe + 39 * 2 * 7 read-back = 819; pass 2:
+#        39 * 1 + 39 * 2 * 2 = 195; end check 39 * 1        =     1,053
+#     W  pass 1: 37 * 2 + 2 * 14 probe adds + 78 waves * 7 = 648; retry
+#        rewrite 39 * 7 = 273; pass 2, on fresh rows: 39 * 4 + 78 * 2 =
+#        312; the walk's one flush, before the end check: one 1-bit add
+#        of -1 per stripe, 39 * 2                            =     1,311
 #     C_ADD pass 1: 39 * 7 compares + 37 + 2 * 7 probe adds = 324;
 #        pass 2: 39 * 4 = 156; 39 flush adds                 =       519
 #   sub-arrays     3 + 2: one row bank of 1,018-row data regions takes,
@@ -2750,8 +2768,8 @@ CANONICAL_TRACE = [
     ("graph", "R", 328),
     ("graph", "W", 273),
     ("traverse", "DPU", 30_447),
-    ("traverse", "R", 1_404),
-    ("traverse", "W", 1_662),
+    ("traverse", "R", 1_053),
+    ("traverse", "W", 1_311),
     ("traverse", "C_ADD", 519),
 ]
 
@@ -2786,18 +2804,21 @@ def _benchmark_workloads():
 #                  batches was still to compare, 0, 3 and 1: 919, 3,072
 #                  and 1,989 writes (9,956 keys on hub-euler, where a row
 #                  holds 4).
-#   traverse W, C_ADD
-#                  degree passes on 4 stripes at d = 7 then 2
+#   traverse       degree passes on 4 stripes at d = 7 then 2
 #                  (tiled-deep, retried), 38 at d = 3 (hub-euler) and 23
 #                  at d = 4 then 2 (sampled-repeats, retried), every
-#                  stripe with edges at both ends. Each stripe's rank-0
-#                  wave per end is written straight into the zeroed out or
-#                  in words, d W, where staging and adding it cost d W + d
-#                  C_ADD + 2d W; later waves are still added. So each
-#                  pass saves 2 * stripes * d C_ADD and twice that in W:
-#                  72 and 144 (tiled-deep), 228 and 456 (hub-euler), 276
-#                  and 552 (sampled-repeats), from C_ADD 136, 1,127 and
-#                  672 and W 336, 2,800 and 1,670.
+#                  stripe with edges at both ends, over 4 multiplicity
+#                  stripes of 7 bits, 39 of 1 and 23 of 4. Each stripe's
+#                  rank-0 wave per end is written straight into the zeroed
+#                  out or in words, d W; later waves are staged and added.
+#                  The start probe adds 1 to the in words in place, once
+#                  they are read back, and copies no plane.
+#     R            each pass reads the multiplicity stripes at the store's
+#                  width and each degree stripe's out and in words, 2d R,
+#                  and the end check reads the multiplicity stripes at 1
+#                  bit: 4 * 7 + 4 * 14 + 4 + 4 * 4 + 4 = 108 (tiled-deep),
+#                  39 + 38 * 6 + 39 = 306 (hub-euler) and 23 * 4 + 23 * 8 +
+#                  23 + 23 * 4 + 23 = 414 (sampled-repeats).
 WORKLOAD_TRACES = {
     "tiled-deep": (
         [
@@ -2808,8 +2829,8 @@ WORKLOAD_TRACES = {
             ("graph", "R", 32),
             ("graph", "W", 28),
             ("traverse", "DPU", 2_992),
-            ("traverse", "R", 144),
-            ("traverse", "W", 192),
+            ("traverse", "R", 108),
+            ("traverse", "W", 156),
             ("traverse", "C_ADD", 64),
         ],
         2,
@@ -2824,8 +2845,8 @@ WORKLOAD_TRACES = {
             ("graph", "R", 320),
             ("graph", "W", 39),
             ("traverse", "DPU", 108_719),
-            ("traverse", "R", 420),
-            ("traverse", "W", 2_344),
+            ("traverse", "R", 306),
+            ("traverse", "W", 2_230),
             ("traverse", "C_ADD", 899),
         ],
         4,
@@ -2840,8 +2861,8 @@ WORKLOAD_TRACES = {
             ("graph", "R", 192),
             ("graph", "W", 92),
             ("traverse", "DPU", 29_317),
-            ("traverse", "R", 552),
-            ("traverse", "W", 1_118),
+            ("traverse", "R", 414),
+            ("traverse", "W", 980),
             ("traverse", "C_ADD", 396),
         ],
         3,

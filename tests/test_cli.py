@@ -86,6 +86,23 @@ def test_assemble_small_input(tmp_path, capsys):
     assert (tmp_path / "g.tsv").read_text().startswith("node1\tnode2\tmult\n")
 
 
+def test_assemble_dumps_a_count_past_255_in_full(tmp_path, capsys):
+    # AAA occurs 300 times in a 302-base poly-A read: the counters widen to
+    # 9 bits, so the dump holds the full count and the contig the whole
+    # read, with no warning. 4,097 A's at 64 x 16 and k = 2 count AA 4,096
+    # times, 13 bits, which leaves no key row: a capacity error, exit 3.
+    reads = tmp_path / "reads.fasta"
+    reads.write_text(">r\n" + "A" * 302 + "\n")
+    out, dump = tmp_path / "asm", tmp_path / "k.tsv"
+    assert run(["assemble", reads, "--k", 3, *SMALL, "--out", out, "--dump-kmers", dump]) == 0
+    assert dump.read_text() == "kmer\tfrequency\nAAA\t300\n"
+    assert read_sequences(f"{out}.contigs.fasta") == [("contig_0", "A" * 302)]
+    assert "warning:" not in capsys.readouterr().err
+    reads.write_text(">r\n" + "A" * 4097 + "\n")
+    assert run(["assemble", reads, "--k", 2, "--rows", 64, "--cols", 16, "--out", out]) == 3
+    assert "13-bit counters" in capsys.readouterr().err
+
+
 def test_assemble_is_reproducible(tmp_path):
     reads = tmp_path / "reads.fasta"
     reads.write_text(">a\nTTAGGCATCGCCGGAATCCGAT\n>b\nGGAATCCGATTAGG\n")
