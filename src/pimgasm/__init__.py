@@ -32,7 +32,6 @@ from .fabric import (
     AND3_CFG,
     MAJ_CFG,
     OR3_CFG,
-    READ_CFG,
     XOR3_CFG,
     RowLayout,
     SenseConfig,
@@ -85,7 +84,6 @@ __all__ = [
     "ParseError",
     "PlacementError",
     "ProtectionError",
-    "READ_CFG",
     "RowLayout",
     "SenseConfig",
     "SenseOutput",

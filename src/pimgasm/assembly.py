@@ -111,7 +111,7 @@ from . import mapping
 from . import trace as tr
 from .encoding import EncodedSeq, extract_kmers
 from .errors import CapacityError, ConsistencyError, SizeError
-from .fabric import RowLayout
+from .fabric import RowLayout, ones
 from .isa import Machine, MemAddress
 
 log = logging.getLogger(__name__)
@@ -935,7 +935,7 @@ class Assembler:
 
     def _write_keys(self, table: KmerTable, group: _Group, row: int, keys: list[_Query]) -> None:
         """Write new keys of one key row into their slots from their query
-        bits: one masked write, no read. Then check every key's bits."""
+        bits: one masked `mem_insert`, no read. Then check every key's bits."""
         lay = table.layout
         full = (1 << 2 * table.k) - 1
         starts = [query.key_i % lay.slots * lay.pitch for query in keys]
@@ -943,12 +943,12 @@ class Assembler:
         for query, start in zip(keys, starts):
             value |= query.bits << start
             mask |= full << start
-        key_row = group.key_rows[row].row
-        sub = self.machine.subarray(group.sid)
-        sub.write_masked(key_row, value, mask)
+        key_row = group.key_rows[row]
+        self.machine.mem_insert(key_row, value, mask)
         table.insert_writes += 1
+        cells = self.machine.subarray(group.sid).cells[key_row.row]
         for query, start in zip(keys, starts):
-            if sub.cells[key_row] >> start & full != query.bits:
+            if cells >> start & full != query.bits:
                 raise ConsistencyError("inserted key bits corrupted")
             rows = query.bucket.rows
             rows[row] = rows.get(row, 0) | 1 << start // lay.pitch
@@ -994,7 +994,7 @@ class Assembler:
                 temp = group.image_rows[len(held)]
             else:
                 temp = held.pop(next(iter(held)))
-            m.subarray(group.sid).write_bits(temp.row, 0, temp.bit_len, image)
+            m.mem_insert(temp, image, ones(temp.bit_len))
         held[image] = temp
         masks: dict[int, int] = {}  # row -> its compare mask
         found: list[int | None] = []

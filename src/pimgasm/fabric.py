@@ -78,7 +78,6 @@ class SenseConfig:
         return self._LEGAL[self.bits]
 
 
-READ_CFG = SenseConfig(0, 0, 0, 1)
 AND3_CFG = SenseConfig(1, 0, 0, 0)
 MAJ_CFG = SenseConfig(0, 1, 0, 0)
 OR3_CFG = SenseConfig(0, 0, 1, 0)
@@ -216,16 +215,6 @@ class SubArray:
             raise ConfigError("cell value must be 0 or 1")
         self._write(row, bit << col, 1 << col)
 
-    def write_bits(self, row: int, col_start: int, width: int, value: int) -> None:
-        """Write a width-bit field, LSB in col_start. Still one write cycle."""
-        if width < 1:
-            raise AddressError("width must be positive")
-        self._check_col(col_start)
-        self._check_col(col_start + width - 1)
-        if value < 0 or value >> width:
-            raise ConfigError("value does not fit the addressed field")
-        self._write(row, value << col_start, ones(width) << col_start)
-
     def write_row(self, row: int, value: int) -> None:
         if value < 0 or value >> self.cols:
             raise ConfigError("value does not fit the row")
@@ -244,11 +233,6 @@ class SubArray:
         self._check_row(row)
         self.trace.emit(tr.R, 1)
         return self.cells[row]
-
-    def read_bits(self, row: int, col_start: int, width: int) -> int:
-        self._check_col(col_start)
-        self._check_col(col_start + width - 1)
-        return (self.read_row(row) >> col_start) & ones(width)
 
     # ---- compute activations ----------------------------------------
 

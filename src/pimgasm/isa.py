@@ -4,7 +4,7 @@ A Machine owns a set of sub-arrays (created on demand, shared trace) plus
 the scalar digital unit of the controller. The memory-side instruction set
 is deliberately tiny:
 
-  mem_insert  read-then-write copy of a bit region
+  mem_insert  masked write of controller-held bits into a bit region
   cmp         bulk equality: one XNOR triple plus an AND reduction
   add         bit-serial addition of vertical words, LSB at the lowest row
 
@@ -15,11 +15,11 @@ column; cost is identical for 1 or cols columns. Writing and reading
 vertical words batches the same way: one row per bit plane moves that bit
 of every listed column's word.
 
-Every bit region lies within one row, so a copy or a compare is one row
+Every bit region lies within one row, so an insert or a compare is one row
 operation; a region that runs past its row raises SizeError.
 
 Cost contract (pinned by tests):
-  mem_insert:   1 R + 1 W
+  mem_insert:   1 W
   cmp:          1 C_ADD + 1 DPU
   add:          w C_ADD + 2w W (w sum writes, w-1 carry writes, 1 zero
                 write that restores the carry row)
@@ -118,20 +118,18 @@ class Machine:
                 f"runs past its {self.cols}-column row"
             )
 
-    def mem_insert(self, dst: MemAddress, src: MemAddress) -> None:
-        """Copy the region src into dst, a region of the same length.
+    def mem_insert(self, dst: MemAddress, value: int, mask: int) -> None:
+        """Write bits the controller holds into the region dst under mask.
 
-        The source is read (R) and written back through the write drivers
-        (W). Copying a region onto itself is a legal no-op on the data but
-        still costs the cycles.
+        value and mask count from dst's first column; the columns of dst
+        outside mask keep their cells. One masked row write (W), no read.
         """
         self._check_in_row(dst)
-        self._check_in_row(src)
-        dsub = self.subarray(dst.subarray_id)
-        if src.bit_len != dst.bit_len:
-            raise SizeError("source and destination regions differ in length")
-        value = self.subarray(src.subarray_id).read_bits(src.row, src.col_start, src.bit_len)
-        dsub.write_bits(dst.row, dst.col_start, dst.bit_len, value)
+        if value < 0 or mask < 0 or (value | mask) >> dst.bit_len:
+            raise SizeError(f"value or mask runs past the {dst.bit_len}-bit region")
+        self.subarray(dst.subarray_id).write_masked(
+            dst.row, value << dst.col_start, mask << dst.col_start
+        )
 
     # ---- cmp -----------------------------------------------------------
 

@@ -517,6 +517,57 @@ def test_image_reuse_cuts_hashmap_w_by_exactly_the_images_reused():
     assert dict(reused.items()) == dict(written.items())
 
 
+class KeyRowSources(Assembler):
+    """Records, for each row write of new keys, how many of the group's
+    open batches its keys came from."""
+
+    def build_kmer_table(self, reads, k):
+        self.sources = []
+        return super().build_kmer_table(reads, k)
+
+    def _write_keys(self, table, group, row, keys):
+        ids = {id(query) for query in keys}
+        self.sources.append(sum(any(id(q) in ids for q in batch) for batch in group.batches))
+        super()._write_keys(table, group, row, keys)
+
+
+def test_every_hashmap_write_is_a_machine_instruction():
+    # The reads of the image reuse test above, at 128 x 64 and k=5, have
+    # hits, misses, batches that reuse a held image and key rows written
+    # with keys of two batches. Every W the hash stage emits comes from
+    # mem_insert (key rows and images), write_vwords (counter seeds) or
+    # add_const_cols (counter adds), and mem_insert runs once per key row
+    # write and image write.
+    reads = [E(r) for r in tile_reads(random_genome(200, random.Random(1)), 20, 4)]
+    asm = KeyRowSources(rows=128, cols=64)
+    m = asm.machine
+    emitted, calls = Counter(), Counter()
+
+    def hashmap_w():
+        return m.trace.total(tr.W, stage=tr.STAGE_HASHMAP)
+
+    def record(name):
+        op = getattr(m, name)
+
+        def recorded(*args, **kwargs):
+            before = hashmap_w()
+            out = op(*args, **kwargs)
+            emitted[name] += hashmap_w() - before
+            calls[name] += 1
+            return out
+
+        return recorded
+
+    ops = ("mem_insert", "write_vwords", "add_const_cols")
+    with patch.multiple(m, **{name: record(name) for name in ops}):
+        table = asm.build_kmer_table(reads, 5)
+    assert table.total_kmers > table.distinct() > 0
+    assert table.image_writes < table.batches
+    assert max(asm.sources) >= 2
+    assert sum(emitted.values()) == hashmap_w() > 0
+    assert calls["mem_insert"] == emitted["mem_insert"] == table.insert_writes + table.image_writes
+
+
 def _count_seeding(asm, reads, k, caplog):
     """Build the table, recording each write_vwords call (sid, lsb, width,
     columns) and the counter-seed writes the table's log line reports."""

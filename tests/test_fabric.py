@@ -10,7 +10,6 @@ from pimgasm.fabric import (
     LOGIC2,
     MAJ_CFG,
     OR3_CFG,
-    READ_CFG,
     XOR3_CFG,
     RowLayout,
     SenseConfig,
@@ -105,13 +104,13 @@ def test_cost_classes():
     assert MAJ_CFG.cost_class == C_AND3
     assert OR3_CFG.cost_class == C_AND3
     assert XOR3_CFG.cost_class == C_ADD
-    assert READ_CFG.is_read
+    assert SenseConfig(0, 0, 0, 1).is_read
 
 
 def test_activate_rejects_read_config():
     sub = make_sub()
     with pytest.raises(ConfigError):
-        sub.activate((0, 1, 2), READ_CFG)
+        sub.activate((0, 1, 2), SenseConfig(0, 0, 0, 1))
 
 
 def test_activate_requires_three_distinct_rows():
@@ -190,20 +189,20 @@ def test_write_and_read_cost_one_event_each():
     t = sub.trace
     sub.write_row(0, 0b1010)
     assert t.total(W) == 1
-    sub.write_bits(1, 2, 3, 0b101)
+    sub.write_masked(1, 0b101 << 2, 0b111 << 2)
     assert t.total(W) == 2
-    sub.write_masked(2, 0b11, 0b11)
+    sub.write_cell(2, 0, 1)
     assert t.total(W) == 3
     sub.read_row(0)
     assert t.total(R) == 1
-    assert sub.read_bits(1, 2, 3) == 0b101
+    assert sub.read_row(1) == 0b10100
     assert t.total(R) == 2
 
 
-def test_write_bits_is_masked():
+def test_write_masked_keeps_unmasked_columns():
     sub = make_sub(cols=8)
     sub.write_row(0, 0b11111111)
-    sub.write_bits(0, 2, 3, 0b000)
+    sub.write_masked(0, 0b000 << 2, 0b111 << 2)
     assert sub.read_row(0) == 0b11100011
 
 
@@ -221,5 +220,5 @@ def test_oversized_row_value_rejected():
     sub = make_sub(cols=8)
     with pytest.raises(ConfigError):
         sub.write_row(0, 1 << 9)
-    with pytest.raises(ConfigError):
-        sub.write_bits(0, 0, 4, 16)
+    with pytest.raises(AddressError):
+        sub.write_masked(0, 0, 1 << 8)

@@ -1,4 +1,4 @@
-"""Instruction-layer behavior: region copies, bulk compares, bit-serial adds."""
+"""Instruction-layer behavior: masked inserts, bulk compares, bit-serial adds."""
 
 import itertools
 
@@ -27,36 +27,31 @@ def deltas(trace, kinds):
     return {k: trace.total(k) for k in kinds}
 
 
-def test_mem_insert_memory_source_reads_then_writes():
+def test_mem_insert_writes_held_bits_under_its_mask():
+    # value and mask count from the region's first column, here column 4;
+    # the masked columns take the value's bits, the rest keep their cells.
+    # One masked row write: 1 W, and no read.
     m, sid = make_machine(cols=16)
-    value = 0x9F3A
-    m.subarray(sid).write_bits(0, 0, 16, value)
+    sub = m.subarray(sid)
+    sub.write_row(8, 0xFFFF)
     before = deltas(m.trace, (R, W))
-    m.mem_insert(MemAddress(sid, 8, 0, 16), MemAddress(sid, 0, 0, 16))
+    m.mem_insert(MemAddress(sid, 8, 4, 8), 0b1010_0000, 0b1111_0011)
     after = deltas(m.trace, (R, W))
-    assert after[R] - before[R] == 1
-    assert after[W] - before[W] == 1
-    assert m.subarray(sid).read_bits(8, 0, 16) == value
-    # a region inside the row moves only its own columns
-    m.mem_insert(MemAddress(sid, 9, 5, 6), MemAddress(sid, 0, 3, 6))
-    assert m.subarray(sid).read_row(9) == ((value >> 3) & 0x3F) << 5
-
-
-def test_mem_insert_copies_across_subarrays():
-    m, sid = make_machine()
-    other = m.new_subarray()
-    m.subarray(sid).write_bits(1, 0, 12, 0xABC)
-    m.mem_insert(MemAddress(other, 5, 0, 12), MemAddress(sid, 1, 0, 12))
-    assert m.subarray(other).read_bits(5, 0, 12) == 0xABC
+    assert (after[R] - before[R], after[W] - before[W]) == (0, 1)
+    # columns 4, 5 and 8 to 11 take 0, 0 and 0, 1, 0, 1
+    assert sub.read_row(8) == 0b1111_1010_1100_1111
 
 
 def test_mem_insert_rejects_bad_shapes():
+    # a value or mask past its 8-bit region, or a negative one, raises
+    # before anything is written or charged
     m, sid = make_machine(cols=16)
-    with pytest.raises(SizeError):
-        m.mem_insert(MemAddress(sid, 0, 0, 8), MemAddress(sid, 1, 0, 4))
-    with pytest.raises(SizeError):
-        m.mem_insert(MemAddress(sid, 0, 0, 4), MemAddress(sid, 1, 0, 8))
+    region = MemAddress(sid, 0, 4, 8)
+    for value, mask in ((1 << 8, 0xFF), (0, 1 << 8), (-1, 0xFF), (0, -1)):
+        with pytest.raises(SizeError, match="runs past the 8-bit region"):
+            m.mem_insert(region, value, mask)
     assert m.trace.total() == 0
+    assert m.subarray(sid).cells[0] == 0
 
 
 def test_a_region_past_its_row_raises_size_error():
@@ -66,25 +61,22 @@ def test_a_region_past_its_row_raises_size_error():
     past = MemAddress(sid, 0, 5, 12)
     inside = MemAddress(sid, 1, 4, 12)
     with pytest.raises(SizeError, match="runs past its 16-column row"):
-        m.mem_insert(past, MemAddress(sid, 1, 0, 12))
-    with pytest.raises(SizeError, match="runs past"):
-        m.mem_insert(MemAddress(sid, 2, 0, 12), past)
+        m.mem_insert(past, 0, 1)
     with pytest.raises(SizeError, match="runs past"):
         m.cmp(past, MemAddress(sid, 1, 5, 12))
     with pytest.raises(SizeError, match="runs past"):
-        m.mem_insert(MemAddress(sid, 0, 0, 17), MemAddress(sid, 1, 0, 17))
+        m.mem_insert(MemAddress(sid, 0, 0, 17), 0, 1)
     assert m.trace.total() == 0
     # a region that ends at the row's last column is whole
-    m.subarray(sid).write_bits(2, 0, 12, 0xFFF)
-    m.mem_insert(inside, MemAddress(sid, 2, 0, 12))
+    m.mem_insert(inside, 0xFFF, 0xFFF)
     assert m.subarray(sid).read_row(1) == 0xFFF << 4
 
 
 def test_cmp_reports_equality_and_mask():
     m, sid = make_machine(cols=32)
     value = 0b10101100111100010101  # 20 bits from column 6
-    m.subarray(sid).write_bits(0, 6, 20, value)
-    m.subarray(sid).write_bits(4, 6, 20, value)
+    m.subarray(sid).write_masked(0, value << 6, ((1 << 20) - 1) << 6)
+    m.subarray(sid).write_masked(4, value << 6, ((1 << 20) - 1) << 6)
     res = m.cmp(MemAddress(sid, 0, 6, 20), MemAddress(sid, 4, 6, 20))
     assert res.equal
     assert res.mask == (1 << 20) - 1
