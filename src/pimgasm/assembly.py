@@ -1067,8 +1067,8 @@ class Assembler:
         label, and its links go; a contractible cycle's closing edge
         survives as the merged node's self-loop. Each distinct key row
         that holds a merged node's label (`label_rows`, from build_graph)
-        is read once, and the controller pays one op per node and per
-        edge.
+        is read once, as one 1-bit plane through Machine.read_vwords, and
+        the controller pays one op per node and per edge.
         """
         m = self.machine
         with m.stage_scope(tr.STAGE_GRAPH):
@@ -1089,8 +1089,8 @@ class Assembler:
                     continue
                 new.add_edge(new.nodes[node_map[u]], new.nodes[node_map[v]], g.mult[e])
             # merge scan: merged members' label rows, controller pass
-            if read:
-                m.trace.emit(tr.R, len(read))
+            for sid, row in sorted(read):
+                m.read_vwords(sid, row, 1)
             m.dpu_charge(n + g.edge_count)
         log.info(
             "simplify: %d -> %d nodes, %d -> %d edges",
