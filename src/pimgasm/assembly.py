@@ -44,17 +44,15 @@ staging words. It probes the start vertex with a bit-plane compare of
 out against in+1, formed in the in words once they are read back, and
 covers each weak component with the fewest trails its degrees allow,
 max(1, sum of outgoing surpluses): one trail per surplus unit, or one
-Euler circuit when there is none, walked bridge-aware. The walked units come off their multiplicity words in
+Euler circuit when there is none. It walks by Hierholzer's splice: one
+virtual edge from each deficit unit to a surplus unit balances every node,
+each circuit of the balanced graph is cut at its virtual edges, and no step
+tests for a bridge. The walked units come off their multiplicity words in
 memory, and only those words: the multiplicity words hold the edge units
-left, and per node they sum to its out-degree. The walk spends them per
-decision, not per unit: they wait until it stands at a node with two or
-more candidates, and are then taken off with one column-parallel add per
-(stripe, units). So the walk must leave every word at zero, and at the end
-the contigs' k-mers must be exactly the reads' distinct ones. A candidate
-step is a bridge only if its edge holds its last unit and leads to another
-node, and then exactly when a search from the walk's node, stopping at the
-edge's head, no longer finds it. The search crosses an unbranched chain
-whose edges all hold units as one super-node, so it moves from hub to hub.
+left, and per node they sum to its out-degree. The walk spends them all
+at its end, with one column-parallel add per (stripe, units). So the walk
+must leave every word at zero, and at the end the contigs' k-mers must be
+exactly the reads' distinct ones.
 
 A bit-serial add costs one cycle and two writes per bit plane it passes
 (an increment stops at its last carry plane; see isa), so every
@@ -570,54 +568,6 @@ class _GraphStore:
                         f"the walk spent {amount} of edge {stripe * cols + col}'s units, "
                         "more than its multiplicity word holds"
                     )
-
-
-class _ChainView:
-    """The bridge search's view of a graph's unitigs, over the units left.
-
-    A chain of two or more nodes whose links all hold units is intact: its
-    nodes are connected to each other, and only its ends connect to the
-    rest. The search treats it as one super-node. Leaving the head along the
-    first link, or the tail back along the last one, leads straight to the
-    far end (`across`), so the interior is never visited, and the chain
-    counts once in the nodes reached (`reached`). The search meets the ends
-    in the order a node-by-node search would, so it stops at the same
-    point. A chain with a spent link (`cut`) is searched node by node.
-    """
-
-    def __init__(self, g: SparseGraph, rem: list[int]):
-        index = unitig_index(g)
-        self.chain_of_edge = index.chain_of_edge
-        self.chain_of = [0] * len(g.nodes)
-        self.intact: list[bool] = []
-        self.far: dict[int, int] = {}  # end link -> ~(the chain's far end)
-        for ci, (nodes, links) in enumerate(zip(index.nodes, index.links)):
-            for x in nodes:
-                self.chain_of[x] = ci
-            self.intact.append(bool(links) and all(rem[e] for e in links))
-            if len(links) > 1:
-                self.far[links[0]] = ~nodes[-1]
-                self.far[links[-1]] = ~nodes[0]
-
-    def across(self, e: int, y: int) -> int:
-        """The search's next stop along edge e, which leads to node y: y
-        itself, or ~(far end) when e enters an intact chain's interior."""
-        far = self.far.get(e)
-        if far is None or not self.intact[self.chain_of_edge[e]]:
-            return y
-        return far
-
-    def cut(self, e: int) -> None:
-        """Edge e has no units left: its chain, if e is a link, is no longer
-        intact."""
-        ci = self.chain_of_edge[e]
-        if ci >= 0:
-            self.intact[ci] = False
-
-    def reached(self, seen: set[int]) -> int:
-        """Nodes and intact chains among the nodes a search reached."""
-        chain_of, intact = self.chain_of, self.intact
-        return len({~chain_of[y] if intact[chain_of[y]] else y for y in seen})
 
 
 # ---------------------------------------------------------------------------
@@ -1208,135 +1158,94 @@ class Assembler:
     # -- stage 4: Euler walk --
 
     def fleury(self, g: SparseGraph) -> list[EulerPath]:
-        """Cover every edge unit with trails, preferring non-bridge edges.
+        """Cover every edge unit with the fewest trails, by Hierholzer's splice.
 
         The walk takes the degree pass stored on g's placement on this
-        machine, and runs find_start first whenever g has no pass there. One
-        trail starts at each of the pass's starts, then one at the lowest node
-        still holding units, until every unit is spent; a trail ends at a
-        node with no units left. The units are the values of the
+        machine, and runs find_start first whenever g has no pass there. The
+        pass's starts list each node once per unit of outgoing surplus, and
+        the nodes with a deficit (in > out) are listed the same way, both in
+        ascending order: the i-th deficit unit gets one virtual edge to the
+        i-th start, so every node balances. One circuit then runs from each
+        start in turn, skipping a start with no units left, and then from the
+        lowest node still holding units, until every unit is walked. Each is
+        Hierholzer's circuit: it follows each node's out-edges in edge-id
+        order (the virtual ones last) until it stands at a node with none
+        left, and splices in the sub-circuits it meets on the way back. A
+        circuit with virtual edges is rotated to begin just after its first
+        one and cut at every one, so each piece is a trail of real edges from
+        a start to a deficit node. A component thus yields one trail per unit
+        of surplus, or one circuit when it has none: max(1, surplus) trails,
+        the fewest its degrees allow. The units are the values of the
         multiplicity words, so one call walks every component of g.
 
-        The controller keeps `rem`, the units left per edge, which makes
-        every choice; each node's out- and in-edge ids, as one offsets list
-        and one edge-id list per direction; the units walked but not yet
-        spent in fabric; and, from the first bridge test on, g's unitig
-        index. Neighbours are tried in ascending node id; a candidate is
-        taken if removing one unit of its first edge holding units keeps
-        the rest connected, and the lowest neighbour is
-        the fallback when every choice burns a bridge. An edge that keeps a
-        unit, or a self-loop, never disconnects anything; otherwise the
-        unit is removed and an undirected search from the walk's node looks
-        for the edge's head, stopping once it finds it. The search crosses
-        a chain whose links all hold units as one super-node, from one end
-        to the other, and charges a controller op per node or super-node it
-        reaches; a chain with a spent link is searched node by node. The
-        index is built at the first search, one controller op per node and
-        per edge.
-
-        The walked units are spent in fabric per decision, not per unit:
-        they wait until the walk stands at a node with two or more
-        candidates, and before the end check, and are then taken off their
-        multiplicity words with one add per (stripe, units) (see
-        _GraphStore.spend), which raises ConsistencyError on a word that
-        held fewer. Per node the multiplicity words sum to the out-degree,
-        so nothing else is spent. The walk then reads every multiplicity
-        stripe back and requires every word to be zero. It consumes the
-        degree pass, so walking g again re-runs find_start, which raises
+        The controller keeps `rem`, the units left per edge, each node's
+        pointer into its out-edge ids (one offsets list and one edge-id list
+        for all nodes), the circuit's stack and the virtual edges. It pays
+        one op per edge unit walked and one per trail. The walked units are
+        then spent in fabric in one pass, one add per (stripe, units) (see
+        _GraphStore.spend), which raises ConsistencyError on a word that held
+        fewer; per node the multiplicity words sum to the out-degree, so
+        nothing else is spent. The walk then reads every multiplicity stripe
+        back and requires every word to be zero. It consumes the degree
+        pass, so walking g again re-runs find_start, which raises
         ConsistencyError on the spent words.
         """
         store = g.store
         if store is None or store.machine is not self.machine or store.degree is None:
             self.find_start(g)
             store = g.store
-        starts, store.degree = iter(store.degree.starts), None
+        starts, store.degree = store.degree.starts, None
         m = self.machine
         with m.stage_scope(tr.STAGE_TRAVERSE):
-            n = len(g.nodes)
-            src, dst = g.edge_src, g.edge_dst
+            n, real = len(g.nodes), g.edge_count
+            out_d, in_d = g.degrees(store.mult)
+            deficits = [x for x in range(n) for _ in range(in_d[x] - out_d[x])]
+            src = g.edge_src + deficits  # virtual edges get ids from `real` on
+            dst = g.edge_dst + starts
+            rem = store.mult + [1] * len(starts)
             out_at, out_e = _edges_by_node(n, src)
-            in_at, in_e = _edges_by_node(n, dst)
-            rem = list(store.mult)
-            chains: _ChainView | None = None
+            ptr = out_at[:n]  # per node: its first out-edge that may hold units
 
-            def neighbours(x: int):
-                """x's neighbours over edges holding units, either way; an end
-                link of an intact chain leads across it (see _ChainView)."""
-                for e in out_e[out_at[x] : out_at[x + 1]]:
-                    if rem[e]:
-                        yield chains.across(e, dst[e])
-                for e in in_e[in_at[x] : in_at[x + 1]]:
-                    if rem[e]:
-                        yield chains.across(e, src[e])
+            def next_edge(x: int) -> int:
+                """x's first out-edge holding units, or -1."""
+                p, end = ptr[x], out_at[x + 1]
+                while p < end and not rem[out_e[p]]:
+                    p += 1
+                ptr[x] = p
+                return out_e[p] if p < end else -1
 
-            def bridge(u: int, e: int) -> bool:
-                """Whether spending one unit of e, out of u, disconnects the units
-                left: exactly when e's head is then unreachable from u. u has
-                two or more out-edges, so e is no chain's link."""
-                nonlocal chains
-                c = dst[e]
-                if rem[e] >= 2 or c == u:  # a unit stays on e, or e is a loop
-                    return False
-                if chains is None:
-                    chains = _ChainView(g, rem)
-                    m.dpu_charge(n + g.edge_count)
-                rem[e] -= 1
-                seen = {u}
-                stack = [u]
-                while stack and c not in seen:
-                    x = stack.pop()
-                    if x < 0:  # a step across an intact chain, to its far end ~x
-                        x = ~x
-                        if x not in seen:
-                            seen.add(x)
-                            stack.append(x)
-                        continue
-                    for y in neighbours(x):
-                        if y < 0:
-                            stack.append(y)
-                        elif y not in seen:
-                            seen.add(y)
-                            if y == c:
-                                break
-                            stack.append(y)
-                rem[e] += 1
-                m.dpu_charge(chains.reached(seen))
-                return c not in seen
+            def circuit(x: int) -> list[int]:
+                """The edge ids of Hierholzer's circuit from x, over the units left."""
+                stack = [(x, -1)]  # (node, the edge that entered it)
+                back: list[int] = []  # the circuit's edges, last first
+                while stack:
+                    y, entered = stack[-1]
+                    e = next_edge(y)
+                    if e < 0:
+                        stack.pop()
+                        back.append(entered)
+                    else:
+                        rem[e] -= 1
+                        stack.append((dst[e], e))
+                back.pop()  # x's own entry
+                back.reverse()
+                return back
 
-            total = sum(rem)
-            lowest = 0  # units only shrink, so the lowest holder never falls
-            walked: dict[int, int] = {}  # edge -> units walked, not yet spent
-            paths = []
-            while total:
-                u = next(starts, None)
-                if u is None:
-                    while not any(rem[e] for e in out_e[out_at[lowest] : out_at[lowest + 1]]):
-                        lowest += 1
-                    u = lowest
-                path = [u]
-                while True:
-                    m.dpu_charge(1)
-                    first: dict[int, int] = {}  # neighbour -> first edge holding units
-                    for e in out_e[out_at[u] : out_at[u + 1]]:
-                        if rem[e]:
-                            first.setdefault(dst[e], e)
-                    if not first:
-                        break
-                    nbrs = sorted(first)
-                    v = nbrs[0]
-                    if len(nbrs) > 1:
-                        store.spend(walked)
-                        walked.clear()
-                        v = next((c for c in nbrs if not bridge(u, first[c])), v)
-                    e = first[v]
-                    walked[e] = walked.get(e, 0) + 1
-                    rem[e] -= 1
-                    if chains is not None and not rem[e]:
-                        chains.cut(e)
-                    total -= 1
-                    u = v
-                    path.append(v)
-                paths.append(EulerPath(path))
+            heads = itertools.chain(starts, range(n))
+            circuits = [circuit(u) for u in heads if next_edge(u) >= 0]
+            paths: list[EulerPath] = []
+            walked: Counter[int] = Counter()  # edge -> units walked
+            for edges in circuits:
+                # rotate to just after the first virtual edge; each run of
+                # real edges between virtual ones is then one trail
+                cut = next((i + 1 for i, e in enumerate(edges) if e >= real), 0)
+                rotated = edges[cut:] + edges[:cut]
+                for is_real, run in itertools.groupby(rotated, lambda e: e < real):
+                    if is_real:
+                        trail = list(run)
+                        paths.append(EulerPath([src[trail[0]]] + [dst[e] for e in trail]))
+                        walked.update(trail)
+            m.dpu_charge(sum(walked.values()) + len(paths))
             store.spend(walked)
             # one read per multiplicity plane: the walk spends every word
             left = store.read()
@@ -1416,7 +1325,7 @@ class Assembler:
                 )
             if trails[ci] > 1:
                 warnings.append(f"component splits into {trails[ci]} contigs")
-        # fleury walks every start's trail before any circuit: regroup
+        # a circuit's trails may lie in several components: regroup
         paths.sort(key=lambda p: comp_of[p.node_ids[0]])
         contigs = [contig_from_path([work.nodes[i] for i in p.node_ids], work.k) for p in paths]
         _check_coverage(contigs, table)

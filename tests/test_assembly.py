@@ -1809,8 +1809,11 @@ def test_a_pass_of_first_waves_only_runs_no_degree_add():
 
 
 def test_fleury_prefers_non_bridge_edges():
-    # at node 0 the lowest neighbour (1) sits across a bridge; taking it
-    # first would strand the 0<->2 loop
+    # node 0's surplus and node 1's deficit give one virtual edge 1 -> 0.
+    # The circuit from 0 takes 0 -> 1 (its lowest edge id), the virtual edge
+    # back, then the 0<->2 loop; rotated to begin just after the virtual
+    # edge, the splice puts the loop before the bridge 0 -> 1, so the one
+    # trail strands nothing
     asm = make_asm(rows=64, cols=16)
     g = SparseGraph()
     la, lb, lc = E("A"), E("C"), E("G")
@@ -1819,32 +1822,6 @@ def test_fleury_prefers_non_bridge_edges():
     g.add_edge(lc, la)        # 2 -> 0
     [path] = asm.fleury(g)
     assert path.node_ids == [0, 2, 0, 1]
-
-
-def test_bridge_tests_search_only_single_unit_edges_to_other_nodes():
-    # A=0, C=1, G=2; a circuit, so the walk starts at A. At A the loop is
-    # tried first and is never a bridge; next C, whose edge still holds 2
-    # units; both are taken without a search. Back at A, C's last unit is
-    # searched for: from A, out to G, in from C (its edge back still holds
-    # a unit), found after 3 nodes, 3 DPU. Then A, G, A with one neighbour
-    # each. 8 path nodes, one DPU each: 8 + 3 = 11. Searching the loop too
-    # would add 1 (A itself), and C's first unit 2 (A, C). The one search
-    # builds the unitig index first, one DPU per node and per edge (3 + 5);
-    # no edge is contractible, so it searches node by node: 11 + 8 = 19.
-    asm = make_asm(rows=64, cols=16)
-    g = SparseGraph()
-    a, c, gg = E("A"), E("C"), E("G")
-    g.add_edge(a, a)
-    g.add_edge(a, c, mult=2)
-    g.add_edge(c, a, mult=2)
-    g.add_edge(a, gg)
-    g.add_edge(gg, a)
-    asm.find_start(g)
-    before = asm.trace.total(tr.DPU, stage=tr.STAGE_TRAVERSE)
-    [path] = asm.fleury(g)
-    assert path.node_ids == [0, 0, 1, 0, 1, 0, 2, 0]
-    assert path.node_ids == two_pass_fleury(g, g.mult)[0]
-    assert asm.trace.total(tr.DPU, stage=tr.STAGE_TRAVERSE) - before == 19
 
 
 def test_fleury_consumes_multiplicity():
@@ -1913,11 +1890,10 @@ def test_walk_cost_oracle_on_a_path():
     assert traverse_totals(asm.trace) == {tr.R: 5, tr.W: 9, tr.C_ADD: 4, tr.DPU: 4}
     [path] = asm.fleury(g)
     assert path.node_ids == [0, 1, 2]
-    # 2 units on 2 edges of one stripe, spent at the one flush before the end
-    #   check (no node has two candidates): one 1-bit add of -1 on both
-    #   columns (1 C_ADD + 2 W, where a decrement per unit took 2 C_ADD +
-    #   4 W), 3 loop DPU, no bridge test, and the end-of-walk read of the 1
-    #   plane of the stripe
+    # 2 units on 2 edges of one stripe, spent in one pass at the walk's
+    #   end: one 1-bit add of -1 on both columns (1 C_ADD + 2 W, where a
+    #   decrement per unit took 2 C_ADD + 4 W), one DPU per unit and one for
+    #   the trail (3), and the end-of-walk read of the 1 plane of the stripe
     assert traverse_totals(asm.trace) == {tr.R: 6, tr.W: 11, tr.C_ADD: 5, tr.DPU: 7}
 
 
@@ -1959,11 +1935,11 @@ def test_a_walked_graph_cannot_be_walked_again():
 @pytest.mark.parametrize("edge", [1, 17], ids=["first-stripe", "second-stripe"])
 def test_spending_a_zero_word_raises_at_the_flush(edge):
     # 18 unit edges on 16 columns: two stripes of 1-bit words. The walk
-    # spends its units at the next flush by adding -units, which carries out
-    # of every word that holds them; a word zeroed behind the mirror's back
-    # gives no carry. No node of this path has two candidates, so the one
-    # flush comes just before the end check, which it keeps from ever seeing
-    # the wrapped word: the walk reads no stripe back.
+    # spends every unit in one pass at its end by adding -units, which
+    # carries out of every word that holds them; a word zeroed behind the
+    # mirror's back gives no carry. The spend comes just before the end
+    # check, which it keeps from ever seeing the wrapped word: the walk
+    # reads no stripe back.
     asm = make_asm(rows=64, cols=16)
     labels = ["".join(p) for p in itertools.product("ACGT", repeat=3)][:19]
     g = path_graph(*labels)
@@ -2029,6 +2005,19 @@ def total_surplus(g):
     return sum(max(0, o - i) for o, i in zip(out_d, in_d))
 
 
+def walked_steps(paths):
+    """Units walked per (tail, head) pair, over every trail."""
+    return Counter(step for p in paths for step in zip(p.node_ids, p.node_ids[1:]))
+
+
+def units_per_pair(g, mult):
+    """Units per (tail, head) pair under the per-edge multiplicities `mult`."""
+    units = Counter()
+    for u, v, m in zip(g.edge_src, g.edge_dst, mult):
+        units[(u, v)] += m
+    return units
+
+
 def test_fleury_covers_random_eulerian_multigraphs():
     for seed in range(10):
         rng = random.Random(seed)
@@ -2037,87 +2026,28 @@ def test_fleury_covers_random_eulerian_multigraphs():
         [path] = asm.fleury(g)
         assert len(path.node_ids) == g.total_multiplicity() + 1
         assert path.node_ids[0] == path.node_ids[-1]
-        walked = Counter(zip(path.node_ids, path.node_ids[1:]))
-        expected = Counter()
-        for u, v, mult in zip(g.edge_src, g.edge_dst, g.mult):
-            expected[(u, v)] += mult
-        assert walked == expected
+        assert walked_steps([path]) == units_per_pair(g, g.mult)
     # any weakly connected graph: every unit walked once, in the fewest trails
     for seed in range(60):
         rng = random.Random(seed)
         g = random_connected_graph(rng, rng.randint(1, 8), rng.randint(1, 5))
         paths = make_asm(rows=64, cols=16).fleury(g)
-        walked = Counter(
-            step for p in paths for step in zip(p.node_ids, p.node_ids[1:])
-        )
-        expected = Counter()
-        for u, v, mult in zip(g.edge_src, g.edge_dst, g.mult):
-            expected[(u, v)] += mult
-        assert walked == expected
+        assert walked_steps(paths) == units_per_pair(g, g.mult)
         assert len(paths) == max(1, total_surplus(g))
 
 
-def two_pass_fleury(g, mult):
-    """Host oracle: the walk with its old bridge test, two full reachability
-    passes per candidate. A candidate is a bridge when spending one unit of
-    its edge shrinks the set of nodes reachable from u, either way."""
-    n = len(g.nodes)
-    src, dst = g.edge_src, g.edge_dst
-    out_e = [[] for _ in range(n)]
-    in_e = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(zip(src, dst)):
-        out_e[u].append(e)
-        in_e[v].append(e)
-    rem = list(mult)
-
-    def reach(x0):
-        seen = {x0}
-        stack = [x0]
-        while stack:
-            x = stack.pop()
-            for e in out_e[x]:
-                if rem[e] and dst[e] not in seen:
-                    seen.add(dst[e])
-                    stack.append(dst[e])
-            for e in in_e[x]:
-                if rem[e] and src[e] not in seen:
-                    seen.add(src[e])
-                    stack.append(src[e])
-        return len(seen)
-
+def check_trails_per_component(g, mult, paths):
+    """Each weak component with edges walks max(1, its outgoing surplus)
+    trails under `mult`, and an edge-less node walks none."""
+    comp_of = weakly_connected_components(g)
     out_d, in_d = g.degrees(mult)
-    starts = iter([i for i in range(n) for _ in range(out_d[i] - in_d[i])])
-    total = sum(rem)
-    paths = []
-    while total:
-        u = next(starts, None)
-        if u is None:
-            u = min(x for x in range(n) if any(rem[e] for e in out_e[x]))
-        path = [u]
-        while True:
-            first = {}
-            for e in out_e[u]:
-                if rem[e]:
-                    first.setdefault(dst[e], e)
-            if not first:
-                break
-            nbrs = sorted(first)
-            v = nbrs[0]
-            if len(nbrs) > 1:
-                for c in nbrs:
-                    before = reach(u)
-                    rem[first[c]] -= 1
-                    after = reach(u)
-                    rem[first[c]] += 1
-                    if after == before:
-                        v = c
-                        break
-            rem[first[v]] -= 1
-            total -= 1
-            u = v
-            path.append(v)
-        paths.append(path)
-    return paths
+    surplus, has_edges = Counter(), set()
+    for x, ci in enumerate(comp_of):
+        surplus[ci] += max(0, out_d[x] - in_d[x])
+        if out_d[x] or in_d[x]:
+            has_edges.add(ci)
+    trails = Counter(comp_of[p.node_ids[0]] for p in paths)
+    assert trails == {ci: max(1, surplus[ci]) for ci in has_edges}
 
 
 # 1 and every 2^j - 1 and 2^j up to 255: the values whose bit length a
@@ -2148,7 +2078,7 @@ def boundary_multigraphs(draw):
 
 @given(case=boundary_multigraphs())
 @settings(max_examples=50, deadline=None)
-def test_word_widths_and_the_bridge_test_at_boundary_values(case):
+def test_word_widths_and_the_walk_at_boundary_values(case):
     g, rewrite = case
     assume(max(max(d) for d in g.degrees()) <= 255)
     asm = make_asm(rows=64, cols=4)  # several multiplicity and degree stripes
@@ -2164,70 +2094,11 @@ def test_word_widths_and_the_bridge_test_at_boundary_values(case):
     if rewrite:
         g.store.write({e: 1 for e in rewrite})
         degree_pass()
-    want = two_pass_fleury(g, g.store.mult)
-    assert [p.node_ids for p in asm.fleury(g)] == want
+    mult = list(g.store.mult)
+    paths = asm.fleury(g)
+    assert walked_steps(paths) == units_per_pair(g, mult)
     assert g.store.read() == [0] * g.edge_count
-
-
-def per_node_search_cost(g, mult):
-    """Host oracle of the bridge search's controller ops before chains were
-    super-nodes: the walk of two_pass_fleury, each candidate's one-unit
-    edge searched node by node, from u until its head is found, charging
-    one op per node reached. Returns (searches, ops)."""
-    n = len(g.nodes)
-    src, dst = g.edge_src, g.edge_dst
-    out_e = [[] for _ in range(n)]
-    in_e = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(zip(src, dst)):
-        out_e[u].append(e)
-        in_e[v].append(e)
-    rem = list(mult)
-    searches = ops = 0
-
-    def bridge(u, e):
-        nonlocal searches, ops
-        c = dst[e]
-        if rem[e] >= 2 or c == u:
-            return False
-        rem[e] -= 1
-        seen = {u}
-        stack = [u]
-        while stack and c not in seen:
-            x = stack.pop()
-            nbrs = [dst[f] for f in out_e[x] if rem[f]] + [src[f] for f in in_e[x] if rem[f]]
-            for y in nbrs:
-                if y not in seen:
-                    seen.add(y)
-                    if y == c:
-                        break
-                    stack.append(y)
-        rem[e] += 1
-        searches += 1
-        ops += len(seen)
-        return c not in seen
-
-    out_d, in_d = g.degrees(mult)
-    starts = iter([i for i in range(n) for _ in range(out_d[i] - in_d[i])])
-    total = sum(rem)
-    while total:
-        u = next(starts, None)
-        if u is None:
-            u = min(x for x in range(n) if any(rem[e] for e in out_e[x]))
-        while True:
-            first = {}
-            for e in out_e[u]:
-                if rem[e]:
-                    first.setdefault(dst[e], e)
-            if not first:
-                break
-            nbrs = sorted(first)
-            v = nbrs[0]
-            if len(nbrs) > 1:
-                v = next((c for c in nbrs if not bridge(u, first[c])), v)
-            rem[first[v]] -= 1
-            total -= 1
-            u = v
-    return searches, ops
+    check_trails_per_component(g, mult, paths)
 
 
 @st.composite
@@ -2260,22 +2131,69 @@ def hub_and_chain_multigraphs(draw):
 @pytest.mark.parametrize("cols", [4, 16])
 @given(g=hub_and_chain_multigraphs())
 @settings(max_examples=30, deadline=None)
-def test_the_walk_crosses_intact_chains_in_one_step(cols, g):
-    # the same trails as the oracle, every word spent, and no more search
-    # ops than a node-by-node search: the walk reaches the same chain ends
-    # in the same order and pays one op per intact chain instead of one per
-    # node. The walk also pays one op per step, and one per node and edge
-    # for the unitig index once it searches at all.
+def test_the_walk_pays_one_op_per_unit_and_per_trail(cols, g):
+    # the walk's controller ops are one per edge unit walked and one per
+    # trail, however many hubs and chains it passes, and its one spend at
+    # the end leaves every word at zero
     asm = make_asm(rows=64, cols=cols)  # segments cross stripes
     asm.find_start(g)
     before = asm.trace.total(tr.DPU, stage=tr.STAGE_TRAVERSE)
-    paths = [p.node_ids for p in asm.fleury(g)]
-    assert paths == two_pass_fleury(g, g.mult)
-    assert g.store.read() == [0] * g.edge_count
-    searches, node_ops = per_node_search_cost(g, g.mult)
+    paths = asm.fleury(g)
     walk_ops = asm.trace.total(tr.DPU, stage=tr.STAGE_TRAVERSE) - before
-    index_ops = len(g.nodes) + g.edge_count if searches else 0
-    assert walk_ops - g.total_multiplicity() - len(paths) - index_ops <= node_ops
+    assert walk_ops == g.total_multiplicity() + len(paths)
+    assert g.store.read() == [0] * g.edge_count
+    assert walked_steps(paths) == units_per_pair(g, g.mult)
+
+
+def disjoint_union(parts, rng):
+    """One graph holding each part on labels of its own, its edges added in
+    shuffled order, so the parts' node ids interleave."""
+    labels = ["".join(p) for p in itertools.product("ACGT", repeat=4)]
+    edges, offset = [], 0
+    for part in parts:
+        for u, v, m in zip(part.edge_src, part.edge_dst, part.mult):
+            edges.append((labels[offset + u], labels[offset + v], m))
+        offset += len(part.nodes)
+    rng.shuffle(edges)
+    g = SparseGraph()
+    for u, v, m in edges:
+        g.add_edge(E(u), E(v), mult=m)
+    return g
+
+
+def test_the_walk_covers_several_components_with_the_fewest_trails():
+    # The virtual edges pair the deficit units with the surplus units in
+    # ascending node order, so they join components to each other; cut at
+    # them, each circuit still yields trails of real edges, max(1, surplus)
+    # per component, each from a surplus node to a deficit node.
+    crossed = 0  # virtual edges whose ends lie in two components
+    for seed in range(40):
+        rng = random.Random(seed)
+        parts = [
+            random_connected_graph(rng, rng.randint(1, 8), rng.randint(1, 5))
+            for _ in range(rng.randint(2, 4))
+        ]
+        g = disjoint_union(parts, rng)
+        comp_of = weakly_connected_components(g)
+        out_d, in_d = g.degrees()
+        deficits = [x for x in range(len(g.nodes)) for _ in range(in_d[x] - out_d[x])]
+        starts = [x for x in range(len(g.nodes)) for _ in range(out_d[x] - in_d[x])]
+        crossed += sum(comp_of[d] != comp_of[s] for d, s in zip(deficits, starts))
+        paths = make_asm(rows=64, cols=16).fleury(g)
+        check_trails_per_component(g, g.mult, paths)
+        surplus = Counter()
+        for x, ci in enumerate(comp_of):
+            surplus[ci] += max(0, out_d[x] - in_d[x])
+        real = set(zip(g.edge_src, g.edge_dst))
+        for p in paths:
+            head, tail = p.node_ids[0], p.node_ids[-1]
+            if head == tail:  # a circuit, only where the component has no surplus
+                assert not surplus[comp_of[head]]
+            else:
+                assert out_d[head] > in_d[head] and in_d[tail] > out_d[tail]
+            assert set(zip(p.node_ids, p.node_ids[1:])) <= real
+        assert walked_steps(paths) == units_per_pair(g, g.mult)
+    assert crossed > 0
 
 
 # ---- path merging and components -------------------------------------------
@@ -2288,6 +2206,9 @@ def test_contig_from_path_examples():
     assert contig_from_path([E("A"), E("C")], 2).to_str() == "AC"  # no overlap
     with pytest.raises(ConsistencyError):
         contig_from_path([E("AC"), E("GG")], 3)
+    # k = 5 labels overlap by 3 bases, which 2-base labels cannot hold
+    with pytest.raises(ConsistencyError, match="path label shorter than the overlap"):
+        contig_from_path([E("AC"), E("CG")], 5)
     with pytest.raises(SizeError):
         contig_from_path([], 3)
 
@@ -2583,8 +2504,8 @@ _UNIT_RUNG = (
 
 # The fallback ladder: ladder_reads at k=11 on 64 x 32, simplify off and
 # on. 54 reads of 30 bases make 1,080 queries of 259 distinct keys.
-#   io XFER      54 reads * 8 bytes, plus the contigs: off 99, 50, 100 and
-#                50 bases (25 + 13 + 25 + 13 bytes), on 160 and 160 (40 + 40)
+#   io XFER      54 reads * 8 bytes, plus the contigs: off 39, 110, 40 and
+#                110 bases (10 + 28 + 10 + 28 bytes), on 160 and 160 (40 + 40)
 #                                                       off 508, on 512
 #   hashmap      the same both ways. A 22-bit key takes a 32-column pitch,
 #                so a key row holds one key: 36 key rows and 36 buckets per
@@ -2615,7 +2536,7 @@ _UNIT_RUNG = (
 #     DPU    on: the merge's 259 nodes + 259 edges           =   518
 #   traverse, simplify off: two components of 129 and 130 nodes, each with
 #     an outgoing surplus of 4 at multiplicities, so both retry at unit
-#     words and split into two trails (89 + 40 and 90 + 40 units). 9
+#     words and split into two trails (29 + 100 and 30 + 100 units). 9
 #     degree stripes of 32 nodes; pass 1 has 4-bit words (largest degree
 #     8), pass 2 on fresh rows 2-bit ones (largest 2), and each pass runs
 #     22 waves of (stripe, rank): 18 of rank 0, one per stripe and end,
@@ -2627,34 +2548,32 @@ _UNIT_RUNG = (
 #     W; a later wave is staged and added, 3d W and d C_ADD. The probe's
 #     + 1 runs 18 planes in pass 1 (plane 0, 1 or 2 is its last) and 2 per
 #     stripe in pass 2, one DPU per plane tested (18, then 9). The walk
-#     spends its 259 units in 11 one-bit adds of -1.
+#     spends its 259 units at its end, with one one-bit add of -1 per
+#     multiplicity stripe: 9 adds.
 #     DPU    components 259 + 259; per stripe and pass 9 * 5 + 9 * 3; the
-#            probe's 18 + 9; 259 walk steps + 4 trail ends; the unitig
-#            index 259 + 259; 4 bridge searches reaching 2, 3, 2 and 3
-#            nodes or intact chains                          = 1,408
+#            probe's 18 + 9; the walk's 259 units + 4 trails =   880
 #     R      pass 1: 9 * 4 stripe + 9 * 2 * 4 = 108; pass 2: 9 * 1 +
 #            9 * 2 * 2 = 45; end check 9 * 1                 =   162
 #     W      pass 1: the probe's 2 * 18 + 18 * 4 + 4 * 12 = 156; retry
 #            rewrite at 4 bits 9 * 4 = 36; pass 2: 2 * 18 + 18 * 2 +
-#            4 * 6 = 96; the walk's adds 11 * 2              =   310
+#            4 * 6 = 96; the walk's adds 9 * 2               =   306
 #     C_ADD  pass 1: 9 * 4 + 18 + 4 * 4 = 70; pass 2: 9 * 2 + 18 + 4 * 2
-#            = 44; the walk's 11 adds                        =   125
+#            = 44; the walk's 9 adds                         =   123
 #   traverse, simplify on: two 4-node components of 4 edges of
 #     multiplicity 4, each retried at unit words and walked in one trail.
 #     One degree stripe, d = 4 then 2, 4 waves a pass, 2 of them rank 0
 #     and written, not added; the probe's + 1
 #     runs 1 plane in pass 1 and 2 in pass 2, one DPU each pass; the walk
-#     spends its 8 units in 3 adds.
-#     DPU    components 8 + 8; the stripe 5 + 3; the probe's 1 + 1; 8 walk
-#            steps + 2 trail ends; the index 8 + 8; 2 bridge searches
-#            reaching 3 nodes each                           =    58
+#     spends its 8 units at its end in one add.
+#     DPU    components 8 + 8; the stripe 5 + 3; the probe's 1 + 1; the
+#            walk's 8 units + 2 trails                       =    36
 #     R      pass 1: 3 + 2 * 4 = 11; pass 2: 1 + 2 * 2 = 5; end check 1
 #                                                            =    17
 #     W      pass 1: 2 + 2 * 4 + 2 * 12 = 34; rewrite at 3 bits 3;
-#            pass 2: 4 + 2 * 2 + 2 * 6 = 20; the walk's adds 3 * 2
-#                                                            =    63
+#            pass 2: 4 + 2 * 2 + 2 * 6 = 20; the walk's add 2
+#                                                            =    59
 #     C_ADD  pass 1: 4 + 1 + 2 * 4 = 13; pass 2: 2 + 2 + 2 * 2 = 8; the
-#            walk's 3 adds                                   =    24
+#            walk's add                                      =    22
 #   sub-arrays   10 hash groups, then the row bank's 58-row data regions.
 #                Off: the 9 4-row multiplicity stripes and 1 of pass 1's
 #                12-row stripes fill the first, 4 each the next two, and
@@ -2670,18 +2589,18 @@ LADDER = {
             ("hashmap", "DPU", 1004),
             ("graph", "R", 80),
             ("graph", "W", 36),
-            ("traverse", "DPU", 1408),
+            ("traverse", "DPU", 880),
             ("traverse", "R", 162),
-            ("traverse", "W", 310),
-            ("traverse", "C_ADD", 125),
+            ("traverse", "W", 306),
+            ("traverse", "C_ADD", 123),
         ],
         14,
         [
-            "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
             "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCG",
+            "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
             "TCAGTTAAATTTTAGTCGTGGGATGATCAGTGGGTAAAGGTGGCGCGGGG",
-            "TAACGCGCGCTAAGGCTCAGCTGCAACGCGGAGCTGGTGTGTTATCCATTCATGGCAGAC"
             "AACTAATACGCATAAGCGTAGCCAACCGCAGTTATCCATT",
+            "TAACGCGCGCTAAGGCTCAGCTGCAACGCGGAGCTGGTGTGTTATCCATTCATGGCAGAC"
             "AACTAATACGTTAGCGTATGAACAAAATAATGCGAGTTGGGCGTACATAC",
         ],
         [_UNIT_RUNG.format(4), "component splits into 2 contigs"] * 2,
@@ -2695,10 +2614,10 @@ LADDER = {
             ("graph", "R", 337),
             ("graph", "DPU", 518),
             ("graph", "W", 3),
-            ("traverse", "DPU", 58),
+            ("traverse", "DPU", 36),
             ("traverse", "R", 17),
-            ("traverse", "W", 63),
-            ("traverse", "C_ADD", 24),
+            ("traverse", "W", 59),
+            ("traverse", "C_ADD", 22),
         ],
         11,
         [
@@ -2793,18 +2712,18 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #     plane 1, the last (2 C_ADD, 4 W, 1 DPU).
 #     DPU components 9,977 + 9,976; per stripe and pass d + 1:
 #        39 * 8 + 39 * 3; the probe adds' reduces 37 + 2 * 6 + 39;
-#        one per walk step, 9,976 + 1 (no node has two
-#        candidates: no bridge test, no unitig index)        =    30,447
+#        the walk's one per edge unit and per trail,
+#        9,976 + 1                                           =    30,447
 #     The probe adds its 1 to the in words themselves, once they are read
 #     back, and compares out against them, so it copies no plane.
 #     R  pass 1: 39 * 7 stripe + 39 * 2 * 7 read-back = 819; pass 2:
 #        39 * 1 + 39 * 2 * 2 = 195; end check 39 * 1        =     1,053
 #     W  pass 1: 37 * 2 + 2 * 14 probe adds + 78 waves * 7 = 648; retry
 #        rewrite 39 * 7 = 273; pass 2, on fresh rows: 39 * 4 + 78 * 2 =
-#        312; the walk's one flush, before the end check: one 1-bit add
+#        312; the walk's one spend, before the end check: one 1-bit add
 #        of -1 per stripe, 39 * 2                            =     1,311
 #     C_ADD pass 1: 39 * 7 compares + 37 + 2 * 7 probe adds = 324;
-#        pass 2: 39 * 4 = 156; 39 flush adds                 =       519
+#        pass 2: 39 * 4 = 156; the spend's 39 adds           =       519
 #   sub-arrays     3 + 2: one row bank of 1,018-row data regions takes,
 #                  in turn, the 39 multiplicity stripes of 7 rows (273
 #                  rows), pass 1's 39 stripes of 3 * 7 rows (out, in and
@@ -2842,9 +2761,10 @@ def _benchmark_workloads():
 
 # The benchmark's three workloads at seed 1, simplify off, on the default
 # 1024 x 256 geometry: (trace records, sub-arrays, contigs). hub-euler's
-# 9,956 keys take 3 hash groups and its walk runs bridge tests between
-# hubs; sampled-repeats' 8 components retry at unit words and split into
-# 16 contigs. These records are what the benchmark's trace digest hashes.
+# 9,956 keys take 3 hash groups and its walk covers them in one trail
+# through its 80 hubs; sampled-repeats' 8 components retry at unit words
+# and split into 16 contigs. These records are what the benchmark's trace
+# digest hashes.
 #   hashmap W      the key row writes plus the image writes and counter
 #                  seeds (1,732, 1,533 and 3,760). A read's new key waits
 #                  until a later batch of the read probes its bucket, or
@@ -2870,6 +2790,15 @@ def _benchmark_workloads():
 #                  bit: 4 * 7 + 4 * 14 + 4 + 4 * 4 + 4 = 108 (tiled-deep),
 #                  39 + 38 * 6 + 39 = 306 (hub-euler) and 23 * 4 + 23 * 8 +
 #                  23 + 23 * 4 + 23 = 414 (sampled-repeats).
+#     walk         one DPU per edge unit walked and one per trail: 976 + 1
+#                  (tiled-deep), 9,956 + 1 (hub-euler) and 5,797 + 16
+#                  (sampled-repeats). Every unit is spent at the walk's end
+#                  with one 1-bit add of -1 per multiplicity stripe, 1 C_ADD
+#                  + 2 W each: 4, 39 and 23 adds.
+#   io XFER        the reads' bytes plus each contig's, rounded up to a
+#                  whole byte: sampled-repeats' 16 contigs hold 6,181 bases
+#                  in all, and their lengths round up to 9,149 bytes with
+#                  the reads'.
 WORKLOAD_TRACES = {
     "tiled-deep": (
         [
@@ -2895,26 +2824,26 @@ WORKLOAD_TRACES = {
             ("hashmap", "DPU", 4_629),
             ("graph", "R", 320),
             ("graph", "W", 39),
-            ("traverse", "DPU", 108_719),
+            ("traverse", "DPU", 29_858),
             ("traverse", "R", 306),
-            ("traverse", "W", 2_230),
-            ("traverse", "C_ADD", 899),
+            ("traverse", "W", 1_754),
+            ("traverse", "C_ADD", 661),
         ],
         4,
         1,
     ),
     "sampled-repeats": (
         [
-            ("io", "XFER", 9_150),
+            ("io", "XFER", 9_149),
             ("hashmap", "W", 5_749),
             ("hashmap", "C_ADD", 8_191),
             ("hashmap", "DPU", 8_191),
             ("graph", "R", 192),
             ("graph", "W", 92),
-            ("traverse", "DPU", 29_317),
+            ("traverse", "DPU", 17_683),
             ("traverse", "R", 414),
-            ("traverse", "W", 980),
-            ("traverse", "C_ADD", 396),
+            ("traverse", "W", 964),
+            ("traverse", "C_ADD", 388),
         ],
         3,
         16,
