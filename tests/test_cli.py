@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import logging
+import os
 import tempfile
 from pathlib import Path
 
@@ -179,6 +180,20 @@ def test_assemble_exit_codes(tmp_path):
                 "--out", tmp_path / "o"]) == 3
 
 
+@pytest.mark.parametrize("text, message", [
+    ("ACGT\n>late\nACGT\n", "not FASTA or FASTQ (leading 'A')"),
+    ("@r1\nACGT\n+\n!!!!\nr2\nTT\n+\n!!\n", ":5: expected '@' header"),
+], ids=["fasta-data-before-any-header", "fastq-header-without-at"])
+def test_malformed_reads_exit_2(text, message, tmp_path, capsys):
+    # sequence data before the first FASTA header is caught by the format
+    # sniff, as the text then starts with neither '>' nor '@'
+    reads = tmp_path / "reads.txt"
+    reads.write_text(text)
+    assert run(["assemble", reads, "--k", 3, *SMALL, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize("reads_bytes, cost_bytes, code", [
     (b">r\n\xff\xfeACGT\n", None, 2),           # parse error
     (b">r\nCGTGTGCA\n", b">r\nCGTGTGCA\n", 4),  # configuration error
@@ -197,30 +212,42 @@ def test_assemble_maps_undecodable_inputs_to_exit_codes(
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["assemble", "{dir}", "--out", "{dir}/o"], 2),
-    (["assemble", "{ok}", "--cost-config", "{dir}/none.json", "--out", "{dir}/o"], 4),
-    (["assemble", "{ok}", "--out", "{dir}/none/o"], 5),
-    (["assemble", "{ok}", "--out", "{ok}/o"], 5),
-    (["assemble", "{ok}", "--out", "{dir}/o", "--dump-kmers", "{dir}/none/k.tsv"], 5),
-    (["assemble", "{ok}", "--out", "{dir}/o", "--dump-graph", "{dir}/none/g.tsv"], 5),
-    (["sweep", "{ok}", "--k-list", "5", "--out", "{dir}/none/o"], 5),
-    (["sweep", "{ok}", "--k-list", "5,6", "--out", "{ok}/o"], 5),
-    (["gen", "--length", "200", "--read-len", "50", "--out", "{dir}/none/o"], 5),
-], ids=["input-is-a-directory", "cost-config-missing", "assemble-out-dir-missing",
-        "assemble-out-dir-is-a-file", "dump-kmers-dir-missing", "dump-graph-dir-missing",
-        "sweep-out-dir-missing", "sweep-out-dir-is-a-file", "gen-out-dir-missing"])
-def test_file_failures_map_to_exit_codes(argv, code, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv, code, late", [
+    (["assemble", "{dir}", "--out", "{dir}/o"], 2, []),
+    (["assemble", "{ok}", "--cost-config", "{dir}/none.json", "--out", "{dir}/o"], 4, []),
+    (["assemble", "{ok}", "--out", "{dir}/o"], 4, ["--rows", "8"]),
+    (["assemble", "{ok}", "--out", "{dir}/none/o"], 5, []),
+    (["assemble", "{ok}", "--out", "{ok}/o"], 5, []),
+    (["assemble", "{ok}", "--out", "{dir}/locked/o"], 5, []),
+    (["assemble", "{ok}", "--out", "{dir}/o", "--dump-kmers", "{dir}/none/k.tsv"], 5, []),
+    (["assemble", "{ok}", "--out", "{dir}/o", "--dump-graph", "{dir}/none/g.tsv"], 5, []),
+    (["sweep", "{ok}", "--k-list", "5", "--out", "{dir}/none/o"], 5, []),
+    (["sweep", "{ok}", "--k-list", "5,6", "--out", "{ok}/o"], 5, []),
+    (["gen", "--length", "200", "--read-len", "50", "--out", "{dir}/none/o"], 5, []),
+], ids=["input-is-a-directory", "cost-config-missing", "geometry-too-small",
+        "assemble-out-dir-missing", "assemble-out-dir-is-a-file", "out-dir-not-writable",
+        "dump-kmers-dir-missing", "dump-graph-dir-missing", "sweep-out-dir-missing",
+        "sweep-out-dir-is-a-file", "gen-out-dir-missing"])
+def test_file_failures_map_to_exit_codes(argv, code, late, tmp_path, capsys, monkeypatch):
     # every one of these fails before any assembly starts
     def assemble(self, reads, k):
         raise AssertionError("assembled before the failure")
 
     monkeypatch.setattr(Assembler, "assemble", assemble)
+    # tests may run as root, which chmod cannot keep out, so `locked`
+    # refuses writes through os.access instead
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    access = os.access
+    monkeypatch.setattr(
+        os, "access", lambda path, mode: access(path, mode) and Path(path) != locked
+    )
     ok = tmp_path / "ok.fasta"
     ok.write_text(">r\nCGTGTGCA\n")
     argv = [a.format(dir=tmp_path, ok=ok) for a in argv]
     if argv[0] != "gen":
         argv += ["--k", "5", *SMALL]
+    argv += late  # after SMALL: argparse keeps a flag's last value
     assert run(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

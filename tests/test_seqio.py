@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pimgasm.encoding import EncodedSeq
 from pimgasm.errors import ParseError, SizeError
 from pimgasm.seqio import (
+    _parse_fasta,
     distinct_window_genome,
     encode_records,
     random_genome,
@@ -35,6 +36,15 @@ def test_fasta_errors(tmp_path):
         read_sequences(p)
 
 
+def test_fasta_data_before_the_first_header_is_a_parse_error(tmp_path):
+    # read_sequences only hands the FASTA parser text whose first non-blank
+    # line is a header (see test_cli for the exit code), so the parser's
+    # own check is tripped directly
+    p = tmp_path / "in.fasta"
+    with pytest.raises(ParseError, match=":2: sequence data before any header"):
+        _parse_fasta("\nACGT\n>late\nACGT\n", p)
+
+
 def test_empty_file_yields_no_records(tmp_path):
     p = tmp_path / "empty.fasta"
     p.write_text("\n  \n")
@@ -57,6 +67,9 @@ def test_fastq_errors(tmp_path):
         read_sequences(p)
     p.write_text("@r1\nACGT\n+\n!!!\n")  # quality too short
     with pytest.raises(ParseError):
+        read_sequences(p)
+    p.write_text("@r1\nACGT\n+\n!!!!\nr2\nTT\n+\n!!\n")  # second header lacks '@'
+    with pytest.raises(ParseError, match=":5: expected '@' header"):
         read_sequences(p)
 
 
