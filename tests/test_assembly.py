@@ -2038,7 +2038,8 @@ def test_fleury_covers_random_eulerian_multigraphs():
 
 def check_trails_per_component(g, mult, paths):
     """Each weak component with edges walks max(1, its outgoing surplus)
-    trails under `mult`, and an edge-less node walks none."""
+    trails under `mult`, and an edge-less node walks none. Returns each
+    component's surplus."""
     comp_of = weakly_connected_components(g)
     out_d, in_d = g.degrees(mult)
     surplus, has_edges = Counter(), set()
@@ -2048,6 +2049,7 @@ def check_trails_per_component(g, mult, paths):
             has_edges.add(ci)
     trails = Counter(comp_of[p.node_ids[0]] for p in paths)
     assert trails == {ci: max(1, surplus[ci]) for ci in has_edges}
+    return surplus
 
 
 # 1 and every 2^j - 1 and 2^j up to 255: the values whose bit length a
@@ -2180,10 +2182,7 @@ def test_the_walk_covers_several_components_with_the_fewest_trails():
         starts = [x for x in range(len(g.nodes)) for _ in range(out_d[x] - in_d[x])]
         crossed += sum(comp_of[d] != comp_of[s] for d, s in zip(deficits, starts))
         paths = make_asm(rows=64, cols=16).fleury(g)
-        check_trails_per_component(g, g.mult, paths)
-        surplus = Counter()
-        for x, ci in enumerate(comp_of):
-            surplus[ci] += max(0, out_d[x] - in_d[x])
+        surplus = check_trails_per_component(g, g.mult, paths)
         real = set(zip(g.edge_src, g.edge_dst))
         for p in paths:
             head, tail = p.node_ids[0], p.node_ids[-1]
