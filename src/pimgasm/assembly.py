@@ -39,9 +39,11 @@ and bit it touches, not per key or per hit. Stage 2 walks the table and
 emits one edge per distinct k-mer (prefix node, suffix node, multiplicity
 = frequency) into an edge store. Stage 3 accumulates vertical degree
 counters column-parallel: each stripe's first wave of edge words is
-written into its zeroed counters, and later waves are added through
-staging words. It probes the start vertex with a bit-plane compare of
-out against in+1, formed in the in words once they are read back, and
+written into its zeroed counters, only the planes its largest word fills,
+and each later wave is added in place as one +1 per set bit of its words,
+the words find_start has just read back and checked. It probes the start
+vertex with a bit-plane compare of out against in+1, formed in the in
+words once they are read back, and
 covers each weak component with the fewest trails its degrees allow,
 max(1, sum of outgoing surpluses): one trail per surplus unit, or one
 Euler circuit when there is none. It walks by Hierholzer's splice: one
@@ -99,8 +101,10 @@ boundary, raising ConsistencyError on any divergence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -729,31 +733,47 @@ class Assembler:
         """Add the stage's counter increments one bit plane at a time;
         returns the adds issued.
 
-        Adding 1 to a word's planes i and up adds 2**i, so the counters of
-        one sub-array's stripe whose amount has bit i set share one
-        column-parallel +1 at plane i, which costs what a single-column add
-        does and stops at its last carry plane. The adds run in ascending
-        (sub-array, stripe, plane) order. Every counter is wide enough for
-        its key's count, so any overflow bit means fabric and mirror
-        diverged; the check runs once every add has, so the cells hold the
-        full sums.
+        Each sub-array counter stripe takes its increments through one
+        _add_words, in ascending (sub-array, stripe) order. Every counter is
+        wide enough for its key's count, so any overflow bit means fabric
+        and mirror diverged; the check runs once every add has, so the
+        cells hold the full sums.
         """
-        planes: dict[tuple[int, int, int], list[int]] = {}
+        stripes: dict[tuple[int, int], dict[int, int]] = {}
         for (sid, lsb, col), amount in pending.items():
-            for i in range(amount.bit_length()):
-                if amount >> i & 1:
-                    planes.setdefault((sid, lsb, i), []).append(col)
-        overflowed = []
-        for sid, lsb, i in sorted(planes):
-            carry = self.machine.add_const_cols(
-                sid, lsb + i, lay.value_width - i, planes[sid, lsb, i], 1
-            )
-            if any(carry.values()):
-                overflowed.append((sid, lsb))
+            stripes.setdefault((sid, lsb), {})[col] = amount
+        overflowed = [
+            (sid, lsb)
+            for sid, lsb in sorted(stripes)
+            if self._add_words(sid, lsb, lay.value_width, stripes[sid, lsb])
+        ]
         if overflowed:
             sid, lsb = overflowed[0]
             raise ConsistencyError(f"counter add overflowed in sub-array {sid}, stripe row {lsb}")
-        return len(planes)
+        # one add per stripe and bit that some amount sets
+        return sum(
+            functools.reduce(operator.or_, words.values()).bit_count()
+            for words in stripes.values()
+        )
+
+    def _add_words(self, sid: int, lsb: int, width: int, words: dict[int, int]) -> bool:
+        """Add {col: amount} into the width-bit vertical words at lsb;
+        returns whether any add carried out of its word.
+
+        Adding 1 to a word's planes i and up adds 2**i, so the columns whose
+        amount has bit i set share one column-parallel +1 at plane i, which
+        costs what a single-column add does and stops at its last carry
+        plane (see isa). The adds run in ascending plane order, one per bit
+        that some amount sets, so each amount enters its word through its
+        set bits alone.
+        """
+        over = False
+        for i in range(max(words.values()).bit_length()):
+            cols = [col for col, amount in words.items() if amount >> i & 1]
+            if cols:
+                carry = self.machine.add_const_cols(sid, lsb + i, width - i, cols, 1)
+                over |= any(carry.values())
+        return over
 
     def _observe(self, table, buckets, kmer: EncodedSeq) -> None:
         """Observe one k-mer: the hash stage's one rule for inserting keys
@@ -1017,8 +1037,8 @@ class Assembler:
         label, and its links go; a contractible cycle's closing edge
         survives as the merged node's self-loop. Each distinct key row
         that holds a merged node's label (`label_rows`, from build_graph)
-        is read once, as one 1-bit plane through Machine.read_vwords, and
-        the controller pays one op per node and per edge.
+        is read once, through one Machine.read_row, and the controller pays
+        one op per node and per edge.
         """
         m = self.machine
         with m.stage_scope(tr.STAGE_GRAPH):
@@ -1040,7 +1060,7 @@ class Assembler:
                 new.add_edge(new.nodes[node_map[u]], new.nodes[node_map[v]], g.mult[e])
             # merge scan: merged members' label rows, controller pass
             for sid, row in sorted(read):
-                m.read_vwords(sid, row, 1)
+                m.read_row(sid, row)
             m.dpu_charge(n + g.edge_count)
         log.info(
             "simplify: %d -> %d nodes, %d -> %d edges",
@@ -1058,15 +1078,19 @@ class Assembler:
         The pass reads every multiplicity stripe once and checks it against
         the mirror. One pass over each end list groups the edges into waves
         by (stripe, rank), the rank being how many edges of the same node
-        came before. Each stripe of `cols` nodes takes 3 * w_deg fresh rows
-        from the assembler's row bank (its out, in and staging words), rows
-        never handed out before and so still zero. So a stripe's rank-0 wave
-        is written straight into the out or in words (w_deg W), which leaves
-        the cells an add into zeros would; every later wave's words are
-        staged into the stripe's staging words and added into the out or in
-        words, so a whole sub-array row of nodes advances per add, and the
-        add's carry-out is checked. The degree words are
-        (largest degree + 1).bit_length() bits wide, just enough for the
+        came before. Each stripe of `cols` nodes takes 2 * w_deg fresh rows
+        from the assembler's row bank (its out and in words), rows never
+        handed out before and so still zero. So a stripe's rank-0 wave is
+        written straight into the out or in words, one W per plane its
+        largest word fills, which leaves the cells an add into zeros would:
+        the planes above, like the columns the wave does not list, already
+        hold zeros. Every later wave is added in place through _add_words:
+        its words are the read-back ones, so the controller holds them, and
+        the columns whose word sets bit i share one +1 at plane i, in
+        ascending bit order, so a whole sub-array row of nodes advances per
+        add, each edge's word enters its node's word only through its own
+        wave's adds, and every add's carry-out is checked. The degree words
+        are (largest degree + 1).bit_length() bits wide, just enough for the
         start probe's in + 1, formed in the in words themselves once they
         are read back. Every pass is the same full pass: a repeat one (after
         some words were rewritten, say) takes new stripes after the last
@@ -1097,9 +1121,9 @@ class Assembler:
             maxdeg = max(max(host_out, default=0), max(host_in, default=0))
             w_deg = (maxdeg + 1).bit_length()  # the probe's in + 1 fits
             store.degree = None  # void from here on, even on failure
-            stripes = [self._bank.alloc(3 * w_deg) for _ in range(0, n, m.cols)]
+            stripes = [self._bank.alloc(2 * w_deg) for _ in range(0, n, m.cols)]
 
-            # per stripe: out words at base, then in and staging words
+            # per stripe: out words at base, then in words
             for ends, offset in ((g.edge_src, 0), (g.edge_dst, w_deg)):
                 rank = [0] * n  # per node: the edges of it seen so far
                 # (stripe, rank) -> {col: the edge's multiplicity word}
@@ -1110,13 +1134,9 @@ class Assembler:
                     rank[nid] += 1
                 for (stripe, r), wave in sorted(waves.items()):
                     sid, base = stripes[stripe]
-                    if not r:  # the words hold zeros, so adding would copy
-                        m.write_vwords(sid, base + offset, w_deg, wave)
-                        continue
-                    stg_base = base + 2 * w_deg
-                    m.write_vwords(sid, stg_base, w_deg, wave)
-                    over = m.add_cols(sid, stg_base, base + offset, base + offset, w_deg, wave)
-                    if any(over.values()):
+                    if not r:  # fresh rows: the planes above the wave hold zeros
+                        m.write_vwords(sid, base + offset, max(wave.values()).bit_length(), wave)
+                    elif self._add_words(sid, base + offset, w_deg, wave):
                         raise ConsistencyError("degree counter overflow")
 
             # read the counter planes back; the mirror must agree exactly

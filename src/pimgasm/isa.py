@@ -18,6 +18,11 @@ of every listed column's word.
 Every bit region lies within one row, so an insert or a compare is one row
 operation; a region that runs past its row raises SizeError.
 
+The assembly pipeline adds only constants (add_const_cols): counter
+increments, degree waves, the start probe's + 1 and the walk's spend, each
+a constant the controller holds. add_cols, the add of two stored words,
+stays for the adder's own acceptance check (criterion 3).
+
 Cost contract (pinned by tests):
   mem_insert:   1 W
   cmp:          1 C_ADD + 1 DPU
@@ -31,7 +36,8 @@ Cost contract (pinned by tests):
                 2(p+1) W + one DPU per plane tested, i.e. p - top + 1 when
                 it stops early and max(0, w-1-top) when it does not
   write_vwords: w W, one masked write per bit plane, for any column count
-  read_vwords:  w R, one read per bit plane, every column's word decoded
+  read_row:     1 R, the row's cells as one int
+  read_vwords:  w R, one read_row per bit plane, every column's word decoded
 """
 
 from __future__ import annotations
@@ -306,12 +312,17 @@ class Machine:
         for i in range(width):
             sub.write_masked(lsb + i, planes[i], colmask)
 
+    def read_row(self, sid: int, row: int) -> int:
+        """One row of sid's sub-array, its cells as one int (bit c is
+        column c): 1 R."""
+        return self.subarray(sid).read_row(row)
+
     def read_vwords(self, sid: int, lsb: int, width: int) -> list[int]:
-        """Every column's width-bit vertical word at lsb: width R."""
-        sub = self.subarray(sid)
-        words = [0] * sub.cols
+        """Every column's width-bit vertical word at lsb: width R, one
+        read_row per bit plane."""
+        words = [0] * self.subarray(sid).cols
         for i in range(width):
-            plane = sub.read_row(lsb + i)
+            plane = self.read_row(sid, lsb + i)
             while plane:
                 low = plane & -plane
                 words[low.bit_length() - 1] |= 1 << i

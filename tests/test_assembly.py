@@ -1715,11 +1715,11 @@ def test_find_start_degrees_weight_multiplicity():
 def test_a_repeat_find_start_takes_fresh_stripes_after_the_first():
     # 18 nodes on 16 columns: two degree stripes. The largest degree is 2,
     # so the start probe's in + 1 needs 3.bit_length() = 2-bit degree
-    # words, and a stripe 3 * 2 rows (out, in and staging words; the probe
-    # forms in + 1 in the in words). The row bank's one sub-array
+    # words, and a stripe 2 * 2 rows (out and in words; the probe forms
+    # in + 1 in the in words). The row bank's one sub-array
     # holds the two 1-bit multiplicity stripes (rows 0, 1); the first pass
-    # stacks its stripes at rows 2 and 2 + 6 = 8, and a repeat pass takes
-    # fresh ones after them, at 14 and 20, in the same sub-array. Fresh
+    # stacks its stripes at rows 2 and 2 + 4 = 6, and a repeat pass takes
+    # fresh ones after them, at 10 and 14, in the same sub-array. Fresh
     # rows hold zeros, so nothing is cleared: the repeat re-adds every node
     # at exactly the first pass's cost, and the first pass's out words stay
     # where they were.
@@ -1736,9 +1736,9 @@ def test_a_repeat_find_start_takes_fresh_stripes_after_the_first():
     assert asm.machine.subarray_count == count
     assert g.store.stripes == [(sid, 0), (sid, 1)]
     assert g.store.degree.w_deg == 2
-    assert g.store.degree.stripes == [(sid, 14), (sid, 20)]
+    assert g.store.degree.stripes == [(sid, 10), (sid, 14)]
     assert costs[1] == costs[0]
-    kept = asm.machine.read_vwords(sid, 2, 2) + asm.machine.read_vwords(sid, 8, 2)
+    kept = asm.machine.read_vwords(sid, 2, 2) + asm.machine.read_vwords(sid, 6, 2)
     assert kept[: len(g.nodes)] == g.degrees()[0]
     # the walk spends every word the repeat pass counted to zero
     [path] = asm.fleury(g)
@@ -1770,10 +1770,10 @@ def test_a_pass_of_first_waves_only_runs_no_degree_add():
     # multiplicity 5, on 64 x 16: 46 nodes in 3 degree stripes, and
     # (7 + 1).bit_length() = 4-bit degree words. No node has two out-edges
     # or two in-edges, so every wave is a stripe's rank-0 wave, written
-    # straight into the zeroed out or in words: the pass runs no
-    # add_cols, and all its C_ADD comes from the start probe (the in + 1
-    # adds and the plane compares). The degree words still read back as the
-    # host degrees.
+    # straight into the zeroed out or in words: the only add_const_cols
+    # calls are the start probe's, one + 1 per stripe on its in words, and
+    # all the pass's C_ADD comes from the probe (those adds and the plane
+    # compares). The degree words still read back as the host degrees.
     labels = ["".join(p) for p in itertools.product("ACGT", repeat=3)]
     g = SparseGraph()
     for i in range(39):
@@ -1783,11 +1783,14 @@ def test_a_pass_of_first_waves_only_runs_no_degree_add():
         g.add_edge(E(a), E(b), mult=5)
     asm = make_asm(rows=64, cols=16)
     m = asm.machine
+    adds = []
     probe_c_add = 0
 
-    def counted(op):
+    def counted(op, calls=None):
         def call(*args):
             nonlocal probe_c_add
+            if calls is not None:
+                calls.append(args[:3])
             before = m.trace.total(tr.C_ADD)
             out = op(*args)
             probe_c_add += m.trace.total(tr.C_ADD) - before
@@ -1795,14 +1798,134 @@ def test_a_pass_of_first_waves_only_runs_no_degree_add():
 
         return call
 
-    with patch.object(m, "add_cols", wraps=m.add_cols) as adds, patch.object(
-        m, "add_const_cols", counted(m.add_const_cols)
-    ), patch.object(m, "cmp", counted(m.cmp)):
+    with patch.object(m, "add_const_cols", counted(m.add_const_cols, adds)), patch.object(
+        m, "cmp", counted(m.cmp)
+    ):
         asm.find_start(g)
-    assert (len(g.nodes), len(g.store.degree.stripes), g.store.degree.w_deg) == (46, 3, 4)
-    assert adds.call_count == 0
+    d = g.store.degree
+    assert (len(g.nodes), len(d.stripes), d.w_deg) == (46, 3, 4)
+    assert adds == [(sid, base + d.w_deg, d.w_deg) for sid, base in d.stripes]
     assert traverse_totals(asm.trace)[tr.C_ADD] == probe_c_add > 0
     assert degree_words(asm, g) == g.degrees()
+
+
+def test_degree_wave_cost_oracle_on_mixed_words():
+    # AA, AC and AG each have two out-edges, the second of multiplicity 1,
+    # 2 and 3, into six nodes of one in-edge each; 9 nodes in one stripe
+    # on 64 x 16. The largest degree is AG's 1 + 3 = 4, so the start
+    # probe's in + 1 needs 5.bit_length() = 3-bit degree words (d = 3),
+    # and the 6 words, at most 3, are 2 bits wide (w = 2).
+    g = SparseGraph(k=3)
+    for src, dsts, second in (
+        ("AA", ("CA", "CC"), 1),
+        ("AC", ("CG", "CT"), 2),
+        ("AG", ("GA", "GC"), 3),
+    ):
+        g.add_edge(E(src), E(dsts[0]))
+        g.add_edge(E(src), E(dsts[1]), mult=second)
+    asm = make_asm(rows=64, cols=16)
+    m = asm.machine
+    waves = []
+    add = m.add_const_cols
+
+    def recorded(sid, lsb, width, cols, constant):
+        before = traverse_totals(asm.trace)
+        carry = add(sid, lsb, width, cols, constant)
+        after = traverse_totals(asm.trace)
+        waves.append((lsb, width, sorted(cols), {k: after[k] - before[k] for k in after}))
+        return carry
+
+    with patch.object(m, "add_const_cols", recorded):
+        asm.find_start(g)
+    d = g.store.degree
+    [(_, base)] = d.stripes
+    assert d.w_deg == 3
+    # placement of the multiplicity words, one 2-bit stripe: 2 W; its read
+    #   back, 2 R
+    # rank-0 waves, written into the zeroed words at their largest word's
+    #   bit length: out {AA, AC, AG: 1}, 1 W; in {CA, CC, CG, GA: 1,
+    #   CT: 2, GC: 3}, 2 W                            -> 3 W
+    # the one rank-1 wave, out {AA: 1, AC: 2, AG: 3}, one +1 per set bit in
+    #   ascending order (top = 0, so every plane but a word's last is
+    #   followed by a DPU reduce of its carry):
+    #   bit 0, AA and AG at plane 0 of 3: both words are 1, so plane 0
+    #     carries and plane 1 does not: 2 C_ADD, 4 W, 2 DPU
+    #   bit 1, AC and AG at plane 1 of 2: AC's 1 takes no carry, AG's 2
+    #     carries into plane 2, the word's last: 2 C_ADD, 4 W, 1 DPU
+    #                                    -> 8 W, 4 C_ADD, 3 DPU
+    # read-back of the out and in planes             -> 6 R
+    # start probe: +1 on the in words, GC's 3 carries out of planes 0 and
+    #   1, so it runs all 3 (3 C_ADD, 6 W, 2 DPU); 3 plane compares
+    #   (3 C_ADD, 3 DPU); 1 DPU                     -> 6 W, 6 C_ADD, 6 DPU
+    assert [wave[:3] for wave in waves] == [
+        (base, 3, [0, 6]),    # AA, AG
+        (base + 1, 2, [3, 6]),  # AC, AG
+        (base + 3, 3, list(range(9))),
+    ]
+    assert [wave[3] for wave in waves[:2]] == [
+        {tr.R: 0, tr.W: 4, tr.C_ADD: 2, tr.DPU: 2},
+        {tr.R: 0, tr.W: 4, tr.C_ADD: 2, tr.DPU: 1},
+    ]
+    assert traverse_totals(asm.trace) == {tr.R: 8, tr.W: 19, tr.C_ADD: 10, tr.DPU: 9}
+    # nodes AA, CA, CC, AC, CG, CT, AG, GA, GC
+    assert degree_words(asm, g) == g.degrees()
+    assert g.degrees() == ([2, 0, 0, 3, 0, 0, 4, 0, 0], [0, 1, 1, 0, 1, 2, 0, 1, 3])
+
+
+def test_a_degree_add_that_overflows_raises(monkeypatch):
+    # AC's second out-edge is a rank-1 wave, a +1 at plane 0 of its 2-bit
+    # out word. Every plane of that word is set all-ones just before the
+    # add, so the +1 carries out of the word.
+    asm = make_asm(rows=64, cols=16)
+    g = SparseGraph(k=3)
+    g.add_edge(E("AC"), E("CG"))
+    g.add_edge(E("AC"), E("CT"))
+    m = asm.machine
+    add = m.add_const_cols
+
+    def saturate_then_add(sid, lsb, width, cols, constant):
+        for row in range(lsb, lsb + width):
+            m.subarray(sid).cells[row] = (1 << m.cols) - 1
+        return add(sid, lsb, width, cols, constant)
+
+    monkeypatch.setattr(m, "add_const_cols", saturate_then_add)
+    with pytest.raises(ConsistencyError, match="degree counter overflow"):
+        asm.find_start(g)
+
+
+def test_degree_planes_that_disagree_with_the_edge_lists_raise(monkeypatch):
+    # every rank-0 wave write flips plane 0 of its first column's word, so
+    # that node's degree reads back one off the host's edge lists
+    asm, g = build_graph(["CGTGTGCA"], 5, rows=64, cols=16)
+    m = asm.machine
+    write = m.write_vwords
+
+    def write_then_flip(sid, lsb, width, words):
+        write(sid, lsb, width, words)
+        m.subarray(sid).cells[lsb] ^= 1 << min(words)
+
+    monkeypatch.setattr(m, "write_vwords", write_then_flip)
+    with pytest.raises(ConsistencyError, match="degree planes disagree with the edge lists"):
+        asm.find_start(g)
+
+
+def test_a_start_probe_that_disagrees_with_the_mirror_raises(monkeypatch):
+    # CGTG (node 0) has out 1 and in 0, so its in + 1 equals its out and it
+    # is the one start. The probe's + 1, the pass's only add, then has
+    # plane 0 of that in word flipped, after the planes were read back and
+    # checked, so the plane compare misses node 0.
+    asm, g = build_graph(["CGTGTGCA"], 5, rows=64, cols=16)
+    m = asm.machine
+    add = m.add_const_cols
+
+    def add_then_flip(sid, lsb, width, cols, constant):
+        carry = add(sid, lsb, width, cols, constant)
+        m.subarray(sid).cells[lsb] ^= 1
+        return carry
+
+    monkeypatch.setattr(m, "add_const_cols", add_then_flip)
+    with pytest.raises(ConsistencyError, match="start probe disagrees with the degree mirror"):
+        asm.find_start(g)
 
 
 # ---- Euler walks -----------------------------------------------------------
@@ -1880,21 +2003,22 @@ def test_walk_cost_oracle_on_a_path():
     # labels in fabric): one 2-word stripe, w = 1 W   -> 1 W
     # one read of that stripe, 1 R, checked against the mirror
     # out and in passes, rank 0 only: each wave is written straight into
-    #   the zeroed out or in words, d = 2 W, and added nowhere (staging it
-    #   and adding it took 2 W + 2 C_ADD + 4 W)      -> 4 W
+    #   the zeroed out or in words, and added nowhere. Its largest word is
+    #   1, so it writes 1.bit_length() = 1 plane; plane 1 of the fresh
+    #   rows already holds zeros                      -> 2 W
     # read-back of the out and in planes             -> 4 R
     # start probe: +1 on the in words, dead once read back (2 C_ADD + 4 W,
     #   and one DPU reduce of plane 0's carry, which CG's and GT's in = 1
     #   set), 2 plane compares of out against them (2 C_ADD + 2 DPU), 1 DPU
     #                                                 -> 4 W, 4 C_ADD, 4 DPU
-    assert traverse_totals(asm.trace) == {tr.R: 5, tr.W: 9, tr.C_ADD: 4, tr.DPU: 4}
+    assert traverse_totals(asm.trace) == {tr.R: 5, tr.W: 7, tr.C_ADD: 4, tr.DPU: 4}
     [path] = asm.fleury(g)
     assert path.node_ids == [0, 1, 2]
     # 2 units on 2 edges of one stripe, spent in one pass at the walk's
     #   end: one 1-bit add of -1 on both columns (1 C_ADD + 2 W, where a
     #   decrement per unit took 2 C_ADD + 4 W), one DPU per unit and one for
     #   the trail (3), and the end-of-walk read of the 1 plane of the stripe
-    assert traverse_totals(asm.trace) == {tr.R: 6, tr.W: 11, tr.C_ADD: 5, tr.DPU: 7}
+    assert traverse_totals(asm.trace) == {tr.R: 6, tr.W: 9, tr.C_ADD: 5, tr.DPU: 7}
 
 
 @pytest.mark.parametrize("edge, word", [(0, 2), (1, 3), (16, 3), (18, 3)])
@@ -2355,18 +2479,27 @@ def test_only_the_retried_component_walks_unit_words():
     # dead, and 3 plane compares (6 W, 6 C_ADD, 4 DPU).
     # AA has two out- and two in-edges, so each end runs a rank-0 and a
     # rank-1 wave. A rank-0 wave is written straight into the zeroed out
-    # or in words, 3 W; a rank-1 wave stages and adds one word per column,
-    # 3 + 6 W and 3 C_ADD:
-    #   W 2 * 3 + 2 * 9 + 6 = 30, C_ADD 2 * 3 + 6 = 12
+    # or in words, one plane per bit of its largest word, since the fresh
+    # planes above hold zeros. A rank-1 wave adds AA's one word as one +1
+    # per set bit: the out end adds AA -> AG's 1 at plane 0 of AA's out =
+    # 2, and the in end AA -> AA's 2 at plane 1 of AA's in = 1. Neither
+    # carries, so each +1 stops at the first plane it tests: 1 C_ADD, 2 W
+    # and 1 DPU.
+    #   pass 1, words 1, 2, 1, 3: rank-0 waves {GA: 1, AA: 2, CG: 3} out
+    #   and {AA: 1, AG: 1, GT: 3} in, 2 planes each:
+    #   W 2 + 2 + 2 * 2 + 6 = 14, C_ADD 2 + 6 = 8
+    #   pass 2, words 1, 2, 1, 1: the in wave {AA: 1, AG: 1, GT: 1} writes
+    #   1 plane: W 2 + 1 + 2 * 2 + 6 = 13, C_ADD 8
     # The second pass is the same full pass on fresh rows, which hold
     # zeros, so it clears nothing and writes its rank-0 waves as well, and
     # it counts the passing component's edges again.
     # The probe's + 1 reduces the carry of every plane below the last: AA's
     # in = 3 carries out of planes 0 and 1 in both passes, so it tests 2
-    # planes and stops none early: 4 + 2 = 6 DPU per pass.
+    # planes and stops none early: with the rank-1 adds' 2, 4 + 2 + 2 = 8
+    # DPU per pass.
     assert pass_costs == [
-        {tr.R: 8, tr.W: 30, tr.C_ADD: 12, tr.DPU: 6},
-        {tr.R: 8, tr.W: 30, tr.C_ADD: 12, tr.DPU: 6},
+        {tr.R: 8, tr.W: 14, tr.C_ADD: 8, tr.DPU: 8},
+        {tr.R: 8, tr.W: 13, tr.C_ADD: 8, tr.DPU: 8},
     ]
     assert result.graph.store.mult == [1, 2, 1, 1]
     assert result.graph.mult == [1, 2, 1, 3]  # the graph keeps its counts
@@ -2543,42 +2676,53 @@ _UNIT_RUNG = (
 #     at 4 bits and then, after the rewrite, at 1. Per degree stripe and
 #     pass of d-bit words: the read-back 2d R, the probe's + 1 on the in
 #     words, d plane compares (C_ADD + DPU) and one controller op. A
-#     rank-0 wave is written straight into the zeroed out or in words, d
-#     W; a later wave is staged and added, 3d W and d C_ADD. The probe's
+#     rank-0 wave is written straight into the zeroed out or in words, one
+#     plane per bit of its largest word, since the fresh planes above hold
+#     zeros: in pass 1, 4 waves reach 8 (4 planes), 12 reach 4 (3 planes)
+#     and the last stripe's 2 hold only 1s (1 plane); in pass 2 all 18
+#     hold 1s. Each later wave holds one word and adds it as a +1 at its
+#     set bit: 4 at plane 2 of a 4 in pass 1, 1 at plane 0 of a 1 in pass
+#     2. Each carries out of its first plane and runs to the word's last:
+#     2 C_ADD, 4 W and 1 DPU. The probe's
 #     + 1 runs 18 planes in pass 1 (plane 0, 1 or 2 is its last) and 2 per
 #     stripe in pass 2, one DPU per plane tested (18, then 9). The walk
 #     spends its 259 units at its end, with one one-bit add of -1 per
 #     multiplicity stripe: 9 adds.
 #     DPU    components 259 + 259; per stripe and pass 9 * 5 + 9 * 3; the
-#            probe's 18 + 9; the walk's 259 units + 4 trails =   880
+#            probe's 18 + 9; the later waves' 4 + 4; the walk's 259
+#            units + 4 trails                                =   888
 #     R      pass 1: 9 * 4 stripe + 9 * 2 * 4 = 108; pass 2: 9 * 1 +
 #            9 * 2 * 2 = 45; end check 9 * 1                 =   162
-#     W      pass 1: the probe's 2 * 18 + 18 * 4 + 4 * 12 = 156; retry
-#            rewrite at 4 bits 9 * 4 = 36; pass 2: 2 * 18 + 18 * 2 +
-#            4 * 6 = 96; the walk's adds 9 * 2               =   306
-#     C_ADD  pass 1: 9 * 4 + 18 + 4 * 4 = 70; pass 2: 9 * 2 + 18 + 4 * 2
-#            = 44; the walk's 9 adds                         =   123
+#     W      pass 1: the probe's 2 * 18 + 4 * 4 + 12 * 3 + 2 * 1 + 4 * 4
+#            = 106; retry rewrite at 4 bits 9 * 4 = 36; pass 2: 2 * 18 +
+#            18 * 1 + 4 * 4 = 70; the walk's adds 9 * 2      =   230
+#     C_ADD  pass 1: 9 * 4 + 18 + 4 * 2 = 62; pass 2: 9 * 2 + 18 + 4 * 2
+#            = 44; the walk's 9 adds                         =   115
 #   traverse, simplify on: two 4-node components of 4 edges of
 #     multiplicity 4, each retried at unit words and walked in one trail.
-#     One degree stripe, d = 4 then 2, 4 waves a pass, 2 of them rank 0
-#     and written, not added; the probe's + 1
+#     One degree stripe, d = 4 then 2, 4 waves a pass. The 2 rank-0 waves
+#     are written, not added: 4s in pass 1 (3 planes each), 1s in pass 2
+#     (1 plane each). Each of the 2 later waves adds its two columns'
+#     words as a +1 at their set bit, which carries out of its first plane
+#     and runs to the word's last (2 C_ADD, 4 W, 1 DPU): at plane 2 of 4s
+#     in pass 1, at plane 0 of 1s in pass 2. The probe's + 1
 #     runs 1 plane in pass 1 and 2 in pass 2, one DPU each pass; the walk
 #     spends its 8 units at its end in one add.
 #     DPU    components 8 + 8; the stripe 5 + 3; the probe's 1 + 1; the
-#            walk's 8 units + 2 trails                       =    36
+#            later waves' 2 + 2; the walk's 8 units + 2 trails =  40
 #     R      pass 1: 3 + 2 * 4 = 11; pass 2: 1 + 2 * 2 = 5; end check 1
 #                                                            =    17
-#     W      pass 1: 2 + 2 * 4 + 2 * 12 = 34; rewrite at 3 bits 3;
-#            pass 2: 4 + 2 * 2 + 2 * 6 = 20; the walk's add 2
-#                                                            =    59
-#     C_ADD  pass 1: 4 + 1 + 2 * 4 = 13; pass 2: 2 + 2 + 2 * 2 = 8; the
-#            walk's add                                      =    22
+#     W      pass 1: 2 + 2 * 3 + 2 * 4 = 16; rewrite at 3 bits 3;
+#            pass 2: 4 + 2 * 1 + 2 * 4 = 14; the walk's add 2
+#                                                            =    35
+#     C_ADD  pass 1: 4 + 1 + 2 * 2 = 9; pass 2: 2 + 2 + 2 * 2 = 8; the
+#            walk's add                                      =    18
 #   sub-arrays   10 hash groups, then the row bank's 58-row data regions.
-#                Off: the 9 4-row multiplicity stripes and 1 of pass 1's
-#                12-row stripes fill the first, 4 each the next two, and
-#                pass 2's 6-row stripes put 1 in the third and 8 in a
-#                fourth: 14. On: the 3-bit stripe and both degree stripes
-#                (21 rows) fit one: 11.
+#                Off: the 9 4-row multiplicity stripes and 2 of pass 1's
+#                8-row stripes (out and in words) fill the first, to row
+#                52, the other 7 the second, to row 56, and pass 2's 4-row
+#                stripes all go in a third: 13. On: the 3-bit stripe and
+#                both degree stripes (3 + 8 + 4 = 15 rows) fit one: 11.
 LADDER = {
     False: (
         [
@@ -2588,12 +2732,12 @@ LADDER = {
             ("hashmap", "DPU", 1004),
             ("graph", "R", 80),
             ("graph", "W", 36),
-            ("traverse", "DPU", 880),
+            ("traverse", "DPU", 888),
             ("traverse", "R", 162),
-            ("traverse", "W", 306),
-            ("traverse", "C_ADD", 123),
+            ("traverse", "W", 230),
+            ("traverse", "C_ADD", 115),
         ],
-        14,
+        13,
         [
             "TCAGTTAAATGGCAGAAAACTGGCAGGGCTTGTCGAGCG",
             "CCGTAATGCCTTTCCCTAACAGAGTTTTTCGAACTCGTGTTGTCGAGCGACGGAATTAGA"
@@ -2613,10 +2757,10 @@ LADDER = {
             ("graph", "R", 337),
             ("graph", "DPU", 518),
             ("graph", "W", 3),
-            ("traverse", "DPU", 36),
+            ("traverse", "DPU", 40),
             ("traverse", "R", 17),
-            ("traverse", "W", 59),
-            ("traverse", "C_ADD", 22),
+            ("traverse", "W", 35),
+            ("traverse", "C_ADD", 18),
         ],
         11,
         [
@@ -2702,7 +2846,9 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #                  out- and one in-edge, so one wave each way per
 #                  stripe and pass, each of rank 0: it is written
 #                  straight into the fresh rows' zeroed out or in words,
-#                  d W, and no wave is added.
+#                  one plane per bit of its largest word, and no wave is
+#                  added. Every pass-1 wave holds a 76 (7 planes), and
+#                  every pass-2 wave only 1s (1 plane).
 #     The probe's + 1: in pass 1 the 37 middle stripes hold in-degree 76
 #     only, which is even, so their adds stop at plane 0 (1 C_ADD, 2 W,
 #     1 DPU); the first and last stripes hold the ramp 0..76, whose 63
@@ -2718,17 +2864,16 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #     R  pass 1: 39 * 7 stripe + 39 * 2 * 7 read-back = 819; pass 2:
 #        39 * 1 + 39 * 2 * 2 = 195; end check 39 * 1        =     1,053
 #     W  pass 1: 37 * 2 + 2 * 14 probe adds + 78 waves * 7 = 648; retry
-#        rewrite 39 * 7 = 273; pass 2, on fresh rows: 39 * 4 + 78 * 2 =
-#        312; the walk's one spend, before the end check: one 1-bit add
-#        of -1 per stripe, 39 * 2                            =     1,311
+#        rewrite 39 * 7 = 273; pass 2, on fresh rows: 39 * 4 + 78 * 1 =
+#        234; the walk's one spend, before the end check: one 1-bit add
+#        of -1 per stripe, 39 * 2                            =     1,233
 #     C_ADD pass 1: 39 * 7 compares + 37 + 2 * 7 probe adds = 324;
 #        pass 2: 39 * 4 = 156; the spend's 39 adds           =       519
-#   sub-arrays     3 + 2: one row bank of 1,018-row data regions takes,
+#   sub-arrays     3 + 1: one row bank of 1,018-row data regions takes,
 #                  in turn, the 39 multiplicity stripes of 7 rows (273
-#                  rows), pass 1's 39 stripes of 3 * 7 rows (out, in and
-#                  staging words: 35 there, to row 1,008, and 4 in a 2nd)
-#                  and pass 2's 39 of 3 * 2 rows (all in the 2nd, to row
-#                  318)                                      =         5
+#                  rows), pass 1's 39 stripes of 2 * 7 rows (out and in
+#                  words, to row 819) and pass 2's 39 of 2 * 2 rows (to
+#                  row 975), all in one                      =         4
 CANONICAL_TRACE = [
     ("io", "XFER", 250_025),
     ("hashmap", "W", 29_556),
@@ -2738,7 +2883,7 @@ CANONICAL_TRACE = [
     ("graph", "W", 273),
     ("traverse", "DPU", 30_447),
     ("traverse", "R", 1_053),
-    ("traverse", "W", 1_311),
+    ("traverse", "W", 1_233),
     ("traverse", "C_ADD", 519),
 ]
 
@@ -2746,7 +2891,7 @@ CANONICAL_TRACE = [
 def test_the_canonical_trace_is_pinned(canonical_run):
     asm = canonical_run["asm"]
     assert asm.trace.records() == CANONICAL_TRACE
-    assert asm.machine.subarray_count == 5
+    assert asm.machine.subarray_count == 4
 
 
 def _benchmark_workloads():
@@ -2780,15 +2925,33 @@ def _benchmark_workloads():
 #                  stripe with edges at both ends, over 4 multiplicity
 #                  stripes of 7 bits, 39 of 1 and 23 of 4. Each stripe's
 #                  rank-0 wave per end is written straight into the zeroed
-#                  out or in words, d W; later waves are staged and added.
-#                  The start probe adds 1 to the in words in place, once
-#                  they are read back, and copies no plane.
+#                  out or in words, one plane per bit of its largest word;
+#                  a later wave adds its words as one +1 per set bit, which
+#                  stops at its last carry plane. The start probe adds 1
+#                  to the in words in place, once they are read back, and
+#                  copies no plane.
 #     R            each pass reads the multiplicity stripes at the store's
 #                  width and each degree stripe's out and in words, 2d R,
 #                  and the end check reads the multiplicity stripes at 1
 #                  bit: 4 * 7 + 4 * 14 + 4 + 4 * 4 + 4 = 108 (tiled-deep),
 #                  39 + 38 * 6 + 39 = 306 (hub-euler) and 23 * 4 + 23 * 8 +
 #                  23 + 23 * 4 + 23 = 414 (sampled-repeats).
+#     W            tiled-deep runs no later wave: 8 rank-0 waves of 7
+#                  planes and the probe's 2 * 14 + 2 * 2 in pass 1, the
+#                  rewrite's 4 * 7, 8 waves of 1 plane and the probe's
+#                  4 * 4 in pass 2, the spend's 4 * 2: 148. hub-euler's 76
+#                  rank-0 waves hold unit words, 1 plane each; its 48
+#                  (stripe, end) pairs with hubs run 3 later waves each,
+#                  a +1 at plane 0 taking each hub's 1 to 2 (4 W, 2 C_ADD,
+#                  2 DPU), 2 to 3 (2 W, 1 C_ADD, 1 DPU) and 3 to 4 (6 W, 3
+#                  C_ADD, 2 DPU); with the probe's 38 * 4 and the spend's
+#                  39 * 2: 76 + 48 * 12 + 152 + 78 = 882. sampled-repeats'
+#                  pass 1 writes 28 waves of 3 planes and 18 of 4, adds its
+#                  16 later words as 30 +1s (110 W, 55 C_ADD) and probes
+#                  with 170 W; the rewrite takes 23 * 4; pass 2 writes 46
+#                  waves of 1 plane, adds 16 unit words as one +1 each
+#                  (4 W, 2 C_ADD) and probes with 23 * 4; the spend takes
+#                  23 * 2: 156 + 110 + 170 + 92 + 46 + 64 + 92 + 46 = 776.
 #     walk         one DPU per edge unit walked and one per trail: 976 + 1
 #                  (tiled-deep), 9,956 + 1 (hub-euler) and 5,797 + 16
 #                  (sampled-repeats). Every unit is spent at the walk's end
@@ -2809,7 +2972,7 @@ WORKLOAD_TRACES = {
             ("graph", "W", 28),
             ("traverse", "DPU", 2_992),
             ("traverse", "R", 108),
-            ("traverse", "W", 156),
+            ("traverse", "W", 148),
             ("traverse", "C_ADD", 64),
         ],
         2,
@@ -2823,10 +2986,10 @@ WORKLOAD_TRACES = {
             ("hashmap", "DPU", 4_629),
             ("graph", "R", 320),
             ("graph", "W", 39),
-            ("traverse", "DPU", 29_858),
+            ("traverse", "DPU", 30_098),
             ("traverse", "R", 306),
-            ("traverse", "W", 1_754),
-            ("traverse", "C_ADD", 661),
+            ("traverse", "W", 882),
+            ("traverse", "C_ADD", 517),
         ],
         4,
         1,
@@ -2839,10 +3002,10 @@ WORKLOAD_TRACES = {
             ("hashmap", "DPU", 8_191),
             ("graph", "R", 192),
             ("graph", "W", 92),
-            ("traverse", "DPU", 17_683),
+            ("traverse", "DPU", 17_754),
             ("traverse", "R", 414),
-            ("traverse", "W", 964),
-            ("traverse", "C_ADD", 388),
+            ("traverse", "W", 776),
+            ("traverse", "C_ADD", 379),
         ],
         3,
         16,
@@ -2863,16 +3026,16 @@ def test_the_benchmark_workload_traces_are_pinned(name):
 
 
 def test_subarray_budget_holds_in_every_stage():
-    # CGTGTGCA read eight times at k=5 on 24 x 64 takes one hash sub-array,
-    # and every k-mer's count is 8. The graph stage checks the labels in
+    # CGTGTGCA read 16 times at k=5 on 24 x 64 takes one hash sub-array,
+    # and every k-mer's count is 16. The graph stage checks the labels in
     # their key rows and opens the row bank's first sub-array (18 data
-    # rows) for the 4-bit multiplicity stripe (rows 0-3). In the traverse
-    # stage the first degree pass's 3 * 4 rows (4-15; the probe's in + 1
-    # reaches 9) still fit there; CGTG's surplus of 8 sends the path to the
-    # unit retry, whose fresh 3 * 2 rows do not, and open a second bank
-    # sub-array. (Read four times, the 3-bit words' stripes of 3 * 3 and
-    # 3 * 2 rows would both fit the first.)
-    reads = [E("CGTGTGCA")] * 8
+    # rows) for the 5-bit multiplicity stripe (rows 0-4). In the traverse
+    # stage the first degree pass's 2 * 5 rows (5-14, out and in words; the
+    # probe's in + 1 reaches 17) still fit there; CGTG's surplus of 16
+    # sends the path to the unit retry, whose fresh 2 * 2 rows do not, and
+    # open a second bank sub-array. (Read eight times, the 4-bit words'
+    # stripes, 4 + 2 * 4 + 2 * 2 = 16 rows, would all fit the first.)
+    reads = [E("CGTGTGCA")] * 16
     stages = {0: "hashmap", 1: "graph", 2: "traverse"}
     for budget, stage in stages.items():
         asm = make_asm(**PACKED, max_subarrays=budget)
@@ -2884,20 +3047,21 @@ def test_subarray_budget_holds_in_every_stage():
 
 
 def test_a_degree_stripe_taller_than_a_data_region_raises():
-    # 24-row sub-arrays have 18 data rows. A 62-unit self-loop needs
-    # 63.bit_length() = 6-bit degree words, a stripe of 3 * 6 = 18 rows,
-    # which fits; a 63-unit one needs 64.bit_length() = 7-bit words, and
-    # 3 * 7 = 21 rows fit in no sub-array.
+    # 24-row sub-arrays have 18 data rows. A 510-unit self-loop needs
+    # 511.bit_length() = 9-bit degree words, a stripe of 2 * 9 = 18 rows
+    # (out and in words), which fits; a 511-unit one needs
+    # 512.bit_length() = 10-bit words, and 2 * 10 = 20 rows fit in no
+    # sub-array.
     def self_loop(mult):
         g = SparseGraph(k=3)
         g.add_edge(E("AA"), E("AA"), mult=mult)
         return g
 
-    g = self_loop(62)
+    g = self_loop(510)
     assert make_asm(**PACKED).find_start(g) == []
-    assert g.store.degree.w_deg == 6
+    assert g.store.degree.w_deg == 9
     with pytest.raises(CapacityError, match="entry taller than a sub-array data region"):
-        make_asm(**PACKED).find_start(self_loop(63))
+        make_asm(**PACKED).find_start(self_loop(511))
 
 
 def test_assemble_is_deterministic():
