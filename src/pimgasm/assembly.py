@@ -742,11 +742,10 @@ class Assembler:
         stripes: dict[tuple[int, int], dict[int, int]] = {}
         for (sid, lsb, col), amount in pending.items():
             stripes.setdefault((sid, lsb), {})[col] = amount
-        overflowed = [
-            (sid, lsb)
-            for sid, lsb in sorted(stripes)
-            if self._add_words(sid, lsb, lay.value_width, stripes[sid, lsb])
-        ]
+        overflowed = []
+        for sid, lsb in sorted(stripes):
+            if self._add_words(sid, lsb, lay.value_width, stripes[sid, lsb]):
+                overflowed.append((sid, lsb))
         if overflowed:
             sid, lsb = overflowed[0]
             raise ConsistencyError(f"counter add overflowed in sub-array {sid}, stripe row {lsb}")
