@@ -12,7 +12,10 @@ seen together share a row, and a bucket is the list of rows that hold its
 keys. Every query hashes to its bucket and joins one of its group's open
 batches for the read, which run in the order they opened when the read
 ends; Assembler._observe states where a key is placed, which batch a
-query joins and when a new key goes in. A batch's image holds each
+query joins and when a new key goes in. A new key waits in its group,
+across reads, until a batch needs its key row, every column has passed
+that row, or the stage ends, so a key row is written once unless a batch
+needs it before all its keys are ready. A batch's image holds each
 member's query in its bucket's columns, and each member compares its
 bucket's rows newest first, down to the first row where one of its own
 slots matches: a hit finds its key there, and a miss compares every row
@@ -344,8 +347,10 @@ class KmerTable:
     row already holds writes none) and the key rows they compared, and
     `image_rows_held` is the most rows one group held images in at once.
     `insert_writes` counts the masked row writes that put the keys in: a
-    key row is written when a batch needs one of the read's keys waiting
-    in it, or at the read's end, with every key waiting in it then.
+    key row is written, with every key waiting in it then, when a batch of
+    any read needs one of them, when a read ends with every column past
+    the row, or when the stage ends. `waiting_rows_held` is the most key
+    rows one group held unwritten keys in at a read's end.
     """
 
     def __init__(self, k: int, layout: mapping.HashLayout, machine: Machine):
@@ -362,6 +367,7 @@ class KmerTable:
         self.compares = 0
         self.insert_writes = 0
         self.image_rows_held = 0
+        self.waiting_rows_held = 0
 
     def distinct(self) -> int:
         return len(self.keys)
@@ -405,11 +411,16 @@ class _Group:
     those rows hold, image -> row, least recently used first. The rows it
     holds are always the first len(held) of `image_rows`: a new image takes
     the next one while a free row is left, and a row leaves the free ones
-    from the bottom, when a key first goes in it.
+    from the bottom, when a key first goes in it. `waiting` maps a key row
+    to its placed keys not written yet, in the order they became ready, and
+    `row_of` a bucket to the row of its one unwritten key; both last across
+    reads (see Assembler._flush), and their rows lie in
+    [min(fill), max(fill)) at a read's end.
     """
 
     __slots__ = (
         "sid", "fill", "batches", "busy", "by_row", "last", "image_rows", "held", "key_rows",
+        "waiting", "row_of",
     )
 
     def __init__(self, sid: int, lay: mapping.HashLayout):
@@ -424,6 +435,8 @@ class _Group:
         temp_rows = [MemAddress(sid, row, 0, span) for row in lay.row_layout.temp_rows]
         self.image_rows = temp_rows + self.key_rows[::-1]
         self.held: dict[int, MemAddress] = {}
+        self.waiting: dict[int, list[_Query]] = {}  # key row -> its keys not written yet
+        self.row_of: dict[_Bucket, int] = {}  # bucket -> the row of its key not written yet
 
 
 class _Bucket:
@@ -588,9 +601,9 @@ class Assembler:
     queries share one image and the rows they scan; a group's 8 temp rows
     and the key rows above its fullest column keep its recent images, so a
     repeated image is not written again while a row still holds it, and
-    a read's new keys wait until a later batch of the read needs their
-    row, or the read ends, and then take one masked write per key row (see
-    _flush).
+    new keys wait, across reads, until a batch needs their row, a read
+    ends with every column past it, or the stage ends, and then take one
+    masked write per key row (see _flush).
     Counter writes wait for the last read: then one seed write per
     (sub-array, counter stripe) starts every counter at one, and the
     stage's increments go in as one column-parallel +1 per (sub-array,
@@ -647,18 +660,21 @@ class Assembler:
         counts as the stage runs. Each k-mer is then observed in read order,
         a new key taking its slot's counter, and each query joins one of its
         group's open batches (see _observe). At the read's end each group
-        probes its batches in order and writes their new keys (see _flush).
-        Hits' increments collect in `pending` until the last read's batches
-        have run. Then every counter is seeded, one write per (sub-array,
-        stripe), and the increments are added, so every counter is seeded
-        before it is added to and holds its count before build_graph reads
-        it. The log line reports the directory's load (distinct keys per
-        bucket), the batches, the image writes, the images reused and the
-        most rows a group held images in at once, the keys inserted and
-        their row writes, the imaged queries per image write (a bucket's
-        first key fills no column of an image), compares per query and the
-        fullest column next to the counter work, where a counter add is one
-        +1 at one bit plane.
+        probes its batches in order, writing each key row of new keys when a
+        batch needs it or every column has passed it (see _flush). Hits'
+        increments collect in `pending` until the last read's batches have
+        run. Then each group writes the key rows still waiting, every
+        counter is seeded, one write per (sub-array, stripe), and the
+        increments are added, so every counter is seeded before it is added
+        to and holds its count before build_graph reads it. The log line
+        reports the directory's load (distinct keys per bucket), the
+        batches, the image writes, the images reused and the most rows a
+        group held images in at once, the most key rows a group held
+        unwritten keys in at a read's end, the keys inserted and their row
+        writes, the imaged queries per image write (a bucket's first key
+        fills no column of an image), compares per query and the fullest
+        column next to the counter work, where a counter add is one +1 at
+        one bit plane.
         """
         m = self.machine
         with m.stage_scope(tr.STAGE_HASHMAP):
@@ -684,6 +700,9 @@ class Assembler:
                     self._observe(table, buckets, kmer)
                 for group in groups:
                     self._flush(table, group, pending)
+            for group in groups:
+                for row in list(group.waiting):
+                    self._write_waiting(table, group, row)
             seeds = self._seed_counts(table)
             adds = self._add_counts(layout, pending)
         # every bucket's first key filled no column of an image
@@ -694,6 +713,7 @@ class Assembler:
             "%d buckets (%.2f keys each), "
             "%d batches, %d image writes, %d images reused, "
             "at most %d image rows held in a group, "
+            "at most %d key rows waiting in a group, "
             "%d keys inserted in %d row writes, "
             "%.2f queries per image write, "
             "%.2f compares per query, fullest column %d of %d key rows",
@@ -701,6 +721,7 @@ class Assembler:
             table.distinct(), len(groups), table.buckets, table.distinct() / table.buckets,
             table.batches, table.image_writes, table.batches - table.image_writes,
             table.image_rows_held,
+            table.waiting_rows_held,
             table.distinct(), table.insert_writes,
             batched / max(table.image_writes, 1),
             table.compares / table.total_kmers,
@@ -800,11 +821,12 @@ class Assembler:
         a key into an empty bucket fills no column, so it joins the read's
         first batch. A new key goes in after its batch has compared, from
         the query bits the controller holds, one masked write per key row:
-        before the first later batch that probes its bucket, or at the
-        read's end (see _flush). So a hit on a key placed earlier in the
-        read is probed after the key is written, and imaged in its column,
-        and a key row takes every key of the read that is ready by the time
-        a batch needs one of them. A hit adds one increment for the key its
+        before the first later batch of any read that probes its bucket, at
+        the end of the first read after which every column has passed its
+        row, or at the stage's end (see _flush). So a hit on a key placed
+        earlier is probed after the key is written, and imaged in its
+        column, and a key row takes every key that is ready by the time a
+        batch needs one of them. A hit adds one increment for the key its
         batch finds to `pending`.
         """
         lay = table.layout
@@ -849,36 +871,36 @@ class Assembler:
 
     def _flush(self, table: KmerTable, group: _Group, pending) -> None:
         """Probe a group's open batches in the order they opened, and write
-        the read's new keys, each key row once its keys are needed.
+        each key row that holds new keys once they are needed or the row is
+        complete.
 
         After each probe, each hit's increment goes to `pending`,
-        at the counter of the key it found, and each miss's key waits, in a
-        map from key row to its unwritten keys. Before a batch probes, each
-        row that holds an unwritten key of a member's bucket is written,
-        with every key waiting in it, one masked write per row, so the
-        batch finds those keys. A key joins the map only once its own batch
-        has compared, so a row write never takes a key of the batch about to
-        probe, whose miss check would find it. The rows still waiting at
-        the read's end are written then. The map is keyed by row, and a
-        bucket index names the row of each bucket's unwritten key. A bucket
-        has at most one: its next query is in a later batch, which writes
-        that row before it probes. A batch whose image fills no column
+        at the counter of the key it found, and each miss's key waits in
+        `group.waiting`, a map from key row to its unwritten keys that lasts
+        across reads. Before a batch probes, each row that holds an
+        unwritten key of a member's bucket is written, with every key
+        waiting in it, one masked write per row, so the batch finds those
+        keys. A key joins the map only once its own batch has compared, so
+        a row write never takes a key of the batch about to probe, whose
+        miss check would find it. At the read's end, each waiting row below
+        every column's fill is written: no later key can go in it. The
+        other rows wait for a later read's batch, a later read's end or the
+        stage's end (build_kmer_table). `group.row_of` names the row of each
+        bucket's unwritten key. A bucket has at most one: its next query,
+        in this read or a later one, is in a later batch, which writes that
+        row before it probes. A batch whose image fills no column
         holds only keys into empty buckets, so it is not probed: it writes
         no image and compares nothing. A hit that finds no key, or a miss
         that finds one, means fabric and host counts diverged."""
         lay, sid = table.layout, group.sid
-        waiting: dict[int, list[_Query]] = {}  # key row -> its keys not written yet
-        row_of: dict[_Bucket, int] = {}  # bucket -> the row of its key not written yet
+        waiting, row_of = group.waiting, group.row_of
         for batch, busy in zip(group.batches, group.busy):
             found: list[int | None] = [None] * len(batch)
             if busy:
                 for query in batch:
                     row = row_of.get(query.bucket)
                     if row is not None:
-                        keys = waiting.pop(row)
-                        for key in keys:
-                            del row_of[key.bucket]
-                        self._write_keys(table, group, row, keys)
+                        self._write_waiting(table, group, row)
                 table.batches += 1
                 found, compared, written = self._probe(group, batch, lay)
                 table.compares += compared
@@ -895,12 +917,22 @@ class Assembler:
                 else:
                     slot = (sid, *lay.counter_location(key_i))
                     pending[slot] = pending.get(slot, 0) + 1
-        for row, keys in waiting.items():
-            self._write_keys(table, group, row, keys)
+        done = min(group.fill)  # every column has passed the rows below it
+        for row in [row for row in waiting if row < done]:
+            self._write_waiting(table, group, row)
+        table.waiting_rows_held = max(table.waiting_rows_held, len(waiting))
         group.batches = []
         group.busy = []
         group.by_row.clear()
         group.last.clear()
+
+    def _write_waiting(self, table: KmerTable, group: _Group, row: int) -> None:
+        """Write one key row that holds unwritten keys, with every key
+        waiting in it, and forget them."""
+        keys = group.waiting.pop(row)
+        for key in keys:
+            del group.row_of[key.bucket]
+        self._write_keys(table, group, row, keys)
 
     def _write_keys(self, table: KmerTable, group: _Group, row: int, keys: list[_Query]) -> None:
         """Write new keys of one key row into their slots from their query

@@ -188,8 +188,11 @@ class Machine:
         stored zeros, so the carry row is re-armed. The caller passes a
         plane above which b holds only zero bits and out aliases a, so the
         planes left would rewrite each cell unchanged and carry nothing
-        out; `width` never exits.
+        out; `width` never exits. A word of no bits has nothing to add, and
+        raises ShapeError.
         """
+        if width < 1:
+            raise ShapeError("an add needs words of at least one bit")
         carry = sub.layout.carry_rows[0]
         if sub.cells[carry] & colmask:
             raise StateError("carry row not zeroed for the addressed columns")
@@ -203,14 +206,14 @@ class Machine:
             s, cy = sub.full_add_cycle((a_rows[i], b_rows[i], carry))
             sub.write_masked(out_rows[i], s, colmask)
             if i == last:
-                sub.write_masked(carry, 0, colmask)
-                return cy & colmask
+                break
             sub.write_masked(carry, cy, colmask)
             if i >= exit_from:
                 self.dpu_charge(1)
                 if not cy & colmask:
                     return 0
-        return 0
+        sub.write_masked(carry, 0, colmask)
+        return cy & colmask
 
     def _batch(self, sid: int, cols: list[int]) -> tuple[SubArray, int]:
         """sid's sub-array and the mask of a column batch, which must be a
@@ -218,11 +221,9 @@ class Machine:
         if not cols or len(set(cols)) != len(cols):
             raise ShapeError("batch needs a non-empty set of distinct columns")
         sub = self.subarray(sid)
-        colmask = 0
-        for c in cols:
-            sub._check_col(c)
-            colmask |= 1 << c
-        return sub, colmask
+        sub._check_col(min(cols))
+        sub._check_col(max(cols))
+        return sub, sum(map((1).__lshift__, cols))  # distinct columns: the sum is the OR
 
     @staticmethod
     def _check_word_overlap(out: range, a: range, b: range) -> None:

@@ -5,9 +5,11 @@ things at once: the returned values, the mirror/fabric consistency hooks
 (which raise instead of silently diverging), and the pinned cost events.
 """
 
+import functools
 import importlib.util
 import itertools
 import logging
+import operator
 import random
 import re
 from collections import Counter
@@ -215,18 +217,23 @@ def test_an_all_miss_stage_costs_follow_its_bucket_loads():
     # hold only first keys, so they fill no column and are not probed; the
     # other four reads' first batches are among the 11, so the probed
     # batches also hold 12 + 13 + 8 + 15 = 48 first keys. A new key waits,
-    # once its batch has compared, until a later batch of its read probes
-    # its bucket, or the read ends; then its key row is written with every
-    # key waiting in it, one masked write per row. A read's 16 new keys
-    # reach 4 key rows, but 5 in the third and fourth reads, whose keys
-    # reach rows 8 to 12 and 11 to 15: 4 * 4 + 2 * 5 = 26 (read, key row)
-    # pairs. In the fifth read a batch needs row 17 while two more keys of
-    # that row sit in a batch still to compare, so the row is written
-    # twice: 27 writes. Writing each batch's new keys right after it compared took
-    # 25 + 8, since one read's keys of one row came from several batches.
-    # The keys take key indices 0..95, two counter stripes of 64, so the
-    # stage ends with two seed writes, and with no hit adds nothing:
-    #   W = 27 row writes + 11 images + 2 seeds = 40,
+    # once its batch has compared, until a later batch of any read probes
+    # its bucket, a read ends with every column past its key row, or the
+    # stage ends; then its key row is written with every key waiting in
+    # it, one masked write per row. The 96 keys fill key rows 0 to 23, 4
+    # keys each. The third read's keys reach rows 8 to 12 and it ends at
+    # fills 13, 12, 12 and 11, so rows 11 and 12, which hold 3 and 1 of its
+    # keys, wait. A probe of the fourth read needs row 11 once that read's
+    # key has completed it, and the read's end writes row 12 with the 3
+    # keys the read added: one write each, where writing every row a read
+    # touched at that read's end gave each two. In the fifth read a batch
+    # needs row 17 while two more keys of that row sit in a batch still to
+    # compare, so that row is written twice: 24 + 1 = 25 writes, where
+    # writing each read's rows at its end took 4 * 4 + 2 * 5 + 1 = 27 and
+    # writing each batch's new keys right after it compared 25 + 8. The
+    # keys take key indices 0..95, two counter stripes of 64, so the stage
+    # ends with two seed writes, and with no hit adds nothing:
+    #   W = 25 row writes + 11 images + 2 seeds = 38,
     #   C_ADD = DPU = 17,  R = 0.
     # One write per key took W = 96 + 11 + 2 = 109. At one bucket per two
     # key slots (152) the loads were 47, 20 and 3, so 26 misses compared
@@ -242,8 +249,10 @@ def test_an_all_miss_stage_costs_follow_its_bucket_loads():
     assert sum(1 for batch in asm.probed for _, cols, _ in batch if cols) == 16
     assert sum(len(batch) for batch in asm.probed) == 16 + 48 and table.batches == 11
     assert max(key_i for _, key_i in table.slots) == 95
-    assert table.insert_writes == len(asm.written) == 4 * 4 + 2 * 5 + 1
-    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 40, tr.C_ADD: 17, tr.DPU: 17}
+    rows = Counter(row for _, row, _ in asm.written)
+    assert sorted(rows) == list(range(24)) and rows[17] == 2
+    assert table.insert_writes == len(asm.written) == 24 + 1
+    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 38, tr.C_ADD: 17, tr.DPU: 17}
 
 
 @pytest.mark.parametrize("length, k, read_len, stride", [(100, 5, 20, 16), (400, 8, 30, 24)])
@@ -359,6 +368,114 @@ def test_a_key_row_takes_the_keys_of_two_batches_in_one_write():
     assert table.insert_writes == 2 and table.compares == 2
     check_each_key_written_once(asm, table)
     assert table.frequencies()[E("GTAAG")] == 2
+
+
+class WaitRecorder(BucketRecorder):
+    """Also logs, in order, each row write of new keys as ("write", key
+    row, key indices), each probe as ("probe", its members' miss key
+    indices, None for a hit) and, after each group's flush, the key rows
+    still waiting as ("end", {key row: key indices})."""
+
+    def build_kmer_table(self, reads, k):
+        self.events = []
+        return super().build_kmer_table(reads, k)
+
+    def _write_keys(self, table, group, row, keys):
+        self.events.append(("write", row, [query.key_i for query in keys]))
+        super()._write_keys(table, group, row, keys)
+
+    def _probe(self, group, batch, lay):
+        self.events.append(("probe", [query.key_i for query in batch]))
+        return super()._probe(group, batch, lay)
+
+    def _flush(self, table, group, pending):
+        super()._flush(table, group, pending)
+        waiting = {row: [query.key_i for query in keys] for row, keys in group.waiting.items()}
+        self.events.append(("end", waiting))
+
+
+def test_distinct_keys_over_many_reads_write_each_key_row_once():
+    # The 77 keys that come first in their bucket of the 304 at 128 x 64,
+    # k=5, each read on its own: each goes into its empty bucket, at the
+    # least-filled column, so they fill key rows 0 to 18 and put one key in
+    # row 19, and no batch is probed. A key row waits until every column has
+    # passed it, and is then written at that read's end, with its 4 keys:
+    # one write per key row that holds keys, 20, where writing each read's
+    # row at its end took 77. Row 19's one key waits until the stage's end.
+    keys = bucket_firsts(304)
+    asm, table = _count([key.to_str() for key in keys], 5, rows=128, cols=64)
+    assert table.batches == 0 and table.distinct() == 77
+    rows = [row for _, row, _ in asm.written]
+    assert rows == list(range(20)) and table.insert_writes == 20
+    assert [len(ids) for _, _, ids in asm.written] == [4] * 19 + [1]
+    assert table.waiting_rows_held == 1
+
+
+def test_a_key_hit_in_a_later_read_is_written_before_that_read_probes():
+    # 128 x 64 at k=5. CGTAC, the first read, goes into its empty bucket
+    # 125 at key row 0, column 0 (key index 0); the row waits, since three
+    # columns have not reached it. The second read, TTCGTAC, puts TTCGT and
+    # TCGTA into empty buckets at row 0, columns 1 and 2 (key indices 1 and
+    # 2), in its first batch, which is not probed; then CGTAC is a hit in
+    # the read's second batch. Before it probes, row 0 is written with the
+    # three keys waiting in it, those of both reads, in one write (writing
+    # each read's rows at its end took two), and the hit finds CGTAC.
+    asm = WaitRecorder(rows=128, cols=64)
+    table = asm.build_kmer_table([E("CGTAC"), E("TTCGTAC")], 5)
+    assert [bucket_of(table, key) for key in table.keys] == [125, 3, 55]
+    assert asm.events == [
+        ("end", {0: [0]}),
+        ("write", 0, [0, 1, 2]),
+        ("probe", [None]),
+        ("end", {}),
+    ]
+    assert table.insert_writes == 1 and table.waiting_rows_held == 1
+    assert {key.to_str(): n for key, n in table.items()} == {"CGTAC": 2, "TTCGT": 1, "TCGTA": 1}
+
+
+def test_a_partial_key_row_left_by_the_last_read_is_written_at_the_stage_end():
+    # The insert oracle's two reads: CGTGTGCA fills key row 0, which every
+    # column has then passed, so the read's end writes it. ACGTCA puts
+    # keys 5 and 4 in row 1, but columns 2 and 3 stay at row 1 (fills 2, 2,
+    # 1 and 1), so the last read ends with row 1 waiting. The stage's end
+    # writes it, before any counter, and build_graph finds every label in
+    # place and every count exact.
+    asm = WaitRecorder(rows=128, cols=64)
+    table = asm.build_kmer_table([E("CGTGTGCA"), E("ACGTCA")], 5)
+    assert asm.events == [
+        ("write", 0, [0, 1, 2, 3]),
+        ("end", {}),
+        ("probe", [5, 4]),
+        ("end", {1: [5, 4]}),
+        ("write", 1, [5, 4]),
+    ]
+    g = asm.build_graph(table)
+    assert g.edge_count == table.distinct() == 6
+    assert {key.to_str(): n for key, n in table.frequencies().items()} == dict.fromkeys(
+        ["CGTGT", "GTGTG", "TGTGC", "GTGCA", "ACGTC", "CGTCA"], 1
+    )
+
+
+class OneBatchPerRead(Assembler):
+    """Breaks the batching rule: merges a group's open batches into one
+    before they run, so two queries of one bucket may share it."""
+
+    def _flush(self, table, group, pending):
+        if group.batches:
+            group.batches = [[query for batch in group.batches for query in batch]]
+            group.busy = [functools.reduce(operator.or_, group.busy)]
+        super()._flush(table, group, pending)
+
+
+def test_a_batch_whose_members_share_an_image_column_raises():
+    # AAAAA at k=3 (the repeat oracle): AAA's key goes into column 0, and
+    # its two hits each image it there, in batches of their own. Merged
+    # into one batch, the two hits overwrite each other's column of the
+    # image, and the probe raises before it writes anything.
+    asm = OneBatchPerRead(rows=128, cols=64)
+    with pytest.raises(ConsistencyError, match="two members of a batch share an image column"):
+        asm.build_kmer_table([E("AAAAA")], 3)
+    assert asm.trace.total(tr.W, stage=tr.STAGE_HASHMAP) == 0
 
 
 def test_a_corrupted_key_in_a_row_write_raises():
@@ -1331,15 +1448,16 @@ def test_a_stage_with_no_hits_adds_nothing():
 
 
 class CorruptKey(Assembler):
-    """XORs `flip` into the first key in its key row once the first read's
-    batches have run (bit 0 unless a test sets it). The tests that use it
-    take one group, so the first _flush ends the first read."""
+    """XORs `flip` into the first key in its key row once its row write
+    has checked it (bit 0 unless a test sets it). The first key waits in
+    its incomplete row after its read, so the write comes when the second
+    read's batch needs it, just before that batch probes."""
 
     flip = 1
     corrupted = False
 
-    def _flush(self, table, group, pending):
-        super()._flush(table, group, pending)
+    def _write_keys(self, table, group, row, keys):
+        super()._write_keys(table, group, row, keys)
         if not self.corrupted:
             self.corrupted = True
             sid, key_i = table.slots[0]
@@ -1348,8 +1466,9 @@ class CorruptKey(Assembler):
 
 
 def test_a_corrupted_key_fails_the_fabric_scan():
-    # CGTAC is inserted by the first read, and its stored bits are then
-    # corrupted. The second read holds it again, so its host count makes it
+    # CGTAC is inserted by the first read and written when the second
+    # read's batch needs it, and its stored bits are then corrupted. The
+    # second read holds it again, so its host count makes it
     # a hit, and its batch's physical compare of its bucket's rows must
     # find it: the flipped bit leaves no slot matching.
     asm = CorruptKey(rows=128, cols=64)
@@ -1359,8 +1478,9 @@ def test_a_corrupted_key_fails_the_fabric_scan():
 
 def test_a_key_corrupted_into_a_new_k_mer_fails_the_fabric_scan():
     # AAAAT and AGCTT hash to one bucket (124 of the group's 304). AAAAT is
-    # inserted by the first read at key index 0, and its stored bits are
-    # then turned into AGCTT's. The second read's AGCTT is new to the host
+    # inserted by the first read at key index 0 and written when the second
+    # read's batch needs it, and its stored bits are then turned into
+    # AGCTT's. The second read's AGCTT is new to the host
     # counts, so it is a miss; its bucket holds a row, so it joins a batch
     # whose compare of that row must find nothing, yet slot 0 matches.
     old, new = E("AAAAT"), E("AGCTT")
@@ -2806,11 +2926,20 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #     A hit compares its bucket's rows newest first, down to its key's,
 #     and a miss all of them: 236,585 rows in all (1.03 per batch, 0.31
 #     per query). A new key waits, once its batch has compared, until a
-#     later batch probes its bucket or the read ends, and then its key row
-#     is written with every key waiting in it. After each group's first
-#     read, every read brings one new key, its last k-mer (9,976 - 76 =
-#     9,900 keys in the 9,900 later reads), so the 6,427 + 3,473 take one
-#     row write each: 9,900 writes. Each group keeps
+#     later batch of any read probes its bucket, a read ends with every
+#     column past its key row, or the stage ends, and then its key row is
+#     written with every key waiting in it. The first reads' 19 rows are
+#     complete at their end. After each group's first read, every read
+#     brings one new key, its last k-mer (9,976 - 76 = 9,900 keys in the
+#     9,900 later reads), and the next read holds it again, as its
+#     second-to-last k-mer. A key whose read ends with every column past
+#     its row is written then, alone: 2,047 writes. Any other key waits for
+#     the next read's hit on it, whose batch writes its row first: 6,630
+#     writes, 1,222 of which also take the next read's own key, placed in
+#     the same row by a batch that compared before the hit's. The last
+#     read's key waits until the stage's end: 1 write. So 2,047 + 5,408 +
+#     2 * 1,222 + 1 = 9,900 keys take 8,678 writes, where writing each
+#     read's key row at its end took 9,900. Each group keeps
 #     its images in its 8 temp rows and in the key rows above its fullest
 #     column, up to 784 in one group at once, so 210,600 batches find
 #     their image held and only 19,032 write one. Each key's counter sits
@@ -2829,9 +2958,9 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #     adds. No counter passes 76, so each add stops at its last carry
 #     plane: 41 at plane 1, 42 at 2, 42 at 3, 9 at 4, 8 at 5 and 42 at 6,
 #     282 planes of 1 C_ADD + 2 W + 1 DPU each.
-#     W  19,032 image writes, 19 + 9,900 = 9,919 key row
-#        writes, 41 counter-seed writes, and the adds' 2 * 282
-#                                                            =    29,556
+#     W  19,032 image writes, 19 + 2,047 + 6,630 + 1 = 8,697 key
+#        row writes, 41 counter-seed writes, and the adds' 2 * 282
+#                                                            =    28,334
 #     DPU one per compared row (236,585) + 282               =   236,867
 #     C_ADD the compares (236,585) + 282                     =   236,867
 #   graph          9,977 nodes, 9,976 edges, largest multiplicity 76.
@@ -2876,7 +3005,7 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #                  row 975), all in one                      =         4
 CANONICAL_TRACE = [
     ("io", "XFER", 250_025),
-    ("hashmap", "W", 29_556),
+    ("hashmap", "W", 28_334),
     ("hashmap", "C_ADD", 236_867),
     ("hashmap", "DPU", 236_867),
     ("graph", "R", 328),
@@ -2910,15 +3039,19 @@ def _benchmark_workloads():
 # and split into 16 contigs. These records are what the benchmark's trace
 # digest hashes.
 #   hashmap W      the key row writes plus the image writes and counter
-#                  seeds (1,732, 1,533 and 3,760). A read's new key waits
-#                  until a later batch of the read probes its bucket, or
-#                  the read ends, and its key row then takes every key
-#                  waiting in it. So the writes are one per (read, group,
-#                  key row) of new keys, 919, 3,069 and 1,988, plus one
-#                  per row that a batch needed while another of its keys'
-#                  batches was still to compare, 0, 3 and 1: 919, 3,072
-#                  and 1,989 writes (9,956 keys on hub-euler, where a row
-#                  holds 4).
+#                  seeds (1,732, 1,533 and 3,760). A new key waits, across
+#                  reads, until a batch probes its bucket, a read ends with
+#                  every column past its key row, or the stage ends, and
+#                  its key row then takes every key waiting in it. So each
+#                  key row that holds keys is written once, 244, 2,492 and
+#                  1,452 rows (the sums of the groups' fullest columns),
+#                  plus once more each time a batch needed the row before
+#                  all of its keys were ready, 294, 7 and 134: 538, 2,499
+#                  and 1,586 writes (9,956 keys on hub-euler, where a row
+#                  holds 4). tiled-deep's stride-1 reads hit each new key
+#                  in the next read, so most of its rows are needed before
+#                  they fill. Writing every row a read touched at the
+#                  read's end took 919, 3,072 and 1,989 writes.
 #   traverse       degree passes on 4 stripes at d = 7 then 2
 #                  (tiled-deep, retried), 38 at d = 3 (hub-euler) and 23
 #                  at d = 4 then 2 (sampled-repeats, retried), every
@@ -2965,7 +3098,7 @@ WORKLOAD_TRACES = {
     "tiled-deep": (
         [
             ("io", "XFER", 22_775),
-            ("hashmap", "W", 2_651),
+            ("hashmap", "W", 2_270),
             ("hashmap", "C_ADD", 19_365),
             ("hashmap", "DPU", 19_365),
             ("graph", "R", 32),
@@ -2981,7 +3114,7 @@ WORKLOAD_TRACES = {
     "hub-euler": (
         [
             ("io", "XFER", 5_770),
-            ("hashmap", "W", 4_605),
+            ("hashmap", "W", 4_032),
             ("hashmap", "C_ADD", 4_629),
             ("hashmap", "DPU", 4_629),
             ("graph", "R", 320),
@@ -2997,7 +3130,7 @@ WORKLOAD_TRACES = {
     "sampled-repeats": (
         [
             ("io", "XFER", 9_149),
-            ("hashmap", "W", 5_749),
+            ("hashmap", "W", 5_346),
             ("hashmap", "C_ADD", 8_191),
             ("hashmap", "DPU", 8_191),
             ("graph", "R", 192),

@@ -286,6 +286,18 @@ def test_add_aliasing_rules():
         m.add_cols(sid, 0, 8, 16, 4, [1, 1])
 
 
+def test_an_add_of_words_with_no_bits_raises():
+    # A 0-bit word holds nothing to add to, so both adds reject it before
+    # any cycle, and the trace stays empty.
+    m, sid = make_machine(rows=32, cols=4)
+    with pytest.raises(ShapeError, match="at least one bit"):
+        m.add_cols(sid, 0, 8, 16, 0, [1])
+    for constant in (1, -1):
+        with pytest.raises(ShapeError, match="at least one bit"):
+            m.add_const_cols(sid, 0, 0, [1], constant)
+    assert m.trace.records() == []
+
+
 def test_add_const_and_counter_helpers():
     m, sid = make_machine(rows=32, cols=4)
     put(m, sid, 2, 0, 4, 7)
