@@ -9,19 +9,26 @@ keys takes the fewest groups whose hashed key counts fit them
 (mapping.bucket_directory). Keys are placed by column (slot position),
 and each column fills its key rows in first-seen order, so keys first
 seen together share a row, and a bucket is the list of rows that hold its
-keys. Every query hashes to its bucket and joins one of its group's open
-batches for the read, which run in the order they opened when the read
-ends; Assembler._observe states where a key is placed, which batch a
-query joins and when a new key goes in. A new key waits in its group,
-across reads, until a batch needs its key row, every column has passed
-that row, or the stage ends, so a key row is written once unless a batch
-needs it before all its keys are ready. A batch's image holds each
+keys. Every query hashes to its bucket. A hit joins one of its group's
+open batches for the read, which run in the order they opened when the
+read ends. A miss whose key goes into its bucket's one column (the
+bucket is empty, or all its keys sit in that column) joins none: its key
+row, once written, serves as its image. Assembler._observe states where
+a key is placed, which batch a query joins and when a new key goes in. A
+new key waits in its group, across reads, until a batch needs its key
+row, a later miss into its bucket finds it waiting, every column has
+passed that row, or the stage ends, so a key row is written once unless
+it is needed before all its keys are ready. A batch's image holds each
 member's query in its bucket's columns, and each member compares its
 bucket's rows newest first, down to the first row where one of its own
-slots matches: a hit finds its key there, and a miss compares every row
-and finds none. Each row is compared once per batch, one XNOR-compare
-cycle plus one AND-reduce, and a member reads only its own slots, so an
-all-A key (packed to 0) never matches an empty slot. Keys first seen together share
+slots matches: a hit finds its key there. A miss into a bucket that held
+keys must find none. When its key row is written, that row is compared
+with every other written row of its bucket, read at the key's column. A
+miss whose bucket spans several columns, or whose key must leave a full
+column, joins a batch instead, and compares every row of its bucket
+against the image. A row is compared once per batch or key row write,
+one XNOR-compare cycle plus one AND-reduce, and a query reads only its
+own slots, so an all-A key (packed to 0) never matches an empty slot. Keys first seen together share
 a row, so a batch compares about one. Each group keeps its recent images
 in its sub-array's 8 temp rows and in the key rows above its fullest
 column, which hold no key yet, least recently used first, and the
@@ -342,15 +349,18 @@ class KmerTable:
     Key i sits at `slots[i]` (sub-array id, key index) and owns the counter
     at `layout.counter_location(key index)` in that sub-array.
     `buckets` is the size of the bucket directory the keys were hashed
-    into; `batches`, `image_writes` and `compares` count the probe batches,
-    the images they wrote (a batch whose image a temp row or a free key
-    row already holds writes none) and the key rows they compared, and
+    into; `batches`, `imaged` and `image_writes` count the probe batches,
+    the queries in them and the images they wrote (a batch whose image a
+    temp row or a free key row already holds writes none), and
     `image_rows_held` is the most rows one group held images in at once.
+    `checked` counts the misses checked at their key row write, and
+    `compares` the key rows compared, by the batches and by those checks.
     `insert_writes` counts the masked row writes that put the keys in: a
     key row is written, with every key waiting in it then, when a batch of
-    any read needs one of them, when a read ends with every column past
-    the row, or when the stage ends. `waiting_rows_held` is the most key
-    rows one group held unwritten keys in at a read's end.
+    any read needs one of them, when a later miss into the bucket of one
+    of them finds it waiting, when a read ends with every column past the
+    row, or when the stage ends. `waiting_rows_held` is the most key rows
+    one group held unwritten keys in at a read's end.
     """
 
     def __init__(self, k: int, layout: mapping.HashLayout, machine: Machine):
@@ -363,7 +373,9 @@ class KmerTable:
         self.total_kmers = 0
         self.buckets = 0
         self.batches = 0
+        self.imaged = 0
         self.image_writes = 0
+        self.checked = 0
         self.compares = 0
         self.insert_writes = 0
         self.image_rows_held = 0
@@ -412,9 +424,11 @@ class _Group:
     holds are always the first len(held) of `image_rows`: a new image takes
     the next one while a free row is left, and a row leaves the free ones
     from the bottom, when a key first goes in it. `waiting` maps a key row
-    to its placed keys not written yet, in the order they became ready, and
-    `row_of` a bucket to the row of its one unwritten key; both last across
-    reads (see Assembler._flush), and their rows lie in
+    to its placed keys not written yet, in the order they joined: a miss
+    that joins no batch when it is placed, with its miss check due if its
+    bucket held keys, and a batch's miss once its batch has compared.
+    `row_of` maps a bucket to the row of its one unwritten key. Both last
+    across reads (see Assembler._flush), and their rows lie in
     [min(fill), max(fill)) at a read's end.
     """
 
@@ -464,15 +478,18 @@ class _Bucket:
 
 
 class _Query(NamedTuple):
-    """One query in an open batch: its bucket, its key bits and `cols`,
-    the columns of its bucket's keys placed before it, which its image
-    fills. A miss carries the key index its key is written at; a hit
-    carries None and finds its key index in its bucket's rows."""
+    """One query: its bucket, its key bits and `cols`, the columns of its
+    bucket's keys placed before it, which its image fills when it joins a
+    batch. A miss carries the key index its key is written at; a hit
+    carries None and finds its key index in its bucket's rows. `due` marks
+    a miss that joined no batch into a bucket that held keys: its miss
+    check runs when its key row is written (see Assembler._write_keys)."""
 
     bucket: _Bucket
     bits: int
     cols: int
     key_i: int | None
+    due: bool = False
 
 
 class _RowBank:
@@ -600,10 +617,13 @@ class Assembler:
     placed by column, so a probe scans a few rows, and up to `slots`
     queries share one image and the rows they scan; a group's 8 temp rows
     and the key rows above its fullest column keep its recent images, so a
-    repeated image is not written again while a row still holds it, and
-    new keys wait, across reads, until a batch needs their row, a read
-    ends with every column past it, or the stage ends, and then take one
-    masked write per key row (see _flush).
+    repeated image is not written again while a row still holds it. A
+    miss whose key goes into its bucket's one column writes no image: its
+    key row, once written, is compared with its bucket's other rows. New
+    keys wait, across reads, until a batch needs their row, a later miss
+    into their bucket finds them waiting, a read ends with every column
+    past their row, or the stage ends, and then take one masked write per
+    key row (see _observe and _flush).
     Counter writes wait for the last read: then one seed write per
     (sub-array, counter stripe) starts every counter at one, and the
     stage's increments go in as one column-parallel +1 per (sub-array,
@@ -658,23 +678,24 @@ class Assembler:
         keys take 3 groups). The pre-scan's counts live only while the
         layout and the directory are planned; `host_counts` gathers the same
         counts as the stage runs. Each k-mer is then observed in read order,
-        a new key taking its slot's counter, and each query joins one of its
-        group's open batches (see _observe). At the read's end each group
-        probes its batches in order, writing each key row of new keys when a
-        batch needs it or every column has passed it (see _flush). Hits'
-        increments collect in `pending` until the last read's batches have
-        run. Then each group writes the key rows still waiting, every
-        counter is seeded, one write per (sub-array, stripe), and the
-        increments are added, so every counter is seeded before it is added
-        to and holds its count before build_graph reads it. The log line
-        reports the directory's load (distinct keys per bucket), the
-        batches, the image writes, the images reused and the most rows a
-        group held images in at once, the most key rows a group held
-        unwritten keys in at a read's end, the keys inserted and their row
-        writes, the imaged queries per image write (a bucket's first key
-        fills no column of an image), compares per query and the fullest
-        column next to the counter work, where a counter add is one +1 at
-        one bit plane.
+        a new key taking its slot's counter, and each hit, and each miss
+        whose key leaves its bucket's one column, joins one of its group's
+        open batches; any other miss joins none and its key waits at once
+        (see _observe). At the read's end each group probes its batches in
+        order, writing each key row of new keys when a batch needs it or
+        every column has passed it (see _flush). Hits' increments collect
+        in `pending` until the last read's batches have run. Then each
+        group writes the key rows still waiting, every counter is seeded,
+        one write per (sub-array, stripe), and the increments are added, so
+        every counter is seeded before it is added to and holds its count
+        before build_graph reads it. The log line reports the directory's
+        load (distinct keys per bucket), the batches, the image writes, the
+        images reused and the most rows a group held images in at once, the
+        most key rows a group held unwritten keys in at a read's end, the
+        keys inserted and their row writes, the misses checked at their key
+        row write, the queries in probed batches per image write, compares
+        per query and the fullest column next to the counter work, where a
+        counter add is one +1 at one bit plane.
         """
         m = self.machine
         with m.stage_scope(tr.STAGE_HASHMAP):
@@ -705,8 +726,6 @@ class Assembler:
                     self._write_waiting(table, group, row)
             seeds = self._seed_counts(table)
             adds = self._add_counts(layout, pending)
-        # every bucket's first key filled no column of an image
-        batched = table.total_kmers - sum(1 for bucket in buckets if bucket.cols)
         log.info(
             "k-mer table: %d queries, %d hits, %d counter adds (one +1 at a bit plane each), "
             "%d counter-seed writes, %d distinct, %d groups (one sub-array each), "
@@ -715,7 +734,8 @@ class Assembler:
             "at most %d image rows held in a group, "
             "at most %d key rows waiting in a group, "
             "%d keys inserted in %d row writes, "
-            "%.2f queries per image write, "
+            "%d misses checked at their key row write, "
+            "%.2f imaged queries per image write, "
             "%.2f compares per query, fullest column %d of %d key rows",
             table.total_kmers, table.total_kmers - table.distinct(), adds, seeds,
             table.distinct(), len(groups), table.buckets, table.distinct() / table.buckets,
@@ -723,7 +743,8 @@ class Assembler:
             table.image_rows_held,
             table.waiting_rows_held,
             table.distinct(), table.insert_writes,
-            batched / max(table.image_writes, 1),
+            table.checked,
+            table.imaged / max(table.image_writes, 1),
             table.compares / table.total_kmers,
             max(max(g.fill) for g in groups),
             len(layout.kmer_rows),
@@ -810,23 +831,35 @@ class Assembler:
         from `group.held`: the key's write covers its slot, and no later
         batch may take the row for an image.
 
-        Every query then joins one of the group's open batches for the
-        read, after its bucket's last one, so two queries of one bucket are
-        probed in the order they arrive. Its image fills the columns of its
-        bucket's keys placed before it. A hit joins the read's batch for
-        its bucket's newest placed key row, or opens a new batch for that
-        row when that batch fills one of the query's columns or is not
-        after the bucket's last one. A miss joins the first batch after
-        that one whose image fills none of its columns, or opens a new one:
-        a key into an empty bucket fills no column, so it joins the read's
-        first batch. A new key goes in after its batch has compared, from
-        the query bits the controller holds, one masked write per key row:
-        before the first later batch of any read that probes its bucket, at
-        the end of the first read after which every column has passed its
-        row, or at the stage's end (see _flush). So a hit on a key placed
-        earlier is probed after the key is written, and imaged in its
-        column, and a key row takes every key that is ready by the time a
-        batch needs one of them. A hit adds one increment for the key its
+        A miss whose key goes into its bucket's one column (the bucket was
+        empty, or all its keys sit in that column) joins no batch: once
+        written, its key row holds its query in that column, so the row
+        serves as its image. Its key joins `group.waiting` and
+        `group.row_of` at once, with its miss check due when its bucket held
+        keys (see _write_keys). A bucket keeps at most one unwritten key:
+        when its previous key still waits, that key's row is written first,
+        with every key waiting in it, so every older key of the bucket is
+        written, and checked, before the new key is checked against it.
+
+        Every other query joins one of the group's open batches for the
+        read, after its bucket's last one, so two batched queries of one
+        bucket are probed in the order they arrive. Its image fills the
+        columns of its bucket's keys placed before it. A hit joins the
+        read's batch for its bucket's newest placed key row, or opens a new
+        batch for that row when that batch fills one of the query's columns
+        or is not after the bucket's last one. A miss whose bucket spans
+        several columns, or whose key must leave its bucket's full column,
+        cannot use its own row as its image: it joins the first batch after
+        that one whose image fills none of its columns, or opens a new one,
+        and its key waits once its batch has compared. A waiting key goes
+        in from the query bits the controller holds, one masked write per
+        key row: before the first later batch of any read that probes its
+        bucket, when a later miss into its bucket is placed, at the end of
+        the first read after which every column has passed its row, or at
+        the stage's end (see _flush). So a hit on a key placed earlier is
+        probed after the key is written, and imaged in its column, and a
+        key row takes every key that is ready by the time it is needed. A
+        hit adds one increment for the key its
         batch finds to `pending`.
         """
         lay = table.layout
@@ -858,6 +891,14 @@ class Assembler:
             table.slots.append((group.sid, key_i))
             bucket.col, bucket.row = col, row
             bucket.cols |= 1 << col
+            if bucket.cols == 1 << col:  # its key row can serve as its image
+                older = group.row_of.get(bucket)
+                if older is not None:
+                    self._write_waiting(table, group, older)
+                query = _Query(bucket, bits, cols, key_i, due=bool(cols))
+                group.waiting.setdefault(row, []).append(query)
+                group.row_of[bucket] = row
+                return
             query = _Query(bucket, bits, cols, key_i)
             i = floor + 1
             while i < len(group.busy) and group.busy[i] & cols:
@@ -874,38 +915,41 @@ class Assembler:
         each key row that holds new keys once they are needed or the row is
         complete.
 
-        After each probe, each hit's increment goes to `pending`,
-        at the counter of the key it found, and each miss's key waits in
+        After each probe, each hit's increment goes to `pending`, at the
+        counter of the key it found, and each miss's key waits in
         `group.waiting`, a map from key row to its unwritten keys that lasts
-        across reads. Before a batch probes, each row that holds an
-        unwritten key of a member's bucket is written, with every key
+        across reads; the misses that joined no batch wait there from their
+        placement (see _observe). Before a batch probes, each row that holds
+        an unwritten key of a member's bucket is written, with every key
         waiting in it, one masked write per row, so the batch finds those
-        keys. A key joins the map only once its own batch has compared, so
-        a row write never takes a key of the batch about to probe, whose
-        miss check would find it. At the read's end, each waiting row below
-        every column's fill is written: no later key can go in it. The
-        other rows wait for a later read's batch, a later read's end or the
-        stage's end (build_kmer_table). `group.row_of` names the row of each
-        bucket's unwritten key. A bucket has at most one: its next query,
-        in this read or a later one, is in a later batch, which writes that
-        row before it probes. A batch whose image fills no column
-        holds only keys into empty buckets, so it is not probed: it writes
-        no image and compares nothing. A hit that finds no key, or a miss
-        that finds one, means fabric and host counts diverged."""
+        keys; the write runs the miss checks due in that row (see
+        _write_keys). A batch's miss joins the map only once its own batch
+        has compared, so a row write never takes a key of the batch about to
+        probe, whose miss check would find it. At the read's end, each
+        waiting row below every column's fill is written: no later key can
+        go in it. The other rows wait for a later read's batch or miss, a
+        later read's end or the stage's end (build_kmer_table).
+        `group.row_of` names the row of each bucket's unwritten key. A
+        bucket has at most one: a later miss into it that joins no batch
+        writes that row when it is placed, and any later batched query of
+        it, in this read or a later one, is in a later batch, which writes
+        that row before it probes. Every member of a batch images at least
+        one column, since its bucket holds a key. A hit that finds no key,
+        or a batch's miss that finds one, means fabric and host counts
+        diverged."""
         lay, sid = table.layout, group.sid
         waiting, row_of = group.waiting, group.row_of
-        for batch, busy in zip(group.batches, group.busy):
-            found: list[int | None] = [None] * len(batch)
-            if busy:
-                for query in batch:
-                    row = row_of.get(query.bucket)
-                    if row is not None:
-                        self._write_waiting(table, group, row)
-                table.batches += 1
-                found, compared, written = self._probe(group, batch, lay)
-                table.compares += compared
-                table.image_writes += written
-                table.image_rows_held = max(table.image_rows_held, len(group.held))
+        for batch in group.batches:
+            for query in batch:
+                row = row_of.get(query.bucket)
+                if row is not None:
+                    self._write_waiting(table, group, row)
+            table.batches += 1
+            table.imaged += len(batch)
+            found, compared, written = self._probe(group, batch, lay)
+            table.compares += compared
+            table.image_writes += written
+            table.image_rows_held = max(table.image_rows_held, len(group.held))
             for query, key_i in zip(batch, found):
                 if query.key_i is not None:  # a miss
                     if key_i is not None:
@@ -936,7 +980,14 @@ class Assembler:
 
     def _write_keys(self, table: KmerTable, group: _Group, row: int, keys: list[_Query]) -> None:
         """Write new keys of one key row into their slots from their query
-        bits: one masked `mem_insert`, no read. Then check every key's bits."""
+        bits: one masked `mem_insert`, no read. Then check every key's bits,
+        and run the miss check of each key that has one due: the key row is
+        compared with every other written row of the key's bucket, one
+        `Machine.cmp` each, read only at the key's own column
+        (lay.matched_slot). The key row holds the query in that column, as a
+        batch's image would, and the bucket's other keys sit in that column
+        too, so a match means fabric and host counts diverged. A row that
+        several keys of the write need is compared once."""
         lay = table.layout
         full = (1 << 2 * table.k) - 1
         starts = [query.key_i % lay.slots * lay.pitch for query in keys]
@@ -948,11 +999,22 @@ class Assembler:
         self.machine.mem_insert(key_row, value, mask)
         table.insert_writes += 1
         cells = self.machine.subarray(group.sid).cells[key_row.row]
+        masks: dict[int, int] = {}  # another key row -> its compare with this one
         for query, start in zip(keys, starts):
             if cells >> start & full != query.bits:
                 raise ConsistencyError("inserted key bits corrupted")
+            own = 1 << start // lay.pitch
             rows = query.bucket.rows
-            rows[row] = rows.get(row, 0) | 1 << start // lay.pitch
+            if query.due:
+                for other in rows:
+                    if other not in masks:
+                        masks[other] = self.machine.cmp(key_row, group.key_rows[other]).mask
+                    if lay.matched_slot(masks[other], own) is not None:
+                        key_i = other * lay.slots + start // lay.pitch
+                        raise ConsistencyError(f"fabric scan finds key index {key_i} for a miss")
+            rows[row] = rows.get(row, 0) | own
+        table.checked += sum(query.due for query in keys)
+        table.compares += len(masks)
 
     def _probe(
         self, group: _Group, batch: list[_Query], lay: mapping.HashLayout
@@ -968,11 +1030,12 @@ class Assembler:
         one used least recently. A key row keeps its image's bits in every
         slot but the ones a key is later written to, and those stale bits
         are never read: a member reads only its own bucket's slots of a
-        compare (lay.matched_slot), and a label or counter read touches
-        only key bits or counter rows. Each member then compares its
-        bucket's rows against it newest first, down to the first row where
-        one of the member's own columns matches: a hit stops at its key's
-        row, and a miss compares every row. A row another member already
+        compare (lay.matched_slot), a key row's miss check only its key's
+        slot (see _write_keys), and a label or counter read touches only
+        key bits or counter rows. Each member then compares its bucket's
+        rows against it newest first, down to the first row where one of
+        the member's own columns matches: a hit stops at its key's row, and
+        a miss compares every row. A row another member already
         compared is not compared again. So the batch costs at most one
         write, and one compare cycle plus one AND-reduce per distinct row.
         Returns the key index each member found (None when none matched),

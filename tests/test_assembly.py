@@ -132,11 +132,11 @@ def test_insert_cost_oracle_single_read():
     # 8 and GTGCA to 270:
     # every key finds its bucket empty and takes the least-filled column,
     # so the four fill key row 0 in first-seen order. A key into an empty
-    # bucket fills no column of an image, so all four join the read's
-    # first batch, whose image then fills no column: it is not probed,
-    # writes no image and compares nothing. Its four new keys go in
-    # together from their query bits, one masked write of row 0 (1 W, no
-    # read; one write per key took 4 W). The stage ends with one masked
+    # bucket has no older key to be checked against, so it joins no batch
+    # and waits, with no check due: no image, no compare. Every column has
+    # passed row 0 at the read's end, so the four new keys go in together
+    # from their query bits, one masked write of row 0 (1 W, no read; one
+    # write per key took 4 W). The stage ends with one masked
     # write of counter plane 0 that starts all four counters, which share
     # stripe 0, at one:
     #   W = 1 row write + 1 seed = 2,  R = 0,  C_ADD = DPU = 0.
@@ -149,35 +149,37 @@ def test_insert_cost_oracle_single_read():
     assert asm.written == [(0, 0, [0, 1, 2, 3])] and table.insert_writes == 1
     assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 2, tr.C_ADD: 0, tr.DPU: 0}
     # A second read, ACGTCA, after it: ACGTC is a miss into GTGTG's bucket
-    # 221, of column 1, so it first-fits into the read's first batch,
-    # imaged in column 1, and takes that column's next row: key row 1,
-    # key index 5. CGTCA hashes to bucket 14, empty, so it fills no column
-    # and joins the same batch; it takes the least-filled column, 0 (fills
-    # 1, 2, 1, 1), at key row 1 too: key index 4. The batch writes its
-    # image (1 W) and compares ACGTC against bucket 221's one row (1 C_ADD,
-    # 1 DPU), which does not match; then both new keys of row 1 go in with
-    # one masked write (1 W), where a key staged into an empty bucket
-    # before the batch, and the miss after it, took two:
-    #   W = 2 row writes + 1 image + 1 seed = 4,  R = 0,  C_ADD = DPU = 1.
+    # 221, whose one key sits in column 1, and that column has room, so
+    # ACGTC takes its next row: key row 1, key index 5. It joins no batch;
+    # its key waits with its miss check due. CGTCA hashes to bucket 14,
+    # empty, and takes the least-filled column, 0 (fills 1, 2, 1, 1), at
+    # key row 1 too: key index 4, no check due. Columns 2 and 3 have not
+    # passed row 1, so it waits until the stage's end, and one masked write
+    # (1 W) puts both keys in. Then ACGTC's key row is compared with
+    # bucket 221's one other row, 0, read at column 1 (1 C_ADD, 1 DPU),
+    # which does not match. Imaging ACGTC first took one image write more:
+    #   W = 2 row writes + 1 seed = 3,  R = 0,  C_ADD = DPU = 1.
     asm = BucketRecorder(rows=128, cols=64)
     table = asm.build_kmer_table([E("CGTGTGCA"), E("ACGTCA")], 5)
     assert [bucket_of(table, key) for key in table.keys[4:]] == [221, 14]
     assert table.slots[4:] == [(0, 5), (0, 4)]
-    assert asm.probed == [[(E("ACGTC").bits, 0b0010, 5), (E("CGTCA").bits, 0, 4)]]
+    assert asm.probed == [] and table.batches == table.image_writes == 0
+    assert (table.checked, table.compares) == (1, 1)
     assert asm.written == [(0, 0, [0, 1, 2, 3]), (0, 1, [5, 4])] and table.insert_writes == 2
-    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 4, tr.C_ADD: 1, tr.DPU: 1}
+    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 3, tr.C_ADD: 1, tr.DPU: 1}
 
 
 def test_miss_cost_is_one_compare_per_occupied_row():
     # k=5 on 64 columns: 4 slots per row, 304 keys in 76 key rows and 304
     # buckets per sub-array, so every prefix below keeps one group. Each
-    # k-mer is a read of its own, so each batch holds one query. A bucket's
-    # keys share its column, one key row each (these 90 keys fill no
-    # column), so the miss that inserts a key compares the query against f
-    # rows, f the keys already in its bucket, after one image write; into
-    # an empty bucket it writes no image. These 90 keys fill 66 buckets
-    # with one key, 9 with two and 2 with three, so 9 * 1 + 2 * 2 = 13
-    # misses find a non-empty bucket, one batch each, and they compare
+    # k-mer is a read of its own. A bucket's keys share its column, one key
+    # row each (these 90 keys fill no column), so the miss that inserts a
+    # key joins no batch and writes no image: once its key row is written,
+    # that row is compared against f rows, f the keys already in its
+    # bucket, all written by then; into an empty bucket it compares
+    # nothing. These 90 keys fill 66 buckets with one key, 9 with two and
+    # 2 with three, so 9 * 1 + 2 * 2 = 13 misses find a non-empty bucket
+    # and are checked at their row write, and they compare
     # 9 * 1 + 2 * (1 + 2) = 15 rows.
     seq = distinct_window_genome(94, 5, random.Random(0))
     kmers = [E(seq[i : i + 5]) for i in range(len(seq) - 4)]
@@ -197,7 +199,7 @@ def test_miss_cost_is_one_compare_per_occupied_row():
         assert totals[tr.DPU] - prev[tr.DPU] == f
         prev = totals
     assert Counter(Counter(buckets).values()) == {1: 66, 2: 9, 3: 2}
-    assert (table.batches, table.compares) == (13, 15)
+    assert (table.batches, table.image_writes, table.checked, table.compares) == (0, 0, 13, 15)
     # empty, one-row and two-row buckets all occur
     assert set(scanned) == {0, 1, 2}
 
@@ -207,37 +209,29 @@ def test_an_all_miss_stage_costs_follow_its_bucket_loads():
     # 16 over a 100-base genome with distinct 5-mers, so the 96 k-mers are
     # 96 distinct keys and every query is a miss. On 128 x 64 at k=5 the
     # one group has 304 buckets, one per key slot, and the keys load 65 of
-    # them with one key, 14 with two and 1 with three. A bucket's first key
-    # finds it empty and fills no column of an image, so it joins its
-    # read's first batch. Each later key fills its bucket's columns and
-    # compares the rows of its bucket's earlier keys, one C_ADD and one
-    # DPU each (no two members of a batch share a row here): 14 * 1 + 1 *
-    # (1 + 2) = 17 rows. Those 14 + 2 = 16 misses pack first-fit into 11
-    # batches, one image write each. The first two reads' first batches
-    # hold only first keys, so they fill no column and are not probed; the
-    # other four reads' first batches are among the 11, so the probed
-    # batches also hold 12 + 13 + 8 + 15 = 48 first keys. A new key waits,
-    # once its batch has compared, until a later batch of any read probes
-    # its bucket, a read ends with every column past its key row, or the
-    # stage ends; then its key row is written with every key waiting in
-    # it, one masked write per row. The 96 keys fill key rows 0 to 23, 4
-    # keys each. The third read's keys reach rows 8 to 12 and it ends at
+    # them with one key, 14 with two and 1 with three. No column fills, so
+    # every key goes into its bucket's one column and joins no batch: no
+    # image is written. A bucket's first key has nothing to be checked
+    # against; each later key, 14 + 2 = 16 of them, is checked once its key
+    # row is written, against the rows of its bucket's earlier keys, one
+    # C_ADD and one DPU each (no two keys of one write share a row here):
+    # 14 * 1 + 1 * (1 + 2) = 17 rows. A new key waits until a later miss
+    # into its bucket, a read's end with every column past its key row, or
+    # the stage's end; then its key row is written with every key waiting
+    # in it, one masked write per row. The 96 keys fill key rows 0 to 23,
+    # 4 keys each. The third read's keys reach rows 8 to 12 and it ends at
     # fills 13, 12, 12 and 11, so rows 11 and 12, which hold 3 and 1 of its
-    # keys, wait. A probe of the fourth read needs row 11 once that read's
-    # key has completed it, and the read's end writes row 12 with the 3
-    # keys the read added: one write each, where writing every row a read
-    # touched at that read's end gave each two. In the fifth read a batch
-    # needs row 17 while two more keys of that row sit in a batch still to
-    # compare, so that row is written twice: 24 + 1 = 25 writes, where
-    # writing each read's rows at its end took 4 * 4 + 2 * 5 + 1 = 27 and
-    # writing each batch's new keys right after it compared 25 + 8. The
+    # keys, wait; the fourth read's end writes each once, with the keys
+    # that read added. In the third read, GGATT, new to bucket 246, finds
+    # that bucket's ACGGG, placed earlier in the read, still waiting in key
+    # row 9, which then holds 2 keys, so row 9 is written first, and again
+    # once the read puts its other 2 keys in: 24 + 1 = 25 writes, where
+    # writing each read's rows at its end took 4 * 4 + 2 * 5 + 1 = 27. The
     # keys take key indices 0..95, two counter stripes of 64, so the stage
     # ends with two seed writes, and with no hit adds nothing:
-    #   W = 25 row writes + 11 images + 2 seeds = 38,
-    #   C_ADD = DPU = 17,  R = 0.
-    # One write per key took W = 96 + 11 + 2 = 109. At one bucket per two
-    # key slots (152) the loads were 47, 20 and 3, so 26 misses compared
-    # 20 * 1 + 3 * 3 = 29 rows in 13 batches: W = 111.
+    #   W = 25 row writes + 2 seeds = 27,  C_ADD = DPU = 17,  R = 0.
+    # Imaging each checked miss first took 11 image writes in 11 batches:
+    # W = 38. One write per key took W = 96 + 11 + 2 = 109.
     genome = distinct_window_genome(100, 5, random.Random(0))
     raw = [genome[i : i + 20] for i in range(0, 96, 16)]
     asm = BucketRecorder(rows=128, cols=64)
@@ -246,33 +240,116 @@ def test_an_all_miss_stage_costs_follow_its_bucket_loads():
     loads = Counter(Counter(bucket_of(table, key) for key in table.keys).values())
     assert loads == {1: 65, 2: 14, 3: 1}
     assert table.compares == sum(n * (n - 1) // 2 * m for n, m in loads.items()) == 17
-    assert sum(1 for batch in asm.probed for _, cols, _ in batch if cols) == 16
-    assert sum(len(batch) for batch in asm.probed) == 16 + 48 and table.batches == 11
+    assert table.checked == sum((n - 1) * m for n, m in loads.items()) == 16
+    assert asm.probed == [] and table.batches == table.image_writes == 0
     assert max(key_i for _, key_i in table.slots) == 95
+    assert [bucket_of(table, E(key)) for key in ("ACGGG", "GGATT")] == [246, 246]
     rows = Counter(row for _, row, _ in asm.written)
-    assert sorted(rows) == list(range(24)) and rows[17] == 2
+    assert sorted(rows) == list(range(24)) and rows[9] == 2
     assert table.insert_writes == len(asm.written) == 24 + 1
-    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 38, tr.C_ADD: 17, tr.DPU: 17}
+    assert hashmap_totals(asm.trace) == {tr.R: 0, tr.W: 27, tr.C_ADD: 17, tr.DPU: 17}
 
 
-@pytest.mark.parametrize("length, k, read_len, stride", [(100, 5, 20, 16), (400, 8, 30, 24)])
+@pytest.mark.parametrize(
+    "length, k, read_len, stride, rows",
+    [
+        pytest.param(100, 5, 20, 16, 128, id="100-5-20-16"),
+        pytest.param(400, 8, 30, 24, 128, id="400-8-30-24"),
+        pytest.param(100, 5, 20, 16, 24, id="100-5-20-16-24x64"),
+        pytest.param(400, 8, 30, 24, 24, id="400-8-30-24-24x64"),
+    ],
+)
 def test_an_all_miss_stage_logs_at_most_slots_queries_per_image_write(
-    length, k, read_len, stride, caplog
+    length, k, read_len, stride, rows, caplog
 ):
-    # Every k-mer read once, so every query is a miss. A batch's members
-    # fill disjoint columns of its image, so a batch images at most `slots`
-    # queries; a first miss into an empty bucket fills no column. The log
-    # line divides only the queries that fill a column by the image writes:
-    # on the 96 keys above, 16 over 11 batches, 1.45, where all 96 over 11
-    # would read 8.73 with 4 slots.
+    # Every k-mer read once, so every query is a miss, and each miss into a
+    # bucket that holds keys is checked once: at its key row write when its
+    # key goes into its bucket's one column, else in a probed batch. At 128
+    # x 64 no column fills, so no batch is probed and no image is written,
+    # and the log line reads 0 imaged queries per image write, where
+    # counting every query but each bucket's first over max(image writes,
+    # 1) read 16 and 94, the misses checked at their row write. At 24 x
+    # 64, 4 key rows of 4 slots, columns fill and a bucket spans two, so
+    # some misses are imaged. A batch's members fill disjoint columns of its
+    # image, so a batch images at most `slots` queries, and distinct misses
+    # never repeat an image, so each probed batch writes one.
     genome = distinct_window_genome(length, k, random.Random(0))
     raw = [genome[i : i + read_len] for i in range(0, length - read_len + 1, stride)]
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="pimgasm.assembly"):
-        table = make_asm().build_kmer_table([E(s) for s in raw], k)
-    assert table.total_kmers == table.distinct() > table.layout.slots * table.batches
-    logged = float(re.search(r"([\d.]+) queries per image write", caplog.text).group(1))
-    assert 1 <= logged <= table.layout.slots
+        table = make_asm(rows=rows).build_kmer_table([E(s) for s in raw], k)
+    assert table.total_kmers == table.distinct()
+    filled = len({bucket_of(table, key) for key in table.keys})
+    assert table.checked + table.imaged == table.distinct() - filled
+    checked = int(re.search(r"(\d+) misses checked at their key row write", caplog.text).group(1))
+    logged = float(re.search(r"([\d.]+) imaged queries per image write", caplog.text).group(1))
+    assert checked == table.checked > 0
+    assert table.image_writes == table.batches and bool(table.batches) == (rows == 24)
+    if table.image_writes:
+        assert 1 <= logged <= table.layout.slots
+    else:
+        assert logged == table.imaged == 0
+
+
+class ShareRecorder(BucketRecorder):
+    """Also counts, per row write of new keys, the older written rows of
+    each key whose miss check is due (`older`), and how many of those a key
+    shares with an earlier due key of the same write (`shared`)."""
+
+    def build_kmer_table(self, reads, k):
+        self.older = self.shared = 0
+        return super().build_kmer_table(reads, k)
+
+    def _write_keys(self, table, group, row, keys):
+        rows = [set(query.bucket.rows) for query in keys if query.due]
+        self.older += sum(map(len, rows))
+        self.shared += sum(map(len, rows)) - len(set().union(*rows))
+        super()._write_keys(table, group, row, keys)
+
+
+def test_an_all_miss_stage_compares_each_checked_key_row_against_its_older_rows():
+    # The 400-base genome with distinct 8-mers above, at 128 x 64: 368
+    # keys, all misses, in 2 groups, and no column fills. No miss joins a
+    # batch, so no image is written. Each of the 94 misses into a bucket
+    # that held keys is checked at its key row write, one compare per
+    # older written row of its bucket, 114 in all, but a row that two due
+    # keys of one write both need is compared once: twice here, so 112.
+    genome = distinct_window_genome(400, 8, random.Random(0))
+    raw = [genome[i : i + 30] for i in range(0, 371, 24)]
+    asm = ShareRecorder(rows=128, cols=64)
+    with patch.object(asm.machine, "mem_insert", wraps=asm.machine.mem_insert) as insert:
+        table = asm.build_kmer_table([E(s) for s in raw], 8)
+    assert table.total_kmers == table.distinct() == 368 and len(asm.groups) == 2
+    assert asm.probed == [] and table.batches == table.image_writes == 0
+    assert insert.call_count == table.insert_writes
+    assert table.checked == 94 and (asm.older, asm.shared) == (114, 2)
+    assert table.compares == asm.older - asm.shared == 112
+    assert hashmap_totals(asm.trace)[tr.C_ADD] == 112
+
+
+def test_a_bucket_that_spans_two_columns_images_its_misses():
+    # 24 x 64 at k=5: 4 slots and 4 key rows, so a column fills after 4
+    # keys and a group holds 16. The all-miss reads above take 7 groups
+    # here. A miss whose key must leave its bucket's full column, or whose
+    # bucket already spans two columns, cannot serve as its own image: it
+    # joins a batch, imaged in its bucket's columns, and its key waits
+    # only once that batch has compared. Every other miss into a bucket
+    # that held keys is checked at its key row write. 5 misses take the
+    # batched path and 24 the row check, and the counts equal a host
+    # Counter.
+    genome = distinct_window_genome(100, 5, random.Random(0))
+    asm, table = _count([genome[i : i + 20] for i in range(0, 81, 16)], 5, **PACKED)
+    lay = table.layout
+    assert (lay.slots, len(lay.kmer_rows), len(asm.groups)) == (4, 4, 7)
+    spanning = [bucket for bucket in asm.buckets if bucket.cols.bit_count() > 1]
+    assert spanning and all(len(bucket.rows) > 1 for bucket in spanning)
+    misses = [
+        (cols, key_i) for batch in asm.probed for _, cols, key_i in batch if key_i is not None
+    ]
+    assert len(misses) == table.batches == table.image_writes == 5
+    assert all(cols | 1 << key_i % lay.slots != 1 << key_i % lay.slots for cols, key_i in misses)
+    filled = sum(1 for bucket in asm.buckets if bucket.cols)
+    assert table.checked == table.distinct() - filled - len(misses) == 24
 
 
 def test_a_hit_compares_its_bucket_rows_newest_first():
@@ -344,30 +421,40 @@ def test_a_hit_on_a_key_placed_in_its_read_follows_the_batch_that_placed_it():
 
 
 def test_a_key_row_takes_the_keys_of_two_batches_in_one_write():
-    # CCGCGTAAGTAAG at k=5 on 128 x 64, 4 slots per key row. Its 8 distinct
-    # k-mers all hash to empty buckets but GTAAG, which shares bucket 214
-    # with CGCGT, and GTAAG comes back as the read's last k-mer. The seven
-    # first keys fill no image column, so they join the read's first
-    # batch, which is not probed: rows 0 (keys 0-3) and 1 (keys 4, 6, 7).
-    # GTAAG is a miss imaged in CGCGT's column 1, so it opens batch 1 and
-    # takes key index 5, in row 1. Its hit must follow batch 1, so it opens
-    # batch 2, keyed by its bucket's newest row, 1. Before batch 1 probes,
-    # CGCGT's row 0 is written, since the batch needs it; row 1 waits, and
-    # the miss's own key joins it only once batch 1 has compared. Before
-    # batch 2 probes, the hit needs row 1: one write takes the keys of
-    # batches 0 and 1 together, where writing each batch's keys after it
-    # compared took rows 0, 1 and then 1 again. The hit then finds
-    # GTAAG in row 1, as it did when its key was written right after its
-    # batch, and the batches probe in the order they opened.
-    asm = BucketRecorder(rows=128, cols=64)
-    table = asm.build_kmer_table([E("CCGCGTAAGTAAG")], 5)
-    assert [bucket_of(table, E(key)) for key in ("CGCGT", "GTAAG")] == [214, 214]
-    assert table.slots[4] == (0, 5)  # GTAAG, the fifth key first seen
-    assert asm.probed == [[(E("GTAAG").bits, 0b0010, 5)], [(E("GTAAG").bits, 0b0010, None)]]
-    assert asm.written == [(0, 0, [0, 1, 2, 3]), (0, 1, [4, 6, 7, 5])]
-    assert table.insert_writes == 2 and table.compares == 2
+    # Only a miss whose key must leave its bucket's column joins a batch, so
+    # take the read of the mid-read column test below: 24 x 64 at k=5, 4
+    # slots and 4 key rows, 16 buckets in the one group. CCGCA (bucket 9)
+    # and GCAAC (bucket 12) find their buckets' column 0 full, AACCC
+    # (bucket 6) its column 1, and bucket 9's CAACC then finds CCGCA's
+    # column 2 full, so these four misses are imaged. CCGCA and AACCC
+    # share batch 0, GCAAC's
+    # image column clashes with CCGCA's and opens batch 1, and CAACC must
+    # follow its bucket's last batch, 0, and clashes with batch 1, so it
+    # opens batch 2. CCGCA (key index 10) and GCAAC (11) sit in key row 2,
+    # and AACCC (15) and CAACC (13) in row 3. A miss's key joins the
+    # waiting keys only once its batch has compared, so before batch 2
+    # probes, bucket 9's row 2 is written with the keys of batches 0 and 1
+    # in one write; before the hits' batches, row 3 takes those of batches
+    # 0 and 2. Writing each batch's keys after it compared took 4 writes.
+    asm = WaitRecorder(**PACKED)
+    table = asm.build_kmer_table([E("CACGGGCCCACCCGCAACCCGCAA")], 5)
+    keys = ("CCGCA", "AACCC", "GCAAC", "CAACC")
+    assert [bucket_of(table, E(key)) for key in keys] == [9, 6, 12, 9]
+    key_of = {key.to_str(): key_i for key, (_, key_i) in zip(table.keys, table.slots)}
+    assert [key_of[key] for key in keys] == [10, 15, 11, 13]
+    probes = [event for event in asm.events if event[0] == "probe"]
+    assert probes[:3] == [("probe", [10, 15]), ("probe", [11]), ("probe", [13])]
+    at = asm.events.index(("probe", [11]))
+    assert asm.events[at + 1 : at + 5] == [
+        ("write", 2, [10, 11]),
+        ("probe", [13]),
+        ("write", 3, [15, 13]),
+        ("probe", [None]),
+    ]
     check_each_key_written_once(asm, table)
-    assert table.frequencies()[E("GTAAG")] == 2
+    assert {key.to_str(): n for key, n in table.items()} == dict(
+        Counter(s[i : i + 5] for s in ["CACGGGCCCACCCGCAACCCGCAA"] for i in range(20))
+    )
 
 
 class WaitRecorder(BucketRecorder):
@@ -436,16 +523,16 @@ def test_a_key_hit_in_a_later_read_is_written_before_that_read_probes():
 def test_a_partial_key_row_left_by_the_last_read_is_written_at_the_stage_end():
     # The insert oracle's two reads: CGTGTGCA fills key row 0, which every
     # column has then passed, so the read's end writes it. ACGTCA puts
-    # keys 5 and 4 in row 1, but columns 2 and 3 stay at row 1 (fills 2, 2,
-    # 1 and 1), so the last read ends with row 1 waiting. The stage's end
-    # writes it, before any counter, and build_graph finds every label in
-    # place and every count exact.
+    # keys 5 and 4 in row 1 with no probe, but columns 2 and 3 stay at row
+    # 1 (fills 2, 2, 1 and 1), so the last read ends with row 1 waiting.
+    # The stage's end writes it, and checks key 5's miss there, before any
+    # counter, and build_graph finds every label in place and every count
+    # exact.
     asm = WaitRecorder(rows=128, cols=64)
     table = asm.build_kmer_table([E("CGTGTGCA"), E("ACGTCA")], 5)
     assert asm.events == [
         ("write", 0, [0, 1, 2, 3]),
         ("end", {}),
-        ("probe", [5, 4]),
         ("end", {1: [5, 4]}),
         ("write", 1, [5, 4]),
     ]
@@ -454,6 +541,42 @@ def test_a_partial_key_row_left_by_the_last_read_is_written_at_the_stage_end():
     assert {key.to_str(): n for key, n in table.frequencies().items()} == dict.fromkeys(
         ["CGTGT", "GTGTG", "TGTGC", "GTGCA", "ACGTC", "CGTCA"], 1
     )
+
+
+def test_a_miss_whose_bucket_key_waits_writes_and_checks_that_row_first():
+    # TATCA, TGGAG and CGGAT share bucket 69 of the 304 at 128 x 64, k=5,
+    # each read on its own. TATCA goes into the empty bucket at the
+    # least-filled column, 0, key row 0, with no check due, and waits:
+    # columns 1 to 3 have not passed row 0. TGGAG goes into column 0 at row
+    # 1, with its check due; its bucket's key waits, so row 0 is written
+    # first. CGGAT, into column 0 at row 2, finds TGGAG waiting: row 1 is
+    # written and compared with row 0, TGGAG's check, before CGGAT's own
+    # row write at the stage's end compares row 2 with rows 0 and 1.
+    keys = [E(key) for key in ("TATCA", "TGGAG", "CGGAT")]
+    asm = WaitRecorder(rows=128, cols=64)
+    cmp = asm.machine.cmp
+    start = mapping.layout_hash((128, 64), 5).kmer_rows.start
+
+    def record(a, b):
+        asm.events.append(("cmp", a.row - start, b.row - start))
+        return cmp(a, b)
+
+    with patch.object(asm.machine, "cmp", record):
+        table = asm.build_kmer_table(keys, 5)
+    assert {bucket_of(table, key) for key in keys} == {69}
+    assert [key_i for _, key_i in table.slots] == [0, 4, 8]
+    assert asm.events == [
+        ("end", {0: [0]}),
+        ("write", 0, [0]),
+        ("end", {1: [4]}),
+        ("write", 1, [4]),
+        ("cmp", 1, 0),
+        ("end", {2: [8]}),
+        ("write", 2, [8]),
+        ("cmp", 2, 0),
+        ("cmp", 2, 1),
+    ]
+    assert (table.batches, table.checked, table.compares) == (0, 2, 3)
 
 
 class OneBatchPerRead(Assembler):
@@ -471,11 +594,12 @@ def test_a_batch_whose_members_share_an_image_column_raises():
     # AAAAA at k=3 (the repeat oracle): AAA's key goes into column 0, and
     # its two hits each image it there, in batches of their own. Merged
     # into one batch, the two hits overwrite each other's column of the
-    # image, and the probe raises before it writes anything.
+    # image, and the probe raises before it writes its image: the stage's
+    # one W is the write of AAA's key row, which the batch needs first.
     asm = OneBatchPerRead(rows=128, cols=64)
     with pytest.raises(ConsistencyError, match="two members of a batch share an image column"):
         asm.build_kmer_table([E("AAAAA")], 3)
-    assert asm.trace.total(tr.W, stage=tr.STAGE_HASHMAP) == 0
+    assert asm.trace.total(tr.W, stage=tr.STAGE_HASHMAP) == 1
 
 
 def test_a_corrupted_key_in_a_row_write_raises():
@@ -618,45 +742,33 @@ def test_image_reuse_cuts_hashmap_w_by_exactly_the_images_reused():
     # 46 reads of 20 bases at stride 4 over a 200-base genome, at 128 x 64
     # and k=5: a batch that finds its image in a temp row or a free key row
     # writes nothing and compares the same rows, so the hashmap W row falls
-    # by exactly the batches that reused an image, 67 of 239 (62 when only
-    # the 8 temp rows held images), and nothing else moves.
+    # by exactly the batches that reused an image, 76 of 232, and nothing
+    # else moves. The 52 misses checked at their key row write join no
+    # batch; imaging them too made 239 batches, 67 of which reused an
+    # image (62 when only the 8 temp rows held images).
     reads = [E(r) for r in tile_reads(random_genome(200, random.Random(1)), 20, 4)]
     runs = []
     for cls in (Assembler, NoImageReuse):
         asm = cls(rows=128, cols=64)
         runs.append((asm.build_kmer_table(reads, 5), hashmap_totals(asm.trace)))
     (reused, a), (written, b) = runs
-    assert (reused.batches, reused.image_writes) == (239, 172)
-    assert (written.batches, written.image_writes) == (239, 239)
-    assert b[tr.W] - a[tr.W] == reused.batches - reused.image_writes == 67
+    assert (reused.batches, reused.image_writes, reused.checked) == (232, 156, 52)
+    assert (written.batches, written.image_writes) == (232, 232)
+    assert b[tr.W] - a[tr.W] == reused.batches - reused.image_writes == 76
     assert (a[tr.R], a[tr.C_ADD], a[tr.DPU]) == (b[tr.R], b[tr.C_ADD], b[tr.DPU])
     assert reused.compares == written.compares
     assert dict(reused.items()) == dict(written.items())
 
 
-class KeyRowSources(Assembler):
-    """Records, for each row write of new keys, how many of the group's
-    open batches its keys came from."""
-
-    def build_kmer_table(self, reads, k):
-        self.sources = []
-        return super().build_kmer_table(reads, k)
-
-    def _write_keys(self, table, group, row, keys):
-        ids = {id(query) for query in keys}
-        self.sources.append(sum(any(id(q) in ids for q in batch) for batch in group.batches))
-        super()._write_keys(table, group, row, keys)
-
-
 def test_every_hashmap_write_is_a_machine_instruction():
     # The reads of the image reuse test above, at 128 x 64 and k=5, have
-    # hits, misses, batches that reuse a held image and key rows written
-    # with keys of two batches. Every W the hash stage emits comes from
+    # hits, batches that reuse a held image and misses checked at their key
+    # row write, in fabric but with no W. Every W the hash stage emits comes from
     # mem_insert (key rows and images), write_vwords (counter seeds) or
     # add_const_cols (counter adds), and mem_insert runs once per key row
     # write and image write.
     reads = [E(r) for r in tile_reads(random_genome(200, random.Random(1)), 20, 4)]
-    asm = KeyRowSources(rows=128, cols=64)
+    asm = Assembler(rows=128, cols=64)
     m = asm.machine
     emitted, calls = Counter(), Counter()
 
@@ -679,8 +791,7 @@ def test_every_hashmap_write_is_a_machine_instruction():
     with patch.multiple(m, **{name: record(name) for name in ops}):
         table = asm.build_kmer_table(reads, 5)
     assert table.total_kmers > table.distinct() > 0
-    assert table.image_writes < table.batches
-    assert max(asm.sources) >= 2
+    assert table.image_writes < table.batches and table.checked > 0
     assert sum(emitted.values()) == hashmap_w() > 0
     assert calls["mem_insert"] == emitted["mem_insert"] == table.insert_writes + table.image_writes
 
@@ -1139,8 +1250,11 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(caplog):
     # 40 batches, 32 of them writing an image, and compare 53 rows. The
     # read's 97 keys reach key row 24, so the group's 8 temp rows and its
     # 51 free key rows (75 down to 25) hold every image the two copies
-    # write (43 at most), and none is evicted: the second copy finds 8 of
-    # its images held among the first copy's 11. (While the first copy's
+    # write (38 at most), and none is evicted: 8 of the second copy's
+    # batches find their image held, each one of the first copy's 6. The
+    # first copy's 11 misses into buckets that held keys are checked at
+    # their key row writes and image nothing; its 6 batches are its hits',
+    # where imaging those misses too took 11. (While the first copy's
     # hits on its own keys into empty buckets packed first-fit, it wrote 8
     # images, and the second copy found 4 of its images held; the 8 temp
     # rows alone kept 1.) Every key goes in during the first copy, so the
@@ -1202,8 +1316,8 @@ def test_a_read_seen_twice_adds_once_per_stripe_and_set_bit(caplog):
     images = tables[1].image_writes - tables[0].image_writes
     assert sum(occurrences.values()) == 108
     assert (batches, images) == (40, 32)
-    assert tables[0].image_writes == tables[0].batches == 11
-    assert tables[1].image_rows_held == 43
+    assert tables[0].image_writes == tables[0].batches == 6 and tables[0].checked == 11
+    assert tables[1].image_rows_held == 38
     probe_dpu = b[tr.DPU] - a[tr.DPU] - 2 * 2
     assert probe_dpu == tables[1].compares - tables[0].compares == 53
     assert b[tr.R] == a[tr.R]
@@ -1448,21 +1562,25 @@ def test_a_stage_with_no_hits_adds_nothing():
 
 
 class CorruptKey(Assembler):
-    """XORs `flip` into the first key in its key row once its row write
-    has checked it (bit 0 unless a test sets it). The first key waits in
-    its incomplete row after its read, so the write comes when the second
-    read's batch needs it, just before that batch probes."""
+    """XORs `flip` into the key `target` places into the table (bit 0 of
+    the first key unless a test sets them) once the row write that takes
+    it has checked it. The first key waits in its incomplete row after
+    its read, so the write comes when the second read needs it: just
+    before a batch of its bucket probes, or when a miss into its bucket
+    finds it waiting."""
 
     flip = 1
+    target = 0
     corrupted = False
 
     def _write_keys(self, table, group, row, keys):
         super()._write_keys(table, group, row, keys)
-        if not self.corrupted:
-            self.corrupted = True
-            sid, key_i = table.slots[0]
-            row, col = table.layout.key_address(key_i)
-            self.machine.subarray(sid).cells[row] ^= self.flip << col
+        if not self.corrupted and self.target < len(table.slots):
+            sid, key_i = table.slots[self.target]
+            if sid == group.sid and any(query.key_i == key_i for query in keys):
+                self.corrupted = True
+                row, col = table.layout.key_address(key_i)
+                self.machine.subarray(sid).cells[row] ^= self.flip << col
 
 
 def test_a_corrupted_key_fails_the_fabric_scan():
@@ -1478,11 +1596,13 @@ def test_a_corrupted_key_fails_the_fabric_scan():
 
 def test_a_key_corrupted_into_a_new_k_mer_fails_the_fabric_scan():
     # AAAAT and AGCTT hash to one bucket (124 of the group's 304). AAAAT is
-    # inserted by the first read at key index 0 and written when the second
-    # read's batch needs it, and its stored bits are then turned into
-    # AGCTT's. The second read's AGCTT is new to the host
-    # counts, so it is a miss; its bucket holds a row, so it joins a batch
-    # whose compare of that row must find nothing, yet slot 0 matches.
+    # inserted by the first read at key index 0, in column 0, and waits.
+    # The second read's AGCTT is new to the host counts, so it is a miss
+    # into that column, at key row 1; its bucket's one key still waits, so
+    # AAAAT's row is written first, and its stored bits are then turned
+    # into AGCTT's. AGCTT's key row is written at the stage's end, and its
+    # compare against row 0, read at column 0, must find nothing, yet slot
+    # 0 matches.
     old, new = E("AAAAT"), E("AGCTT")
     table = make_asm().build_kmer_table([old, new], 5)
     assert bucket_of(table, old) == bucket_of(table, new) == 124
@@ -1490,6 +1610,25 @@ def test_a_key_corrupted_into_a_new_k_mer_fails_the_fabric_scan():
     asm.flip = old.bits ^ new.bits
     with pytest.raises(ConsistencyError, match="fabric scan finds key index 0 for a miss"):
         asm.build_kmer_table([old, new], 5)
+
+
+def test_a_key_corrupted_into_an_imaged_miss_fails_its_batch_scan():
+    # The read of the mid-read column test below, at 24 x 64 and k=5:
+    # bucket 9's ACCCG and CCCGC fill column 0 at rows 2 and 3 (key indices
+    # 8 and 12), so CCGCA, new to bucket 9, must leave that column and is
+    # imaged in batch 0. CCCGC's row is written before any batch probes,
+    # and its stored bits are then turned into CCGCA's. Batch 0 compares
+    # bucket 9's rows newest first, and the miss must find nothing, yet
+    # column 0 of row 3 matches.
+    read = "CACGGGCCCACCCGCAACCCGCAA"
+    old, new = E("CCCGC"), E("CCGCA")
+    table = make_asm(**PACKED).build_kmer_table([E(read)], 5)
+    assert table.slots[table.keys.index(old)] == (0, 12)
+    asm = CorruptKey(**PACKED)
+    asm.target, asm.flip = table.keys.index(old), old.bits ^ new.bits
+    with pytest.raises(ConsistencyError, match="fabric scan finds key index 12 for a miss"):
+        asm.build_kmer_table([E(read)], 5)
+    assert asm.corrupted
 
 
 @given(
@@ -2762,21 +2901,28 @@ _UNIT_RUNG = (
 #   hashmap      the same both ways. A 22-bit key takes a 32-column pitch,
 #                so a key row holds one key: 36 key rows and 36 buckets per
 #                sub-array, and the fewest groups whose hashed key counts
-#                fit are 10. The 360 buckets hold the keys in 183; those
-#                first keys fill no image column, so they are not probed.
-#                Each of the other 897 queries fills column 0, so it probes
-#                alone in its batch. A group's 8 temp rows and the free key
-#                rows above its fullest column (31 of 36 at the end) hold
-#                its recent images: 644 batches find theirs held, 253
-#                write one. A hit compares its bucket's rows newest first,
-#                down to its key's, and a miss all of them: 944 compares.
+#                fit are 10. The 360 buckets hold the keys in 183. A
+#                bucket's keys all sit in column 0, the one slot, so no
+#                miss joins a batch: the 183 first keys have no older key
+#                to be checked against, and the other 76 are each
+#                compared once their key row is written, against their
+#                bucket's older rows: 98 compares. Each of the 821 hits
+#                fills column 0, so it probes alone in its batch. A
+#                group's 8 temp rows and the free key rows above its
+#                fullest column (31 of 36 at the end) hold its recent
+#                images: 574 batches find theirs held, 247 write one. A
+#                hit compares its bucket's rows newest first, down to its
+#                key's: 851 compares. That is 5 more than when the misses
+#                were imaged, since a miss placed after a hit of its
+#                bucket in one read now waits from its placement, so the
+#                hit's batch writes its row first and compares it too.
 #                Each key takes one row write. No group holds more than 31
 #                keys, so each keeps its counters in one stripe: 10 seed
 #                writes, and 30 adds, a +1 at planes 0, 1 and 2 of each
 #                stripe, each stopping one plane up: 60 planes.
-#     W      253 images + 259 key rows + 10 seeds + 2 * 60  =   642
-#     C_ADD  944 compares + 60                               = 1,004
-#     DPU    944 + 60                                        = 1,004
+#     W      247 images + 259 key rows + 10 seeds + 2 * 60  =   636
+#     C_ADD  98 + 851 compares + 60                          = 1,009
+#     DPU    98 + 851 + 60                                   = 1,009
 #   graph        259 nodes and 259 edges, largest multiplicity 8; each
 #                label is checked in its key row, and none is copied.
 #     R      10 counter stripes * 8 planes                   =    80
@@ -2847,9 +2993,9 @@ LADDER = {
     False: (
         [
             ("io", "XFER", 508),
-            ("hashmap", "W", 642),
-            ("hashmap", "C_ADD", 1004),
-            ("hashmap", "DPU", 1004),
+            ("hashmap", "W", 636),
+            ("hashmap", "C_ADD", 1009),
+            ("hashmap", "DPU", 1009),
             ("graph", "R", 80),
             ("graph", "W", 36),
             ("traverse", "DPU", 888),
@@ -2871,9 +3017,9 @@ LADDER = {
     True: (
         [
             ("io", "XFER", 512),
-            ("hashmap", "W", 642),
-            ("hashmap", "C_ADD", 1004),
-            ("hashmap", "DPU", 1004),
+            ("hashmap", "W", 636),
+            ("hashmap", "C_ADD", 1009),
+            ("hashmap", "DPU", 1009),
             ("graph", "R", 337),
             ("graph", "DPU", 518),
             ("graph", "W", 3),
@@ -2915,34 +3061,36 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #   hashmap        752,476 queries, 9,976 distinct keys in 3 groups of
 #                  3,568 buckets, one per key slot (fill 3,250, 3,379,
 #                  3,347; 0.93 keys per bucket), 3 sub-arrays.
-#     The 6,503 first misses into an empty bucket fill no image column, so
-#     each joins its read's first batch in its group. In each group the
-#     first read's first batch holds only such keys, so those 3 batches
-#     are not probed, and their 76 keys go in with 19 row writes. The
-#     other 745,973 queries fill image columns, up to 4 per batch (3.25
-#     per batch), in 229,632 batches, which also hold the other 6,427
-#     first keys: a hit joins its read's batch for its bucket's newest
-#     placed key row, and a miss the first of its read's batches it fits.
-#     A hit compares its bucket's rows newest first, down to its key's,
-#     and a miss all of them: 236,585 rows in all (1.03 per batch, 0.31
-#     per query). A new key waits, once its batch has compared, until a
-#     later batch of any read probes its bucket, a read ends with every
+#     No column fills, so every miss puts its key in its bucket's one
+#     column, joins no batch and waits from its placement. The 6,503 first
+#     misses into an empty bucket have nothing to be checked against; the
+#     other 3,473 are checked when their key row is written, against their
+#     bucket's older rows: 4,697 compares. The 742,500 hits fill image
+#     columns, up to 4 per batch (3.24 per batch), in 228,953 batches: a
+#     hit joins its read's batch for its bucket's newest placed key row. It
+#     compares its bucket's rows newest first, down to its key's: 231,970
+#     rows (1.01 per batch), so 236,667 compares in all (0.31 per query).
+#     A new key waits until a later batch of any read probes its bucket, a
+#     later miss into its bucket finds it waiting, a read ends with every
 #     column past its key row, or the stage ends, and then its key row is
-#     written with every key waiting in it. The first reads' 19 rows are
-#     complete at their end. After each group's first read, every read
-#     brings one new key, its last k-mer (9,976 - 76 = 9,900 keys in the
-#     9,900 later reads), and the next read holds it again, as its
-#     second-to-last k-mer. A key whose read ends with every column past
-#     its row is written then, alone: 2,047 writes. Any other key waits for
-#     the next read's hit on it, whose batch writes its row first: 6,630
-#     writes, 1,222 of which also take the next read's own key, placed in
-#     the same row by a batch that compared before the hit's. The last
-#     read's key waits until the stage's end: 1 write. So 2,047 + 5,408 +
-#     2 * 1,222 + 1 = 9,900 keys take 8,678 writes, where writing each
-#     read's key row at its end took 9,900. Each group keeps
-#     its images in its 8 temp rows and in the key rows above its fullest
-#     column, up to 784 in one group at once, so 210,600 batches find
-#     their image held and only 19,032 write one. Each key's counter sits
+#     written with every key waiting in it. In each group the first read's
+#     keys, 76 in all, complete 19 rows by its end: 19 writes. After each
+#     group's first read, every read brings one new key, its last k-mer
+#     (9,976 - 76 = 9,900 keys in the 9,900 later reads), and the next read
+#     holds it again, as its second-to-last k-mer. A key whose read ends
+#     with every column past its row is written then, alone: 2,023 writes.
+#     Any other key waits for the next read's hit on it, whose batch writes
+#     its row first: 6,518 writes, 1,357 of which also take the next
+#     read's own key, placed in the same row when that read was observed.
+#     One key is written when a later miss into its bucket finds it
+#     waiting, and the last read's key waits until the stage's end: 2
+#     writes. So 2,023 + 5,161 + 2 * 1,357 + 2 = 9,900 keys take 8,543
+#     writes, where writing each read's key row at its end took 9,900, and
+#     imaging each checked miss in its read's batches took 8,678. Each
+#     group keeps its images in its 8 temp rows and in the key rows above
+#     its fullest column, up to 783 in one group at once, so 211,515
+#     batches find their image held and only 17,438 write one. Each key's
+#     counter sits
 #     at its key index, and the groups' highest key indices are 3,251,
 #     3,382 and 3,348, so the counters fill 13 + 14 + 14 = 41 stripes of
 #     256. After the last read
@@ -2958,11 +3106,11 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #     adds. No counter passes 76, so each add stops at its last carry
 #     plane: 41 at plane 1, 42 at 2, 42 at 3, 9 at 4, 8 at 5 and 42 at 6,
 #     282 planes of 1 C_ADD + 2 W + 1 DPU each.
-#     W  19,032 image writes, 19 + 2,047 + 6,630 + 1 = 8,697 key
+#     W  17,438 image writes, 19 + 2,023 + 6,518 + 2 = 8,562 key
 #        row writes, 41 counter-seed writes, and the adds' 2 * 282
-#                                                            =    28,334
-#     DPU one per compared row (236,585) + 282               =   236,867
-#     C_ADD the compares (236,585) + 282                     =   236,867
+#                                                            =    26,605
+#     DPU one per compared row (236,667) + 282               =   236,949
+#     C_ADD the compares (236,667) + 282                     =   236,949
 #   graph          9,977 nodes, 9,976 edges, largest multiplicity 76.
 #     Each node's label is checked in place in its key row; nothing is
 #     copied.
@@ -3005,9 +3153,9 @@ def test_fallback_ladder_trace_is_pinned(simplify):
 #                  row 975), all in one                      =         4
 CANONICAL_TRACE = [
     ("io", "XFER", 250_025),
-    ("hashmap", "W", 28_334),
-    ("hashmap", "C_ADD", 236_867),
-    ("hashmap", "DPU", 236_867),
+    ("hashmap", "W", 26_605),
+    ("hashmap", "C_ADD", 236_949),
+    ("hashmap", "DPU", 236_949),
     ("graph", "R", 328),
     ("graph", "W", 273),
     ("traverse", "DPU", 30_447),
@@ -3038,20 +3186,31 @@ def _benchmark_workloads():
 # through its 80 hubs; sampled-repeats' 8 components retry at unit words
 # and split into 16 contigs. These records are what the benchmark's trace
 # digest hashes.
-#   hashmap W      the key row writes plus the image writes and counter
-#                  seeds (1,732, 1,533 and 3,760). A new key waits, across
-#                  reads, until a batch probes its bucket, a read ends with
+#   hashmap W      the key row writes plus the image writes and the
+#                  counter seeds and adds (1,689, 40 and 3,153). No
+#                  column fills, so no miss joins a batch, and hub-euler,
+#                  all misses, writes no image. A new key waits, across
+#                  reads, until a batch probes its bucket, a later miss
+#                  into its bucket finds it waiting, a read ends with
 #                  every column past its key row, or the stage ends, and
 #                  its key row then takes every key waiting in it. So each
 #                  key row that holds keys is written once, 244, 2,492 and
 #                  1,452 rows (the sums of the groups' fullest columns),
-#                  plus once more each time a batch needed the row before
-#                  all of its keys were ready, 294, 7 and 134: 538, 2,499
-#                  and 1,586 writes (9,956 keys on hub-euler, where a row
-#                  holds 4). tiled-deep's stride-1 reads hit each new key
-#                  in the next read, so most of its rows are needed before
-#                  they fill. Writing every row a read touched at the
-#                  read's end took 919, 3,072 and 1,989 writes.
+#                  plus once more each time a batch or a miss needed the
+#                  row before all of its keys were ready, 293, 4 and 73:
+#                  537, 2,496 and 1,525 writes (9,956 keys on hub-euler,
+#                  where a row holds 4). tiled-deep's stride-1 reads hit
+#                  each new key in the next read, so most of its rows are
+#                  needed before they fill. Writing every row a read
+#                  touched at the read's end took 919, 3,072 and 1,989
+#                  writes, and imaging the misses into buckets that held
+#                  keys in their reads' batches took 538, 2,499 and 1,586.
+#   hashmap C_ADD  one per compared row, and the DPU the same: the 108,
+#                  3,491 and 1,849 misses into buckets that held keys are
+#                  each checked when their key row is written, 123, 4,638
+#                  and 2,378 compares, and the hits' batches compare
+#                  19,225, none and 5,721 rows; with the counter adds'
+#                  38, none and 134.
 #   traverse       degree passes on 4 stripes at d = 7 then 2
 #                  (tiled-deep, retried), 38 at d = 3 (hub-euler) and 23
 #                  at d = 4 then 2 (sampled-repeats, retried), every
@@ -3098,9 +3257,9 @@ WORKLOAD_TRACES = {
     "tiled-deep": (
         [
             ("io", "XFER", 22_775),
-            ("hashmap", "W", 2_270),
-            ("hashmap", "C_ADD", 19_365),
-            ("hashmap", "DPU", 19_365),
+            ("hashmap", "W", 2_226),
+            ("hashmap", "C_ADD", 19_386),
+            ("hashmap", "DPU", 19_386),
             ("graph", "R", 32),
             ("graph", "W", 28),
             ("traverse", "DPU", 2_992),
@@ -3114,9 +3273,9 @@ WORKLOAD_TRACES = {
     "hub-euler": (
         [
             ("io", "XFER", 5_770),
-            ("hashmap", "W", 4_032),
-            ("hashmap", "C_ADD", 4_629),
-            ("hashmap", "DPU", 4_629),
+            ("hashmap", "W", 2_536),
+            ("hashmap", "C_ADD", 4_638),
+            ("hashmap", "DPU", 4_638),
             ("graph", "R", 320),
             ("graph", "W", 39),
             ("traverse", "DPU", 30_098),
@@ -3130,9 +3289,9 @@ WORKLOAD_TRACES = {
     "sampled-repeats": (
         [
             ("io", "XFER", 9_149),
-            ("hashmap", "W", 5_346),
-            ("hashmap", "C_ADD", 8_191),
-            ("hashmap", "DPU", 8_191),
+            ("hashmap", "W", 4_678),
+            ("hashmap", "C_ADD", 8_233),
+            ("hashmap", "DPU", 8_233),
             ("graph", "R", 192),
             ("graph", "W", 92),
             ("traverse", "DPU", 17_754),

@@ -252,6 +252,19 @@ def test_bucket_directory_rejects_more_colliding_hashes_than_a_sub_array_holds()
         bucket_directory(SMALL, [7] * 113)
 
 
+def test_hashes_that_no_group_count_separates_raise():
+    # hashes 0 and 1, 112 keys each: no hash is shared by more keys than a
+    # sub-array holds, so the first check passes, and the 224 keys need 2
+    # groups at least. But both hashes lie below 112, so at every group
+    # count they fall in buckets 0 and 1 of group 0: 224 keys hashed to one
+    # group of 112. The search's bound on primes, one pair of 1-bit
+    # hashes, ends it after the primes 2 and 3
+    hashes = [0] * 112 + [1] * 112
+    assert [group_keys(SMALL, hashes, groups) for groups in (2, 3)] == [{0: 224}] * 2
+    with pytest.raises(CapacityError, match="224 key hashes fit no bucket directory of 2 to 3"):
+        bucket_directory(SMALL, hashes)
+
+
 def test_distinct_hashes_find_a_directory_past_four_times_the_fewest():
     # 21 x 16 at k=6: a 12-bit key per 16-column row and one key row beside
     # one counter stripe, so a sub-array holds one key and a group is one
